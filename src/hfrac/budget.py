@@ -15,12 +15,14 @@ class Budget:
 
     A budget with no limits never trips.  ``spend`` is cheap enough to call
     once per search node; the clock is only consulted every 256 nodes.
+    ``exhausted`` records whether any search it served was cut off.
     """
 
     def __init__(self, ms: float | None = None, nodes: int | None = None):
         self.ms = ms
         self.max_nodes = nodes
         self.nodes = 0
+        self.exhausted = False
         self._t0 = time.monotonic()
 
     @classmethod
@@ -32,7 +34,9 @@ class Budget:
     def spend(self, n: int = 1) -> None:
         self.nodes += n
         if self.max_nodes is not None and self.nodes > self.max_nodes:
+            self.exhausted = True
             raise BudgetExhausted(f"node budget {self.max_nodes} exhausted")
         if self.ms is not None and self.nodes % 256 == 0:
             if (time.monotonic() - self._t0) * 1000.0 > self.ms:
+                self.exhausted = True
                 raise BudgetExhausted(f"time budget {self.ms} ms exhausted")

@@ -204,10 +204,13 @@ def _cmd_minrank(args) -> int:
 
 def _cmd_hfrac(args) -> int:
     g = _graph(args)
-    report = hfrac_upper_search(g, args.p, dmax=args.dmax, budget=_budget(args))
+    budget = _budget(args)
+    report = hfrac_upper_search(g, args.p, dmax=args.dmax, budget=budget)
     human = f"[{frac_str(report.lower)}, {frac_str(report.upper)}]"
+    if budget.exhausted:
+        human += " (budget exhausted)"
     _emit(args, human, _report_payload(report))
-    return EXIT_OK
+    return EXIT_BUDGET if budget.exhausted else EXIT_OK
 
 
 def _cmd_theta_circulant(args) -> int:

@@ -1,12 +1,19 @@
 """Exact fractional clique cover number with rational certificates.
 
 ``fractional_clique_cover(g)`` minimizes total clique weight subject to
-covering every vertex with weight at least one.  The master problem is the
-LP dual (maximize vertex weights subject to one unit per known clique);
-rows are generated by pricing with the exact maximum-weight stable-set
-oracle on the complement, and pricing stops only when the best reduced
-cost is <= 0 exactly.  The cover itself is read off the dual vector of
-the final solve, so the certificate is exact end to end.
+covering every vertex with weight at least one, by column generation on
+that primal master.  The master (``lp.CoveringMaster``) starts from the
+singleton cliques and stays warm: each round reads the duals off the
+current basis, prices them with the exact maximum-weight stable-set
+oracle on the complement, and brings the new clique in as a column with
+one pivot, then re-optimizes.  Pricing stops only when the best clique
+weight is <= 1 exactly.
+
+The returned cover is gated exactly: the duals must be feasible for the
+dual LP over the generated cliques (one unit per clique, vertex weights
+>= 0), and ``check_solution`` must accept the clique weights as its
+optimality certificate (signs, reduced costs, equal values).  The cover
+itself must then pass ``cover_violation``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .budget import Budget
 from .errors import VerificationError
 from .graphs import Graph, complement, is_clique
 from .independence import max_weight_independent_set
-from .lp import F0, F1, LinearProgram, simplex_solve
+from .lp import F0, F1, CoveringMaster, LinearProgram, LpSolution, check_solution
 from .serialize import frac_str, parse_frac
 
 
@@ -99,42 +106,31 @@ def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
 
 def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> FractionalCover:
     """Exact optimal fractional clique cover of g (equals the fractional
-    chromatic number of the complement)."""
+    chromatic number of the complement).
+
+    Under a budget, raises BudgetExhausted from a master pivot or
+    SearchCutoff from pricing."""
     if g.n == 0:
         return FractionalCover((), F0, 1)
     budget = budget or Budget()
     comp = complement(g)
-    cliques: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
-    known = set(cliques)
+    master = CoveringMaster(g.n, budget)
     while True:
-        sol = simplex_solve(_master_lp(g.n, cliques))
-        assert sol.status == "optimal"  # master is bounded and feasible
-        y = sol.assignment
+        y = master.duals()
         witness, weight = max_weight_independent_set(comp, y, budget)
         if weight <= 1:
             break
-        new = tuple(sorted(witness))
-        assert new not in known, "pricing returned a known clique"
-        cliques.append(new)
-        known.add(new)
-    classes = tuple(
-        (cl, w) for cl, w in zip(cliques, sol.dual) if w != 0
-    )
-    value = sol.value
+        master.add_column(tuple(sorted(witness)))
+    cliques = master.columns
+    weights = master.values()
+    value = sum(weights, F0)
+    if not check_solution(_master_lp(g.n, cliques), LpSolution("optimal", value, y, weights)):
+        raise VerificationError("internal error: master optimum failed its LP certificate")
+    # sorted, so the cover does not depend on the order pricing found its cliques
+    classes = tuple(sorted((cl, w) for cl, w in zip(cliques, weights) if w != 0))
     d = lcm(*(w.denominator for _, w in classes)) if classes else 1
     cover = FractionalCover(classes, value, d)
     failure = cover_violation(g, cover)
     if failure is not None:
         raise VerificationError(f"internal error: optimal cover invalid: {failure}")
     return cover
-
-
-def full_lp_cover_value(g: Graph) -> Fraction:
-    """Oracle for tests: solve the master over all maximal cliques at once."""
-    from .independence import maximal_cliques
-
-    if g.n == 0:
-        return F0
-    sol = simplex_solve(_master_lp(g.n, maximal_cliques(g)))
-    assert sol.status == "optimal"
-    return sol.value

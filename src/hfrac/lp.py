@@ -1,14 +1,26 @@
-"""Exact rational linear programming by dense two-phase simplex.
+"""Exact rational linear programming: a cold two-phase simplex and a
+warm-started covering master.
 
-Everything is computed in ``fractions.Fraction``; a returned optimum comes
-with a dual vector that certifies optimality exactly (checked by
-``check_solution``).  Bland's rule is used in both phases, so the solver
-terminates on every input.  Instances here are tiny (at most a few hundred
-rows), so the dense tableau favors correctness over speed.
+Everything is exact; a returned optimum comes with a dual vector that
+certifies optimality exactly (checked by ``check_solution``).  Bland's
+rule is used throughout, so both solvers terminate on every input.
 
-Variable bounds are folded away before the tableau is built: a finite
-lower bound shifts the variable, an upper bound becomes an extra row, and
-a fully free variable is split into a difference of two nonnegative ones.
+``simplex_solve`` is the general solver: a dense ``Fraction`` tableau
+built from scratch for one LP.  Variable bounds are folded away before the
+tableau is built: a finite lower bound shifts the variable, an upper bound
+becomes an extra row, and a fully free variable is split into a
+difference of two nonnegative ones.
+
+``CoveringMaster`` is the primal master of a column-generation loop for
+unit-cost covering LPs (min sum x_j with every row covered at least once).
+It starts from the unit columns, whose basis is the identity, so no
+phase 1 is needed, and keeps the basis inverse fraction-free as an
+integer adjugate over det(B) with Bareiss-style exact-division updates.
+A new column enters with one ratio test and one pivot; the master is then
+re-optimized over the columns it already has before the caller prices
+again.  The caller still owes a final exact gate: ``check_solution`` on
+the dual LP with the master's duals as assignment and its column values
+as dual vector.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .budget import Budget
 from .errors import DimensionMismatch
 from .serialize import frac_str, parse_frac
 
@@ -253,6 +266,126 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     sol = LpSolution("optimal", value, tuple(assignment), tuple(dual))
     assert check_solution(lp, sol), "internal error: optimum failed its own certificate"
     return sol
+
+
+class CoveringMaster:
+    """Warm-started exact primal master of a unit-cost covering LP::
+
+        min sum_j x_j  s.t.  sum_{j : i in S_j} x_j - s_i = 1 for every row i,
+                             x, s >= 0,
+
+    where column j is the row set ``columns[j]``.  The first m columns are
+    the unit columns (i,), and they form the starting basis.  After
+    construction and after every ``add_column`` the basis is optimal over
+    the columns held so far.
+
+    The basis inverse is kept as the integer matrix ``det * B^-1`` with
+    ``det = |det(B)| > 0``, and the basic values as integers over ``det``:
+    a pivot divides exactly (Bareiss), so no ``Fraction`` is built until a
+    caller asks for duals or values.  Every pivot spends one budget node.
+    Variables are ordered for Bland's rule as columns 0, 1, ... first and
+    then the surplus variables s_0, s_1, ...; internally surplus i is
+    numbered ``~i``.
+    """
+
+    def __init__(self, m: int, budget: Budget | None = None):
+        self.m = m
+        self.columns: list[tuple[int, ...]] = [(i,) for i in range(m)]
+        self._budget = budget or Budget()
+        self._det = 1
+        self._inv = [[int(i == j) for j in range(m)] for i in range(m)]
+        self._x = [1] * m  # basic values times det
+        self._basis = list(range(m))  # variable in each basis row
+
+    def _order(self, var: int) -> int:
+        return var if var >= 0 else len(self.columns) + ~var
+
+    def _dual_numerators(self) -> list[int]:
+        """y * det with y = c_B B^-1 (only column variables cost 1)."""
+        yn = [0] * self.m
+        for row, var in zip(self._inv, self._basis):
+            if var >= 0:
+                yn = [a + b for a, b in zip(yn, row)]
+        return yn
+
+    def _image(self, var: int) -> list[int]:
+        """det * B^-1 a for the constraint column a of ``var``."""
+        if var < 0:
+            return [-row[~var] for row in self._inv]
+        support = self.columns[var]
+        return [sum(row[i] for i in support) for row in self._inv]
+
+    def _improves(self, var: int, yn: list[int]) -> bool:
+        """Whether var's reduced cost is strictly negative."""
+        if var < 0:
+            return yn[~var] < 0
+        return sum(yn[i] for i in self.columns[var]) > self._det
+
+    def _pivot(self, var: int) -> None:
+        u = self._image(var)
+        x, basis = self._x, self._basis
+        r = -1
+        for i, ui in enumerate(u):
+            if ui > 0:
+                if r < 0:
+                    r = i
+                    continue
+                lhs, rhs = x[i] * u[r], x[r] * ui  # x_i/u_i against x_r/u_r
+                if lhs < rhs or (lhs == rhs and self._order(basis[i]) < self._order(basis[r])):
+                    r = i
+        if r < 0:
+            raise AssertionError("internal error: covering master is bounded below by 0")
+        self._budget.spend()
+        det, ur = self._det, u[r]
+        inv = self._inv
+        prow, px = inv[r], x[r]
+        for i, ui in enumerate(u):
+            if i == r:
+                continue
+            if ui:
+                inv[i] = [(ur * a - ui * b) // det for a, b in zip(inv[i], prow)]
+                x[i] = (ur * x[i] - ui * px) // det
+            elif ur != det:
+                inv[i] = [ur * a // det for a in inv[i]]
+                x[i] = ur * x[i] // det
+        self._det = ur
+        basis[r] = var
+
+    def _reoptimize(self) -> None:
+        """Bland's rule over the held columns and the surplus variables."""
+        while True:
+            yn = self._dual_numerators()
+            entering = next(
+                (j for j in range(len(self.columns)) if self._improves(j, yn)), None
+            )
+            if entering is None:
+                entering = next((~i for i in range(self.m) if yn[i] < 0), None)
+            if entering is None:
+                return
+            self._pivot(entering)
+
+    def add_column(self, support: tuple[int, ...]) -> None:
+        """Price ``support`` in with one pivot, then re-optimize.  The
+        column must have negative reduced cost at the current duals."""
+        self.columns.append(tuple(support))
+        var = len(self.columns) - 1
+        if not self._improves(var, self._dual_numerators()):
+            self.columns.pop()
+            raise ValueError(f"column {tuple(support)} does not improve the master")
+        self._pivot(var)
+        self._reoptimize()
+
+    def duals(self) -> tuple[Fraction, ...]:
+        """Row prices y = c_B B^-1 of the current optimal basis."""
+        return tuple(Fraction(v, self._det) for v in self._dual_numerators())
+
+    def values(self) -> tuple[Fraction, ...]:
+        """Value of every column (zero when nonbasic)."""
+        out = [F0] * len(self.columns)
+        for var, xv in zip(self._basis, self._x):
+            if var >= 0:
+                out[var] = Fraction(xv, self._det)
+        return tuple(out)
 
 
 def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:

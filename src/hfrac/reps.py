@@ -23,6 +23,7 @@ import numpy as np
 
 from .budget import Budget
 from .errors import (
+    BudgetExhausted,
     DimensionMismatch,
     GraphParseError,
     PreconditionError,
@@ -441,11 +442,12 @@ def hfrac_upper_search(
 
     Upper candidates (certificates with block size at most dmax): the
     budgeted d = 1 minrank search, the blow-up of the optimal fractional
-    clique cover, and, when the graph expression is a strong product,
-    the tensor product of the factors' best certificates.  The lower end
-    is the independence number (or its certified lower bound under
-    budget).  The interval never claims the parameter exactly unless the
-    two ends meet.
+    clique cover (left out when the budget cuts the cover off), and, when
+    the graph expression is a strong product, the tensor product of the
+    factors' best certificates.  The lower end is the independence number
+    (or its certified lower bound under budget).  The interval never
+    claims the parameter exactly unless the two ends meet; whether any
+    part was cut off shows in ``budget.exhausted``.
     """
     if dmax < 1:
         raise PreconditionError(f"dmax must be >= 1, got {dmax}")
@@ -468,8 +470,11 @@ def _search(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[BoundReport, D
     res = minrank_exact(g, p, budget)
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
 
-    cover = fractional_clique_cover(g, budget)
-    if cover.d <= dmax:
+    try:
+        cover = fractional_clique_cover(g, budget)
+    except (BudgetExhausted, SearchCutoff):
+        cover = None  # the other candidates still certify the upper end
+    if cover is not None and cover.d <= dmax:
         rep = drep_from_fractional_cover(g, cover, p)
         candidates.append((rep.ratio(), rep))
 

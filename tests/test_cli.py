@@ -119,6 +119,16 @@ def test_budget_exit_code(capsys):
     assert "[" in out  # an interval is still emitted
 
 
+def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
+    code, out, err = run(capsys, "hfrac", "--graph", "johnson:2,8", "--p", "2",
+                         "--budget-ms", "500", "--json")
+    assert code == 3, err
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and out.strip() == "OK"
+
+
 def test_usage_errors_are_64(capsys):
     assert run(capsys, "alpha", "--graph", "nonsense:5")[0] == 64
     assert run(capsys, "alpha", "--graph", "cycle:x")[0] == 64

@@ -5,20 +5,34 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from hfrac.budget import Budget
+from hfrac.errors import BudgetExhausted, SearchCutoff
 from hfrac.fraccover import (
     FractionalCover,
+    _master_lp,
     cover_violation,
     fractional_clique_cover,
-    full_lp_cover_value,
     verify_cover,
 )
-from hfrac.graphs import complete, cycle, graph_from_edges
-from hfrac.independence import alpha
+from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
+from hfrac.independence import alpha, maximal_cliques
+from hfrac.lp import simplex_solve
 
 
 def random_graph(rng, n, prob=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
     return graph_from_edges(n, edges)
+
+
+def full_lp_cover_value(g: Graph) -> F:
+    """Independent reference: one cold simplex over all maximal cliques."""
+    if g.n == 0:
+        return F(0)
+    sol = simplex_solve(_master_lp(g.n, maximal_cliques(g)))
+    assert sol.status == "optimal"
+    return sol.value
 
 
 def test_pentagon_cover_is_the_five_edges_at_one_half():
@@ -69,11 +83,34 @@ def test_verify_cover_negatives():
     assert cover_violation(c5, wrong_value) is not None
 
 
+# Degenerate product graphs, each with the largest cover denominator
+# accepted: the one the re-solving dual master used to return, since
+# hfrac only keeps a cover candidate whose d is at most dmax.
+PRODUCT_COVER_DENOMINATORS = {
+    "strong(cycle:5,cycle:3)": 2,
+    "strong(cycle:5,complete:2)": 2,
+    "lex(cycle:5,cycle:5)": 4,
+    "complement(cycle:9)": 4,
+}
+
+
 def test_column_generation_matches_full_lp_on_small_graphs():
     rng = random.Random(31)
     for _ in range(12):
         g = random_graph(rng, rng.randint(2, 12), rng.random() * 0.8 + 0.1)
         assert fractional_clique_cover(g).value == full_lp_cover_value(g)
+    for expr, seed_d in PRODUCT_COVER_DENOMINATORS.items():
+        g = generate(expr)
+        cover = fractional_clique_cover(g)
+        assert cover.value == full_lp_cover_value(g), expr
+        assert verify_cover(g, cover), expr
+        assert cover.d <= seed_d, expr
+
+
+def test_budget_stops_the_master():
+    g = generate("strong(cycle:5,cycle:5)")
+    with pytest.raises((BudgetExhausted, SearchCutoff)):
+        fractional_clique_cover(g, Budget(nodes=50))
 
 
 def test_cover_value_at_least_alpha():

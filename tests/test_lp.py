@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hfrac.errors import DimensionMismatch
+from hfrac.budget import Budget
+from hfrac.errors import BudgetExhausted, DimensionMismatch
 from hfrac.lp import (
+    CoveringMaster,
     LinearProgram,
     LpSolution,
     check_solution,
@@ -190,6 +192,51 @@ def test_row_permutation_invariance():
         assert base.status == other.status
         if base.status == "optimal":
             assert base.value == other.value
+
+
+def covering_dual(m, columns):
+    """max sum y subject to sum_{i in S} y_i <= 1 per column S, y >= 0."""
+    rows = tuple(
+        (tuple(F(int(i in cols)) for i in range(m)), "<=", F(1)) for cols in map(set, columns)
+    )
+    return LinearProgram(tuple(F(1) for _ in range(m)), rows, bounds=tuple((F(0), None) for _ in range(m)))
+
+
+def test_covering_master_column_generation_matches_cold_solve():
+    rng = random.Random(15)
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        pool = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(rng.randint(1, 12))]
+        master = CoveringMaster(m)
+        while True:
+            y = master.duals()
+            best = max(pool, key=lambda cols: sum(y[i] for i in cols))
+            if sum(y[i] for i in best) <= 1:
+                break
+            master.add_column(best)
+        w = master.values()
+        assert all(x >= 0 for x in w)
+        lp = covering_dual(m, master.columns)
+        assert check_solution(lp, LpSolution("optimal", sum(w, F(0)), y, w))
+        assert sum(w, F(0)) == simplex_solve(covering_dual(m, master.columns + pool)).value
+
+
+def test_covering_master_rejects_a_column_that_does_not_improve():
+    master = CoveringMaster(3)
+    master.add_column((0, 1, 2))
+    with pytest.raises(ValueError):
+        master.add_column((0, 1))
+    assert master.columns == [(0,), (1,), (2,), (0, 1, 2)]
+    assert master.values() == (F(0), F(0), F(0), F(1))
+
+
+def test_covering_master_spends_one_node_per_pivot():
+    budget = Budget(nodes=1)
+    master = CoveringMaster(4, budget)
+    master.add_column((0, 1))
+    assert budget.nodes == 1
+    with pytest.raises(BudgetExhausted):
+        master.add_column((2, 3))
 
 
 def test_json_roundtrip():
