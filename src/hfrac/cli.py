@@ -142,22 +142,18 @@ def _emit(args, human: str, payload: dict) -> None:
     print(canonical_json(payload) if args.json else human)
 
 
-def _report_payload(report: BoundReport) -> dict:
-    return report.to_json()
-
-
 def _cmd_alpha(args) -> int:
     g = _graph(args)
     try:
         a, witness = alpha(g, _budget(args))
         report = BoundReport("alpha", args.graph, Fraction(a), Fraction(a),
                              ({"kind": "independent_set", "vertices": list(witness)},))
-        _emit(args, str(a), _report_payload(report))
+        _emit(args, str(a), report.to_json())
         return EXIT_OK
     except SearchCutoff as cut:
         report = BoundReport("alpha", args.graph, Fraction(cut.lower), Fraction(cut.upper),
                              ({"kind": "independent_set", "vertices": list(cut.witness or ())},))
-        _emit(args, f"[{cut.lower}, {cut.upper}] (budget exhausted)", _report_payload(report))
+        _emit(args, f"[{cut.lower}, {cut.upper}] (budget exhausted)", report.to_json())
         return EXIT_BUDGET
 
 
@@ -196,9 +192,9 @@ def _cmd_minrank(args) -> int:
     report = BoundReport(f"minrank[gf({args.p})]", args.graph,
                          Fraction(res.lower), Fraction(res.upper), tuple(witnesses))
     if res.exact:
-        _emit(args, str(res.upper), _report_payload(report))
+        _emit(args, str(res.upper), report.to_json())
         return EXIT_OK
-    _emit(args, f"[{res.lower}, {res.upper}] (search budget exhausted)", _report_payload(report))
+    _emit(args, f"[{res.lower}, {res.upper}] (search budget exhausted)", report.to_json())
     return EXIT_BUDGET
 
 
@@ -209,7 +205,7 @@ def _cmd_hfrac(args) -> int:
     human = f"[{frac_str(report.lower)}, {frac_str(report.upper)}]"
     if budget.exhausted:
         human += " (budget exhausted)"
-    _emit(args, human, _report_payload(report))
+    _emit(args, human, report.to_json())
     return EXIT_BUDGET if budget.exhausted else EXIT_OK
 
 

@@ -1,16 +1,23 @@
 """Exact independence numbers, clique covers, and a weighted stable-set oracle.
 
-All searches are deterministic bitset branch-and-bound: the branch vertex
-comes from a static descending-degree order and the pruning bound is a
-greedy clique cover of the remaining candidates, recomputed at every node.
-When a budget runs out the searches surface a certified interval instead
-of failing.
+``alpha`` and ``max_weight_independent_set`` share one explicit-stack
+bitset branch-and-bound (MCS/BBMC style).  Vertices are renumbered so that
+bit order is the colouring order: ascending weight, then ascending degree,
+so the search branches on heavy, high-degree vertices first.  At every node
+the candidates are split into cliques one class at a time; a vertex's bound
+is the sum of the class maxima up to its class (its class index for unit
+weights), and only vertices whose bound can still beat the incumbent are
+kept and branched on, last-coloured first.  Rational weights are scaled to
+integers once.  ``greedy_clique_cover`` is the same colouring over all
+vertices in descending-degree order.  When a budget runs out the searches
+surface a certified interval instead of failing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .budget import Budget
@@ -65,26 +72,138 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def _greedy_cover_masks(g: Graph, cand: int, order: Sequence[int]) -> list[int]:
-    """Greedy partition of the candidate set into cliques (masks)."""
-    classes: list[int] = []
+def _relabel(g: Graph, order: Sequence[int]) -> list[int]:
+    """Adjacency rows of g with vertex order[i] moved to bit i."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = []
     for v in order:
-        if not cand >> v & 1:
-            continue
-        placed = False
-        for k, cm in enumerate(classes):
-            if cm & ~g.adj[v] == 0:  # v adjacent to the whole class
-                classes[k] = cm | 1 << v
-                placed = True
-                break
-        if not placed:
-            classes.append(1 << v)
-    return classes
+        row = 0
+        for u in _bits(g.adj[v]):
+            row |= 1 << pos[u]
+        rows.append(row)
+    return rows
+
+
+def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[int], list[int], int]:
+    """Split cand into cliques, one class at a time in bit order.
+
+    Returns the vertices whose cumulative bound (the sum of the class
+    maxima of w up to their class) exceeds floor, in colouring order, their
+    bounds, and the bound of the whole split.
+    """
+    verts: list[int] = []
+    bounds: list[int] = []
+    total = 0
+    while cand:
+        q = cand
+        top = 0
+        start = len(verts)
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            q &= adj[v]
+            cand ^= low
+            verts.append(v)
+            if w[v] > top:
+                top = w[v]
+        total += top
+        if total > floor:
+            bounds += [total] * (len(verts) - start)
+        else:
+            del verts[start:]
+    return verts, bounds, total
+
+
+def _complete(adj: list[int], chosen: int) -> int:
+    """Extend the stable set chosen to a maximal one, highest bit first."""
+    free = (1 << len(adj)) - 1
+    for i in _bits(chosen):
+        free &= ~adj[i] & ~(1 << i)
+    while free:
+        i = free.bit_length() - 1
+        chosen |= 1 << i
+        free &= ~adj[i] & ~(1 << i)
+    return chosen
+
+
+# A frame that is suspended under a child keeps at most this many colour
+# list entries; a longer list is dropped and rebuilt when the frame resumes,
+# so a deep search holds O(depth) small frames.
+_KEEP = 32
+
+
+def _max_stable(
+    g: Graph, order: Sequence[int], weights: Sequence[int], budget: Budget, name: str
+) -> tuple[int, tuple[int, ...]]:
+    """Maximum-weight stable set of g for nonnegative integer weights.
+
+    Bit i stands for vertex order[i].  The incumbent starts as the greedy
+    stable set taken highest bit first.  A frame is [candidates, chosen
+    set, its weight, colour list, bounds]; it branches on its candidates
+    last-coloured first and is popped as soon as weight + bound <= best.
+    Rebuilding a dropped list gives the same classes without the vertices
+    already branched on, since those were coloured last.  One budget node
+    per search node; on exhaustion raises SearchCutoff(name, incumbent
+    weight, root bound, incumbent).
+    """
+    adj = _relabel(g, order)
+    w = [weights[v] for v in order]
+    cand = 0
+    for i in range(g.n):
+        if w[i]:
+            cand |= 1 << i
+    best_set = _complete(adj, 0)
+    best = sum(w[i] for i in _bits(best_set))
+    verts, bounds, root_bound = _colour(adj, w, cand, best)
+    try:
+        budget.spend()
+        stack = [[cand, 0, 0, verts, bounds]]
+        while stack:
+            frame = stack[-1]
+            cand, cur, size, verts, bounds = frame
+            if verts is None:
+                verts, bounds, _ = _colour(adj, w, cand, best - size)
+                frame[3] = verts
+                frame[4] = bounds
+            if not verts or size + bounds[-1] <= best:
+                stack.pop()
+                continue
+            v = verts.pop()
+            bounds.pop()
+            cand ^= 1 << v
+            frame[0] = cand
+            budget.spend()
+            cur |= 1 << v
+            size += w[v]
+            if size > best:
+                best = size
+                best_set = cur
+            cand &= ~adj[v]
+            if cand:
+                child_verts, child_bounds, _ = _colour(adj, w, cand, best - size)
+                if child_verts:
+                    if len(verts) > _KEEP:
+                        frame[3] = frame[4] = None
+                    stack.append([cand, cur, size, child_verts, child_bounds])
+    except BudgetExhausted:
+        raise SearchCutoff(name, best, root_bound, tuple(sorted(order[i] for i in _bits(best_set)))) from None
+    # An optimum meets every vertex of positive weight, so what it misses
+    # weighs nothing: complete it to a maximal stable set.
+    return best, tuple(sorted(order[i] for i in _bits(_complete(adj, best_set))))
 
 
 def greedy_clique_cover(g: Graph) -> CliqueCover:
-    masks = _greedy_cover_masks(g, (1 << g.n) - 1, _static_order(g))
-    return CliqueCover(tuple(tuple(_bits(m)) for m in masks))
+    """First-fit clique partition in descending-degree order."""
+    order = _static_order(g)
+    verts, bounds, _ = _colour(_relabel(g, order), [1] * g.n, (1 << g.n) - 1, 0)
+    classes: list[list[int]] = []
+    for v, k in zip(verts, bounds):
+        if k > len(classes):
+            classes.append([])
+        classes[-1].append(order[v])
+    return CliqueCover(tuple(tuple(sorted(c)) for c in classes))
 
 
 def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
@@ -93,84 +212,32 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
     Raises SearchCutoff carrying the certified interval [best found, root
     bound] and the best witness when the budget runs out.
     """
-    if g.n == 0:
-        return 0, ()
-    budget = budget or Budget()
-    order = _static_order(g)
-    full = (1 << g.n) - 1
-    root_bound = len(_greedy_cover_masks(g, full, order))
-    best_size = 0
-    best_set = 0
-
-    def dfs(cand: int, cur: int, size: int) -> None:
-        nonlocal best_size, best_set
-        budget.spend()
-        if size > best_size:
-            best_size = size
-            best_set = cur
-        if not cand:
-            return
-        if size + len(_greedy_cover_masks(g, cand, order)) <= best_size:
-            return
-        for v in order:
-            if cand >> v & 1:
-                break
-        dfs(cand & ~(g.adj[v] | 1 << v), cur | 1 << v, size + 1)
-        dfs(cand & ~(1 << v), cur, size)
-
-    try:
-        dfs(full, 0, 0)
-    except BudgetExhausted:
-        raise SearchCutoff("alpha", best_size, root_bound, tuple(_bits(best_set))) from None
-    return best_size, tuple(_bits(best_set))
+    return _max_stable(g, _static_order(g)[::-1], [1] * g.n, budget or Budget(), "alpha")
 
 
 def max_weight_independent_set(
     g: Graph, weights: Sequence[Fraction], budget: Budget | None = None
 ) -> tuple[tuple[int, ...], Fraction]:
-    """Exact maximum-weight independent set for nonnegative rational weights."""
+    """Exact maximum-weight independent set for nonnegative rational weights.
+
+    The witness is a maximal independent set: zero-weight vertices are
+    added to the optimum where they fit.  Raises SearchCutoff (interval
+    and witness as for ``alpha``) when the budget runs out.
+    """
     if len(weights) != g.n:
         raise ValueError("one weight per vertex required")
     w = [Fraction(x) for x in weights]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    budget = budget or Budget()
-    order = sorted(range(g.n), key=lambda v: (-w[v], -g.degree(v), v))
-    zero = Fraction(0)
-    best_weight = zero
-    best_set = 0
-
-    def bound(cand: int) -> Fraction:
-        # weighted clique-cover bound: one max weight per greedy class
-        total = zero
-        for cm in _greedy_cover_masks(g, cand, order):
-            total += max(w[v] for v in _bits(cm))
-        return total
-
-    def dfs(cand: int, cur: int, weight: Fraction) -> None:
-        nonlocal best_weight, best_set
-        budget.spend()
-        if weight > best_weight:
-            best_weight = weight
-            best_set = cur
-        if not cand:
-            return
-        if weight + bound(cand) <= best_weight:
-            return
-        for v in order:
-            if cand >> v & 1:
-                break
-        dfs(cand & ~(g.adj[v] | 1 << v), cur | 1 << v, weight + w[v])
-        dfs(cand & ~(1 << v), cur, weight)
-
+    scale = lcm(*(x.denominator for x in w))
+    ints = [x.numerator * (scale // x.denominator) for x in w]
+    order = sorted(range(g.n), key=lambda v: (-ints[v], -g.degree(v), v))[::-1]
     try:
-        dfs((1 << g.n) - 1, 0, zero)
-    except BudgetExhausted:
-        raise SearchCutoff(
-            "max_weight_independent_set", best_weight, bound((1 << g.n) - 1),
-            tuple(_bits(best_set)),
-        ) from None
-    return tuple(_bits(best_set)), best_weight
+        best, witness = _max_stable(g, order, ints, budget or Budget(), "max_weight_independent_set")
+    except SearchCutoff as cut:
+        raise SearchCutoff(cut.parameter, Fraction(cut.lower, scale), Fraction(cut.upper, scale),
+                           cut.witness) from None
+    return witness, Fraction(best, scale)
 
 
 def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCover | None:
@@ -220,24 +287,3 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     return CliqueCover(tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items())))
-
-
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting); test-scale oracle."""
-    out: list[tuple[int, ...]] = []
-    full = (1 << g.n) - 1
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(tuple(_bits(r)))
-            return
-        pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: (g.adj[u] & p).bit_count())
-        ext = p & ~g.adj[pivot]
-        for v in _bits(ext):
-            expand(r | 1 << v, p & g.adj[v], x & g.adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, full, 0)
-    return sorted(out)

@@ -18,6 +18,18 @@ def test_alpha_plain(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_alpha_on_a_1200_vertex_graph_is_verified(tmp_path, capsys):
+    code, out, err = run(capsys, "alpha", "--graph", "empty:1200", "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lower"] == report["upper"] == "1200"
+    assert report["witness_refs"][0]["vertices"] == list(range(1200))
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and out.strip() == "OK"
+
+
 def test_theta_lp_plain(capsys):
     code, out, _ = run(capsys, "theta-lp", "--p", "2", "--n", "10")
     assert code == 0 and out.strip() == "15"
@@ -120,7 +132,7 @@ def test_budget_exit_code(capsys):
 
 
 def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
-    code, out, err = run(capsys, "hfrac", "--graph", "johnson:2,8", "--p", "2",
+    code, out, err = run(capsys, "hfrac", "--graph", "johnson:2,10", "--p", "2",
                          "--budget-ms", "500", "--json")
     assert code == 3, err
     path = tmp_path / "report.json"

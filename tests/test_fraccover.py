@@ -17,8 +17,9 @@ from hfrac.fraccover import (
     verify_cover,
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
-from hfrac.independence import alpha, maximal_cliques
+from hfrac.independence import alpha
 from hfrac.lp import simplex_solve
+from oracles import maximal_cliques
 
 
 def random_graph(rng, n, prob=0.5):

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfrac.budget import Budget
 from hfrac.errors import SearchCutoff
@@ -28,13 +30,35 @@ from hfrac.independence import (
     clique_cover_violation,
     greedy_clique_cover,
     max_weight_independent_set,
-    maximal_cliques,
 )
+from oracles import first_fit_clique_cover, maximal_cliques
 
 
 def random_graph(rng, n, prob=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
     return graph_from_edges(n, edges)
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def weighted_graphs(draw):
+    g = draw(small_graphs())
+    weight = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=6, max_denominator=12))
+    return g, draw(st.lists(weight, min_size=g.n, max_size=g.n))
+
+
+def stable_sets(g):
+    for size in range(g.n + 1):
+        for s in combinations(range(g.n), size):
+            if is_independent_set(g, s):
+                yield s
 
 
 def alpha_bruteforce(g):
@@ -154,3 +178,72 @@ def test_maximal_cliques_bruteforce():
                     continue
                 expected.add(s)
         assert found == expected
+
+
+def test_greedy_cover_classes_are_pinned():
+    expected = {
+        "strong(cycle:5,cycle:5)": (
+            (0, 1, 5, 6), (2, 3, 7, 8), (4, 9), (10, 11, 15, 16), (12, 13, 17, 18), (14, 19),
+            (20, 21), (22, 23), (24,)),
+        "johnson:2,8": (
+            (0, 11, 18, 27, 31, 38, 40), (1, 7, 19, 23, 32, 39, 46), (2, 6, 20, 24, 29, 42, 47),
+            (3, 9, 14, 21, 35, 44, 49), (4, 8, 17, 22, 34, 45, 52), (5, 12, 16, 26, 33, 51, 53),
+            (10, 13, 15, 36, 43, 50, 54), (25, 28, 30, 37, 41, 48, 55)),
+        "cycle:9": ((0, 1), (2, 3), (4, 5), (6, 7), (8,)),
+    }
+    for expr, classes in expected.items():
+        assert greedy_clique_cover(generate(expr)).classes == classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=12))
+def test_greedy_cover_is_first_fit(g):
+    assert greedy_clique_cover(g).classes == first_fit_clique_cover(g)
+
+
+def test_alpha_on_long_cycles():
+    assert alpha(cycle(1500))[0] == 750
+    assert alpha(cycle(1501))[0] == 750
+
+
+def test_deep_search_runs_without_recursion():
+    # 400 disjoint paths u-m-v: the greedy start takes the middles (400), so
+    # reaching the optimum 800 takes a search about 800 levels deep
+    k = 400
+    g = graph_from_edges(3 * k, [e for i in range(k) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))])
+    size, witness = alpha(g)
+    assert size == 2 * k and len(witness) == size and is_independent_set(g, witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_alpha_property(g):
+    size, witness = alpha(g)
+    assert size == alpha_bruteforce(g)
+    assert len(witness) == size and is_independent_set(g, witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs())
+def test_max_weight_property(gw):
+    g, w = gw
+    best = max(sum((w[v] for v in s), F(0)) for s in stable_sets(g))
+    witness, weight = max_weight_independent_set(g, w)
+    assert weight == best
+    assert is_independent_set(g, witness) and sum((w[v] for v in witness), F(0)) == weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs(), st.integers(0, 40), st.booleans())
+def test_cutoff_interval_brackets_the_optimum(gw, nodes, unit):
+    g, w = gw
+    if unit:
+        w = [F(1)] * g.n
+    best = max(sum((w[v] for v in s), F(0)) for s in stable_sets(g))
+    search = (lambda b: alpha(g, b)[0]) if unit else (lambda b: max_weight_independent_set(g, w, b)[1])
+    try:
+        assert search(Budget(nodes=nodes)) == best
+    except SearchCutoff as cut:
+        assert cut.lower <= best <= cut.upper
+        assert is_independent_set(g, cut.witness)
+        assert sum((w[v] for v in cut.witness), F(0)) == cut.lower
