@@ -17,6 +17,10 @@ from .errors import DimensionMismatch, GuardExceeded, PreconditionError
 from .graphs import is_prime
 
 KRON_ENTRY_CAP = 16_000_000
+# Entries live in int64: elimination forms x - y*z with x, y, z < p, so
+# FMatrix needs (p-1)^2 + p below this, and a product with inner dimension
+# k needs k (p-1)^2 below it.
+INT64_LIMIT = 2**63
 
 
 class FMatrix:
@@ -25,6 +29,8 @@ class FMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, entries, copy: bool = True):
+        if (p - 1) ** 2 + p >= INT64_LIMIT:
+            raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
         if not is_prime(p):
             raise PreconditionError(f"modulus {p} is not prime")
         a = np.array(entries, dtype=np.int64, copy=copy)
@@ -90,7 +96,7 @@ class FMatrix:
             "p": self.p,
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [int(x) for x in self.a.ravel()],
+            "entries": self.a.ravel().tolist(),
         }
 
     @classmethod
@@ -107,7 +113,8 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
         raise DimensionMismatch(f"modulus mismatch: {a.p} vs {b.p}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    # int64 is safe: entries < p and inner dimension stay far below 2^63 / p^2
+    if a.cols * (a.p - 1) ** 2 >= INT64_LIMIT:
+        raise GuardExceeded(f"a product over GF({a.p}) with inner dimension {a.cols} overflows int64")
     return FMatrix(a.p, (a.a @ b.a) % a.p, copy=False)
 
 

@@ -2,8 +2,10 @@
 
 A matrix fits a graph when its diagonal is all ones and both entries of
 every non-adjacent pair vanish; edge entries are free and may be
-asymmetric.  ``minrank_exact`` searches the free entries exhaustively with
-incremental-rank pruning.  The constructors build the classical
+asymmetric.  ``minrank_exact`` searches the free entries depth first, row
+by row, in one explicit-stack loop.  It prunes with a block-triangular
+bound: the echelon rank of the assigned rows plus a greedy stable set
+among the columns they leave zero.  The constructors build the classical
 certificates: set-incidence Gram matrices for the intersection-parity
 graphs, clique-partition matrices, and multilinear polynomial
 representations with their evaluation matrices.
@@ -114,12 +116,8 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     for idx, cls in enumerate(cover.classes):
         for v in cls:
             cls_of[v] = idx
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        for v in range(g.n):
-            if cls_of[u] == cls_of[v]:
-                a[u, v] = 1
-    mat = FMatrix(p, a, copy=False)
+    cls_arr = np.array(cls_of)
+    mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64), copy=False)
     r = rank(mat)
     assert r == len(cover.classes)
     cert = FitCertificate(graph_hash(g), mat, r)
@@ -134,7 +132,15 @@ def minrank_exact(
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> MinrankResult:
     """Exact minimum rank over all fit matrices by depth-first assignment
-    of the 2|E| free entries with incremental-rank pruning.
+    of the free entries, row by row, with a block-triangular bound.
+
+    Once rows 0..v are assigned with echelon rank r, let C be the columns
+    that every assigned row leaves zero.  Up to a column permutation the
+    matrix is [[X, 0], [Z, W]] with W = M[v+1.., C], so its rank is at
+    least r + rank(W); a stable set I of G[C] makes W[I, I] the identity.
+    A child is pruned when r + |greedy stable set of G[C]| reaches the
+    incumbent rank.  The bound never cuts a subtree that could beat the
+    incumbent, so the first optimal matrix in product order is found.
 
     If the assignment space p^(2|E|) exceeds ``search_cap`` (or the budget
     trips mid-search) the result is the certified interval
@@ -159,62 +165,78 @@ def minrank_exact(
         return interval_result()
 
     n = g.n
-    template: list[list[int | None]] = []
-    free_cols: list[list[int]] = []
+    adj = g.adj
+    full = (1 << n) - 1
+    free_cols = []
     for v in range(n):
-        row: list[int | None] = [0] * n
-        row[v] = 1
-        cols = []
-        mask = g.adj[v]
+        cols, mask = [], adj[v]
         while mask:
-            u = (mask & -mask).bit_length() - 1
+            cols.append((mask & -mask).bit_length() - 1)
             mask &= mask - 1
-            row[u] = None
-            cols.append(u)
-        template.append(row)
         free_cols.append(cols)
 
+    # isolated vertices join every greedy stable set: count them at once
+    isolated = sum(1 << v for v in range(n) if not adj[v])
+
+    def bound(rank_so_far: int, touched: int) -> int:
+        """rank_so_far plus a greedy stable set of the untouched columns."""
+        cand = full & ~touched
+        size = rank_so_far + (cand & isolated).bit_count()
+        cand &= ~isolated
+        while cand:
+            low = cand & -cand
+            cand &= ~(adj[low.bit_length() - 1] | low)
+            size += 1
+        return size
+
     best_rank = incumbent.claimed_rank
-    best_matrix: list[tuple[int, ...]] | None = None
-
-    def reduce_row(row: tuple[int, ...], ech: list[tuple[int, ...]], piv: list[int]):
-        vals = list(row)
-        for er, pc in zip(ech, piv):
-            f = vals[pc]
-            if f:
-                vals = [(a - f * b) % p for a, b in zip(vals, er)]
-        for c, x in enumerate(vals):
-            if x:
-                inv = pow(x, -1, p)
-                return tuple(a * inv % p for a in vals), c
-        return None
-
-    def dfs(v: int, rows: list[tuple[int, ...]], ech: list[tuple[int, ...]], piv: list[int]):
-        nonlocal best_rank, best_matrix
-        if len(ech) >= best_rank:
-            return
-        if v == n:
-            # rank(full matrix) == len(ech) < best_rank here
-            best_rank = len(ech)
-            best_matrix = list(rows)
-            return
-        base = template[v]
-        cols = free_cols[v]
-        for assignment in product(range(p), repeat=len(cols)):
-            budget.spend()
-            row = list(base)
-            for c, val in zip(cols, assignment):
-                row[c] = val
-            row_t = tuple(row)
-            red = reduce_row(row_t, ech, piv)
-            if red is None:
-                dfs(v + 1, rows + [row_t], ech, piv)
-            else:
-                new_row, new_col = red
-                dfs(v + 1, rows + [row_t], ech + [new_row], piv + [new_col])
-
+    best_matrix: list[list[int]] | None = None
+    # Shared stacks: the current path's rows, and the echelon form of the
+    # path (rows scaled so their pivot entry is 1) with its pivot columns.
+    rows: list[list[int]] = []
+    ech: list[list[int]] = []
+    piv: list[int] = []
+    # A frame is (vertex, iterator over its row's free entries, echelon
+    # length at entry, columns touched by rows above it, its bound).
+    root = bound(0, 0)
+    stack = [(0, product(range(p), repeat=len(free_cols[0])), 0, 0, root)] if root < best_rank else []
     try:
-        dfs(0, [], [], [])
+        while stack:
+            v, assignments, depth, touched, frame_bound = stack[-1]
+            assignment = None if frame_bound >= best_rank else next(assignments, None)
+            if assignment is None:
+                stack.pop()
+                continue
+            budget.spend()
+            del rows[v:], ech[depth:], piv[depth:]
+            row = [0] * n
+            row[v] = 1
+            support = touched | 1 << v
+            for c, val in zip(free_cols[v], assignment):
+                if val:
+                    row[c] = val
+                    support |= 1 << c
+            rows.append(row)
+            vals = row
+            for er, pc in zip(ech, piv):
+                f = vals[pc]
+                if f:
+                    vals = [(a - f * b) % p for a, b in zip(vals, er)]
+            pc = next((c for c, x in enumerate(vals) if x), None)
+            if pc is not None:
+                inv = pow(vals[pc], -1, p)
+                ech.append([a * inv % p for a in vals])
+                piv.append(pc)
+            child_bound = bound(len(ech), support)
+            if child_bound >= best_rank:
+                continue
+            if v + 1 == n:
+                # every column is touched, so child_bound is the full rank
+                best_rank = child_bound
+                best_matrix = list(rows)
+            else:
+                stack.append((v + 1, product(range(p), repeat=len(free_cols[v + 1])),
+                              len(ech), support, child_bound))
     except BudgetExhausted:
         if best_matrix is not None:
             mat = FMatrix(p, best_matrix)

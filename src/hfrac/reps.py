@@ -328,7 +328,7 @@ def rankr_to_drep(g: Graph, rep: RankRRep) -> DRep:
     for v in range(g.n):
         lo, hi = v * r, (v + 1) * r
         inv = inverse(sub.block(lo, hi, lo, hi))
-        out[lo:hi, :] = (inv.a @ sub.a[lo:hi, :]) % sub.p
+        out[lo:hi, :] = matmul(inv, sub.block(lo, hi, 0, sub.cols)).a
     result = DRep(r, FMatrix(sub.p, out, copy=False))
     failure = drep_violation(g, result)
     if failure is not None:

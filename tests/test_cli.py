@@ -18,16 +18,42 @@ def test_alpha_plain(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def _verify_report(tmp_path, capsys, out):
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and out.strip() == "OK"
+
+
 def test_alpha_on_a_1200_vertex_graph_is_verified(tmp_path, capsys):
     code, out, err = run(capsys, "alpha", "--graph", "empty:1200", "--json")
     assert code == 0, err
     report = json.loads(out)
     assert report["lower"] == report["upper"] == "1200"
     assert report["witness_refs"][0]["vertices"] == list(range(1200))
-    path = tmp_path / "report.json"
-    path.write_text(out)
-    code, out, _ = run(capsys, "verify", "--cert", str(path))
-    assert code == 0 and out.strip() == "OK"
+    _verify_report(tmp_path, capsys, out)
+
+
+def test_minrank_on_a_1200_vertex_empty_graph_is_verified(tmp_path, capsys):
+    code, out, err = run(capsys, "minrank", "--graph", "empty:1200", "--p", "2", "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lower"] == report["upper"] == "1200"
+    _verify_report(tmp_path, capsys, out)
+
+
+def test_minrank_deep_search_is_verified(tmp_path, capsys):
+    # 1,195 isolated vertices come first, so the search descends through
+    # them before it reaches the 5-cycle on the last five vertices
+    n = 1200
+    graph = tmp_path / "c5_plus_isolated.txt"
+    edges = sorted(tuple(sorted((n - 5 + i, n - 5 + (i + 1) % 5))) for i in range(5))
+    graph.write_text(f"{n} 5\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run(capsys, "minrank", "--graph", f"file:{graph}", "--p", "2", "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["lower"] == report["upper"] == "1198"
+    _verify_report(tmp_path, capsys, out)
 
 
 def test_theta_lp_plain(capsys):
@@ -146,6 +172,8 @@ def test_usage_errors_are_64(capsys):
     assert run(capsys, "alpha", "--graph", "cycle:x")[0] == 64
     assert run(capsys, "theta-circulant", "--n", "7", "--connection", "1,2")[0] == 64
     assert run(capsys, "certify", "--kind", "johnson")[0] == 64
+    # a modulus too large for int64 elimination is refused up front
+    assert run(capsys, "minrank", "--graph", "cycle:5", "--p", "3037000507")[0] == 64
 
 
 def test_reproduce_quick(capsys):

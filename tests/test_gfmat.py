@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hfrac.errors import DimensionMismatch, PreconditionError
+from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError
 from hfrac.gfmat import (
     FMatrix,
     inverse,
@@ -75,6 +75,17 @@ def test_matmul_examples():
         matmul(FMatrix.identity(2, 3), FMatrix.identity(2, 4))
     with pytest.raises(DimensionMismatch):
         matmul(FMatrix.identity(2, 3), FMatrix.identity(3, 3))
+
+
+def test_int64_overflow_is_refused():
+    p = 3037000493  # prime, (p-1)^2 + p < 2^63 <= 2 (p-1)^2
+    a = FMatrix(p, [[p - 1, p - 1]])
+    assert matmul(a.block(0, 1, 0, 1), a.block(0, 1, 0, 1)) == FMatrix(p, [[1]])
+    with pytest.raises(GuardExceeded):
+        matmul(a, a.transpose())  # 2 (p-1)^2 = 2 mod p, but it overflows int64
+    assert rank(FMatrix(p, [[1, p - 1], [p - 1, 1]])) == 1
+    with pytest.raises(GuardExceeded):
+        FMatrix(3037000507, [[1]])  # the least prime with (p-1)^2 + p >= 2^63
 
 
 def test_johnson_gram_has_unit_diagonal_over_gf2():

@@ -8,6 +8,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
@@ -39,17 +41,51 @@ def random_graph(rng, n, prob=0.5):
     return graph_from_edges(n, edges)
 
 
+def batched_rank(a, p):
+    """Ranks over GF(p) of a stack of matrices, by Gauss-Jordan elimination
+    run on all of them at once (independent of ``hfrac.gfmat``)."""
+    a = a % p
+    count, rows, cols = a.shape
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    every = np.arange(count)
+    used = np.zeros((count, rows), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & ~used
+        has = candidates.any(axis=1)
+        piv = candidates.argmax(axis=1)
+        pivot_row = a[every, piv] * inverse[a[every, piv, c]][:, None] % p
+        factor = np.where(has[:, None], a[:, :, c], 0)
+        a = (a - factor[:, :, None] * pivot_row[:, None, :]) % p
+        a[every[has], piv[has]] = pivot_row[has]
+        used[every[has], piv[has]] = True
+        ranks += has
+    return ranks
+
+
 def minrank_bruteforce(g, p):
     """Oracle: enumerate every assignment of the 2|E| free entries."""
     edges = g.edges()
     positions = [(u, v) for u, v in edges] + [(v, u) for u, v in edges]
-    best = g.n
-    for values in product(range(p), repeat=len(positions)):
-        a = np.eye(g.n, dtype=np.int64)
-        for (u, v), val in zip(positions, values):
-            a[u, v] = val
-        best = min(best, rank(FMatrix(p, a)))
-    return best
+    values = np.array(list(product(range(p), repeat=len(positions))), dtype=np.int64)
+    a = np.tile(np.eye(g.n, dtype=np.int64), (len(values), 1, 1))
+    if positions:
+        a[:, [u for u, _ in positions], [v for _, v in positions]] = values
+    return int(batched_rank(a, p).min())
+
+
+# p -> the most edges a drawn graph may have, so that the oracle's p^(2|E|)
+# enumeration stays at a few thousand matrices
+ORACLE_EDGES = {2: 6, 3: 4}
+
+
+@st.composite
+def oracle_graphs(draw):
+    p = draw(st.sampled_from(sorted(ORACLE_EDGES)))
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=ORACLE_EDGES[p])) if pairs else []
+    return graph_from_edges(n, sorted(edges)), p
 
 
 def test_verify_fits_examples():
@@ -86,6 +122,51 @@ def test_minrank_matches_bruteforce_on_tiny_graphs():
         done += 1
         for p in (2, 3):
             assert minrank_exact(g, p).upper == minrank_bruteforce(g, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_graphs())
+def test_minrank_property(gp):
+    g, p = gp
+    res = minrank_exact(g, p)
+    assert res.exact and res.lower == res.upper == minrank_bruteforce(g, p)
+    assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_graphs(), st.integers(0, 60))
+def test_minrank_budget_interval_brackets_the_minrank(gp, nodes):
+    g, p = gp
+    res = minrank_exact(g, p, Budget(nodes=nodes))
+    assert res.lower <= minrank_bruteforce(g, p) <= res.upper
+    assert res.exact == (res.lower == res.upper)
+    assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
+
+
+# The certificates found before the search gained its block-triangular
+# bound; a valid bound must leave the first optimum in product order as is.
+# The odd cycles' optimum is the greedy clique cover; the last graph's is a
+# matrix the search found (its greedy cover has 4 classes).
+PINNED_CERTIFICATES = {
+    "cycle:9 p=3": (cycle(9), 3, ("110000000", "110000000", "001100000", "001100000", "000011000",
+                                  "000011000", "000000110", "000000110", "000000001")),
+    "cycle:13 p=2": (cycle(13), 2, ("1100000000000", "1100000000000", "0011000000000", "0011000000000",
+                                    "0000110000000", "0000110000000", "0000001100000", "0000001100000",
+                                    "0000000011000", "0000000011000", "0000000000110", "0000000000110",
+                                    "0000000000001")),
+    "cycle:7 p=3": (cycle(7), 3, ("1100000", "1100000", "0011000", "0011000", "0000110", "0000110",
+                                  "0000001")),
+    "6 vertices p=3": (graph_from_edges(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 4), (3, 5)]), 3,
+                       ("100100", "010001", "001010", "100100", "001010", "010001")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CERTIFICATES))
+def test_minrank_certificates_are_pinned(case):
+    g, p, rows = PINNED_CERTIFICATES[case]
+    res = minrank_exact(g, p)
+    assert res.exact and res.upper == rank(res.certificate.matrix)
+    assert res.certificate.matrix == FMatrix(p, [[int(x) for x in row] for row in rows])
 
 
 def test_minrank_at_least_alpha():
