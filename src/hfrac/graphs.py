@@ -1,10 +1,14 @@
 """Finite simple graphs: generators, products, complements, predicates.
 
-Vertices are ``0..n-1`` with bitset adjacency rows.  Generators attach
-labels describing where each vertex came from (the subset for set-system
-graphs, the matrix pair for homomorphism-universal graphs, coordinate
-pairs for products) and remember the expression that produced the graph,
-so downstream certificates stay reproducible and self-describing.
+Vertices are ``0..n-1``.  The canonical form of a graph is its tuple of
+bitset adjacency rows (bit v of row u set iff uv is an edge); the dense
+boolean adjacency matrix and the edge list are derived from the rows with
+numpy, and the set-system graphs are built from one matrix product of
+their incidence matrix.  Generators attach labels describing where each
+vertex came from (the subset for set-system graphs, the matrix pair for
+homomorphism-universal graphs, coordinate pairs for products) and
+remember the expression that produced the graph, so downstream
+certificates stay reproducible and self-describing.
 
 Expression grammar::
 
@@ -38,18 +42,35 @@ _LEAF_OPS = {"cycle": 1, "complete": 1, "empty": 1, "johnson": 2, "alon": 3, "un
 _COMBINATOR_OPS = {"complement": 1, "strong": 2, "lex": 2}
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); above it no answer is given.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises GuardExceeded at or above 3.3e24."""
+    if p >= _MR_LIMIT:
+        raise GuardExceeded(f"primality of {p} is not decided above {_MR_LIMIT}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -95,24 +116,17 @@ class Graph:
         return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            while row:
-                v = (row & -row).bit_length() - 1
-                out.append((u, v))
-                row &= row - 1
-        return out
+        """Edges (u, v) with u < v in row-major order."""
+        us, vs = np.nonzero(np.triu(self.adjacency_matrix(), 1))
+        names = np.arange(self.n).astype(object)  # one int object per vertex, shared by its edges
+        return list(zip(names[us].tolist(), names[vs].tolist()))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (symmetric, zero diagonal)."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for u, row in enumerate(self.adj):
-            while row:
-                v = (row & -row).bit_length() - 1
-                a[u, v] = True
-                row &= row - 1
-        return a
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.adj), dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
+        return bits.view(bool)
 
     def check_symmetric(self) -> bool:
         return all(
@@ -245,7 +259,7 @@ def generate(expr: GraphExpr | str, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     if op == "lex":
         return lex_product(generate(args[0], max_vertices), generate(args[1], max_vertices), max_vertices)
     if op == "file":
-        return read_graph_file(args[0])
+        return read_graph_file(args[0], max_vertices)
     raise GraphParseError(f"unknown operator {op!r}")
 
 
@@ -276,17 +290,29 @@ def empty(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     return Graph(k, (0,) * k, expr=f"empty:{k}")
 
 
+# Entries of the pairwise intersection-size array built at a time, in
+# blocks of whole rows, so no N x N temporary is allocated.
+_SUBSET_BLOCK_ENTRIES = 1 << 20
+
+
 def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> Graph:
     _guard(comb(n, size), max_vertices, expr)
+    if n > max_vertices:  # the labels and the incidence matrix grow with n
+        raise GuardExceeded(f"{expr} has a ground set of {n} (cap {max_vertices})")
     verts = list(combinations(range(n), size))
-    sets = [frozenset(x) for x in verts]
-    adj = [0] * len(verts)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if adjacent(len(sets[i] & sets[j])):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(verts), tuple(adj), tuple(verts), expr)
+    count = len(verts)
+    # every intersection size is at most `size`, so this dtype holds them all
+    inc = np.zeros((count, n), dtype=np.min_scalar_type(size))
+    inc[np.repeat(np.arange(count), size), np.array(verts, dtype=np.int64).ravel()] = 1
+    step = max(1, _SUBSET_BLOCK_ENTRIES // count)
+    adj: list[int] = []
+    for start in range(0, count, step):
+        block = adjacent(inc[start:start + step] @ inc.T)
+        rows = np.arange(block.shape[0])
+        block[rows, start + rows] = False
+        packed = np.packbits(block, axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return Graph(count, tuple(adj), tuple(verts), expr)
 
 
 def johnson(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -430,7 +456,7 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     return all((g.adj[v] | 1 << v) & mask == mask for v in verts)
 
 
-def read_graph_file(path: str) -> Graph:
+def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v."""
     if not os.path.exists(path):
         raise GraphParseError(f"graph file not found: {path}")
@@ -443,6 +469,9 @@ def read_graph_file(path: str) -> Graph:
     except ValueError as exc:
         raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
     n, m = nums[0], nums[1]
+    if n < 0:
+        raise GraphParseError(f"vertex count {n} is negative")
+    _guard(n, max_vertices, f"graph file {path}")
     if len(nums) != 2 + 2 * m:
         raise GraphParseError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
     seen = set()

@@ -36,9 +36,16 @@ DEFAULT_SEARCH_CAP = 2**30
 
 
 def graph_hash(g: Graph) -> str:
+    """SHA-256 of ``"n;u,v;u,v;..."`` over the edges u < v in row-major order."""
+    names = [str(v) for v in range(g.n)]
+    upper = np.triu(g.adjacency_matrix(), 1)
+    rows = []
+    for u in np.flatnonzero(upper.any(axis=1)).tolist():
+        head = names[u] + ","
+        rows.append(head + (";" + head).join([names[v] for v in np.flatnonzero(upper[u]).tolist()]))
     h = hashlib.sha256()
     h.update(f"{g.n};".encode())
-    h.update(";".join(f"{u},{v}" for u, v in g.edges()).encode())
+    h.update(";".join(rows).encode())
     return h.hexdigest()
 
 

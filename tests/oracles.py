@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
+
 from hfrac.graphs import Graph
 
 
@@ -45,3 +49,44 @@ def first_fit_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...]:
         else:
             classes.append([v])
     return tuple(tuple(sorted(cls)) for cls in classes)
+
+
+def trial_division_is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def bitloop_adjacency_matrix(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, row in enumerate(g.adj):
+        for v in _bits(row):
+            a[u, v] = True
+    return a
+
+
+def bitloop_edges(g: Graph) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
+
+
+def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:
+    """The graph on the size-subsets of [n], lexicographic, with u ~ v iff
+    ``adjacent(|u ∩ v|)``, one pair of frozensets at a time."""
+    verts = list(combinations(range(n), size))
+    sets = [frozenset(x) for x in verts]
+    adj = [0] * len(verts)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if adjacent(len(sets[i] & sets[j])):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(len(verts), tuple(adj), tuple(verts))

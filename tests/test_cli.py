@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from hfrac.cli import main
 
@@ -174,6 +175,21 @@ def test_usage_errors_are_64(capsys):
     assert run(capsys, "certify", "--kind", "johnson")[0] == 64
     # a modulus too large for int64 elimination is refused up front
     assert run(capsys, "minrank", "--graph", "cycle:5", "--p", "3037000507")[0] == 64
+
+
+def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
+    start = time.perf_counter()
+    # the Mersenne prime 2^61 - 1: decided prime, then refused for int64
+    assert run(capsys, "minrank", "--graph", "cycle:5", "--p", "2305843009213693951")[0] == 64
+    huge = tmp_path / "huge.txt"
+    huge.write_text("100000000 0\n")
+    assert run(capsys, "alpha", "--graph", f"file:{huge}")[0] == 64
+    assert time.perf_counter() - start < 10
+    small = tmp_path / "small.txt"
+    small.write_text("6000 0\n")
+    assert run(capsys, "alpha", "--graph", f"file:{small}")[0] == 64
+    code, out, _ = run(capsys, "alpha", "--graph", f"file:{small}", "--max-vertices", "6000")
+    assert code == 0 and out.strip() == "6000"
 
 
 def test_reproduce_quick(capsys):

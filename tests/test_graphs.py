@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hfrac import graphs
 from hfrac.errors import GraphParseError, GuardExceeded, PreconditionError
 from hfrac.graphs import (
     alon,
@@ -18,6 +22,7 @@ from hfrac.graphs import (
     graph_from_edges,
     is_clique,
     is_independent_set,
+    is_prime,
     johnson,
     lex_product,
     parse_expr,
@@ -25,6 +30,12 @@ from hfrac.graphs import (
     strong_product,
     universal_graph,
     write_graph_file,
+)
+from oracles import (
+    bitloop_adjacency_matrix,
+    bitloop_edges,
+    set_intersection_subset_graph,
+    trial_division_is_prime,
 )
 
 
@@ -211,6 +222,34 @@ def test_graph_file_errors(tmp_path):
         read_graph_file(str(path))
     with pytest.raises(GraphParseError):
         read_graph_file(str(tmp_path / "missing.txt"))
+    path.write_text("-1 0\n")
+    with pytest.raises(GraphParseError):
+        read_graph_file(str(path))
+
+
+def test_graph_file_obeys_the_vertex_cap(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n")
+    with pytest.raises(GuardExceeded):
+        read_graph_file(str(path))
+    with pytest.raises(GuardExceeded):
+        generate(f"complement(file:{path})")
+    path.write_text("30 1\n0 29\n")
+    assert generate(f"file:{path}").m == 1
+    with pytest.raises(GuardExceeded):
+        generate(f"file:{path}", max_vertices=29)
+    path.write_text("6000 1\n0 5999\n")
+    with pytest.raises(GuardExceeded):
+        generate(f"file:{path}")
+    assert generate(f"file:{path}", max_vertices=6000).edges() == [(0, 5999)]
+
+
+def test_empty_graph_file(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0\n")
+    g = read_graph_file(str(path))
+    assert g.n == 0 and g.edges() == []
+    assert g.adjacency_matrix().shape == (0, 0)
 
 
 def test_labels_are_unique_and_counted():
@@ -218,3 +257,77 @@ def test_labels_are_unique_and_counted():
     assert g.labels is not None and len(set(g.labels)) == g.n
     gp = strong_product(g, cycle(3))
     assert len(set(gp.labels)) == gp.n
+
+
+@st.composite
+def random_graphs(draw, max_n=41):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    prob = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return graph_from_edges(n, [e for e in pairs if rng.random() < prob])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_dense_views_match_the_bit_loops(g):
+    a = g.adjacency_matrix()
+    assert a.dtype == bool and a.shape == (g.n, g.n)
+    assert np.array_equal(a, bitloop_adjacency_matrix(g))
+    assert g.edges() == bitloop_edges(g)
+
+
+def test_dense_views_at_every_size_mod_8():
+    rng = random.Random(8)
+    for n in range(0, 34):
+        for prob in (0.0, 0.3, 1.0):
+            g = random_graph(rng, n, prob)
+            assert np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+            assert g.edges() == bitloop_edges(g)
+
+
+@pytest.mark.parametrize("p,q,n", [
+    (2, None, 3), (2, None, 4), (2, None, 8), (2, None, 11), (2, None, 18),
+    (3, None, 4), (3, None, 7), (3, None, 10),
+    (257, None, 259),  # intersection sizes of 257 do not fit in a byte
+    (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 2, 6), (2, 2, 7), (2, 2, 8), (3, 2, 8),
+])
+def test_subset_graphs_match_the_set_intersection_loop(p, q, n):
+    if q is None:
+        g, size, adjacent = johnson(p, n), p + 1, lambda c: c % p != 0
+    else:
+        g, size, adjacent = alon(p, q, n), p * q - 1, lambda c: c % p == p - 1
+    oracle = set_intersection_subset_graph(n, size, adjacent)
+    assert g.adj == oracle.adj and g.labels == oracle.labels
+    assert np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+    assert g.edges() == bitloop_edges(g)
+
+
+@pytest.mark.parametrize("block_entries", [1, 200])
+def test_subset_graphs_do_not_depend_on_the_block_size(monkeypatch, block_entries):
+    expected = {expr: generate(expr).adj for expr in ("johnson:2,8", "johnson:3,7", "alon:2,3,7")}
+    monkeypatch.setattr(graphs, "_SUBSET_BLOCK_ENTRIES", block_entries)
+    for expr, adj in expected.items():
+        assert generate(expr).adj == adj
+
+
+def test_subset_graph_ground_set_is_capped():
+    # one vertex, but its label and incidence row would hold 10^6 + 4 entries
+    with pytest.raises(GuardExceeded):
+        johnson(1_000_003, 1_000_004)
+    assert johnson(2, 3).n == 1
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(10**5) if is_prime(p)] == [p for p in range(10**5) if trial_division_is_prime(p)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_refuses_huge_inputs():
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2 through 37
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # the least strong pseudoprime to all 13 bases: no answer at or above it
+    with pytest.raises(GuardExceeded):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(GuardExceeded):
+        is_prime(2**127 - 1)

@@ -20,9 +20,11 @@ from hfrac.graphs import (
     complete,
     cycle,
     empty,
+    generate,
     graph_from_edges,
     johnson,
     strong_product,
+    write_graph_file,
 )
 from hfrac.independence import alpha, clique_cover_leq, greedy_clique_cover
 from hfrac.minrank import (
@@ -280,3 +282,22 @@ def test_fit_certificate_json_roundtrip():
     back = FitCertificate.from_json(obj)
     assert back.check(johnson(2, 6))
     assert back.graph_hash == graph_hash(johnson(2, 6))
+
+
+def test_graph_hash_digests_are_pinned(tmp_path):
+    # stored in every fit certificate, so these must never change
+    expected = {
+        "cycle:5": "73c59e3901ad3ea56dffe4fa88b9fa58e2ee8ae222de569a0c6239571153c06e",
+        "johnson:2,8": "5dd24f4f410fbf126121b4d96b41a4974e59f82c49f26b605784040543a854a0",
+        "alon:2,3,7": "7a17b8eadea9942afe5f2413ca3da3aaf9087d7cd655d25c7fd892798ca4d7b2",
+        "complement(alon:2,3,7)": "12f37153ac37c6d680f3344c140283fa877cfbe7c706adcedc00cc39257cf600",
+        "strong(cycle:5,cycle:5)": "ff94dc70d275ee836477342f23eefdce3e2d6c45b243022a06180e27e589d68a",
+        "empty:3": "58a39c37238ac60eacc3fe90677482f2efc2534e5c581aa8a3689c5833fba7f2",
+    }
+    for expr, digest in expected.items():
+        assert graph_hash(generate(expr)) == digest, expr
+    path = tmp_path / "random.txt"
+    write_graph_file(random_graph(random.Random(2024), 13, 0.4), str(path))
+    g = generate(f"file:{path}")
+    assert g.m == 35
+    assert graph_hash(g) == "58cd6a60127e5407ea2095ded63103d7943142f5696e23f857fe79743ab122ce"
