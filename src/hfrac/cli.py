@@ -46,7 +46,7 @@ from .reps import (
     tensor_dreps,
 )
 from .reproduce import run_claims
-from .serialize import canonical_json, frac_str
+from .serialize import canonical_json, frac_str, load_json
 from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
@@ -316,21 +316,29 @@ def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | No
 
 
 def _cmd_verify(args) -> int:
-    import json
-
-    with open(args.cert) as fh:
-        obj = json.load(fh)
-    expr = args.graph or obj.get("graph")
-    if not expr:
-        raise UsageError("certificate has no embedded graph; pass --graph")
-    g = generate(expr, max_vertices=args.max_vertices)
-    if obj.get("kind") is None and "witness_refs" in obj:  # a bound report
-        failures = [f for w in obj["witness_refs"] if (f := _verify_witness(w, g, obj))]
-        ok = not failures and Fraction(obj["lower"]) <= Fraction(obj["upper"])
-        failure = failures[0] if failures else None
-    else:
-        failure = _verify_witness(obj, g)
-        ok = failure is None
+    with open(args.cert, "rb") as fh:
+        data = fh.read()
+    expr = args.graph
+    try:
+        obj = load_json(data)
+        if not isinstance(obj, dict):
+            raise VerificationError("certificate is not a JSON object")
+        expr = args.graph or obj.get("graph")
+        if not expr:
+            raise UsageError("certificate has no embedded graph; pass --graph")
+        g = generate(expr, max_vertices=args.max_vertices)
+        if obj.get("kind") is None and "witness_refs" in obj:  # a bound report
+            failures = [f for w in obj["witness_refs"] if (f := _verify_witness(w, g, obj))]
+            ok = not failures and Fraction(obj["lower"]) <= Fraction(obj["upper"])
+            failure = failures[0] if failures else None
+        else:
+            failure = _verify_witness(obj, g)
+            ok = failure is None
+    # a certificate that is not well-formed fails; it is not a usage error
+    except KeyError as exc:
+        ok, failure = False, f"certificate lacks the field {exc}"
+    except (DimensionMismatch, VerificationError) as exc:
+        ok, failure = False, str(exc)
     if ok:
         _emit(args, "OK", {"verified": True, "graph": expr})
         return EXIT_OK

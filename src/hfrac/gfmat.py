@@ -5,6 +5,12 @@ elimination uses the deterministic first-nonzero pivot rule so that ranks,
 pivot selections, and factorizations are byte-for-byte reproducible.
 Only prime moduli are supported; every construction downstream needs the
 field characteristic only, which prime fields realize.
+
+In JSON a matrix is ``{"p", "rows", "cols", "entries"}`` with row-major
+entries.  ``to_json`` hands the int64 array itself to
+``serialize.canonical_json``, which writes its digits; ``from_json`` reads
+them back through ``serialize.read_entries``, which accepts exactly
+rows * cols integers in [0, p) and nothing else.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GuardExceeded, PreconditionError
 from .graphs import is_prime
+from .serialize import read_entries
 
 KRON_ENTRY_CAP = 16_000_000
 # Entries live in int64: elimination forms x - y*z with x, y, z < p, so
@@ -92,20 +99,19 @@ class FMatrix:
         return f"FMatrix(p={self.p}, shape={self.rows}x{self.cols})"
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": self.a.ravel().tolist(),
-        }
+        """``entries`` is the row-major int64 array; ``canonical_json``
+        writes it as a JSON int list."""
+        return {"p": self.p, "rows": self.rows, "cols": self.cols, "entries": self.a.ravel()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FMatrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = np.array(obj["entries"], dtype=np.int64)
-        if entries.size != rows * cols:
-            raise DimensionMismatch("entry count does not match rows*cols")
-        return cls(int(obj["p"]), entries.reshape(rows, cols), copy=False)
+        """Strict: the entries must be exactly rows * cols integers in [0, p)
+        (``serialize.read_entries``)."""
+        p, rows, cols = int(obj["p"]), int(obj["rows"]), int(obj["cols"])
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
+        entries = read_entries(obj["entries"], rows * cols, p)
+        return cls(p, entries.reshape(rows, cols), copy=False)
 
 
 def matmul(a: FMatrix, b: FMatrix) -> FMatrix:

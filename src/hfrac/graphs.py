@@ -34,6 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GraphParseError, GuardExceeded, PreconditionError
+from .serialize import int_text
 
 DEFAULT_MAX_VERTICES = 5000
 UNIVERSAL_PAIR_CAP = 10**7
@@ -117,9 +118,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v in row-major order."""
-        us, vs = np.nonzero(np.triu(self.adjacency_matrix(), 1))
+        pairs = self.edge_array()
         names = np.arange(self.n).astype(object)  # one int object per vertex, shared by its edges
-        return list(zip(names[us].tolist(), names[vs].tolist()))
+        return list(zip(names[pairs[:, 0]].tolist(), names[pairs[:, 1]].tolist()))
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as an m x 2 int64 array, in the order of ``edges``."""
+        return np.argwhere(np.triu(self.adjacency_matrix(), 1))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (symmetric, zero diagonal)."""
@@ -356,6 +361,16 @@ def _mat_tmul(a: tuple, b: tuple, p: int, n: int, d: int) -> tuple:
     return tuple(out)
 
 
+def universal_vertex_count(p: int, n: int, d: int) -> int:
+    """Pairs (A, B) of n x d matrices over GF(p) with AᵀB = I_d: A has full
+    column rank (prod_{i<d} (p^n - p^i) choices), and for each A the
+    solutions B form a coset of a space of dimension d(n - d)."""
+    count = p ** (d * (n - d))
+    for i in range(d):
+        count *= p**n - p**i
+    return count
+
+
 def universal_graph(p: int, n: int, d: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Homomorphism-universal graph: vertices are pairs (A,B) of n x d
     matrices over GF(p) with AᵀB = I_d; distinct (A,B), (C,D) are
@@ -365,11 +380,11 @@ def universal_graph(p: int, n: int, d: int, max_vertices: int = DEFAULT_MAX_VERT
         raise PreconditionError(f"universal needs 1 <= d <= n, got n={n}, d={d}")
     if p**(2 * n * d) > UNIVERSAL_PAIR_CAP:
         raise GuardExceeded(f"universal enumeration {p}^{2 * n * d} exceeds cap {UNIVERSAL_PAIR_CAP}")
+    _guard(universal_vertex_count(p, n, d), max_vertices, "universal")
     ident = tuple(1 if i == j else 0 for i in range(d) for j in range(d))
     zero = (0,) * (d * d)
     mats = list(_mat_vecs(p, n, d))
     verts = [(a, b) for a in mats for b in mats if _mat_tmul(a, b, p, n, d) == ident]
-    _guard(len(verts), max_vertices, "universal")
     adj = [0] * len(verts)
     for i, (a, b) in enumerate(verts):
         for j in range(i + 1, len(verts)):
@@ -488,9 +503,9 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """The text format: an ``n m`` line, then one ``u v`` line per edge."""
+    pairs = g.edge_array()
+    return f"{g.n} {len(pairs)}\n" + int_text(pairs, b" \n").decode("ascii")
 
 
 def write_graph_file(g: Graph, path: str) -> None:

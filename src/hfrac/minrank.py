@@ -31,21 +31,16 @@ from .errors import (
 from .gfmat import FMatrix, matmul, rank
 from .graphs import Graph, alon, complement, is_prime, johnson
 from .independence import CliqueCover, alpha, clique_cover_violation, greedy_clique_cover
+from .serialize import int_text
 
 DEFAULT_SEARCH_CAP = 2**30
 
 
 def graph_hash(g: Graph) -> str:
     """SHA-256 of ``"n;u,v;u,v;..."`` over the edges u < v in row-major order."""
-    names = [str(v) for v in range(g.n)]
-    upper = np.triu(g.adjacency_matrix(), 1)
-    rows = []
-    for u in np.flatnonzero(upper.any(axis=1)).tolist():
-        head = names[u] + ","
-        rows.append(head + (";" + head).join([names[v] for v in np.flatnonzero(upper[u]).tolist()]))
     h = hashlib.sha256()
     h.update(f"{g.n};".encode())
-    h.update(";".join(rows).encode())
+    h.update(int_text(g.edge_array(), b",;")[:-1])
     return h.hexdigest()
 
 

@@ -36,6 +36,7 @@ from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
 from .independence import alpha
 from .minrank import minrank_exact
 from .report import BoundReport
+from .serialize import read_entries
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,14 @@ class DRep:
         return cls(int(obj["d"]), FMatrix.from_json(obj))
 
 
+def _factor_from_json(value, n: int, d: int, p: int) -> FMatrix:
+    """An n x d factor written, like ``FMatrix`` entries, as a row-major
+    int list (``serialize.read_entries``)."""
+    if n < 1 or d < 1:
+        raise DimensionMismatch(f"factor dimensions must be positive, got {n}x{d}")
+    return FMatrix(p, read_entries(value, n * d, p).reshape(n, d), copy=False)
+
+
 @dataclass(frozen=True)
 class PairRep:
     """Per-vertex factor pairs (A_v, B_v), n x d each, with A_vᵀB_v = I_d
@@ -87,10 +96,7 @@ class PairRep:
             "n": self.n,
             "d": self.d,
             "p": self.p,
-            "pairs": [
-                {"A": [int(x) for x in a.a.ravel()], "B": [int(x) for x in b.a.ravel()]}
-                for a, b in self.pairs
-            ],
+            "pairs": [{"A": a.a.ravel(), "B": b.a.ravel()} for a, b in self.pairs],
         }
         if graph_expr:
             out["graph"] = graph_expr
@@ -100,10 +106,7 @@ class PairRep:
     def from_json(cls, obj: dict) -> "PairRep":
         n, d, p = int(obj["n"]), int(obj["d"]), int(obj["p"])
         pairs = tuple(
-            (
-                FMatrix(p, np.array(item["A"], dtype=np.int64).reshape(n, d)),
-                FMatrix(p, np.array(item["B"], dtype=np.int64).reshape(n, d)),
-            )
+            (_factor_from_json(item["A"], n, d, p), _factor_from_json(item["B"], n, d, p))
             for item in obj["pairs"]
         )
         return cls(n, d, pairs)
@@ -153,7 +156,7 @@ class SubspaceRep:
             "n": self.n,
             "d": self.d,
             "p": self.bases[0].p,
-            "bases": [[int(x) for x in b.a.ravel()] for b in self.bases],
+            "bases": [b.a.ravel() for b in self.bases],
         }
         if graph_expr:
             out["graph"] = graph_expr
@@ -162,9 +165,7 @@ class SubspaceRep:
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceRep":
         n, d, p = int(obj["n"]), int(obj["d"]), int(obj["p"])
-        bases = tuple(
-            FMatrix(p, np.array(item, dtype=np.int64).reshape(n, d)) for item in obj["bases"]
-        )
+        bases = tuple(_factor_from_json(item, n, d, p) for item in obj["bases"])
         return cls(n, d, bases)
 
 

@@ -78,6 +78,13 @@ def bitloop_edges(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
 
 
+def fstring_format_graph(g: Graph) -> str:
+    """The graph text format, one f-string per edge."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
 def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:
     """The graph on the size-subsets of [n], lexicographic, with u ~ v iff
     ``adjacent(|u ∩ v|)``, one pair of frozensets at a time."""

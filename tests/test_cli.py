@@ -5,7 +5,11 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+from test_reps import FORGED_ENTRIES, forge_first_entry
+
 from hfrac.cli import main
+from hfrac.serialize import canonical_json
 
 
 def run(capsys, *argv):
@@ -140,6 +144,11 @@ def test_verify_detects_corruption(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", "--cert", str(path))
     assert code == 2 and out.startswith("FAIL")
+    # json.dumps puts spaces in the entries list, which the reader refuses by
+    # itself; the canonical text reaches the rank check
+    path.write_text(canonical_json(obj))
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.strip() == "FAIL: fit certificate failed verification"
 
 
 def test_verify_report_roundtrip(tmp_path, capsys):
@@ -209,3 +218,45 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CAPACITY_BUDGET_MS", "200")
     code, out, _ = run(capsys, "minrank", "--graph", "strong(cycle:5,cycle:5)", "--p", "2")
     assert code == 3 and "[" in out
+
+
+def _cycle_drep_file(tmp_path, capsys) -> str:
+    path = tmp_path / "c5.json"
+    code, _, _ = run(capsys, "certify", "--kind", "cycle-drep", "--k", "2", "--p", "2", "--out", str(path))
+    assert code == 0
+    return path.read_text()
+
+
+@pytest.mark.parametrize("value", [*FORGED_ENTRIES, None])
+def test_verify_refuses_malformed_entries(tmp_path, capsys, value):
+    # 1.5, true, "1" and -1 were read as 1 (and the file verified), the
+    # nested list, null and 2^70 ended in a traceback
+    text = _cycle_drep_file(tmp_path, capsys)
+    assert text.count('"entries":[1,') == 1
+    path = tmp_path / "forged.json"
+    path.write_text(forge_first_entry(text, '"entries":[', value))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.startswith("FAIL: "), (out, err)
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_a_truncated_file(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"kind":"drep","graph":"cycle:5"')
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.startswith("FAIL: not a JSON document")
+
+
+def test_verify_refuses_a_certificate_without_d(tmp_path, capsys):
+    text = _cycle_drep_file(tmp_path, capsys)
+    path = tmp_path / "no_d.json"
+    path.write_text(text.replace('"d":2,', "", 1))
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.strip() == "FAIL: certificate lacks the field 'd'"
+
+
+def test_universal_graph_is_refused_before_enumeration(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "generate", "--graph", "universal:2,11,1")
+    assert code == 64 and "2096128 vertices" in err
+    assert time.perf_counter() - start < 1.0

@@ -18,6 +18,7 @@ from hfrac.graphs import (
     complete,
     cycle,
     empty,
+    format_graph,
     generate,
     graph_from_edges,
     is_clique,
@@ -29,11 +30,13 @@ from hfrac.graphs import (
     read_graph_file,
     strong_product,
     universal_graph,
+    universal_vertex_count,
     write_graph_file,
 )
 from oracles import (
     bitloop_adjacency_matrix,
     bitloop_edges,
+    fstring_format_graph,
     set_intersection_subset_graph,
     trial_division_is_prime,
 )
@@ -141,6 +144,14 @@ def test_product_cardinalities():
 def test_universal_graph_counts():
     assert universal_graph(2, 2, 1).n == 6
     assert universal_graph(2, 3, 1).n == 28
+
+
+def test_universal_vertex_count_is_the_closed_form():
+    for p, n, d in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 1)):
+        assert universal_vertex_count(p, n, d) == universal_graph(p, n, d).n, (p, n, d)
+    assert universal_vertex_count(2, 11, 1) == 2_096_128
+    with pytest.raises(GuardExceeded):
+        universal_graph(2, 4, 1, max_vertices=119)  # it has 120 vertices
 
 
 def test_universal_graph_nonadjacency_rule():
@@ -331,3 +342,14 @@ def test_is_prime_rejects_strong_pseudoprimes_and_refuses_huge_inputs():
         is_prime(3317044064679887385961981)
     with pytest.raises(GuardExceeded):
         is_prime(2**127 - 1)
+
+
+def test_format_graph_matches_the_fstring_loop(tmp_path):
+    path = tmp_path / "random.txt"
+    write_graph_file(random_graph(random.Random(7), 23, 0.4), str(path))
+    for expr in ("johnson:2,9", "cycle:5", "empty:3", f"file:{path}", "complete:1", "strong(cycle:5,cycle:7)"):
+        g = generate(expr)
+        assert format_graph(g) == fstring_format_graph(g), expr
+        copy = tmp_path / "copy.txt"
+        write_graph_file(g, str(copy))
+        assert read_graph_file(str(copy)) == g

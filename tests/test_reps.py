@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hfrac.errors import PreconditionError, VerificationError
+from hfrac.errors import DimensionMismatch, PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
 from hfrac.gfmat import FMatrix, rank
 from hfrac.graphs import (
@@ -42,6 +42,7 @@ from hfrac.reps import (
     verify_rankrrep,
     verify_subspacerep,
 )
+from hfrac.serialize import canonical_json, load_json
 
 
 def random_graph(rng, n, prob=0.5):
@@ -286,3 +287,27 @@ def test_search_report_json_is_witnessed():
     assert obj["lower"] == "3" and obj["upper"] == "7/2"
     kinds = [w.get("kind") for w in obj["witness_refs"]]
     assert "independent_set" in kinds and "drep" in kinds
+
+
+# Entry values a forged certificate might hold; each must be refused.
+FORGED_ENTRIES = ["1.5", "true", '"1"', "-1", "2", "[1]", "null", str(2**70), "1e0"]
+
+
+def forge_first_entry(text: str, head: str, value: str | None) -> str:
+    """``text`` with the value right after ``head`` replaced by ``value``,
+    or dropped together with its comma when ``value`` is None."""
+    at = text.index(head) + len(head)
+    end = text.index(",", at)
+    return text[:at] + (text[end + 1:] if value is None else value + text[end:])
+
+
+@pytest.mark.parametrize("value", [*FORGED_ENTRIES, None])
+@pytest.mark.parametrize("head", ['"A":[', '"B":[', '"bases":[['])
+def test_pair_and_subspace_json_refuse_malformed_entries(head, value):
+    pair = pairrep_from_drep(cycle_drep(2, 2))
+    rep = subspace_from_pairrep(pair) if head == '"bases":[[' else pair
+    text = canonical_json(rep.to_json("cycle:5"))
+    assert type(rep).from_json(load_json(text)) == rep
+    forged = load_json(forge_first_entry(text, head, value))
+    with pytest.raises(DimensionMismatch if value is None else VerificationError):
+        type(rep).from_json(forged)
