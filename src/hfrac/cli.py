@@ -8,11 +8,15 @@ is byte-identical across identical invocations.
 
 Exit codes: 0 success, 2 verification failure, 3 budget exhausted (a
 certified interval is still emitted), 64 usage error.
+
+The argument parser is built once per process, on the first ``main``
+call, so a caller that runs ``main`` in a loop pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -46,7 +50,7 @@ from .reps import (
     tensor_dreps,
 )
 from .reproduce import run_claims
-from .serialize import canonical_json, frac_str, load_json
+from .serialize import canonical_json, frac_str, load_json, parse_frac, read_ints
 from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
@@ -64,6 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
@@ -274,12 +279,14 @@ def _cmd_certify(args) -> int:
 
 def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | None:
     """None if the witness verifies (and attains its report end), else why not."""
+    if not isinstance(obj, dict):
+        return f"witness {obj!r} is not a JSON object"
     kind = obj.get("kind")
     if kind == "fit":
         cert = FitCertificate.from_json(obj)
         if not cert.check(g):
             return "fit certificate failed verification"
-        if report is not None and Fraction(report["upper"]) < cert.claimed_rank:
+        if report is not None and parse_frac(report["upper"]) < cert.claimed_rank:
             return "fit certificate does not attain the reported upper bound"
         return None
     if kind == "drep":
@@ -287,7 +294,7 @@ def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | No
         failure = drep_violation(g, rep)
         if failure:
             return failure
-        if report is not None and rep.ratio() != Fraction(report["upper"]):
+        if report is not None and rep.ratio() != parse_frac(report["upper"]):
             return "certificate ratio differs from the reported upper bound"
         return None
     if kind == "pairrep":
@@ -306,10 +313,10 @@ def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | No
     if kind == "matrixrep":
         return matrixrep_violation(g, MatrixRep.from_json(obj), obj.get("tol", 1e-9))
     if kind == "independent_set":
-        verts = obj["vertices"]
+        verts = read_ints(obj["vertices"], "vertices")
         if not is_independent_set(g, verts):
             return "vertex set is not independent"
-        if report is not None and Fraction(report["lower"]) > len(verts):
+        if report is not None and parse_frac(report["lower"]) > len(verts):
             return "independent set does not attain the reported lower bound"
         return None
     return f"unknown certificate kind {kind!r}"
@@ -328,8 +335,11 @@ def _cmd_verify(args) -> int:
             raise UsageError("certificate has no embedded graph; pass --graph")
         g = generate(expr, max_vertices=args.max_vertices)
         if obj.get("kind") is None and "witness_refs" in obj:  # a bound report
-            failures = [f for w in obj["witness_refs"] if (f := _verify_witness(w, g, obj))]
-            ok = not failures and Fraction(obj["lower"]) <= Fraction(obj["upper"])
+            refs = obj["witness_refs"]
+            if not isinstance(refs, list):
+                raise VerificationError("witness_refs is not a list")
+            failures = [f for w in refs if (f := _verify_witness(w, g, obj))]
+            ok = not failures and parse_frac(obj["lower"]) <= parse_frac(obj["upper"])
             failure = failures[0] if failures else None
         else:
             failure = _verify_witness(obj, g)

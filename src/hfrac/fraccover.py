@@ -12,8 +12,10 @@ weight is <= 1 exactly.
 The returned cover is gated exactly: the duals must be feasible for the
 dual LP over the generated cliques (one unit per clique, vertex weights
 >= 0), and ``check_solution`` must accept the clique weights as its
-optimality certificate (signs, reduced costs, equal values).  The cover
-itself must then pass ``cover_violation``.
+optimality certificate (signs, reduced costs, equal values).  That gate
+reads each clique row through its members only, so it costs the size of
+the cliques, not cliques x vertices.  The cover itself must then pass
+``cover_violation``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import VerificationError
 from .graphs import Graph, complement, is_clique
 from .independence import max_weight_independent_set
 from .lp import F0, F1, CoveringMaster, LinearProgram, LpSolution, check_solution
-from .serialize import frac_str, parse_frac
+from .serialize import frac_str, parse_frac, read_int, read_ints
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,10 @@ class FractionalCover:
     @classmethod
     def from_json(cls, obj: dict) -> "FractionalCover":
         classes = tuple(
-            (tuple(int(v) for v in item["clique"]), parse_frac(item["weight"]))
+            (read_ints(item["clique"], "clique"), parse_frac(item["weight"]))
             for item in obj["classes"]
         )
-        return cls(classes, parse_frac(obj["value"]), int(obj["d"]))
+        return cls(classes, parse_frac(obj["value"]), read_int(obj["d"], "d"))
 
 
 def cover_violation(g: Graph, cover: FractionalCover) -> str | None:

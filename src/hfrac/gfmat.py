@@ -6,11 +6,18 @@ pivot selections, and factorizations are byte-for-byte reproducible.
 Only prime moduli are supported; every construction downstream needs the
 field characteristic only, which prime fields realize.
 
+A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
+checked and its entries reduced.  The operations here build their results
+from arrays already reduced modulo a checked prime, so they skip both
+steps; each result still owns its array, never a view of another matrix's.
+
 In JSON a matrix is ``{"p", "rows", "cols", "entries"}`` with row-major
 entries.  ``to_json`` hands the int64 array itself to
 ``serialize.canonical_json``, which writes its digits; ``from_json`` reads
 them back through ``serialize.read_entries``, which accepts exactly
-rows * cols integers in [0, p) and nothing else.
+rows * cols integers in [0, p) and nothing else.  A certificate's scalars
+must be JSON integers (``serialize.read_int``), and a modulus that is not
+an int64-safe prime fails verification like any other defect of the file.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GuardExceeded, PreconditionError
+from .errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
 from .graphs import is_prime
-from .serialize import read_entries
+from .serialize import read_entries, read_int
 
 KRON_ENTRY_CAP = 16_000_000
 # Entries live in int64: elimination forms x - y*z with x, y, z < p, so
@@ -30,35 +37,55 @@ KRON_ENTRY_CAP = 16_000_000
 INT64_LIMIT = 2**63
 
 
+def _check_modulus(p: int) -> None:
+    if (p - 1) ** 2 + p >= INT64_LIMIT:
+        raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
+    if not is_prime(p):
+        raise PreconditionError(f"modulus {p} is not prime")
+
+
+def _nonempty(a: np.ndarray) -> np.ndarray:
+    if a.size == 0:
+        raise DimensionMismatch("matrix dimensions must be positive")
+    return a
+
+
 class FMatrix:
     """Immutable-by-convention dense matrix over GF(p)."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, entries, copy: bool = True):
-        if (p - 1) ** 2 + p >= INT64_LIMIT:
-            raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
-        if not is_prime(p):
-            raise PreconditionError(f"modulus {p} is not prime")
+        _check_modulus(p)
         a = np.array(entries, dtype=np.int64, copy=copy)
         if a.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-dimensional, got shape {a.shape}")
-        if a.size == 0:
-            raise DimensionMismatch("matrix dimensions must be positive")
         self.p = p
-        self.a = a % p
+        self.a = _nonempty(a) % p
+
+    @classmethod
+    def _reduced(cls, p: int, a: np.ndarray) -> "FMatrix":
+        """A matrix over an already checked prime p from a 2-D int64 array
+        with entries in [0, p) that no other matrix holds."""
+        m = object.__new__(cls)
+        m.p = p
+        m.a = _nonempty(a)
+        return m
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64), copy=False)
+        _check_modulus(p)
+        return cls._reduced(p, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
-        return cls(p, np.eye(n, dtype=np.int64), copy=False)
+        _check_modulus(p)
+        return cls._reduced(p, np.eye(n, dtype=np.int64))
 
     @classmethod
     def ones(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        return cls(p, np.ones((rows, cols), dtype=np.int64), copy=False)
+        _check_modulus(p)
+        return cls._reduced(p, np.ones((rows, cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -73,13 +100,14 @@ class FMatrix:
         return self.a.shape
 
     def transpose(self) -> "FMatrix":
-        return FMatrix(self.p, self.a.T)
+        return FMatrix._reduced(self.p, self.a.T.copy())
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "FMatrix":
-        return FMatrix(self.p, self.a[r0:r1, c0:c1])
+        return FMatrix._reduced(self.p, self.a[r0:r1, c0:c1].copy())
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FMatrix":
-        return FMatrix(self.p, self.a[np.ix_(list(row_idx), list(col_idx))])
+        # fancy indexing copies
+        return FMatrix._reduced(self.p, self.a[np.ix_(list(row_idx), list(col_idx))])
 
     def __getitem__(self, key) -> int:
         return int(self.a[key])
@@ -105,13 +133,25 @@ class FMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FMatrix":
-        """Strict: the entries must be exactly rows * cols integers in [0, p)
-        (``serialize.read_entries``)."""
-        p, rows, cols = int(obj["p"]), int(obj["rows"]), int(obj["cols"])
+        """Strict: p, rows and cols must be JSON integers, and the entries
+        exactly rows * cols integers in [0, p) (``from_entries``)."""
+        p, rows, cols = read_int(obj["p"], "p"), read_int(obj["rows"], "rows"), read_int(obj["cols"], "cols")
+        return cls.from_entries(p, rows, cols, obj["entries"])
+
+    @classmethod
+    def from_entries(cls, p: int, rows: int, cols: int, value) -> "FMatrix":
+        """The rows x cols matrix over GF(p) whose row-major entries a
+        certificate holds in ``value`` (``serialize.read_entries``).  The
+        file is at fault for a modulus that is not an int64-safe prime, so
+        that is a ``VerificationError``."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
-        entries = read_entries(obj["entries"], rows * cols, p)
-        return cls(p, entries.reshape(rows, cols), copy=False)
+        try:
+            _check_modulus(p)
+        except (GuardExceeded, PreconditionError) as exc:
+            raise VerificationError(f"certificate modulus: {exc}") from exc
+        entries = read_entries(value, rows * cols, p)
+        return cls._reduced(p, entries.reshape(rows, cols).copy())
 
 
 def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -121,7 +161,7 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
         raise DimensionMismatch(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     if a.cols * (a.p - 1) ** 2 >= INT64_LIMIT:
         raise GuardExceeded(f"a product over GF({a.p}) with inner dimension {a.cols} overflows int64")
-    return FMatrix(a.p, (a.a @ b.a) % a.p, copy=False)
+    return FMatrix._reduced(a.p, (a.a @ b.a) % a.p)
 
 
 def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -130,7 +170,7 @@ def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
     entries = a.rows * b.rows * a.cols * b.cols
     if entries > KRON_ENTRY_CAP:
         raise GuardExceeded(f"kronecker result has {entries} entries (cap {KRON_ENTRY_CAP})")
-    return FMatrix(a.p, np.kron(a.a, b.a) % a.p, copy=False)
+    return FMatrix._reduced(a.p, np.kron(a.a, b.a) % a.p)
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -203,8 +243,7 @@ def solve_right(c: FMatrix, m: FMatrix) -> FMatrix:
     red, piv_cols = _rref(aug, c.p)
     if piv_cols != list(range(c.cols)):
         raise PreconditionError("system is rank-deficient or inconsistent")
-    x = FMatrix(c.p, red[: c.cols, c.cols:])
-    return x
+    return FMatrix._reduced(c.p, red[: c.cols, c.cols:].copy())
 
 
 def inverse(m: FMatrix) -> FMatrix:
@@ -217,11 +256,11 @@ def hstack(mats: Sequence[FMatrix]) -> FMatrix:
     p = mats[0].p
     if any(m.p != p for m in mats):
         raise DimensionMismatch("modulus mismatch in hstack")
-    return FMatrix(p, np.hstack([m.a for m in mats]), copy=False)
+    return FMatrix._reduced(p, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: Sequence[FMatrix]) -> FMatrix:
     p = mats[0].p
     if any(m.p != p for m in mats):
         raise DimensionMismatch("modulus mismatch in vstack")
-    return FMatrix(p, np.vstack([m.a for m in mats]), copy=False)
+    return FMatrix._reduced(p, np.vstack([m.a for m in mats]))

@@ -23,6 +23,7 @@ from typing import Sequence
 from .budget import Budget
 from .errors import BudgetExhausted, SearchCutoff
 from .graphs import Graph, is_clique
+from .serialize import read_ints
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class CliqueCover:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliqueCover":
-        return cls(tuple(tuple(int(v) for v in c) for c in obj["classes"]))
+        return cls(tuple(read_ints(c, "class") for c in obj["classes"]))
 
 
 def clique_cover_violation(g: Graph, cover: CliqueCover) -> str | None:

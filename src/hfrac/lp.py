@@ -2,8 +2,11 @@
 warm-started covering master.
 
 Everything is exact; a returned optimum comes with a dual vector that
-certifies optimality exactly (checked by ``check_solution``).  Bland's
-rule is used throughout, so both solvers terminate on every input.
+certifies optimality exactly.  ``check_solution`` is that exact gate: it
+visits only the nonzero coefficients of the constraint matrix, and
+``simplex_solve`` raises ``VerificationError`` (also under ``python -O``)
+if its optimum fails it.  Bland's rule is used throughout, so both
+solvers terminate on every input.
 
 ``simplex_solve`` is the general solver: a dense ``Fraction`` tableau
 built from scratch for one LP.  Variable bounds are folded away before the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, VerificationError
 from .serialize import frac_str, parse_frac
 
 REL_LE = "<="
@@ -264,7 +267,8 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         dual[oi] = -y if flipped else y
 
     sol = LpSolution("optimal", value, tuple(assignment), tuple(dual))
-    assert check_solution(lp, sol), "internal error: optimum failed its own certificate"
+    if not check_solution(lp, sol):
+        raise VerificationError("internal error: optimum failed its own certificate")
     return sol
 
 
@@ -390,15 +394,23 @@ class CoveringMaster:
 
 def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     """Exact feasibility of the assignment, and, when a dual is present,
-    exact optimality certification (signs, reduced costs, value equality)."""
+    exact optimality certification (signs, reduced costs, value equality).
+
+    Only nonzero coefficients are visited: each row's activity is summed
+    over its nonzeros, and the reduced costs c - A^T y are built by
+    scattering every nonzero y_i over the nonzeros of row i.
+    """
     if sol.assignment is None:
         return False
     if len(sol.assignment) != len(lp.objective):
         raise DimensionMismatch("assignment length does not match variable count")
     x = [Fraction(v) for v in sol.assignment]
     nv = len(x)
+    support: list[list[tuple[int, Fraction]]] = []  # (column, coefficient) per row
     for coeffs, rel, rhs in lp.constraints:
-        lhs = sum(Fraction(coeffs[j]) * x[j] for j in range(nv))
+        row = [(j, Fraction(c)) for j, c in enumerate(coeffs) if c]
+        support.append(row)
+        lhs = sum(c * x[j] for j, c in row)
         if rel == REL_LE and not lhs <= rhs:
             return False
         if rel == REL_GE and not lhs >= rhs:
@@ -411,7 +423,8 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
             return False
         if up is not None and x[j] > up:
             return False
-    primal = sum(Fraction(lp.objective[j]) * x[j] for j in range(nv)) + Fraction(lp.constant)
+    reduced = [Fraction(c) for c in lp.objective]
+    primal = sum(c * xj for c, xj in zip(reduced, x) if c) + Fraction(lp.constant)
     if sol.value is not None and sol.value != primal:
         return False
     if sol.dual is None:
@@ -425,10 +438,11 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
         if rel == REL_GE and yi > 0:
             return False
     dual_value = sum(yi * Fraction(rhs) for yi, (_, _, rhs) in zip(y, lp.constraints)) + Fraction(lp.constant)
-    for j in range(nv):
-        r = Fraction(lp.objective[j]) - sum(
-            yi * Fraction(coeffs[j]) for yi, (coeffs, _, _) in zip(y, lp.constraints)
-        )
+    for yi, row in zip(y, support):
+        if yi:
+            for j, c in row:
+                reduced[j] -= yi * c
+    for j, r in enumerate(reduced):
         if r == 0:
             continue
         lo, up = lp.bound(j)

@@ -31,7 +31,7 @@ from .errors import (
 from .gfmat import FMatrix, matmul, rank
 from .graphs import Graph, alon, complement, is_prime, johnson
 from .independence import CliqueCover, alpha, clique_cover_violation, greedy_clique_cover
-from .serialize import int_text
+from .serialize import int_text, read_int
 
 DEFAULT_SEARCH_CAP = 2**30
 
@@ -90,7 +90,7 @@ class FitCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FitCertificate":
-        return cls(obj["graph_hash"], FMatrix.from_json(obj), int(obj["claimed_rank"]))
+        return cls(obj["graph_hash"], FMatrix.from_json(obj), read_int(obj["claimed_rank"], "claimed_rank"))
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,9 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64), copy=False)
     r = rank(mat)
     assert r == len(cover.classes)
-    cert = FitCertificate(graph_hash(g), mat, r)
-    assert verify_fits(g, mat)
-    return cert
+    if not verify_fits(g, mat):
+        raise VerificationError("internal error: clique-cover matrix does not fit the graph")
+    return FitCertificate(graph_hash(g), mat, r)
 
 
 def minrank_exact(
@@ -247,8 +247,9 @@ def minrank_exact(
 
     if best_matrix is not None:
         mat = FMatrix(p, best_matrix)
+        if not (verify_fits(g, mat) and rank(mat) == best_rank):
+            raise VerificationError("internal error: minrank matrix failed its fit or rank check")
         cert = FitCertificate(graph_hash(g), mat, best_rank)
-        assert verify_fits(g, mat) and rank(mat) == best_rank
     else:
         cert = incumbent
         best_rank = incumbent.claimed_rank

@@ -36,7 +36,7 @@ from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
 from .independence import alpha
 from .minrank import minrank_exact
 from .report import BoundReport
-from .serialize import read_entries
+from .serialize import read_int, read_ints
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,7 @@ class DRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DRep":
-        return cls(int(obj["d"]), FMatrix.from_json(obj))
-
-
-def _factor_from_json(value, n: int, d: int, p: int) -> FMatrix:
-    """An n x d factor written, like ``FMatrix`` entries, as a row-major
-    int list (``serialize.read_entries``)."""
-    if n < 1 or d < 1:
-        raise DimensionMismatch(f"factor dimensions must be positive, got {n}x{d}")
-    return FMatrix(p, read_entries(value, n * d, p).reshape(n, d), copy=False)
+        return cls(read_int(obj["d"], "d"), FMatrix.from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -104,9 +96,9 @@ class PairRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairRep":
-        n, d, p = int(obj["n"]), int(obj["d"]), int(obj["p"])
+        n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
         pairs = tuple(
-            (_factor_from_json(item["A"], n, d, p), _factor_from_json(item["B"], n, d, p))
+            (FMatrix.from_entries(p, n, d, item["A"]), FMatrix.from_entries(p, n, d, item["B"]))
             for item in obj["pairs"]
         )
         return cls(n, d, pairs)
@@ -138,7 +130,7 @@ class RankRRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RankRRep":
-        return cls(int(obj["r"]), tuple(int(s) for s in obj["sizes"]), FMatrix.from_json(obj))
+        return cls(read_int(obj["r"], "r"), read_ints(obj["sizes"], "sizes"), FMatrix.from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -164,8 +156,8 @@ class SubspaceRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceRep":
-        n, d, p = int(obj["n"]), int(obj["d"]), int(obj["p"])
-        bases = tuple(_factor_from_json(item, n, d, p) for item in obj["bases"])
+        n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
+        bases = tuple(FMatrix.from_entries(p, n, d, item) for item in obj["bases"])
         return cls(n, d, bases)
 
 

@@ -9,7 +9,12 @@ numpy before ``json.loads`` sees the rest.  The reader accepts only what
 the writer produces: digits and commas, no empty field, no leading zero.
 ``read_entries`` then checks the count (rows * cols) and the range [0, p).
 A malformed list raises ``VerificationError``, a wrong count
-``DimensionMismatch``.
+``DimensionMismatch``.  A certificate's scalars go through ``read_int``
+(and lists of them through ``read_ints``), which take JSON integers only,
+and its rationals through ``parse_frac``, which takes strings only: a
+string, bool or float where an integer belongs, or a malformed rational,
+is a ``VerificationError`` rather than a value ``int()`` or ``Fraction()``
+would coerce.
 """
 
 from __future__ import annotations
@@ -29,10 +34,13 @@ def frac_str(x: Fraction | int) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    """The rational a ``frac_str`` string spells, for reading files."""
+    if not isinstance(s, str):
+        raise VerificationError(f"not a rational: {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
+        raise VerificationError(f"not a rational: {s!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,21 @@ def read_entries(value, count: int, p: int) -> np.ndarray:
         bad = value[(value < 0) | (value >= p)][0]
         raise VerificationError(f"entry {bad} is outside [0, {p})")
     return value
+
+
+def read_int(value, name: str) -> int:
+    """A certificate's integer field ``name``: a JSON integer, not a string,
+    bool or float."""
+    if type(value) is not int:
+        raise VerificationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def read_ints(value, name: str) -> tuple[int, ...]:
+    """A certificate's list of integers ``name`` (``read_int`` each)."""
+    if not isinstance(value, list):
+        raise VerificationError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(read_int(v, name) for v in value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from hfrac.errors import DimensionMismatch
 from hfrac.graphs import Graph
+from hfrac.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, LpSolution
 
 
 def _bits(mask: int):
@@ -97,3 +100,59 @@ def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(len(verts), tuple(adj), tuple(verts))
+
+
+def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
+    """``lp.check_solution`` over every coefficient of the constraint
+    matrix, twice: once per row for the activities and once per column for
+    the reduced costs."""
+    if sol.assignment is None:
+        return False
+    if len(sol.assignment) != len(lp.objective):
+        raise DimensionMismatch("assignment length does not match variable count")
+    x = [Fraction(v) for v in sol.assignment]
+    nv = len(x)
+    for coeffs, rel, rhs in lp.constraints:
+        lhs = sum(Fraction(coeffs[j]) * x[j] for j in range(nv))
+        if rel == REL_LE and not lhs <= rhs:
+            return False
+        if rel == REL_GE and not lhs >= rhs:
+            return False
+        if rel == REL_EQ and lhs != rhs:
+            return False
+    for j in range(nv):
+        lo, up = lp.bound(j)
+        if lo is not None and x[j] < lo:
+            return False
+        if up is not None and x[j] > up:
+            return False
+    primal = sum(Fraction(lp.objective[j]) * x[j] for j in range(nv)) + Fraction(lp.constant)
+    if sol.value is not None and sol.value != primal:
+        return False
+    if sol.dual is None:
+        return True
+    if len(sol.dual) != len(lp.constraints):
+        raise DimensionMismatch("dual length does not match constraint count")
+    y = [Fraction(v) for v in sol.dual]
+    for (_, rel, _), yi in zip(lp.constraints, y):
+        if rel == REL_LE and yi < 0:
+            return False
+        if rel == REL_GE and yi > 0:
+            return False
+    dual_value = sum(yi * Fraction(rhs) for yi, (_, _, rhs) in zip(y, lp.constraints)) + Fraction(lp.constant)
+    for j in range(nv):
+        r = Fraction(lp.objective[j]) - sum(
+            yi * Fraction(coeffs[j]) for yi, (coeffs, _, _) in zip(y, lp.constraints)
+        )
+        if r == 0:
+            continue
+        lo, up = lp.bound(j)
+        if r > 0:
+            if up is None:
+                return False
+            dual_value += r * up
+        else:
+            if lo is None:
+                return False
+            dual_value += r * lo
+    return dual_value == primal

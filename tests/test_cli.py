@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from unittest import mock
 
 import pytest
 from test_reps import FORGED_ENTRIES, forge_first_entry
 
+import hfrac
+from hfrac import cli
 from hfrac.cli import main
+from hfrac.independence import CliqueCover
 from hfrac.serialize import canonical_json
 
 
@@ -260,3 +269,136 @@ def test_universal_graph_is_refused_before_enumeration(capsys):
     code, _, err = run(capsys, "generate", "--graph", "universal:2,11,1")
     assert code == 64 and "2096128 vertices" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_main_calls_in_one_process_do_not_leak_options(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CAPACITY_BUDGET_MS", raising=False)
+    square, plain = tmp_path / "square.json", tmp_path / "plain.json"
+    drep = ("certify", "--kind", "cycle-drep", "--k", "2", "--p", "2")
+    assert run(capsys, *drep, "--power", "2", "--out", str(square))[0] == 0
+    assert run(capsys, *drep, "--out", str(plain))[0] == 0
+    assert json.loads(plain.read_text())["graph"] == "cycle:5"  # --power back to 1
+
+    assert run(capsys, "verify", "--cert", str(plain), "--graph", "cycle:7", "--json")[0] == 2
+    code, out, _ = run(capsys, "verify", "--cert", str(plain))
+    assert code == 0 and out.strip() == "OK"  # the embedded graph again, and no --json
+
+    alpha = ("alpha", "--graph", "johnson:2,9")  # 1,179 search nodes
+    assert run(capsys, *alpha, "--budget-ms", "0")[0] == 3
+    assert run(capsys, *alpha)[0] == 0  # no budget left over
+    monkeypatch.setenv("CAPACITY_BUDGET_MS", "0")
+    assert run(capsys, *alpha)[0] == 3
+    assert run(capsys, *alpha, "--budget-ms", "60000")[0] == 0
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert run(capsys, "alpha", "--graph", "cycle:5")[0] == 0
+    first = len(built)
+    assert first > 1  # the top parser, the shared options and each subcommand
+    assert run(capsys, "fracchrom", "--graph", "cycle:7")[0] == 0
+    assert run(capsys, "alpha", "--graph", "nonsense:5")[0] == 64
+    assert len(built) == first
+
+
+def _singleton_cover(g):
+    return CliqueCover(tuple((v,) for v in range(g.n)))
+
+
+# Each exact gate: a command that reaches it, and the checker patches that
+# make the gate reject.  The minrank search's final gate is reached by
+# starting it from the singleton cover, so that it finds a better matrix
+# after the incumbent's own fit check passed.
+EXACT_GATES = {
+    "simplex_solve": (["theta-lp", "--p", "2", "--n", "8"],
+                      [("hfrac.lp.check_solution", {"return_value": False})]),
+    "cover_certificate": (["minrank", "--graph", "cycle:5", "--p", "2"],
+                          [("hfrac.minrank.verify_fits", {"return_value": False})]),
+    "minrank_exact": (["minrank", "--graph", "cycle:5", "--p", "2"],
+                      [("hfrac.minrank.greedy_clique_cover", {"side_effect": _singleton_cover}),
+                       ("hfrac.minrank.verify_fits", {"side_effect": [True, False]})]),
+}
+
+
+def exact_gate_exit(gate: str) -> tuple[int, str]:
+    """Exit code and stderr of the gate's command with its checker patched."""
+    argv, patches = EXACT_GATES[gate]
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for target, kwargs in patches:
+            stack.enter_context(mock.patch(target, **kwargs))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("gate", EXACT_GATES)
+def test_a_rejecting_exact_gate_exits_2(gate):
+    code, err = exact_gate_exit(gate)
+    assert code == 2 and err.startswith("verification failure: internal error"), err
+
+
+def test_exact_gates_hold_under_python_O():
+    # assert statements are stripped under -O; the gates must not be
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
+    code = ("import sys; from test_cli import EXACT_GATES, exact_gate_exit; "
+            "print(sys.flags.optimize, *(exact_gate_exit(g)[0] for g in EXACT_GATES))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stdout.split() == ["1", "2", "2", "2"], proc.stderr
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"p":2,', '"p":"2",'),
+    ('"d":2,', '"d":2.0,'),
+    ('"p":2,', '"p":true,'),
+    ('"rows":10}', '"rows":"10"}'),
+    ('"p":2,', '"p":4,'),  # the file's modulus is at fault, not the command line
+    ('"p":2,', '"p":3037000507,'),
+])
+def test_verify_refuses_malformed_scalars(tmp_path, capsys, old, new):
+    # "p":"2" and "d":2.0 were coerced and printed OK; "p":4 exited 64
+    text = _cycle_drep_file(tmp_path, capsys)
+    assert text.count(old) == 1
+    path = tmp_path / "forged.json"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("witness_refs", [5]),
+    ("witness_refs", 5),
+    ("lower", "two"),
+    ("upper", None),
+    ("vertices", ["0", "2"]),
+])
+def test_verify_refuses_a_malformed_report(tmp_path, capsys, field, value):
+    # a non-object witness ended in an AttributeError traceback, a
+    # non-rational bound in a ValueError one, a string vertex in a TypeError
+    code, out, _ = run(capsys, "hfrac", "--graph", "cycle:5", "--p", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    lower_witness = report["witness_refs"][0]
+    assert lower_witness["kind"] == "independent_set"
+    (lower_witness if field == "vertices" else report)[field] = value
+    path = tmp_path / "forged.json"
+    path.write_text(canonical_json(report))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "c5.json"
+    path.write_text(_cycle_drep_file(tmp_path, capsys))
+    assert run(capsys, "verify", "--cert", str(path), "--graph", "nonsense:5")[0] == 64

@@ -8,9 +8,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError
+from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
 from hfrac.gfmat import (
     FMatrix,
+    hstack,
     inverse,
     kronecker,
     matmul,
@@ -62,6 +63,28 @@ def test_rank_incidence_of_3_subsets_of_4():
 def test_modulus_must_be_prime():
     with pytest.raises(PreconditionError):
         FMatrix(4, [[1]])
+    for make in (FMatrix.zeros, FMatrix.ones):
+        with pytest.raises(PreconditionError):
+            make(4, 2, 2)
+    with pytest.raises(PreconditionError):
+        FMatrix.identity(4, 2)
+    # a file's modulus is checked too, and a bad one fails verification
+    with pytest.raises(VerificationError):
+        FMatrix.from_json({"p": 4, "rows": 1, "cols": 1, "entries": [1]})
+
+
+def test_derived_matrices_own_their_arrays():
+    rng = random.Random(3)
+    m = random_fmatrix(rng, 5, 4, 6)
+    derived = [m.transpose(), m.block(1, 3, 0, 4), m.submatrix([0, 2], [1, 5]),
+               hstack([m, m]), FMatrix.from_json(m.to_json())]
+    for d in derived:
+        assert not np.shares_memory(d.a, m.a)
+    assert derived[0].a.tolist() == m.a.T.tolist()
+    assert derived[1].a.tolist() == m.a[1:3, 0:4].tolist()
+    assert derived[4] == m
+    with pytest.raises(DimensionMismatch):
+        m.block(1, 1, 0, 4)
 
 
 def test_matmul_examples():

@@ -7,11 +7,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
+from oracles import dense_check_solution
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, DimensionMismatch
 from hfrac.lp import (
+    REL_EQ,
+    REL_GE,
+    REL_LE,
     CoveringMaster,
     LinearProgram,
     LpSolution,
@@ -250,3 +256,79 @@ def test_json_roundtrip():
     sol = simplex_solve(lp)
     out = solution_to_json(sol)
     assert out["status"] == "optimal" and out["value"] == str(sol.value)
+
+
+# Zeros of both types are drawn often, so rows and columns are sparse.
+NUMBERS = st.one_of(st.sampled_from((0, F(0))), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def _nudge(draw, values: list) -> None:
+    """Change one entry of ``values`` in place, if there is one."""
+    if values:
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = draw(NUMBERS)
+
+
+@st.composite
+def check_cases(draw):
+    """An LP with all three relations, finite and None bounds, and a
+    solution that is either its exact optimum or a random point, then
+    perturbed: assignment, dual and value nudged, dropped or resized."""
+    nv = draw(st.integers(0, 4))
+    vector = st.lists(NUMBERS, min_size=nv, max_size=nv)
+    constraints = draw(st.lists(st.tuples(vector, st.sampled_from((REL_LE, REL_GE, REL_EQ)), NUMBERS),
+                                max_size=4))
+    bound = st.tuples(st.none() | NUMBERS, st.none() | NUMBERS)
+    lp = LinearProgram(
+        tuple(draw(vector)),
+        tuple((tuple(c), rel, rhs) for c, rel, rhs in constraints),
+        draw(NUMBERS),
+        draw(st.none() | st.lists(bound, min_size=nv, max_size=nv).map(tuple)),
+    )
+    sol = simplex_solve(lp)
+    if sol.status == "optimal" and draw(st.booleans()):
+        x, y, value = list(sol.assignment), list(sol.dual), sol.value
+    else:
+        x = draw(st.lists(NUMBERS, min_size=nv, max_size=nv))
+        y = draw(st.lists(NUMBERS, min_size=len(constraints), max_size=len(constraints)))
+        value = draw(st.none() | NUMBERS)
+    if draw(st.booleans()):
+        _nudge(draw, x)
+    if draw(st.booleans()):
+        _nudge(draw, y)
+    if draw(st.booleans()):
+        value = draw(st.none() | NUMBERS)
+    for vec in (x, y):
+        resize = draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+        if resize > 0:
+            vec.append(draw(NUMBERS))
+        elif resize < 0 and vec:
+            vec.pop()
+    assignment = None if draw(st.integers(0, 9)) == 0 else tuple(x)
+    dual = None if draw(st.integers(0, 4)) == 0 else tuple(y)
+    return lp, LpSolution("optimal", value, assignment, dual)
+
+
+def _outcome(check, lp, sol):
+    """The verdict, or the message of the DimensionMismatch raised."""
+    try:
+        return check(lp, sol)
+    except DimensionMismatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(check_cases())
+def test_check_solution_agrees_with_the_dense_oracle(case):
+    assert _outcome(check_solution, *case) == _outcome(dense_check_solution, *case)
+
+
+@pytest.mark.parametrize("outcome", [
+    True,
+    False,
+    "assignment length does not match variable count",
+    "dual length does not match constraint count",
+])
+def test_check_cases_reach_every_outcome(outcome):
+    find(check_cases(), lambda case: _outcome(dense_check_solution, *case) == outcome,
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
