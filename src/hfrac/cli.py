@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_independent_set
+from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_independent_set, stray_vertex
 from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation
 from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .report import BoundReport
@@ -314,6 +314,9 @@ def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | No
         return matrixrep_violation(g, MatrixRep.from_json(obj), obj.get("tol", 1e-9))
     if kind == "independent_set":
         verts = read_ints(obj["vertices"], "vertices")
+        stray = stray_vertex(g, verts)
+        if stray is not None:
+            return f"vertex {stray} outside [0, {g.n})"
         if not is_independent_set(g, verts):
             return "vertex set is not independent"
         if report is not None and parse_frac(report["lower"]) > len(verts):
@@ -333,7 +336,14 @@ def _cmd_verify(args) -> int:
         expr = args.graph or obj.get("graph")
         if not expr:
             raise UsageError("certificate has no embedded graph; pass --graph")
-        g = generate(expr, max_vertices=args.max_vertices)
+        if not isinstance(expr, str):
+            raise VerificationError(f"graph must be a string, got {expr!r}")
+        try:
+            g = generate(expr, max_vertices=args.max_vertices)
+        except GraphParseError as exc:
+            if args.graph:  # a bad --graph is a usage error, a bad embedded graph a bad file
+                raise
+            raise VerificationError(f"certificate graph: {exc}") from exc
         if obj.get("kind") is None and "witness_refs" in obj:  # a bound report
             refs = obj["witness_refs"]
             if not isinstance(refs, list):

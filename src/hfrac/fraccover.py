@@ -26,10 +26,10 @@ from math import lcm
 
 from .budget import Budget
 from .errors import VerificationError
-from .graphs import Graph, complement, is_clique
+from .graphs import Graph, complement, is_clique, stray_vertex
 from .independence import max_weight_independent_set
 from .lp import F0, F1, CoveringMaster, LinearProgram, LpSolution, check_solution
-from .serialize import frac_str, parse_frac, read_int, read_ints
+from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class FractionalCover:
     def from_json(cls, obj: dict) -> "FractionalCover":
         classes = tuple(
             (read_ints(item["clique"], "clique"), parse_frac(item["weight"]))
-            for item in obj["classes"]
+            for item in read_objects(obj["classes"], "classes")
         )
         return cls(classes, parse_frac(obj["value"]), read_int(obj["d"], "d"))
 
@@ -72,6 +72,9 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
     total = F0
     coverage = [F0] * g.n
     for idx, (cl, w) in enumerate(cover.classes):
+        stray = stray_vertex(g, cl)
+        if stray is not None:
+            return f"class {idx} has vertex {stray} outside [0, {g.n})"
         if not is_clique(g, cl):
             return f"class {idx} is not a clique: {sorted(cl)}"
         if w < 0:

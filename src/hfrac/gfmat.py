@@ -6,6 +6,16 @@ pivot selections, and factorizations are byte-for-byte reproducible.
 Only prime moduli are supported; every construction downstream needs the
 field characteristic only, which prime fields realize.
 
+Elimination has two kernels, chosen by the modulus alone.  Over GF(2)
+(``_eliminate_gf2``) each row is packed once into uint64 words, 64 columns
+a word; a pivot is found with an OR and a mask over one word column, and
+the column below it is cleared by one XOR of the pivot row's words from
+the pivot word on.  Every other prime runs the int64 kernel
+(``_eliminate``), which normalises each pivot row and subtracts multiples
+of it.  Both pick the same (row, column) pivots, which ``rank``,
+``select_full_rank_submatrix`` and ``_rref`` (behind ``solve_right`` and
+``inverse``) all take from them; the packed words never leave the kernel.
+
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
 from arrays already reduced modulo a checked prime, so they skip both
@@ -174,10 +184,11 @@ def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Forward elimination; returns (echelon copy, pivots).
+    """Forward elimination on int64 entries; returns (echelon copy, pivots).
 
     Pivots are (original_row, column) pairs in elimination order, chosen by
-    the first-nonzero rule.
+    the first-nonzero rule.  Runs for every prime; the library sends p = 2
+    to ``_eliminate_gf2`` instead, which picks the same pivots.
     """
     a = a % p
     rows, cols = a.shape
@@ -205,20 +216,87 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]
     return a, pivots
 
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot columns)."""
-    a, pivots = _eliminate(a, p)
+def _back_substitute(a: np.ndarray, pivots: list[tuple[int, int]], p: int) -> np.ndarray:
+    """Clears each pivot column above its pivot, in place, on the echelon
+    form that ``_eliminate`` returns."""
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r][1]
         above = np.nonzero(a[:r, c])[0]
         if above.size:
             a[above] = (a[above] - a[above, c:c + 1] * a[r]) % p
-    return a, [c for _, c in pivots]
+    return a
+
+
+def _pack_gf2(a: np.ndarray) -> np.ndarray:
+    """Row-packed copy of a 0/1 matrix: word w of a row holds columns
+    64w .. 64w + 63, column 64w + j in bit j; padding bits are 0."""
+    rows, cols = a.shape
+    bits = np.zeros((rows, -(-cols // 64) * 64), dtype=bool)
+    np.not_equal(a, 0, out=bits[:, :cols])
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _unpack_gf2(words: np.ndarray, cols: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little").astype(np.int64)
+
+
+def _eliminate_gf2(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Forward elimination over GF(2) on packed rows; returns (packed
+    echelon, pivots), the pivots equal to ``_eliminate(a, 2)``'s.
+
+    The next pivot column is the lowest bit at or after the current column
+    of the OR of the remaining rows' words, one word column at a time (so
+    zero columns cost nothing), and its pivot row the first remaining row
+    with that bit.  One XOR of the pivot row's words from the pivot word
+    onward clears the column below; a pivot is always 1, so nothing is
+    normalised.
+    """
+    words = _pack_gf2(a)
+    rows, nwords = words.shape
+    origin = list(range(rows))
+    pivots: list[tuple[int, int]] = []
+    r = w = b = 0  # next pivot row; current column 64w + b
+    while r < rows and w < nwords:
+        live = int(np.bitwise_or.reduce(words[r:, w])) >> b << b
+        if not live:
+            w, b = w + 1, 0
+            continue
+        bit = live & -live
+        b = bit.bit_length() - 1
+        hit = np.flatnonzero(words[r:, w] & np.uint64(bit))
+        i = r + int(hit[0])
+        if i != r:
+            words[[r, i]] = words[[i, r]]
+            origin[r], origin[i] = origin[i], origin[r]
+        if hit.size > 1:
+            words[r + hit[1:], w:] ^= words[r, w:]
+        pivots.append((origin[r], 64 * w + b))
+        r += 1
+        w, b = (w + 1, 0) if b == 63 else (w, b + 1)
+    return words, pivots
+
+
+def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+    return _eliminate_gf2(a)[1] if p == 2 else _eliminate(a, p)[1]
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (int64 matrix, pivot columns)."""
+    if p != 2:
+        a, pivots = _eliminate(a, p)
+        return _back_substitute(a, pivots, p), [c for _, c in pivots]
+    words, pivots = _eliminate_gf2(a)
+    for r in range(len(pivots) - 1, 0, -1):
+        w, b = divmod(pivots[r][1], 64)
+        above = np.flatnonzero(words[:r, w] & np.uint64(1 << b))
+        if above.size:
+            words[above, w:] ^= words[r, w:]
+    return _unpack_gf2(words, a.shape[1]), [c for _, c in pivots]
 
 
 def rank(m: FMatrix) -> int:
-    """Rank over GF(p) by fraction-free Gaussian elimination; input unchanged."""
-    return len(_eliminate(m.a, m.p)[1])
+    """Rank over GF(p) by Gaussian elimination; input unchanged."""
+    return len(_pivots(m.a, m.p))
 
 
 def select_full_rank_submatrix(m: FMatrix, r: int) -> tuple[list[int], list[int]]:
@@ -226,7 +304,7 @@ def select_full_rank_submatrix(m: FMatrix, r: int) -> tuple[list[int], list[int]
     submatrix is invertible (the first r elimination pivots)."""
     if r < 0:
         raise PreconditionError(f"r must be nonnegative, got {r}")
-    _, pivots = _eliminate(m.a, m.p)
+    pivots = _pivots(m.a, m.p)
     if len(pivots) < r:
         raise PreconditionError(f"matrix has rank {len(pivots)} < {r}")
     chosen = pivots[:r]

@@ -451,6 +451,12 @@ def lex_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     return Graph(n, tuple(adj), labels, expr)
 
 
+def stray_vertex(g: Graph, s: Iterable[int]) -> int | None:
+    """The first member of s that is not a vertex of g, or None; lets a
+    certificate check report a bad vertex instead of raising on it."""
+    return next((v for v in s if not 0 <= v < g.n), None)
+
+
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
     verts = list(s)
     for v in verts:

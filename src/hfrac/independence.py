@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .budget import Budget
 from .errors import BudgetExhausted, SearchCutoff
-from .graphs import Graph, is_clique
-from .serialize import read_ints
+from .graphs import Graph, is_clique, stray_vertex
+from .serialize import read_ints, read_list
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,16 @@ class CliqueCover:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliqueCover":
-        return cls(tuple(read_ints(c, "class") for c in obj["classes"]))
+        return cls(tuple(read_ints(c, "class") for c in read_list(obj["classes"], "classes")))
 
 
 def clique_cover_violation(g: Graph, cover: CliqueCover) -> str | None:
     """None if the cover partitions V(g) into cliques, else the first defect."""
     seen: set[int] = set()
     for idx, cls in enumerate(cover.classes):
+        stray = stray_vertex(g, cls)
+        if stray is not None:
+            return f"class {idx} has vertex {stray} outside [0, {g.n})"
         if not is_clique(g, cls):
             return f"class {idx} is not a clique: {sorted(cls)}"
         for v in cls:

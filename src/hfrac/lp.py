@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget
-from .errors import DimensionMismatch, VerificationError
+from .errors import DimensionMismatch, PreconditionError, VerificationError
 from .serialize import frac_str, parse_frac
 
 REL_LE = "<="
@@ -47,6 +47,21 @@ Constraint = tuple[tuple[Fraction, ...], str, Fraction]
 Bound = tuple[Fraction | None, Fraction | None]
 
 
+_EXACT_TYPES = frozenset((int, Fraction, type(None)))
+
+
+def _require_exact(values, field: str) -> None:
+    """LP data is exact: a float (or a bool) would turn the Fraction
+    arithmetic of the solver and its certificate check inexact.  ``field``
+    names the j-th value with ``field.format(j)``.  The common case, only
+    ints, Fractions and None, is one pass over the types at C speed."""
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        return
+    for j, value in enumerate(values):
+        if isinstance(value, (float, bool)):
+            raise PreconditionError(f"LP {field.format(j)} must be an int or a Fraction, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize ``objective . x + constant`` subject to constraints and bounds.
@@ -54,6 +69,8 @@ class LinearProgram:
     Constraints are (coefficients, relation, rhs) triples with relation in
     {"<=", ">=", "="}.  ``bounds`` gives per-variable (lower, upper) with
     ``None`` for unbounded; omitted bounds mean every variable is free.
+    Every number is an int or a ``Fraction``; a float or a bool raises
+    ``PreconditionError`` naming its field.
     """
 
     objective: tuple[Fraction, ...]
@@ -63,13 +80,20 @@ class LinearProgram:
 
     def __post_init__(self):
         nv = len(self.objective)
-        for coeffs, rel, _ in self.constraints:
+        _require_exact(self.objective, "objective[{}]")
+        for i, (coeffs, rel, rhs) in enumerate(self.constraints):
             if len(coeffs) != nv:
                 raise DimensionMismatch(f"constraint width {len(coeffs)} != {nv} variables")
             if rel not in _RELS:
                 raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
-        if self.bounds is not None and len(self.bounds) != nv:
-            raise DimensionMismatch("bounds length must equal variable count")
+            _require_exact(coeffs, f"constraints[{i}] coefficient {{}}")
+            _require_exact((rhs,), f"constraints[{i}] rhs")
+        _require_exact((self.constant,), "constant")
+        if self.bounds is not None:
+            if len(self.bounds) != nv:
+                raise DimensionMismatch("bounds length must equal variable count")
+            _require_exact([lo for lo, _ in self.bounds], "bounds[{}] lower")
+            _require_exact([up for _, up in self.bounds], "bounds[{}] upper")
 
     def bound(self, j: int) -> Bound:
         return self.bounds[j] if self.bounds is not None else (None, None)
@@ -222,8 +246,8 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     if any(artificial):
         cost1 = [Fraction(-1) if artificial[j] else F0 for j in range(width)]
         enterable1 = [not artificial[j] for j in range(width)]
-        status = _optimize(tab, basis, cost1, enterable1)
-        assert status == "optimal"  # phase 1 is always bounded
+        if _optimize(tab, basis, cost1, enterable1) != "optimal":  # phase 1 is always bounded
+            raise VerificationError("internal error: phase 1 did not reach an optimum")
         if any(tab[i][-1] for i in range(m) if artificial[basis[i]]):
             return LpSolution("infeasible")
         # Drive artificials out of the basis; rows that resist are redundant

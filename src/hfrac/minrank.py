@@ -121,7 +121,8 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     cls_arr = np.array(cls_of)
     mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64), copy=False)
     r = rank(mat)
-    assert r == len(cover.classes)
+    if r != len(cover.classes):
+        raise VerificationError(f"internal error: clique-cover matrix has rank {r}, not {len(cover.classes)}")
     if not verify_fits(g, mat):
         raise VerificationError("internal error: clique-cover matrix does not fit the graph")
     return FitCertificate(graph_hash(g), mat, r)
@@ -271,7 +272,8 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
     if not verify_fits(g, gram):
         raise VerificationError("incidence Gram matrix does not fit the graph")
-    assert cert.claimed_rank <= n
+    if cert.claimed_rank > n:
+        raise VerificationError(f"internal error: incidence Gram matrix has rank {cert.claimed_rank} > n = {n}")
     return cert
 
 
@@ -425,5 +427,8 @@ def alon_certificate(
     if not verify_fits(target, mat):
         raise VerificationError("evaluation matrix does not fit the target graph")
     span_bound = sum(comb(n, i) for i in range(len(constants) + 1))
-    assert cert.claimed_rank <= span_bound
+    if cert.claimed_rank > span_bound:
+        raise VerificationError(
+            f"internal error: evaluation matrix has rank {cert.claimed_rank} > span bound {span_bound}"
+        )
     return cert, rep

@@ -36,7 +36,7 @@ from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
 from .independence import alpha
 from .minrank import minrank_exact
 from .report import BoundReport
-from .serialize import read_int, read_ints
+from .serialize import read_int, read_ints, read_list, read_objects
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class PairRep:
         n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
         pairs = tuple(
             (FMatrix.from_entries(p, n, d, item["A"]), FMatrix.from_entries(p, n, d, item["B"]))
-            for item in obj["pairs"]
+            for item in read_objects(obj["pairs"], "pairs")
         )
         return cls(n, d, pairs)
 
@@ -157,7 +157,7 @@ class SubspaceRep:
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceRep":
         n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
-        bases = tuple(FMatrix.from_entries(p, n, d, item) for item in obj["bases"])
+        bases = tuple(FMatrix.from_entries(p, n, d, item) for item in read_list(obj["bases"], "bases"))
         return cls(n, d, bases)
 
 
@@ -331,21 +331,30 @@ def rankr_to_drep(g: Graph, rep: RankRRep) -> DRep:
 
 def tensor_dreps(rep_g: DRep, rep_h: DRep) -> DRep:
     """Kronecker product of certificates, reindexed to the row-major vertex
-    order of the strong product.  Ratios multiply exactly."""
+    order of the strong product.  Ratios multiply exactly.
+
+    Entry ((u, x, i, j), (v, y, i', j')) of the result, with (u, i) and
+    (v, i') indexing G's matrix and (x, j) and (y, j') H's, is
+    G[u i, v i'] * H[x j, y j'].  Each factor's rows are first spread over
+    all n result columns, G's repeated over (y, j') and H's over (v, i');
+    one broadcast multiply of the two then writes every entry in place,
+    with whole rows as its inner loop.  Products of GF(2) entries are
+    already 0 or 1; for larger p one in-place ``% p`` reduces them."""
     mg, mh = rep_g.matrix, rep_h.matrix
-    if mg.p != mh.p:
-        raise DimensionMismatch(f"modulus mismatch: {mg.p} vs {mh.p}")
+    p = mg.p
+    if p != mh.p:
+        raise DimensionMismatch(f"modulus mismatch: {p} vs {mh.p}")
     d1, d2 = rep_g.d, rep_h.d
     ng, nh = rep_g.nvertices, rep_h.nvertices
-    kron = np.kron(mg.a, mh.a) % mg.p
-    perm = np.empty(ng * nh * d1 * d2, dtype=np.int64)
-    for u in range(ng):
-        for i in range(d1):
-            base_k = (u * d1 + i) * nh * d2
-            for x in range(nh):
-                base_t = ((u * nh + x) * d1 + i) * d2
-                perm[base_t:base_t + d2] = np.arange(base_k + x * d2, base_k + (x + 1) * d2)
-    return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)], copy=False))
+    n = ng * nh * d1 * d2
+    cols = (ng, nh, d1, d2)
+    g_rows = np.broadcast_to(mg.a.reshape(ng, d1, ng, 1, d1, 1), (ng, d1, *cols)).reshape(ng, 1, d1, 1, n)
+    h_rows = np.broadcast_to(mh.a.reshape(nh, d2, 1, nh, 1, d2), (nh, d2, *cols)).reshape(1, nh, 1, d2, n)
+    out = np.empty((ng, nh, d1, d2, n), dtype=np.int64)
+    np.multiply(g_rows, h_rows, out=out)
+    if p > 2:
+        np.remainder(out, p, out=out)
+    return DRep(d1 * d2, FMatrix._reduced(p, out.reshape(n, n)))
 
 
 def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> DRep:

@@ -175,6 +175,22 @@ def read_int(value, name: str) -> int:
     return value
 
 
+def read_list(value, name: str) -> list:
+    """A certificate's list field ``name``."""
+    if not isinstance(value, list):
+        raise VerificationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def read_objects(value, name: str) -> list[dict]:
+    """A certificate's list of JSON objects ``name``."""
+    items = read_list(value, name)
+    for item in items:
+        if not isinstance(item, dict):
+            raise VerificationError(f"each entry of {name} must be a JSON object, got {item!r}")
+    return items
+
+
 def read_ints(value, name: str) -> tuple[int, ...]:
     """A certificate's list of integers ``name`` (``read_int`` each)."""
     if not isinstance(value, list):

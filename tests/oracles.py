@@ -8,8 +8,10 @@ from itertools import combinations
 import numpy as np
 
 from hfrac.errors import DimensionMismatch
+from hfrac.gfmat import FMatrix
 from hfrac.graphs import Graph
 from hfrac.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, LpSolution
+from hfrac.reps import DRep
 
 
 def _bits(mask: int):
@@ -156,3 +158,20 @@ def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
                 return False
             dual_value += r * lo
     return dual_value == primal
+
+
+def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
+    """``tensor_dreps`` as ``np.kron`` followed by a row and column gather
+    through a permutation built one block of d2 indices at a time."""
+    mg, mh = rep_g.matrix, rep_h.matrix
+    d1, d2 = rep_g.d, rep_h.d
+    ng, nh = rep_g.nvertices, rep_h.nvertices
+    kron = np.kron(mg.a, mh.a) % mg.p
+    perm = np.empty(ng * nh * d1 * d2, dtype=np.int64)
+    for u in range(ng):
+        for i in range(d1):
+            base_k = (u * d1 + i) * nh * d2
+            for x in range(nh):
+                base_t = ((u * nh + x) * d1 + i) * d2
+                perm[base_t:base_t + d2] = np.arange(base_k + x * d2, base_k + (x + 1) * d2)
+    return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)], copy=False))

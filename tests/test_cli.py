@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -17,7 +19,9 @@ from test_reps import FORGED_ENTRIES, forge_first_entry
 import hfrac
 from hfrac import cli
 from hfrac.cli import main
+from hfrac.errors import VerificationError
 from hfrac.independence import CliqueCover
+from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.serialize import canonical_json
 
 
@@ -316,7 +320,8 @@ def _singleton_cover(g):
 # Each exact gate: a command that reaches it, and the checker patches that
 # make the gate reject.  The minrank search's final gate is reached by
 # starting it from the singleton cover, so that it finds a better matrix
-# after the incumbent's own fit check passed.
+# after the incumbent's own fit check passed.  The ``*_rank`` gates check
+# what the rank kernel returns, so a lying ``rank`` must make them reject.
 EXACT_GATES = {
     "simplex_solve": (["theta-lp", "--p", "2", "--n", "8"],
                       [("hfrac.lp.check_solution", {"return_value": False})]),
@@ -325,6 +330,12 @@ EXACT_GATES = {
     "minrank_exact": (["minrank", "--graph", "cycle:5", "--p", "2"],
                       [("hfrac.minrank.greedy_clique_cover", {"side_effect": _singleton_cover}),
                        ("hfrac.minrank.verify_fits", {"side_effect": [True, False]})]),
+    "cover_certificate_rank": (["certify", "--kind", "cover", "--graph", "cycle:5", "--k", "3", "--p", "2"],
+                               [("hfrac.minrank.rank", {"return_value": 2})]),
+    "johnson_certificate_rank": (["certify", "--kind", "johnson", "--p", "2", "--n", "8"],
+                                 [("hfrac.minrank.rank", {"return_value": 9})]),
+    "alon_certificate_rank": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
+                              [("hfrac.minrank.rank", {"return_value": 10**6})]),
 }
 
 
@@ -346,16 +357,33 @@ def test_a_rejecting_exact_gate_exits_2(gate):
     assert code == 2 and err.startswith("verification failure: internal error"), err
 
 
+def phase_one_gate_error() -> str:
+    """What simplex_solve raises on an LP that needs phase 1 (a >= row with
+    a nonnegative right-hand side) when phase 1 stops short of an optimum."""
+    lp = LinearProgram((Fraction(1),), (((Fraction(1),), ">=", Fraction(0)),))
+    with mock.patch("hfrac.lp._optimize", return_value="unbounded"):
+        try:
+            simplex_solve(lp)
+        except VerificationError as exc:
+            return str(exc)
+    return ""
+
+
+def test_a_phase_one_that_stops_short_is_an_internal_error():
+    assert phase_one_gate_error().startswith("internal error: phase 1")
+
+
 def test_exact_gates_hold_under_python_O():
     # assert statements are stripped under -O; the gates must not be
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
-    code = ("import sys; from test_cli import EXACT_GATES, exact_gate_exit; "
-            "print(sys.flags.optimize, *(exact_gate_exit(g)[0] for g in EXACT_GATES))")
+    code = ("import sys; from test_cli import EXACT_GATES, exact_gate_exit, phase_one_gate_error; "
+            "print(sys.flags.optimize, *(exact_gate_exit(g)[0] for g in EXACT_GATES), "
+            "phase_one_gate_error().startswith('internal error: phase 1'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
-    assert proc.stdout.split() == ["1", "2", "2", "2"], proc.stderr
+    assert proc.stdout.split() == ["1", *["2"] * len(EXACT_GATES), "True"], proc.stderr
 
 
 @pytest.mark.parametrize("old, new", [
@@ -402,3 +430,59 @@ def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):
     path = tmp_path / "c5.json"
     path.write_text(_cycle_drep_file(tmp_path, capsys))
     assert run(capsys, "verify", "--cert", str(path), "--graph", "nonsense:5")[0] == 64
+
+
+def _set(keys, value):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("argv, edit", [
+    (("alpha", "--graph", "cycle:5"), _set(("witness_refs", 0, "vertices"), [0, 99])),
+    (("fracchrom", "--graph", "cycle:5"), _set(("graph",), 5)),
+    (("fracchrom", "--graph", "cycle:5"), _set(("graph",), "nonsense:5")),
+    (("fracchrom", "--graph", "cycle:5"), _set(("classes",), 3)),
+    (("fracchrom", "--graph", "cycle:5"), _set(("classes", 0), 7)),
+    (("fracchrom", "--graph", "cycle:5"), _set(("classes", 0, "clique"), [0, 99])),
+    (("cover", "--graph", "cycle:5", "--k", "3"), _set(("classes", 0), [0, 99])),
+    (("cover", "--graph", "cycle:5", "--k", "3"), _set(("classes",), 3)),
+], ids=["independent-set-vertex", "graph-not-a-string", "graph-unparsable", "classes-not-a-list",
+        "class-not-an-object", "fraccover-clique-vertex", "cliquecover-vertex", "cliquecover-classes"])
+def test_verify_refuses_a_malformed_witness(tmp_path, capsys, argv, edit):
+    # each of these ended in a traceback (exit 1): ValueError for a vertex out
+    # of range, AttributeError for a non-string graph, TypeError for the rest
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    edit(doc)
+    path = tmp_path / "forged.json"
+    path.write_text(canonical_json(doc))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+# SHA-256 of ``certify --out`` files as written before GF(2) elimination
+# moved to packed rows and tensoring to one broadcast multiply: the
+# certificate bytes must not depend on the kernels that build them.
+PINNED_CERTIFICATES = [
+    (("--kind", "cycle-drep", "--k", "2", "--power", "3", "--p", "2"),
+     "e2c909cc704e120111e38b9e5dc3fa46bf6a0baefbe8ca63a72273e323f9ee64"),
+    (("--kind", "cycle-drep", "--k", "2", "--power", "3", "--p", "3"),
+     "d34b6d38193e387e576f3056e76faf00ded1e32e610ead2aef5063beb45eb798"),
+    (("--kind", "johnson", "--p", "2", "--n", "12"),
+     "267e4537551afd3ab49a42bdb7d3c19c908bcd814f675452643f44ecb4fd6412"),
+    (("--kind", "cover", "--graph", "cycle:7", "--k", "4", "--p", "2"),
+     "52ada4f84a6ea673e49b64fb314b038e45b6083f7f3a7fcab588bac36bb76f6f"),
+    (("--kind", "cover", "--graph", "strong(cycle:5,complete:2)", "--k", "5", "--p", "3"),
+     "eced2b131c44ec944ac0f72fb1b95bd7f0725b86590f1a420141a676013f8bf6"),
+]
+
+
+@pytest.mark.parametrize("args, sha256", PINNED_CERTIFICATES)
+def test_certificate_bytes_are_pinned(tmp_path, capsys, args, sha256):
+    path = tmp_path / "cert.json"
+    assert run(capsys, "certify", *args, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

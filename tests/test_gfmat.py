@@ -7,7 +7,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hfrac import gfmat
 from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
 from hfrac.gfmat import (
     FMatrix,
@@ -195,3 +198,83 @@ def test_json_roundtrip():
     bad["entries"] = bad["entries"][:-1]
     with pytest.raises(DimensionMismatch):
         FMatrix.from_json(bad)
+
+
+# GF(2) matrices for the packed kernel: word boundaries (63, 64, 65, 127,
+# 128, 129 columns) are drawn often, shapes are tall or wide, and the
+# entries random, zero, a shifted identity, a few rows repeated, sparse, or
+# a product of rank at most k.
+GF2_COLS = st.one_of(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129, 140)), st.integers(1, 140))
+GF2_KINDS = ("random", "zero", "identity", "repeated", "sparse", "low-rank")
+
+
+@st.composite
+def gf2_arrays(draw, rows=st.integers(1, 150), cols=GF2_COLS):
+    rows, cols = draw(rows), draw(cols)
+    kind = draw(st.sampled_from(GF2_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        a = rng.integers(0, 2, (rows, cols))
+    elif kind == "zero":
+        a = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "identity":
+        a = np.eye(rows, cols, k=draw(st.integers(-2, 2)), dtype=np.int64)[rng.permutation(rows)]
+    elif kind == "repeated":
+        base = rng.integers(0, 2, (draw(st.integers(1, 4)), cols))
+        a = base[rng.integers(0, len(base), rows)]
+    elif kind == "sparse":
+        a = (rng.random((rows, cols)) < 0.03).astype(np.int64)
+    else:
+        k = draw(st.integers(1, 8))
+        a = rng.integers(0, 2, (rows, k)) @ rng.integers(0, 2, (k, cols)) % 2
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def int64_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The int64 kernel's reduced echelon form, the oracle for p = 2."""
+    red, pivots = gfmat._eliminate(a, p)
+    return gfmat._back_substitute(red, pivots, p), [c for _, c in pivots]
+
+
+def int64_solve_right(c: np.ndarray, m: np.ndarray, p: int) -> np.ndarray | None:
+    red, piv_cols = int64_rref(np.hstack([c, m]), p)
+    if piv_cols != list(range(c.shape[1])):
+        return None
+    return red[: c.shape[1], c.shape[1]:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_arrays())
+def test_packed_gf2_kernel_matches_the_int64_kernel(a):
+    m = FMatrix(2, a)
+    echelon, pivots = gfmat._eliminate(a, 2)
+    words, packed_pivots = gfmat._eliminate_gf2(a)
+    assert packed_pivots == pivots
+    assert np.array_equal(gfmat._unpack_gf2(words, a.shape[1]), echelon)
+    assert rank(m) == len(pivots)
+    assert select_full_rank_submatrix(m, len(pivots)) == ([r for r, _ in pivots], [c for _, c in pivots])
+    red, piv_cols = gfmat._rref(a, 2)
+    want, want_cols = int64_rref(a, 2)
+    assert piv_cols == want_cols and np.array_equal(red, want)
+    assert np.array_equal(m.a, a)  # input unchanged
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_arrays(rows=st.integers(1, 140)), st.integers(1, 70), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gf2_solve_right_and_inverse_match_the_int64_kernel(c, k, consistent, seed):
+    rng = np.random.default_rng(seed)
+    rhs = c @ rng.integers(0, 2, (c.shape[1], k)) % 2 if consistent else rng.integers(0, 2, (c.shape[0], k))
+    want = int64_solve_right(c, rhs, 2)
+    if want is None:
+        with pytest.raises(PreconditionError):
+            solve_right(FMatrix(2, c), FMatrix(2, rhs))
+    else:
+        assert np.array_equal(solve_right(FMatrix(2, c), FMatrix(2, rhs)).a, want)
+    n = min(c.shape)
+    square = c[:n, :n]
+    want = int64_solve_right(square, np.eye(n, dtype=np.int64), 2)
+    if want is None:
+        with pytest.raises(PreconditionError):
+            inverse(FMatrix(2, square))
+    else:
+        assert np.array_equal(inverse(FMatrix(2, square)).a, want)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,7 +15,7 @@ from oracles import dense_check_solution
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
-from hfrac.errors import BudgetExhausted, DimensionMismatch
+from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError
 from hfrac.lp import (
     REL_EQ,
     REL_GE,
@@ -260,6 +262,8 @@ def test_json_roundtrip():
 
 # Zeros of both types are drawn often, so rows and columns are sparse.
 NUMBERS = st.one_of(st.sampled_from((0, F(0))), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+# Numbers an exact LP refuses.
+INEXACT = st.one_of(st.floats(-3, 3), st.booleans())
 
 
 def _nudge(draw, values: list) -> None:
@@ -269,22 +273,48 @@ def _nudge(draw, values: list) -> None:
         values[i] = draw(NUMBERS)
 
 
+def _program(objective, constraints, constant, bounds) -> LinearProgram:
+    return LinearProgram(tuple(objective), tuple((tuple(c), rel, rhs) for c, rel, rhs in constraints),
+                         constant, None if bounds is None else tuple(tuple(b) for b in bounds))
+
+
+def _expect_refusal(draw, args) -> None:
+    """One number of the LP arguments, drawn at random, becomes a float or a
+    bool, and LinearProgram must refuse it with an error naming its field."""
+    objective, constraints, _, bounds = args
+    slots = [((0, j), f"objective[{j}]") for j in range(len(objective))]
+    for i, (coeffs, _, _) in enumerate(constraints):
+        slots += [((1, i, 0, j), f"constraints[{i}] coefficient {j}") for j in range(len(coeffs))]
+        slots.append(((1, i, 2), f"constraints[{i}] rhs"))
+    slots.append(((2,), "constant"))
+    for j in range(len(bounds or ())):
+        slots += [((3, j, 0), f"bounds[{j}] lower"), ((3, j, 1), f"bounds[{j}] upper")]
+    path, field = draw(st.sampled_from(slots))
+    container = args
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = draw(INEXACT)
+    with pytest.raises(PreconditionError, match=re.escape(f"LP {field} ")):
+        _program(*args)
+
+
 @st.composite
 def check_cases(draw):
     """An LP with all three relations, finite and None bounds, and a
     solution that is either its exact optimum or a random point, then
-    perturbed: assignment, dual and value nudged, dropped or resized."""
+    perturbed: assignment, dual and value nudged, dropped or resized.
+    Half the time the LP is first built once with a float or bool in it,
+    which must be refused."""
     nv = draw(st.integers(0, 4))
     vector = st.lists(NUMBERS, min_size=nv, max_size=nv)
     constraints = draw(st.lists(st.tuples(vector, st.sampled_from((REL_LE, REL_GE, REL_EQ)), NUMBERS),
                                 max_size=4))
     bound = st.tuples(st.none() | NUMBERS, st.none() | NUMBERS)
-    lp = LinearProgram(
-        tuple(draw(vector)),
-        tuple((tuple(c), rel, rhs) for c, rel, rhs in constraints),
-        draw(NUMBERS),
-        draw(st.none() | st.lists(bound, min_size=nv, max_size=nv).map(tuple)),
-    )
+    args = [draw(vector), [list(row) for row in constraints], draw(NUMBERS),
+            draw(st.none() | st.lists(bound.map(list), min_size=nv, max_size=nv))]
+    if draw(st.booleans()):
+        _expect_refusal(draw, copy.deepcopy(args))
+    lp = _program(*args)
     sol = simplex_solve(lp)
     if sol.status == "optimal" and draw(st.booleans()):
         x, y, value = list(sol.assignment), list(sol.dual), sol.value
@@ -332,3 +362,17 @@ def test_check_solution_agrees_with_the_dense_oracle(case):
 def test_check_cases_reach_every_outcome(outcome):
     find(check_cases(), lambda case: _outcome(dense_check_solution, *case) == outcome,
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+@pytest.mark.parametrize("args, field", [
+    (((1,), (), F(1, 3), ((None, 0.0),)), "bounds[0] upper"),
+    (((0.5,), ()), "objective[0]"),
+    (((1,), (((F(1),), "<=", 1.0),)), "constraints[0] rhs"),
+    (((1,), (((True,), "<=", 1),)), "constraints[0] coefficient 0"),
+    (((1,), (), 0.0), "constant"),
+])
+def test_an_lp_refuses_inexact_numbers(args, field):
+    # the first case raised "optimum failed its own certificate": the float
+    # bound turned the dual objective into a float unequal to 1/3
+    with pytest.raises(PreconditionError, match=re.escape(f"LP {field} ")):
+        simplex_solve(LinearProgram(*args))

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from oracles import kron_permutation_tensor
 
 from hfrac.errors import DimensionMismatch, PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
@@ -118,6 +119,22 @@ def test_subspace_representations():
     assert sub.d == 2 and sub.n == 5
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (PairRep, "pairs", 3),
+    (PairRep, "pairs", [7]),
+    (SubspaceRep, "bases", 3),
+])
+def test_malformed_factor_lists_fail_verification(cls, field, value):
+    # each of these raised a TypeError from iterating or indexing the value
+    pair = pairrep_from_drep(cycle_drep(2, 3))
+    rep = pair if cls is PairRep else subspace_from_pairrep(pair)
+    doc = load_json(canonical_json(rep.to_json()))
+    cls.from_json(doc)  # the unedited file reads
+    doc[field] = value
+    with pytest.raises(VerificationError):
+        cls.from_json(doc)
+
+
 def test_subspace_violation():
     same = FMatrix(2, [[1], [0], [0]])
     rep = SubspaceRep(3, 1, (same, same, same))
@@ -207,6 +224,18 @@ def test_tensor_ratio_multiplies_on_random_certificates():
         t = tensor_dreps(rg, rh)
         assert verify_drep(strong_product(g, h), t)
         assert t.ratio() == rg.ratio() * rh.ratio()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_tensor_matches_the_kron_and_permutation_oracle(p):
+    rng = np.random.default_rng(p)
+    for ng, d1, nh, d2 in ((2, 1, 3, 2), (3, 2, 2, 3), (1, 3, 4, 1), (4, 2, 4, 2), (5, 3, 2, 1)):
+        rg = DRep(d1, FMatrix(p, rng.integers(0, p, (ng * d1, ng * d1))))
+        rh = DRep(d2, FMatrix(p, rng.integers(0, p, (nh * d2, nh * d2))))
+        for a, b in ((rg, rh), (rh, rg)):
+            got, want = tensor_dreps(a, b), kron_permutation_tensor(a, b)
+            assert got.d == want.d and got.matrix == want.matrix
+            assert got.matrix.a.flags.c_contiguous and got.matrix.a.dtype == np.int64
 
 
 def test_drep_from_fractional_cover_examples():
