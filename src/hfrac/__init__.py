@@ -87,7 +87,6 @@ from .theta import (
     theta_circulant,
     theta_johnson_lp,
     theta_lower_from_dual,
-    theta_product,
     theta_upper_from_orthorep,
     verify_matrixrep,
     verify_orthorep,

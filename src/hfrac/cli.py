@@ -51,7 +51,16 @@ from .reps import (
 )
 from .reproduce import run_claims
 from .serialize import canonical_json, frac_str, load_json, parse_frac, read_ints
-from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
+from .theta import (
+    DEFAULT_TOL,
+    MatrixRep,
+    OrthoRep,
+    matrixrep_violation,
+    orthorep_violation,
+    read_tol,
+    theta_circulant,
+    theta_johnson_lp,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -309,9 +318,9 @@ def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | No
     if kind == "cliquecover":
         return clique_cover_violation(g, CliqueCover.from_json(obj))
     if kind == "orthorep":
-        return orthorep_violation(g, OrthoRep.from_json(obj), obj.get("tol", 1e-9))
+        return orthorep_violation(g, OrthoRep.from_json(obj), read_tol(obj.get("tol", DEFAULT_TOL)))
     if kind == "matrixrep":
-        return matrixrep_violation(g, MatrixRep.from_json(obj), obj.get("tol", 1e-9))
+        return matrixrep_violation(g, MatrixRep.from_json(obj), read_tol(obj.get("tol", DEFAULT_TOL)))
     if kind == "independent_set":
         verts = read_ints(obj["vertices"], "vertices")
         stray = stray_vertex(g, verts)

@@ -3,11 +3,14 @@
 ``fractional_clique_cover(g)`` minimizes total clique weight subject to
 covering every vertex with weight at least one, by column generation on
 that primal master.  The master (``lp.CoveringMaster``) starts from the
-singleton cliques and stays warm: each round reads the duals off the
-current basis, prices them with the exact maximum-weight stable-set
-oracle on the complement, and brings the new clique in as a column with
-one pivot, then re-optimizes.  Pricing stops only when the best clique
-weight is <= 1 exactly.
+singleton cliques and stays warm: each round reads the dual numerators
+y * det that its pivots keep up to date, prices them as integer weights
+with the exact maximum-weight stable-set oracle on the complement, and
+brings the new clique in as a column with one pivot, then re-optimizes.
+Pricing stops only when the best clique weight is <= det exactly (weight
+<= 1 in units of y); the oracle only compares sums of weights, so its
+witnesses are those it would find for y itself.  The duals become
+``Fraction``s once, for the gate.
 
 The returned cover is gated exactly: the duals must be feasible for the
 dual LP over the generated cliques (one unit per clique, vertex weights
@@ -25,10 +28,10 @@ from fractions import Fraction
 from math import lcm
 
 from .budget import Budget
-from .errors import VerificationError
+from .errors import SearchCutoff, VerificationError
 from .graphs import Graph, complement, is_clique, stray_vertex
 from .independence import max_weight_independent_set
-from .lp import F0, F1, CoveringMaster, LinearProgram, LpSolution, check_solution
+from .lp import F0, CoveringMaster, LinearProgram, LpSolution, check_solution
 from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
 
@@ -98,14 +101,16 @@ def verify_cover(g: Graph, cover: FractionalCover) -> bool:
 
 
 def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
+    """The dual of the master over the generated cliques: max sum y_v with
+    y >= 0 and at most 1 on every clique, in 0/1 integers."""
     rows = []
     for cl in cliques:
         members = set(cl)
-        rows.append((tuple(F1 if v in members else F0 for v in range(n)), "<=", F1))
+        rows.append((tuple(int(v in members) for v in range(n)), "<=", 1))
     return LinearProgram(
-        objective=tuple(F1 for _ in range(n)),
+        objective=(1,) * n,
         constraints=tuple(rows),
-        bounds=tuple((F0, None) for _ in range(n)),
+        bounds=((0, None),) * n,
     )
 
 
@@ -121,14 +126,19 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> Fractiona
     comp = complement(g)
     master = CoveringMaster(g.n, budget)
     while True:
-        y = master.duals()
-        witness, weight = max_weight_independent_set(comp, y, budget)
-        if weight <= 1:
+        # price y * det: a clique improves the master iff its weight exceeds det
+        try:
+            witness, weight = max_weight_independent_set(comp, master.dual_numerators(), budget)
+        except SearchCutoff as cut:
+            raise SearchCutoff(cut.parameter, cut.lower / master.det, cut.upper / master.det,
+                               cut.witness) from None
+        if weight <= master.det:
             break
         master.add_column(tuple(sorted(witness)))
     cliques = master.columns
     weights = master.values()
     value = sum(weights, F0)
+    y = master.duals()
     if not check_solution(_master_lp(g.n, cliques), LpSolution("optimal", value, y, weights)):
         raise VerificationError("internal error: master optimum failed its LP certificate")
     # sorted, so the cover does not depend on the order pricing found its cliques

@@ -220,21 +220,28 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
 
 
 def max_weight_independent_set(
-    g: Graph, weights: Sequence[Fraction], budget: Budget | None = None
+    g: Graph, weights: Sequence[int | Fraction], budget: Budget | None = None
 ) -> tuple[tuple[int, ...], Fraction]:
     """Exact maximum-weight independent set for nonnegative rational weights.
 
-    The witness is a maximal independent set: zero-weight vertices are
-    added to the optimum where they fit.  Raises SearchCutoff (interval
-    and witness as for ``alpha``) when the budget runs out.
+    Integer weights are searched as they are; other weights are scaled to
+    integers by the lcm of their denominators first.  The search only
+    compares sums of weights, so scaling every weight by the same positive
+    factor scales the optimum and leaves the witness unchanged.  The
+    witness is a maximal independent set: zero-weight vertices are added
+    to the optimum where they fit.  Raises SearchCutoff (interval and
+    witness as for ``alpha``) when the budget runs out.
     """
     if len(weights) != g.n:
         raise ValueError("one weight per vertex required")
-    w = [Fraction(x) for x in weights]
-    if any(x < 0 for x in w):
+    if all(type(x) is int for x in weights):
+        scale, ints = 1, list(weights)
+    else:
+        w = [Fraction(x) for x in weights]
+        scale = lcm(*(x.denominator for x in w))
+        ints = [x.numerator * (scale // x.denominator) for x in w]
+    if any(x < 0 for x in ints):
         raise ValueError("weights must be nonnegative")
-    scale = lcm(*(x.denominator for x in w))
-    ints = [x.numerator * (scale // x.denominator) for x in w]
     order = sorted(range(g.n), key=lambda v: (-ints[v], -g.degree(v), v))[::-1]
     try:
         best, witness = _max_stable(g, order, ints, budget or Budget(), "max_weight_independent_set")

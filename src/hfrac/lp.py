@@ -19,11 +19,13 @@ unit-cost covering LPs (min sum x_j with every row covered at least once).
 It starts from the unit columns, whose basis is the identity, so no
 phase 1 is needed, and keeps the basis inverse fraction-free as an
 integer adjugate over det(B) with Bareiss-style exact-division updates.
+The duals are kept the same way, as integers over det(B), and each pivot
+updates them in O(m) from its pivot row instead of summing them afresh.
 A new column enters with one ratio test and one pivot; the master is then
 re-optimized over the columns it already has before the caller prices
-again.  The caller still owes a final exact gate: ``check_solution`` on
-the dual LP with the master's duals as assignment and its column values
-as dual vector.
+again, on the integer numerators.  The caller still owes a final exact
+gate: ``check_solution`` on the dual LP with the master's duals as
+assignment and its column values as dual vector.
 """
 
 from __future__ import annotations
@@ -308,9 +310,13 @@ class CoveringMaster:
     the columns held so far.
 
     The basis inverse is kept as the integer matrix ``det * B^-1`` with
-    ``det = |det(B)| > 0``, and the basic values as integers over ``det``:
-    a pivot divides exactly (Bareiss), so no ``Fraction`` is built until a
-    caller asks for duals or values.  Every pivot spends one budget node.
+    ``det = |det(B)| > 0``, and the basic values and the duals as integers
+    over ``det``: a pivot divides exactly (Bareiss), so no ``Fraction`` is
+    built until a caller asks for ``duals`` or ``values``.  The dual
+    numerators ``y * det`` are the sum of the rows of ``det * B^-1`` whose
+    basic variable is a column; a pivot updates that sum from its pivot row
+    alone, so a caller can price on ``dual_numerators()`` against ``det``
+    at no extra cost.  Every pivot spends one budget node.
     Variables are ordered for Bland's rule as columns 0, 1, ... first and
     then the surplus variables s_0, s_1, ...; internally surplus i is
     numbered ``~i``.
@@ -323,31 +329,28 @@ class CoveringMaster:
         self._det = 1
         self._inv = [[int(i == j) for j in range(m)] for i in range(m)]
         self._x = [1] * m  # basic values times det
+        self._yn = [1] * m  # duals times det: every row's unit column is basic
         self._basis = list(range(m))  # variable in each basis row
 
     def _order(self, var: int) -> int:
         return var if var >= 0 else len(self.columns) + ~var
 
-    def _dual_numerators(self) -> list[int]:
-        """y * det with y = c_B B^-1 (only column variables cost 1)."""
-        yn = [0] * self.m
-        for row, var in zip(self._inv, self._basis):
-            if var >= 0:
-                yn = [a + b for a, b in zip(yn, row)]
-        return yn
+    @property
+    def det(self) -> int:
+        """The common denominator |det(B)| of the duals and the values."""
+        return self._det
+
+    def dual_numerators(self) -> list[int]:
+        """y * det with y = c_B B^-1 (only column variables cost 1); every
+        entry is >= 0 at an optimal basis."""
+        return list(self._yn)
 
     def _image(self, var: int) -> list[int]:
         """det * B^-1 a for the constraint column a of ``var``."""
         if var < 0:
             return [-row[~var] for row in self._inv]
         support = self.columns[var]
-        return [sum(row[i] for i in support) for row in self._inv]
-
-    def _improves(self, var: int, yn: list[int]) -> bool:
-        """Whether var's reduced cost is strictly negative."""
-        if var < 0:
-            return yn[~var] < 0
-        return sum(yn[i] for i in self.columns[var]) > self._det
+        return [sum(map(row.__getitem__, support)) for row in self._inv]
 
     def _pivot(self, var: int) -> None:
         u = self._image(var)
@@ -362,11 +365,19 @@ class CoveringMaster:
                 if lhs < rhs or (lhs == rhs and self._order(basis[i]) < self._order(basis[r])):
                     r = i
         if r < 0:
-            raise AssertionError("internal error: covering master is bounded below by 0")
+            raise VerificationError("internal error: covering master is bounded below by 0")
         self._budget.spend()
         det, ur = self._det, u[r]
         inv = self._inv
         prow, px = inv[r], x[r]
+        # y * det is the sum of the basic column rows of inv, and each of
+        # them other than r is updated below as (ur * row - u_i * prow) / det,
+        # so the new sum follows from the old one and prow in O(m).
+        leaves = basis[r] >= 0
+        cu = sum(ui for ui, var_i in zip(u, basis) if var_i >= 0) - (ur if leaves else 0)
+        yn = [a - b for a, b in zip(self._yn, prow)] if leaves else self._yn
+        enters = int(var >= 0)
+        self._yn = [(ur * a - cu * b) // det + enters * b for a, b in zip(yn, prow)]
         for i, ui in enumerate(u):
             if i == r:
                 continue
@@ -379,15 +390,16 @@ class CoveringMaster:
         self._det = ur
         basis[r] = var
 
+    def _improves(self, support: tuple[int, ...]) -> bool:
+        """Whether a column on ``support`` has negative reduced cost."""
+        return sum(map(self._yn.__getitem__, support)) > self._det
+
     def _reoptimize(self) -> None:
         """Bland's rule over the held columns and the surplus variables."""
         while True:
-            yn = self._dual_numerators()
-            entering = next(
-                (j for j in range(len(self.columns)) if self._improves(j, yn)), None
-            )
+            entering = next((j for j, col in enumerate(self.columns) if self._improves(col)), None)
             if entering is None:
-                entering = next((~i for i in range(self.m) if yn[i] < 0), None)
+                entering = next((~i for i, yi in enumerate(self._yn) if yi < 0), None)
             if entering is None:
                 return
             self._pivot(entering)
@@ -395,17 +407,16 @@ class CoveringMaster:
     def add_column(self, support: tuple[int, ...]) -> None:
         """Price ``support`` in with one pivot, then re-optimize.  The
         column must have negative reduced cost at the current duals."""
-        self.columns.append(tuple(support))
-        var = len(self.columns) - 1
-        if not self._improves(var, self._dual_numerators()):
-            self.columns.pop()
-            raise ValueError(f"column {tuple(support)} does not improve the master")
-        self._pivot(var)
+        support = tuple(support)
+        if not self._improves(support):
+            raise ValueError(f"column {support} does not improve the master")
+        self.columns.append(support)
+        self._pivot(len(self.columns) - 1)
         self._reoptimize()
 
     def duals(self) -> tuple[Fraction, ...]:
         """Row prices y = c_B B^-1 of the current optimal basis."""
-        return tuple(Fraction(v, self._det) for v in self._dual_numerators())
+        return tuple(Fraction(v, self._det) for v in self._yn)
 
     def values(self) -> tuple[Fraction, ...]:
         """Value of every column (zero when nonbasic)."""
@@ -422,7 +433,10 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
 
     Only nonzero coefficients are visited: each row's activity is summed
     over its nonzeros, and the reduced costs c - A^T y are built by
-    scattering every nonzero y_i over the nonzeros of row i.
+    scattering every nonzero y_i over the nonzeros of row i.  The LP's own
+    numbers are used as they are (``LinearProgram`` holds only ints and
+    ``Fraction``s); the assignment and the dual, which nothing has checked,
+    are read through ``Fraction``.
     """
     if sol.assignment is None:
         return False
@@ -432,9 +446,9 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     nv = len(x)
     support: list[list[tuple[int, Fraction]]] = []  # (column, coefficient) per row
     for coeffs, rel, rhs in lp.constraints:
-        row = [(j, Fraction(c)) for j, c in enumerate(coeffs) if c]
+        row = [(j, c) for j, c in enumerate(coeffs) if c]
         support.append(row)
-        lhs = sum(c * x[j] for j, c in row)
+        lhs = sum((x[j] * c for j, c in row), F0)
         if rel == REL_LE and not lhs <= rhs:
             return False
         if rel == REL_GE and not lhs >= rhs:
@@ -447,8 +461,8 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
             return False
         if up is not None and x[j] > up:
             return False
-    reduced = [Fraction(c) for c in lp.objective]
-    primal = sum(c * xj for c, xj in zip(reduced, x) if c) + Fraction(lp.constant)
+    reduced = list(lp.objective)
+    primal = sum((xj * c for c, xj in zip(reduced, x) if c), F0) + lp.constant
     if sol.value is not None and sol.value != primal:
         return False
     if sol.dual is None:
@@ -461,7 +475,7 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
             return False
         if rel == REL_GE and yi > 0:
             return False
-    dual_value = sum(yi * Fraction(rhs) for yi, (_, _, rhs) in zip(y, lp.constraints)) + Fraction(lp.constant)
+    dual_value = sum((yi * rhs for yi, (_, _, rhs) in zip(y, lp.constraints)), F0) + lp.constant
     for yi, row in zip(y, support):
         if yi:
             for j, c in row:

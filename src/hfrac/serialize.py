@@ -14,7 +14,8 @@ A malformed list raises ``VerificationError``, a wrong count
 and its rationals through ``parse_frac``, which takes strings only: a
 string, bool or float where an integer belongs, or a malformed rational,
 is a ``VerificationError`` rather than a value ``int()`` or ``Fraction()``
-would coerce.
+would coerce.  The float arrays of the theta representations go through
+``read_reals``, which takes rectangular lists of finite JSON numbers only.
 """
 
 from __future__ import annotations
@@ -196,6 +197,25 @@ def read_ints(value, name: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise VerificationError(f"{name} must be a list of integers, got {value!r}")
     return tuple(read_int(v, name) for v in value)
+
+
+def read_reals(value, name: str, ndim: int) -> np.ndarray:
+    """A certificate's field ``name``: finite JSON numbers (ints or floats,
+    not bools or strings) in a rectangular list nested ``ndim`` deep with no
+    empty level, as a float array; anything else is a VerificationError."""
+    items = [value]
+    for _ in range(ndim):
+        items = [x for item in items for x in read_list(item, name)]
+    bad = next((x for x in items if type(x) not in (int, float)), None)
+    if bad is not None:
+        raise VerificationError(f"{name} must hold numbers nested {ndim} deep, got {bad!r}")
+    try:
+        arr = np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise VerificationError(f"{name} is not a rectangular array of floats: {exc}") from exc
+    if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
+        raise VerificationError(f"{name} must be a nonempty array of finite numbers, {ndim} deep")
+    return arr
 
 
 # ---------------------------------------------------------------------------

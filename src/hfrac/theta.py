@@ -16,9 +16,10 @@ from math import comb, cos, inf, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedFamily, VerificationError
+from .errors import DimensionMismatch, PreconditionError, UnsupportedFamily, VerificationError
 from .graphs import Graph, complement
 from .lp import F1, LinearProgram, simplex_solve
+from .serialize import read_list, read_reals
 
 DEFAULT_TOL = 1e-9
 
@@ -100,20 +101,16 @@ def johnson_theta_formula(n: int) -> Fraction:
     return Fraction(n * (n - 2) * (2 * n - 11), 3 * (3 * n - 14))
 
 
-def theta_product(values) -> float:
-    """Compose theta over a strong product from factor values.
-
-    The result is derived from the factors, not computed on the product
-    graph; report it as such.
-    """
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Representation-based evaluators
+
+
+def read_tol(value) -> float:
+    """A certificate's tolerance: a finite number >= 0."""
+    tol = float(read_reals(value, "tol", 0))
+    if tol < 0:
+        raise VerificationError(f"tol must be >= 0, got {value!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,12 @@ class OrthoRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrthoRep":
-        return cls(np.array(obj["vectors"], dtype=float), np.array(obj["handle"], dtype=float))
+        vectors = read_reals(obj["vectors"], "vectors", 2)
+        handle = read_reals(obj["handle"], "handle", 1)
+        if handle.shape[0] != vectors.shape[1]:
+            raise DimensionMismatch(f"handle of length {handle.shape[0]} for vectors of "
+                                    f"length {vectors.shape[1]}")
+        return cls(vectors, handle)
 
 
 def orthorep_violation(g: Graph, rep: OrthoRep, tol: float = DEFAULT_TOL) -> str | None:
@@ -210,10 +212,13 @@ class MatrixRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixRep":
-        return cls(
-            tuple(np.array(f, dtype=float) for f in obj["frames"]),
-            np.array(obj["handle"], dtype=float),
-        )
+        frames = tuple(read_reals(f, "frames", 2) for f in read_list(obj["frames"], "frames"))
+        handle = read_reals(obj["handle"], "handle", 2)
+        for f in frames:
+            if f.shape[0] != handle.shape[0]:
+                raise DimensionMismatch(f"a frame of {f.shape[0]} rows for a handle of "
+                                        f"{handle.shape[0]} rows")
+        return cls(frames, handle)
 
 
 def matrixrep_violation(g: Graph, rep: MatrixRep, tol: float = DEFAULT_TOL) -> str | None:

@@ -10,7 +10,7 @@ import numpy as np
 from hfrac.errors import DimensionMismatch
 from hfrac.gfmat import FMatrix
 from hfrac.graphs import Graph
-from hfrac.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, LpSolution
+from hfrac.lp import REL_EQ, REL_GE, REL_LE, CoveringMaster, LinearProgram, LpSolution
 from hfrac.reps import DRep
 
 
@@ -175,3 +175,14 @@ def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
                 base_t = ((u * nh + x) * d1 + i) * d2
                 perm[base_t:base_t + d2] = np.arange(base_k + x * d2, base_k + (x + 1) * d2)
     return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)], copy=False))
+
+
+def dual_numerators_from_scratch(master: CoveringMaster) -> list[int]:
+    """``CoveringMaster``'s duals times det, summed from scratch as
+    c_B (det B^-1): the rows of det B^-1 whose basic variable is a column
+    (cost 1), added up."""
+    yn = [0] * master.m
+    for row, var in zip(master._inv, master._basis):
+        if var >= 0:
+            yn = [a + b for a, b in zip(yn, row)]
+    return yn

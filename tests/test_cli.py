@@ -23,6 +23,7 @@ from hfrac.errors import VerificationError
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.serialize import canonical_json
+from hfrac.theta import MatrixRep, pentagon_umbrella
 
 
 def run(capsys, *argv):
@@ -336,6 +337,10 @@ EXACT_GATES = {
                                  [("hfrac.minrank.rank", {"return_value": 9})]),
     "alon_certificate_rank": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
                               [("hfrac.minrank.rank", {"return_value": 10**6})]),
+    "fractional_clique_cover_lp": (["fracchrom", "--graph", "cycle:5"],
+                                   [("hfrac.fraccover.check_solution", {"return_value": False})]),
+    "fractional_clique_cover_cover": (["fracchrom", "--graph", "cycle:5"],
+                                      [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
 }
 
 
@@ -486,3 +491,67 @@ def test_certificate_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "cert.json"
     assert run(capsys, "certify", *args, "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+# SHA-256 of ``--json`` reports as printed while column generation still
+# priced Fraction duals: the covers must not depend on the arithmetic of
+# the loop that finds them.
+PINNED_REPORTS = [
+    (("fracchrom", "--graph", "cycle:9"),
+     "fe57818d6b3c5fb44a6c8dd2a2b1cbe7fbcbc7e65617058605b807a2db3f2f6f"),
+    (("fracchrom", "--graph", "johnson:2,6"),
+     "029a020e89e0538e42c7e52d626a7bc78af8507120d2f020e1c3b2ba8e483207"),
+    (("fracchrom", "--graph", "lex(cycle:5,cycle:5)"),
+     "86997dc08df5a5a23d686f7ca9ec007a7dc5b4035bae6fe88fb0692c206e7af2"),
+    (("fracchrom", "--graph", "strong(cycle:5,complete:3)"),
+     "11a7e9cfeb99e1e63249ad428f398acaf7578f4f1dfc74e5a73b65b5e3f4edbd"),
+    (("fracchrom", "--graph", "complement(cycle:11)"),
+     "8925db212b74392af789d70fbf34c14aa5db1778754cd0546a4e345bd42e764d"),
+    (("hfrac", "--graph", "strong(cycle:5,cycle:5)", "--p", "2"),
+     "7aea0ba97c33a7c630af9aad4ffb246c099ca0c50e187f8b7e68c30fa089fca9"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_REPORTS)
+def test_cover_reports_are_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
+    """A verifying orthorep or matrixrep file of cycle:5 (the umbrella),
+    with ``field`` set to ``value`` when given."""
+    umbrella = pentagon_umbrella(1)
+    if kind == "orthorep":
+        doc = umbrella.to_json("cycle:5")
+    else:
+        frames = tuple(umbrella.vectors[v:v + 1].T for v in range(5))
+        doc = MatrixRep(frames, umbrella.handle.reshape(3, 1)).to_json("cycle:5")
+    if field is not None:
+        doc[field] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(canonical_json(doc))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["orthorep", "matrixrep"])
+def test_verify_accepts_the_umbrella(tmp_path, capsys, kind):
+    code, out, _ = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind)))
+    assert code == 0 and out.strip() == "OK"
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("orthorep", "vectors", "x"),
+    ("orthorep", "vectors", [[1.0, 0.0, 0.0]] * 4 + [[1.0, 0.0]]),
+    ("orthorep", "tol", "a"),
+    ("matrixrep", "frames", [1, 2, 3, 4, 5]),
+    ("orthorep", "tol", float("nan")),
+    ("orthorep", "handle", [1.0, 0.0]),
+    ("matrixrep", "handle", [[True], [0], [0]]),
+], ids=["vectors-string", "vectors-ragged", "tol-string", "frames-numbers", "tol-nan", "handle-length",
+        "handle-bool"])
+def test_verify_refuses_a_malformed_theta_representation(tmp_path, capsys, kind, field, value):
+    # the first four ended in a traceback (exit 1): ValueError, ValueError,
+    # UFuncNoLoopError and IndexError; a NaN tolerance passed every check
+    code, out, err = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind, field, value)))
+    assert code == 2 and out.startswith("FAIL: "), (out, err)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -18,7 +19,7 @@ from hfrac.fraccover import (
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
 from hfrac.independence import alpha
-from hfrac.lp import simplex_solve
+from hfrac.lp import CoveringMaster, simplex_solve
 from oracles import maximal_cliques
 
 
@@ -112,6 +113,32 @@ def test_budget_stops_the_master():
     g = generate("strong(cycle:5,cycle:5)")
     with pytest.raises((BudgetExhausted, SearchCutoff)):
         fractional_clique_cover(g, Budget(nodes=50))
+
+
+def test_a_pricing_cutoff_reports_its_interval_in_dual_units():
+    # pricing runs on y * det; the interval it surfaces must be in units of y
+    masters = []
+
+    class Recorded(CoveringMaster):
+        def __init__(self, *args):
+            super().__init__(*args)
+            masters.append(self)
+
+    g = generate("johnson:2,6")
+    cuts = []
+    with mock.patch("hfrac.fraccover.CoveringMaster", Recorded):
+        for nodes in range(1, 1000):  # until the budget suffices
+            try:
+                fractional_clique_cover(g, Budget(nodes=nodes))
+                break
+            except SearchCutoff as cut:
+                cuts.append((masters[-1], cut))
+            except BudgetExhausted:
+                pass
+    assert any(master.det > 1 for master, _ in cuts)
+    for master, cut in cuts:
+        y = master.duals()
+        assert cut.lower == sum((y[v] for v in cut.witness), F(0)) <= cut.upper
 
 
 def test_cover_value_at_least_alpha():

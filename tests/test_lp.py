@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from oracles import dense_check_solution
+from oracles import dense_check_solution, dual_numerators_from_scratch
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
-from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError
+from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
 from hfrac.lp import (
     REL_EQ,
     REL_GE,
@@ -245,6 +245,59 @@ def test_covering_master_spends_one_node_per_pivot():
     assert budget.nodes == 1
     with pytest.raises(BudgetExhausted):
         master.add_column((2, 3))
+
+
+def test_a_covering_pivot_without_a_leaving_row_is_an_internal_error():
+    # surplus s_0 of the starting basis has image -e_0: no ratio test row
+    with pytest.raises(VerificationError, match="internal error: covering master"):
+        CoveringMaster(2)._pivot(~0)
+
+
+class _CheckedMaster(CoveringMaster):
+    """Records, after every pivot, the entering and leaving variables and
+    the maintained dual numerators beside the from-scratch sum."""
+
+    def __init__(self, m: int):
+        self.pivots: list[tuple[int, int, list[int], list[int]]] = []
+        super().__init__(m)
+
+    def _pivot(self, var: int) -> None:
+        before = list(self._basis)
+        super()._pivot(var)
+        (leaving,) = (b for b, a in zip(before, self._basis) if a != b)
+        self.pivots.append((var, leaving, self.dual_numerators(), dual_numerators_from_scratch(self)))
+
+
+@st.composite
+def covering_runs(draw):
+    """Column generation over a drawn pool of columns on up to 6 rows,
+    entering a drawn improving column each round, until none improves."""
+    m = draw(st.integers(1, 6))
+    column = st.sets(st.integers(0, m - 1), min_size=1).map(lambda s: tuple(sorted(s)))
+    pool = draw(st.lists(column, min_size=1, max_size=10))
+    master = _CheckedMaster(m)
+    while True:
+        y = master.duals()
+        improving = [c for c in pool if sum(y[i] for i in c) > 1]
+        if not improving:
+            return master
+        master.add_column(draw(st.sampled_from(improving)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_runs())
+def test_covering_master_maintains_its_dual_numerators(master):
+    for _, _, maintained, from_scratch in master.pivots:
+        assert maintained == from_scratch
+    assert all(v >= 0 for v in master.dual_numerators())
+
+
+@pytest.mark.parametrize("entering_column, leaving_column", [(True, True), (False, True), (True, False)])
+def test_covering_runs_reach_every_pivot_kind(entering_column, leaving_column):
+    # the update has one term for a leaving and one for an entering column
+    find(covering_runs(), lambda master: any((e >= 0, lv >= 0) == (entering_column, leaving_column)
+                                             for e, lv, _, _ in master.pivots),
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
 def test_json_roundtrip():

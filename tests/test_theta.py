@@ -22,7 +22,6 @@ from hfrac.theta import (
     theta_circulant,
     theta_johnson_lp,
     theta_lower_from_dual,
-    theta_product,
     theta_upper_from_orthorep,
     verify_matrixrep,
     verify_orthorep,
@@ -158,7 +157,3 @@ def test_matrixrep_zero_trace_unbounded():
     h = np.array([[0.0], [1.0]])
     rep = MatrixRep((f,), h)
     assert matrixrep_value(rep) == float("inf")
-
-
-def test_theta_product_compose():
-    assert isclose(theta_product([sqrt(5)] * 3), 5 * sqrt(5))
