@@ -24,6 +24,7 @@ from hfrac import (
     alpha,
     cycle,
     cycle_drep,
+    drep_violation,
     fractional_clique_cover,
     hfrac_upper_search,
     is_independent_set,
@@ -33,7 +34,6 @@ from hfrac import (
     theta_circulant,
     theta_lower_from_dual,
     theta_upper_from_orthorep,
-    verify_drep,
 )
 
 
@@ -66,7 +66,7 @@ def main():
 
     rep = cycle_drep(2, 2)
     print(f"block certificate: d = {rep.d}, ratio = {rep.ratio()}, "
-          f"verified: {verify_drep(c5, rep)}")
+          f"verified: {drep_violation(c5, rep) is None}")
 
     report = hfrac_upper_search(c5, 2, dmax=2)
     print(f"fractional minrank interval over GF(2): "

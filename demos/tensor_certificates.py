@@ -16,12 +16,12 @@ from hfrac import (
     cover_certificate,
     cycle,
     cycle_drep,
+    drep_violation,
+    fit_violation,
     minrank_exact,
     rank,
     strong_product,
     tensor_dreps,
-    verify_drep,
-    verify_fits,
 )
 
 
@@ -38,20 +38,20 @@ def main():
     for cls in partition.classes:
         print(f"  {cls}")
     print(f"clique-partition certificate rank: {cert.claimed_rank}, "
-          f"fits: {verify_fits(square, cert.matrix)}")
+          f"fits: {fit_violation(square, cert.matrix) is None}")
 
     rep = cycle_drep(2, 2)
     print(f"\nblock certificate for C5: d = {rep.d}, ratio {rep.ratio()}")
 
     t2 = tensor_dreps(rep, rep)
     print(f"tensor on the square: d = {t2.d}, rank = {rank(t2.matrix)}, "
-          f"ratio = {t2.ratio()}, verified: {verify_drep(square, t2)}")
+          f"ratio = {t2.ratio()}, verified: {drep_violation(square, t2) is None}")
     assert t2.ratio() == rep.ratio() ** 2
 
     cube = strong_product(square, c5)
     t3 = tensor_dreps(t2, rep)
     print(f"tensor on the cube:   d = {t3.d}, rank = {rank(t3.matrix)}, "
-          f"ratio = {t3.ratio()}, verified: {verify_drep(cube, t3)}")
+          f"ratio = {t3.ratio()}, verified: {drep_violation(cube, t3) is None}")
     assert t3.ratio() == Fraction(125, 8)
     print("\nratios multiply exactly: (5/2)^3 = 125/8")
 

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedFamily,
     VerificationError,
 )
-from .fraccover import FractionalCover, fractional_clique_cover, verify_cover
+from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
 from .gfmat import FMatrix, inverse, kronecker, matmul, rank, select_full_rank_submatrix
 from .graphs import (
     Graph,
@@ -54,10 +54,10 @@ from .minrank import (
     PolyRep,
     alon_certificate,
     cover_certificate,
+    fit_violation,
     graph_hash,
     johnson_certificate,
     minrank_exact,
-    verify_fits,
 )
 from .report import BoundReport
 from .reps import (
@@ -68,28 +68,28 @@ from .reps import (
     cycle_drep,
     drep_from_fractional_cover,
     drep_from_pairrep,
+    drep_violation,
     hfrac_upper_search,
     linind_check,
     pairrep_from_drep,
+    pairrep_violation,
     rankr_to_drep,
+    rankrrep_violation,
     subspace_from_pairrep,
+    subspacerep_violation,
     tensor_dreps,
-    verify_drep,
-    verify_pairrep,
-    verify_rankrrep,
-    verify_subspacerep,
 )
 from .theta import (
     MatrixRep,
     OrthoRep,
     matrixrep_value,
+    matrixrep_violation,
+    orthorep_violation,
     pentagon_umbrella,
     theta_circulant,
     theta_johnson_lp,
     theta_lower_from_dual,
     theta_upper_from_orthorep,
-    verify_matrixrep,
-    verify_orthorep,
 )
 
 __version__ = "0.1.0"

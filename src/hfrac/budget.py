@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, PreconditionError
 
 BUDGET_ENV_VAR = "CAPACITY_BUDGET_MS"
 
@@ -28,7 +28,10 @@ class Budget:
     @classmethod
     def from_env(cls, nodes: int | None = None) -> "Budget":
         raw = os.environ.get(BUDGET_ENV_VAR)
-        ms = float(raw) if raw else None
+        try:
+            ms = float(raw) if raw else None
+        except ValueError:
+            raise PreconditionError(f"{BUDGET_ENV_VAR}={raw!r} is not a number of milliseconds") from None
         return cls(ms=ms, nodes=nodes)
 
     def spend(self, n: int = 1) -> None:

@@ -7,7 +7,14 @@ anywhere a graph is expected.  ``--json`` switches to canonical JSON that
 is byte-identical across identical invocations.
 
 Exit codes: 0 success, 2 verification failure, 3 budget exhausted (a
-certified interval is still emitted), 64 usage error.
+certified interval is still emitted), 64 usage error (a bad option, graph
+or path).
+
+``verify`` handles every certificate kind through one table, ``_KINDS``:
+how the kind is read, its check, and, for the kinds a bound report may
+cite, the report parameters it may witness and how it attains its end.
+Certificates carry no graph; the commands that write one add the
+``"graph"`` expression to the document.
 
 The argument parser is built once per process, on the first ``main``
 call, so a caller that runs ``main`` in a loop pays for it once.
@@ -17,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .budget import BUDGET_ENV_VAR, Budget
 from .errors import (
@@ -32,8 +41,8 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_independent_set, stray_vertex
-from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation
+from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate
+from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
 from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .report import BoundReport
 from .reps import (
@@ -51,16 +60,7 @@ from .reps import (
 )
 from .reproduce import run_claims
 from .serialize import canonical_json, frac_str, load_json, parse_frac, read_ints
-from .theta import (
-    DEFAULT_TOL,
-    MatrixRep,
-    OrthoRep,
-    matrixrep_violation,
-    orthorep_violation,
-    read_tol,
-    theta_circulant,
-    theta_johnson_lp,
-)
+from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -182,7 +182,7 @@ def _cmd_cover(args) -> int:
         _emit(args, f"no partition into {args.k} cliques exists", {"cover": None})
         return EXIT_OK
     _emit(args, "\n".join(" ".join(map(str, cls)) for cls in cover.classes),
-          cover.to_json(args.graph))
+          {**cover.to_json(), "graph": args.graph})
     return EXIT_OK
 
 
@@ -193,7 +193,7 @@ def _cmd_fracchrom(args) -> int:
     except (BudgetExhausted, SearchCutoff):
         _emit(args, "budget exhausted before the LP converged", {"status": "budget-exhausted"})
         return EXIT_BUDGET
-    _emit(args, frac_str(cover.value), cover.to_json(args.graph))
+    _emit(args, frac_str(cover.value), {**cover.to_json(), "graph": args.graph})
     return EXIT_OK
 
 
@@ -246,15 +246,13 @@ def _cmd_certify(args) -> int:
     if kind == "johnson":
         if args.p is None or args.n is None:
             raise UsageError("certify johnson needs --p and --n")
-        cert = johnson_certificate(args.p, args.n)
-        payload = cert.to_json(f"johnson:{args.p},{args.n}")
+        cert, expr = johnson_certificate(args.p, args.n), f"johnson:{args.p},{args.n}"
     elif kind == "alon":
         if args.variant is None or args.p is None or args.q is None or args.n is None:
             raise UsageError("certify alon needs --variant, --p, --q, --n")
         cert, _rep = alon_certificate(args.variant, args.p, args.q, args.n, args.modulus)
         base = f"alon:{args.p},{args.q},{args.n}"
         expr = base if args.variant == "P" else f"complement({base})"
-        payload = cert.to_json(expr)
     elif kind == "cover":
         if args.graph is None or args.k is None or args.p is None:
             raise UsageError("certify cover needs --graph, --k, --p")
@@ -263,19 +261,20 @@ def _cmd_certify(args) -> int:
         if cover is None:
             print(f"no partition into {args.k} cliques exists", file=sys.stderr)
             return EXIT_VERIFY_FAIL
-        payload = cover_certificate(g, cover, args.p).to_json(args.graph)
+        cert, expr = cover_certificate(g, cover, args.p), args.graph
     else:  # cycle-drep
         if args.k is None or args.p is None:
             raise UsageError("certify cycle-drep needs --k and --p")
+        if args.power < 1:
+            raise UsageError(f"--power must be >= 1, got {args.power}")
         rep = cycle_drep(args.k, args.p)
         expr = f"cycle:{2 * args.k + 1}"
-        out = rep
+        cert = rep
         for _ in range(args.power - 1):
-            out = tensor_dreps(out, rep)
+            cert = tensor_dreps(cert, rep)
             expr = f"strong({expr},cycle:{2 * args.k + 1})"
-        payload = out.to_json(expr)
 
-    text = canonical_json(payload)
+    text = canonical_json({**cert.to_json(), "graph": expr})
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -286,52 +285,71 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _verify_witness(obj: dict, g: Graph, report: dict | None = None) -> str | None:
-    """None if the witness verifies (and attains its report end), else why not."""
+class _Kind(NamedTuple):
+    """How ``verify`` reads and checks one certificate kind.  A kind that a
+    bound report may cite also names the report parameters it may witness
+    (over GF(p) its modulus must be the report's p), the report end it
+    stands for and whether it attains that end."""
+
+    read: Callable  # the file's object -> the certificate
+    violation: Callable  # (graph, certificate) -> None, or why it fails
+    params: tuple[str, ...] = ()
+    modulus: Callable | None = None  # certificate -> p
+    end: str = ""  # "lower" or "upper"
+    attains: Callable | None = None  # (certificate, the report's value at end) -> bool
+
+
+# Every row calls its functions by their module names at call time, so a
+# function rebound after import (a tracing wrapper, a test patch) is the
+# one that runs.
+_KINDS = {
+    "fit": _Kind(lambda obj: FitCertificate.from_json(obj),
+                 lambda g, cert: None if cert.check(g) else "fit certificate failed verification",
+                 ("minrank", "hfrac"), lambda cert: cert.matrix.p,
+                 "upper", lambda cert, upper: upper >= cert.claimed_rank),
+    "drep": _Kind(lambda obj: DRep.from_json(obj), lambda g, rep: drep_violation(g, rep),
+                  ("hfrac",), lambda rep: rep.matrix.p,
+                  "upper", lambda rep, upper: rep.ratio() == upper),
+    "independent_set": _Kind(lambda obj: read_ints(obj["vertices"], "vertices"),
+                             lambda g, verts: independent_set_violation(g, verts),
+                             ("alpha", "minrank", "hfrac"), None,
+                             "lower", lambda verts, lower: lower <= len(verts)),
+    "pairrep": _Kind(lambda obj: PairRep.from_json(obj), lambda g, rep: pairrep_violation(g, rep)),
+    "rankrrep": _Kind(lambda obj: RankRRep.from_json(obj), lambda g, rep: rankrrep_violation(g, rep)),
+    "subspacerep": _Kind(lambda obj: SubspaceRep.from_json(obj), lambda g, rep: subspacerep_violation(g, rep)),
+    "fraccover": _Kind(lambda obj: FractionalCover.from_json(obj), lambda g, cover: cover_violation(g, cover)),
+    "cliquecover": _Kind(lambda obj: CliqueCover.from_json(obj),
+                         lambda g, cover: clique_cover_violation(g, cover)),
+    "orthorep": _Kind(lambda obj: OrthoRep.from_json(obj), lambda g, rep: orthorep_violation(g, rep)),
+    "matrixrep": _Kind(lambda obj: MatrixRep.from_json(obj), lambda g, rep: matrixrep_violation(g, rep)),
+}
+
+# Report parameters: alpha, or minrank / hfrac over GF(p).
+_PARAM = re.compile(r"alpha|(minrank|hfrac)\[gf\(([1-9][0-9]*)\)\]")
+
+
+def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:
+    """None if the witness verifies (and, in a report, may witness the
+    report's parameter and attains its end), else why not."""
     if not isinstance(obj, dict):
         return f"witness {obj!r} is not a JSON object"
     kind = obj.get("kind")
-    if kind == "fit":
-        cert = FitCertificate.from_json(obj)
-        if not cert.check(g):
-            return "fit certificate failed verification"
-        if report is not None and parse_frac(report["upper"]) < cert.claimed_rank:
-            return "fit certificate does not attain the reported upper bound"
-        return None
-    if kind == "drep":
-        rep = DRep.from_json(obj)
-        failure = drep_violation(g, rep)
-        if failure:
-            return failure
-        if report is not None and rep.ratio() != parse_frac(report["upper"]):
-            return "certificate ratio differs from the reported upper bound"
-        return None
-    if kind == "pairrep":
-        return pairrep_violation(g, PairRep.from_json(obj))
-    if kind == "rankrrep":
-        return rankrrep_violation(g, RankRRep.from_json(obj))
-    if kind == "subspacerep":
-        return subspacerep_violation(g, SubspaceRep.from_json(obj))
-    if kind == "fraccover":
-        cover = FractionalCover.from_json(obj)
-        return cover_violation(g, cover)
-    if kind == "cliquecover":
-        return clique_cover_violation(g, CliqueCover.from_json(obj))
-    if kind == "orthorep":
-        return orthorep_violation(g, OrthoRep.from_json(obj), read_tol(obj.get("tol", DEFAULT_TOL)))
-    if kind == "matrixrep":
-        return matrixrep_violation(g, MatrixRep.from_json(obj), read_tol(obj.get("tol", DEFAULT_TOL)))
-    if kind == "independent_set":
-        verts = read_ints(obj["vertices"], "vertices")
-        stray = stray_vertex(g, verts)
-        if stray is not None:
-            return f"vertex {stray} outside [0, {g.n})"
-        if not is_independent_set(g, verts):
-            return "vertex set is not independent"
-        if report is not None and parse_frac(report["lower"]) > len(verts):
-            return "independent set does not attain the reported lower bound"
-        return None
-    return f"unknown certificate kind {kind!r}"
+    row = _KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        return f"unknown certificate kind {kind!r}"
+    cert = row.read(obj)
+    if report is not None:
+        param = report["param"]
+        match = _PARAM.fullmatch(param) if isinstance(param, str) else None
+        if match is None:
+            return f"unknown report parameter {param!r}"
+        name, p = (match[1], int(match[2])) if match[1] else (param, None)
+        if name not in row.params or (row.modulus is not None and row.modulus(cert) != p):
+            return f"a {kind} witness cannot certify {param}"
+    failure = row.violation(g, cert)
+    if failure is None and report is not None and not row.attains(cert, parse_frac(report[row.end])):
+        return f"{kind} witness does not attain the reported {row.end} bound"
+    return failure
 
 
 def _cmd_verify(args) -> int:
@@ -429,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

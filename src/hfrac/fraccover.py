@@ -48,7 +48,7 @@ class FractionalCover:
     value: Fraction
     d: int
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = {
             "kind": "fraccover",
             "value": frac_str(self.value),
@@ -57,8 +57,6 @@ class FractionalCover:
                 {"clique": list(cl), "weight": frac_str(w)} for cl, w in self.classes
             ],
         }
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -94,10 +92,6 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
     if cover.d % d != 0 or cover.d < 1:
         return f"declared denominator {cover.d} incompatible with weights (lcm {d})"
     return None
-
-
-def verify_cover(g: Graph, cover: FractionalCover) -> bool:
-    return cover_violation(g, cover) is None
 
 
 def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:

@@ -21,8 +21,8 @@ from math import lcm
 from typing import Sequence
 
 from .budget import Budget
-from .errors import BudgetExhausted, SearchCutoff
-from .graphs import Graph, is_clique, stray_vertex
+from .errors import BudgetExhausted, PreconditionError, SearchCutoff
+from .graphs import Graph, is_clique, is_independent_set, stray_vertex
 from .serialize import read_ints, read_list
 
 
@@ -35,11 +35,8 @@ class CliqueCover:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
-        out = {"kind": "cliquecover", "classes": [list(c) for c in self.classes]}
-        if graph_expr:
-            out["graph"] = graph_expr
-        return out
+    def to_json(self) -> dict:
+        return {"kind": "cliquecover", "classes": [list(c) for c in self.classes]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliqueCover":
@@ -62,6 +59,19 @@ def clique_cover_violation(g: Graph, cover: CliqueCover) -> str | None:
     if len(seen) != g.n:
         missing = next(v for v in range(g.n) if v not in seen)
         return f"vertex {missing} is uncovered"
+    return None
+
+
+def independent_set_violation(g: Graph, vertices: Sequence[int]) -> str | None:
+    """None if the vertices are distinct vertices of g and pairwise
+    non-adjacent, else why not."""
+    stray = stray_vertex(g, vertices)
+    if stray is not None:
+        return f"vertex {stray} outside [0, {g.n})"
+    if len(set(vertices)) != len(vertices):
+        return "a vertex is listed twice"
+    if not is_independent_set(g, vertices):
+        return "vertex set is not independent"
     return None
 
 
@@ -259,7 +269,7 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     if the budget trips before the search resolves.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise PreconditionError(f"k must be >= 1, got {k}")
     if g.n == 0:
         return CliqueCover(())
     budget = budget or Budget()

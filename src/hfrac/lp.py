@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .budget import Budget
 from .errors import DimensionMismatch, PreconditionError, VerificationError
-from .serialize import frac_str, parse_frac
 
 REL_LE = "<="
 REL_GE = ">="
@@ -494,43 +493,3 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
             dual_value += r * lo
     return dual_value == primal
 
-
-def lp_to_json(lp: LinearProgram) -> dict:
-    out = {
-        "objective": [frac_str(c) for c in lp.objective],
-        "constant": frac_str(lp.constant),
-        "constraints": [
-            {"coeffs": [frac_str(c) for c in coeffs], "rel": rel, "rhs": frac_str(rhs)}
-            for coeffs, rel, rhs in lp.constraints
-        ],
-    }
-    if lp.bounds is not None:
-        out["bounds"] = [
-            [None if lo is None else frac_str(lo), None if up is None else frac_str(up)]
-            for lo, up in lp.bounds
-        ]
-    return out
-
-
-def lp_from_json(obj: dict) -> LinearProgram:
-    objective = tuple(parse_frac(c) for c in obj["objective"])
-    constraints = tuple(
-        (tuple(parse_frac(c) for c in row["coeffs"]), row["rel"], parse_frac(row["rhs"]))
-        for row in obj["constraints"]
-    )
-    bounds = None
-    if obj.get("bounds") is not None:
-        bounds = tuple(
-            (None if lo is None else parse_frac(lo), None if up is None else parse_frac(up))
-            for lo, up in obj["bounds"]
-        )
-    return LinearProgram(objective, constraints, parse_frac(obj.get("constant", "0")), bounds)
-
-
-def solution_to_json(sol: LpSolution) -> dict:
-    return {
-        "status": sol.status,
-        "value": None if sol.value is None else frac_str(sol.value),
-        "assignment": None if sol.assignment is None else [frac_str(v) for v in sol.assignment],
-        "dual": None if sol.dual is None else [frac_str(v) for v in sol.dual],
-    }

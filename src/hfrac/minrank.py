@@ -45,6 +45,8 @@ def graph_hash(g: Graph) -> str:
 
 
 def fit_violation(g: Graph, m: FMatrix) -> str | None:
+    """None if m has a unit diagonal and zeros on both sides of every
+    non-edge, else the first defect found."""
     if m.rows != g.n or m.cols != g.n:
         raise DimensionMismatch(f"matrix is {m.rows}x{m.cols}, graph has {g.n} vertices")
     a = m.a
@@ -59,11 +61,6 @@ def fit_violation(g: Graph, m: FMatrix) -> str | None:
     return None
 
 
-def verify_fits(g: Graph, m: FMatrix) -> bool:
-    """Unit diagonal and zeros on both sides of every non-edge."""
-    return fit_violation(g, m) is None
-
-
 @dataclass(frozen=True)
 class FitCertificate:
     """A fit matrix together with the graph hash and its exact rank."""
@@ -75,17 +72,15 @@ class FitCertificate:
     def check(self, g: Graph) -> bool:
         return (
             self.graph_hash == graph_hash(g)
-            and verify_fits(g, self.matrix)
+            and fit_violation(g, self.matrix) is None
             and rank(self.matrix) == self.claimed_rank
         )
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = self.matrix.to_json()
         out["kind"] = "fit"
         out["claimed_rank"] = self.claimed_rank
         out["graph_hash"] = self.graph_hash
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -123,7 +118,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     r = rank(mat)
     if r != len(cover.classes):
         raise VerificationError(f"internal error: clique-cover matrix has rank {r}, not {len(cover.classes)}")
-    if not verify_fits(g, mat):
+    if fit_violation(g, mat) is not None:
         raise VerificationError("internal error: clique-cover matrix does not fit the graph")
     return FitCertificate(graph_hash(g), mat, r)
 
@@ -248,7 +243,7 @@ def minrank_exact(
 
     if best_matrix is not None:
         mat = FMatrix(p, best_matrix)
-        if not (verify_fits(g, mat) and rank(mat) == best_rank):
+        if fit_violation(g, mat) is not None or rank(mat) != best_rank:
             raise VerificationError("internal error: minrank matrix failed its fit or rank check")
         cert = FitCertificate(graph_hash(g), mat, best_rank)
     else:
@@ -270,7 +265,7 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     m = FMatrix(p, inc, copy=False)
     gram = matmul(m.transpose(), m)
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
-    if not verify_fits(g, gram):
+    if fit_violation(g, gram) is not None:
         raise VerificationError("incidence Gram matrix does not fit the graph")
     if cert.claimed_rank > n:
         raise VerificationError(f"internal error: incidence Gram matrix has rank {cert.claimed_rank} > n = {n}")
@@ -340,9 +335,6 @@ class PolyRep:
                 if u != v and not g.has_edge(u, v) and self.evaluate(u, v) != 0:
                     return f"polynomial of {u} is nonzero at non-neighbor {v}"
         return None
-
-    def check(self, g: Graph) -> bool:
-        return self.violation(g) is None
 
 
 def next_prime(p: int) -> int:
@@ -424,7 +416,7 @@ def alon_certificate(
             a[u, v] = inv * rep.evaluate(u, v) % modulus
     mat = FMatrix(modulus, a, copy=False)
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
-    if not verify_fits(target, mat):
+    if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")
     span_bound = sum(comb(n, i) for i in range(len(constants) + 1))
     if cert.claimed_rank > span_bound:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fraccover import fractional_clique_cover, verify_cover
+from .fraccover import cover_violation, fractional_clique_cover
 from .gfmat import FMatrix, kronecker, rank
 from .graphs import (
     Graph,
@@ -39,13 +39,13 @@ from .reps import (
     PairRep,
     RankRRep,
     cycle_drep,
+    drep_violation,
     linind_check,
     pairrep_from_drep,
+    pairrep_violation,
     rankr_to_drep,
+    rankrrep_violation,
     tensor_dreps,
-    verify_drep,
-    verify_pairrep,
-    verify_rankrrep,
 )
 from .theta import (
     johnson_theta_formula,
@@ -127,7 +127,7 @@ def _claim_fracchrom_odd_cycles(seed: int):
         g = cycle(2 * k + 1)
         cov = fractional_clique_cover(g)
         values[2 * k + 1] = cov.value
-        ok = ok and cov.value == Fraction(2 * k + 1, 2) and verify_cover(g, cov)
+        ok = ok and cov.value == Fraction(2 * k + 1, 2) and cover_violation(g, cov) is None
     return ok, str({n: str(v) for n, v in values.items()}), "k + 1/2 exactly, covers verified"
 
 
@@ -175,7 +175,7 @@ def _claim_cycle_dreps(seed: int):
         a = alpha(g)[0]
         for p in (2, 3, 5):
             rep = cycle_drep(k, p)
-            ok = ok and verify_drep(g, rep) and rep.ratio() == Fraction(2 * k + 1, 2)
+            ok = ok and drep_violation(g, rep) is None and rep.ratio() == Fraction(2 * k + 1, 2)
             ok = ok and a == k and Fraction(a) <= rep.ratio()
             checked += 1
     return ok, f"{checked} certificates, ratios (2k+1)/2", \
@@ -187,10 +187,10 @@ def _claim_tensor_multiplicativity(seed: int):
     c5 = cycle(5)
     sq = strong_product(c5, c5)
     t2 = tensor_dreps(rep5, rep5)
-    ok = t2.d == 4 and verify_drep(sq, t2) and rank(t2.matrix) == 25
+    ok = t2.d == 4 and drep_violation(sq, t2) is None and rank(t2.matrix) == 25
     cube = strong_product(sq, c5)
     t3 = tensor_dreps(t2, rep5)
-    ok = ok and t3.d == 8 and verify_drep(cube, t3) and t3.ratio() == Fraction(125, 8)
+    ok = ok and t3.d == 8 and drep_violation(cube, t3) is None and t3.ratio() == Fraction(125, 8)
     return ok, f"square rank {rank(t2.matrix)}/4, cube ratio {t3.ratio()}", \
         "rank 25 at d=4; triple ratio exactly 125/8"
 
@@ -198,10 +198,10 @@ def _claim_tensor_multiplicativity(seed: int):
 def _claim_alon_certificates(seed: int):
     g = generate("alon:2,3,7")
     cert_p, rep_p = alon_certificate("P", 2, 3, 7)
-    ok = cert_p.check(g) and rep_p.check(g) and cert_p.claimed_rank <= 8
+    ok = cert_p.check(g) and rep_p.violation(g) is None and cert_p.claimed_rank <= 8
     gc = complement(g)
     cert_q, rep_q = alon_certificate("Q", 2, 3, 7)
-    ok = ok and cert_q.check(gc) and rep_q.check(gc) and cert_q.claimed_rank <= 29
+    ok = ok and cert_q.check(gc) and rep_q.violation(gc) is None and cert_q.claimed_rank <= 29
     return ok, f"ranks {cert_p.claimed_rank} and {cert_q.claimed_rank}", \
         "P fits over GF(2) with rank <= 8; Q fits complement over GF(3) with rank <= 29"
 
@@ -278,7 +278,7 @@ def _claim_pairrep_independence(seed: int):
     for i in range(100):
         g, base = bases[i % len(bases)]
         rep = _twist(base, rng)
-        if not verify_pairrep(g, rep):
+        if pairrep_violation(g, rep) is not None:
             return False, f"rep {i} failed verification", "100 verified representations"
         reps += 1
         for s, t in _valid_st_pairs(g):
@@ -368,11 +368,11 @@ def run_invariant_suites(seed: int = 0) -> tuple[int, int, list[str]]:
                     [[rng.randrange(p) for _ in range(sizes[v])] for _ in range(sizes[v])]
                 )
         rep = RankRRep(r, sizes, FMatrix(p, a))
-        if not verify_rankrrep(g, rep):
+        if rankrrep_violation(g, rep) is not None:
             failures.append(f"rankr build #{i}")
             continue
         out = rankr_to_drep(g, rep)
-        if not verify_drep(g, out) or rank(out.matrix) > rank(rep.matrix):
+        if drep_violation(g, out) is not None or rank(out.matrix) > rank(rep.matrix):
             failures.append(f"rankr monotonicity #{i}")
 
     return total - len(failures), total, failures

@@ -10,7 +10,10 @@ which is what makes the bound multiplicative over strong products.
 
 Certificates are the unit of truth here: every constructor verifies its
 output, and the search orchestrator only ever reports intervals whose two
-ends are witnessed.
+ends are witnessed.  Each form has a ``*_violation(g, rep)`` check that
+returns None or the first defect; ``to_json`` writes the certificate
+without its graph.  How ``verify`` reads and checks each kind, and which
+report ends it may witness, is the table ``_KINDS`` in ``cli``.
 """
 
 from __future__ import annotations
@@ -53,12 +56,10 @@ class DRep:
     def ratio(self) -> Fraction:
         return Fraction(rank(self.matrix), self.d)
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = self.matrix.to_json()
         out["kind"] = "drep"
         out["d"] = self.d
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -82,7 +83,7 @@ class PairRep:
     def ratio(self) -> Fraction:
         return Fraction(self.n, self.d)
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = {
             "kind": "pairrep",
             "n": self.n,
@@ -90,8 +91,6 @@ class PairRep:
             "p": self.p,
             "pairs": [{"A": a.a.ravel(), "B": b.a.ravel()} for a, b in self.pairs],
         }
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -119,13 +118,11 @@ class RankRRep:
             out.append(out[-1] + s)
         return out
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = self.matrix.to_json()
         out["kind"] = "rankrrep"
         out["r"] = self.r
         out["sizes"] = list(self.sizes)
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -142,7 +139,7 @@ class SubspaceRep:
     d: int
     bases: tuple[FMatrix, ...]
 
-    def to_json(self, graph_expr: str | None = None) -> dict:
+    def to_json(self) -> dict:
         out = {
             "kind": "subspacerep",
             "n": self.n,
@@ -150,8 +147,6 @@ class SubspaceRep:
             "p": self.bases[0].p,
             "bases": [b.a.ravel() for b in self.bases],
         }
-        if graph_expr:
-            out["graph"] = graph_expr
         return out
 
     @classmethod
@@ -185,10 +180,6 @@ def drep_violation(g: Graph, rep: DRep) -> str | None:
     return None
 
 
-def verify_drep(g: Graph, rep: DRep) -> bool:
-    return drep_violation(g, rep) is None
-
-
 def pairrep_violation(g: Graph, rep: PairRep) -> str | None:
     if len(rep.pairs) != g.n:
         raise DimensionMismatch(f"{len(rep.pairs)} pairs for {g.n} vertices")
@@ -207,10 +198,6 @@ def pairrep_violation(g: Graph, rep: PairRep) -> str | None:
                 if np.any(matmul(au.transpose(), bv).a) or np.any(matmul(av.transpose(), bu).a):
                     return f"nonzero cross product at non-edge ({u}, {v})"
     return None
-
-
-def verify_pairrep(g: Graph, rep: PairRep) -> bool:
-    return pairrep_violation(g, rep) is None
 
 
 def rankrrep_violation(g: Graph, rep: RankRRep) -> str | None:
@@ -233,10 +220,6 @@ def rankrrep_violation(g: Graph, rep: RankRRep) -> str | None:
     return None
 
 
-def verify_rankrrep(g: Graph, rep: RankRRep) -> bool:
-    return rankrrep_violation(g, rep) is None
-
-
 def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     if len(rep.bases) != g.n:
         raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
@@ -255,10 +238,6 @@ def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
         if rank(hstack([rep.bases[v], span])) != rep.d + r_span:
             return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
     return None
-
-
-def verify_subspacerep(g: Graph, rep: SubspaceRep) -> bool:
-    return subspacerep_violation(g, rep) is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ There is deliberately no general SDP solver here: theta is computed only
 where a certifiable route exists: the eigenvalue closed form for
 edge-transitive circulants, an exact rational LP for the intersection
 graphs of (p+1)-subsets, and numeric evaluators that turn any supplied
-representation into a bound that holds up to the stated tolerance.
+representation into a bound that holds up to the stated tolerance.  The
+tolerance is a field of each representation (``OrthoRep.tol``,
+``MatrixRep.tol``): it is read from and written to the certificate file
+with the vectors, and every check of the representation uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, cos, inf, pi, sin, sqrt
 
@@ -51,6 +54,8 @@ def theta_circulant(n: int, connection: set[int] | frozenset[int]) -> float:
     matching) and the complete connection set.  Other connection sets are
     rejected rather than silently mis-valued.
     """
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got {n}")
     offs = {s % n for s in connection}
     if not offs or 0 in offs:
         raise PreconditionError("connection set must be nonempty without offset 0")
@@ -120,21 +125,19 @@ class OrthoRep:
 
     vectors: np.ndarray  # shape (nv, N)
     handle: np.ndarray  # shape (N,)
+    tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
 
     @property
     def dimension(self) -> int:
         return int(self.vectors.shape[1])
 
-    def to_json(self, graph_expr: str | None = None, tol: float = DEFAULT_TOL) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "kind": "orthorep",
             "vectors": [[float(x) for x in row] for row in self.vectors],
             "handle": [float(x) for x in self.handle],
-            "tol": tol,
+            "tol": self.tol,
         }
-        if graph_expr:
-            out["graph"] = graph_expr
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrthoRep":
@@ -143,28 +146,24 @@ class OrthoRep:
         if handle.shape[0] != vectors.shape[1]:
             raise DimensionMismatch(f"handle of length {handle.shape[0]} for vectors of "
                                     f"length {vectors.shape[1]}")
-        return cls(vectors, handle)
+        return cls(vectors, handle, read_tol(obj.get("tol", DEFAULT_TOL)))
 
 
-def orthorep_violation(g: Graph, rep: OrthoRep, tol: float = DEFAULT_TOL) -> str | None:
+def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
     if rep.vectors.shape[0] != g.n:
         return f"{rep.vectors.shape[0]} vectors for {g.n} vertices"
     norms = np.linalg.norm(rep.vectors, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > tol)[0]
+    bad = np.nonzero(np.abs(norms - 1.0) > rep.tol)[0]
     if bad.size:
         return f"vector of vertex {int(bad[0])} is not unit length"
-    if abs(np.linalg.norm(rep.handle) - 1.0) > tol:
+    if abs(np.linalg.norm(rep.handle) - 1.0) > rep.tol:
         return "handle is not unit length"
     gram = rep.vectors @ rep.vectors.T
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and abs(gram[u, v]) > tol:
+            if not g.has_edge(u, v) and abs(gram[u, v]) > rep.tol:
                 return f"non-edge ({u}, {v}) has inner product {gram[u, v]:.3e}"
     return None
-
-
-def verify_orthorep(g: Graph, rep: OrthoRep, tol: float = DEFAULT_TOL) -> bool:
-    return orthorep_violation(g, rep, tol) is None
 
 
 def theta_upper_from_orthorep(rep: OrthoRep) -> float:
@@ -177,10 +176,11 @@ def theta_upper_from_orthorep(rep: OrthoRep) -> float:
     return float(np.max(1.0 / sq))
 
 
-def theta_lower_from_dual(g: Graph, rep_of_complement: OrthoRep, tol: float = DEFAULT_TOL) -> float:
+def theta_lower_from_dual(g: Graph, rep_of_complement: OrthoRep) -> float:
     """Sum of <x_v, h>^2 over an orthonormal representation of the
-    complement: the dual form, a lower bound on theta(g)."""
-    failure = orthorep_violation(complement(g), rep_of_complement, tol)
+    complement: the dual form, a lower bound on theta(g) up to the
+    representation's tolerance."""
+    failure = orthorep_violation(complement(g), rep_of_complement)
     if failure is not None:
         raise VerificationError(f"complement representation invalid: {failure}")
     dots = rep_of_complement.vectors @ rep_of_complement.handle
@@ -194,21 +194,19 @@ class MatrixRep:
 
     frames: tuple[np.ndarray, ...]  # each N x d_v
     handle: np.ndarray  # N x k
+    tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
 
     @property
     def k(self) -> int:
         return int(self.handle.shape[1])
 
-    def to_json(self, graph_expr: str | None = None, tol: float = DEFAULT_TOL) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "kind": "matrixrep",
             "frames": [[[float(x) for x in row] for row in f] for f in self.frames],
             "handle": [[float(x) for x in row] for row in self.handle],
-            "tol": tol,
+            "tol": self.tol,
         }
-        if graph_expr:
-            out["graph"] = graph_expr
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixRep":
@@ -218,28 +216,24 @@ class MatrixRep:
             if f.shape[0] != handle.shape[0]:
                 raise DimensionMismatch(f"a frame of {f.shape[0]} rows for a handle of "
                                         f"{handle.shape[0]} rows")
-        return cls(frames, handle)
+        return cls(frames, handle, read_tol(obj.get("tol", DEFAULT_TOL)))
 
 
-def matrixrep_violation(g: Graph, rep: MatrixRep, tol: float = DEFAULT_TOL) -> str | None:
+def matrixrep_violation(g: Graph, rep: MatrixRep) -> str | None:
     if len(rep.frames) != g.n:
         return f"{len(rep.frames)} frames for {g.n} vertices"
     for v, f in enumerate(rep.frames):
         d = f.shape[1]
-        if np.max(np.abs(f.T @ f - np.eye(d))) > tol:
+        if np.max(np.abs(f.T @ f - np.eye(d))) > rep.tol:
             return f"frame of vertex {v} is not orthonormal"
     hnorms = np.linalg.norm(rep.handle, axis=0)
-    if np.any(np.abs(hnorms - 1.0) > tol):
+    if np.any(np.abs(hnorms - 1.0) > rep.tol):
         return "a handle column is not unit length"
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and np.max(np.abs(rep.frames[u].T @ rep.frames[v])) > tol:
+            if not g.has_edge(u, v) and np.max(np.abs(rep.frames[u].T @ rep.frames[v])) > rep.tol:
                 return f"non-edge ({u}, {v}) has non-orthogonal frames"
     return None
-
-
-def verify_matrixrep(g: Graph, rep: MatrixRep, tol: float = DEFAULT_TOL) -> bool:
-    return matrixrep_violation(g, rep, tol) is None
 
 
 def matrixrep_value(rep: MatrixRep) -> float:

@@ -191,13 +191,24 @@ def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
     assert code == 0 and out.strip() == "OK"
 
 
-def test_usage_errors_are_64(capsys):
+def test_usage_errors_are_64(tmp_path, capsys):
     assert run(capsys, "alpha", "--graph", "nonsense:5")[0] == 64
     assert run(capsys, "alpha", "--graph", "cycle:x")[0] == 64
     assert run(capsys, "theta-circulant", "--n", "7", "--connection", "1,2")[0] == 64
     assert run(capsys, "certify", "--kind", "johnson")[0] == 64
     # a modulus too large for int64 elimination is refused up front
     assert run(capsys, "minrank", "--graph", "cycle:5", "--p", "3037000507")[0] == 64
+    # each of these ended in a traceback (exit 1): ValueError for k < 1,
+    # ZeroDivisionError for n = 0, ValueError (an empty max) for n < 0
+    assert run(capsys, "cover", "--graph", "cycle:5", "--k", "0")[0] == 64
+    assert run(capsys, "cover", "--graph", "cycle:5", "--k", "-1")[0] == 64
+    assert run(capsys, "theta-circulant", "--n", "0")[0] == 64
+    assert run(capsys, "theta-circulant", "--n", "-3")[0] == 64
+    # a tensor power below 1 wrote the power-1 certificate and exited 0
+    assert run(capsys, "certify", "--kind", "cycle-drep", "--k", "2", "--p", "2", "--power", "0")[0] == 64
+    # a directory where a file belongs ended in an IsADirectoryError traceback
+    assert run(capsys, "verify", "--cert", str(tmp_path))[0] == 64
+    assert run(capsys, "certify", "--kind", "johnson", "--p", "2", "--n", "6", "--out", str(tmp_path))[0] == 64
 
 
 def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
@@ -232,6 +243,8 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CAPACITY_BUDGET_MS", "200")
     code, out, _ = run(capsys, "minrank", "--graph", "strong(cycle:5,cycle:5)", "--p", "2")
     assert code == 3 and "[" in out
+    monkeypatch.setenv("CAPACITY_BUDGET_MS", "abc")  # ended in a ValueError traceback (exit 1)
+    assert run(capsys, "alpha", "--graph", "cycle:5")[0] == 64
 
 
 def _cycle_drep_file(tmp_path, capsys) -> str:
@@ -327,10 +340,10 @@ EXACT_GATES = {
     "simplex_solve": (["theta-lp", "--p", "2", "--n", "8"],
                       [("hfrac.lp.check_solution", {"return_value": False})]),
     "cover_certificate": (["minrank", "--graph", "cycle:5", "--p", "2"],
-                          [("hfrac.minrank.verify_fits", {"return_value": False})]),
+                          [("hfrac.minrank.fit_violation", {"return_value": "planted defect"})]),
     "minrank_exact": (["minrank", "--graph", "cycle:5", "--p", "2"],
                       [("hfrac.minrank.greedy_clique_cover", {"side_effect": _singleton_cover}),
-                       ("hfrac.minrank.verify_fits", {"side_effect": [True, False]})]),
+                       ("hfrac.minrank.fit_violation", {"side_effect": [None, "planted defect"]})]),
     "cover_certificate_rank": (["certify", "--kind", "cover", "--graph", "cycle:5", "--k", "3", "--p", "2"],
                                [("hfrac.minrank.rank", {"return_value": 2})]),
     "johnson_certificate_rank": (["certify", "--kind", "johnson", "--p", "2", "--n", "8"],
@@ -445,6 +458,15 @@ def _set(keys, value):
     return edit
 
 
+def _as_hfrac_upper_witness(doc):
+    """Replace a certificate of cycle:5 by an hfrac[gf(2)] report that
+    claims [2, 2] with the certificate as its upper witness."""
+    cert = dict(doc)
+    doc.clear()
+    doc.update({"param": "hfrac[gf(2)]", "graph": "cycle:5", "lower": "2", "upper": "2",
+                "witness_refs": [{"kind": "independent_set", "vertices": [0, 2]}, cert]})
+
+
 @pytest.mark.parametrize("argv, edit", [
     (("alpha", "--graph", "cycle:5"), _set(("witness_refs", 0, "vertices"), [0, 99])),
     (("fracchrom", "--graph", "cycle:5"), _set(("graph",), 5)),
@@ -454,11 +476,21 @@ def _set(keys, value):
     (("fracchrom", "--graph", "cycle:5"), _set(("classes", 0, "clique"), [0, 99])),
     (("cover", "--graph", "cycle:5", "--k", "3"), _set(("classes", 0), [0, 99])),
     (("cover", "--graph", "cycle:5", "--k", "3"), _set(("classes",), 3)),
+    (("alpha", "--graph", "cycle:5"), _set(("witness_refs", 0, "vertices"), [0, 0])),
+    (("minrank", "--graph", "cycle:7", "--p", "3"), _set(("param",), "alpha")),
+    (("minrank", "--graph", "cycle:7", "--p", "3"), _set(("param",), "minrank[gf(2)]")),
+    (("fracchrom", "--graph", "cycle:5"), _as_hfrac_upper_witness),
 ], ids=["independent-set-vertex", "graph-not-a-string", "graph-unparsable", "classes-not-a-list",
-        "class-not-an-object", "fraccover-clique-vertex", "cliquecover-vertex", "cliquecover-classes"])
+        "class-not-an-object", "fraccover-clique-vertex", "cliquecover-vertex", "cliquecover-classes",
+        "independent-set-repeated-vertex", "fit-cited-for-alpha", "fit-cited-over-another-field",
+        "fraccover-cited-for-hfrac"])
 def test_verify_refuses_a_malformed_witness(tmp_path, capsys, argv, edit):
-    # each of these ended in a traceback (exit 1): ValueError for a vertex out
-    # of range, AttributeError for a non-string graph, TypeError for the rest
+    # the first eight ended in a traceback (exit 1): ValueError for a vertex
+    # out of range, AttributeError for a non-string graph, TypeError for the
+    # rest.  The last four printed OK: the set {0, 0} passed for
+    # alpha(C5) >= 2, a GF(3) fit certificate of rank 4 for alpha(C7) = 4
+    # (alpha is 3) and for minrank over GF(2), and the 5/2 fractional cover
+    # for an hfrac upper end of 2.
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     doc = json.loads(out)
@@ -483,6 +515,9 @@ PINNED_CERTIFICATES = [
      "52ada4f84a6ea673e49b64fb314b038e45b6083f7f3a7fcab588bac36bb76f6f"),
     (("--kind", "cover", "--graph", "strong(cycle:5,complete:2)", "--k", "5", "--p", "3"),
      "eced2b131c44ec944ac0f72fb1b95bd7f0725b86590f1a420141a676013f8bf6"),
+    # as written while every certificate's to_json still took the graph
+    (("--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"),
+     "ad8df308b01ddbc820f0c896f8a4a621274535c9b016a805d4e5cc3f367c0e68"),
 ]
 
 
@@ -509,6 +544,13 @@ PINNED_REPORTS = [
      "8925db212b74392af789d70fbf34c14aa5db1778754cd0546a4e345bd42e764d"),
     (("hfrac", "--graph", "strong(cycle:5,cycle:5)", "--p", "2"),
      "7aea0ba97c33a7c630af9aad4ffb246c099ca0c50e187f8b7e68c30fa089fca9"),
+    # as printed while every certificate's to_json still took the graph
+    (("cover", "--graph", "cycle:7", "--k", "4"),
+     "f5bbd030ed4352170289045ca7667d399cd2923f362057348c9f8c1ac081a905"),
+    (("minrank", "--graph", "cycle:7", "--p", "3"),
+     "d236b24e1dc048dcf8f3d09a4f81b594818415573084aaf1a923f2b1603d41d3"),
+    (("alpha", "--graph", "cycle:9"),
+     "6cf73acc7aaae1d2f79fe0cb71d4116f600f145346cbc3b306ca67ede6f64aad"),
 ]
 
 
@@ -523,15 +565,30 @@ def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
     with ``field`` set to ``value`` when given."""
     umbrella = pentagon_umbrella(1)
     if kind == "orthorep":
-        doc = umbrella.to_json("cycle:5")
+        doc = umbrella.to_json()
     else:
         frames = tuple(umbrella.vectors[v:v + 1].T for v in range(5))
-        doc = MatrixRep(frames, umbrella.handle.reshape(3, 1)).to_json("cycle:5")
+        doc = MatrixRep(frames, umbrella.handle.reshape(3, 1)).to_json()
+    doc["graph"] = "cycle:5"
     if field is not None:
         doc[field] = value
     path = tmp_path / f"{kind}.json"
     path.write_text(canonical_json(doc))
     return path
+
+
+# SHA-256 of the umbrella files as written while the tolerance was an
+# argument of ``to_json`` rather than a field of the representation.
+PINNED_THETA_REPS = {
+    "orthorep": "e06c7aa532464d1cbbecddf25288e7232b51e84162fbacf65938863e391bf524",
+    "matrixrep": "245e2780de6df947b078b57dec8ea424f5afffa161154a5bb3cbb35f1ec516a2",
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_THETA_REPS)
+def test_theta_representation_bytes_are_pinned(tmp_path, kind):
+    path = _theta_rep_file(tmp_path, kind)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_THETA_REPS[kind]
 
 
 @pytest.mark.parametrize("kind", ["orthorep", "matrixrep"])

@@ -15,7 +15,6 @@ from hfrac.fraccover import (
     _master_lp,
     cover_violation,
     fractional_clique_cover,
-    verify_cover,
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
 from hfrac.independence import alpha
@@ -42,7 +41,7 @@ def test_pentagon_cover_is_the_five_edges_at_one_half():
     cover = fractional_clique_cover(c5)
     assert cover.value == F(5, 2)
     assert cover.d == 2
-    assert verify_cover(c5, cover)
+    assert cover_violation(c5, cover) is None
     classes = sorted(cover.classes)
     assert [w for _, w in classes] == [F(1, 2)] * 5
     assert sorted(cl for cl, _ in classes) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
@@ -52,7 +51,7 @@ def test_complete_graph_cover_value_one():
     for k in (1, 2, 5):
         cover = fractional_clique_cover(complete(k))
         assert cover.value == 1
-        assert verify_cover(complete(k), cover)
+        assert cover_violation(complete(k), cover) is None
 
 
 def test_odd_cycles():
@@ -61,7 +60,7 @@ def test_odd_cycles():
         cover = fractional_clique_cover(g)
         assert cover.value == F(2 * k + 1, 2), k
         assert cover.d == 2
-        assert verify_cover(g, cover)
+        assert cover_violation(g, cover) is None
 
 
 def test_triangle_is_covered_by_its_own_clique():
@@ -105,7 +104,7 @@ def test_column_generation_matches_full_lp_on_small_graphs():
         g = generate(expr)
         cover = fractional_clique_cover(g)
         assert cover.value == full_lp_cover_value(g), expr
-        assert verify_cover(g, cover), expr
+        assert cover_violation(g, cover) is None, expr
         assert cover.d <= seed_d, expr
 
 
@@ -153,4 +152,4 @@ def test_cover_json_roundtrip():
     cover = fractional_clique_cover(c7)
     back = FractionalCover.from_json(cover.to_json())
     assert back == cover
-    assert verify_cover(c7, back)
+    assert cover_violation(c7, back) is None

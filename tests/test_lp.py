@@ -24,10 +24,7 @@ from hfrac.lp import (
     LinearProgram,
     LpSolution,
     check_solution,
-    lp_from_json,
-    lp_to_json,
     simplex_solve,
-    solution_to_json,
 )
 
 
@@ -298,19 +295,6 @@ def test_covering_runs_reach_every_pivot_kind(entering_column, leaving_column):
     find(covering_runs(), lambda master: any((e >= 0, lv >= 0) == (entering_column, leaving_column)
                                              for e, lv, _, _ in master.pivots),
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
-
-
-def test_json_roundtrip():
-    lp = LinearProgram(
-        (F(1), F(-2, 3)),
-        (((F(1), F(1)), "<=", F(5, 2)), ((F(1), F(0)), ">=", F(-1))),
-        F(1),
-        ((F(0), None), (F(-3), F(3))),
-    )
-    assert lp_from_json(lp_to_json(lp)) == lp
-    sol = simplex_solve(lp)
-    out = solution_to_json(sol)
-    assert out["status"] == "optimal" and out["value"] == str(sol.value)
 
 
 # Zeros of both types are drawn often, so rows and columns are sparse.

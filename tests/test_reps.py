@@ -35,13 +35,12 @@ from hfrac.reps import (
     hfrac_upper_search,
     linind_check,
     pairrep_from_drep,
+    pairrep_violation,
     rankr_to_drep,
+    rankrrep_violation,
     subspace_from_pairrep,
+    subspacerep_violation,
     tensor_dreps,
-    verify_drep,
-    verify_pairrep,
-    verify_rankrrep,
-    verify_subspacerep,
 )
 from hfrac.serialize import canonical_json, load_json
 
@@ -57,7 +56,7 @@ def drep_for(g, p=2):
 
 
 def test_verify_drep_identity_on_empty_graph():
-    assert verify_drep(empty(4), DRep(1, FMatrix.identity(2, 4)))
+    assert drep_violation(empty(4), DRep(1, FMatrix.identity(2, 4))) is None
 
 
 def test_verify_drep_pinpoints_bad_block():
@@ -74,7 +73,7 @@ def test_pairrep_from_cycle_certificate():
     rep = cycle_drep(2, 2)
     pair = pairrep_from_drep(rep)
     assert (pair.n, pair.d) == (5, 2)
-    assert verify_pairrep(c5, pair)
+    assert pairrep_violation(c5, pair) is None
     assert pair.ratio() == F(5, 2) == rep.ratio()
 
 
@@ -83,7 +82,7 @@ def test_pairrep_roundtrip_preserves_certificate():
         rep = cycle_drep(3, p)
         pair = pairrep_from_drep(rep)
         back = drep_from_pairrep(pair)
-        assert verify_drep(cycle(7), back)
+        assert drep_violation(cycle(7), back) is None
         assert rank(back.matrix) == rank(rep.matrix)
         assert pair.n == rank(rep.matrix)
 
@@ -92,7 +91,7 @@ def test_pairrep_identity_example():
     g = empty(4)
     pair = pairrep_from_drep(DRep(1, FMatrix.identity(3, 4)))
     assert pair.n == 4 and pair.d == 1
-    assert verify_pairrep(g, pair)
+    assert pairrep_violation(g, pair) is None
 
 
 def test_pairrep_violation_detected():
@@ -101,21 +100,21 @@ def test_pairrep_violation_detected():
     bad_pairs = list(pair.pairs)
     a0, b0 = bad_pairs[0]
     bad_pairs[0] = (FMatrix(2, np.zeros_like(a0.a)), b0)
-    assert not verify_pairrep(c5, PairRep(pair.n, pair.d, tuple(bad_pairs)))
+    assert pairrep_violation(c5, PairRep(pair.n, pair.d, tuple(bad_pairs))) is not None
 
 
 def test_subspace_representations():
     # coordinate lines on the empty graph
     plane = FMatrix.identity(2, 3)
     rep = SubspaceRep(3, 1, tuple(plane.block(0, 3, v, v + 1) for v in range(3)))
-    assert verify_subspacerep(empty(3), rep)
+    assert subspacerep_violation(empty(3), rep) is None
     # all subspaces equal on a complete graph: no non-neighbors to avoid
     same = FMatrix(2, [[1], [0], [0]])
-    assert verify_subspacerep(complete(3), SubspaceRep(3, 1, (same, same, same)))
+    assert subspacerep_violation(complete(3), SubspaceRep(3, 1, (same, same, same))) is None
     # derived from a verified pair representation of the 5-cycle
     pair = pairrep_from_drep(cycle_drep(2, 3))
     sub = subspace_from_pairrep(pair)
-    assert verify_subspacerep(cycle(5), sub)
+    assert subspacerep_violation(cycle(5), sub) is None
     assert sub.d == 2 and sub.n == 5
 
 
@@ -138,7 +137,7 @@ def test_malformed_factor_lists_fail_verification(cls, field, value):
 def test_subspace_violation():
     same = FMatrix(2, [[1], [0], [0]])
     rep = SubspaceRep(3, 1, (same, same, same))
-    assert not verify_subspacerep(empty(3), rep)
+    assert subspacerep_violation(empty(3), rep) is not None
 
 
 def random_rankr_rep(rng, g, r, p):
@@ -182,10 +181,10 @@ def test_rankr_to_drep_random_monotone():
         p = rng.choice((2, 3))
         r = rng.choice((1, 2))
         rep = random_rankr_rep(rng, g, r, p)
-        assert verify_rankrrep(g, rep)
+        assert rankrrep_violation(g, rep) is None
         out = rankr_to_drep(g, rep)
         assert out.d == r
-        assert verify_drep(g, out)
+        assert drep_violation(g, out) is None
         assert rank(out.matrix) <= rank(rep.matrix)
 
 
@@ -200,7 +199,7 @@ def test_tensor_identity_certificates():
     a = DRep(1, FMatrix.identity(2, 2))
     b = DRep(1, FMatrix.identity(2, 3))
     t = tensor_dreps(a, b)
-    assert verify_drep(empty(6), t)
+    assert drep_violation(empty(6), t) is None
     assert t.matrix == FMatrix.identity(2, 6)
 
 
@@ -209,7 +208,7 @@ def test_tensor_cycle_certificates():
     sq = strong_product(cycle(5), cycle(5))
     t2 = tensor_dreps(rep, rep)
     assert t2.d == 4
-    assert verify_drep(sq, t2)
+    assert drep_violation(sq, t2) is None
     assert rank(t2.matrix) == 25
     assert t2.ratio() == rep.ratio() ** 2
 
@@ -222,7 +221,7 @@ def test_tensor_ratio_multiplies_on_random_certificates():
         p = rng.choice((2, 3))
         rg, rh = drep_for(g, p), drep_for(h, p)
         t = tensor_dreps(rg, rh)
-        assert verify_drep(strong_product(g, h), t)
+        assert drep_violation(strong_product(g, h), t) is None
         assert t.ratio() == rg.ratio() * rh.ratio()
 
 
@@ -242,7 +241,7 @@ def test_drep_from_fractional_cover_examples():
     c5 = cycle(5)
     rep = drep_from_fractional_cover(c5, fractional_clique_cover(c5), 2)
     assert rep.d == 2 and rep.ratio() == F(5, 2)
-    assert verify_drep(c5, rep)
+    assert drep_violation(c5, rep) is None
 
     k4 = complete(4)
     rep = drep_from_fractional_cover(k4, fractional_clique_cover(k4), 3)
@@ -256,7 +255,7 @@ def test_drep_from_fractional_cover_examples():
 
 def test_cycle_drep_k1_is_the_triangle_clique():
     rep = cycle_drep(1, 2)
-    assert verify_drep(cycle(3), rep)
+    assert drep_violation(cycle(3), rep) is None
     assert rep.ratio() == 1  # complete graph: a single clique, not (2k+1)/2
 
 
@@ -265,7 +264,7 @@ def test_cycle_drep_k1_is_the_triangle_clique():
 def test_cycle_drep_values(k, p):
     rep = cycle_drep(k, p)
     g = cycle(2 * k + 1)
-    assert verify_drep(g, rep)
+    assert drep_violation(g, rep) is None
     assert rep.ratio() == F(2 * k + 1, 2)
     assert rep.ratio() >= alpha(g)[0]
 
@@ -275,7 +274,7 @@ def test_drep_ratio_at_least_alpha_for_verified_reps():
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 6))
         rep = drep_for(g, 2)
-        assert verify_drep(g, rep)
+        assert drep_violation(g, rep) is None
         assert rep.ratio() >= alpha(g)[0]
 
 
@@ -335,7 +334,7 @@ def forge_first_entry(text: str, head: str, value: str | None) -> str:
 def test_pair_and_subspace_json_refuse_malformed_entries(head, value):
     pair = pairrep_from_drep(cycle_drep(2, 2))
     rep = subspace_from_pairrep(pair) if head == '"bases":[[' else pair
-    text = canonical_json(rep.to_json("cycle:5"))
+    text = canonical_json(rep.to_json())
     assert type(rep).from_json(load_json(text)) == rep
     forged = load_json(forge_first_entry(text, head, value))
     with pytest.raises(DimensionMismatch if value is None else VerificationError):

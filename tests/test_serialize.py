@@ -91,10 +91,12 @@ def test_canonical_json_matches_json_dumps_on_nested_reports():
     reports = [
         hfrac_upper_search(cycle(7), 2, dmax=2).to_json(),
         hfrac_upper_search(generate("strong(cycle:5,cycle:5)"), 2, dmax=4).to_json(),
-        {"witness_refs": [tensor_dreps(rep, rep).to_json("strong(cycle:5,cycle:5)"), {"x": (1, [2.5, None])}]},
+        {"witness_refs": [{**tensor_dreps(rep, rep).to_json(), "graph": "strong(cycle:5,cycle:5)"},
+                          {"x": (1, [2.5, None])}]},
     ]
     res = minrank_exact(cycle(9), 3)
-    reports.append({"cert": res.certificate.to_json("cycle:9"), "empty": {}, "list": [], "uni": "é\"\\"})
+    cert = {**res.certificate.to_json(), "graph": "cycle:9"}
+    reports.append({"cert": cert, "empty": {}, "list": [], "uni": "é\"\\"})
     for obj in reports:
         assert canonical_json(obj) == _dumps(obj)
 

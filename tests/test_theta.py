@@ -17,14 +17,14 @@ from hfrac.theta import (
     johnson_theta_formula,
     johnson_theta_program,
     matrixrep_value,
+    matrixrep_violation,
     odd_cycle_theta,
+    orthorep_violation,
     pentagon_umbrella,
     theta_circulant,
     theta_johnson_lp,
     theta_lower_from_dual,
     theta_upper_from_orthorep,
-    verify_matrixrep,
-    verify_orthorep,
 )
 
 
@@ -84,9 +84,9 @@ def test_theta_lp_preconditions():
 
 def test_umbrella_is_verified_for_cycle_and_complement():
     c5 = cycle(5)
-    assert verify_orthorep(c5, pentagon_umbrella(1))
-    assert verify_orthorep(complement(c5), pentagon_umbrella(2))
-    assert not verify_orthorep(c5, pentagon_umbrella(2))
+    assert orthorep_violation(c5, pentagon_umbrella(1)) is None
+    assert orthorep_violation(complement(c5), pentagon_umbrella(2)) is None
+    assert orthorep_violation(c5, pentagon_umbrella(2)) is not None
 
 
 def test_theta_sandwich_c5():
@@ -101,15 +101,30 @@ def test_ortho_evaluator_examples():
     # all vectors equal to the handle on a complete graph: value 1
     vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
     rep = OrthoRep(vecs, np.array([1.0, 0.0]))
-    assert verify_orthorep(complete(4), rep)
+    assert orthorep_violation(complete(4), rep) is None
     assert isclose(theta_upper_from_orthorep(rep), 1.0)
     # orthogonal pair with the handle at 45 degrees: value 2
     rep = OrthoRep(np.eye(2), np.array([1.0, 1.0]) / sqrt(2))
-    assert verify_orthorep(empty(2), rep)
+    assert orthorep_violation(empty(2), rep) is None
     assert isclose(theta_upper_from_orthorep(rep), 2.0)
     # a vector orthogonal to the handle: unbounded
     rep = OrthoRep(np.eye(2), np.array([1.0, 0.0]))
     assert theta_upper_from_orthorep(rep) == float("inf")
+
+
+def test_the_tolerance_travels_with_the_representation():
+    # the umbrella scaled by 1 + 1e-6: within a tolerance of 1e-5, not the default
+    u = pentagon_umbrella(1)
+    scaled = OrthoRep(u.vectors * (1 + 1e-6), u.handle)
+    assert scaled.tol == 1e-9 and orthorep_violation(cycle(5), scaled) is not None
+    loose = OrthoRep(scaled.vectors, scaled.handle, tol=1e-5)
+    assert orthorep_violation(cycle(5), loose) is None
+    assert OrthoRep.from_json(loose.to_json()).tol == 1e-5
+    frames = tuple(loose.vectors[v:v + 1].T for v in range(5))
+    rep = MatrixRep(frames, u.handle.reshape(3, 1), tol=1e-5)
+    assert matrixrep_violation(cycle(5), rep) is None
+    assert MatrixRep.from_json(rep.to_json()).tol == 1e-5
+    assert matrixrep_violation(cycle(5), MatrixRep(frames, u.handle.reshape(3, 1))) is not None
 
 
 def test_dual_evaluator_examples():
@@ -127,7 +142,7 @@ def test_evaluators_never_dip_below_theta_on_cycles():
     for n in (5, 7, 9):
         g = cycle(n)
         rep = OrthoRep(np.eye(n), np.ones(n) / sqrt(n))
-        assert verify_orthorep(g, rep)
+        assert orthorep_violation(g, rep) is None
         assert theta_upper_from_orthorep(rep) >= theta_circulant(n, {1}) - 1e-6
     assert theta_upper_from_orthorep(pentagon_umbrella(1)) >= theta_circulant(5, {1}) - 1e-6
 
@@ -136,19 +151,19 @@ def test_matrixrep_values():
     # identity-handle instance: frames of a d-dimensional representation give N/d
     f0, f1 = np.eye(4)[:, :2], np.eye(4)[:, 2:]
     rep = MatrixRep((f0, f1), np.eye(4))
-    assert verify_matrixrep(empty(2), rep)
+    assert matrixrep_violation(empty(2), rep) is None
     assert isclose(matrixrep_value(rep), 2.0)
     # complete graph, every frame equal to the handle: value 1
     frame = np.eye(4)[:, :2]
     rep = MatrixRep((frame, frame, frame), frame)
-    assert verify_matrixrep(complete(3), rep)
+    assert matrixrep_violation(complete(3), rep) is None
     assert isclose(matrixrep_value(rep), 1.0)
 
 
 def test_matrixrep_reduces_to_ortho_at_d1():
     u = pentagon_umbrella(1)
     rep = MatrixRep(tuple(u.vectors[v:v + 1].T for v in range(5)), u.handle.reshape(3, 1))
-    assert verify_matrixrep(cycle(5), rep)
+    assert matrixrep_violation(cycle(5), rep) is None
     assert isclose(matrixrep_value(rep), theta_upper_from_orthorep(u))
 
 
