@@ -47,7 +47,7 @@ KRON_ENTRY_CAP = 16_000_000
 INT64_LIMIT = 2**63
 
 
-def _check_modulus(p: int) -> None:
+def check_modulus(p: int) -> None:
     if (p - 1) ** 2 + p >= INT64_LIMIT:
         raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
     if not is_prime(p):
@@ -66,7 +66,7 @@ class FMatrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, entries, copy: bool = True):
-        _check_modulus(p)
+        check_modulus(p)
         a = np.array(entries, dtype=np.int64, copy=copy)
         if a.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-dimensional, got shape {a.shape}")
@@ -84,17 +84,17 @@ class FMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        _check_modulus(p)
+        check_modulus(p)
         return cls._reduced(p, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
-        _check_modulus(p)
+        check_modulus(p)
         return cls._reduced(p, np.eye(n, dtype=np.int64))
 
     @classmethod
     def ones(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        _check_modulus(p)
+        check_modulus(p)
         return cls._reduced(p, np.ones((rows, cols), dtype=np.int64))
 
     @property
@@ -157,7 +157,7 @@ class FMatrix:
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
         try:
-            _check_modulus(p)
+            check_modulus(p)
         except (GuardExceeded, PreconditionError) as exc:
             raise VerificationError(f"certificate modulus: {exc}") from exc
         entries = read_entries(value, rows * cols, p)

@@ -75,7 +75,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int, what: str = "p") -> None:
+def require_prime(p: int, what: str = "p") -> None:
     if not is_prime(p):
         raise PreconditionError(f"{what}={p} is not prime")
 
@@ -322,7 +322,7 @@ def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> 
 
 def johnson(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Graph on the (p+1)-subsets of [n]; edge iff |X∩Y| ≢ 0 (mod p)."""
-    _require_prime(p)
+    require_prime(p)
     if n < p + 1:
         raise PreconditionError(f"johnson needs n >= p+1, got n={n}, p={p}")
     return _subset_graph(n, p + 1, lambda c: c % p != 0, f"johnson:{p},{n}", max_vertices)
@@ -330,8 +330,8 @@ def johnson(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
 
 def alon(p: int, q: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Graph on the (pq-1)-subsets of [n]; edge iff |X∩Y| ≡ -1 (mod p)."""
-    _require_prime(p)
-    _require_prime(q, "q")
+    require_prime(p)
+    require_prime(q, "q")
     if n < p * q - 1:
         raise PreconditionError(f"alon needs n >= pq-1, got n={n}, p={p}, q={q}")
     return _subset_graph(n, p * q - 1, lambda c: c % p == p - 1, f"alon:{p},{q},{n}", max_vertices)
@@ -375,7 +375,7 @@ def universal_graph(p: int, n: int, d: int, max_vertices: int = DEFAULT_MAX_VERT
     """Homomorphism-universal graph: vertices are pairs (A,B) of n x d
     matrices over GF(p) with AᵀB = I_d; distinct (A,B), (C,D) are
     non-adjacent iff AᵀD = CᵀB = 0."""
-    _require_prime(p)
+    require_prime(p)
     if not 1 <= d <= n:
         raise PreconditionError(f"universal needs 1 <= d <= n, got n={n}, d={d}")
     if p**(2 * n * d) > UNIVERSAL_PAIR_CAP:

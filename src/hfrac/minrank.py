@@ -24,11 +24,12 @@ from .budget import Budget
 from .errors import (
     BudgetExhausted,
     DimensionMismatch,
+    GuardExceeded,
     PreconditionError,
     SearchCutoff,
     VerificationError,
 )
-from .gfmat import FMatrix, matmul, rank
+from .gfmat import INT64_LIMIT, FMatrix, check_modulus, matmul, rank
 from .graphs import Graph, alon, complement, is_prime, johnson
 from .independence import CliqueCover, alpha, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
@@ -299,7 +300,16 @@ def _linear_factor(x: tuple[int, ...], c: int, m: int) -> dict:
 @dataclass(frozen=True)
 class PolyRep:
     """Per-vertex (multilinear polynomial, 0/1 point) pairs representing a
-    graph: nonzero at the own point, zero at every non-neighbor's point."""
+    graph: nonzero at the own point, zero at every non-neighbor's point.
+
+    ``evaluation_matrix`` evaluates every polynomial at every point in one
+    integer product: with C the vertices x monomials coefficient matrix
+    and Z the monomials x points 0/1 matrix (Z[S, v] = 1 iff S is a
+    subset of X_v), E = C Z mod the modulus, since a reduced polynomial at
+    a 0/1 point is the sum of the coefficients of the monomials the point
+    covers.  ``evaluate`` and ``unreduced_value`` are the per-entry
+    reference for the same values.
+    """
 
     modulus: int
     degree: int
@@ -326,14 +336,41 @@ class PolyRep:
             val = val * (s - c) % self.modulus
         return val
 
-    def violation(self, g: Graph) -> str | None:
-        for v in range(g.n):
-            if self.evaluate(v, v) == 0:
-                return f"polynomial of vertex {v} vanishes at its own point"
-        for u in range(g.n):
-            for v in range(g.n):
-                if u != v and not g.has_edge(u, v) and self.evaluate(u, v) != 0:
-                    return f"polynomial of {u} is nonzero at non-neighbor {v}"
+    def evaluation_matrix(self) -> np.ndarray:
+        """E[u, v] = ``evaluate(u, v)`` for every pair, as one int64 array."""
+        monomials = sorted({key for poly in self.polys for key, _ in poly})
+        if len(monomials) * (self.modulus - 1) >= INT64_LIMIT:
+            raise GuardExceeded(
+                f"evaluating {len(monomials)} monomials over GF({self.modulus}) overflows int64")
+        column = {key: j for j, key in enumerate(monomials)}
+        coeffs = np.zeros((len(self.polys), len(monomials)), dtype=np.int64)
+        for u, poly in enumerate(self.polys):
+            for key, c in poly:
+                coeffs[u, column[key]] = c % self.modulus
+        variables = np.zeros((len(monomials), self.nvars), dtype=np.int64)
+        for j, key in enumerate(monomials):
+            variables[j, list(key)] = 1
+        # S is a subset of X_v iff X_v holds all |S| of S's variables
+        covered = variables @ (np.array(self.points) != 0).T.astype(np.int64)
+        contains = (covered == variables.sum(axis=1)[:, None]).astype(np.int64)
+        return coeffs @ contains % self.modulus
+
+    def violation(self, g: Graph, evaluation: np.ndarray | None = None) -> str | None:
+        """None if every polynomial is nonzero at its own point and zero at
+        every non-neighbor's point, else the first defect (own points
+        first, then non-neighbor pairs in row-major order).  ``evaluation``
+        is ``evaluation_matrix()``, when the caller has it already."""
+        if g.n != len(self.points):
+            raise DimensionMismatch(f"{len(self.points)} points for {g.n} vertices")
+        e = self.evaluation_matrix() if evaluation is None else evaluation
+        own_zero = np.flatnonzero(np.diag(e) == 0)
+        if own_zero.size:
+            return f"polynomial of vertex {int(own_zero[0])} vanishes at its own point"
+        mask = ~g.adjacency_matrix()
+        np.fill_diagonal(mask, False)
+        bad = np.nonzero((e != 0) & mask)
+        if bad[0].size:
+            return f"polynomial of {int(bad[0][0])} is nonzero at non-neighbor {int(bad[1][0])}"
         return None
 
 
@@ -403,18 +440,15 @@ def alon_certificate(
         polys=tuple(polys),
         points=tuple(points),
     )
-    failure = rep.violation(target)
+    # the modulus FMatrix will ask for, checked before any int64 arithmetic
+    check_modulus(modulus)
+    e = rep.evaluation_matrix()
+    failure = rep.violation(target, e)
     if failure is not None:
         raise VerificationError(f"polynomial representation invalid: {failure}")
 
-    nv = target.n
-    a = np.zeros((nv, nv), dtype=np.int64)
-    for u in range(nv):
-        own = rep.evaluate(u, u)
-        inv = pow(own, -1, modulus)
-        for v in range(nv):
-            a[u, v] = inv * rep.evaluate(u, v) % modulus
-    mat = FMatrix(modulus, a, copy=False)
+    inv = np.array([pow(int(x), -1, modulus) for x in np.diag(e)], dtype=np.int64)
+    mat = FMatrix(modulus, inv[:, None] * e % modulus, copy=False)
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
     if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")

@@ -166,17 +166,20 @@ def drep_violation(g: Graph, rep: DRep) -> str | None:
         raise DimensionMismatch(
             f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {g.n * d} square"
         )
-    blocks = rep.matrix.a.reshape(g.n, d, g.n, d).transpose(0, 2, 1, 3)
-    eye = np.eye(d, dtype=np.int64)
-    for v in range(g.n):
-        if not np.array_equal(blocks[v, v], eye):
-            return f"diagonal block of vertex {v} is not the identity"
+    n, a = g.n, rep.matrix.a
+    vs = np.arange(n)
+    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
+    not_identity = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
+    if not_identity.size:
+        return f"diagonal block of vertex {int(not_identity[0])} is not the identity"
+    # OR the d rows of each block row together (contiguous rows, so one
+    # elementwise pass), then each block's d columns: block (u, v) nonzero
+    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
     nonedge = ~g.adjacency_matrix()
     np.fill_diagonal(nonedge, False)
-    us, vs = np.nonzero(nonedge)
-    if us.size and np.any(blocks[us, vs]):
-        bad = int(np.nonzero(np.any(blocks[us, vs], axis=(1, 2)))[0][0])
-        return f"nonzero block at non-edge ({int(us[bad])}, {int(vs[bad])})"
+    bad_u, bad_v = np.nonzero(nonzero & nonedge)
+    if bad_u.size:
+        return f"nonzero block at non-edge ({int(bad_u[0])}, {int(bad_v[0])})"
     return None
 
 

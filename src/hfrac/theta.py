@@ -20,7 +20,7 @@ from math import comb, cos, inf, pi, sin, sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError, UnsupportedFamily, VerificationError
-from .graphs import Graph, complement
+from .graphs import Graph, complement, require_prime
 from .lp import F1, LinearProgram, simplex_solve
 from .serialize import read_list, read_reals
 
@@ -79,7 +79,9 @@ def odd_cycle_theta(n: int) -> float:
 
 def johnson_theta_program(p: int, n: int) -> LinearProgram:
     """The p+2 constraint rows of the exact theta LP for the graph on
-    (p+1)-subsets of [n] with intersection size nonzero mod p."""
+    (p+1)-subsets of [n] with intersection size nonzero mod p; p must be
+    prime, as for the ``johnson`` graph family."""
+    require_prime(p)
     if n < 2 * (p + 1):
         raise PreconditionError(f"need n >= 2(p+1) = {2 * (p + 1)}, got {n}")
     rows = []

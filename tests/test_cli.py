@@ -209,6 +209,11 @@ def test_usage_errors_are_64(tmp_path, capsys):
     # a directory where a file belongs ended in an IsADirectoryError traceback
     assert run(capsys, "verify", "--cert", str(tmp_path))[0] == 64
     assert run(capsys, "certify", "--kind", "johnson", "--p", "2", "--n", "6", "--out", str(tmp_path))[0] == 64
+    # theta-lp took any p (printing 5, 12 and 15 with exit 0), while the
+    # johnson family it solves refuses a p that is not prime
+    assert run(capsys, "theta-lp", "--p", "0", "--n", "5")[0] == 64
+    assert run(capsys, "theta-lp", "--p", "4", "--n", "12")[0] == 64
+    assert run(capsys, "theta-lp", "--p", "1", "--n", "6")[0] == 64
 
 
 def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
@@ -518,6 +523,19 @@ PINNED_CERTIFICATES = [
     # as written while every certificate's to_json still took the graph
     (("--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"),
      "ad8df308b01ddbc820f0c896f8a4a621274535c9b016a805d4e5cc3f367c0e68"),
+    # as written while Alon's polynomials were evaluated one entry at a
+    # time; the last one's entries include 11 and 12, so reading it back
+    # goes through the general (multi-digit) decode
+    (("--kind", "alon", "--variant", "Q", "--p", "2", "--q", "3", "--n", "8"),
+     "904000c11f320521eda1fe02abeb0ca82279ac919de9aa95f3375fea1bcfb9b5"),
+    (("--kind", "alon", "--variant", "R", "--p", "2", "--q", "2", "--n", "8"),
+     "ebdc653b77e904007249a4b6db23265b1c35549a5883b528cc15af839e2af290"),
+    (("--kind", "alon", "--variant", "P", "--p", "3", "--q", "2", "--n", "8"),
+     "d10ace960c4f80e0261173144a8d6215e4009cc799a776b39dfb5de451cc2ca6"),
+    (("--kind", "alon", "--variant", "R", "--p", "3", "--q", "3", "--n", "9"),
+     "e47c35bb7634d877e29696402c49db08361552f3422802b6667d11cd26ea6eb1"),
+    (("--kind", "alon", "--variant", "R", "--p", "2", "--q", "2", "--n", "7", "--modulus", "23"),
+     "cf69c2923816ee5b16f3530674f98fbb642df41cca1b8a3d5fa0c338f5bf48a6"),
 ]
 
 

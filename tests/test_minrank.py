@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 from math import comb
@@ -269,10 +270,38 @@ def test_alon_certificate_preconditions():
 def test_multilinear_reduction_matches_unreduced_product():
     for variant, p, q, n in (("P", 2, 3, 7), ("Q", 2, 3, 7), ("R", 3, 3, 9)):
         _, rep = alon_certificate(variant, p, q, n)
+        e = rep.evaluation_matrix()
         nv = len(rep.points)
+        assert e.shape == (nv, nv)
         for u in range(nv):
             for v in range(nv):
-                assert rep.evaluate(u, v) == rep.unreduced_value(u, v)
+                assert rep.evaluate(u, v) == rep.unreduced_value(u, v) == e[u, v]
+
+
+# (variant, p, q, n): the messages ``violation`` gave while it evaluated
+# one entry at a time, for vertex 3 given the polynomial of its first
+# non-neighbor, and for vertices 2 and 5 given the constant 1
+PLANTED_POLY_DEFECTS = {
+    ("P", 2, 3, 7): ("polynomial of vertex 3 vanishes at its own point",
+                     "polynomial of 2 is nonzero at non-neighbor 0"),
+    ("Q", 2, 3, 7): ("polynomial of vertex 3 vanishes at its own point",
+                     "polynomial of 2 is nonzero at non-neighbor 3"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PLANTED_POLY_DEFECTS))
+def test_polynomial_representation_reports_the_first_defect(args):
+    variant, p, q, n = args
+    _, rep = alon_certificate(*args)
+    g = alon(p, q, n) if variant == "P" else complement(alon(p, q, n))
+    w = next(v for v in range(g.n) if v != 3 and not g.has_edge(3, v))
+    polys = list(rep.polys)
+    polys[3] = rep.polys[w]
+    vanishing = dataclasses.replace(rep, polys=tuple(polys))
+    polys = list(rep.polys)
+    polys[2] = polys[5] = (((), 1),)
+    constant = dataclasses.replace(rep, polys=tuple(polys))
+    assert (vanishing.violation(g), constant.violation(g)) == PLANTED_POLY_DEFECTS[args]
 
 
 def test_fit_certificate_json_roundtrip():

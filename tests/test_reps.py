@@ -66,6 +66,14 @@ def test_verify_drep_pinpoints_bad_block():
     a[0, 4] = 1  # vertices 0 and 2 are non-adjacent; block (0,2) spans cols 4..5
     failure = drep_violation(c5, DRep(2, FMatrix(2, a)))
     assert failure is not None and "(0, 2)" in failure
+    # off the first row and column of their blocks: blocks (1, 3) and
+    # (3, 0) are both nonzero, and the first in row-major order is named
+    a = rep.matrix.a.copy()
+    a[3, 7] = a[7, 1] = 1
+    assert drep_violation(c5, DRep(2, FMatrix(2, a))) == "nonzero block at non-edge (1, 3)"
+    # a diagonal defect is reported before any non-edge block
+    a[7, 6] = a[5, 4] = 1
+    assert drep_violation(c5, DRep(2, FMatrix(2, a))) == "diagonal block of vertex 2 is not the identity"
 
 
 def test_pairrep_from_cycle_certificate():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,9 +82,34 @@ def test_codec_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
         assert text == json.dumps(a.ravel().tolist(), separators=(",", ":"))
         data = text.encode()
         assert np.array_equal(decode_entries(data, 1, len(data) - 1), a.ravel())
-    for bad in (b"1,,2", b"1,02", b"0,1,x", b"12,3,"):
+    # the last three have 2k - 1 bytes for k fields, the length of k
+    # one-digit fields, and must not pass for them
+    for bad in (b"1,,2", b"1,02", b"0,1,x", b"12,3,", b"12,,3", b",12", b"1,x,2"):
         with pytest.raises(VerificationError):
             decode_entries(bad)
+
+
+def _canonical_field(field: str) -> bool:
+    return field.isdigit() and len(field) <= 18 and (field == "0" or field[0] != "0")
+
+
+_ENTRY_TEXT = st.one_of(
+    st.text("0123456789,x", max_size=40),
+    st.lists(st.integers(0, 9), min_size=1, max_size=40).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(0, 10**19), min_size=1, max_size=8).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_ENTRY_TEXT, chunk=st.sampled_from([1, 2, serialize._CHUNK]))
+def test_decoder_agrees_with_the_reference_reader(text, chunk):
+    fields = text.split(",")
+    with mock.patch.object(serialize, "_CHUNK", chunk):
+        if all(_canonical_field(f) for f in fields):
+            assert decode_entries(text.encode()).tolist() == [int(f) for f in fields]
+        else:
+            with pytest.raises(VerificationError):
+                decode_entries(text.encode())
 
 
 def test_canonical_json_matches_json_dumps_on_nested_reports():
