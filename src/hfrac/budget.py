@@ -26,13 +26,13 @@ class Budget:
         self._t0 = time.monotonic()
 
     @classmethod
-    def from_env(cls, nodes: int | None = None) -> "Budget":
+    def from_env(cls) -> "Budget":
         raw = os.environ.get(BUDGET_ENV_VAR)
         try:
             ms = float(raw) if raw else None
         except ValueError:
             raise PreconditionError(f"{BUDGET_ENV_VAR}={raw!r} is not a number of milliseconds") from None
-        return cls(ms=ms, nodes=nodes)
+        return cls(ms=ms)
 
     def spend(self, n: int = 1) -> None:
         self.nodes += n

@@ -9,16 +9,17 @@ with the exact maximum-weight stable-set oracle on the complement, and
 brings the new clique in as a column with one pivot, then re-optimizes.
 Pricing stops only when the best clique weight is <= det exactly (weight
 <= 1 in units of y); the oracle only compares sums of weights, so its
-witnesses are those it would find for y itself.  The duals become
-``Fraction``s once, for the gate.
+witnesses are those it would find for y itself.
 
-The returned cover is gated exactly: the duals must be feasible for the
-dual LP over the generated cliques (one unit per clique, vertex weights
->= 0), and ``check_solution`` must accept the clique weights as its
-optimality certificate (signs, reduced costs, equal values).  That gate
-reads each clique row through its members only, so it costs the size of
-the cliques, not cliques x vertices.  The cover itself must then pass
-``cover_violation``.
+The returned cover is gated exactly on the master's integers: the dual
+numerators must be >= 0, sum to at most det on every generated clique and
+sum to det times the cover's value.  Then y is feasible for the dual LP
+over the generated cliques (at most one unit per clique, vertex weights
+>= 0) and has the cover's value.  The cover itself must then pass
+``cover_violation`` (nonnegative weights, every vertex covered, weights
+summing to the value), and by weak duality both are optimal.  The gate
+reads each clique through its members only, so it costs the size of the
+cliques, not cliques x vertices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .budget import Budget
 from .errors import SearchCutoff, VerificationError
 from .graphs import Graph, complement, is_clique, stray_vertex
 from .independence import max_weight_independent_set
-from .lp import F0, CoveringMaster, LinearProgram, LpSolution, check_solution
+from .lp import F0, CoveringMaster
 from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
 
@@ -94,17 +95,14 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
     return None
 
 
-def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
-    """The dual of the master over the generated cliques: max sum y_v with
-    y >= 0 and at most 1 on every clique, in 0/1 integers."""
-    rows = []
-    for cl in cliques:
-        members = set(cl)
-        rows.append((tuple(int(v in members) for v in range(n)), "<=", 1))
-    return LinearProgram(
-        objective=(1,) * n,
-        constraints=tuple(rows),
-        bounds=((0, None),) * n,
+def _certifies_optimum(columns: list[tuple[int, ...]], numerators: list[int], det: int,
+                       value: Fraction) -> bool:
+    """Whether y = numerators / det is feasible for the dual LP over the
+    held columns (y >= 0, at most 1 on every column) with value ``value``."""
+    return (
+        all(yn >= 0 for yn in numerators)
+        and all(sum(map(numerators.__getitem__, col)) <= det for col in columns)
+        and sum(numerators) == value * det
     )
 
 
@@ -132,8 +130,7 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> Fractiona
     cliques = master.columns
     weights = master.values()
     value = sum(weights, F0)
-    y = master.duals()
-    if not check_solution(_master_lp(g.n, cliques), LpSolution("optimal", value, y, weights)):
+    if not _certifies_optimum(cliques, master.dual_numerators(), master.det, value):
         raise VerificationError("internal error: master optimum failed its LP certificate")
     # sorted, so the cover does not depend on the order pricing found its cliques
     classes = tuple(sorted((cl, w) for cl, w in zip(cliques, weights) if w != 0))

@@ -153,7 +153,9 @@ class FMatrix:
         """The rows x cols matrix over GF(p) whose row-major entries a
         certificate holds in ``value`` (``serialize.read_entries``).  The
         file is at fault for a modulus that is not an int64-safe prime, so
-        that is a ``VerificationError``."""
+        that is a ``VerificationError``.  The entries are copied only when
+        they are a view of another array (as a ``to_json`` dict's are); an
+        array that ``load_json`` decoded has no other owner and is kept."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
         try:
@@ -161,7 +163,9 @@ class FMatrix:
         except (GuardExceeded, PreconditionError) as exc:
             raise VerificationError(f"certificate modulus: {exc}") from exc
         entries = read_entries(value, rows * cols, p)
-        return cls._reduced(p, entries.reshape(rows, cols).copy())
+        if entries.base is not None:
+            entries = entries.copy()
+        return cls._reduced(p, entries.reshape(rows, cols))
 
 
 def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -335,10 +339,3 @@ def hstack(mats: Sequence[FMatrix]) -> FMatrix:
     if any(m.p != p for m in mats):
         raise DimensionMismatch("modulus mismatch in hstack")
     return FMatrix._reduced(p, np.hstack([m.a for m in mats]))
-
-
-def vstack(mats: Sequence[FMatrix]) -> FMatrix:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise DimensionMismatch("modulus mismatch in vstack")
-    return FMatrix._reduced(p, np.vstack([m.a for m in mats]))

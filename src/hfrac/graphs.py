@@ -133,6 +133,15 @@ class Graph:
         bits = np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
         return bits.view(bool)
 
+    def first_nonedge(self, nonzero: np.ndarray) -> tuple[int, int] | None:
+        """The first pair (u, v) with u != v, in row-major order, that is
+        not an edge and at which the n x n boolean mask ``nonzero`` holds,
+        or None.  For a symmetric mask that pair has u < v."""
+        bad = nonzero & ~self.adjacency_matrix()
+        np.fill_diagonal(bad, False)
+        hits = np.flatnonzero(bad)
+        return divmod(int(hits[0]), self.n) if hits.size else None
+
     def check_symmetric(self) -> bool:
         return all(
             (self.adj[u] >> v & 1) == (self.adj[v] >> u & 1)

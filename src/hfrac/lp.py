@@ -24,8 +24,9 @@ updates them in O(m) from its pivot row instead of summing them afresh.
 A new column enters with one ratio test and one pivot; the master is then
 re-optimized over the columns it already has before the caller prices
 again, on the integer numerators.  The caller still owes a final exact
-gate: ``check_solution`` on the dual LP with the master's duals as
-assignment and its column values as dual vector.
+gate, on the same integers: the dual numerators must be >= 0, sum to at
+most det on every held column and sum to det times the primal value, and
+the column values must cover every row (``fraccover`` does both).
 """
 
 from __future__ import annotations

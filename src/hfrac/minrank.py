@@ -34,7 +34,8 @@ from .graphs import Graph, alon, complement, is_prime, johnson
 from .independence import CliqueCover, alpha, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
 
-DEFAULT_SEARCH_CAP = 2**30
+# minrank_exact searches exhaustively only up to this many assignments.
+SEARCH_CAP = 2**30
 
 
 def graph_hash(g: Graph) -> str:
@@ -54,11 +55,9 @@ def fit_violation(g: Graph, m: FMatrix) -> str | None:
     diag_bad = np.nonzero(np.diag(a) != 1)[0]
     if diag_bad.size:
         return f"diagonal entry at vertex {int(diag_bad[0])} is not 1"
-    mask = ~g.adjacency_matrix()
-    np.fill_diagonal(mask, False)
-    bad = np.nonzero((a != 0) & mask)
-    if bad[0].size:
-        return f"nonzero entry at non-edge ({int(bad[0][0])}, {int(bad[1][0])})"
+    bad = g.first_nonedge(a != 0)
+    if bad is not None:
+        return f"nonzero entry at non-edge ({bad[0]}, {bad[1]})"
     return None
 
 
@@ -124,12 +123,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     return FitCertificate(graph_hash(g), mat, r)
 
 
-def minrank_exact(
-    g: Graph,
-    p: int,
-    budget: Budget | None = None,
-    search_cap: int = DEFAULT_SEARCH_CAP,
-) -> MinrankResult:
+def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResult:
     """Exact minimum rank over all fit matrices by depth-first assignment
     of the free entries, row by row, with a block-triangular bound.
 
@@ -141,7 +135,7 @@ def minrank_exact(
     incumbent rank.  The bound never cuts a subtree that could beat the
     incumbent, so the first optimal matrix in product order is found.
 
-    If the assignment space p^(2|E|) exceeds ``search_cap`` (or the budget
+    If the assignment space p^(2|E|) exceeds ``SEARCH_CAP`` (or the budget
     trips mid-search) the result is the certified interval
     [independence-number lower bound, best certificate rank found].
     """
@@ -160,7 +154,7 @@ def minrank_exact(
         return MinrankResult(lower, incumbent.claimed_rank, incumbent,
                              exact=lower == incumbent.claimed_rank, alpha_witness=witness)
 
-    if g.m > 0 and p ** (2 * g.m) > search_cap:
+    if g.m > 0 and p ** (2 * g.m) > SEARCH_CAP:
         return interval_result()
 
     n = g.n
@@ -366,11 +360,9 @@ class PolyRep:
         own_zero = np.flatnonzero(np.diag(e) == 0)
         if own_zero.size:
             return f"polynomial of vertex {int(own_zero[0])} vanishes at its own point"
-        mask = ~g.adjacency_matrix()
-        np.fill_diagonal(mask, False)
-        bad = np.nonzero((e != 0) & mask)
-        if bad[0].size:
-            return f"polynomial of {int(bad[0][0])} is nonzero at non-neighbor {int(bad[1][0])}"
+        bad = g.first_nonedge(e != 0)
+        if bad is not None:
+            return f"polynomial of {bad[0]} is nonzero at non-neighbor {bad[1]}"
         return None
 
 

@@ -8,12 +8,6 @@ from fractions import Fraction
 from .serialize import frac_str
 
 
-def _bound_json(x):
-    if isinstance(x, (Fraction, int)):
-        return frac_str(x)
-    return float(x)
-
-
 @dataclass
 class BoundReport:
     """Interval [lower, upper] for a graph parameter, with witnesses.
@@ -25,11 +19,10 @@ class BoundReport:
 
     parameter: str
     graph: str
-    lower: Fraction | float
-    upper: Fraction | float
+    lower: Fraction
+    upper: Fraction
     witnesses: tuple = ()
     runtime_ms: float | None = None
-    tol: float | None = None
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -39,13 +32,10 @@ class BoundReport:
         refs = []
         for w in self.witnesses:
             refs.append(w.to_json() if hasattr(w, "to_json") else w)
-        out = {
+        return {
             "param": self.parameter,
             "graph": self.graph,
-            "lower": _bound_json(self.lower),
-            "upper": _bound_json(self.upper),
+            "lower": frac_str(self.lower),
+            "upper": frac_str(self.upper),
             "witness_refs": refs,
         }
-        if self.tol is not None:
-            out["tol"] = self.tol
-        return out

@@ -160,46 +160,49 @@ class SubspaceRep:
 # Verifiers
 
 
+def _block_defects(a: np.ndarray, n: int, d: int) -> tuple[int | None, np.ndarray]:
+    """The first vertex whose d x d diagonal block of the nd x nd array a is
+    not the identity (or None), and the n x n mask of a's nonzero blocks."""
+    vs = np.arange(n)
+    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
+    bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
+    # OR the d rows of each block row together (contiguous rows, so one
+    # elementwise pass), then each block's d columns
+    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
+    return (int(bad[0]) if bad.size else None), nonzero
+
+
 def drep_violation(g: Graph, rep: DRep) -> str | None:
     d = rep.d
     if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != g.n * d:
         raise DimensionMismatch(
             f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {g.n * d} square"
         )
-    n, a = g.n, rep.matrix.a
-    vs = np.arange(n)
-    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
-    not_identity = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
-    if not_identity.size:
-        return f"diagonal block of vertex {int(not_identity[0])} is not the identity"
-    # OR the d rows of each block row together (contiguous rows, so one
-    # elementwise pass), then each block's d columns: block (u, v) nonzero
-    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
-    nonedge = ~g.adjacency_matrix()
-    np.fill_diagonal(nonedge, False)
-    bad_u, bad_v = np.nonzero(nonzero & nonedge)
-    if bad_u.size:
-        return f"nonzero block at non-edge ({int(bad_u[0])}, {int(bad_v[0])})"
+    v, nonzero = _block_defects(rep.matrix.a, g.n, d)
+    if v is not None:
+        return f"diagonal block of vertex {v} is not the identity"
+    bad = g.first_nonedge(nonzero)
+    if bad is not None:
+        return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
     return None
 
 
 def pairrep_violation(g: Graph, rep: PairRep) -> str | None:
+    """Checks the block matrix AᵀB of ``drep_from_pairrep``: each A_vᵀB_v,
+    and both A_uᵀB_v and A_vᵀB_u for a non-edge uv."""
     if len(rep.pairs) != g.n:
         raise DimensionMismatch(f"{len(rep.pairs)} pairs for {g.n} vertices")
     for v, (a, b) in enumerate(rep.pairs):
         if a.shape != (rep.n, rep.d) or b.shape != (rep.n, rep.d):
             raise DimensionMismatch(f"pair of vertex {v} has shape {a.shape}, {b.shape}")
-    ident = FMatrix.identity(rep.p, rep.d)
-    for v, (a, b) in enumerate(rep.pairs):
-        if matmul(a.transpose(), b) != ident:
-            return f"A_vᵀB_v is not the identity at vertex {v}"
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                au, bu = rep.pairs[u]
-                av, bv = rep.pairs[v]
-                if np.any(matmul(au.transpose(), bv).a) or np.any(matmul(av.transpose(), bu).a):
-                    return f"nonzero cross product at non-edge ({u}, {v})"
+    if not rep.pairs:
+        return None  # the graph has no vertices
+    v, nonzero = _block_defects(drep_from_pairrep(rep).matrix.a, g.n, rep.d)
+    if v is not None:
+        return f"A_vᵀB_v is not the identity at vertex {v}"
+    bad = g.first_nonedge(nonzero | nonzero.T)
+    if bad is not None:
+        return f"nonzero cross product at non-edge ({bad[0]}, {bad[1]})"
     return None
 
 
@@ -214,12 +217,13 @@ def rankrrep_violation(g: Graph, rep: RankRRep) -> str | None:
         block = rep.matrix.block(off[v], off[v + 1], off[v], off[v + 1])
         if rank(block) < rep.r:
             return f"diagonal block of vertex {v} has rank below {rep.r}"
-    a = rep.matrix.a
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v and not g.has_edge(u, v):
-                if np.any(a[off[u]:off[u + 1], off[v]:off[v + 1]]):
-                    return f"nonzero block at non-edge ({u}, {v})"
+    # every block is nonempty here (``block`` refuses an empty one), so the
+    # block starts are increasing, as reduceat needs; entries are >= 0
+    starts = off[:-1]
+    largest = np.maximum.reduceat(np.maximum.reduceat(rep.matrix.a, starts, axis=0), starts, axis=1)
+    bad = g.first_nonedge(largest != 0)
+    if bad is not None:
+        return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
     return None
 
 
@@ -264,15 +268,11 @@ def pairrep_from_drep(rep: DRep) -> PairRep:
 
 
 def drep_from_pairrep(rep: PairRep) -> DRep:
-    nv = len(rep.pairs)
-    d = rep.d
-    a = np.zeros((nv * d, nv * d), dtype=np.int64)
-    for u in range(nv):
-        au = rep.pairs[u][0]
-        for v in range(nv):
-            bv = rep.pairs[v][1]
-            a[u * d:(u + 1) * d, v * d:(v + 1) * d] = matmul(au.transpose(), bv).a
-    return DRep(d, FMatrix(rep.p, a, copy=False))
+    """The block matrix AᵀB, A and B the side-by-side factors A_v and B_v,
+    whose block (u, v) is A_uᵀB_v."""
+    a = hstack([a for a, _ in rep.pairs])
+    b = hstack([b for _, b in rep.pairs])
+    return DRep(rep.d, matmul(a.transpose(), b))
 
 
 def subspace_from_pairrep(rep: PairRep) -> SubspaceRep:

@@ -161,10 +161,9 @@ def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
     if abs(np.linalg.norm(rep.handle) - 1.0) > rep.tol:
         return "handle is not unit length"
     gram = rep.vectors @ rep.vectors.T
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and abs(gram[u, v]) > rep.tol:
-                return f"non-edge ({u}, {v}) has inner product {gram[u, v]:.3e}"
+    bad = g.first_nonedge(np.triu(np.abs(gram) > rep.tol, 1))
+    if bad is not None:
+        return f"non-edge ({bad[0]}, {bad[1]}) has inner product {gram[bad]:.3e}"
     return None
 
 
@@ -231,10 +230,17 @@ def matrixrep_violation(g: Graph, rep: MatrixRep) -> str | None:
     hnorms = np.linalg.norm(rep.handle, axis=0)
     if np.any(np.abs(hnorms - 1.0) > rep.tol):
         return "a handle column is not unit length"
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and np.max(np.abs(rep.frames[u].T @ rep.frames[v])) > rep.tol:
-                return f"non-edge ({u}, {v}) has non-orthogonal frames"
+    if not rep.frames:
+        return None  # the graph has no vertices
+    # block (u, v) of the stacked frames' Gram matrix is M_uᵀM_v; a frame
+    # that passed the check above has a column, so the block starts increase
+    stacked = np.hstack(rep.frames)
+    starts = np.cumsum([0] + [f.shape[1] for f in rep.frames[:-1]])
+    cross = np.abs(stacked.T @ stacked)
+    largest = np.maximum.reduceat(np.maximum.reduceat(cross, starts, axis=0), starts, axis=1)
+    bad = g.first_nonedge(np.triu(largest > rep.tol, 1))
+    if bad is not None:
+        return f"non-edge ({bad[0]}, {bad[1]}) has non-orthogonal frames"
     return None
 
 

@@ -160,6 +160,23 @@ def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     return dual_value == primal
 
 
+def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
+    """The dual of the covering master over the generated cliques: max
+    sum y_v with y >= 0 and at most 1 on every clique, in 0/1 integers.
+    With the master's duals as assignment and its column values as dual
+    vector, ``check_solution`` on it is the optimality gate
+    ``fraccover`` checks on integers."""
+    rows = []
+    for cl in cliques:
+        members = set(cl)
+        rows.append((tuple(int(v in members) for v in range(n)), "<=", 1))
+    return LinearProgram(
+        objective=(1,) * n,
+        constraints=tuple(rows),
+        bounds=((0, None),) * n,
+    )
+
+
 def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
     """``tensor_dreps`` as ``np.kron`` followed by a row and column gather
     through a permutation built one block of d2 indices at a time."""

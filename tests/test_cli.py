@@ -356,7 +356,7 @@ EXACT_GATES = {
     "alon_certificate_rank": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
                               [("hfrac.minrank.rank", {"return_value": 10**6})]),
     "fractional_clique_cover_lp": (["fracchrom", "--graph", "cycle:5"],
-                                   [("hfrac.fraccover.check_solution", {"return_value": False})]),
+                                   [("hfrac.fraccover._certifies_optimum", {"return_value": False})]),
     "fractional_clique_cover_cover": (["fracchrom", "--graph", "cycle:5"],
                                       [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
 }
@@ -613,6 +613,18 @@ def test_theta_representation_bytes_are_pinned(tmp_path, kind):
 def test_verify_accepts_the_umbrella(tmp_path, capsys, kind):
     code, out, _ = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind)))
     assert code == 0 and out.strip() == "OK"
+
+
+@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("subspacerep", "bases")])
+def test_verify_accepts_an_empty_representation_of_the_empty_graph(tmp_path, capsys, kind, field):
+    # the pairrep file ended in a traceback (exit 1): an IndexError from
+    # reading the modulus of its first pair
+    graph = tmp_path / "z.txt"
+    graph.write_text("0 0\n")
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"kind": kind, "n": 1, "d": 1, "p": 2, field: [], "graph": f"file:{graph}"}))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and out.strip() == "OK", (out, err)
 
 
 @pytest.mark.parametrize("kind, field, value", [

@@ -12,14 +12,13 @@ from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, SearchCutoff
 from hfrac.fraccover import (
     FractionalCover,
-    _master_lp,
     cover_violation,
     fractional_clique_cover,
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
 from hfrac.independence import alpha
 from hfrac.lp import CoveringMaster, simplex_solve
-from oracles import maximal_cliques
+from oracles import _master_lp, maximal_cliques
 
 
 def random_graph(rng, n, prob=0.5):

@@ -22,6 +22,7 @@ from hfrac.gfmat import (
     select_full_rank_submatrix,
     solve_right,
 )
+from hfrac.serialize import canonical_json, load_json
 
 
 def random_fmatrix(rng, p, rows, cols):
@@ -88,6 +89,14 @@ def test_derived_matrices_own_their_arrays():
     assert derived[4] == m
     with pytest.raises(DimensionMismatch):
         m.block(1, 1, 0, 4)
+
+
+def test_a_decoded_matrix_takes_its_array_without_a_copy():
+    # load_json's decoded array has no other owner; a to_json dict's is a view
+    m = random_fmatrix(random.Random(4), 5, 3, 4)
+    doc = load_json(canonical_json(m.to_json()))
+    back = FMatrix.from_json(doc)
+    assert back == m and np.shares_memory(back.a, doc["entries"])
 
 
 def test_matmul_examples():

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from oracles import dense_check_solution, dual_numerators_from_scratch
+from oracles import _master_lp, dense_check_solution, dual_numerators_from_scratch
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
+from hfrac.fraccover import _certifies_optimum
 from hfrac.lp import (
     REL_EQ,
     REL_GE,
@@ -287,6 +288,26 @@ def test_covering_master_maintains_its_dual_numerators(master):
     for _, _, maintained, from_scratch in master.pivots:
         assert maintained == from_scratch
     assert all(v >= 0 for v in master.dual_numerators())
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_runs(), st.data())
+def test_the_integer_cover_gate_agrees_with_the_lp_certificate(master, data):
+    # one unit of dual numerator moved between two rows, one numerator
+    # changed, or nothing changed; the column values stay optimal
+    numerators = master.dual_numerators()
+    rows = st.integers(0, master.m - 1)
+    edit = data.draw(st.sampled_from(("move", "change", "none")))
+    if edit == "move":
+        numerators[data.draw(rows)] -= 1
+        numerators[data.draw(rows)] += 1
+    elif edit == "change":
+        numerators[data.draw(rows)] += data.draw(st.integers(-master.det, master.det))
+    values = master.values()
+    value = sum(values, F(0))
+    duals = tuple(F(yn, master.det) for yn in numerators)
+    old = check_solution(_master_lp(master.m, master.columns), LpSolution("optimal", value, duals, values))
+    assert _certifies_optimum(master.columns, numerators, master.det, value) == old
 
 
 @pytest.mark.parametrize("entering_column, leaving_column", [(True, True), (False, True), (True, False)])

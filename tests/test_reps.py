@@ -111,6 +111,35 @@ def test_pairrep_violation_detected():
     assert pairrep_violation(c5, PairRep(pair.n, pair.d, tuple(bad_pairs))) is not None
 
 
+def test_pair_and_rank_checks_name_the_first_defect():
+    c5 = cycle(5)  # non-edges (0, 2), (0, 3), (1, 3), (1, 4), (2, 4)
+    # a pair form whose products A_uᵀB_v are the blocks of a planted matrix
+    a = cycle_drep(2, 3).matrix.a.copy()
+    a[7, 2] = 1  # block (3, 1) only: the product A_3ᵀB_1, not A_1ᵀB_3
+    a[5, 9] = 2  # block (2, 4)
+    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
+    assert pairrep_violation(c5, pair) == "nonzero cross product at non-edge (1, 3)"
+    a[5, 1] = 1  # block (2, 0) only
+    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
+    assert pairrep_violation(c5, pair) == "nonzero cross product at non-edge (0, 2)"
+    a[4, 5] = 1  # the diagonal block of vertex 2
+    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
+    assert pairrep_violation(c5, pair) == "A_vᵀB_v is not the identity at vertex 2"
+    # block sizes 1, 2, 1, 2, 1 at offsets 0, 1, 3, 4, 6
+    a = np.eye(7, dtype=np.int64)
+    # a[2, 5] lies in block (1, 3) off its first row and column, a[5, 0] in
+    # block (3, 0): (1, 3) is first in row-major order, (3, 0) in column-major
+    a[2, 5] = a[5, 0] = 1
+    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
+    assert rankrrep_violation(c5, rep) == "nonzero block at non-edge (1, 3)"
+    a[2, 5], a[6, 3] = 0, 1  # blocks (3, 0) and (4, 2)
+    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
+    assert rankrrep_violation(c5, rep) == "nonzero block at non-edge (3, 0)"
+    a[4:6, 4:6] = 0
+    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
+    assert rankrrep_violation(c5, rep) == "diagonal block of vertex 3 has rank below 1"
+
+
 def test_subspace_representations():
     # coordinate lines on the empty graph
     plane = FMatrix.identity(2, 3)

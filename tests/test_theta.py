@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hfrac.errors import PreconditionError, UnsupportedFamily, VerificationError
-from hfrac.graphs import complement, complete, cycle, empty
+from hfrac.graphs import complement, complete, cycle, empty, graph_from_edges
 from hfrac.lp import check_solution, simplex_solve
 from hfrac.theta import (
     MatrixRep,
@@ -87,6 +87,25 @@ def test_umbrella_is_verified_for_cycle_and_complement():
     assert orthorep_violation(c5, pentagon_umbrella(1)) is None
     assert orthorep_violation(complement(c5), pentagon_umbrella(2)) is None
     assert orthorep_violation(c5, pentagon_umbrella(2)) is not None
+
+
+def test_ortho_and_matrix_checks_name_the_first_defect():
+    # the 5-cycle without edges (0, 4) and (1, 2): the umbrella's vectors
+    # for both pairs are not orthogonal, and (0, 4) comes first row-major
+    g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    assert orthorep_violation(g, pentagon_umbrella(1)) == "non-edge (0, 4) has inner product 6.180e-01"
+    assert orthorep_violation(cycle(5), pentagon_umbrella(2)) == "non-edge (0, 2) has inner product 6.180e-01"
+    # frames of widths 1, 2, 1, 2 on four non-adjacent vertices: (0, 3)
+    # share e0 and (1, 2) share a component along e2
+    e = np.eye(6)
+    frames = [e[:, :1], e[:, 1:3], ((e[:, 2] + e[:, 3]) / sqrt(2))[:, None], e[:, [0, 5]]]
+    rep = MatrixRep(tuple(frames), e[:, :1])
+    assert matrixrep_violation(empty(4), rep) == "non-edge (0, 3) has non-orthogonal frames"
+    frames[3] = e[:, 4:]
+    rep = MatrixRep(tuple(frames), e[:, :1])
+    assert matrixrep_violation(empty(4), rep) == "non-edge (1, 2) has non-orthogonal frames"
+    frames[2] = e[:, 3:4]
+    assert matrixrep_violation(empty(4), MatrixRep(tuple(frames), e[:, :1])) is None
 
 
 def test_theta_sandwich_c5():
