@@ -2,9 +2,10 @@
 
 Vertices are ``0..n-1``.  The canonical form of a graph is its tuple of
 bitset adjacency rows (bit v of row u set iff uv is an edge); the dense
-boolean adjacency matrix and the edge list are derived from the rows with
-numpy, and the set-system graphs are built from one matrix product of
-their incidence matrix.  Generators attach labels describing where each
+boolean adjacency matrix is derived from the rows with numpy once per
+graph and shared read-only, the edge list comes from it, and the
+set-system graphs are built from one matrix product of their incidence
+matrix.  Generators attach labels describing where each
 vertex came from (the subset for set-system graphs, the matrix pair for
 homomorphism-universal graphs, coordinate pairs for products) and
 remember the expression that produced the graph, so downstream
@@ -29,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -127,11 +128,29 @@ class Graph:
         return np.argwhere(np.triu(self.adjacency_matrix(), 1))
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (symmetric, zero diagonal)."""
-        width = (self.n + 7) // 8
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.adj), dtype=np.uint8)
-        bits = np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
-        return bits.view(bool)
+        """Dense boolean adjacency matrix (symmetric, zero diagonal).  It is
+        built on the first call and every later call returns the same
+        read-only array; copy it to modify it."""
+        mat = self.__dict__.get("_matrix")
+        if mat is None:
+            width = (self.n + 7) // 8
+            rows = b"".join(row.to_bytes(width, "little") for row in self.adj)
+            packed = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
+            mat = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+            self._keep_matrix(mat)
+        return mat
+
+    @classmethod
+    def from_matrix(cls, mat: np.ndarray, labels=None, expr=None) -> "Graph":
+        """The graph of a symmetric boolean matrix with zero diagonal, which
+        it keeps (read-only) as its ``adjacency_matrix``."""
+        g = cls(len(mat), tuple(bit_rows(mat)), labels, expr)
+        g._keep_matrix(mat)
+        return g
+
+    def _keep_matrix(self, mat: np.ndarray) -> None:
+        mat.flags.writeable = False
+        self.__dict__["_matrix"] = mat  # a cache, not a field: frozen, and left out of ==
 
     def first_nonedge(self, nonzero: np.ndarray) -> tuple[int, int] | None:
         """The first pair (u, v) with u != v, in row-major order, that is
@@ -152,6 +171,13 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
+
+
+def bit_rows(mat: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as bitsets: bit j of row i is mat[i, j]."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(packed))]
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None, expr=None) -> Graph:
@@ -324,8 +350,7 @@ def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> 
         block = adjacent(inc[start:start + step] @ inc.T)
         rows = np.arange(block.shape[0])
         block[rows, start + rows] = False
-        packed = np.packbits(block, axis=1, bitorder="little")
-        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        adj.extend(bit_rows(block))
     return Graph(count, tuple(adj), tuple(verts), expr)
 
 
@@ -487,7 +512,13 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v."""
+    """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v.
+
+    The edges are checked and set in whole-array passes: every end in
+    range (the list's min and max), then u < v, then no duplicate, since a
+    duplicate leaves fewer than 2m matrix entries set.  Only a defective
+    file is walked edge by edge, so that the message names its first bad
+    edge."""
     if not os.path.exists(path):
         raise GraphParseError(f"graph file not found: {path}")
     with open(path) as fh:
@@ -495,7 +526,7 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     if len(tokens) < 2:
         raise GraphParseError("graph file needs a header 'n m'")
     try:
-        nums = [int(t) for t in tokens]
+        nums = list(map(int, tokens))
     except ValueError as exc:
         raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
     n, m = nums[0], nums[1]
@@ -504,17 +535,29 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     _guard(n, max_vertices, f"graph file {path}")
     if len(nums) != 2 + 2 * m:
         raise GraphParseError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
+    ends = nums[2:]
+    if ends and (min(ends) < 0 or max(ends) >= n):
+        _first_bad_edge(nums, n)
+    u, v = np.array(ends, dtype=np.intp).reshape(m, 2).T
+    if not (u < v).all():
+        _first_bad_edge(nums, n)
+    mat = np.zeros((n, n), dtype=bool)
+    mat[u, v] = mat[v, u] = True
+    if np.count_nonzero(mat) != 2 * m:
+        _first_bad_edge(nums, n)
+    return Graph.from_matrix(mat, expr=f"file:{path}")
+
+
+def _first_bad_edge(nums: list[int], n: int) -> NoReturn:
+    """Raise for the first edge of a defective file, in file order."""
     seen = set()
-    edges = []
-    for i in range(m):
-        u, v = nums[2 + 2 * i], nums[3 + 2 * i]
+    for u, v in zip(nums[2::2], nums[3::2]):
         if not (0 <= u < v < n):
             raise GraphParseError(f"edge ({u}, {v}) violates 0 <= u < v < n")
         if (u, v) in seen:
             raise GraphParseError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        edges.append((u, v))
-    return graph_from_edges(n, edges, expr=f"file:{path}")
+    raise AssertionError("no defective edge")
 
 
 def format_graph(g: Graph) -> str:

@@ -8,9 +8,20 @@ the candidates are split into cliques one class at a time; a vertex's bound
 is the sum of the class maxima up to its class (its class index for unit
 weights), and only vertices whose bound can still beat the incumbent are
 kept and branched on, last-coloured first.  Rational weights are scaled to
-integers once.  ``greedy_clique_cover`` is the same colouring over all
-vertices in descending-degree order.  When a budget runs out the searches
-surface a certified interval instead of failing.
+integers once.  The renumbered bitset rows are one permutation of the
+graph's cached adjacency matrix, packed.  ``greedy_clique_cover`` is the
+same colouring over all vertices in descending-degree order.
+
+``clique_cover_leq`` colours the complement by DSATUR backtracking
+(Brélaz 1979) in one explicit-stack loop.  It keeps one member bitset per
+colour and every vertex's saturation (the number of colours among its
+complement neighbours) current as colours are set and cleared, so a node
+costs one pass over the scores plus the neighbours of the vertex it
+colours.  The next vertex has the largest (saturation, complement degree),
+the lowest on ties, and tries the colours in use and then one new one.
+
+When a budget runs out the searches surface a certified interval instead
+of failing.
 """
 
 from __future__ import annotations
@@ -20,9 +31,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .budget import Budget
 from .errors import BudgetExhausted, PreconditionError, SearchCutoff
-from .graphs import Graph, is_clique, is_independent_set, stray_vertex
+from .graphs import Graph, bit_rows, is_clique, is_independent_set, stray_vertex
 from .serialize import read_ints, read_list
 
 
@@ -88,16 +101,8 @@ def _bits(mask: int):
 
 def _relabel(g: Graph, order: Sequence[int]) -> list[int]:
     """Adjacency rows of g with vertex order[i] moved to bit i."""
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = []
-    for v in order:
-        row = 0
-        for u in _bits(g.adj[v]):
-            row |= 1 << pos[u]
-        rows.append(row)
-    return rows
+    index = np.array(order, dtype=np.intp)
+    return bit_rows(g.adjacency_matrix().take(index, 0).take(index, 1))
 
 
 def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[int], list[int], int]:
@@ -270,41 +275,57 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return CliqueCover(())
     budget = budget or Budget()
-    full = (1 << g.n) - 1
-    comp = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]  # complement rows
-    colors = [-1] * g.n
+    full = (1 << n) - 1
+    comp = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]  # complement rows
+    # score[v] = sat(v) * n + complement degree, less n * n while v is
+    # coloured; sat(v) counts the colours among v's complement neighbours
+    score = [row.bit_count() for row in comp]
+    colour = [-1] * n
+    members = [0] * min(k, n)  # the vertices of each colour
+    used = 0  # colours 0 .. used-1 are in use: each node may open only the next one
+    stack: list[list[int]] = []  # per coloured vertex: [vertex, next colour to try, colours in use before it]
 
-    def dfs() -> bool:
+    def paint(v: int, c: int) -> None:
+        for u in _bits(comp[v]):
+            if not comp[u] & members[c]:
+                score[u] += n
+        members[c] |= 1 << v
+        colour[v] = c
+        score[v] -= n * n
+
+    def unpaint(v: int) -> None:
+        c = colour[v]
+        members[c] ^= 1 << v
+        for u in _bits(comp[v]):
+            if not comp[u] & members[c]:
+                score[u] -= n
+        colour[v] = -1
+        score[v] += n * n
+
+    while True:
         budget.spend()
-        best_v = -1
-        best_key = (-1, -1)
-        for v in range(g.n):
-            if colors[v] != -1:
-                continue
-            sat = len({colors[u] for u in _bits(comp[v]) if colors[u] != -1})
-            key = (sat, comp[v].bit_count())
-            if key > best_key:
-                best_key = key
-                best_v = v
-        if best_v == -1:
-            return True
-        used = {colors[u] for u in _bits(comp[best_v]) if colors[u] != -1}
-        max_used = max((c for c in colors if c != -1), default=-1)
-        for c in range(min(max_used + 1, k - 1) + 1):
-            if c in used:
-                continue
-            colors[best_v] = c
-            if dfs():
-                return True
-            colors[best_v] = -1
-        return False
-
-    if not dfs():
-        return None
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    return CliqueCover(tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items())))
+        v = max(range(n), key=score.__getitem__)  # the lowest vertex on ties
+        if score[v] < 0:
+            break  # every vertex is coloured
+        stack.append([v, 0, used])
+        while stack:
+            frame = stack[-1]
+            v, c, used = frame
+            if colour[v] >= 0:
+                unpaint(v)
+            last = min(used, k - 1)
+            while c <= last and comp[v] & members[c]:
+                c += 1
+            if c <= last:
+                paint(v, c)
+                used += c == used
+                frame[1] = c + 1
+                break
+            stack.pop()
+        else:
+            return None
+    return CliqueCover(tuple(tuple(_bits(members[c])) for c in range(used)))

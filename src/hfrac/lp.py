@@ -312,7 +312,7 @@ class CoveringMaster:
     The basis inverse is kept as the integer matrix ``det * B^-1`` with
     ``det = |det(B)| > 0``, and the basic values and the duals as integers
     over ``det``: a pivot divides exactly (Bareiss), so no ``Fraction`` is
-    built until a caller asks for ``duals`` or ``values``.  The dual
+    built until a caller asks for the ``values``.  The dual
     numerators ``y * det`` are the sum of the rows of ``det * B^-1`` whose
     basic variable is a column; a pivot updates that sum from its pivot row
     alone, so a caller can price on ``dual_numerators()`` against ``det``
@@ -413,10 +413,6 @@ class CoveringMaster:
         self.columns.append(support)
         self._pivot(len(self.columns) - 1)
         self._reoptimize()
-
-    def duals(self) -> tuple[Fraction, ...]:
-        """Row prices y = c_B B^-1 of the current optimal basis."""
-        return tuple(Fraction(v, self._det) for v in self._yn)
 
     def values(self) -> tuple[Fraction, ...]:
         """Value of every column (zero when nonbasic)."""

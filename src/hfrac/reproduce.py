@@ -240,7 +240,7 @@ def _twist(rep: PairRep, rng: random.Random) -> PairRep:
     t = _random_invertible(rng, rep.p, rep.n)
     tinv_t = inverse(t).transpose()
     pairs = tuple((matmul(tinv_t, a), matmul(t, b)) for a, b in rep.pairs)
-    return PairRep(rep.n, rep.d, pairs)
+    return PairRep(rep.n, rep.d, pairs, rep.p)
 
 
 def _valid_st_pairs(g: Graph, max_size: int = 3):

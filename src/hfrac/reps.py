@@ -75,10 +75,7 @@ class PairRep:
     n: int
     d: int
     pairs: tuple[tuple[FMatrix, FMatrix], ...]
-
-    @property
-    def p(self) -> int:
-        return self.pairs[0][0].p
+    p: int
 
     def ratio(self) -> Fraction:
         return Fraction(self.n, self.d)
@@ -100,7 +97,7 @@ class PairRep:
             (FMatrix.from_entries(p, n, d, item["A"]), FMatrix.from_entries(p, n, d, item["B"]))
             for item in read_objects(obj["pairs"], "pairs")
         )
-        return cls(n, d, pairs)
+        return cls(n, d, pairs, p)
 
 
 @dataclass(frozen=True)
@@ -138,13 +135,14 @@ class SubspaceRep:
     n: int
     d: int
     bases: tuple[FMatrix, ...]
+    p: int
 
     def to_json(self) -> dict:
         out = {
             "kind": "subspacerep",
             "n": self.n,
             "d": self.d,
-            "p": self.bases[0].p,
+            "p": self.p,
             "bases": [b.a.ravel() for b in self.bases],
         }
         return out
@@ -153,7 +151,7 @@ class SubspaceRep:
     def from_json(cls, obj: dict) -> "SubspaceRep":
         n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
         bases = tuple(FMatrix.from_entries(p, n, d, item) for item in read_list(obj["bases"], "bases"))
-        return cls(n, d, bases)
+        return cls(n, d, bases, p)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,10 @@ def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     for v, b in enumerate(rep.bases):
         if rank(b) != rep.d:
             return f"subspace of vertex {v} has dimension below {rep.d}"
-    for v in range(g.n):
-        others = [rep.bases[u] for u in range(g.n) if u != v and not g.has_edge(u, v)]
+    nonadjacent = ~g.adjacency_matrix()
+    np.fill_diagonal(nonadjacent, False)
+    for v, row in enumerate(nonadjacent):
+        others = [rep.bases[u] for u in np.flatnonzero(row).tolist()]
         if not others:
             continue
         span = hstack(others)
@@ -264,7 +264,7 @@ def pairrep_from_drep(rep: DRep) -> PairRep:
     for v in range(rep.nvertices):
         lo, hi = v * rep.d, (v + 1) * rep.d
         pairs.append((a_full.block(0, r, lo, hi), x.block(0, r, lo, hi)))
-    return PairRep(r, rep.d, tuple(pairs))
+    return PairRep(r, rep.d, tuple(pairs), m.p)
 
 
 def drep_from_pairrep(rep: PairRep) -> DRep:
@@ -278,7 +278,7 @@ def drep_from_pairrep(rep: PairRep) -> DRep:
 def subspace_from_pairrep(rep: PairRep) -> SubspaceRep:
     """Column spaces of the A_v matrices.  The general-position property of
     the result is checked by callers/tests rather than assumed."""
-    return SubspaceRep(rep.n, rep.d, tuple(a for a, _ in rep.pairs))
+    return SubspaceRep(rep.n, rep.d, tuple(a for a, _ in rep.pairs), rep.p)
 
 
 def rankr_to_drep(g: Graph, rep: RankRRep) -> DRep:

@@ -7,11 +7,13 @@ from itertools import combinations
 
 import numpy as np
 
-from hfrac.errors import DimensionMismatch
-from hfrac.gfmat import FMatrix
-from hfrac.graphs import Graph
+from hfrac.budget import Budget
+from hfrac.errors import DimensionMismatch, GraphParseError, PreconditionError
+from hfrac.gfmat import FMatrix, hstack, rank
+from hfrac.graphs import Graph, graph_from_edges
+from hfrac.independence import CliqueCover
 from hfrac.lp import REL_EQ, REL_GE, REL_LE, CoveringMaster, LinearProgram, LpSolution
-from hfrac.reps import DRep
+from hfrac.reps import DRep, SubspaceRep
 
 
 def _bits(mask: int):
@@ -77,6 +79,104 @@ def bitloop_adjacency_matrix(g: Graph) -> np.ndarray:
         for v in _bits(row):
             a[u, v] = True
     return a
+
+
+def recursive_clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCover | None:
+    """``independence.clique_cover_leq`` as a recursive DSATUR that
+    recounts every saturation at every node: the vertex of largest
+    (saturation, complement degree), lowest on ties, tries the colours in
+    use and then one new one, up to k; one budget node per call."""
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
+    if g.n == 0:
+        return CliqueCover(())
+    budget = budget or Budget()
+    full = (1 << g.n) - 1
+    comp = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]  # complement rows
+    colors = [-1] * g.n
+
+    def dfs() -> bool:
+        budget.spend()
+        best_v = -1
+        best_key = (-1, -1)
+        for v in range(g.n):
+            if colors[v] != -1:
+                continue
+            sat = len({colors[u] for u in _bits(comp[v]) if colors[u] != -1})
+            key = (sat, comp[v].bit_count())
+            if key > best_key:
+                best_key = key
+                best_v = v
+        if best_v == -1:
+            return True
+        used = {colors[u] for u in _bits(comp[best_v]) if colors[u] != -1}
+        max_used = max((c for c in colors if c != -1), default=-1)
+        for c in range(min(max_used + 1, k - 1) + 1):
+            if c in used:
+                continue
+            colors[best_v] = c
+            if dfs():
+                return True
+            colors[best_v] = -1
+        return False
+
+    if not dfs():
+        return None
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    return CliqueCover(tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items())))
+
+
+def has_edge_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
+    """``reps.subspacerep_violation`` with each vertex's non-neighbours
+    listed by ``has_edge`` calls."""
+    if len(rep.bases) != g.n:
+        raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
+    for v, b in enumerate(rep.bases):
+        if b.shape != (rep.n, rep.d):
+            raise DimensionMismatch(f"basis of vertex {v} has shape {b.shape}")
+    for v, b in enumerate(rep.bases):
+        if rank(b) != rep.d:
+            return f"subspace of vertex {v} has dimension below {rep.d}"
+    for v in range(g.n):
+        others = [rep.bases[u] for u in range(g.n) if u != v and not g.has_edge(u, v)]
+        if not others:
+            continue
+        span = hstack(others)
+        r_span = rank(span)
+        if rank(hstack([rep.bases[v], span])) != rep.d + r_span:
+            return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
+    return None
+
+
+def edge_loop_read_graph_file(path: str) -> Graph:
+    """``graphs.read_graph_file`` (without the vertex cap) checking and
+    setting one edge at a time, in file order."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if len(tokens) < 2:
+        raise GraphParseError("graph file needs a header 'n m'")
+    try:
+        nums = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
+    n, m = nums[0], nums[1]
+    if n < 0:
+        raise GraphParseError(f"vertex count {n} is negative")
+    if len(nums) != 2 + 2 * m:
+        raise GraphParseError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
+    seen = set()
+    edges = []
+    for i in range(m):
+        u, v = nums[2 + 2 * i], nums[3 + 2 * i]
+        if not (0 <= u < v < n):
+            raise GraphParseError(f"edge ({u}, {v}) violates 0 <= u < v < n")
+        if (u, v) in seen:
+            raise GraphParseError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    return graph_from_edges(n, edges)
 
 
 def bitloop_edges(g: Graph) -> list[tuple[int, int]]:
@@ -192,6 +292,11 @@ def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
                 base_t = ((u * nh + x) * d1 + i) * d2
                 perm[base_t:base_t + d2] = np.arange(base_k + x * d2, base_k + (x + 1) * d2)
     return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)], copy=False))
+
+
+def master_duals(master: CoveringMaster) -> tuple[Fraction, ...]:
+    """The row prices y = c_B B^-1 of the master's current basis."""
+    return tuple(Fraction(yn, master.det) for yn in master.dual_numerators())
 
 
 def dual_numerators_from_scratch(master: CoveringMaster) -> list[int]:

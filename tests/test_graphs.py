@@ -36,6 +36,7 @@ from hfrac.graphs import (
 from oracles import (
     bitloop_adjacency_matrix,
     bitloop_edges,
+    edge_loop_read_graph_file,
     fstring_format_graph,
     set_intersection_subset_graph,
     trial_division_is_prime,
@@ -236,6 +237,71 @@ def test_graph_file_errors(tmp_path):
     path.write_text("-1 0\n")
     with pytest.raises(GraphParseError):
         read_graph_file(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n0 x\n", "non-integer token in graph file: invalid literal for int() with base 10: 'x'"),
+    ("-2 0\n", "vertex count -2 is negative"),
+    ("3 2\n0 1\n", "expected 2 edges, found 1"),
+    ("3 1\n0 1\n1\n", "expected 1 edges, found 1"),
+    ("3 2\n0 1\n2 1\n", "edge (2, 1) violates 0 <= u < v < n"),
+    ("3 1\n1 1\n", "edge (1, 1) violates 0 <= u < v < n"),
+    ("3 2\n0 1\n1 3\n", "edge (1, 3) violates 0 <= u < v < n"),
+    ("3 2\n-1 1\n0 1\n", "edge (-1, 1) violates 0 <= u < v < n"),
+    ("3 3\n0 1\n0 2\n0 1\n", "duplicate edge (0, 1)"),
+    ("3 2\n0 1\n0 99999999999999999999\n", "edge (0, 99999999999999999999) violates 0 <= u < v < n"),
+    ("3 1\n-99999999999999999999 1\n", "edge (-99999999999999999999, 1) violates 0 <= u < v < n"),
+    # the first defect in file order is reported, whichever check finds it
+    ("4 3\n0 1\n3 2\n0 1\n", "edge (3, 2) violates 0 <= u < v < n"),
+    ("4 3\n0 1\n0 1\n3 2\n", "duplicate edge (0, 1)"),
+    ("4 3\n0 1\n0 1\n0 99999999999999999999\n", "duplicate edge (0, 1)"),
+])
+def test_graph_file_defects_are_named(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphParseError) as exc:
+        read_graph_file(str(path))
+    assert str(exc.value) == message
+
+
+@st.composite
+def graph_files(draw):
+    """An ``n m`` header and m edge lines, each pair drawn from a few
+    values around the vertex range, so that some files are defective."""
+    n = draw(st.integers(0, 9))
+    vertex = st.one_of(st.integers(-2, n + 1), st.sampled_from((2**63, -2**63 - 1)))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    if draw(st.booleans()):  # a valid graph, edges in a drawn order
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_files())
+def test_graph_files_read_as_the_edge_loop_reads_them(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("files") / "g.txt"
+    path.write_text(text)
+    try:
+        expected = edge_loop_read_graph_file(str(path))
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            read_graph_file(str(path))
+        assert str(got.value) == str(exc)
+    else:
+        g = read_graph_file(str(path))
+        assert g == expected and np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+
+
+def test_adjacency_matrix_is_built_once_and_read_only(tmp_path):
+    path = tmp_path / "g.txt"
+    write_graph_file(cycle(5), str(path))
+    for g in (cycle(5), read_graph_file(str(path))):
+        a = g.adjacency_matrix()
+        assert g.adjacency_matrix() is a
+        with pytest.raises(ValueError):
+            a[0, 2] = True
+        assert np.array_equal(a, bitloop_adjacency_matrix(cycle(5)))
 
 
 def test_graph_file_obeys_the_vertex_cap(tmp_path):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfrac.budget import Budget
-from hfrac.errors import SearchCutoff
+from hfrac.errors import BudgetExhausted, SearchCutoff
 from hfrac.graphs import (
     complement,
     complete,
     cycle,
+    empty,
     generate,
     graph_from_edges,
     is_clique,
@@ -31,7 +32,7 @@ from hfrac.independence import (
     greedy_clique_cover,
     max_weight_independent_set,
 )
-from oracles import first_fit_clique_cover, maximal_cliques
+from oracles import first_fit_clique_cover, maximal_cliques, recursive_clique_cover_leq
 
 
 def random_graph(rng, n, prob=0.5):
@@ -199,6 +200,67 @@ def test_greedy_cover_classes_are_pinned():
 @given(small_graphs(max_n=12))
 def test_greedy_cover_is_first_fit(g):
     assert greedy_clique_cover(g).classes == first_fit_clique_cover(g)
+
+
+def _cover_or_cutoff(search, g, k, nodes):
+    budget = Budget(nodes=nodes)
+    try:
+        return search(g, k, budget), budget.nodes
+    except BudgetExhausted:
+        return "cutoff", budget.nodes
+
+
+@st.composite
+def seeded_graphs(draw, max_n=14):
+    """G(n, p) from a drawn seed: denser mixes than ``small_graphs`` draws,
+    so that the colouring searches backtrack."""
+    n = draw(st.integers(0, max_n))
+    prob = draw(st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)))
+    return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, prob)
+
+
+def _assert_same_dsatur(g, k, nodes):
+    reference = Budget()
+    expected = recursive_clique_cover_leq(g, k, reference)
+    # the loop may not spend more nodes than the reference did
+    assert _cover_or_cutoff(clique_cover_leq, g, k, reference.nodes) == (expected, reference.nodes)
+    if expected is not None:
+        assert len(expected) <= k and clique_cover_violation(g, expected) is None
+    # cut off anywhere in the search, both stop after the same node
+    small = min(nodes, reference.nodes)
+    cut = _cover_or_cutoff(clique_cover_leq, g, k, small)
+    assert cut == _cover_or_cutoff(recursive_clique_cover_leq, g, k, small)
+    if small < reference.nodes:
+        assert cut == ("cutoff", small + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(max_n=14), seeded_graphs()), st.integers(1, 200))
+def test_dsatur_loop_retraces_the_recursive_search(g, nodes):
+    for k in range(1, g.n + 1):
+        _assert_same_dsatur(g, k, nodes)
+
+
+def test_dsatur_loop_retraces_backtracking_searches():
+    # seeded graphs until five searches have backtracked and then found a
+    # cover: only those reach the colour and saturation bookkeeping of
+    # undone branches in an answer
+    rng = random.Random(7)
+    found = 0
+    while found < 5:
+        g = random_graph(rng, rng.randint(9, 13), rng.choice((0.35, 0.5, 0.65)))
+        for k in range(1, g.n + 1):
+            _assert_same_dsatur(g, k, rng.randint(1, 300))
+            budget = Budget()
+            if clique_cover_leq(g, k, budget) is not None and budget.nodes > g.n + 1:
+                found += 1
+
+
+def test_clique_cover_of_a_large_empty_graph():
+    # one class per vertex, every colour tried at every level before None
+    g = empty(1200)
+    assert clique_cover_leq(g, 1200).classes == tuple((v,) for v in range(1200))
+    assert clique_cover_leq(g, 1199) is None
 
 
 def test_alpha_on_long_cycles():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from oracles import _master_lp, dense_check_solution, dual_numerators_from_scratch
+from oracles import _master_lp, dense_check_solution, dual_numerators_from_scratch, master_duals
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
@@ -215,7 +215,7 @@ def test_covering_master_column_generation_matches_cold_solve():
         pool = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(rng.randint(1, 12))]
         master = CoveringMaster(m)
         while True:
-            y = master.duals()
+            y = master_duals(master)
             best = max(pool, key=lambda cols: sum(y[i] for i in cols))
             if sum(y[i] for i in best) <= 1:
                 break
@@ -275,7 +275,7 @@ def covering_runs(draw):
     pool = draw(st.lists(column, min_size=1, max_size=10))
     master = _CheckedMaster(m)
     while True:
-        y = master.duals()
+        y = master_duals(master)
         improving = [c for c in pool if sum(y[i] for i in c) > 1]
         if not improving:
             return master

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from oracles import kron_permutation_tensor
+from oracles import has_edge_subspacerep_violation, kron_permutation_tensor
 
 from hfrac.errors import DimensionMismatch, PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
@@ -108,7 +108,7 @@ def test_pairrep_violation_detected():
     bad_pairs = list(pair.pairs)
     a0, b0 = bad_pairs[0]
     bad_pairs[0] = (FMatrix(2, np.zeros_like(a0.a)), b0)
-    assert pairrep_violation(c5, PairRep(pair.n, pair.d, tuple(bad_pairs))) is not None
+    assert pairrep_violation(c5, PairRep(pair.n, pair.d, tuple(bad_pairs), pair.p)) is not None
 
 
 def test_pair_and_rank_checks_name_the_first_defect():
@@ -143,11 +143,11 @@ def test_pair_and_rank_checks_name_the_first_defect():
 def test_subspace_representations():
     # coordinate lines on the empty graph
     plane = FMatrix.identity(2, 3)
-    rep = SubspaceRep(3, 1, tuple(plane.block(0, 3, v, v + 1) for v in range(3)))
+    rep = SubspaceRep(3, 1, tuple(plane.block(0, 3, v, v + 1) for v in range(3)), 2)
     assert subspacerep_violation(empty(3), rep) is None
     # all subspaces equal on a complete graph: no non-neighbors to avoid
     same = FMatrix(2, [[1], [0], [0]])
-    assert subspacerep_violation(complete(3), SubspaceRep(3, 1, (same, same, same))) is None
+    assert subspacerep_violation(complete(3), SubspaceRep(3, 1, (same, same, same), 2)) is None
     # derived from a verified pair representation of the 5-cycle
     pair = pairrep_from_drep(cycle_drep(2, 3))
     sub = subspace_from_pairrep(pair)
@@ -173,8 +173,36 @@ def test_malformed_factor_lists_fail_verification(cls, field, value):
 
 def test_subspace_violation():
     same = FMatrix(2, [[1], [0], [0]])
-    rep = SubspaceRep(3, 1, (same, same, same))
+    rep = SubspaceRep(3, 1, (same, same, same), 2)
     assert subspacerep_violation(empty(3), rep) is not None
+
+
+def test_subspace_check_matches_the_has_edge_loop():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+        p, n, d = rng.choice((2, 3)), rng.randint(1, 6), rng.randint(1, 2)
+        if rng.random() < 0.3:  # valid ones, from the pair form of a certificate
+            rep = subspace_from_pairrep(pairrep_from_drep(drep_for(g, p)))
+        else:
+            bases = tuple(FMatrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(n)])
+                          for _ in range(g.n))
+            rep = SubspaceRep(n, d, bases, p)
+        verdict = subspacerep_violation(g, rep)
+        assert verdict == has_edge_subspacerep_violation(g, rep)
+        verdicts.add(verdict if verdict is None else verdict.split()[-1])
+    assert verdicts == {None, "nontrivially", str(1), str(2)}
+
+
+def test_pair_and_subspace_forms_carry_their_modulus():
+    # an empty form still names its field, and writes it
+    assert PairRep(1, 1, (), 5).to_json() == {"kind": "pairrep", "n": 1, "d": 1, "p": 5, "pairs": []}
+    assert SubspaceRep(1, 1, (), 3).to_json()["p"] == 3
+    pair = pairrep_from_drep(cycle_drep(2, 3))
+    assert pair.p == 3 and subspace_from_pairrep(pair).p == 3
+    doc = load_json(canonical_json(pair.to_json()))
+    assert PairRep.from_json(doc).p == 3 and doc["p"] == 3
 
 
 def random_rankr_rep(rng, g, r, p):
