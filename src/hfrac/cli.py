@@ -328,6 +328,16 @@ _KINDS = {
 _PARAM = re.compile(r"alpha|(minrank|hfrac)\[gf\(([1-9][0-9]*)\)\]")
 
 
+def _report_param(report: dict) -> tuple[str, int | None]:
+    """The name and the prime (None for alpha) of the parameter a bound
+    report bounds."""
+    param = report["param"]
+    match = _PARAM.fullmatch(param) if isinstance(param, str) else None
+    if match is None:
+        raise VerificationError(f"unknown report parameter {param!r}")
+    return (match[1], int(match[2])) if match[1] else (param, None)
+
+
 def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:
     """None if the witness verifies (and, in a report, may witness the
     report's parameter and attains its end), else why not."""
@@ -339,13 +349,9 @@ def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:
         return f"unknown certificate kind {kind!r}"
     cert = row.read(obj)
     if report is not None:
-        param = report["param"]
-        match = _PARAM.fullmatch(param) if isinstance(param, str) else None
-        if match is None:
-            return f"unknown report parameter {param!r}"
-        name, p = (match[1], int(match[2])) if match[1] else (param, None)
+        name, p = _report_param(report)
         if name not in row.params or (row.modulus is not None and row.modulus(cert) != p):
-            return f"a {kind} witness cannot certify {param}"
+            return f"a {kind} witness cannot certify {report['param']}"
     failure = row.violation(g, cert)
     if failure is None and report is not None and not row.attains(cert, parse_frac(report[row.end])):
         return f"{kind} witness does not attain the reported {row.end} bound"
@@ -372,12 +378,15 @@ def _cmd_verify(args) -> int:
                 raise
             raise VerificationError(f"certificate graph: {exc}") from exc
         if obj.get("kind") is None and "witness_refs" in obj:  # a bound report
+            _report_param(obj)  # also when no witness is cited
             refs = obj["witness_refs"]
             if not isinstance(refs, list):
                 raise VerificationError("witness_refs is not a list")
             failures = [f for w in refs if (f := _verify_witness(w, g, obj))]
-            ok = not failures and parse_frac(obj["lower"]) <= parse_frac(obj["upper"])
+            if not failures and parse_frac(obj["lower"]) > parse_frac(obj["upper"]):
+                failures.append(f"lower end {obj['lower']} exceeds upper end {obj['upper']}")
             failure = failures[0] if failures else None
+            ok = failure is None
         else:
             failure = _verify_witness(obj, g)
             ok = failure is None

@@ -2,14 +2,15 @@
 
 ``fractional_clique_cover(g)`` minimizes total clique weight subject to
 covering every vertex with weight at least one, by column generation on
-that primal master.  The master (``lp.CoveringMaster``) starts from the
-singleton cliques and stays warm: each round reads the dual numerators
+that primal master.  The master (``lp.CoveringMaster``) runs on the same
+integer simplex engine as every other LP in ``lp``: it starts from the
+singleton cliques and stays warm.  Each round reads the dual numerators
 y * det that its pivots keep up to date, prices them as integer weights
 with the exact maximum-weight stable-set oracle on the complement, and
-brings the new clique in as a column with one pivot, then re-optimizes.
-Pricing stops only when the best clique weight is <= det exactly (weight
-<= 1 in units of y); the oracle only compares sums of weights, so its
-witnesses are those it would find for y itself.
+brings the new clique in as a 0/1 column with one pivot, then
+re-optimizes.  Pricing stops only when the best clique weight is <= det
+exactly (weight <= 1 in units of y); the oracle only compares sums of
+weights, so its witnesses are those it would find for y itself.
 
 The returned cover is gated exactly on the master's integers: the dual
 numerators must be >= 0, sum to at most det on every generated clique and

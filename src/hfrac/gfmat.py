@@ -65,9 +65,9 @@ class FMatrix:
 
     __slots__ = ("p", "a")
 
-    def __init__(self, p: int, entries, copy: bool = True):
+    def __init__(self, p: int, entries):
         check_modulus(p)
-        a = np.array(entries, dtype=np.int64, copy=copy)
+        a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-dimensional, got shape {a.shape}")
         self.p = p

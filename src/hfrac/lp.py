@@ -1,38 +1,47 @@
-"""Exact rational linear programming: a cold two-phase simplex and a
-warm-started covering master.
+"""Exact rational linear programming on one integer simplex engine.
 
 Everything is exact; a returned optimum comes with a dual vector that
 certifies optimality exactly.  ``check_solution`` is that exact gate: it
 visits only the nonzero coefficients of the constraint matrix, and
 ``simplex_solve`` raises ``VerificationError`` (also under ``python -O``)
-if its optimum fails it.  Bland's rule is used throughout, so both
-solvers terminate on every input.
+if its optimum fails it.  Bland's rule is used throughout, so every solve
+terminates on every input.
 
-``simplex_solve`` is the general solver: a dense ``Fraction`` tableau
-built from scratch for one LP.  Variable bounds are folded away before the
-tableau is built: a finite lower bound shifts the variable, an upper bound
-becomes an extra row, and a fully free variable is split into a
-difference of two nonnegative ones.
+``IntegerSimplex`` is the engine: a revised simplex over integer data that
+keeps the basis inverse fraction-free as an integer adjugate over det(B)
+with Bareiss-style exact-division updates.  The duals are kept the same
+way, as integers over det(B), and each pivot updates them in O(m) from its
+pivot row instead of summing them afresh.
+
+``simplex_solve`` is the general solver on it, cold for one LP.  Variable
+bounds are folded away first: a finite lower bound shifts the variable, an
+upper bound becomes an extra row, and a fully free variable is split into
+a difference of two nonnegative ones.  Each row is flipped so that its
+right-hand side is >= 0 and scaled to integers.  Phase 1 minimizes the
+artificials (weighted so that each counts as one unit of its unscaled
+row), drives the ones left at zero out of the basis where a row allows it,
+and phase 2 optimizes the objective from there; the duals are read off the
+dual numerators and unscaled.
 
 ``CoveringMaster`` is the primal master of a column-generation loop for
 unit-cost covering LPs (min sum x_j with every row covered at least once).
 It starts from the unit columns, whose basis is the identity, so no
-phase 1 is needed, and keeps the basis inverse fraction-free as an
-integer adjugate over det(B) with Bareiss-style exact-division updates.
-The duals are kept the same way, as integers over det(B), and each pivot
-updates them in O(m) from its pivot row instead of summing them afresh.
-A new column enters with one ratio test and one pivot; the master is then
-re-optimized over the columns it already has before the caller prices
-again, on the integer numerators.  The caller still owes a final exact
-gate, on the same integers: the dual numerators must be >= 0, sum to at
-most det on every held column and sum to det times the primal value, and
-the column values must cover every row (``fraccover`` does both).
+phase 1 is needed, and prices its 0/1 columns as bare sums of dual
+numerators.  A new column enters with one ratio test and one pivot; the
+master is then re-optimized over the columns it already has before the
+caller prices again, on the integer numerators.  The caller still owes a
+final exact gate, on the same integers: the dual numerators must be >= 0,
+sum to at most det on every held column and sum to det times the primal
+value, and the column values must cover every row (``fraccover`` does
+both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .budget import Budget
 from .errors import DimensionMismatch, PreconditionError, VerificationError
@@ -41,6 +50,7 @@ REL_LE = "<="
 REL_GE = ">="
 REL_EQ = "="
 _RELS = (REL_LE, REL_GE, REL_EQ)
+_FLIPPED = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -112,60 +122,154 @@ class LpSolution:
     dual: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    prow = tab[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = F1 / piv
-        for j, x in enumerate(prow):
-            if x:
-                prow[j] = x * inv
-    nz = [j for j, x in enumerate(prow) if x]
-    for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-    basis[r] = c
+class IntegerSimplex:
+    """Exact revised simplex for ``min cost . v  s.t.  A v = rhs, v >= 0``
+    over integers, started from the basis ``basis``, whose i-th variable
+    must have the column e_i, so that B = I.
 
+    Structural variable j is the column with support ``columns[j]`` and the
+    entries ``coeffs[j]`` on it, or 1 on every row of the support when that
+    is None: such a 0/1 column is priced and imaged as a bare sum.
+    Auxiliary variable ``~k`` is the column ``sign * e_row`` of
+    ``aux[k] = (row, sign)``; the auxiliaries in ``fixed`` never enter.
+    Variables are ordered for Bland's rule as the structural columns 0, 1,
+    ... first and then the auxiliaries.
 
-def _optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction],
-              enterable: list[bool]) -> str:
-    m = len(tab)
-    ncols = len(cost)
-    while True:
-        rows_y = [(i, cost[b]) for i, b in enumerate(basis) if cost[b]]
-        entering = -1
-        for j in range(ncols):
-            if not enterable[j]:
+    The basis inverse is kept as the integer matrix ``det * B^-1`` with
+    ``det = |det(B)| > 0``, and the basic values and the duals as integers
+    over ``det``: a pivot divides exactly (Bareiss), so no ``Fraction`` is
+    built until a caller asks for the ``values``.  A negative pivot entry
+    (only a pivot on a chosen row can have one) negates det * B^-1, the
+    basic values and the dual numerators first, so det stays positive.  The
+    dual numerators ``y * det`` = c_B (det B^-1) are the cost-weighted sum
+    of the rows of ``det * B^-1``; a pivot updates that sum from its pivot
+    row alone.  Every pivot spends one budget node.
+    """
+
+    def __init__(self, rhs: list[int], basis, columns: list, coeffs: list[list[int] | None],
+                 costs: list[int], aux: list[tuple[int, int]], aux_costs: list[int],
+                 fixed=frozenset(), budget: Budget | None = None):
+        m = len(rhs)
+        self.m = m
+        self.columns, self._coeffs, self._costs = columns, coeffs, costs
+        self._aux, self._aux_costs, self._fixed = aux, aux_costs, fixed
+        self._budget = budget or Budget()
+        self._det = 1
+        self._inv = [[int(i == j) for j in range(m)] for i in range(m)]
+        self._x = list(rhs)  # basic values times det
+        self._basis = list(basis)  # variable in each basis row
+        self._cb = [self._cost(var) for var in self._basis]
+        self._yn = list(self._cb)  # c_B (det B^-1) at det B^-1 = I
+
+    def _reprice(self, costs: list[int], aux_costs: list[int]) -> None:
+        """A new objective; its dual numerators are summed afresh over the
+        rows whose basic variable has a cost."""
+        self._costs, self._aux_costs = costs, aux_costs
+        self._cb = [self._cost(var) for var in self._basis]
+        yn = [0] * self.m
+        for c, row in zip(self._cb, self._inv):
+            if c:
+                yn = [a + c * b for a, b in zip(yn, row)]
+        self._yn = yn
+
+    def _cost(self, var: int) -> int:
+        return self._costs[var] if var >= 0 else self._aux_costs[~var]
+
+    def _order(self, var: int) -> int:
+        return var if var >= 0 else len(self.columns) + ~var
+
+    @property
+    def det(self) -> int:
+        """The common denominator |det(B)| of the duals and the values."""
+        return self._det
+
+    def dual_numerators(self) -> list[int]:
+        """y * det with y = c_B B^-1."""
+        return list(self._yn)
+
+    def _image(self, var: int) -> list[int]:
+        """det * B^-1 a for the constraint column a of ``var``."""
+        if var < 0:
+            i, sign = self._aux[~var]
+            return [sign * row[i] for row in self._inv]
+        support, coeffs = self.columns[var], self._coeffs[var]
+        if coeffs is None:
+            return [sum(map(row.__getitem__, support)) for row in self._inv]
+        return [sum(map(mul, map(row.__getitem__, support), coeffs)) for row in self._inv]
+
+    def _pivot(self, var: int, r: int | None = None) -> bool:
+        """Bring ``var`` into the basis at row ``r``, or at the row the
+        ratio test picks; False if there is none (an unbounded ray)."""
+        u = self._image(var)
+        x, basis, inv = self._x, self._basis, self._inv
+        if r is None:
+            r = -1
+            for i, ui in enumerate(u):
+                if ui > 0:
+                    if r < 0:
+                        r = i
+                        continue
+                    lhs, rhs = x[i] * u[r], x[r] * ui  # x_i/u_i against x_r/u_r
+                    if lhs < rhs or (lhs == rhs and self._order(basis[i]) < self._order(basis[r])):
+                        r = i
+            if r < 0:
+                return False
+        self._budget.spend()
+        det, ur, cr = self._det, u[r], self._cb[r]
+        # y * det is the c_B-weighted sum of the rows of inv, and each of
+        # them other than r is updated below as (ur * row - u_i * prow) / det,
+        # so the new sum follows from the old one and prow in O(m).
+        yn = [a - cr * b for a, b in zip(self._yn, inv[r])] if cr else self._yn
+        cu = sum(map(mul, self._cb, u)) - cr * ur
+        if ur < 0:
+            ur, inv[r], x[r] = -ur, [-a for a in inv[r]], -x[r]
+        prow, px, ce = inv[r], x[r], self._cost(var)
+        self._yn = [(ur * a - cu * b) // det + ce * b for a, b in zip(yn, prow)]
+        for i, ui in enumerate(u):
+            if i == r:
                 continue
-            red = cost[j] - sum(yi * tab[i][j] for i, yi in rows_y if tab[i][j])
-            if red > 0:
-                entering = j  # Bland: lowest eligible index
-                break
-        if entering == -1:
-            return "optimal"
-        leaving = -1
-        best: Fraction | None = None
-        for i in range(m):
-            a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving == -1:
-            return "unbounded"
-        _pivot(tab, basis, leaving, entering)
+            if ui:
+                inv[i] = [(ur * a - ui * b) // det for a, b in zip(inv[i], prow)]
+                x[i] = (ur * x[i] - ui * px) // det
+            elif ur != det:
+                inv[i] = [ur * a // det for a in inv[i]]
+                x[i] = ur * x[i] // det
+        self._det = ur
+        basis[r], self._cb[r] = var, ce
+        return True
+
+    def _entering(self) -> int | None:
+        """The first variable in Bland's order with negative reduced cost."""
+        yn, det = self._yn, self._det
+        price = yn.__getitem__
+        for j, (support, coeffs, c) in enumerate(zip(self.columns, self._coeffs, self._costs)):
+            if (sum(map(price, support)) if coeffs is None
+                    else sum(map(mul, map(price, support), coeffs))) > c * det:
+                return j
+        return next((~k for k, ((i, sign), c) in enumerate(zip(self._aux, self._aux_costs))
+                     if sign * yn[i] > c * det and k not in self._fixed), None)
+
+    def _optimize(self) -> bool:
+        """Bland's rule to an optimal basis (True) or an unbounded ray."""
+        while (var := self._entering()) is not None:
+            if not self._pivot(var):
+                return False
+        return True
+
+    def values(self) -> tuple[Fraction, ...]:
+        """Value of every structural column (zero when nonbasic)."""
+        out = [F0] * len(self.columns)
+        for var, xv in zip(self._basis, self._x):
+            if var >= 0:
+                out[var] = Fraction(xv, self._det)
+        return tuple(out)
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum with primal assignment and certifying dual vector."""
     nv = len(lp.objective)
 
-    # Map each variable onto nonnegative tableau columns.
+    # Map each variable onto nonnegative columns.
     var_terms: list[list[tuple[int, int]]] = []  # var -> [(column, sign)]
     var_offset: list[Fraction] = []
     upper_rows: list[tuple[int, Fraction]] = []  # (column, bound on the shifted var)
@@ -189,9 +293,10 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             var_offset.append(Fraction(up))
             ncol += 1
 
-    # Internal rows: (structural coefficients, relation, rhs, original index, flipped)
-    rows: list[tuple[list[Fraction], str, Fraction, int | None, bool]] = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+    # Internal rows: (coefficients over the columns, relation, rhs); the
+    # constraints come first, in their order, then the upper bounds.
+    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    for coeffs, rel, rhs in lp.constraints:
         row = [F0] * ncol
         shift = Fraction(rhs) - sum(Fraction(coeffs[j]) * var_offset[j] for j in range(nv))
         for j in range(nv):
@@ -199,82 +304,63 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             if cj:
                 for col, sign in var_terms[j]:
                     row[col] += cj * sign
-        rows.append((row, rel, shift, i, False))
+        rows.append((row, rel, shift))
     for col, ub in upper_rows:
-        row = [F0] * ncol
-        row[col] = F1
-        rows.append((row, REL_LE, ub, None, False))
+        rows.append(([F1 if c == col else F0 for c in range(ncol)], REL_LE, ub))
 
-    norm_rows = []
-    for row, rel, rhs, oi, _ in rows:
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-            norm_rows.append((row, rel, rhs, oi, True))
-        else:
-            norm_rows.append((row, rel, rhs, oi, False))
+    # Each row is flipped so that its rhs is >= 0 and scaled to integers.  A
+    # <= row then gets a slack, a >= row a surplus and an artificial, an =
+    # row an artificial; the slacks and the artificials are the starting basis.
+    scales, matrix, rhs = [], [], []
+    aux: list[tuple[int, int]] = []
+    basis, artificial = [], set()
+    for i, (row, rel, b) in enumerate(rows):
+        scale = lcm(*(x.denominator for x in row if x), b.denominator)
+        if b < 0:
+            scale, rel = -scale, _FLIPPED[rel]
+        scales.append(scale)
+        matrix.append([int(x * scale) for x in row])
+        rhs.append(int(b * scale))
+        if rel == REL_GE:
+            aux.append((i, -1))
+        if rel != REL_LE:
+            artificial.add(len(aux))
+        basis.append(~len(aux))
+        aux.append((i, 1))
+    supports = [[i for i, row in enumerate(matrix) if row[c]] for c in range(ncol)]
+    coeffs = [[row[c] for row in matrix if row[c]] for c in range(ncol)]
+    # phase 1 minimizes the sum of the artificials of the unscaled rows
+    weight = lcm(*(scales[aux[k][0]] for k in artificial))
+    engine = IntegerSimplex(rhs, basis, supports, coeffs, [0] * ncol, aux,
+                            [weight // abs(scales[i]) if k in artificial else 0 for k, (i, _) in enumerate(aux)],
+                            frozenset(artificial))
 
-    m = len(norm_rows)
-    n_aux = sum(2 if rel == REL_GE else 1 for _, rel, _, _, _ in norm_rows)
-    width = ncol + n_aux
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    unit_col: list[int] = []  # column of the +e_i unit vector for each row
-    artificial = [False] * width
-    aux = ncol
-    for row, rel, rhs, _, _ in norm_rows:
-        full = row + [F0] * n_aux + [rhs]
-        if rel == REL_LE:
-            full[aux] = F1
-            unit_col.append(aux)
-            basis.append(aux)
-            aux += 1
-        elif rel == REL_GE:
-            full[aux] = Fraction(-1)
-            full[aux + 1] = F1
-            artificial[aux + 1] = True
-            unit_col.append(aux + 1)
-            basis.append(aux + 1)
-            aux += 2
-        else:
-            full[aux] = F1
-            artificial[aux] = True
-            unit_col.append(aux)
-            basis.append(aux)
-            aux += 1
-        tab.append(full)
-
-    if any(artificial):
-        cost1 = [Fraction(-1) if artificial[j] else F0 for j in range(width)]
-        enterable1 = [not artificial[j] for j in range(width)]
-        if _optimize(tab, basis, cost1, enterable1) != "optimal":  # phase 1 is always bounded
+    if artificial:
+        if not engine._optimize():  # phase 1 is always bounded
             raise VerificationError("internal error: phase 1 did not reach an optimum")
-        if any(tab[i][-1] for i in range(m) if artificial[basis[i]]):
+        if any(xv for xv, var in zip(engine._x, engine._basis) if var < 0 and ~var in artificial):
             return LpSolution("infeasible")
         # Drive artificials out of the basis; rows that resist are redundant
         # and stay pinned at zero for the rest of the run.
-        for i in range(m):
-            if artificial[basis[i]]:
-                for j in range(width):
-                    if not artificial[j] and tab[i][j]:
-                        _pivot(tab, basis, i, j)
-                        break
+        free = [*range(ncol), *(~k for k in range(len(aux)) if k not in artificial)]
+        for i in range(len(rows)):
+            if ~engine._basis[i] in artificial:
+                var = next((var for var in free if engine._image(var)[i]), None)
+                if var is not None:
+                    engine._pivot(var, i)
 
-    cost2 = [F0] * width
+    cost = [F0] * ncol
     for j in range(nv):
         oj = Fraction(lp.objective[j])
         if oj:
             for col, sign in var_terms[j]:
-                cost2[col] += oj * sign
-    enterable2 = [not artificial[j] for j in range(width)]
-    status = _optimize(tab, basis, cost2, enterable2)
-    if status == "unbounded":
+                cost[col] += oj * sign
+    cost_scale = lcm(*(c.denominator for c in cost))
+    engine._reprice([int(-c * cost_scale) for c in cost], [0] * len(aux))
+    if not engine._optimize():
         return LpSolution("unbounded")
 
-    col_val = [F0] * width
-    for i in range(m):
-        col_val[basis[i]] = tab[i][-1]
+    col_val = engine.values()
     assignment = []
     for j in range(nv):
         x = var_offset[j]
@@ -283,144 +369,50 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         assignment.append(x)
     value = sum(Fraction(lp.objective[j]) * assignment[j] for j in range(nv)) + Fraction(lp.constant)
 
-    ybase = [cost2[b] for b in basis]
-    dual = [F0] * len(lp.constraints)
-    for i, (_, _, _, oi, flipped) in enumerate(norm_rows):
-        if oi is None:
-            continue
-        c = unit_col[i]
-        y = sum(ybase[r] * tab[r][c] for r in range(m) if tab[r][c])
-        dual[oi] = -y if flipped else y
+    # the engine minimized -cost_scale * cost over rows scaled by their scales
+    dual = tuple(Fraction(-yn * scale, engine.det * cost_scale)
+                 for scale, yn in zip(scales[:len(lp.constraints)], engine.dual_numerators()))
 
-    sol = LpSolution("optimal", value, tuple(assignment), tuple(dual))
+    sol = LpSolution("optimal", value, tuple(assignment), dual)
     if not check_solution(lp, sol):
         raise VerificationError("internal error: optimum failed its own certificate")
     return sol
 
 
-class CoveringMaster:
+class CoveringMaster(IntegerSimplex):
     """Warm-started exact primal master of a unit-cost covering LP::
 
         min sum_j x_j  s.t.  sum_{j : i in S_j} x_j - s_i = 1 for every row i,
                              x, s >= 0,
 
-    where column j is the row set ``columns[j]``.  The first m columns are
-    the unit columns (i,), and they form the starting basis.  After
+    where column j is the row set ``columns[j]``, a 0/1 column of cost 1.
+    The first m columns are the unit columns (i,), and they form the
+    starting basis; surplus s_i is the auxiliary ``~i``.  After
     construction and after every ``add_column`` the basis is optimal over
-    the columns held so far.
-
-    The basis inverse is kept as the integer matrix ``det * B^-1`` with
-    ``det = |det(B)| > 0``, and the basic values and the duals as integers
-    over ``det``: a pivot divides exactly (Bareiss), so no ``Fraction`` is
-    built until a caller asks for the ``values``.  The dual
-    numerators ``y * det`` are the sum of the rows of ``det * B^-1`` whose
-    basic variable is a column; a pivot updates that sum from its pivot row
-    alone, so a caller can price on ``dual_numerators()`` against ``det``
-    at no extra cost.  Every pivot spends one budget node.
-    Variables are ordered for Bland's rule as columns 0, 1, ... first and
-    then the surplus variables s_0, s_1, ...; internally surplus i is
-    numbered ``~i``.
+    the columns held so far, so a caller can price on ``dual_numerators()``
+    (all >= 0) against ``det`` at no extra cost.
     """
 
     def __init__(self, m: int, budget: Budget | None = None):
-        self.m = m
-        self.columns: list[tuple[int, ...]] = [(i,) for i in range(m)]
-        self._budget = budget or Budget()
-        self._det = 1
-        self._inv = [[int(i == j) for j in range(m)] for i in range(m)]
-        self._x = [1] * m  # basic values times det
-        self._yn = [1] * m  # duals times det: every row's unit column is basic
-        self._basis = list(range(m))  # variable in each basis row
+        super().__init__([1] * m, range(m), [(i,) for i in range(m)], [None] * m, [1] * m,
+                         [(i, -1) for i in range(m)], [0] * m, budget=budget)
 
-    def _order(self, var: int) -> int:
-        return var if var >= 0 else len(self.columns) + ~var
-
-    @property
-    def det(self) -> int:
-        """The common denominator |det(B)| of the duals and the values."""
-        return self._det
-
-    def dual_numerators(self) -> list[int]:
-        """y * det with y = c_B B^-1 (only column variables cost 1); every
-        entry is >= 0 at an optimal basis."""
-        return list(self._yn)
-
-    def _image(self, var: int) -> list[int]:
-        """det * B^-1 a for the constraint column a of ``var``."""
-        if var < 0:
-            return [-row[~var] for row in self._inv]
-        support = self.columns[var]
-        return [sum(map(row.__getitem__, support)) for row in self._inv]
-
-    def _pivot(self, var: int) -> None:
-        u = self._image(var)
-        x, basis = self._x, self._basis
-        r = -1
-        for i, ui in enumerate(u):
-            if ui > 0:
-                if r < 0:
-                    r = i
-                    continue
-                lhs, rhs = x[i] * u[r], x[r] * ui  # x_i/u_i against x_r/u_r
-                if lhs < rhs or (lhs == rhs and self._order(basis[i]) < self._order(basis[r])):
-                    r = i
-        if r < 0:
+    def _pivot(self, var: int, r: int | None = None) -> bool:
+        if not super()._pivot(var, r):
             raise VerificationError("internal error: covering master is bounded below by 0")
-        self._budget.spend()
-        det, ur = self._det, u[r]
-        inv = self._inv
-        prow, px = inv[r], x[r]
-        # y * det is the sum of the basic column rows of inv, and each of
-        # them other than r is updated below as (ur * row - u_i * prow) / det,
-        # so the new sum follows from the old one and prow in O(m).
-        leaves = basis[r] >= 0
-        cu = sum(ui for ui, var_i in zip(u, basis) if var_i >= 0) - (ur if leaves else 0)
-        yn = [a - b for a, b in zip(self._yn, prow)] if leaves else self._yn
-        enters = int(var >= 0)
-        self._yn = [(ur * a - cu * b) // det + enters * b for a, b in zip(yn, prow)]
-        for i, ui in enumerate(u):
-            if i == r:
-                continue
-            if ui:
-                inv[i] = [(ur * a - ui * b) // det for a, b in zip(inv[i], prow)]
-                x[i] = (ur * x[i] - ui * px) // det
-            elif ur != det:
-                inv[i] = [ur * a // det for a in inv[i]]
-                x[i] = ur * x[i] // det
-        self._det = ur
-        basis[r] = var
-
-    def _improves(self, support: tuple[int, ...]) -> bool:
-        """Whether a column on ``support`` has negative reduced cost."""
-        return sum(map(self._yn.__getitem__, support)) > self._det
-
-    def _reoptimize(self) -> None:
-        """Bland's rule over the held columns and the surplus variables."""
-        while True:
-            entering = next((j for j, col in enumerate(self.columns) if self._improves(col)), None)
-            if entering is None:
-                entering = next((~i for i, yi in enumerate(self._yn) if yi < 0), None)
-            if entering is None:
-                return
-            self._pivot(entering)
+        return True
 
     def add_column(self, support: tuple[int, ...]) -> None:
         """Price ``support`` in with one pivot, then re-optimize.  The
         column must have negative reduced cost at the current duals."""
         support = tuple(support)
-        if not self._improves(support):
+        if sum(map(self._yn.__getitem__, support)) <= self._det:
             raise ValueError(f"column {support} does not improve the master")
         self.columns.append(support)
+        self._coeffs.append(None)
+        self._costs.append(1)
         self._pivot(len(self.columns) - 1)
-        self._reoptimize()
-
-    def values(self) -> tuple[Fraction, ...]:
-        """Value of every column (zero when nonbasic)."""
-        out = [F0] * len(self.columns)
-        for var, xv in zip(self._basis, self._x):
-            if var >= 0:
-                out[var] = Fraction(xv, self._det)
-        return tuple(out)
+        self._optimize()
 
 
 def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:

@@ -114,7 +114,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
         for v in cls:
             cls_of[v] = idx
     cls_arr = np.array(cls_of)
-    mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64), copy=False)
+    mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64))
     r = rank(mat)
     if r != len(cover.classes):
         raise VerificationError(f"internal error: clique-cover matrix has rank {r}, not {len(cover.classes)}")
@@ -257,7 +257,7 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     for col, x in enumerate(subsets):
         for i in x:
             inc[i, col] = 1
-    m = FMatrix(p, inc, copy=False)
+    m = FMatrix(p, inc)
     gram = matmul(m.transpose(), m)
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
     if fit_violation(g, gram) is not None:
@@ -440,7 +440,7 @@ def alon_certificate(
         raise VerificationError(f"polynomial representation invalid: {failure}")
 
     inv = np.array([pow(int(x), -1, modulus) for x in np.diag(e)], dtype=np.int64)
-    mat = FMatrix(modulus, inv[:, None] * e % modulus, copy=False)
+    mat = FMatrix(modulus, inv[:, None] * e % modulus)
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
     if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")

@@ -304,7 +304,7 @@ def rankr_to_drep(g: Graph, rep: RankRRep) -> DRep:
         lo, hi = v * r, (v + 1) * r
         inv = inverse(sub.block(lo, hi, lo, hi))
         out[lo:hi, :] = matmul(inv, sub.block(lo, hi, 0, sub.cols)).a
-    result = DRep(r, FMatrix(sub.p, out, copy=False))
+    result = DRep(r, FMatrix(sub.p, out))
     failure = drep_violation(g, result)
     if failure is not None:
         raise VerificationError(f"extraction produced an invalid certificate: {failure}")
@@ -364,7 +364,7 @@ def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> 
             raise VerificationError(f"vertex {v} has {len(slot_ids[v])} slots, needs {d}")
     assignment = np.array([slot_ids[v][i] for v in range(g.n) for i in range(d)], dtype=np.int64)
     a = (assignment[:, None] == assignment[None, :]).astype(np.int64)
-    rep = DRep(d, FMatrix(p, a, copy=False))
+    rep = DRep(d, FMatrix(p, a))
     failure = drep_violation(g, rep)
     if failure is not None:
         raise VerificationError(f"cover produced an invalid certificate: {failure}")

@@ -8,11 +8,22 @@ from itertools import combinations
 import numpy as np
 
 from hfrac.budget import Budget
-from hfrac.errors import DimensionMismatch, GraphParseError, PreconditionError
+from hfrac.errors import DimensionMismatch, GraphParseError, PreconditionError, VerificationError
 from hfrac.gfmat import FMatrix, hstack, rank
 from hfrac.graphs import Graph, graph_from_edges
 from hfrac.independence import CliqueCover
-from hfrac.lp import REL_EQ, REL_GE, REL_LE, CoveringMaster, LinearProgram, LpSolution
+from hfrac.lp import (
+    F0,
+    F1,
+    REL_EQ,
+    REL_GE,
+    REL_LE,
+    CoveringMaster,
+    IntegerSimplex,
+    LinearProgram,
+    LpSolution,
+    check_solution,
+)
 from hfrac.reps import DRep, SubspaceRep
 
 
@@ -291,7 +302,7 @@ def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
             for x in range(nh):
                 base_t = ((u * nh + x) * d1 + i) * d2
                 perm[base_t:base_t + d2] = np.arange(base_k + x * d2, base_k + (x + 1) * d2)
-    return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)], copy=False))
+    return DRep(d1 * d2, FMatrix(mg.p, kron[np.ix_(perm, perm)]))
 
 
 def master_duals(master: CoveringMaster) -> tuple[Fraction, ...]:
@@ -299,12 +310,200 @@ def master_duals(master: CoveringMaster) -> tuple[Fraction, ...]:
     return tuple(Fraction(yn, master.det) for yn in master.dual_numerators())
 
 
-def dual_numerators_from_scratch(master: CoveringMaster) -> list[int]:
-    """``CoveringMaster``'s duals times det, summed from scratch as
-    c_B (det B^-1): the rows of det B^-1 whose basic variable is a column
-    (cost 1), added up."""
+def dual_numerators_from_scratch(master: IntegerSimplex) -> list[int]:
+    """The engine's duals times det, summed from scratch as
+    c_B (det B^-1): the rows of det B^-1, each weighted by the cost of the
+    variable basic in it, added up."""
     yn = [0] * master.m
     for row, var in zip(master._inv, master._basis):
-        if var >= 0:
-            yn = [a + b for a, b in zip(yn, row)]
+        cost = master._costs[var] if var >= 0 else master._aux_costs[~var]
+        yn = [a + cost * b for a, b in zip(yn, row)]
     return yn
+
+
+def _tableau_pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
+    prow = tab[r]
+    piv = prow[c]
+    if piv != 1:
+        inv = F1 / piv
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = x * inv
+    nz = [j for j, x in enumerate(prow) if x]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+    basis[r] = c
+
+
+def _tableau_optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction],
+                      enterable: list[bool]) -> str:
+    m = len(tab)
+    ncols = len(cost)
+    while True:
+        rows_y = [(i, cost[b]) for i, b in enumerate(basis) if cost[b]]
+        entering = -1
+        for j in range(ncols):
+            if not enterable[j]:
+                continue
+            red = cost[j] - sum(yi * tab[i][j] for i, yi in rows_y if tab[i][j])
+            if red > 0:
+                entering = j  # Bland: lowest eligible index
+                break
+        if entering == -1:
+            return "optimal"
+        leaving = -1
+        best: Fraction | None = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving == -1:
+            return "unbounded"
+        _tableau_pivot(tab, basis, leaving, entering)
+
+
+def tableau_simplex_solve(lp: LinearProgram) -> LpSolution:
+    """``lp.simplex_solve`` as a dense ``Fraction`` tableau built from
+    scratch for one LP, with the same standard form and the same pivots in
+    the same order (Bland's rule over the same column order)."""
+    nv = len(lp.objective)
+
+    # Map each variable onto nonnegative tableau columns.
+    var_terms: list[list[tuple[int, int]]] = []  # var -> [(column, sign)]
+    var_offset: list[Fraction] = []
+    upper_rows: list[tuple[int, Fraction]] = []  # (column, bound on the shifted var)
+    ncol = 0
+    for j in range(nv):
+        lo, up = lp.bound(j)
+        if lo is None and up is None:
+            var_terms.append([(ncol, 1), (ncol + 1, -1)])
+            var_offset.append(F0)
+            ncol += 2
+        elif lo is not None:
+            var_terms.append([(ncol, 1)])
+            var_offset.append(Fraction(lo))
+            if up is not None:
+                if up < lo:
+                    return LpSolution("infeasible")
+                upper_rows.append((ncol, Fraction(up) - Fraction(lo)))
+            ncol += 1
+        else:
+            var_terms.append([(ncol, -1)])
+            var_offset.append(Fraction(up))
+            ncol += 1
+
+    # Internal rows: (structural coefficients, relation, rhs, original index, flipped)
+    rows: list[tuple[list[Fraction], str, Fraction, int | None, bool]] = []
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        row = [F0] * ncol
+        shift = Fraction(rhs) - sum(Fraction(coeffs[j]) * var_offset[j] for j in range(nv))
+        for j in range(nv):
+            cj = Fraction(coeffs[j])
+            if cj:
+                for col, sign in var_terms[j]:
+                    row[col] += cj * sign
+        rows.append((row, rel, shift, i, False))
+    for col, ub in upper_rows:
+        row = [F0] * ncol
+        row[col] = F1
+        rows.append((row, REL_LE, ub, None, False))
+
+    norm_rows = []
+    for row, rel, rhs, oi, _ in rows:
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
+            norm_rows.append((row, rel, rhs, oi, True))
+        else:
+            norm_rows.append((row, rel, rhs, oi, False))
+
+    m = len(norm_rows)
+    n_aux = sum(2 if rel == REL_GE else 1 for _, rel, _, _, _ in norm_rows)
+    width = ncol + n_aux
+    tab: list[list[Fraction]] = []
+    basis: list[int] = []
+    unit_col: list[int] = []  # column of the +e_i unit vector for each row
+    artificial = [False] * width
+    aux = ncol
+    for row, rel, rhs, _, _ in norm_rows:
+        full = row + [F0] * n_aux + [rhs]
+        if rel == REL_LE:
+            full[aux] = F1
+            unit_col.append(aux)
+            basis.append(aux)
+            aux += 1
+        elif rel == REL_GE:
+            full[aux] = Fraction(-1)
+            full[aux + 1] = F1
+            artificial[aux + 1] = True
+            unit_col.append(aux + 1)
+            basis.append(aux + 1)
+            aux += 2
+        else:
+            full[aux] = F1
+            artificial[aux] = True
+            unit_col.append(aux)
+            basis.append(aux)
+            aux += 1
+        tab.append(full)
+
+    if any(artificial):
+        cost1 = [Fraction(-1) if artificial[j] else F0 for j in range(width)]
+        enterable1 = [not artificial[j] for j in range(width)]
+        if _tableau_optimize(tab, basis, cost1, enterable1) != "optimal":  # phase 1 is always bounded
+            raise VerificationError("internal error: phase 1 did not reach an optimum")
+        if any(tab[i][-1] for i in range(m) if artificial[basis[i]]):
+            return LpSolution("infeasible")
+        # Drive artificials out of the basis; rows that resist are redundant
+        # and stay pinned at zero for the rest of the run.
+        for i in range(m):
+            if artificial[basis[i]]:
+                for j in range(width):
+                    if not artificial[j] and tab[i][j]:
+                        _tableau_pivot(tab, basis, i, j)
+                        break
+
+    cost2 = [F0] * width
+    for j in range(nv):
+        oj = Fraction(lp.objective[j])
+        if oj:
+            for col, sign in var_terms[j]:
+                cost2[col] += oj * sign
+    enterable2 = [not artificial[j] for j in range(width)]
+    status = _tableau_optimize(tab, basis, cost2, enterable2)
+    if status == "unbounded":
+        return LpSolution("unbounded")
+
+    col_val = [F0] * width
+    for i in range(m):
+        col_val[basis[i]] = tab[i][-1]
+    assignment = []
+    for j in range(nv):
+        x = var_offset[j]
+        for col, sign in var_terms[j]:
+            x += sign * col_val[col]
+        assignment.append(x)
+    value = sum(Fraction(lp.objective[j]) * assignment[j] for j in range(nv)) + Fraction(lp.constant)
+
+    ybase = [cost2[b] for b in basis]
+    dual = [F0] * len(lp.constraints)
+    for i, (_, _, _, oi, flipped) in enumerate(norm_rows):
+        if oi is None:
+            continue
+        c = unit_col[i]
+        y = sum(ybase[r] * tab[r][c] for r in range(m) if tab[r][c])
+        dual[oi] = -y if flipped else y
+
+    sol = LpSolution("optimal", value, tuple(assignment), tuple(dual))
+    if not check_solution(lp, sol):
+        raise VerificationError("internal error: optimum failed its own certificate")
+    return sol

@@ -384,7 +384,7 @@ def phase_one_gate_error() -> str:
     """What simplex_solve raises on an LP that needs phase 1 (a >= row with
     a nonnegative right-hand side) when phase 1 stops short of an optimum."""
     lp = LinearProgram((Fraction(1),), (((Fraction(1),), ">=", Fraction(0)),))
-    with mock.patch("hfrac.lp._optimize", return_value="unbounded"):
+    with mock.patch("hfrac.lp.IntegerSimplex._optimize", return_value=False):
         try:
             simplex_solve(lp)
         except VerificationError as exc:
@@ -447,6 +447,21 @@ def test_verify_refuses_a_malformed_report(tmp_path, capsys, field, value):
     path.write_text(canonical_json(report))
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"param": "bogus"}, "unknown report parameter 'bogus'"),
+    ({}, "certificate lacks the field 'param'"),
+    ({"param": "alpha", "lower": "3", "upper": "1/2"}, "lower end 3 exceeds upper end 1/2"),
+])
+def test_verify_checks_a_report_without_witnesses(tmp_path, capsys, fields, reason):
+    # the first two printed OK, the third "FAIL: None" with a null reason
+    report = {"graph": "cycle:5", "lower": "0", "upper": "0", "witness_refs": [], **fields}
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report))
+    assert run(capsys, "verify", "--cert", str(path)) == (2, f"FAIL: {reason}\n", "")
+    code, out, _ = run(capsys, "verify", "--cert", str(path), "--json")
+    assert code == 2 and json.loads(out) == {"graph": "cycle:5", "reason": reason, "verified": False}
 
 
 def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):

@@ -6,12 +6,19 @@ import copy
 import random
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
-from oracles import _master_lp, dense_check_solution, dual_numerators_from_scratch, master_duals
+from oracles import (
+    _master_lp,
+    dense_check_solution,
+    dual_numerators_from_scratch,
+    master_duals,
+    tableau_simplex_solve,
+)
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
@@ -22,6 +29,7 @@ from hfrac.lp import (
     REL_GE,
     REL_LE,
     CoveringMaster,
+    IntegerSimplex,
     LinearProgram,
     LpSolution,
     check_solution,
@@ -259,11 +267,12 @@ class _CheckedMaster(CoveringMaster):
         self.pivots: list[tuple[int, int, list[int], list[int]]] = []
         super().__init__(m)
 
-    def _pivot(self, var: int) -> None:
+    def _pivot(self, var: int, r: int | None = None) -> bool:
         before = list(self._basis)
-        super()._pivot(var)
+        entered = super()._pivot(var, r)
         (leaving,) = (b for b, a in zip(before, self._basis) if a != b)
         self.pivots.append((var, leaving, self.dual_numerators(), dual_numerators_from_scratch(self)))
+        return entered
 
 
 @st.composite
@@ -420,6 +429,79 @@ def test_check_solution_agrees_with_the_dense_oracle(case):
 def test_check_cases_reach_every_outcome(outcome):
     find(check_cases(), lambda case: _outcome(dense_check_solution, *case) == outcome,
          settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+@st.composite
+def lps(draw):
+    """LPs with 0-5 variables and 0-6 rows: all three relations, int and
+    fractional numbers, every kind of bound (none, lower, upper, both, also
+    crossed), and equality rows drawn again, which can leave a redundant
+    artificial pinned at zero."""
+    nv = draw(st.integers(0, 5))
+    vector = st.lists(NUMBERS, min_size=nv, max_size=nv)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        equalities = [row for row in rows if row[1] == REL_EQ]
+        if equalities and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(equalities)))
+        else:
+            rows.append((draw(vector), draw(st.sampled_from((REL_LE, REL_GE, REL_EQ))), draw(NUMBERS)))
+    bound = st.tuples(st.none() | NUMBERS, st.none() | NUMBERS)
+    bounds = draw(st.none() | st.lists(bound, min_size=nv, max_size=nv))
+    return _program(draw(vector), rows, draw(NUMBERS), bounds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lps())
+def test_simplex_solve_matches_the_tableau_oracle(lp):
+    # the same pivots in the same order: status, value, assignment and dual
+    assert simplex_solve(lp) == tableau_simplex_solve(lp)
+
+
+def drive_outs(lp) -> set[str]:
+    """What driving the artificials out of the basis did in simplex_solve:
+    a pivot on a negative entry, and rows left redundant."""
+    seen, engines = set(), []
+
+    class Recorded(IntegerSimplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def _pivot(self, var: int, r: int | None = None) -> bool:
+            if r is not None and self._image(var)[r] < 0:
+                seen.add("negative entry")
+            return super()._pivot(var, r)
+
+    with mock.patch("hfrac.lp.IntegerSimplex", Recorded):
+        status = simplex_solve(lp).status
+    if status != "infeasible" and any(~var in engines[0]._fixed for var in engines[0]._basis):
+        seen.add("redundant row")
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["negative entry", "redundant row"])
+def test_lps_reach_every_drive_out_kind(kind):
+    # a negative entry negates det * B^-1 so that det stays positive
+    find(lps(), lambda lp: kind in drive_outs(lp),
+         settings=settings(max_examples=4000, database=None, phases=[Phase.generate]))
+
+
+def test_a_duplicated_equality_row_stays_redundant():
+    lp = LinearProgram((1, 2), (((1, 1), REL_EQ, 1), ((1, 1), REL_EQ, 1)), bounds=((0, None), (0, None)))
+    assert drive_outs(lp) == {"redundant row"}
+    sol = simplex_solve(lp)
+    assert sol == tableau_simplex_solve(lp) and sol.value == 2 and check_solution(lp, sol)
+
+
+def test_phase_one_counts_each_artificial_in_units_of_its_unscaled_row():
+    # the rows are scaled by 2 and 3 to integers; an artificial of a scaled
+    # row counted as one unit took another first pivot, and the run ended
+    # at the other vertex (0, 4/3, 50/9)
+    lp = LinearProgram((0, 0, 0), (((-2, -4, F(3, 2)), REL_GE, 3), ((F(1, 3), 3, 0), REL_EQ, 4)),
+                       bounds=((0, None),) * 3)
+    sol = simplex_solve(lp)
+    assert sol == tableau_simplex_solve(lp) and sol.assignment == (12, 0, 18)
 
 
 @pytest.mark.parametrize("args, field", [

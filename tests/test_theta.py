@@ -7,6 +7,7 @@ from math import cos, isclose, pi, sqrt
 
 import numpy as np
 import pytest
+from oracles import tableau_simplex_solve
 
 from hfrac.errors import PreconditionError, UnsupportedFamily, VerificationError
 from hfrac.graphs import complement, complete, cycle, empty, graph_from_edges
@@ -75,6 +76,14 @@ def test_theta_lp_solution_is_exactly_feasible():
         sol = simplex_solve(lp)
         assert sol.status == "optimal"
         assert check_solution(lp, sol)  # every constraint holds exactly, dual certifies
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 31])
+def test_theta_lp_matches_the_tableau_oracle(p):
+    n = 3 * (p + 1)
+    sol = simplex_solve(johnson_theta_program(p, n))
+    assert sol == tableau_simplex_solve(johnson_theta_program(p, n))
+    assert theta_johnson_lp(p, n) == sol.value
 
 
 def test_theta_lp_preconditions():
