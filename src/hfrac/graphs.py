@@ -1,13 +1,14 @@
 """Finite simple graphs: generators, products, complements, predicates.
 
-Vertices are ``0..n-1``.  The canonical form of a graph is its tuple of
-bitset adjacency rows (bit v of row u set iff uv is an edge); the dense
-boolean adjacency matrix is derived from the rows with numpy once per
-graph and shared read-only, the edge list comes from it, and the
-set-system graphs are built from one matrix product of their incidence
-matrix.  Generators attach labels describing where each
-vertex came from (the subset for set-system graphs, the matrix pair for
-homomorphism-universal graphs, coordinate pairs for products) and
+Vertices are ``0..n-1``.  A graph is its boolean adjacency matrix, checked
+once when the graph is built (square, symmetric, zero diagonal) and kept
+read-only.  Every builder writes that matrix directly: the complement is
+its negation, the strong and lexicographic products are Kronecker
+products, and the set-system graphs come from one matrix product of their
+incidence matrix.  The edge list and the bitset rows that the exact
+searches use are derived from it.  Generators attach labels describing
+where each vertex came from (the subset for set-system graphs, the matrix
+pair for homomorphism-universal graphs, coordinate pairs for products) and
 remember the expression that produced the graph, so downstream
 certificates stay reproducible and self-describing.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, NoReturn
@@ -81,37 +83,64 @@ def require_prime(p: int, what: str = "p") -> None:
         raise PreconditionError(f"{what}={p} is not prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with bitset adjacency rows (no loops)."""
+    """Simple undirected graph on the vertices 0..n-1, held as its boolean
+    adjacency matrix.
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple | None = field(default=None, compare=False)
-    expr: str | None = field(default=None, compare=False)
+    The constructor checks the matrix once, in whole-array passes (square,
+    boolean, zero diagonal, symmetric), and keeps it read-only: the graph
+    takes the array over instead of copying it.  ``adj``, the rows as
+    bitsets (bit v of row u set iff uv is an edge), is derived from the
+    matrix on first use for the bitset searches.  Graphs compare and hash
+    by their matrices alone, not by ``labels`` or ``expr``."""
+
+    n: int = field(init=False)
+    matrix: np.ndarray = field(repr=False)
+    labels: tuple | None = None
+    expr: str | None = None
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
-            raise ValueError("adjacency length must equal vertex count")
-        for v, row in enumerate(self.adj):
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            if row >> self.n:
-                raise ValueError(f"adjacency bits beyond vertex range at {v}")
+        a = np.asarray(self.matrix)
+        if a.dtype != bool:
+            raise ValueError(f"adjacency matrix must be boolean, got dtype {a.dtype}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        if np.count_nonzero(a.diagonal()):
+            raise ValueError(f"loop at vertex {np.flatnonzero(a.diagonal())[0]}")
+        asymmetric = a != a.T
+        if np.count_nonzero(asymmetric):
+            u, v = np.argwhere(asymmetric)[0]
+            raise ValueError(f"adjacency matrix is not symmetric: entries ({u}, {v}) and ({v}, {u}) differ")
+        a.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "n", len(a))
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("label count must equal vertex count")
             if len(set(self.labels)) != self.n:
                 raise ValueError("labels must be unique")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(self.matrix.tobytes())
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        return tuple(bit_rows(self.matrix))
+
     @property
     def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.matrix[u, v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -125,48 +154,16 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """The edges as an m x 2 int64 array, in the order of ``edges``."""
-        return np.argwhere(np.triu(self.adjacency_matrix(), 1))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (symmetric, zero diagonal).  It is
-        built on the first call and every later call returns the same
-        read-only array; copy it to modify it."""
-        mat = self.__dict__.get("_matrix")
-        if mat is None:
-            width = (self.n + 7) // 8
-            rows = b"".join(row.to_bytes(width, "little") for row in self.adj)
-            packed = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, width)
-            mat = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
-            self._keep_matrix(mat)
-        return mat
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, labels=None, expr=None) -> "Graph":
-        """The graph of a symmetric boolean matrix with zero diagonal, which
-        it keeps (read-only) as its ``adjacency_matrix``."""
-        g = cls(len(mat), tuple(bit_rows(mat)), labels, expr)
-        g._keep_matrix(mat)
-        return g
-
-    def _keep_matrix(self, mat: np.ndarray) -> None:
-        mat.flags.writeable = False
-        self.__dict__["_matrix"] = mat  # a cache, not a field: frozen, and left out of ==
+        return np.argwhere(np.triu(self.matrix, 1))
 
     def first_nonedge(self, nonzero: np.ndarray) -> tuple[int, int] | None:
         """The first pair (u, v) with u != v, in row-major order, that is
         not an edge and at which the n x n boolean mask ``nonzero`` holds,
         or None.  For a symmetric mask that pair has u < v."""
-        bad = nonzero & ~self.adjacency_matrix()
+        bad = nonzero & ~self.matrix
         np.fill_diagonal(bad, False)
         hits = np.flatnonzero(bad)
         return divmod(int(hits[0]), self.n) if hits.size else None
-
-    def check_symmetric(self) -> bool:
-        return all(
-            (self.adj[u] >> v & 1) == (self.adj[v] >> u & 1)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-        )
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -181,13 +178,12 @@ def bit_rows(mat: np.ndarray) -> list[int]:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None, expr=None) -> Graph:
-    adj = [0] * n
+    mat = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj), labels, expr)
+        mat[u, v] = mat[v, u] = True
+    return Graph(mat, labels, expr)
 
 
 @dataclass(frozen=True)
@@ -319,15 +315,14 @@ def complete(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     if k < 1:
         raise PreconditionError(f"complete needs k >= 1, got {k}")
     _guard(k, max_vertices, "complete")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    return graph_from_edges(k, edges, expr=f"complete:{k}")
+    return Graph(~np.eye(k, dtype=bool), expr=f"complete:{k}")
 
 
 def empty(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     if k < 1:
         raise PreconditionError(f"empty needs k >= 1, got {k}")
     _guard(k, max_vertices, "empty")
-    return Graph(k, (0,) * k, expr=f"empty:{k}")
+    return Graph(np.zeros((k, k), dtype=bool), expr=f"empty:{k}")
 
 
 # Entries of the pairwise intersection-size array built at a time, in
@@ -335,23 +330,29 @@ def empty(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
 _SUBSET_BLOCK_ENTRIES = 1 << 20
 
 
+def subset_incidence(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The size-subsets of [n] in lexicographic order, which is the vertex
+    order of the subset graphs and of their certificates, and their
+    subsets x n 0/1 incidence matrix.  Its dtype is the smallest that holds
+    ``size``, so it also holds every intersection size of two rows."""
+    subsets = list(combinations(range(n), size))
+    inc = np.zeros((len(subsets), n), dtype=np.min_scalar_type(size))
+    inc[np.repeat(np.arange(len(subsets)), size), np.array(subsets, dtype=np.int64).ravel()] = 1
+    return subsets, inc
+
+
 def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> Graph:
     _guard(comb(n, size), max_vertices, expr)
     if n > max_vertices:  # the labels and the incidence matrix grow with n
         raise GuardExceeded(f"{expr} has a ground set of {n} (cap {max_vertices})")
-    verts = list(combinations(range(n), size))
+    verts, inc = subset_incidence(n, size)
     count = len(verts)
-    # every intersection size is at most `size`, so this dtype holds them all
-    inc = np.zeros((count, n), dtype=np.min_scalar_type(size))
-    inc[np.repeat(np.arange(count), size), np.array(verts, dtype=np.int64).ravel()] = 1
+    mat = np.empty((count, count), dtype=bool)
     step = max(1, _SUBSET_BLOCK_ENTRIES // count)
-    adj: list[int] = []
     for start in range(0, count, step):
-        block = adjacent(inc[start:start + step] @ inc.T)
-        rows = np.arange(block.shape[0])
-        block[rows, start + rows] = False
-        adj.extend(bit_rows(block))
-    return Graph(count, tuple(adj), tuple(verts), expr)
+        mat[start:start + step] = adjacent(inc[start:start + step] @ inc.T)
+    np.fill_diagonal(mat, False)
+    return Graph(mat, tuple(verts), expr)
 
 
 def johnson(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -419,70 +420,55 @@ def universal_graph(p: int, n: int, d: int, max_vertices: int = DEFAULT_MAX_VERT
     zero = (0,) * (d * d)
     mats = list(_mat_vecs(p, n, d))
     verts = [(a, b) for a in mats for b in mats if _mat_tmul(a, b, p, n, d) == ident]
-    adj = [0] * len(verts)
+    mat = np.zeros((len(verts), len(verts)), dtype=bool)
     for i, (a, b) in enumerate(verts):
         for j in range(i + 1, len(verts)):
             c, dd = verts[j]
             nonadj = _mat_tmul(a, dd, p, n, d) == zero and _mat_tmul(c, b, p, n, d) == zero
             if not nonadj:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(verts), tuple(adj), tuple(verts), f"universal:{p},{n},{d}")
+                mat[i, j] = mat[j, i] = True
+    return Graph(mat, tuple(verts), f"universal:{p},{n},{d}")
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    adj = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj))
+    mat = ~g.matrix
+    np.fill_diagonal(mat, False)
     expr = f"complement({g.expr})" if g.expr else None
-    return Graph(g.n, adj, g.labels, expr)
+    return Graph(mat, g.labels, expr)
 
 
-def _vertex_label(g: Graph, v: int):
-    return g.labels[v] if g.labels is not None else v
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two boolean matrices: entry (u*k + x, v*k + y)
+    is a[u, v] and b[x, y], for b of order k."""
+    n = len(a) * len(b)
+    return (a[:, None, :, None] & b[None, :, None, :]).reshape(n, n)
+
+
+def _product_labels(g: Graph, h: Graph) -> tuple:
+    gl = g.labels if g.labels is not None else range(g.n)
+    hl = h.labels if h.labels is not None else range(h.n)
+    return tuple((u, x) for u in gl for x in hl)
 
 
 def strong_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Strong product; vertex (u,x) is at index u*h.n + x (row-major)."""
+    """Strong product, kron(A+I, B+I) off the diagonal; vertex (u,x) is at
+    index u*h.n + x (row-major)."""
     n = g.n * h.n
     _guard(n, max_vertices, "strong product")
-    adj = [0] * n
-    for u in range(g.n):
-        gu = g.adj[u] | 1 << u
-        for x in range(h.n):
-            a = u * h.n + x
-            hu = h.adj[x] | 1 << x
-            row = 0
-            gm = gu
-            while gm:
-                v = (gm & -gm).bit_length() - 1
-                gm &= gm - 1
-                row |= hu << (v * h.n)
-            row &= ~(1 << a)
-            adj[a] = row
-    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
+    mat = _kron(g.matrix | np.eye(g.n, dtype=bool), h.matrix | np.eye(h.n, dtype=bool))
+    np.fill_diagonal(mat, False)
     expr = f"strong({g.expr},{h.expr})" if g.expr and h.expr else None
-    return Graph(n, tuple(adj), labels, expr)
+    return Graph(mat, _product_labels(g, h), expr)
 
 
 def lex_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Lexicographic product (blow-up): (u,x)~(v,y) iff uv ∈ E(g), or u=v and xy ∈ E(h)."""
+    """Lexicographic product (blow-up), kron(A, J) | kron(I, B):
+    (u,x)~(v,y) iff uv ∈ E(g), or u=v and xy ∈ E(h)."""
     n = g.n * h.n
     _guard(n, max_vertices, "lex product")
-    block_full = (1 << h.n) - 1
-    adj = [0] * n
-    for u in range(g.n):
-        for x in range(h.n):
-            a = u * h.n + x
-            row = h.adj[x] << (u * h.n)
-            gm = g.adj[u]
-            while gm:
-                v = (gm & -gm).bit_length() - 1
-                gm &= gm - 1
-                row |= block_full << (v * h.n)
-            adj[a] = row
-    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
+    mat = _kron(g.matrix, np.ones((h.n, h.n), dtype=bool)) | _kron(np.eye(g.n, dtype=bool), h.matrix)
     expr = f"lex({g.expr},{h.expr})" if g.expr and h.expr else None
-    return Graph(n, tuple(adj), labels, expr)
+    return Graph(mat, _product_labels(g, h), expr)
 
 
 def stray_vertex(g: Graph, s: Iterable[int]) -> int | None:
@@ -545,7 +531,7 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     mat[u, v] = mat[v, u] = True
     if np.count_nonzero(mat) != 2 * m:
         _first_bad_edge(nums, n)
-    return Graph.from_matrix(mat, expr=f"file:{path}")
+    return Graph(mat, expr=f"file:{path}")
 
 
 def _first_bad_edge(nums: list[int], n: int) -> NoReturn:

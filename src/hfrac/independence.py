@@ -9,7 +9,7 @@ is the sum of the class maxima up to its class (its class index for unit
 weights), and only vertices whose bound can still beat the incumbent are
 kept and branched on, last-coloured first.  Rational weights are scaled to
 integers once.  The renumbered bitset rows are one permutation of the
-graph's cached adjacency matrix, packed.  ``greedy_clique_cover`` is the
+graph's adjacency matrix, packed.  ``greedy_clique_cover`` is the
 same colouring over all vertices in descending-degree order.
 
 ``clique_cover_leq`` colours the complement by DSATUR backtracking
@@ -35,7 +35,7 @@ import numpy as np
 
 from .budget import Budget
 from .errors import BudgetExhausted, PreconditionError, SearchCutoff
-from .graphs import Graph, bit_rows, is_clique, is_independent_set, stray_vertex
+from .graphs import Graph, bit_rows, complement, is_clique, is_independent_set, stray_vertex
 from .serialize import read_ints, read_list
 
 
@@ -102,7 +102,7 @@ def _bits(mask: int):
 def _relabel(g: Graph, order: Sequence[int]) -> list[int]:
     """Adjacency rows of g with vertex order[i] moved to bit i."""
     index = np.array(order, dtype=np.intp)
-    return bit_rows(g.adjacency_matrix().take(index, 0).take(index, 1))
+    return bit_rows(g.matrix.take(index, 0).take(index, 1))
 
 
 def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[int], list[int], int]:
@@ -234,6 +234,15 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
     return _max_stable(g, _static_order(g)[::-1], [1] * g.n, budget or Budget(), "alpha")
 
 
+def alpha_lower_end(g: Graph, budget: Budget) -> tuple[int, tuple[int, ...]]:
+    """``alpha`` with its witness or, when the budget runs out, the
+    certified lower end of the cut-off search with its witness."""
+    try:
+        return alpha(g, budget)
+    except SearchCutoff as cut:
+        return cut.lower, tuple(cut.witness or ())
+
+
 def max_weight_independent_set(
     g: Graph, weights: Sequence[int | Fraction], budget: Budget | None = None
 ) -> tuple[tuple[int, ...], Fraction]:
@@ -279,8 +288,7 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     if n == 0:
         return CliqueCover(())
     budget = budget or Budget()
-    full = (1 << n) - 1
-    comp = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]  # complement rows
+    comp = complement(g).adj
     # score[v] = sat(v) * n + complement degree, less n * n while v is
     # coloured; sat(v) counts the colours among v's complement neighbours
     score = [row.bit_count() for row in comp]

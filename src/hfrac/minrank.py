@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -26,12 +26,11 @@ from .errors import (
     DimensionMismatch,
     GuardExceeded,
     PreconditionError,
-    SearchCutoff,
     VerificationError,
 )
 from .gfmat import INT64_LIMIT, FMatrix, check_modulus, matmul, rank
-from .graphs import Graph, alon, complement, is_prime, johnson
-from .independence import CliqueCover, alpha, clique_cover_violation, greedy_clique_cover
+from .graphs import Graph, alon, complement, is_prime, johnson, subset_incidence
+from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
 
 # minrank_exact searches exhaustively only up to this many assignments.
@@ -145,10 +144,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
 
     def interval_result() -> MinrankResult:
-        try:
-            lower, witness = alpha(g, budget)
-        except SearchCutoff as cut:
-            lower, witness = cut.lower, tuple(cut.witness or ())
+        lower, witness = alpha_lower_end(g, budget)
         lower = min(lower, incumbent.claimed_rank)
         # a closed interval pins the value without exhausting the search
         return MinrankResult(lower, incumbent.claimed_rank, incumbent,
@@ -160,13 +156,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     n = g.n
     adj = g.adj
     full = (1 << n) - 1
-    free_cols = []
-    for v in range(n):
-        cols, mask = [], adj[v]
-        while mask:
-            cols.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        free_cols.append(cols)
+    free_cols = [np.flatnonzero(row).tolist() for row in g.matrix]
 
     # isolated vertices join every greedy stable set: count them at once
     isolated = sum(1 << v for v in range(n) if not adj[v])
@@ -252,12 +242,8 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     intersection-parity graph on (p+1)-subsets because the subset size
     p+1 is 1 mod p; rank is at most n."""
     g = johnson(p, n)
-    subsets = list(combinations(range(n), p + 1))
-    inc = np.zeros((n, len(subsets)), dtype=np.int64)
-    for col, x in enumerate(subsets):
-        for i in x:
-            inc[i, col] = 1
-    m = FMatrix(p, inc)
+    _, inc = subset_incidence(n, p + 1)
+    m = FMatrix(p, inc.T)
     gram = matmul(m.transpose(), m)
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
     if fit_violation(g, gram) is not None:
@@ -414,16 +400,15 @@ def alon_certificate(
 
     base = alon(p, q, n)
     target = base if variant == "P" else complement(base)
-    subsets = [tuple(x) for x in combinations(range(n), p * q - 1)]
+    subsets, inc = subset_incidence(n, p * q - 1)
 
     polys = []
-    points = []
     for x in subsets:
         f: dict = {(): 1 % modulus}
         for c in constants:
             f = _ml_mul(f, _linear_factor(x, c, modulus), modulus)
         polys.append(tuple(sorted(f.items())))
-        points.append(tuple(1 if j in set(x) else 0 for j in range(n)))
+    points = [tuple(row) for row in inc.tolist()]
     rep = PolyRep(
         modulus=modulus,
         degree=len(constants),

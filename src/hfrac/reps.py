@@ -36,7 +36,7 @@ from .errors import (
 from .fraccover import FractionalCover, fractional_clique_cover
 from .gfmat import FMatrix, hstack, inverse, matmul, rank, select_full_rank_submatrix, solve_right
 from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
-from .independence import alpha
+from .independence import alpha_lower_end
 from .minrank import minrank_exact
 from .report import BoundReport
 from .serialize import read_int, read_ints, read_list, read_objects
@@ -234,7 +234,7 @@ def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     for v, b in enumerate(rep.bases):
         if rank(b) != rep.d:
             return f"subspace of vertex {v} has dimension below {rep.d}"
-    nonadjacent = ~g.adjacency_matrix()
+    nonadjacent = ~g.matrix
     np.fill_diagonal(nonadjacent, False)
     for v, row in enumerate(nonadjacent):
         others = [rep.bases[u] for u in np.flatnonzero(row).tolist()]
@@ -443,11 +443,8 @@ def hfrac_upper_search(
 
 
 def _search(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[BoundReport, DRep]:
-    try:
-        a, wit = alpha(g, budget)
-        lower = Fraction(a)
-    except SearchCutoff as cut:
-        lower, wit = Fraction(cut.lower), tuple(cut.witness or ())
+    a, wit = alpha_lower_end(g, budget)
+    lower = Fraction(a)
     lower_witness = {"kind": "independent_set", "vertices": [int(v) for v in wit]}
 
     candidates: list[tuple[Fraction, DRep]] = []

@@ -206,13 +206,64 @@ def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:
     ``adjacent(|u ∩ v|)``, one pair of frozensets at a time."""
     verts = list(combinations(range(n), size))
     sets = [frozenset(x) for x in verts]
-    adj = [0] * len(verts)
+    mat = np.zeros((len(verts), len(verts)), dtype=bool)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             if adjacent(len(sets[i] & sets[j])):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(verts), tuple(adj), tuple(verts))
+                mat[i, j] = mat[j, i] = True
+    return Graph(mat, tuple(verts))
+
+
+def _rows_graph(rows: list[int], labels, expr) -> Graph:
+    mat = np.zeros((len(rows), len(rows)), dtype=bool)
+    for u, row in enumerate(rows):
+        for v in _bits(row):
+            mat[u, v] = True
+    return Graph(mat, labels, expr)
+
+
+def _vertex_label(g: Graph, v: int):
+    return g.labels[v] if g.labels is not None else v
+
+
+def bitloop_complement(g: Graph) -> Graph:
+    """``graphs.complement`` on bitset rows."""
+    full = (1 << g.n) - 1
+    adj = [(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)]
+    return _rows_graph(adj, g.labels, f"complement({g.expr})" if g.expr else None)
+
+
+def bitloop_strong_product(g: Graph, h: Graph) -> Graph:
+    """``graphs.strong_product`` on bitset rows: the row of (u, x) is the
+    closed neighbourhood of x shifted into every block of u's closed
+    neighbourhood, less (u, x) itself."""
+    adj = [0] * (g.n * h.n)
+    for u in range(g.n):
+        gu = g.adj[u] | 1 << u
+        for x in range(h.n):
+            a = u * h.n + x
+            hu = h.adj[x] | 1 << x
+            row = 0
+            for v in _bits(gu):
+                row |= hu << (v * h.n)
+            adj[a] = row & ~(1 << a)
+    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
+    return _rows_graph(adj, labels, f"strong({g.expr},{h.expr})" if g.expr and h.expr else None)
+
+
+def bitloop_lex_product(g: Graph, h: Graph) -> Graph:
+    """``graphs.lex_product`` on bitset rows: the row of (u, x) is x's
+    neighbourhood in block u plus every block of u's neighbourhood."""
+    block_full = (1 << h.n) - 1
+    adj = [0] * (g.n * h.n)
+    for u in range(g.n):
+        for x in range(h.n):
+            row = h.adj[x] << (u * h.n)
+            for v in _bits(g.adj[u]):
+                row |= block_full << (v * h.n)
+            adj[u * h.n + x] = row
+    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
+    return _rows_graph(adj, labels, f"lex({g.expr},{h.expr})" if g.expr and h.expr else None)
 
 
 def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hfrac import graphs
 from hfrac.errors import GraphParseError, GuardExceeded, PreconditionError
 from hfrac.graphs import (
+    Graph,
     alon,
     complement,
     complete,
@@ -29,13 +30,17 @@ from hfrac.graphs import (
     parse_expr,
     read_graph_file,
     strong_product,
+    subset_incidence,
     universal_graph,
     universal_vertex_count,
     write_graph_file,
 )
 from oracles import (
     bitloop_adjacency_matrix,
+    bitloop_complement,
     bitloop_edges,
+    bitloop_lex_product,
+    bitloop_strong_product,
     edge_loop_read_graph_file,
     fstring_format_graph,
     set_intersection_subset_graph,
@@ -51,8 +56,32 @@ def random_graph(rng, n, prob=0.5):
 def test_cycle_basics():
     c5 = cycle(5)
     assert c5.n == 5 and c5.m == 5
-    assert c5.check_symmetric()
+    a = c5.matrix
+    assert np.array_equal(a, a.T)
     assert c5.has_edge(0, 1) and not c5.has_edge(0, 2)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.array([[0, 1], [0, 0]], dtype=bool), r"not symmetric: entries \(0, 1\) and \(1, 0\) differ"),
+    (np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool), "loop at vertex 2"),
+    (np.zeros((2, 3), dtype=bool), r"must be square, got shape \(2, 3\)"),
+    (np.zeros(3, dtype=bool), r"must be square, got shape \(3,\)"),
+    (np.array([[0, 1], [1, 0]]), "must be boolean, got dtype int"),
+])
+def test_constructor_refuses_a_defective_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(matrix)
+
+
+def test_constructor_keeps_the_matrix_read_only_and_compares_by_it():
+    mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    g = Graph(mat, labels=("a", "b", "c"), expr="path")
+    assert g.n == 3 and g.m == 2 and g.edges() == [(0, 1), (1, 2)]
+    assert g.matrix is mat and not mat.flags.writeable
+    assert g.adj == (0b010, 0b101, 0b010) and g.adj is g.adj
+    h = graph_from_edges(3, [(1, 2), (0, 1)])
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1  # labels and expr are not compared
+    assert g != complement(h) and g != empty(3) and g != cycle(3) and g != empty(4)
 
 
 def test_johnson_2_4_is_empty():
@@ -290,15 +319,15 @@ def test_graph_files_read_as_the_edge_loop_reads_them(tmp_path_factory, text):
         assert str(got.value) == str(exc)
     else:
         g = read_graph_file(str(path))
-        assert g == expected and np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+        assert g == expected and np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
 
 
 def test_adjacency_matrix_is_built_once_and_read_only(tmp_path):
     path = tmp_path / "g.txt"
     write_graph_file(cycle(5), str(path))
     for g in (cycle(5), read_graph_file(str(path))):
-        a = g.adjacency_matrix()
-        assert g.adjacency_matrix() is a
+        a = g.matrix
+        assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 2] = True
         assert np.array_equal(a, bitloop_adjacency_matrix(cycle(5)))
@@ -326,7 +355,7 @@ def test_empty_graph_file(tmp_path):
     path.write_text("0 0\n")
     g = read_graph_file(str(path))
     assert g.n == 0 and g.edges() == []
-    assert g.adjacency_matrix().shape == (0, 0)
+    assert g.matrix.shape == (0, 0)
 
 
 def test_labels_are_unique_and_counted():
@@ -348,7 +377,7 @@ def random_graphs(draw, max_n=41):
 @settings(max_examples=200, deadline=None)
 @given(random_graphs())
 def test_dense_views_match_the_bit_loops(g):
-    a = g.adjacency_matrix()
+    a = g.matrix
     assert a.dtype == bool and a.shape == (g.n, g.n)
     assert np.array_equal(a, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
@@ -359,7 +388,7 @@ def test_dense_views_at_every_size_mod_8():
     for n in range(0, 34):
         for prob in (0.0, 0.3, 1.0):
             g = random_graph(rng, n, prob)
-            assert np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+            assert np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
             assert g.edges() == bitloop_edges(g)
 
 
@@ -376,7 +405,7 @@ def test_subset_graphs_match_the_set_intersection_loop(p, q, n):
         g, size, adjacent = alon(p, q, n), p * q - 1, lambda c: c % p == p - 1
     oracle = set_intersection_subset_graph(n, size, adjacent)
     assert g.adj == oracle.adj and g.labels == oracle.labels
-    assert np.array_equal(g.adjacency_matrix(), bitloop_adjacency_matrix(g))
+    assert np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
 
 
@@ -386,6 +415,15 @@ def test_subset_graphs_do_not_depend_on_the_block_size(monkeypatch, block_entrie
     monkeypatch.setattr(graphs, "_SUBSET_BLOCK_ENTRIES", block_entries)
     for expr, adj in expected.items():
         assert generate(expr).adj == adj
+
+
+@pytest.mark.parametrize("n, size", [(3, 3), (5, 3), (7, 5), (6, 0)])
+def test_subset_incidence_lists_the_subsets_in_vertex_order(n, size):
+    subsets, inc = subset_incidence(n, size)
+    assert subsets == list(combinations(range(n), size))
+    assert inc.tolist() == [[int(j in x) for j in range(n)] for x in subsets]
+    if size == 3:  # the vertex order of johnson:2,n
+        assert subsets == list(johnson(2, n).labels)
 
 
 def test_subset_graph_ground_set_is_capped():
@@ -419,3 +457,28 @@ def test_format_graph_matches_the_fstring_loop(tmp_path):
         copy = tmp_path / "copy.txt"
         write_graph_file(g, str(copy))
         assert read_graph_file(str(copy)) == g
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph of 1 to 7 vertices: an unlabelled random one, or a labelled
+    one from an expression (subset labels, nested product labels, and
+    one-vertex factors among them)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return graph_from_edges(n, [e for e in pairs if draw(st.booleans())])
+    return generate(draw(st.sampled_from((
+        "complete:1", "empty:1", "empty:2", "complete:3", "cycle:5", "cycle:7", "johnson:2,4",
+        "complement(johnson:2,4)", "strong(complete:1,cycle:3)", "lex(empty:2,complete:3)",
+        "strong(complete:2,lex(empty:1,cycle:3))", "lex(strong(empty:1,complete:2),empty:3)",
+    ))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), small_graphs())
+def test_builders_match_the_bit_loops(g, h):
+    for got, want in ((complement(g), bitloop_complement(g)),
+                      (strong_product(g, h), bitloop_strong_product(g, h)),
+                      (lex_product(g, h), bitloop_lex_product(g, h))):
+        assert got.adj == want.adj and got.labels == want.labels and got.expr == want.expr

@@ -27,6 +27,7 @@ from hfrac.graphs import (
 from hfrac.independence import (
     CliqueCover,
     alpha,
+    alpha_lower_end,
     clique_cover_leq,
     clique_cover_violation,
     greedy_clique_cover,
@@ -99,6 +100,17 @@ def test_alpha_budget_cutoff_carries_interval():
     with pytest.raises(SearchCutoff) as info2:
         alpha(g2, Budget(nodes=3))
     assert info2.value.lower <= 5 <= info2.value.upper
+
+
+def test_alpha_lower_end_is_alpha_or_the_cutoff_lower_end():
+    g = generate("johnson:2,10")
+    assert alpha_lower_end(g, Budget()) == alpha(g)
+    with pytest.raises(SearchCutoff) as info:
+        alpha(g, Budget(nodes=40))
+    assert alpha_lower_end(g, Budget(nodes=40)) == (info.value.lower, info.value.witness)
+    budget = Budget(nodes=0)  # trips at the root, before any witness is found
+    lower, witness = alpha_lower_end(empty(3), budget)
+    assert budget.exhausted and is_independent_set(empty(3), witness) and len(witness) == lower
 
 
 def test_max_weight_independent_set():
