@@ -257,7 +257,11 @@ def _cmd_certify(args) -> int:
         if args.graph is None or args.k is None or args.p is None:
             raise UsageError("certify cover needs --graph, --k, --p")
         g = _graph(args)
-        cover = clique_cover_leq(g, args.k, _budget(args))
+        try:
+            cover = clique_cover_leq(g, args.k, _budget(args))
+        except BudgetExhausted:
+            _emit(args, "budget exhausted before the search resolved", {"status": "budget-exhausted"})
+            return EXIT_BUDGET
         if cover is None:
             print(f"no partition into {args.k} cliques exists", file=sys.stderr)
             return EXIT_VERIFY_FAIL

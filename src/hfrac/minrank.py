@@ -7,8 +7,9 @@ by row, in one explicit-stack loop.  It prunes with a block-triangular
 bound: the echelon rank of the assigned rows plus a greedy stable set
 among the columns they leave zero.  The constructors build the classical
 certificates: set-incidence Gram matrices for the intersection-parity
-graphs, clique-partition matrices, and multilinear polynomial
-representations with their evaluation matrices.
+graphs, clique-partition matrices, and Alon's polynomial representations
+of the (pq-1)-subset graphs, each evaluated at every point at once from
+the subsets' intersection matrix.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from math import comb
 import numpy as np
 
 from .budget import Budget
-from .errors import (
-    BudgetExhausted,
-    DimensionMismatch,
-    GuardExceeded,
-    PreconditionError,
-    VerificationError,
-)
-from .gfmat import INT64_LIMIT, FMatrix, check_modulus, matmul, rank
+from .errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
+from .gfmat import FMatrix, check_modulus, matmul, rank
 from .graphs import Graph, alon, complement, is_prime, johnson, subset_incidence
 from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
@@ -89,15 +84,18 @@ class FitCertificate:
 
 @dataclass(frozen=True)
 class MinrankResult:
-    """Certified bracket on the minimum fit rank; exact when the search ran
-    to completion (then lower == upper == the minrank).  For interval
+    """Certified bracket on the minimum fit rank; exact when its ends meet,
+    as they do whenever the search ran to completion.  For interval
     results the lower end comes from an independent set (kept as witness)."""
 
     lower: int
     upper: int
     certificate: FitCertificate
-    exact: bool
     alpha_witness: tuple[int, ...] | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
 
 def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
@@ -147,8 +145,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
         lower, witness = alpha_lower_end(g, budget)
         lower = min(lower, incumbent.claimed_rank)
         # a closed interval pins the value without exhausting the search
-        return MinrankResult(lower, incumbent.claimed_rank, incumbent,
-                             exact=lower == incumbent.claimed_rank, alpha_witness=witness)
+        return MinrankResult(lower, incumbent.claimed_rank, incumbent, witness)
 
     if g.m > 0 and p ** (2 * g.m) > SEARCH_CAP:
         return interval_result()
@@ -234,7 +231,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     else:
         cert = incumbent
         best_rank = incumbent.claimed_rank
-    return MinrankResult(best_rank, best_rank, cert, exact=True)
+    return MinrankResult(best_rank, best_rank, cert)
 
 
 def johnson_certificate(p: int, n: int) -> FitCertificate:
@@ -254,86 +251,49 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Multilinear polynomial representations
-
-
-def _ml_mul(f: dict, g: dict, m: int) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for s, a in f.items():
-        for t, b in g.items():
-            key = tuple(sorted(set(s) | set(t)))  # x^2 = x on 0/1 points
-            out[key] = (out.get(key, 0) + a * b) % m
-    return {k: v for k, v in out.items() if v}
-
-
-def _ml_eval(f: dict, members: frozenset, m: int) -> int:
-    return sum(c for k, c in f.items() if members.issuperset(k)) % m
-
-
-def _linear_factor(x: tuple[int, ...], c: int, m: int) -> dict:
-    f = {(): (-c) % m}
-    for j in x:
-        f[(j,)] = 1 % m
-    return {k: v for k, v in f.items() if v}
+# Polynomial representations of the subset graphs
 
 
 @dataclass(frozen=True)
 class PolyRep:
-    """Per-vertex (multilinear polynomial, 0/1 point) pairs representing a
-    graph: nonzero at the own point, zero at every non-neighbor's point.
+    """Per-vertex (polynomial, 0/1 point) pairs representing a graph:
+    nonzero at the own point, zero at every non-neighbor's point.
 
-    ``evaluation_matrix`` evaluates every polynomial at every point in one
-    integer product: with C the vertices x monomials coefficient matrix
-    and Z the monomials x points 0/1 matrix (Z[S, v] = 1 iff S is a
-    subset of X_v), E = C Z mod the modulus, since a reduced polynomial at
-    a 0/1 point is the sum of the coefficients of the monomials the point
-    covers.  ``evaluate`` and ``unreduced_value`` are the per-entry
-    reference for the same values.
+    The polynomial of vertex u is f_u(y) = prod_c (<x_u, y> - c) over the
+    ``factor_constants`` c, with x_u the point of u; its degree is the
+    number of constants.  At the point of v, <x_u, x_v> = |X_u & X_v|, so
+    the whole evaluation matrix is prod_c (S - c) mod the modulus, with S
+    the points' intersection matrix.  Reduced to a multilinear polynomial
+    (x^2 = x on 0/1 points), f_u takes the same values at every point.
     """
 
     modulus: int
-    degree: int
-    nvars: int
     factor_constants: tuple[int, ...]
-    polys: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     points: tuple[tuple[int, ...], ...]
 
-    def poly(self, v: int) -> dict:
-        return dict(self.polys[v])
-
-    def members(self, v: int) -> frozenset:
-        return frozenset(j for j, bit in enumerate(self.points[v]) if bit)
-
-    def evaluate(self, u: int, v: int) -> int:
-        """Reduced polynomial of u evaluated at the point of v."""
-        return _ml_eval(self.poly(u), self.members(v), self.modulus)
+    @property
+    def degree(self) -> int:
+        return len(self.factor_constants)
 
     def unreduced_value(self, u: int, v: int) -> int:
-        """Original product (before the x^2 = x reduction) at v's point."""
-        s = len(self.members(u) & self.members(v))
+        """The defining product of u at v's point."""
+        s = sum(a * b for a, b in zip(self.points[u], self.points[v]))
         val = 1
         for c in self.factor_constants:
             val = val * (s - c) % self.modulus
         return val
 
     def evaluation_matrix(self) -> np.ndarray:
-        """E[u, v] = ``evaluate(u, v)`` for every pair, as one int64 array."""
-        monomials = sorted({key for poly in self.polys for key, _ in poly})
-        if len(monomials) * (self.modulus - 1) >= INT64_LIMIT:
-            raise GuardExceeded(
-                f"evaluating {len(monomials)} monomials over GF({self.modulus}) overflows int64")
-        column = {key: j for j, key in enumerate(monomials)}
-        coeffs = np.zeros((len(self.polys), len(monomials)), dtype=np.int64)
-        for u, poly in enumerate(self.polys):
-            for key, c in poly:
-                coeffs[u, column[key]] = c % self.modulus
-        variables = np.zeros((len(monomials), self.nvars), dtype=np.int64)
-        for j, key in enumerate(monomials):
-            variables[j, list(key)] = 1
-        # S is a subset of X_v iff X_v holds all |S| of S's variables
-        covered = variables @ (np.array(self.points) != 0).T.astype(np.int64)
-        contains = (covered == variables.sum(axis=1)[:, None]).astype(np.int64)
-        return coeffs @ contains % self.modulus
+        """E[u, v] = ``unreduced_value(u, v)`` for every pair, as one int64
+        array: one elementwise product of residues per constant."""
+        # checked first: it bounds every product of two residues below int64's limit
+        check_modulus(self.modulus)
+        x = np.array(self.points, dtype=np.int64)
+        s = x @ x.T
+        e = np.ones_like(s)
+        for c in self.factor_constants:
+            e = e * ((s - c) % self.modulus) % self.modulus
+        return e
 
     def violation(self, g: Graph, evaluation: np.ndarray | None = None) -> str | None:
         """None if every polynomial is nonzero at its own point and zero at
@@ -400,25 +360,8 @@ def alon_certificate(
 
     base = alon(p, q, n)
     target = base if variant == "P" else complement(base)
-    subsets, inc = subset_incidence(n, p * q - 1)
-
-    polys = []
-    for x in subsets:
-        f: dict = {(): 1 % modulus}
-        for c in constants:
-            f = _ml_mul(f, _linear_factor(x, c, modulus), modulus)
-        polys.append(tuple(sorted(f.items())))
-    points = [tuple(row) for row in inc.tolist()]
-    rep = PolyRep(
-        modulus=modulus,
-        degree=len(constants),
-        nvars=n,
-        factor_constants=constants,
-        polys=tuple(polys),
-        points=tuple(points),
-    )
-    # the modulus FMatrix will ask for, checked before any int64 arithmetic
-    check_modulus(modulus)
+    _, inc = subset_incidence(n, p * q - 1)
+    rep = PolyRep(modulus, constants, tuple(map(tuple, inc.tolist())))
     e = rep.evaluation_matrix()
     failure = rep.violation(target, e)
     if failure is not None:
@@ -429,7 +372,7 @@ def alon_certificate(
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
     if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")
-    span_bound = sum(comb(n, i) for i in range(len(constants) + 1))
+    span_bound = sum(comb(n, i) for i in range(rep.degree + 1))
     if cert.claimed_rank > span_bound:
         raise VerificationError(
             f"internal error: evaluation matrix has rank {cert.claimed_rank} > span bound {span_bound}"

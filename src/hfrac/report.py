@@ -13,8 +13,7 @@ class BoundReport:
     """Interval [lower, upper] for a graph parameter, with witnesses.
 
     Witnesses are certificate objects (anything with ``to_json``) or plain
-    dicts.  ``runtime_ms`` is informational and deliberately left out of
-    the JSON form so identical runs serialize identically.
+    dicts.
     """
 
     parameter: str
@@ -22,7 +21,6 @@ class BoundReport:
     lower: Fraction
     upper: Fraction
     witnesses: tuple = ()
-    runtime_ms: float | None = None
 
     def __post_init__(self):
         if self.lower > self.upper:

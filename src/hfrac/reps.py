@@ -18,7 +18,6 @@ report ends it may witness, is the table ``_KINDS`` in ``cli``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -435,18 +434,20 @@ def hfrac_upper_search(
     """
     if dmax < 1:
         raise PreconditionError(f"dmax must be >= 1, got {dmax}")
-    t0 = time.perf_counter()
     budget = budget or Budget()
-    report, _ = _search(g, p, dmax, budget)
-    report.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return report
-
-
-def _search(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[BoundReport, DRep]:
     a, wit = alpha_lower_end(g, budget)
-    lower = Fraction(a)
-    lower_witness = {"kind": "independent_set", "vertices": [int(v) for v in wit]}
+    upper, best = _best_upper(g, p, dmax, budget)
+    return BoundReport(
+        parameter=f"hfrac[gf({p})]",
+        graph=g.expr or f"n={g.n},m={g.m}",
+        lower=Fraction(a),
+        upper=upper,
+        witnesses=({"kind": "independent_set", "vertices": [int(v) for v in wit]}, best),
+    )
 
+
+def _best_upper(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[Fraction, DRep]:
+    """The smallest (ratio, certificate) among the upper candidates."""
     candidates: list[tuple[Fraction, DRep]] = []
     res = minrank_exact(g, p, budget)
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
@@ -465,18 +466,9 @@ def _search(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[BoundReport, D
         except GraphParseError:
             ex = None
         if ex is not None and ex.op == "strong":
-            sub = [_search(generate(child), p, dmax, budget) for child in ex.args]
-            (_, rep1), (_, rep2) = sub
+            (_, rep1), (_, rep2) = (_best_upper(generate(child), p, dmax, budget) for child in ex.args)
             if rep1.d * rep2.d <= dmax:
                 tens = tensor_dreps(rep1, rep2)
                 candidates.append((tens.ratio(), tens))
 
-    upper, best = min(candidates, key=lambda c: c[0])
-    report = BoundReport(
-        parameter=f"hfrac[gf({p})]",
-        graph=g.expr or f"n={g.n},m={g.m}",
-        lower=lower,
-        upper=upper,
-        witnesses=(lower_witness, best),
-    )
-    return report, best
+    return min(candidates, key=lambda c: c[0])

@@ -24,6 +24,7 @@ from hfrac.lp import (
     LpSolution,
     check_solution,
 )
+from hfrac.minrank import PolyRep
 from hfrac.reps import DRep, SubspaceRep
 
 
@@ -337,6 +338,33 @@ def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
         constraints=tuple(rows),
         bounds=((0, None),) * n,
     )
+
+
+def _ml_mul(f: dict, g: dict, m: int) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for s, a in f.items():
+        for t, b in g.items():
+            key = tuple(sorted(set(s) | set(t)))  # x^2 = x on 0/1 points
+            out[key] = (out.get(key, 0) + a * b) % m
+    return {k: v for k, v in out.items() if v}
+
+
+def multilinear_evaluation(rep: PolyRep) -> np.ndarray:
+    """Evaluation matrix of ``rep`` with each polynomial expanded into its
+    multilinear monomials and evaluated at each point one entry at a time:
+    a reduced polynomial at a 0/1 point is the sum of the coefficients of
+    the monomials that the point's support contains."""
+    m = rep.modulus
+    members = [frozenset(j for j, bit in enumerate(x) if bit) for x in rep.points]
+    e = np.zeros((len(members), len(members)), dtype=np.int64)
+    for u, xu in enumerate(members):
+        f: dict = {(): 1 % m}
+        for c in rep.factor_constants:
+            factor = {(): (-c) % m, **{(j,): 1 % m for j in xu}}
+            f = _ml_mul(f, {k: v for k, v in factor.items() if v}, m)
+        for v, xv in enumerate(members):
+            e[u, v] = sum(c for k, c in f.items() if xv.issuperset(k)) % m
+    return e
 
 
 def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:

@@ -191,6 +191,15 @@ def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
     assert code == 0 and out.strip() == "OK"
 
 
+def test_budgeted_certify_cover_exits_3_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    args = ("certify", "--kind", "cover", "--graph", "strong(cycle:7,cycle:7)", "--k", "14", "--p", "2",
+            "--budget-ms", "0", "--out", str(path))
+    assert run(capsys, *args) == (3, "budget exhausted before the search resolved\n", "")
+    assert run(capsys, *args, "--json") == (3, '{"status":"budget-exhausted"}\n', "")
+    assert not path.exists()
+
+
 def test_usage_errors_are_64(tmp_path, capsys):
     assert run(capsys, "alpha", "--graph", "nonsense:5")[0] == 64
     assert run(capsys, "alpha", "--graph", "cycle:x")[0] == 64

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import product
 from math import comb
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import multilinear_evaluation
 
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
@@ -267,15 +267,25 @@ def test_alon_certificate_preconditions():
         alon_certificate("P", 2, 3, 7, modulus=3)
 
 
+# (variant, p, q, n, modulus): every Alon case of test_cli's
+# PINNED_CERTIFICATES, the eight of the certify-verify benchmark workload,
+# and two larger ones
+ALON_CASES = (
+    ("P", 2, 3, 7, None), ("Q", 2, 3, 8, None), ("R", 2, 2, 8, None), ("P", 3, 2, 8, None),
+    ("R", 3, 3, 9, None), ("R", 2, 2, 7, 23),
+    ("Q", 2, 3, 7, None), ("P", 2, 3, 8, None), ("R", 2, 2, 6, None), ("R", 2, 2, 7, None),
+    ("Q", 2, 5, 10, None), ("P", 5, 2, 10, None),
+)
+
+
 def test_multilinear_reduction_matches_unreduced_product():
-    for variant, p, q, n in (("P", 2, 3, 7), ("Q", 2, 3, 7), ("R", 3, 3, 9)):
-        _, rep = alon_certificate(variant, p, q, n)
+    for args in ALON_CASES:
+        _, rep = alon_certificate(*args)
         e = rep.evaluation_matrix()
         nv = len(rep.points)
-        assert e.shape == (nv, nv)
-        for u in range(nv):
-            for v in range(nv):
-                assert rep.evaluate(u, v) == rep.unreduced_value(u, v) == e[u, v]
+        assert e.dtype == np.int64 and e.shape == (nv, nv), args
+        assert np.array_equal(e, multilinear_evaluation(rep)), args
+        assert [[rep.unreduced_value(u, v) for v in range(nv)] for u in range(nv)] == e.tolist(), args
 
 
 # (variant, p, q, n): the messages ``violation`` gave while it evaluated
@@ -295,13 +305,12 @@ def test_polynomial_representation_reports_the_first_defect(args):
     _, rep = alon_certificate(*args)
     g = alon(p, q, n) if variant == "P" else complement(alon(p, q, n))
     w = next(v for v in range(g.n) if v != 3 and not g.has_edge(3, v))
-    polys = list(rep.polys)
-    polys[3] = rep.polys[w]
-    vanishing = dataclasses.replace(rep, polys=tuple(polys))
-    polys = list(rep.polys)
-    polys[2] = polys[5] = (((), 1),)
-    constant = dataclasses.replace(rep, polys=tuple(polys))
-    assert (vanishing.violation(g), constant.violation(g)) == PLANTED_POLY_DEFECTS[args]
+    e = rep.evaluation_matrix()
+    vanishing = e.copy()
+    vanishing[3] = e[w]
+    constant = e.copy()
+    constant[[2, 5]] = 1
+    assert (rep.violation(g, vanishing), rep.violation(g, constant)) == PLANTED_POLY_DEFECTS[args]
 
 
 def test_fit_certificate_json_roundtrip():

@@ -359,7 +359,6 @@ def test_linind_examples():
 def test_search_cycle5():
     report = hfrac_upper_search(cycle(5), 2, dmax=2)
     assert (report.lower, report.upper) == (2, F(5, 2))
-    assert report.runtime_ms is not None
 
 
 def test_search_empty_graph_is_tight():
