@@ -41,7 +41,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate
+from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime
 from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
 from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .report import BoundReport
@@ -281,7 +281,8 @@ def _cmd_certify(args) -> int:
     text = canonical_json({**cert.to_json(), "graph": expr})
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
         if not args.json:
             print(f"wrote {args.out}")
     else:
@@ -328,8 +329,10 @@ _KINDS = {
     "matrixrep": _Kind(lambda obj: MatrixRep.from_json(obj), lambda g, rep: matrixrep_violation(g, rep)),
 }
 
-# Report parameters: alpha, or minrank / hfrac over GF(p).
-_PARAM = re.compile(r"alpha|(minrank|hfrac)\[gf\(([1-9][0-9]*)\)\]")
+# Report parameters: alpha, or minrank / hfrac over GF(p).  A modulus has
+# at most 24 digits, below the range where ``is_prime`` gives no answer
+# (every certificate's modulus is an int64-safe prime of 10 digits or fewer).
+_PARAM = re.compile(r"alpha|(minrank|hfrac)\[gf\(([1-9][0-9]{0,23})\)\]")
 
 
 def _report_param(report: dict) -> tuple[str, int | None]:
@@ -339,7 +342,12 @@ def _report_param(report: dict) -> tuple[str, int | None]:
     match = _PARAM.fullmatch(param) if isinstance(param, str) else None
     if match is None:
         raise VerificationError(f"unknown report parameter {param!r}")
-    return (match[1], int(match[2])) if match[1] else (param, None)
+    if not match[1]:
+        return param, None
+    p = int(match[2])
+    if not is_prime(p):
+        raise VerificationError(f"report parameter {param!r} is over GF({p}), and {p} is not prime")
+    return match[1], p
 
 
 def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:

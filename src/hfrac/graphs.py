@@ -334,7 +334,8 @@ def subset_incidence(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarr
     """The size-subsets of [n] in lexicographic order, which is the vertex
     order of the subset graphs and of their certificates, and their
     subsets x n 0/1 incidence matrix.  Its dtype is the smallest that holds
-    ``size``, so it also holds every intersection size of two rows."""
+    ``size``, so it also holds every intersection size of two rows (the
+    counts that ``_subset_graph`` takes from a float32 product of it)."""
     subsets = list(combinations(range(n), size))
     inc = np.zeros((len(subsets), n), dtype=np.min_scalar_type(size))
     inc[np.repeat(np.arange(len(subsets)), size), np.array(subsets, dtype=np.int64).ravel()] = 1
@@ -342,15 +343,27 @@ def subset_incidence(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarr
 
 
 def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> Graph:
+    """The graph on the size-subsets of [n] whose edges are the pairs with
+    ``adjacent(|X∩Y|)``.
+
+    The intersection counts are a float32 product of the 0/1 incidence
+    matrix, which runs in BLAS (numpy's integer ``@`` does not).  It is
+    exact because every partial sum is an integer of at most ``size``, and
+    float32 holds every integer below 2^24: two subsets need n > size, so
+    size >= 2^24 would mean over 2^24 vertices, a 2^48-byte matrix.  The
+    counts go back to the incidence dtype before ``adjacent`` takes them
+    mod p.
+    """
     _guard(comb(n, size), max_vertices, expr)
     if n > max_vertices:  # the labels and the incidence matrix grow with n
         raise GuardExceeded(f"{expr} has a ground set of {n} (cap {max_vertices})")
     verts, inc = subset_incidence(n, size)
     count = len(verts)
+    ones = inc.astype(np.float32)
     mat = np.empty((count, count), dtype=bool)
     step = max(1, _SUBSET_BLOCK_ENTRIES // count)
     for start in range(0, count, step):
-        mat[start:start + step] = adjacent(inc[start:start + step] @ inc.T)
+        mat[start:start + step] = adjacent((ones[start:start + step] @ ones.T).astype(inc.dtype))
     np.fill_diagonal(mat, False)
     return Graph(mat, tuple(verts), expr)
 

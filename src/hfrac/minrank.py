@@ -36,7 +36,7 @@ def graph_hash(g: Graph) -> str:
     """SHA-256 of ``"n;u,v;u,v;..."`` over the edges u < v in row-major order."""
     h = hashlib.sha256()
     h.update(f"{g.n};".encode())
-    h.update(int_text(g.edge_array(), b",;")[:-1])
+    h.update(memoryview(int_text(g.edge_array(), b",;"))[:-1])
     return h.hexdigest()
 
 

@@ -3,14 +3,17 @@ the matrix codec.
 
 A matrix travels as its row-major ``entries``, a JSON list of integers in
 [0, p).  In memory that list is a 1-D int64 array: ``canonical_json``
-writes its decimal digits straight from the array, and ``load_json`` lifts
-each ``"entries":[...]`` digit run out of the text and decodes it with
-numpy before ``json.loads`` sees the rest, in one strided pass when every
-entry is a single digit.  The reader accepts only what the writer
-produces: digits and commas, no empty field, no leading zero.
-``read_entries`` then checks the count (rows * cols) and the range [0, p).
-A malformed list raises ``VerificationError``, a wrong count
-``DimensionMismatch``.  A certificate's scalars go through ``read_int``
+writes it as ``[``, the ``int_text`` digits less their last comma, and
+``]``, three pieces of the one document it joins.  ``int_text`` (which
+also writes the edge text of graph files and graph hashes) computes the
+digits in the narrowest unsigned dtype that holds the largest value, not
+in int64.  ``load_json`` lifts each ``"entries":[...]`` digit run out of
+the text and decodes it with numpy before ``json.loads`` sees the rest,
+in one strided pass when every entry is a single digit.  The reader
+accepts only what the writer produces: digits and commas, no empty field,
+no leading zero.  ``read_entries`` then checks the count (rows * cols) and
+the range [0, p).  A malformed list raises ``VerificationError``, a wrong
+count ``DimensionMismatch``.  A certificate's scalars go through ``read_int``
 (and lists of them through ``read_ints``), which take JSON integers only,
 and its rationals through ``parse_frac``, which takes strings only: a
 string, bool or float where an integer belongs, or a malformed rational,
@@ -63,15 +66,20 @@ def int_text(values: np.ndarray, seps: bytes) -> bytes:
 
     The values of a chunk are written right-aligned into a fixed-width
     digit matrix with one separator column; masking out the leading zeros
-    and flattening row by row gives the text.
+    and flattening row by row gives the text.  The digit passes run in the
+    narrowest unsigned dtype that holds the largest value
+    (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 256,
+    uint16 for vertex ids below 65536), and a one-digit text is a single
+    pass that fills the digit column.
     """
     v = np.asarray(values).ravel()
     if v.size == 0:
         return b""
     if v.dtype.kind not in "iu" or v.min() < 0:
         raise ValueError("int_text writes non-negative integers only")
-    v = v.astype(np.int64, copy=False)
-    width = len(str(int(v.max())))
+    top = int(v.max())
+    v = v.astype(np.min_scalar_type(top), copy=False)
+    width = len(str(top))
     sep = np.frombuffer(seps, dtype=np.uint8)
     step = _CHUNK - _CHUNK % sep.size
     sep_column = np.tile(sep, step // sep.size)
@@ -83,24 +91,16 @@ def int_text(values: np.ndarray, seps: bytes) -> bytes:
         rest = chunk
         for j in range(width - 1, 0, -1):
             rest, digit = np.divmod(rest, 10)
-            chars[:, j] = digit + _ZERO
-        chars[:, 0] = rest + _ZERO
+            np.add(digit, _ZERO, out=chars[:, j], casting="unsafe")
+        np.add(rest, _ZERO, out=chars[:, 0], casting="unsafe")
         if width > 1:
-            # a value with k digits starts at column width - k
-            counts = np.ones(chunk.size, dtype=np.int64)
-            for k in range(1, width):
-                counts += chunk >= 10**k
+            # column j holds a digit of the values with width - j digits or more
             keep = np.ones(chars.shape, dtype=bool)
-            keep[:, :width] = np.arange(width) >= width - counts[:, None]
+            for j in range(width - 1):
+                np.greater_equal(chunk, 10 ** (width - 1 - j), out=keep[:, j])
             chars = chars[keep]
         pieces.append(chars.tobytes())
     return b"".join(pieces)
-
-
-def encode_entries(a: np.ndarray) -> str:
-    """A JSON int list of the array's values in row-major order, byte-identical
-    to ``json.dumps(a.ravel().tolist(), separators=(",", ":"))``."""
-    return "[" + int_text(a, b",")[:-1].decode("ascii") + "]"
 
 
 def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -240,7 +240,8 @@ _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 def _write(obj, out: list[str]) -> None:
     if isinstance(obj, np.ndarray):
-        out.append(encode_entries(obj))
+        # the digits of each value and its comma, less the last comma
+        out += ["[", str(memoryview(int_text(obj, b","))[:-1], "ascii"), "]"]
     elif isinstance(obj, dict) and any(isinstance(v, _CONTAINERS) for v in obj.values()):
         out.append("{")
         for i, (key, value) in enumerate(sorted(obj.items())):

@@ -473,6 +473,27 @@ def test_verify_checks_a_report_without_witnesses(tmp_path, capsys, fields, reas
     assert code == 2 and json.loads(out) == {"graph": "cycle:5", "reason": reason, "verified": False}
 
 
+@pytest.mark.parametrize("param, reason", [
+    ("minrank[gf(1)]", "report parameter 'minrank[gf(1)]' is over GF(1), and 1 is not prime"),
+    ("hfrac[gf(4)]", "report parameter 'hfrac[gf(4)]' is over GF(4), and 4 is not prime"),
+    ("minrank[gf(9)]", "report parameter 'minrank[gf(9)]' is over GF(9), and 9 is not prime"),
+    ("hfrac[gf(2)]", None),
+    # 25 digits: int() of a 5,000-digit modulus was a ValueError traceback
+    ("minrank[gf(1" + "0" * 24 + ")]", "unknown report parameter 'minrank[gf(1" + "0" * 24 + ")]'"),
+])
+def test_verify_refuses_a_report_over_a_modulus_that_is_not_prime(tmp_path, capsys, param, reason):
+    # the first three printed {"graph":"cycle:5","verified":true}
+    report = {"graph": "cycle:5", "lower": "2", "upper": "3", "param": param,
+              "witness_refs": [{"kind": "independent_set", "vertices": [0, 2]}]}
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report))
+    code, out, _ = run(capsys, "verify", "--cert", str(path), "--json")
+    if reason is None:
+        assert (code, json.loads(out)) == (0, {"graph": "cycle:5", "verified": True})
+    else:
+        assert (code, json.loads(out)) == (2, {"graph": "cycle:5", "reason": reason, "verified": False})
+
+
 def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):
     path = tmp_path / "c5.json"
     path.write_text(_cycle_drep_file(tmp_path, capsys))
@@ -560,6 +581,14 @@ PINNED_CERTIFICATES = [
      "e47c35bb7634d877e29696402c49db08361552f3422802b6667d11cd26ea6eb1"),
     (("--kind", "alon", "--variant", "R", "--p", "2", "--q", "2", "--n", "7", "--modulus", "23"),
      "cf69c2923816ee5b16f3530674f98fbb642df41cca1b8a3d5fa0c338f5bf48a6"),
+    # as written while the intersection counts were an integer product and
+    # the digits were written in int64; the last is 15,059,186 bytes
+    (("--kind", "johnson", "--p", "2", "--n", "18"),
+     "dafeae1f0f4e5ff9c86ff340a4af2647fb735fbf145e1982585a05ed43829059"),
+    (("--kind", "johnson", "--p", "3", "--n", "12"),
+     "aec1d5d2e0e81ccf2748642d202283c5f049f0173886851307d7470feff7283a"),
+    (("--kind", "cycle-drep", "--k", "3", "--power", "3", "--p", "2"),
+     "20cdcd8d39d32a94b262e2de13d5577374ecaa0150daa7eb21bcdab06a43daf7"),
 ]
 
 
@@ -568,6 +597,13 @@ def test_certificate_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "cert.json"
     assert run(capsys, "certify", *args, "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_generated_graph_text_is_pinned(capsys):
+    # 364 vertices: the edge lines hold ids of 1 to 3 digits, some above 255
+    code, out, _ = run(capsys, "generate", "--graph", "johnson:2,14")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "ff7678cba15ace856d55a869b88a84073f86c80a991254317a39b84470e77260"
 
 
 # SHA-256 of ``--json`` reports as printed while column generation still

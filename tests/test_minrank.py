@@ -331,6 +331,10 @@ def test_graph_hash_digests_are_pinned(tmp_path):
         "complement(alon:2,3,7)": "12f37153ac37c6d680f3344c140283fa877cfbe7c706adcedc00cc39257cf600",
         "strong(cycle:5,cycle:5)": "ff94dc70d275ee836477342f23eefdce3e2d6c45b243022a06180e27e589d68a",
         "empty:3": "58a39c37238ac60eacc3fe90677482f2efc2534e5c581aa8a3689c5833fba7f2",
+        # vertex ids of 3 and 4 digits, above 255 (a uint16 text)
+        "johnson:2,14": "33591729a9db06f5b1a2ed866c469e42d08a8d72e15c210aa07322c7602cd130",
+        "johnson:2,18": "cd4a7f55c1e85bd85881aa05bd6007c1047c03b1de6517efc9eb74900e96a84b",
+        "cycle:1200": "bd658dafc4f07e3718e6f9ba4842e7ed23a015b27c363fe7b51add81f03847e6",
     }
     for expr, digest in expected.items():
         assert graph_hash(generate(expr)) == digest, expr

@@ -16,7 +16,7 @@ from hfrac.gfmat import FMatrix
 from hfrac.graphs import cycle, generate, is_prime
 from hfrac.minrank import minrank_exact
 from hfrac.reps import cycle_drep, hfrac_upper_search, tensor_dreps
-from hfrac.serialize import canonical_json, decode_entries, encode_entries, load_json, read_entries
+from hfrac.serialize import canonical_json, decode_entries, int_text, load_json, read_entries
 
 GUARD_PRIME = 3037000493  # the largest prime FMatrix accepts is near it
 
@@ -60,7 +60,7 @@ def matrices(draw):
 @given(matrices())
 def test_codec_round_trip(case):
     p, a = case
-    text = encode_entries(a)
+    text = canonical_json(a)
     assert text == json.dumps(a.ravel().tolist(), separators=(",", ":"))
     data = text.encode()
     assert np.array_equal(decode_entries(data, 1, len(data) - 1), a.ravel())
@@ -78,7 +78,7 @@ def test_codec_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     rng = np.random.default_rng(chunk)
     for p in (2, 11, 1009, GUARD_PRIME):
         a = rng.integers(0, p, size=(7, 9), dtype=np.int64)
-        text = encode_entries(a)
+        text = canonical_json(a)
         assert text == json.dumps(a.ravel().tolist(), separators=(",", ":"))
         data = text.encode()
         assert np.array_equal(decode_entries(data, 1, len(data) - 1), a.ravel())
@@ -87,6 +87,37 @@ def test_codec_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     for bad in (b"1,,2", b"1,02", b"0,1,x", b"12,3,", b"12,,3", b",12", b"1,x,2"):
         with pytest.raises(VerificationError):
             decode_entries(bad)
+
+
+# Where the narrowest dtype that holds the largest value, or the width of
+# the digit matrix, changes.
+_EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255, 256, 999, 1000, 65535, 65536, 2**32 - 1, 2**32, 2**32 + 1,
+                10**18 - 1, 10**18, 2**63 - 1)
+
+
+@st.composite
+def int_text_cases(draw):
+    top = draw(st.sampled_from(_EDGE_VALUES))
+    # lengths about the chunk size, odd ones included for a 2-byte pattern
+    size = draw(st.one_of(st.integers(1, 40), st.sampled_from(
+        (serialize._CHUNK - 1, serialize._CHUNK, serialize._CHUNK + 1, 2 * serialize._CHUNK + 3))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.choice([v for v in _EDGE_VALUES if v <= top], size=size)
+    values[rng.integers(size)] = top
+    dtype = draw(st.sampled_from([t for t in (np.uint8, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+                                  if top <= np.iinfo(t).max]))
+    seps = draw(st.sampled_from((b",", b"\n", b",;", b" \n")))
+    return values.astype(dtype), seps
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_text_cases())
+def test_int_text_matches_the_decimal_strings(case):
+    values, seps = case
+    expected = b"".join(str(v).encode() + seps[i % len(seps):i % len(seps) + 1]
+                        for i, v in enumerate(values.tolist()))
+    assert int_text(values, seps) == expected
 
 
 def _canonical_field(field: str) -> bool:
