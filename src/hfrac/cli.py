@@ -59,7 +59,7 @@ from .reps import (
     tensor_dreps,
 )
 from .reproduce import run_claims
-from .serialize import canonical_json, frac_str, load_json, parse_frac, read_ints
+from .serialize import canonical_json, frac_str, json_pieces, load_json, parse_frac, read_ints
 from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
@@ -278,15 +278,16 @@ def _cmd_certify(args) -> int:
             cert = tensor_dreps(cert, rep)
             expr = f"strong({expr},cycle:{2 * args.k + 1})"
 
-    text = canonical_json({**cert.to_json(), "graph": expr})
+    doc = {**cert.to_json(), "graph": expr}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        # piece by piece: the text of a large certificate is never held whole
+        with open(args.out, "wb") as fh:
+            fh.writelines(json_pieces(doc))
+            fh.write(b"\n")
         if not args.json:
             print(f"wrote {args.out}")
     else:
-        print(text)
+        print(canonical_json(doc))
     return EXIT_OK
 
 

@@ -1,9 +1,16 @@
 """Dense exact linear algebra over prime fields GF(p).
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  All
-elimination uses the deterministic first-nonzero pivot rule so that ranks,
-pivot selections, and factorizations are byte-for-byte reproducible.
-Only prime moduli are supported; every construction downstream needs the
+A matrix over GF(p) stores its entries, reduced to [0, p), in the
+narrowest unsigned dtype that holds p - 1 (``storage_dtype``: uint8 for
+every p < 257, uint16 below 65537, uint32 for the rest), and every
+constructor and operation returns that dtype.  Arithmetic that can leave
+[0, p) runs in int64: elimination and the products upcast their operands
+locally and store the reduced result narrow again.  p itself always fits
+the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
+two), so ``% p`` on a stored array stays in its dtype.  All elimination
+uses the deterministic first-nonzero pivot rule so that ranks, pivot
+selections, and factorizations are byte-for-byte reproducible.  Only
+prime moduli are supported; every construction downstream needs the
 field characteristic only, which prime fields realize.
 
 Elimination has two kernels, chosen by the modulus alone.  Over GF(2)
@@ -22,12 +29,13 @@ from arrays already reduced modulo a checked prime, so they skip both
 steps; each result still owns its array, never a view of another matrix's.
 
 In JSON a matrix is ``{"p", "rows", "cols", "entries"}`` with row-major
-entries.  ``to_json`` hands the int64 array itself to
-``serialize.canonical_json``, which writes its digits; ``from_json`` reads
-them back through ``serialize.read_entries``, which accepts exactly
-rows * cols integers in [0, p) and nothing else.  A certificate's scalars
-must be JSON integers (``serialize.read_int``), and a modulus that is not
-an int64-safe prime fails verification like any other defect of the file.
+entries.  ``to_json`` hands the stored array itself to the
+``serialize`` writer, which writes its digits; ``from_json`` reads them
+back through ``serialize.read_entries``, which accepts exactly rows * cols
+integers in [0, p) and nothing else, and keeps the decoded array when it
+already has the storage dtype.  A certificate's scalars must be JSON
+integers (``serialize.read_int``), and a modulus that is not an
+int64-safe prime fails verification like any other defect of the file.
 """
 
 from __future__ import annotations
@@ -41,9 +49,9 @@ from .graphs import is_prime
 from .serialize import read_entries, read_int
 
 KRON_ENTRY_CAP = 16_000_000
-# Entries live in int64: elimination forms x - y*z with x, y, z < p, so
-# FMatrix needs (p-1)^2 + p below this, and a product with inner dimension
-# k needs k (p-1)^2 below it.
+# Entries are stored narrow but computed on in int64: elimination forms
+# x - y*z with x, y, z < p, so FMatrix needs (p-1)^2 + p below this, and a
+# product with inner dimension k needs k (p-1)^2 below it.
 INT64_LIMIT = 2**63
 
 
@@ -52,6 +60,12 @@ def check_modulus(p: int) -> None:
         raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
+
+
+def storage_dtype(p: int) -> np.dtype:
+    """The dtype of every stored matrix over GF(p): the narrowest unsigned
+    one that holds p - 1."""
+    return np.min_scalar_type(p - 1)
 
 
 def _nonempty(a: np.ndarray) -> np.ndarray:
@@ -71,12 +85,13 @@ class FMatrix:
         if a.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-dimensional, got shape {a.shape}")
         self.p = p
-        self.a = _nonempty(a) % p
+        self.a = (_nonempty(a) % p).astype(storage_dtype(p))
 
     @classmethod
     def _reduced(cls, p: int, a: np.ndarray) -> "FMatrix":
-        """A matrix over an already checked prime p from a 2-D int64 array
-        with entries in [0, p) that no other matrix holds."""
+        """A matrix over an already checked prime p from a 2-D array of
+        ``storage_dtype(p)`` with entries in [0, p) that no other matrix
+        holds."""
         m = object.__new__(cls)
         m.p = p
         m.a = _nonempty(a)
@@ -85,17 +100,17 @@ class FMatrix:
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FMatrix":
         check_modulus(p)
-        return cls._reduced(p, np.zeros((rows, cols), dtype=np.int64))
+        return cls._reduced(p, np.zeros((rows, cols), dtype=storage_dtype(p)))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
         check_modulus(p)
-        return cls._reduced(p, np.eye(n, dtype=np.int64))
+        return cls._reduced(p, np.eye(n, dtype=storage_dtype(p)))
 
     @classmethod
     def ones(cls, p: int, rows: int, cols: int) -> "FMatrix":
         check_modulus(p)
-        return cls._reduced(p, np.ones((rows, cols), dtype=np.int64))
+        return cls._reduced(p, np.ones((rows, cols), dtype=storage_dtype(p)))
 
     @property
     def rows(self) -> int:
@@ -137,8 +152,8 @@ class FMatrix:
         return f"FMatrix(p={self.p}, shape={self.rows}x{self.cols})"
 
     def to_json(self) -> dict:
-        """``entries`` is the row-major int64 array; ``canonical_json``
-        writes it as a JSON int list."""
+        """``entries`` is the row-major stored array (a view); the
+        ``serialize`` writer writes it as a JSON int list."""
         return {"p": self.p, "rows": self.rows, "cols": self.cols, "entries": self.a.ravel()}
 
     @classmethod
@@ -153,9 +168,10 @@ class FMatrix:
         """The rows x cols matrix over GF(p) whose row-major entries a
         certificate holds in ``value`` (``serialize.read_entries``).  The
         file is at fault for a modulus that is not an int64-safe prime, so
-        that is a ``VerificationError``.  The entries are copied only when
-        they are a view of another array (as a ``to_json`` dict's are); an
-        array that ``load_json`` decoded has no other owner and is kept."""
+        that is a ``VerificationError``.  The entries are copied when they
+        need another dtype or are a view of another array (as a ``to_json``
+        dict's are); an array of the storage dtype that ``load_json``
+        decoded has no other owner and is kept."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
         try:
@@ -163,8 +179,7 @@ class FMatrix:
         except (GuardExceeded, PreconditionError) as exc:
             raise VerificationError(f"certificate modulus: {exc}") from exc
         entries = read_entries(value, rows * cols, p)
-        if entries.base is not None:
-            entries = entries.copy()
+        entries = entries.astype(storage_dtype(p), copy=entries.base is not None)
         return cls._reduced(p, entries.reshape(rows, cols))
 
 
@@ -175,7 +190,9 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
         raise DimensionMismatch(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     if a.cols * (a.p - 1) ** 2 >= INT64_LIMIT:
         raise GuardExceeded(f"a product over GF({a.p}) with inner dimension {a.cols} overflows int64")
-    return FMatrix._reduced(a.p, (a.a @ b.a) % a.p)
+    product = a.a.astype(np.int64) @ b.a.astype(np.int64)
+    product %= a.p
+    return FMatrix._reduced(a.p, product.astype(storage_dtype(a.p)))
 
 
 def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -184,17 +201,21 @@ def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
     entries = a.rows * b.rows * a.cols * b.cols
     if entries > KRON_ENTRY_CAP:
         raise GuardExceeded(f"kronecker result has {entries} entries (cap {KRON_ENTRY_CAP})")
-    return FMatrix._reduced(a.p, np.kron(a.a, b.a) % a.p)
+    product = np.kron(a.a.astype(np.int64), b.a.astype(np.int64))
+    product %= a.p
+    return FMatrix._reduced(a.p, product.astype(storage_dtype(a.p)))
 
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Forward elimination on int64 entries; returns (echelon copy, pivots).
+    """Forward elimination on an int64 copy of a; returns (echelon copy,
+    pivots).
 
     Pivots are (original_row, column) pairs in elimination order, chosen by
     the first-nonzero rule.  Runs for every prime; the library sends p = 2
     to ``_eliminate_gf2`` instead, which picks the same pivots.
     """
-    a = a % p
+    a = a.astype(np.int64)
+    a %= p
     rows, cols = a.shape
     origin = list(range(rows))
     r = 0
@@ -241,7 +262,7 @@ def _pack_gf2(a: np.ndarray) -> np.ndarray:
 
 
 def _unpack_gf2(words: np.ndarray, cols: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little").astype(np.int64)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
 
 
 def _eliminate_gf2(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -285,7 +306,8 @@ def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (int64 matrix, pivot columns)."""
+    """Reduced row echelon form; returns (matrix, pivot columns), the
+    matrix int64 (uint8 over GF(2))."""
     if p != 2:
         a, pivots = _eliminate(a, p)
         return _back_substitute(a, pivots, p), [c for _, c in pivots]
@@ -325,7 +347,7 @@ def solve_right(c: FMatrix, m: FMatrix) -> FMatrix:
     red, piv_cols = _rref(aug, c.p)
     if piv_cols != list(range(c.cols)):
         raise PreconditionError("system is rank-deficient or inconsistent")
-    return FMatrix._reduced(c.p, red[: c.cols, c.cols:].copy())
+    return FMatrix._reduced(c.p, red[: c.cols, c.cols:].astype(storage_dtype(c.p)))
 
 
 def inverse(m: FMatrix) -> FMatrix:

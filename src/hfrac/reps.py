@@ -28,12 +28,23 @@ from .errors import (
     BudgetExhausted,
     DimensionMismatch,
     GraphParseError,
+    GuardExceeded,
     PreconditionError,
     SearchCutoff,
     VerificationError,
 )
 from .fraccover import FractionalCover, fractional_clique_cover
-from .gfmat import FMatrix, hstack, inverse, matmul, rank, select_full_rank_submatrix, solve_right
+from .gfmat import (
+    KRON_ENTRY_CAP,
+    FMatrix,
+    hstack,
+    inverse,
+    matmul,
+    rank,
+    select_full_rank_submatrix,
+    solve_right,
+    storage_dtype,
+)
 from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
 from .independence import alpha_lower_end
 from .minrank import minrank_exact
@@ -319,8 +330,11 @@ def tensor_dreps(rep_g: DRep, rep_h: DRep) -> DRep:
     G[u i, v i'] * H[x j, y j'].  Each factor's rows are first spread over
     all n result columns, G's repeated over (y, j') and H's over (v, i');
     one broadcast multiply of the two then writes every entry in place,
-    with whole rows as its inner loop.  Products of GF(2) entries are
-    already 0 or 1; for larger p one in-place ``% p`` reduces them."""
+    with whole rows as its inner loop, in the narrowest dtype that holds
+    (p - 1)^2.  Products of GF(2) entries are already 0 or 1 and stay
+    uint8; for larger p one in-place ``% p`` reduces them before they are
+    stored narrow.  A result above ``KRON_ENTRY_CAP`` entries is refused
+    before anything is allocated."""
     mg, mh = rep_g.matrix, rep_h.matrix
     p = mg.p
     if p != mh.p:
@@ -328,14 +342,19 @@ def tensor_dreps(rep_g: DRep, rep_h: DRep) -> DRep:
     d1, d2 = rep_g.d, rep_h.d
     ng, nh = rep_g.nvertices, rep_h.nvertices
     n = ng * nh * d1 * d2
+    if n * n > KRON_ENTRY_CAP:
+        raise GuardExceeded(f"tensor certificate has {n * n} entries (cap {KRON_ENTRY_CAP})")
     cols = (ng, nh, d1, d2)
     g_rows = np.broadcast_to(mg.a.reshape(ng, d1, ng, 1, d1, 1), (ng, d1, *cols)).reshape(ng, 1, d1, 1, n)
     h_rows = np.broadcast_to(mh.a.reshape(nh, d2, 1, nh, 1, d2), (nh, d2, *cols)).reshape(1, nh, 1, d2, n)
-    out = np.empty((ng, nh, d1, d2, n), dtype=np.int64)
-    np.multiply(g_rows, h_rows, out=out)
+    # the ufunc must compute in the wide dtype: an ``out`` alone does not
+    # stop two uint8 operands from multiplying in uint8
+    wide = np.min_scalar_type((p - 1) ** 2)
+    out = np.empty((ng, nh, d1, d2, n), dtype=wide)
+    np.multiply(g_rows, h_rows, out=out, dtype=wide)
     if p > 2:
         np.remainder(out, p, out=out)
-    return DRep(d1 * d2, FMatrix._reduced(p, out.reshape(n, n)))
+    return DRep(d1 * d2, FMatrix._reduced(p, out.reshape(n, n).astype(storage_dtype(p), copy=False)))
 
 
 def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> DRep:

@@ -2,30 +2,41 @@
 the matrix codec.
 
 A matrix travels as its row-major ``entries``, a JSON list of integers in
-[0, p).  In memory that list is a 1-D int64 array: ``canonical_json``
-writes it as ``[``, the ``int_text`` digits less their last comma, and
-``]``, three pieces of the one document it joins.  ``int_text`` (which
-also writes the edge text of graph files and graph hashes) computes the
-digits in the narrowest unsigned dtype that holds the largest value, not
-in int64.  ``load_json`` lifts each ``"entries":[...]`` digit run out of
-the text and decodes it with numpy before ``json.loads`` sees the rest,
-in one strided pass when every entry is a single digit.  The reader
-accepts only what the writer produces: digits and commas, no empty field,
-no leading zero.  ``read_entries`` then checks the count (rows * cols) and
-the range [0, p).  A malformed list raises ``VerificationError``, a wrong
-count ``DimensionMismatch``.  A certificate's scalars go through ``read_int``
-(and lists of them through ``read_ints``), which take JSON integers only,
-and its rationals through ``parse_frac``, which takes strings only: a
-string, bool or float where an integer belongs, or a malformed rational,
-is a ``VerificationError`` rather than a value ``int()`` or ``Fraction()``
-would coerce.  The float arrays of the theta representations go through
-``read_reals``, which takes rectangular lists of finite JSON numbers only.
+[0, p).  In memory that list is a 1-D integer array, stored by ``gfmat``
+in the narrowest unsigned dtype that holds p - 1.  ``json_pieces`` writes
+a document as a sequence of ASCII byte pieces: one
+``json.JSONEncoder`` pass encodes everything but the arrays, each of which
+it leaves as a placeholder string, and the text is split at the
+placeholders; between the pieces go ``[``, the digits of each array chunk
+by chunk (``int_chunks``) less the last comma, and ``]``.  The pieces
+serve both sinks: ``canonical_json`` joins them into one ``str``, and a
+certificate file is written from them with ``writelines``, so its text
+never exists as one object.  ``int_chunks`` (whose joined form
+``int_text`` also writes the edge text of graph files and graph hashes)
+computes the digits in the narrowest unsigned dtype that holds the
+largest value, not in int64.  ``load_json`` lifts each
+``"entries":[...]`` digit run out of the text and decodes it with numpy
+before ``json.loads`` sees the rest; when every entry is a single digit it
+is one strided pass, and the entries come back as those uint8 digits,
+otherwise as int64.  The reader accepts only what the writer produces:
+digits and commas, no empty field, no leading zero.  ``read_entries``
+then checks the count (rows * cols) and the range [0, p) of an array of
+any integer dtype.  A malformed list raises ``VerificationError``, a
+wrong count ``DimensionMismatch``.  A certificate's scalars go through
+``read_int`` (and lists of them through ``read_ints``), which take JSON
+integers only, and its rationals through ``parse_frac``, which takes
+strings only: a string, bool or float where an integer belongs, or a
+malformed rational, is a ``VerificationError`` rather than a value
+``int()`` or ``Fraction()`` would coerce.  The float arrays of the theta
+representations go through ``read_reals``, which takes rectangular lists
+of finite JSON numbers only.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -60,21 +71,22 @@ _MAX_DIGITS = 18
 _COMMA, _ZERO = ord(","), ord("0")
 
 
-def int_text(values: np.ndarray, seps: bytes) -> bytes:
+def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
     """ASCII decimal digits of non-negative integers, the i-th followed by
-    ``seps[i % len(seps)]``.
+    ``seps[i % len(seps)]``, as consecutive uint8 arrays of at most
+    ``_CHUNK`` values each, made one at a time.
 
     The values of a chunk are written right-aligned into a fixed-width
     digit matrix with one separator column; masking out the leading zeros
     and flattening row by row gives the text.  The digit passes run in the
     narrowest unsigned dtype that holds the largest value
-    (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 256,
+    (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 257,
     uint16 for vertex ids below 65536), and a one-digit text is a single
     pass that fills the digit column.
     """
     v = np.asarray(values).ravel()
     if v.size == 0:
-        return b""
+        return
     if v.dtype.kind not in "iu" or v.min() < 0:
         raise ValueError("int_text writes non-negative integers only")
     top = int(v.max())
@@ -83,7 +95,6 @@ def int_text(values: np.ndarray, seps: bytes) -> bytes:
     sep = np.frombuffer(seps, dtype=np.uint8)
     step = _CHUNK - _CHUNK % sep.size
     sep_column = np.tile(sep, step // sep.size)
-    pieces = []
     for lo in range(0, v.size, step):
         chunk = v[lo:lo + step]
         chars = np.empty((chunk.size, width + 1), dtype=np.uint8)
@@ -98,24 +109,29 @@ def int_text(values: np.ndarray, seps: bytes) -> bytes:
             keep = np.ones(chars.shape, dtype=bool)
             for j in range(width - 1):
                 np.greater_equal(chunk, 10 ** (width - 1 - j), out=keep[:, j])
-            chars = chars[keep]
-        pieces.append(chars.tobytes())
-    return b"".join(pieces)
+            yield chars[keep]
+        else:
+            yield chars.ravel()
+
+
+def int_text(values: np.ndarray, seps: bytes) -> bytes:
+    """The text of ``int_chunks`` as one bytes object."""
+    return b"".join(int_chunks(values, seps))
 
 
 def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Strict reader for ``data[start:stop]``, the text between the brackets
-    of a canonical JSON int list; returns the values as a 1-D int64 array.
+    of a canonical JSON int list; returns the values as a 1-D array.
 
     When every field is one digit (as every entry over GF(p), p < 10, is),
     the text is read in one pass: if the k fields, with their k - 1
     commas, take 2k - 1 bytes and the k bytes at even offsets are all
     digits, then the k - 1 commas fill the k - 1 odd offsets, so each field
     is exactly the digit before its comma and the values are the even
-    bytes minus ``ord("0")``.  Any other text, malformed text included,
-    goes chunk by chunk (each ends at a comma): the fields are located
-    from the comma positions and read right-aligned, one digit column at a
-    time.
+    bytes minus ``ord("0")``, returned as that uint8 array.  Any other
+    text, malformed text included, goes chunk by chunk (each ends at a
+    comma): the fields are located from the comma positions and read
+    right-aligned, one digit column at a time, into an int64 array.
     """
     stop = len(data) if stop is None else stop
     if stop <= start:
@@ -127,7 +143,7 @@ def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.n
     if b.size == 2 * commas + 1:
         digits = b[0::2] - np.uint8(_ZERO)
         if digits.max() <= 9:
-            return digits.astype(np.int64)
+            return digits
     out = np.empty(commas + 1, dtype=np.int64)
     done = 0
     lo = start
@@ -161,9 +177,10 @@ def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.n
 def read_entries(value, count: int, p: int) -> np.ndarray:
     """The row-major entries of a count-entry matrix over GF(p), checked.
 
-    ``value`` is the int64 array that ``load_json`` or a ``to_json`` put
-    there, or a list (from plain ``json.loads`` or built by hand), which is
-    written out compactly and read back by ``decode_entries``.
+    ``value`` is the integer array (of any integer dtype) that
+    ``load_json`` or a ``to_json`` put there, or a list (from plain
+    ``json.loads`` or built by hand), which is written out compactly and
+    read back by ``decode_entries``.
     """
     if isinstance(value, list):
         try:
@@ -171,12 +188,12 @@ def read_entries(value, count: int, p: int) -> np.ndarray:
         except TypeError as exc:
             raise VerificationError(f"entries are not JSON integers: {exc}") from exc
         value = decode_entries(text, 1, len(text) - 1)
-    if not (isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 1):
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu" and value.ndim == 1):
         raise VerificationError("entries must be a list of integers")
     if value.size != count:
         raise DimensionMismatch(f"{value.size} entries for a matrix of {count}")
-    if value.size and (value.min() < 0 or value.max() >= p):
-        bad = value[(value < 0) | (value >= p)][0]
+    if value.size and (int(value.min()) < 0 or int(value.max()) >= p):
+        bad = value[(value < 0) | (value >= p)][0]  # p fits the dtype here: it is at most the max
         raise VerificationError(f"entry {bad} is outside [0, {p})")
     return value
 
@@ -234,41 +251,60 @@ def read_reals(value, name: str, ndim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Documents
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+# What the encoder writes in place of an array: a JSON string whose text
+# ``_SLOT`` marks where the array's digits go.
+_PLACEHOLDER = "\0array\0"
+_SLOT = json.dumps(_PLACEHOLDER)
 
 
-def _write(obj, out: list[str]) -> None:
-    if isinstance(obj, np.ndarray):
+def json_pieces(obj) -> Iterator[bytes | np.ndarray]:
+    """The text of ``canonical_json(obj)`` as ASCII byte pieces (bytes or
+    uint8 arrays), made one at a time.
+
+    One ``json.JSONEncoder`` pass writes the document with each array as
+    ``_PLACEHOLDER``; the text is split at the placeholders and each array
+    goes between its two parts as ``[``, its digits and ``]``.  A string
+    that spells the placeholder would misplace an array, so a split into
+    any other number of parts than one more than the arrays raises
+    ``ValueError``; a document without arrays is its encoder text as is.
+    """
+    arrays: list[np.ndarray] = []
+
+    def placeholder(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        arrays.append(o)
+        return _PLACEHOLDER
+
+    text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=placeholder).encode(obj)
+    if not arrays:
+        yield text.encode("ascii")
+        return
+    parts = text.split(_SLOT)
+    if len(parts) != len(arrays) + 1:
+        raise ValueError(f"a string in the document spells the array placeholder {_PLACEHOLDER!r}")
+    yield parts[0].encode("ascii")
+    for array, part in zip(arrays, parts[1:]):
+        yield b"["
         # the digits of each value and its comma, less the last comma
-        out += ["[", str(memoryview(int_text(obj, b","))[:-1], "ascii"), "]"]
-    elif isinstance(obj, dict) and any(isinstance(v, _CONTAINERS) for v in obj.values()):
-        out.append("{")
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(("," if i else "") + _encode(key) + ":")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, _CONTAINERS) for v in obj):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(value, out)
-        out.append("]")
-    else:
-        out.append(_encode(obj))
+        last = None
+        for chunk in int_chunks(array, b","):
+            if last is not None:
+                yield last
+            last = chunk
+        if last is not None:
+            yield last[:-1]
+        yield b"]"
+        yield part.encode("ascii")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, no whitespace, each int array
     written as the flat int list of its row-major values.  Byte-identical to
     ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with every
-    array ``a`` replaced by ``a.ravel().tolist()``."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    array ``a`` replaced by ``a.ravel().tolist()``; the pieces of
+    ``json_pieces``, joined."""
+    return b"".join(json_pieces(obj)).decode("ascii")
 
 
 _ENTRIES = b'"entries":['
@@ -276,7 +312,7 @@ _ENTRIES = b'"entries":['
 
 def load_json(data: bytes | str):
     """``json.loads`` for certificate text, with every ``"entries"`` list
-    decoded by ``decode_entries`` into an int64 array.
+    decoded by ``decode_entries`` into an integer array.
 
     Each ``"entries":[`` whose quote is not escaped (an even run of
     backslashes before it) is a key, so the digits up to the next ``]`` are

@@ -373,7 +373,7 @@ def kron_permutation_tensor(rep_g: DRep, rep_h: DRep) -> DRep:
     mg, mh = rep_g.matrix, rep_h.matrix
     d1, d2 = rep_g.d, rep_h.d
     ng, nh = rep_g.nvertices, rep_h.nvertices
-    kron = np.kron(mg.a, mh.a) % mg.p
+    kron = np.kron(mg.a.astype(np.int64), mh.a.astype(np.int64)) % mg.p
     perm = np.empty(ng * nh * d1 * d2, dtype=np.int64)
     for u in range(ng):
         for i in range(d1):

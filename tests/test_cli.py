@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from test_reps import FORGED_ENTRIES, forge_first_entry
 
@@ -20,9 +22,12 @@ import hfrac
 from hfrac import cli
 from hfrac.cli import main
 from hfrac.errors import VerificationError
+from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
+from hfrac.graphs import generate
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
-from hfrac.serialize import canonical_json
+from hfrac.minrank import FitCertificate, graph_hash
+from hfrac.serialize import canonical_json, load_json
 from hfrac.theta import MatrixRep, pentagon_umbrella
 
 
@@ -597,6 +602,77 @@ def test_certificate_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "cert.json"
     assert run(capsys, "certify", *args, "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+# one certificate of every kind, the last over GF(5) with two-digit entries
+CERTIFY_KINDS = [
+    ("--kind", "johnson", "--p", "3", "--n", "8"),
+    ("--kind", "alon", "--variant", "R", "--p", "2", "--q", "2", "--n", "7"),
+    ("--kind", "cover", "--graph", "strong(cycle:5,complete:2)", "--k", "5", "--p", "3"),
+    ("--kind", "cycle-drep", "--k", "2", "--power", "2", "--p", "3"),
+    ("--kind", "alon", "--variant", "Q", "--p", "2", "--q", "3", "--n", "8"),
+]
+
+
+@pytest.mark.parametrize("args", CERTIFY_KINDS)
+def test_certificate_file_is_the_printed_document(tmp_path, capsys, args):
+    # the file is written piece by piece, stdout from canonical_json
+    path = tmp_path / "cert.json"
+    code, printed, _ = run(capsys, "certify", *args)
+    assert code == 0
+    assert run(capsys, "certify", *args, "--out", str(path)) == (0, f"wrote {path}\n", "")
+    assert path.read_bytes() == printed.encode("ascii")
+
+
+@pytest.mark.parametrize("p, rows, decoded", [
+    # one-digit text (decoded as its uint8 digits), two-byte storage
+    (257, [[1, 2, 3], [4, 1, 5], [6, 7, 1]], np.uint8),
+    (11, [[1, 10, 3], [4, 1, 5], [6, 7, 1]], np.int64),  # a two-digit entry
+])
+def test_fit_certificates_over_wider_fields_round_trip(tmp_path, capsys, p, rows, decoded):
+    g = generate("complete:3")
+    m = FMatrix(p, rows)
+    doc = {**FitCertificate(graph_hash(g), m, rank(m)).to_json(), "graph": "complete:3"}
+    path = tmp_path / "fit.json"
+    path.write_text(canonical_json(doc))
+    obj = load_json(path.read_bytes())
+    assert obj["entries"].dtype == decoded
+    back = FMatrix.from_json(obj)
+    assert back == m and back.a.dtype == np.min_scalar_type(p - 1)
+    assert run(capsys, "verify", "--cert", str(path)) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_tensor_power_above_the_entry_cap_exits_64(tmp_path, capsys, k):
+    # 10,000^2 and 38,416^2 entries; certify builds no product graph, so
+    # --max-vertices does not stop them
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "--kind", "cycle-drep", "--k", str(k), "--power", "4", "--p", "2",
+                         "--out", str(path))
+    assert (code, out) == (64, "")
+    assert f"(cap {KRON_ENTRY_CAP})" in err
+    assert not path.exists()
+
+
+def test_the_largest_certificate_stays_in_its_memory_budget(tmp_path, capsys):
+    # the 2744 x 2744 certificate of C7^3: certify holds its entries once
+    # (one byte each) and never its text whole; verify holds the file and
+    # the decoded entries
+    entries = 2744 * 2744
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        assert main(["certify", "--kind", "cycle-drep", "--k", "3", "--power", "3", "--p", "2",
+                     "--out", str(path)]) == 0
+        certify_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["verify", "--cert", str(path)]) == 0
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"wrote {path}\nOK\n"
+    assert certify_peak < 2 * entries
+    assert verify_peak < path.stat().st_size + 2 * entries
 
 
 def test_generated_graph_text_is_pinned(capsys):

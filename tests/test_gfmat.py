@@ -287,3 +287,54 @@ def test_gf2_solve_right_and_inverse_match_the_int64_kernel(c, k, consistent, se
             inverse(FMatrix(2, square))
     else:
         assert np.array_equal(inverse(FMatrix(2, square)).a, want)
+
+
+# The storage rule: every matrix over GF(p) holds its entries in the
+# narrowest unsigned dtype that holds p - 1, whatever built it.
+STORAGE_PRIMES = (2, 3, 251, 257, 65537, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", STORAGE_PRIMES)
+def test_every_matrix_is_stored_in_the_narrowest_dtype(p):
+    want = np.min_scalar_type(p - 1)
+    assert want.kind == "u" and np.iinfo(want).max >= p  # so % p stays in the dtype
+    rng = random.Random(p)
+    m = random_fmatrix(rng, p, 2, 3)
+    unit = FMatrix(p, [[1, p - 1], [0, 1]])  # unit upper triangular: invertible
+    doc = load_json(canonical_json(m.to_json()))
+    results = {
+        "init": m, "init (negative, wide)": FMatrix(p, [[-1, 2**40]]),
+        "zeros": FMatrix.zeros(p, 2, 2), "identity": FMatrix.identity(p, 3), "ones": FMatrix.ones(p, 1, 2),
+        "transpose": m.transpose(), "block": m.block(0, 2, 1, 3), "submatrix": m.submatrix([1], [0, 2]),
+        "matmul": matmul(unit, m), "kronecker": kronecker(unit, m),
+        "solve_right": solve_right(unit, m), "inverse": inverse(unit), "hstack": hstack([m, unit]),
+        "from_json": FMatrix.from_json(doc), "from_json (list)": FMatrix.from_json(m.to_json() | {
+            "entries": m.a.ravel().tolist()}),
+    }
+    for name, got in results.items():
+        assert got.a.dtype == want, name
+        assert 0 <= int(got.a.min()) and int(got.a.max()) < p, name
+    assert matmul(unit, solve_right(unit, m)) == m
+    assert matmul(unit, inverse(unit)) == FMatrix.identity(p, 2)
+    assert results["init (negative, wide)"].a.tolist() == [[p - 1, 2**40 % p]]
+
+
+def _python_matmul(a: list, b: list, p: int) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _python_kron(a: list, b: list, p: int) -> list:
+    return [[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+
+
+@pytest.mark.parametrize("p", (17, 257, 65537))
+def test_products_of_narrow_entries_match_python_ints(p):
+    # products of two entries overflow the storage dtype at every one of these p
+    rng = random.Random(p)
+    for rows, inner, cols in ((1, 1, 1), (3, 4, 2), (5, 7, 6)):
+        a, b = random_fmatrix(rng, p, rows, inner), random_fmatrix(rng, p, inner, cols)
+        a.a[0, 0] = b.a[0, 0] = p - 1
+        assert matmul(a, b).a.tolist() == _python_matmul(a.a.tolist(), b.a.tolist(), p)
+        c = random_fmatrix(rng, p, cols, rows)
+        c.a[-1, -1] = p - 1
+        assert kronecker(a, c).a.tolist() == _python_kron(a.a.tolist(), c.a.tolist(), p)

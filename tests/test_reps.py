@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from oracles import has_edge_subspacerep_violation, kron_permutation_tensor
 
-from hfrac.errors import DimensionMismatch, PreconditionError, VerificationError
+from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
-from hfrac.gfmat import FMatrix, rank
+from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import (
     complete,
     cycle,
@@ -290,7 +291,7 @@ def test_tensor_ratio_multiplies_on_random_certificates():
         assert t.ratio() == rg.ratio() * rh.ratio()
 
 
-@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("p", (2, 3, 5, 17, 257))
 def test_tensor_matches_the_kron_and_permutation_oracle(p):
     rng = np.random.default_rng(p)
     for ng, d1, nh, d2 in ((2, 1, 3, 2), (3, 2, 2, 3), (1, 3, 4, 1), (4, 2, 4, 2), (5, 3, 2, 1)):
@@ -299,7 +300,40 @@ def test_tensor_matches_the_kron_and_permutation_oracle(p):
         for a, b in ((rg, rh), (rh, rg)):
             got, want = tensor_dreps(a, b), kron_permutation_tensor(a, b)
             assert got.d == want.d and got.matrix == want.matrix
-            assert got.matrix.a.flags.c_contiguous and got.matrix.a.dtype == np.int64
+            assert got.matrix.a.flags.c_contiguous and got.matrix.a.dtype == np.min_scalar_type(p - 1)
+
+
+def _python_tensor(rep_g: DRep, rep_h: DRep) -> list:
+    """Entry ((u, x, i, j), (v, y, i', j')) = G[u i, v i'] * H[x j, y j']
+    mod p, in Python ints, rows and columns in that row-major order."""
+    g, h, p = rep_g.matrix.a.tolist(), rep_h.matrix.a.tolist(), rep_g.matrix.p
+    d1, d2 = rep_g.d, rep_h.d
+    index = [(u, x, i, j) for u in range(rep_g.nvertices) for x in range(rep_h.nvertices)
+             for i in range(d1) for j in range(d2)]
+    return [[g[u * d1 + i][v * d1 + k] * h[x * d2 + j][y * d2 + m] % p for v, y, k, m in index]
+            for u, x, i, j in index]
+
+
+@pytest.mark.parametrize("p", (2, 3, 17, 251, 257, 65537, 2**31 - 1))
+def test_tensor_matches_python_ints_in_the_storage_dtype(p):
+    # from p = 17 on, (p - 1)^2 overflows the operands' dtype, so the
+    # multiply has to compute in a wider one
+    rng = np.random.default_rng(p)
+    for ng, d1, nh, d2 in ((2, 1, 3, 2), (3, 2, 2, 1)):
+        rg = DRep(d1, FMatrix(p, rng.integers(0, p, (ng * d1, ng * d1))))
+        rh = DRep(d2, FMatrix(p, rng.integers(0, p, (nh * d2, nh * d2))))
+        rg.matrix.a[0, 0] = rh.matrix.a[0, 0] = p - 1
+        got = tensor_dreps(rg, rh)
+        assert got.matrix.a.dtype == np.min_scalar_type(p - 1)
+        assert got.matrix.a.tolist() == _python_tensor(rg, rh)
+
+
+def test_tensor_refuses_a_result_above_the_entry_cap_before_allocating():
+    rep = cycle_drep(2, 2)  # 10 x 10
+    cube = tensor_dreps(tensor_dreps(rep, rep), rep)  # 1,000 x 1,000
+    with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+        with pytest.raises(GuardExceeded, match=f"100000000 entries \\(cap {KRON_ENTRY_CAP}\\)"):
+            tensor_dreps(cube, rep)
 
 
 def test_drep_from_fractional_cover_examples():

@@ -22,9 +22,9 @@ GUARD_PRIME = 3037000493  # the largest prime FMatrix accepts is near it
 
 
 def _plain(obj):
-    """``obj`` with every array replaced by its ``tolist()``."""
+    """``obj`` with every array replaced by its ``ravel().tolist()``."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return obj.ravel().tolist()
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -248,3 +248,61 @@ def test_read_entries_counts():
         read_entries([1], 2, 2)
     with pytest.raises(DimensionMismatch):
         read_entries(np.array([1, 0, 1]), 2, 2)
+
+
+_ARRAY_DTYPES = (np.uint8, np.uint16, np.int64)
+
+
+@st.composite
+def _arrays(draw):
+    dtype = draw(st.sampled_from(_ARRAY_DTYPES))
+    values = draw(st.lists(st.integers(0, int(np.iinfo(dtype).max)), max_size=12))
+    a = np.array(values, dtype=dtype)
+    if a.size % 2 == 0 and draw(st.booleans()):
+        a = a.reshape(2, -1)  # written in row-major order, as a flat list
+    return a
+
+
+def _trees(strings):
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), strings)
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(strings, kids, max_size=4)), max_leaves=16)
+
+
+@st.composite
+def writer_docs(draw):
+    """Nested documents: either any strings (non-ASCII and NUL included)
+    and no arrays, or 1-3 arrays put into containers at any depth."""
+    count = draw(st.integers(0, 3))
+    if not count:
+        return draw(_trees(st.text()))
+    doc = [draw(_trees(st.text(st.characters(min_codepoint=1), max_size=8)))]
+    for _ in range(count):
+        containers = []
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            containers.append(node)
+            stack += [v for v in (node.values() if isinstance(node, dict) else node) if isinstance(v, (dict, list))]
+        box = draw(st.sampled_from(containers))
+        if isinstance(box, dict):
+            box[draw(st.text(max_size=4))] = draw(_arrays())
+        else:
+            box.insert(draw(st.integers(0, len(box))), draw(_arrays()))
+    return doc if draw(st.booleans()) else {"doc": doc}
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_docs())
+def test_writer_matches_json_dumps(doc):
+    assert canonical_json(doc) == _dumps(doc)
+    assert b"".join(serialize.json_pieces(doc)) == _dumps(doc).encode("ascii")
+
+
+@pytest.mark.parametrize("doc", [
+    {"entries": np.arange(3), "graph": serialize._PLACEHOLDER},
+    [np.arange(2, dtype=np.uint8), {serialize._PLACEHOLDER: 1}],
+])
+def test_a_string_that_spells_the_array_placeholder_raises(doc):
+    with pytest.raises(ValueError, match="placeholder"):
+        canonical_json(doc)
