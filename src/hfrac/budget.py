@@ -15,10 +15,16 @@ class Budget:
 
     A budget with no limits never trips.  ``spend`` is cheap enough to call
     once per search node; the clock is only consulted every 256 nodes.
-    ``exhausted`` records whether any search it served was cut off.
+    ``exhausted`` records whether any search it served was cut off.  A NaN
+    or negative time and a negative node count are refused: a NaN would
+    compare false and never trip.
     """
 
     def __init__(self, ms: float | None = None, nodes: int | None = None):
+        if ms is not None and not ms >= 0:
+            raise PreconditionError(f"time budget must be a nonnegative number of milliseconds, got {ms}")
+        if nodes is not None and nodes < 0:
+            raise PreconditionError(f"node budget must be nonnegative, got {nodes}")
         self.ms = ms
         self.max_nodes = nodes
         self.nodes = 0

@@ -372,11 +372,10 @@ def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.cert, "rb") as fh:
-        data = fh.read()
     expr = args.graph
     try:
-        obj = load_json(data)
+        with open(args.cert, "rb") as fh:
+            obj = load_json(fh)
         if not isinstance(obj, dict):
             raise VerificationError("certificate is not a JSON object")
         expr = args.graph or obj.get("graph")

@@ -533,7 +533,7 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
         raise GraphParseError(f"vertex count {n} is negative")
     _guard(n, max_vertices, f"graph file {path}")
     if len(nums) != 2 + 2 * m:
-        raise GraphParseError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
+        raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
     ends = nums[2:]
     if ends and (min(ends) < 0 or max(ends) >= n):
         _first_bad_edge(nums, n)

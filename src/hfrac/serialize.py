@@ -14,12 +14,16 @@ certificate file is written from them with ``writelines``, so its text
 never exists as one object.  ``int_chunks`` (whose joined form
 ``int_text`` also writes the edge text of graph files and graph hashes)
 computes the digits in the narrowest unsigned dtype that holds the
-largest value, not in int64.  ``load_json`` lifts each
-``"entries":[...]`` digit run out of the text and decodes it with numpy
-before ``json.loads`` sees the rest; when every entry is a single digit it
-is one strided pass, and the entries come back as those uint8 digits,
-otherwise as int64.  The reader accepts only what the writer produces:
-digits and commas, no empty field, no leading zero.  ``read_entries``
+largest value, not in int64.  ``load_json`` reads a binary file in
+blocks of at most ``_BLOCK`` bytes into one reused buffer, so the file is
+never held whole.  It lifts each ``"entries":[...]`` digit run out of the text
+and decodes it with numpy (``decode_entries``) as the blocks arrive, the
+whole fields of each block straight into the list's array and the field
+cut at a block's edge carried to the next; ``json.loads`` then reads the
+rest.  When every entry is a single digit the decoding is one strided
+pass, and the entries come back as those uint8 digits, otherwise as
+int64.  The reader accepts only what the writer produces: digits and
+commas, no empty field, no leading zero.  ``read_entries``
 then checks the count (rows * cols) and the range [0, p) of an array of
 any integer dtype.  A malformed list raises ``VerificationError``, a
 wrong count ``DimensionMismatch``.  A certificate's scalars go through
@@ -34,9 +38,11 @@ of finite JSON numbers only.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from fractions import Fraction
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -68,7 +74,7 @@ _CHUNK = 1 << 16
 # A decimal field of at most 18 digits fits int64; every modulus FMatrix
 # accepts is below 2^32, so no entry needs more.
 _MAX_DIGITS = 18
-_COMMA, _ZERO = ord(","), ord("0")
+_COMMA, _ZERO, _BACKSLASH = ord(","), ord("0"), ord("\\")
 
 
 def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
@@ -119,7 +125,8 @@ def int_text(values: np.ndarray, seps: bytes) -> bytes:
     return b"".join(int_chunks(values, seps))
 
 
-def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.ndarray:
+def decode_entries(data: bytes | bytearray, start: int = 0, stop: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Strict reader for ``data[start:stop]``, the text between the brackets
     of a canonical JSON int list; returns the values as a 1-D array.
 
@@ -132,6 +139,11 @@ def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.n
     text, malformed text included, goes chunk by chunk (each ends at a
     comma): the fields are located from the comma positions and read
     right-aligned, one digit column at a time, into an int64 array.
+
+    ``out``, when given, has one slot per field (one more than the commas
+    of the text) and receives the values, which are returned as ``out``
+    itself; only when ``out`` is uint8 and a field has more than one digit
+    do they come back in a new int64 array instead.
     """
     stop = len(data) if stop is None else stop
     if stop <= start:
@@ -139,12 +151,14 @@ def decode_entries(data: bytes, start: int = 0, stop: int | None = None) -> np.n
     if data[stop - 1] == _COMMA:  # a chunk may end at this comma, leaving no field after it
         raise VerificationError("entries have an empty field")
     b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    commas = data.count(b",", start, stop)
-    if b.size == 2 * commas + 1:
-        digits = b[0::2] - np.uint8(_ZERO)
+    fields = data.count(b",", start, stop) + 1 if out is None else out.size
+    if b.size == 2 * fields - 1:
+        # in uint8 whatever ``out`` is, so that bytes other than digits wrap above 9
+        digits = np.subtract(b[0::2], np.uint8(_ZERO), out=out, dtype=np.uint8)
         if digits.max() <= 9:
             return digits
-    out = np.empty(commas + 1, dtype=np.int64)
+    if out is None or out.dtype != np.int64:
+        out = np.empty(fields, dtype=np.int64)
     done = 0
     lo = start
     while lo < stop:
@@ -308,41 +322,154 @@ def canonical_json(obj) -> str:
 
 
 _ENTRIES = b'"entries":['
+# Bytes ``load_json`` reads at a time: besides the decoded arrays and the
+# document without them, the only text it holds.
+_BLOCK = 1 << 20
+# What a block may leave to the next at the front of the buffer: the start
+# of a cut ``_ENTRIES``, or a field cut at the block's edge (a longer one is
+# refused at once).
+_KEEP = max(len(_ENTRIES) - 1, _MAX_DIGITS)
 
 
-def load_json(data: bytes | str):
+def _size_hint(source) -> int:
+    """The size of the file behind ``source``, or 0 when it has none that
+    ``fstat`` knows (a pipe, an in-memory stream).  Only a hint: it sizes
+    the buffer and the arrays, and never decides where the text ends."""
+    try:
+        return os.fstat(source.fileno()).st_size
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return 0
+
+
+def _escaped(buf: bytearray, at: int, text: bytearray) -> bool:
+    """Whether the quote at ``buf[at]`` is escaped, that is, has an odd run
+    of backslashes before it; a run that reaches the front of ``buf`` goes
+    on at the end of ``text``, the document read before it."""
+    back = at
+    while back > 0 and buf[back - 1] == _BACKSLASH:
+        back -= 1
+    run = at - back
+    if back == 0:
+        back = len(text)
+        while back > 0 and text[back - 1] == _BACKSLASH:
+            back -= 1
+        run += len(text) - back
+    return run % 2 == 1
+
+
+def _extend(values: np.ndarray | None, filled: int, data: bytearray, start: int, stop: int,
+            room: int) -> tuple[np.ndarray, int]:
+    """Decode the whole fields of ``data[start:stop]``, a piece of an
+    entries list cut at commas, into ``values[filled:]``; returns the array
+    and its new fill.
+
+    The array is made at the first piece with ``room`` slots (or as many as
+    the piece needs), grows in place geometrically when a piece does not
+    fit, and is widened to int64 once, at the first field of more than one
+    digit; it always owns its memory."""
+    if stop == start:
+        raise VerificationError("entries have an empty field")
+    count = data.count(b",", start, stop) + 1
+    if values is None:
+        values = np.empty(max(count, room), dtype=np.uint8)
+    elif values.size < filled + count:
+        values.resize(max(filled + count, 2 * values.size), refcheck=False)
+    slots = values[filled:filled + count]
+    got = decode_entries(data, start, stop, slots)
+    if got is not slots:
+        wide = np.empty(values.size, dtype=np.int64)
+        wide[:filled] = values[:filled]
+        wide[filled:filled + count] = got
+        values = wide
+    return values, filled + count
+
+
+def load_json(source: BinaryIO | bytes | str):
     """``json.loads`` for certificate text, with every ``"entries"`` list
     decoded by ``decode_entries`` into an integer array.
 
-    Each ``"entries":[`` whose quote is not escaped (an even run of
-    backslashes before it) is a key, so the digits up to the next ``]`` are
-    lifted out and replaced by their index; the object hook puts the arrays
-    back.  An ``"entries"`` value that was not lifted, any JSON error and any
-    malformed list raise ``VerificationError``; what is accepted is exactly
-    what ``json.loads`` returns, with arrays in place of the lists.
+    ``source`` is a binary file (bytes or str are read from an
+    ``io.BytesIO``), read into one reused buffer at most ``_BLOCK`` bytes at
+    a time.  The file's size, where ``fstat`` knows it, sizes the buffer (a
+    file that fits is read at once) and the arrays.  Each
+    ``"entries":[`` whose quote is not escaped (an even run of backslashes
+    before it) is a key, so the digits up to the next ``]`` are lifted out
+    and replaced by their index; the object hook puts the arrays back.  A
+    list that ends in the block it starts in is decoded in one call; one
+    that runs on is decoded piece by piece, each block's whole fields
+    straight into its array, and the field cut at the block's edge is
+    carried to the next.  Whatever the blocks, the arrays and what is
+    accepted are the same (a text with several faults may be refused for
+    another of them).  An ``"entries"`` value that was not lifted, any JSON
+    error and any malformed list raise ``VerificationError``; what is
+    accepted is exactly what ``json.loads`` returns, with arrays in place
+    of the lists.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    if isinstance(source, (bytes, bytearray)):
+        hint, source = len(source), io.BytesIO(source)
+    else:
+        hint = _size_hint(source)
     arrays: list[np.ndarray] = []
-    parts: list[bytes] = []
-    pos = 0
-    at = data.find(_ENTRIES)
-    while at != -1:
-        back = at
-        while back > 0 and data[back - 1] == 0x5C:  # backslash
-            back -= 1
-        if (at - back) % 2:
-            at = data.find(_ENTRIES, at + 1)
-            continue
-        lo = at + len(_ENTRIES)
-        hi = data.find(b"]", lo)
-        if hi == -1:
-            raise VerificationError("an entries list is not closed")
-        arrays.append(decode_entries(data, lo, hi))
-        parts += [data[pos:lo - 1], b"%d" % (len(arrays) - 1)]
-        pos = hi + 1
-        at = data.find(_ENTRIES, pos)
-    parts.append(data[pos:])
+    text = bytearray()  # the document with each lifted list replaced by its index
+    size = min(_BLOCK, hint) or _BLOCK  # a file that fits is read at once
+    buf = bytearray(_KEEP + size)
+    view = memoryview(buf)
+    kept = read = 0  # bytes left at the front of buf by the last block; bytes read in all
+    inside = False  # whether the text at the front of buf is inside an entries list
+    values, filled = None, 0  # the list that ran on from an earlier block, so far
+    while n := source.readinto(view[kept:kept + size]):
+        read += n
+        end = kept + n
+        lo = search = 0
+        while True:
+            if not inside:
+                at = buf.find(_ENTRIES, search, end)
+                if at == -1:
+                    # a marker cut at the edge starts in the last len(_ENTRIES) - 1 bytes
+                    cut = max(lo, end - len(_ENTRIES) + 1)
+                    text += view[lo:cut]
+                    lo = cut
+                    break
+                if (at == 0 or buf[at - 1] == _BACKSLASH) and _escaped(buf, at, text):
+                    search = at + 1
+                    continue
+                text += view[lo:at + len(_ENTRIES) - 1]
+                text += b"%d" % len(arrays)
+                lo = at + len(_ENTRIES)
+                inside = True
+            hi = buf.find(b"]", lo, end)
+            if hi == -1:
+                comma = buf.rfind(b",", lo, end)
+                if comma != -1:
+                    # a field and its comma take two of the bytes left in the file
+                    left = hint - read + end - lo
+                    values, filled = _extend(values, filled, buf, lo, comma, (left + 1) // 2)
+                    lo = comma + 1
+                if end - lo > _MAX_DIGITS:  # a field too long to carry: raises for it
+                    decode_entries(buf, lo, lo + _MAX_DIGITS + 1)
+                break
+            if values is None:
+                arrays.append(decode_entries(buf, lo, hi))
+            else:
+                values, filled = _extend(values, filled, buf, lo, hi, 0)
+                values.resize(filled, refcheck=False)
+                arrays.append(values)
+                values, filled = None, 0
+            lo = search = hi + 1
+            inside = False
+        kept = end - lo
+        if read > hint and size < _BLOCK:  # the hint was short: read whole blocks from now on
+            size = _BLOCK
+            grown = bytearray(_KEEP + size)
+            grown[:kept] = buf[lo:end]
+            buf, view = grown, memoryview(grown)
+        else:
+            view[:kept] = view[lo:end]
+    if inside:
+        raise VerificationError("an entries list is not closed")
+    text += view[:kept]
     placed = [False] * len(arrays)
 
     def place(pairs: list) -> dict:
@@ -357,7 +484,7 @@ def load_json(data: bytes | str):
         return dict(pairs)
 
     try:
-        obj = json.loads(b"".join(parts), object_pairs_hook=place)
+        obj = json.loads(text, object_pairs_hook=place)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         if isinstance(exc, VerificationError):
             raise

@@ -177,7 +177,7 @@ def edge_loop_read_graph_file(path: str) -> Graph:
     if n < 0:
         raise GraphParseError(f"vertex count {n} is negative")
     if len(nums) != 2 + 2 * m:
-        raise GraphParseError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
+        raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
     seen = set()
     edges = []
     for i in range(m):

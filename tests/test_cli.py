@@ -21,7 +21,8 @@ from test_reps import FORGED_ENTRIES, forge_first_entry
 import hfrac
 from hfrac import cli
 from hfrac.cli import main
-from hfrac.errors import VerificationError
+from hfrac.budget import Budget
+from hfrac.errors import PreconditionError, VerificationError
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import generate
 from hfrac.independence import CliqueCover
@@ -264,6 +265,33 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 3 and "[" in out
     monkeypatch.setenv("CAPACITY_BUDGET_MS", "abc")  # ended in a ValueError traceback (exit 1)
     assert run(capsys, "alpha", "--graph", "cycle:5")[0] == 64
+
+
+@pytest.mark.parametrize("ms", ["nan", "-5", "-0.5"])
+def test_a_nan_or_negative_time_budget_is_a_usage_error(capsys, monkeypatch, ms):
+    # a NaN budget compared false against the clock, so it never tripped
+    monkeypatch.delenv("CAPACITY_BUDGET_MS", raising=False)
+    code, out, err = run(capsys, "alpha", "--graph", "cycle:5", "--budget-ms", ms)
+    assert (code, out) == (64, "") and "time budget must be a nonnegative number" in err
+    monkeypatch.setenv("CAPACITY_BUDGET_MS", ms)
+    assert run(capsys, "alpha", "--graph", "cycle:5")[:2] == (64, "")
+    for ok in ("0", "inf"):
+        assert run(capsys, "alpha", "--graph", "cycle:5", "--budget-ms", ok)[0] in (0, 3)
+
+
+def test_a_budget_refuses_limits_it_could_not_keep():
+    for limits in ({"ms": float("nan")}, {"ms": float("-inf")}, {"ms": -1}, {"nodes": -1}):
+        with pytest.raises(PreconditionError):
+            Budget(**limits)
+    assert Budget(ms=0, nodes=0).ms == 0 and Budget(ms=float("inf")).ms == float("inf")
+
+
+def test_a_graph_file_with_an_odd_integer_count_names_both_counts(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("3 1\n0 1 5\n")
+    code, out, err = run(capsys, "alpha", "--graph", f"file:{path}")
+    assert (code, out) == (64, "")
+    assert err == "usage error: expected 1 edges (4 integers), found 5 integers\n"
 
 
 def _cycle_drep_file(tmp_path, capsys) -> str:
@@ -656,8 +684,8 @@ def test_a_tensor_power_above_the_entry_cap_exits_64(tmp_path, capsys, k):
 
 def test_the_largest_certificate_stays_in_its_memory_budget(tmp_path, capsys):
     # the 2744 x 2744 certificate of C7^3: certify holds its entries once
-    # (one byte each) and never its text whole; verify holds the file and
-    # the decoded entries
+    # (one byte each) and never its text whole; verify holds the decoded
+    # entries and one block of the file
     entries = 2744 * 2744
     path = tmp_path / "cert.json"
     tracemalloc.start()
@@ -672,7 +700,33 @@ def test_the_largest_certificate_stays_in_its_memory_budget(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out == f"wrote {path}\nOK\n"
     assert certify_peak < 2 * entries
-    assert verify_peak < path.stat().st_size + 2 * entries
+    assert verify_peak < 1.5 * entries
+
+
+def test_a_digit_run_too_long_for_a_field_is_refused_without_reading_it_whole(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b'{"cols":2000,"d":1,"entries":[' + b"1" * 4_000_000
+                     + b'],"graph":"cycle:5","kind":"drep","p":2,"rows":2000}\n')
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--cert", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (2, "FAIL: an entry has more than 18 digits\n")
+    assert peak < path.stat().st_size / 2
+
+
+def test_verify_reads_a_certificate_from_a_pipe(tmp_path, capsys):
+    # a pipe has no size: a reader that sized its buffers from fstat would
+    # read nothing from it
+    path = tmp_path / "cert.json"
+    assert main(["certify", "--kind", "johnson", "--p", "2", "--n", "12", "--out", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hfrac.cli", "verify", "--cert", "/dev/stdin"],
+                          input=path.read_bytes(), capture_output=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"OK\n", b"")
 
 
 def test_generated_graph_text_is_pinned(capsys):

@@ -271,8 +271,9 @@ def test_graph_file_errors(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("3 1\n0 x\n", "non-integer token in graph file: invalid literal for int() with base 10: 'x'"),
     ("-2 0\n", "vertex count -2 is negative"),
-    ("3 2\n0 1\n", "expected 2 edges, found 1"),
-    ("3 1\n0 1\n1\n", "expected 1 edges, found 1"),
+    ("3 2\n0 1\n", "expected 2 edges (6 integers), found 4 integers"),
+    ("3 1\n0 1\n1\n", "expected 1 edges (4 integers), found 5 integers"),
+    ("3 1\n0 1 5\n", "expected 1 edges (4 integers), found 5 integers"),  # an odd count, one line
     ("3 2\n0 1\n2 1\n", "edge (2, 1) violates 0 <= u < v < n"),
     ("3 1\n1 1\n", "edge (1, 1) violates 0 <= u < v < n"),
     ("3 2\n0 1\n1 3\n", "edge (1, 3) violates 0 <= u < v < n"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfrac import serialize
+from hfrac.cli import main
 from hfrac.errors import DimensionMismatch, VerificationError
 from hfrac.gfmat import FMatrix
 from hfrac.graphs import cycle, generate, is_prime
@@ -306,3 +309,159 @@ def test_writer_matches_json_dumps(doc):
 def test_a_string_that_spells_the_array_placeholder_raises(doc):
     with pytest.raises(ValueError, match="placeholder"):
         canonical_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# The block reader: load_json must not depend on where the blocks end
+
+# single bytes, a few bytes, and one either side of the marker's length
+_BLOCKS = (1, 2, 3, 5, 11, len(serialize._ENTRIES) - 1, len(serialize._ENTRIES) + 1)
+
+
+def _same(a, b) -> bool:
+    """Equal keys (in order), values, types, array dtypes and array values."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and (a == b or (a != a and b != b))  # NaN
+
+
+def _outcome(source):
+    """What ``load_json`` returns for ``source``, or the error it refuses
+    it with."""
+    try:
+        return load_json(source)
+    except VerificationError as exc:
+        return exc
+
+
+def _assert_blocks_agree(text: bytes, blocks=_BLOCKS, messages: bool = False) -> None:
+    """``text`` read in one block and ``block`` bytes at a time, sized from
+    its length (as a file is from its size) and with no size to go by (as
+    a pipe), gives the same document or is refused alike (with the same
+    message, if ``messages``)."""
+    whole = _outcome(text)
+    for block in blocks:
+        with mock.patch.object(serialize, "_BLOCK", block):
+            for source in (text, io.BytesIO(text)):
+                got = _outcome(source)
+                if isinstance(whole, VerificationError):
+                    assert isinstance(got, VerificationError), (block, text)
+                    assert not messages or str(got) == str(whole), (block, text)
+                else:
+                    assert _same(got, whole), (block, text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":1,"entries":[1,2,3],"b":[4]}',
+    '{"entries":[123,45,6789],"x":"\\\\"}',
+    '{"x\\\\":"\\"entries\\":[9]","entries":[1,2]}',  # backslash runs before markers, cut anywhere
+    '{"a\\\\\\"entries":[1,2]}',  # an odd run: the marker is inside a key
+    '{"\\\\\\\\\\\\":0,"entries":[1]}',
+    '{"entries":[1,0],"sub":[{"entries":[3,10,2]},{"entries":[0]}]}',
+    '{"entries":[1,2,3,4,5,6,7,8,9,10]}',  # widened at the last field
+    '{"entries":[999999999999999999,0,100000000000000000]}',  # 18 digits, the longest field
+    '{"entries":[1234567890123456789]}', '{"entries":[1,12345678901234567890]}',  # 19 and 20 digits
+    '{"entries":[1,2', '{"entries":[12', '{"entries":[', '{"entries":[1,2,',  # left open at the end
+    '{"entries":[]}', '{"entries":[1,]}', '{"entries":[,1]}', '{"entries":[1,,2]}', '{"entries":[01]}',
+    '{"entries":[1,x,2]}', '{"entries":[1, 2]}', '{"entries":[1]]}', '{"entries":[1],"k":{"entries":0}}',
+    '{"entries":[1]', '[{"entries":[7]},{"entries":[8,9]}]', '"entries":[1]', '',
+])
+def test_reader_does_not_depend_on_where_the_blocks_end(text):
+    # every block size up to the text's length puts an edge at every offset;
+    # each text has at most one fault, so it is refused for that one
+    data = text.encode()
+    _assert_blocks_agree(data, range(1, len(data) + 2), messages=True)
+
+
+def _mutated(draw, text: str) -> str:
+    """``text`` with a few bytes deleted, replaced or inserted, so that
+    some of the drawn texts are malformed."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from(('', ',', ']', '[', '"', '\\', '0', '7', 'x'))) + text[at + cut:]
+    return text
+
+
+@st.composite
+def reader_texts(draw):
+    """The documents of the reader and writer tests and the matrix codec's
+    matrices, written canonically, some of them then broken."""
+    doc = draw(st.one_of(json_docs(), writer_docs(), matrices().map(
+        lambda case: {"entries": case[1].ravel(), "p": case[0], "rows": case[1].shape[0]})))
+    text = canonical_json(doc)
+    if draw(st.booleans()):
+        text = _mutated(draw, text)
+    return text.encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(reader_texts())
+def test_reader_reads_drawn_documents_alike_in_any_blocks(text):
+    _assert_blocks_agree(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "johnson", "--p", "2", "--n", "8"],
+    ["--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
+    ["--kind", "alon", "--variant", "R", "--p", "2", "--q", "2", "--n", "6"],
+    ["--kind", "cover", "--graph", "cycle:5", "--k", "3", "--p", "2"],
+    ["--kind", "cycle-drep", "--k", "2", "--p", "3", "--power", "2"],
+    ["--kind", "cycle-drep", "--k", "2", "--p", "11"],
+])
+def test_reader_reads_every_certificate_kind_alike_in_any_blocks(tmp_path, argv):
+    path = tmp_path / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", *argv, "--out", str(path)]) == 0
+    _assert_blocks_agree(path.read_bytes())
+
+
+def test_lists_that_run_across_blocks_are_read_into_arrays_that_own_their_memory():
+    # FMatrix.from_entries keeps such an array rather than copying it
+    ones, wide = np.arange(40) % 10, np.arange(30) * 7  # the second is widened at 14
+    with mock.patch.object(serialize, "_BLOCK", 8):
+        got = load_json(canonical_json({"entries": ones, "sub": {"entries": wide}}))
+    for array, want, dtype in ((got["entries"], ones, np.uint8), (got["sub"]["entries"], wide, np.int64)):
+        assert array.dtype == dtype and array.base is None and np.array_equal(array, want)
+
+
+def test_a_field_too_long_to_carry_is_refused_at_once():
+    # nothing beyond a block past the 18 digits a field may have is read
+    source = io.BytesIO(b'{"entries":[' + b"1" * 10_000 + b"]}")
+    with mock.patch.object(serialize, "_BLOCK", 16):
+        with pytest.raises(VerificationError, match="more than 18 digits"):
+            load_json(source)
+    assert source.tell() <= len(b'{"entries":[') + serialize._MAX_DIGITS + 2 * 16
+
+
+class _CountedReads(io.BytesIO):
+    reads = 0
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return super().readinto(buffer)
+
+
+@pytest.mark.parametrize("hint, reads", [(0, 2), (5, 4), (10**4, 4), (20_040, 2), (10**7, 2)])
+def test_the_file_size_is_only_a_hint(tmp_path, hint, reads):
+    # a size that is missing, too small, right or too large reads the same
+    # document
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json({"entries": np.arange(10_000) % 7, "x": [np.arange(5) * 300]}))
+    assert path.stat().st_size == 20_040
+    with open(path, "rb") as fh:
+        whole = load_json(fh)
+    for block in (7, 1 << 20):
+        with mock.patch.object(serialize, "_BLOCK", block), \
+                mock.patch.object(serialize, "_size_hint", return_value=hint), open(path, "rb") as fh:
+            assert _same(load_json(fh), whole)
+    # a file that fits in its hint is read in one read, and one more finds
+    # its end; past a short hint the blocks are whole
+    source = _CountedReads(path.read_bytes())
+    with mock.patch.object(serialize, "_size_hint", return_value=hint):
+        assert _same(load_json(source), whole)
+    assert source.reads == reads
