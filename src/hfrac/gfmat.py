@@ -4,8 +4,14 @@ A matrix over GF(p) stores its entries, reduced to [0, p), in the
 narrowest unsigned dtype that holds p - 1 (``storage_dtype``: uint8 for
 every p < 257, uint16 below 65537, uint32 for the rest), and every
 constructor and operation returns that dtype.  Arithmetic that can leave
-[0, p) runs in int64: elimination and the products upcast their operands
-locally and store the reduced result narrow again.  p itself always fits
+[0, p) runs wider and stores the reduced result narrow again.  Elimination
+and ``kronecker`` upcast to int64.  ``matmul`` runs in floating-point BLAS
+whenever that is exact: with inner dimension k every partial sum is an
+integer of at most k (p-1)^2, and float32 holds every integer below 2^24,
+float64 every one below 2^53, so below those bounds the result does not
+depend on the order BLAS adds in.  Above 2^53 it runs in int64, and it
+refuses a product that could reach 2^63.  It works one block of rows at
+a time, so no full-size wide temporary exists.  p itself always fits
 the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
 two), so ``% p`` on a stored array stays in its dtype.  All elimination
 uses the deterministic first-nonzero pivot rule so that ranks, pivot
@@ -53,6 +59,13 @@ KRON_ENTRY_CAP = 16_000_000
 # x - y*z with x, y, z < p, so FMatrix needs (p-1)^2 + p below this, and a
 # product with inner dimension k needs k (p-1)^2 below it.
 INT64_LIMIT = 2**63
+# (limit, dtype): a product whose partial sums stay below limit runs in
+# dtype.  The float types hold every integer below their limit exactly, so
+# BLAS may add in any order (fused multiply-adds too) and stay exact.
+PRODUCT_DTYPES = ((2**24, np.float32), (2**53, np.float64), (INT64_LIMIT, np.int64))
+# Entries of a product computed at a time, in blocks of whole rows, so no
+# full-size wide temporary is allocated.
+_MATMUL_BLOCK_ENTRIES = 1 << 14
 
 
 def check_modulus(p: int) -> None:
@@ -184,15 +197,32 @@ class FMatrix:
 
 
 def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
+    """The product over GF(p), computed exactly.
+
+    With inner dimension k every partial sum is an integer in
+    [0, k (p-1)^2], so the product runs in float32 BLAS below 2^24, in
+    float64 BLAS below 2^53 and in int64 below 2^63 (``PRODUCT_DTYPES``);
+    beyond that it is refused (``GuardExceeded``).  Rows go through in
+    blocks: each block's product is reduced mod p in the narrowest
+    unsigned dtype that holds k (p-1)^2 and written into the narrow result.
+    """
     if a.p != b.p:
         raise DimensionMismatch(f"modulus mismatch: {a.p} vs {b.p}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.cols * (a.p - 1) ** 2 >= INT64_LIMIT:
-        raise GuardExceeded(f"a product over GF({a.p}) with inner dimension {a.cols} overflows int64")
-    product = a.a.astype(np.int64) @ b.a.astype(np.int64)
-    product %= a.p
-    return FMatrix._reduced(a.p, product.astype(storage_dtype(a.p)))
+    p = a.p
+    bound = a.cols * (p - 1) ** 2
+    work = next((dtype for limit, dtype in PRODUCT_DTYPES if bound < limit), None)
+    if work is None:
+        raise GuardExceeded(f"a product over GF({p}) with inner dimension {a.cols} overflows int64")
+    reduce = np.min_scalar_type(bound)
+    right = b.a.astype(work)
+    out = np.empty((a.rows, b.cols), dtype=storage_dtype(p))
+    step = max(1, _MATMUL_BLOCK_ENTRIES // b.cols)
+    for start in range(0, a.rows, step):
+        block = (a.a[start:start + step].astype(work) @ right).astype(reduce)
+        np.remainder(block, p, out=out[start:start + step], casting="unsafe")
+    return FMatrix._reduced(p, out)
 
 
 def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:

@@ -153,8 +153,13 @@ class Graph:
         return list(zip(names[pairs[:, 0]].tolist(), names[pairs[:, 1]].tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """The edges as an m x 2 int64 array, in the order of ``edges``."""
-        return np.argwhere(np.triu(self.matrix, 1))
+        """The edges as an m x 2 int64 array, in the order of ``edges``:
+        the flat indices of the strict upper triangle, split into (row,
+        column) by one divmod."""
+        hits = np.flatnonzero(np.triu(self.matrix, 1))
+        pairs = np.empty((hits.size, 2), dtype=np.int64)
+        np.divmod(hits, self.n, out=(pairs[:, 0], pairs[:, 1]))
+        return pairs
 
     def first_nonedge(self, nonzero: np.ndarray) -> tuple[int, int] | None:
         """The first pair (u, v) with u != v, in row-major order, that is

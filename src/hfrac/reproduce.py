@@ -99,13 +99,8 @@ class ClaimResult:
 
 
 def _claim_theta_c5(seed: int):
-    theta_circulant(5, {1})  # warm up before timing
-    best = min(_timed(lambda: theta_circulant(5, {1}))[1] for _ in range(3))
     value = theta_circulant(5, {1})
-    # timing gates the claim but stays out of the value string so JSON output
-    # is byte-identical across runs
-    ok = abs(value - sqrt(5)) <= 1e-9 and best < 1e-3
-    return ok, repr(value), "sqrt(5) +- 1e-9, evaluated in under 1 ms"
+    return abs(value - sqrt(5)) <= 1e-9, repr(value), "sqrt(5) +- 1e-9"
 
 
 def _claim_theta_johnson_lp(seed: int):

@@ -195,6 +195,12 @@ def bitloop_edges(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
 
 
+def argwhere_edge_array(matrix: np.ndarray) -> np.ndarray:
+    """The (u, v) pairs with u < v at which a symmetric matrix holds, in
+    row-major order, as ``np.argwhere`` lists them."""
+    return np.argwhere(np.triu(matrix, 1))
+
+
 def fstring_format_graph(g: Graph) -> str:
     """The graph text format, one f-string per edge."""
     lines = [f"{g.n} {g.m}"]

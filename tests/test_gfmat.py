@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from hfrac import gfmat
@@ -22,6 +23,7 @@ from hfrac.gfmat import (
     select_full_rank_submatrix,
     solve_right,
 )
+from hfrac.graphs import is_prime
 from hfrac.serialize import canonical_json, load_json
 
 
@@ -338,3 +340,65 @@ def test_products_of_narrow_entries_match_python_ints(p):
         c = random_fmatrix(rng, p, cols, rows)
         c.a[-1, -1] = p - 1
         assert kronecker(a, c).a.tolist() == _python_kron(a.a.tolist(), c.a.tolist(), p)
+
+
+# The exactness rule: a product with inner dimension k runs in float32
+# when k (p-1)^2 < 2^24, in float64 below 2^53 and in int64 below 2^63.
+# 4093 and 94906249 are the largest primes with (p-1)^2 below 2^24 and
+# 2^53, so each takes the narrower type at k = 1 and the wider one at
+# k = 2; 4099 and 94906297, the next primes, take the wider type at k = 1.
+MATMUL_PRIMES = (2, 3, 257, 4093, 4099, 65537, 94906249, 94906297, 2**31 - 1)
+
+
+def _matmul_path(p: int, inner: int) -> str:
+    bound = inner * (p - 1) ** 2
+    return next((name for limit, name in ((2**24, "float32"), (2**53, "float64"), (2**63, "int64"))
+                 if bound < limit), "refused")
+
+
+@st.composite
+def products(draw):
+    p = draw(st.sampled_from(MATMUL_PRIMES))
+    rows, inner, cols = draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))  # p - 1 makes the largest partial sums
+    a = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    block_entries = draw(st.integers(1, 4 * cols))  # blocks of max(1, block_entries // cols) rows
+    return p, a, b, block_entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_matmul_matches_python_ints(case):
+    p, a, b, block_entries = case
+    left, right = FMatrix(p, a), FMatrix(p, b)
+    with mock.patch.object(gfmat, "_MATMUL_BLOCK_ENTRIES", block_entries):
+        if _matmul_path(p, len(b)) == "refused":
+            with pytest.raises(GuardExceeded):
+                matmul(left, right)
+            return
+        got = matmul(left, right)
+    assert got.a.dtype == np.min_scalar_type(p - 1)
+    assert got.a.tolist() == _python_matmul(a, b, p)
+
+
+def test_matmul_strategy_reaches_every_dtype_and_ragged_blocks():
+    def path(case):
+        return _matmul_path(case[0], len(case[2]))
+
+    def step(case):
+        return max(1, case[3] // len(case[2][0]))
+
+    for p, inner, want in ((4093, 1, "float32"), (4093, 2, "float64"), (4099, 1, "float64"),
+                           (94906249, 1, "float64"), (94906249, 2, "int64"), (94906297, 1, "int64")):
+        find(products(), lambda case: case[0] == p and len(case[2]) == inner and path(case) == want)
+    find(products(), lambda case: path(case) == "refused")
+    find(products(), lambda case: step(case) > 1 and len(case[1]) % step(case) != 0)
+    find(products(), lambda case: len(case[1]) > step(case))
+
+
+def test_matmul_boundary_primes():
+    for below, above, limit in ((4093, 4099, 2**24), (94906249, 94906297, 2**53)):
+        assert is_prime(below) and (below - 1) ** 2 < limit
+        assert not any(is_prime(q) for q in range(below + 1, above))
+        assert is_prime(above) and (above - 1) ** 2 >= limit

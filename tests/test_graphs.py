@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from hfrac import graphs
@@ -36,6 +36,7 @@ from hfrac.graphs import (
     write_graph_file,
 )
 from oracles import (
+    argwhere_edge_array,
     bitloop_adjacency_matrix,
     bitloop_complement,
     bitloop_edges,
@@ -382,6 +383,37 @@ def test_dense_views_match_the_bit_loops(g):
     assert a.dtype == bool and a.shape == (g.n, g.n)
     assert np.array_equal(a, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(("random", "empty", "complete")))
+    if kind == "empty":
+        return np.zeros((n, n), dtype=bool)
+    if kind == "complete":
+        return ~np.eye(n, dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from((0.1, 0.5, 0.9))), 1)
+    return upper | upper.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_edge_array_matches_argwhere(matrix):
+    got = Graph(matrix).edge_array()
+    want = argwhere_edge_array(matrix)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (int(matrix.sum()) // 2, 2)
+    assert np.array_equal(got, want)
+
+
+def test_edge_array_strategy_reaches_the_edge_cases():
+    find(symmetric_matrices(), lambda m: m.shape == (0, 0))
+    find(symmetric_matrices(), lambda m: m.shape == (1, 1))
+    find(symmetric_matrices(), lambda m: m.shape[0] > 1 and not m.any())
+    find(symmetric_matrices(), lambda m: m.shape[0] > 1 and m.sum() == m.shape[0] * (m.shape[0] - 1))
+    find(symmetric_matrices(), lambda m: 0 < m.sum() < m.shape[0] * (m.shape[0] - 1))
 
 
 def test_dense_views_at_every_size_mod_8():
