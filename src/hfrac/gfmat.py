@@ -5,13 +5,14 @@ narrowest unsigned dtype that holds p - 1 (``storage_dtype``: uint8 for
 every p < 257, uint16 below 65537, uint32 for the rest), and every
 constructor and operation returns that dtype.  Arithmetic that can leave
 [0, p) runs wider and stores the reduced result narrow again.  Elimination
-and ``kronecker`` upcast to int64.  ``matmul`` runs in floating-point BLAS
+and ``kronecker`` upcast to int64.  ``matmul`` runs in float32 BLAS
 whenever that is exact: with inner dimension k every partial sum is an
 integer of at most k (p-1)^2, and float32 holds every integer below 2^24,
-float64 every one below 2^53, so below those bounds the result does not
-depend on the order BLAS adds in.  Above 2^53 it runs in int64, and it
-refuses a product that could reach 2^63.  It works one block of rows at
-a time, so no full-size wide temporary exists.  p itself always fits
+so below that bound the result does not depend on the order BLAS adds
+in.  From 2^24 on it runs in int64, and it refuses a product that could
+reach 2^63.  It converts the right operand to the work dtype whole and
+forms the product one block of rows at a time, so the wide product never
+exists at full size.  p itself always fits
 the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
 two), so ``% p`` on a stored array stays in its dtype.  All elimination
 uses the deterministic first-nonzero pivot rule so that ranks, pivot
@@ -60,11 +61,11 @@ KRON_ENTRY_CAP = 16_000_000
 # product with inner dimension k needs k (p-1)^2 below it.
 INT64_LIMIT = 2**63
 # (limit, dtype): a product whose partial sums stay below limit runs in
-# dtype.  The float types hold every integer below their limit exactly, so
-# BLAS may add in any order (fused multiply-adds too) and stay exact.
-PRODUCT_DTYPES = ((2**24, np.float32), (2**53, np.float64), (INT64_LIMIT, np.int64))
-# Entries of a product computed at a time, in blocks of whole rows, so no
-# full-size wide temporary is allocated.
+# dtype.  float32 holds every integer below 2^24 exactly, so BLAS may add
+# in any order (fused multiply-adds too) and stay exact.
+PRODUCT_DTYPES = ((2**24, np.float32), (INT64_LIMIT, np.int64))
+# Entries of a product computed at a time, in blocks of whole rows, so the
+# wide product is never allocated at full size.
 _MATMUL_BLOCK_ENTRIES = 1 << 14
 
 
@@ -200,11 +201,12 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
     """The product over GF(p), computed exactly.
 
     With inner dimension k every partial sum is an integer in
-    [0, k (p-1)^2], so the product runs in float32 BLAS below 2^24, in
-    float64 BLAS below 2^53 and in int64 below 2^63 (``PRODUCT_DTYPES``);
-    beyond that it is refused (``GuardExceeded``).  Rows go through in
-    blocks: each block's product is reduced mod p in the narrowest
-    unsigned dtype that holds k (p-1)^2 and written into the narrow result.
+    [0, k (p-1)^2], so the product runs in float32 BLAS below 2^24 and
+    in int64 below 2^63 (``PRODUCT_DTYPES``); beyond that it is refused
+    (``GuardExceeded``).  b is converted to that dtype whole; the rows of
+    a go through in blocks, and each block's product is reduced mod p in
+    the narrowest unsigned dtype that holds k (p-1)^2 and written into the
+    narrow result.
     """
     if a.p != b.p:
         raise DimensionMismatch(f"modulus mismatch: {a.p} vs {b.p}")

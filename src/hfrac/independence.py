@@ -128,7 +128,7 @@ def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[i
                 top = w[v]
         cand ^= cls
         total += top
-        if total > floor:  # only a kept class is expanded into vertices
+        if total > floor:
             start = len(verts)
             while cls:  # inline, not _bits: a generator here costs the search about 4%
                 low = cls & -cls
