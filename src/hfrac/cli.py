@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--budget-ms", type=float, default=None,
                         help=f"search budget in ms (default: ${BUDGET_ENV_VAR})")
     common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
@@ -136,8 +135,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("reproduce", parents=[common], help="run the full claim suite")
-    p.add_argument("--quick", action="store_true", help="skip the slowest claim")
+    sub.add_parser("reproduce", parents=[common], help="run the full claim suite")
 
     return parser
 
@@ -199,7 +197,8 @@ def _cmd_fracchrom(args) -> int:
 
 def _cmd_minrank(args) -> int:
     g = _graph(args)
-    res = minrank_exact(g, args.p, _budget(args))
+    budget = _budget(args)
+    res = minrank_exact(g, args.p, budget)
     witnesses: list = [res.certificate]
     if not res.exact and res.alpha_witness is not None:
         witnesses.append({"kind": "independent_set", "vertices": list(res.alpha_witness)})
@@ -208,7 +207,8 @@ def _cmd_minrank(args) -> int:
     if res.exact:
         _emit(args, str(res.upper), report.to_json())
         return EXIT_OK
-    _emit(args, f"[{res.lower}, {res.upper}] (search budget exhausted)", report.to_json())
+    why = "search budget exhausted" if budget.exhausted else "search skipped: above the search cap"
+    _emit(args, f"[{res.lower}, {res.upper}] ({why})", report.to_json())
     return EXIT_BUDGET
 
 
@@ -428,7 +428,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    results = run_claims(quick=args.quick, seed=args.seed)
+    results = run_claims()
     all_pass = all(r.passed for r in results)
     if args.json:
         print(canonical_json({"all_pass": all_pass, "claims": [r.to_json() for r in results]}))

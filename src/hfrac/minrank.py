@@ -103,6 +103,8 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
 
     Realizes the clique-cover upper bound on the minrank constructively.
     """
+    if g.n == 0:
+        raise PreconditionError("a fit certificate needs a graph with at least one vertex")
     failure = clique_cover_violation(g, cover)
     if failure is not None:
         raise VerificationError(f"invalid clique cover: {failure}")

@@ -2,51 +2,33 @@
 around, re-derived from scratch and checked exactly (or to the stated
 tolerance), one PASS/FAIL line per claim.
 
-Each claim is a pure function so the test suite and the command line can
-run the same list.  Randomized invariant sweeps draw from a seeded RNG and
-are reproducible byte for byte.
+Each claim is a pure function of no arguments, so the test suite and the
+command line run the same list and its output is byte-identical from run
+to run.  Property checks over random instances live in the test suite.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import Callable
 
-import numpy as np
-
 from .fraccover import cover_violation, fractional_clique_cover
-from .gfmat import FMatrix, kronecker, rank
+from .gfmat import rank
 from .graphs import (
-    Graph,
     complement,
     cycle,
     generate,
-    graph_from_edges,
     is_independent_set,
     johnson,
-    lex_product,
     strong_product,
     universal_graph,
 )
-from .independence import alpha, clique_cover_leq, clique_cover_violation, greedy_clique_cover
+from .independence import alpha, clique_cover_leq, clique_cover_violation
 from .minrank import alon_certificate, cover_certificate, johnson_certificate, minrank_exact
-from .reps import (
-    DRep,
-    PairRep,
-    RankRRep,
-    cycle_drep,
-    drep_violation,
-    linind_check,
-    pairrep_from_drep,
-    pairrep_violation,
-    rankr_to_drep,
-    rankrrep_violation,
-    tensor_dreps,
-)
+from .reps import cycle_drep, drep_violation, tensor_dreps
 from .theta import (
     johnson_theta_formula,
     pentagon_umbrella,
@@ -64,8 +46,7 @@ class Claim:
     id: str
     statement: str
     budget_s: float
-    fn: Callable[[int], tuple[bool, str, str]]  # seed -> (passed, value, expected)
-    quick: bool = True  # still run under --quick
+    fn: Callable[[], tuple[bool, str, str]]  # () -> (passed, value, expected)
 
 
 @dataclass(frozen=True)
@@ -98,12 +79,12 @@ class ClaimResult:
 # Individual claims
 
 
-def _claim_theta_c5(seed: int):
+def _claim_theta_c5():
     value = theta_circulant(5, {1})
     return abs(value - sqrt(5)) <= 1e-9, repr(value), "sqrt(5) +- 1e-9"
 
 
-def _claim_theta_johnson_lp(seed: int):
+def _claim_theta_johnson_lp():
     named = {8: Fraction(8), 10: Fraction(15), 12: Fraction(260, 11),
              16: Fraction(16 * 14 * 21, 3 * 34)}
     values = {}
@@ -115,7 +96,7 @@ def _claim_theta_johnson_lp(seed: int):
     return ok, str({n: str(v) for n, v in values.items()}), "LP == n(n-2)(2n-11)/(3(3n-14)) exactly"
 
 
-def _claim_fracchrom_odd_cycles(seed: int):
+def _claim_fracchrom_odd_cycles():
     values = {}
     ok = True
     for k in (2, 3, 4, 5):
@@ -126,21 +107,21 @@ def _claim_fracchrom_odd_cycles(seed: int):
     return ok, str({n: str(v) for n, v in values.items()}), "k + 1/2 exactly, covers verified"
 
 
-def _claim_johnson_certificate(seed: int):
+def _claim_johnson_certificate():
     cert = johnson_certificate(2, 8)
     g = johnson(2, 8)
     ok = cert.claimed_rank == 8 and cert.check(g)
     return ok, f"rank {cert.claimed_rank}", "verified fit of rank exactly 8"
 
 
-def _claim_johnson_alpha(seed: int):
+def _claim_johnson_alpha():
     g = johnson(2, 8)
     a, witness = alpha(g)
     ok = a == 8 and is_independent_set(g, witness)
     return ok, str(a), "8 (56-vertex exact search, witness verified)"
 
 
-def _claim_minrank_c5(seed: int):
+def _claim_minrank_c5():
     g = cycle(5)
     values = {}
     ok = True
@@ -151,7 +132,7 @@ def _claim_minrank_c5(seed: int):
     return ok, str(values), "3 over both fields, by exhaustion"
 
 
-def _claim_cover_c5sq(seed: int):
+def _claim_cover_c5sq():
     g = generate("strong(cycle:5,cycle:5)")
     cov = clique_cover_leq(g, 8)
     if cov is None or clique_cover_violation(g, cov) is not None:
@@ -162,7 +143,7 @@ def _claim_cover_c5sq(seed: int):
         "8-clique partition, fit certificate of rank 8"
 
 
-def _claim_cycle_dreps(seed: int):
+def _claim_cycle_dreps():
     ok = True
     checked = 0
     for k in (2, 3, 4, 5):
@@ -177,7 +158,7 @@ def _claim_cycle_dreps(seed: int):
         "verified intervals [k, k+1/2] for k=2..5, p in {2,3,5}"
 
 
-def _claim_tensor_multiplicativity(seed: int):
+def _claim_tensor_multiplicativity():
     rep5 = cycle_drep(2, 2)
     c5 = cycle(5)
     sq = strong_product(c5, c5)
@@ -190,7 +171,7 @@ def _claim_tensor_multiplicativity(seed: int):
         "rank 25 at d=4; triple ratio exactly 125/8"
 
 
-def _claim_alon_certificates(seed: int):
+def _claim_alon_certificates():
     g = generate("alon:2,3,7")
     cert_p, rep_p = alon_certificate("P", 2, 3, 7)
     ok = cert_p.check(g) and rep_p.violation(g) is None and cert_p.claimed_rank <= 8
@@ -201,7 +182,7 @@ def _claim_alon_certificates(seed: int):
         "P fits over GF(2) with rank <= 8; Q fits complement over GF(3) with rank <= 29"
 
 
-def _claim_universal_graphs(seed: int):
+def _claim_universal_graphs():
     values = {}
     ok = True
     for n, count in ((2, 6), (3, 28)):
@@ -212,80 +193,7 @@ def _claim_universal_graphs(seed: int):
     return ok, str(values), "vertex counts 6 and 28; alpha(n, d=1) = n"
 
 
-def _random_graph(rng: random.Random, n: int, prob: float = 0.5) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
-
-
-def _random_matrix(rng: random.Random, p: int, rows: int, cols: int) -> FMatrix:
-    return FMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-
-
-def _random_invertible(rng: random.Random, p: int, n: int) -> FMatrix:
-    while True:
-        m = _random_matrix(rng, p, n, n)
-        if rank(m) == n:
-            return m
-
-
-def _twist(rep: PairRep, rng: random.Random) -> PairRep:
-    """Change of basis preserving all the pair products."""
-    from .gfmat import inverse, matmul
-
-    t = _random_invertible(rng, rep.p, rep.n)
-    tinv_t = inverse(t).transpose()
-    pairs = tuple((matmul(tinv_t, a), matmul(t, b)) for a, b in rep.pairs)
-    return PairRep(rep.n, rep.d, pairs, rep.p)
-
-
-def _valid_st_pairs(g: Graph, max_size: int = 3):
-    """All (S, T): S independent, T disjoint from S, no S-T edges."""
-    from itertools import combinations
-
-    verts = range(g.n)
-    for ssize in range(1, max_size + 1):
-        for s in combinations(verts, ssize):
-            if not is_independent_set(g, s):
-                continue
-            banned = set(s)
-            for v in s:
-                banned |= {u for u in verts if g.has_edge(u, v)}
-            allowed = [v for v in verts if v not in banned]
-            for tsize in range(1, max_size + 1):
-                for t in combinations(allowed, tsize):
-                    yield set(s), set(t)
-
-
-def _claim_pairrep_independence(seed: int):
-    rng = random.Random(seed)
-    bases: list[tuple[Graph, PairRep]] = []
-    for k in (2, 3, 4):
-        g = cycle(2 * k + 1)
-        for p in (2, 3):
-            bases.append((g, pairrep_from_drep(cycle_drep(k, p))))
-    while len(bases) < 20:
-        g = _random_graph(rng, rng.randint(5, 7))
-        p = rng.choice((2, 3))
-        cert = cover_certificate(g, greedy_clique_cover(g), p)
-        bases.append((g, pairrep_from_drep(DRep(1, cert.matrix))))
-    reps = 0
-    pairs = 0
-    for i in range(100):
-        g, base = bases[i % len(bases)]
-        rep = _twist(base, rng)
-        if pairrep_violation(g, rep) is not None:
-            return False, f"rep {i} failed verification", "100 verified representations"
-        reps += 1
-        for s, t in _valid_st_pairs(g):
-            pairs += 1
-            if not linind_check(rep, g, s, t):
-                return False, f"span overlap at rep {i}, S={sorted(s)}, T={sorted(t)}", \
-                    "independent spans for every valid (S, T)"
-    return True, f"{reps} reps, {pairs} (S,T) pairs, all independent", \
-        "independent spans for every valid (S, T), |S|,|T| <= 3"
-
-
-def _claim_theta_sandwich_c5(seed: int):
+def _claim_theta_sandwich_c5():
     c5 = cycle(5)
     upper = theta_upper_from_orthorep(pentagon_umbrella(1))
     lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
@@ -293,90 +201,12 @@ def _claim_theta_sandwich_c5(seed: int):
     return ok, f"[{lower!r}, {upper!r}]", "both within 1e-6 of sqrt(5)"
 
 
-def _claim_shannon_lower_c5sq(seed: int):
+def _claim_shannon_lower_c5sq():
     g = generate("strong(cycle:5,cycle:5)")
     a, witness = alpha(g)
     ok = a == 5 and is_independent_set(g, witness)
     ok = ok and abs(sqrt(a) - theta_circulant(5, {1})) <= 1e-9
     return ok, f"alpha = {a}, sqrt = {sqrt(a)!r}", "exactly 5; square root matches theta(C5)"
-
-
-def _claim_invariant_suites(seed: int):
-    passed, total, failures = run_invariant_suites(seed)
-    return not failures, f"{passed}/{total} instances", "200 randomized instances, all invariants hold"
-
-
-def run_invariant_suites(seed: int = 0) -> tuple[int, int, list[str]]:
-    """200 seeded random instances across five invariant families."""
-    rng = random.Random(seed)
-    failures: list[str] = []
-    total = 0
-
-    for i in range(50):  # complement is an involution
-        total += 1
-        g = _random_graph(rng, rng.randint(3, 10))
-        if complement(complement(g)) != g:
-            failures.append(f"involution #{i}")
-
-    for i in range(50):  # product vertex counts multiply
-        total += 1
-        g = _random_graph(rng, rng.randint(2, 6))
-        h = _random_graph(rng, rng.randint(2, 6))
-        sp, lx = strong_product(g, h), lex_product(g, h)
-        if sp.n != g.n * h.n or lx.n != g.n * h.n:
-            failures.append(f"cardinality #{i}")
-
-    for i in range(30):  # alpha is multiplicative under the blow-up product
-        total += 1
-        g = _random_graph(rng, rng.randint(2, 5))
-        h = _random_graph(rng, rng.randint(2, 5))
-        if alpha(lex_product(g, h))[0] != alpha(g)[0] * alpha(h)[0]:
-            failures.append(f"lex alpha #{i}")
-
-    for i in range(40):  # kronecker rank multiplicativity
-        total += 1
-        p = rng.choice((2, 3, 5))
-        a = _random_matrix(rng, p, rng.randint(1, 4), rng.randint(1, 4))
-        b = _random_matrix(rng, p, rng.randint(1, 4), rng.randint(1, 4))
-        if rank(kronecker(a, b)) != rank(a) * rank(b):
-            failures.append(f"kronecker #{i}")
-
-    for i in range(30):  # block-extraction conversion never raises the rank
-        total += 1
-        g = _random_graph(rng, rng.randint(3, 5))
-        p = rng.choice((2, 3))
-        r = rng.choice((1, 2))
-        sizes = tuple(rng.randint(r, r + 1) for _ in range(g.n))
-        offs = [0]
-        for s in sizes:
-            offs.append(offs[-1] + s)
-        a = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v or g.has_edge(u, v):
-                    block = np.array([[rng.randrange(p) for _ in range(sizes[v])]
-                                      for _ in range(sizes[u])])
-                    a[offs[u]:offs[u + 1], offs[v]:offs[v + 1]] = block
-        for v in range(g.n):  # force full-rank diagonal blocks
-            while rank(FMatrix(p, a[offs[v]:offs[v + 1], offs[v]:offs[v + 1]])) < r:
-                a[offs[v]:offs[v + 1], offs[v]:offs[v + 1]] = np.array(
-                    [[rng.randrange(p) for _ in range(sizes[v])] for _ in range(sizes[v])]
-                )
-        rep = RankRRep(r, sizes, FMatrix(p, a))
-        if rankrrep_violation(g, rep) is not None:
-            failures.append(f"rankr build #{i}")
-            continue
-        out = rankr_to_drep(g, rep)
-        if drep_violation(g, out) is not None or rank(out.matrix) > rank(rep.matrix):
-            failures.append(f"rankr monotonicity #{i}")
-
-    return total - len(failures), total, failures
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -388,7 +218,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("johnson-certificate", "incidence certificate for the 3-subsets-of-[8] graph has rank 8",
           60.0, _claim_johnson_certificate),
     Claim("johnson-alpha", "alpha of the 3-subsets-of-[8] graph is 8",
-          60.0, _claim_johnson_alpha, quick=False),
+          60.0, _claim_johnson_alpha),
     Claim("minrank-c5", "minimum fit rank of C5 is 3 over GF(2) and GF(3)",
           10.0, _claim_minrank_c5),
     Claim("cover-c5sq", "C5 x C5 (strong) partitions into 8 cliques; certificate rank 8",
@@ -401,22 +231,18 @@ CLAIMS: tuple[Claim, ...] = (
           10.0, _claim_alon_certificates),
     Claim("universal-graphs", "pair-universal graphs: 6 and 28 vertices, alpha = n at d=1",
           5.0, _claim_universal_graphs),
-    Claim("pairrep-independence", "100 random verified pair representations have independent spans",
-          60.0, _claim_pairrep_independence),
     Claim("theta-sandwich-c5", "umbrella evaluators bracket sqrt(5) within 1e-6",
           1.0, _claim_theta_sandwich_c5),
     Claim("shannon-lower-c5sq", "alpha(C5 x C5) = 5, so the capacity lower bound meets theta(C5)",
           10.0, _claim_shannon_lower_c5sq),
-    Claim("invariant-suites", "five invariant families over 200 seeded random instances",
-          120.0, _claim_invariant_suites),
 )
 
 
-def run_claims(quick: bool = False, seed: int = 0) -> list[ClaimResult]:
+def run_claims() -> list[ClaimResult]:
     results = []
     for claim in CLAIMS:
-        if quick and not claim.quick:
-            continue
-        (passed, value, expected), secs = _timed(lambda: claim.fn(seed))
-        results.append(ClaimResult(claim.id, claim.statement, passed, value, expected, secs))
+        t0 = time.perf_counter()
+        passed, value, expected = claim.fn()
+        results.append(ClaimResult(claim.id, claim.statement, passed, value, expected,
+                                   time.perf_counter() - t0))
     return results

@@ -35,6 +35,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def random_graph(rng, n: int, prob: float = 0.5) -> Graph:
+    """A G(n, prob) graph drawn from ``rng``, a ``random.Random``."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
+    return graph_from_edges(n, edges)
+
+
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques (Bron-Kerbosch with pivoting); test-scale oracle."""
     out: list[tuple[int, ...]] = []

@@ -28,6 +28,7 @@ from hfrac.graphs import generate
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash
+from hfrac.reproduce import CLAIMS
 from hfrac.serialize import canonical_json, load_json
 from hfrac.theta import MatrixRep, pentagon_umbrella
 
@@ -187,6 +188,28 @@ def test_budget_exit_code(capsys):
     assert "[" in out  # an interval is still emitted
 
 
+def test_minrank_says_why_its_interval_is_open(capsys, monkeypatch):
+    monkeypatch.delenv("CAPACITY_BUDGET_MS", raising=False)
+    # 3^(2|E|) = 3^22 is above the search cap, so the search never runs
+    assert run(capsys, "minrank", "--graph", "cycle:11", "--p", "3") == \
+        (3, "[5, 6] (search skipped: above the search cap)\n", "")
+    # 2^28 is below it; the search runs 784 nodes and the clock is read at 256
+    assert run(capsys, "minrank", "--graph", "complement(cycle:7)", "--p", "2", "--budget-ms", "0") == \
+        (3, "[2, 3] (search budget exhausted)\n", "")
+
+
+def test_a_graph_without_vertices_has_no_fit_certificate(tmp_path, capsys):
+    graph = tmp_path / "none.txt"
+    graph.write_text("0 0\n")
+    message = "usage error: a fit certificate needs a graph with at least one vertex\n"
+    cover = ("certify", "--kind", "cover", "--k", "1", "--p", "2")
+    for argv in (("minrank", "--p", "2"), ("hfrac", "--p", "2"), cover):
+        assert run(capsys, *argv, "--graph", f"file:{graph}") == (64, "", message), argv
+    # the parameters that need no certificate are 0
+    for argv in (("alpha",), ("fracchrom",)):
+        assert run(capsys, *argv, "--graph", f"file:{graph}") == (0, "0\n", ""), argv
+
+
 def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
     code, out, err = run(capsys, "hfrac", "--graph", "johnson:2,10", "--p", "2",
                          "--budget-ms", "500", "--json")
@@ -246,17 +269,17 @@ def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
     assert code == 0 and out.strip() == "6000"
 
 
-def test_reproduce_quick(capsys):
-    code, out, _ = run(capsys, "reproduce", "--quick", "--json")
+def test_reproduce(capsys):
+    code, out, _ = run(capsys, "reproduce", "--json")
     assert code == 0
     obj = json.loads(out)
-    assert obj["all_pass"] is True
-    ids = [c["id"] for c in obj["claims"]]
-    assert "johnson-alpha" not in ids  # the slow claim is skipped
-    assert "theta-c5" in ids
+    assert obj["all_pass"] is True and all(c["pass"] for c in obj["claims"])
+    assert [c["id"] for c in obj["claims"]] == [c.id for c in CLAIMS]
     # identical invocation, identical bytes
-    code, out2, _ = run(capsys, "reproduce", "--quick", "--json")
-    assert out == out2
+    assert run(capsys, "reproduce", "--json") == (0, out, "")
+    # the suite has no seed and no subset to pick
+    assert run(capsys, "reproduce", "--quick")[0] == 64
+    assert run(capsys, "reproduce", "--seed", "1")[0] == 64
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -15,15 +15,10 @@ from hfrac.fraccover import (
     cover_violation,
     fractional_clique_cover,
 )
-from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
+from hfrac.graphs import Graph, complete, cycle, generate
 from hfrac.independence import alpha
 from hfrac.lp import CoveringMaster, simplex_solve
-from oracles import _master_lp, master_duals, maximal_cliques
-
-
-def random_graph(rng, n, prob=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
+from oracles import _master_lp, master_duals, maximal_cliques, random_graph
 
 
 def full_lp_cover_value(g: Graph) -> F:

@@ -44,14 +44,10 @@ from oracles import (
     bitloop_strong_product,
     edge_loop_read_graph_file,
     fstring_format_graph,
+    random_graph,
     set_intersection_subset_graph,
     trial_division_is_prime,
 )
-
-
-def random_graph(rng, n, prob=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
 
 
 def test_cycle_basics():
@@ -383,6 +379,7 @@ def test_dense_views_match_the_bit_loops(g):
     assert a.dtype == bool and a.shape == (g.n, g.n)
     assert np.array_equal(a, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
+    assert complement(complement(g)) == g
 
 
 @st.composite

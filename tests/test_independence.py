@@ -33,12 +33,7 @@ from hfrac.independence import (
     greedy_clique_cover,
     max_weight_independent_set,
 )
-from oracles import first_fit_clique_cover, maximal_cliques, recursive_clique_cover_leq
-
-
-def random_graph(rng, n, prob=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
+from oracles import first_fit_clique_cover, maximal_cliques, random_graph, recursive_clique_cover_leq
 
 
 @st.composite

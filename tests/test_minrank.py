@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import multilinear_evaluation
+from oracles import multilinear_evaluation, random_graph
 
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
@@ -37,11 +37,6 @@ from hfrac.minrank import (
     johnson_certificate,
     minrank_exact,
 )
-
-
-def random_graph(rng, n, prob=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
 
 
 def batched_rank(a, p):

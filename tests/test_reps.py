@@ -5,21 +5,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import has_edge_subspacerep_violation, kron_permutation_tensor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import has_edge_subspacerep_violation, kron_permutation_tensor, random_graph
 
 from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
-from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
+from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, inverse, matmul, rank
 from hfrac.graphs import (
     complete,
     cycle,
     empty,
     generate,
-    graph_from_edges,
+    is_independent_set,
     strong_product,
 )
 from hfrac.independence import alpha, greedy_clique_cover
@@ -44,11 +47,6 @@ from hfrac.reps import (
     tensor_dreps,
 )
 from hfrac.serialize import canonical_json, load_json
-
-
-def random_graph(rng, n, prob=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return graph_from_edges(n, edges)
 
 
 def drep_for(g, p=2):
@@ -388,6 +386,51 @@ def test_linind_examples():
         linind_check(pair, c7, {0}, {0, 2})  # not disjoint
     with pytest.raises(PreconditionError):
         linind_check(pair, c7, {0}, {1})  # S-T edge
+
+
+@st.composite
+def twisted_pairreps(draw):
+    """A verified pair representation under a random change of basis T:
+    an odd cycle's certificate, or the cover certificate of a random graph
+    on 5 to 7 vertices, over GF(2) or GF(3)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        g, base = cycle(2 * k + 1), pairrep_from_drep(cycle_drep(k, p))
+    else:
+        g = random_graph(rng, draw(st.integers(5, 7)))
+        base = pairrep_from_drep(drep_for(g, p))
+    while True:
+        t = FMatrix(p, [[rng.randrange(p) for _ in range(base.n)] for _ in range(base.n)])
+        if rank(t) == base.n:
+            break
+    # (T⁻ᵀA_u)ᵀ(TB_v) = A_uᵀB_v: every pair product is kept
+    tinv_t = inverse(t).transpose()
+    pairs = tuple((matmul(tinv_t, a), matmul(t, b)) for a, b in base.pairs)
+    return g, PairRep(base.n, base.d, pairs, p)
+
+
+def valid_st_pairs(g, max_size=3):
+    """Every (S, T) of sizes 1 to max_size with S independent, T disjoint
+    from S, and no edge between S and T."""
+    for ssize in range(1, max_size + 1):
+        for s in combinations(range(g.n), ssize):
+            if not is_independent_set(g, s):
+                continue
+            allowed = [v for v in range(g.n) if v not in s and not any(g.has_edge(u, v) for u in s)]
+            for tsize in range(1, max_size + 1):
+                for t in combinations(allowed, tsize):
+                    yield set(s), set(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_pairreps())
+def test_verified_pair_representations_have_independent_spans(case):
+    g, rep = case
+    assert pairrep_violation(g, rep) is None
+    for s, t in valid_st_pairs(g):
+        assert linind_check(rep, g, s, t), (sorted(s), sorted(t))
 
 
 def test_search_cycle5():
