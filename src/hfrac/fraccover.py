@@ -71,9 +71,14 @@ class FractionalCover:
 
 
 def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
-    """None if every invariant holds exactly, else the first defect found."""
-    total = F0
-    coverage = [F0] * g.n
+    """None if every invariant holds exactly, else the first defect found.
+
+    Coverage and value are summed in integers, in units of 1/L for L the
+    lcm of the weight denominators; a ``Fraction`` is built only to name
+    a sum in a defect message."""
+    scale = lcm(*(w.denominator for _, w in cover.classes))
+    total = 0
+    coverage = [0] * g.n
     for idx, (cl, w) in enumerate(cover.classes):
         stray = stray_vertex(g, cl)
         if stray is not None:
@@ -82,17 +87,17 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
             return f"class {idx} is not a clique: {sorted(cl)}"
         if w < 0:
             return f"class {idx} has negative weight {w}"
+        units = w.numerator * (scale // w.denominator)
         for v in cl:
-            coverage[v] += w
-        total += w
-    for v in range(g.n):
-        if coverage[v] < 1:
-            return f"vertex {v} is undercovered: total weight {coverage[v]}"
-    if total != cover.value:
-        return f"declared value {cover.value} != weight sum {total}"
-    d = lcm(*(w.denominator for _, w in cover.classes)) if cover.classes else 1
-    if cover.d % d != 0 or cover.d < 1:
-        return f"declared denominator {cover.d} incompatible with weights (lcm {d})"
+            coverage[v] += units
+        total += units
+    for v, units in enumerate(coverage):
+        if units < scale:
+            return f"vertex {v} is undercovered: total weight {Fraction(units, scale)}"
+    if total * cover.value.denominator != cover.value.numerator * scale:
+        return f"declared value {cover.value} != weight sum {Fraction(total, scale)}"
+    if cover.d % scale != 0 or cover.d < 1:
+        return f"declared denominator {cover.d} incompatible with weights (lcm {scale})"
     return None
 
 

@@ -27,11 +27,11 @@ products, so certificates indexed by vertex order are byte-reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import lt
 from typing import Iterable, NoReturn
 
 import numpy as np
@@ -142,9 +142,20 @@ class Graph:
         self._check_vertex(v)
         return bool(self.matrix[u, v])
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """The degree of every vertex: the row counts of the matrix."""
+        return tuple(np.count_nonzero(self.matrix, axis=1).tolist())
+
+    @cached_property
+    def degree_order(self) -> tuple[int, ...]:
+        """The vertices by descending degree, the lower vertex first on
+        ties (a reversed sort keeps equal keys in their order)."""
+        return tuple(sorted(range(self.n), key=self.degrees.__getitem__, reverse=True))
+
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self.adj[v].bit_count()
+        return self.degrees[v]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v in row-major order."""
@@ -175,8 +186,21 @@ class Graph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
+# bit j as a uint64, for the rows that fit in one machine word
+_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
 def bit_rows(mat: np.ndarray) -> list[int]:
-    """The rows of a boolean matrix as bitsets: bit j of row i is mat[i, j]."""
+    """The rows of a boolean matrix as bitsets: bit j of row i is mat[i, j].
+
+    A row of at most 64 columns fits in a uint64, so those rows are one
+    product of the matrix with the powers of two, read out by ``tolist``
+    (bool times uint64 is uint64 under both numpy 1.x and 2.x promotion,
+    and a sum of distinct powers below 2^64 cannot overflow).  A wider row
+    does not fit: it is packed into little-endian bytes, and each row's
+    bytes become one Python int."""
+    if mat.shape[1] <= 64:
+        return (mat @ _POW2[:mat.shape[1]]).tolist()
     packed = np.packbits(mat, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(packed))]
@@ -518,15 +542,23 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v.
 
-    The edges are checked and set in whole-array passes: every end in
-    range (the list's min and max), then u < v, then no duplicate, since a
-    duplicate leaves fewer than 2m matrix entries set.  Only a defective
-    file is walked edge by edge, so that the message names its first bad
-    edge."""
-    if not os.path.exists(path):
-        raise GraphParseError(f"graph file not found: {path}")
-    with open(path) as fh:
-        tokens = fh.read().split()
+    The file is read as bytes and decoded as UTF-8 in one call, which
+    costs less than a text-mode read.  The edges are checked in whole-list
+    passes at C speed: u < v on every line (one ``map``), which makes the
+    least u and the greatest v the ends of the range check.  numpy then
+    makes three calls: it allocates the matrix, sets both entries of every
+    edge in one assignment and counts them, and a duplicate leaves fewer
+    than 2m set.  Only a defective file is walked edge by edge, so that the
+    message names its first bad edge."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise GraphParseError(f"graph file not found: {path}") from None
+    try:
+        tokens = data.decode().split()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"graph file is not UTF-8 text: {exc}") from None
     if len(tokens) < 2:
         raise GraphParseError("graph file needs a header 'n m'")
     try:
@@ -539,14 +571,11 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     _guard(n, max_vertices, f"graph file {path}")
     if len(nums) != 2 + 2 * m:
         raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
-    ends = nums[2:]
-    if ends and (min(ends) < 0 or max(ends) >= n):
-        _first_bad_edge(nums, n)
-    u, v = np.array(ends, dtype=np.intp).reshape(m, 2).T
-    if not (u < v).all():
+    us, vs = nums[2::2], nums[3::2]
+    if us and not (all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < n):
         _first_bad_edge(nums, n)
     mat = np.zeros((n, n), dtype=bool)
-    mat[u, v] = mat[v, u] = True
+    mat[us + vs, vs + us] = True
     if np.count_nonzero(mat) != 2 * m:
         _first_bad_edge(nums, n)
     return Graph(mat, expr=f"file:{path}")

@@ -3,7 +3,10 @@
 ``alpha`` and ``max_weight_independent_set`` share one explicit-stack
 bitset branch-and-bound (MCS/BBMC style).  Vertices are renumbered so that
 bit order is the colouring order: ascending weight, then ascending degree,
-so the search branches on heavy, high-degree vertices first.  At every node
+the higher vertex first on ties, so the search branches on heavy,
+high-degree vertices first.  That order is one stable sort by weight of
+the graph's cached ``Graph.degree_order`` (descending degree, then vertex),
+reversed, so a pricing call pays for no degree count.  At every node
 the candidates are split into cliques one class at a time; a vertex's bound
 is the sum of the class maxima up to its class (its class index for unit
 weights), and only vertices whose bound can still beat the incumbent are
@@ -86,10 +89,6 @@ def independent_set_violation(g: Graph, vertices: Sequence[int]) -> str | None:
     if not is_independent_set(g, vertices):
         return "vertex set is not independent"
     return None
-
-
-def _static_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 def _bits(mask: int):
@@ -218,7 +217,7 @@ def _max_stable(
 
 def greedy_clique_cover(g: Graph) -> CliqueCover:
     """First-fit clique partition in descending-degree order."""
-    order = _static_order(g)
+    order = g.degree_order
     verts, bounds, _ = _colour(_relabel(g, order), [1] * g.n, (1 << g.n) - 1, 0)
     classes: list[list[int]] = []
     for v, k in zip(verts, bounds):
@@ -234,7 +233,7 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
     Raises SearchCutoff carrying the certified interval [best found, root
     bound] and the best witness when the budget runs out.
     """
-    return _max_stable(g, _static_order(g)[::-1], [1] * g.n, budget or Budget(), "alpha")
+    return _max_stable(g, g.degree_order[::-1], [1] * g.n, budget or Budget(), "alpha")
 
 
 def alpha_lower_end(g: Graph, budget: Budget) -> tuple[int, tuple[int, ...]]:
@@ -269,7 +268,9 @@ def max_weight_independent_set(
         ints = [x.numerator * (scale // x.denominator) for x in w]
     if any(x < 0 for x in ints):
         raise ValueError("weights must be nonnegative")
-    order = sorted(range(g.n), key=lambda v: (-ints[v], -g.degree(v), v))[::-1]
+    # ascending weight, then ascending degree, the higher vertex first:
+    # the reversed degree order, stably sorted by weight
+    order = sorted(reversed(g.degree_order), key=ints.__getitem__)
     try:
         best, witness = _max_stable(g, order, ints, budget or Budget(), "max_weight_independent_set")
     except SearchCutoff as cut:

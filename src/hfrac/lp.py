@@ -11,7 +11,11 @@ terminates on every input.
 keeps the basis inverse fraction-free as an integer adjugate over det(B)
 with Bareiss-style exact-division updates.  The duals are kept the same
 way, as integers over det(B), and each pivot updates them in O(m) from its
-pivot row instead of summing them afresh.
+pivot row instead of summing them afresh.  Most pivots of a covering master
+are unimodular: the pivot entry equals det, so det is kept and the
+fraction-free update is a rank-one change that touches only the rows with
+a nonzero entry in the entering column, and in them only the pivot row's
+nonzeros.  Those pivots update in place; the others rewrite every row.
 
 ``simplex_solve`` is the general solver on it, cold for one LP.  Variable
 bounds are folded away first: a finite lower bound shifts the variable, an
@@ -138,12 +142,17 @@ class IntegerSimplex:
     The basis inverse is kept as the integer matrix ``det * B^-1`` with
     ``det = |det(B)| > 0``, and the basic values and the duals as integers
     over ``det``: a pivot divides exactly (Bareiss), so no ``Fraction`` is
-    built until a caller asks for the ``values``.  A negative pivot entry
-    (only a pivot on a chosen row can have one) negates det * B^-1, the
-    basic values and the dual numerators first, so det stays positive.  The
-    dual numerators ``y * det`` = c_B (det B^-1) are the cost-weighted sum
-    of the rows of ``det * B^-1``; a pivot updates that sum from its pivot
-    row alone.  Every pivot spends one budget node.
+    built until a caller asks for the ``values``.  When the pivot entry
+    equals det (a unimodular step), row i becomes row_i - u_i * prow / det,
+    exact entry by entry, so det, every row with u_i = 0 and every entry
+    where the pivot row is zero stay as they are: only the pivot row's
+    nonzeros are updated, in place, in the rows with u_i != 0 and in the
+    dual numerators.  Any other pivot rewrites every row.  A negative
+    pivot entry (only a pivot on a chosen row can have one) negates the
+    pivot row of det * B^-1 and its basic value first, so det stays
+    positive.  The dual numerators ``y * det`` = c_B (det B^-1) are the
+    cost-weighted sum of the rows of ``det * B^-1``; a pivot updates that
+    sum from its pivot row alone.  Every pivot spends one budget node.
     """
 
     def __init__(self, rhs: list[int], basis, columns: list, coeffs: list[list[int] | None],
@@ -155,7 +164,9 @@ class IntegerSimplex:
         self._aux, self._aux_costs, self._fixed = aux, aux_costs, fixed
         self._budget = budget or Budget()
         self._det = 1
-        self._inv = [[int(i == j) for j in range(m)] for i in range(m)]
+        self._inv = [[0] * m for _ in range(m)]
+        for i, row in enumerate(self._inv):
+            row[i] = 1
         self._x = list(rhs)  # basic values times det
         self._basis = list(basis)  # variable in each basis row
         self._cb = [self._cost(var) for var in self._basis]
@@ -215,26 +226,42 @@ class IntegerSimplex:
             if r < 0:
                 return False
         self._budget.spend()
-        det, ur, cr = self._det, u[r], self._cb[r]
-        # y * det is the c_B-weighted sum of the rows of inv, and each of
-        # them other than r is updated below as (ur * row - u_i * prow) / det,
-        # so the new sum follows from the old one and prow in O(m).
-        yn = [a - cr * b for a, b in zip(self._yn, inv[r])] if cr else self._yn
+        det, ur, cr, ce = self._det, u[r], self._cb[r], self._cost(var)
         cu = sum(map(mul, self._cb, u)) - cr * ur
         if ur < 0:
-            ur, inv[r], x[r] = -ur, [-a for a in inv[r]], -x[r]
-        prow, px, ce = inv[r], x[r], self._cost(var)
-        self._yn = [(ur * a - cu * b) // det + ce * b for a, b in zip(yn, prow)]
-        for i, ui in enumerate(u):
-            if i == r:
-                continue
-            if ui:
-                inv[i] = [(ur * a - ui * b) // det for a, b in zip(inv[i], prow)]
-                x[i] = (ur * x[i] - ui * px) // det
-            elif ur != det:
-                inv[i] = [ur * a // det for a in inv[i]]
-                x[i] = ur * x[i] // det
-        self._det = ur
+            ur, cr, inv[r], x[r] = -ur, -cr, [-a for a in inv[r]], -x[r]
+        prow, px = inv[r], x[r]
+        # y * det is the c_B-weighted sum of the rows of inv.  Each row
+        # other than r becomes (ur * row - u_i * prow) / det, and row r,
+        # weighted cr before and ce after, stays prow, so the new sum is
+        # (ur * yn - k * prow) / det + ce * prow.
+        k = ur * cr + cu
+        if ur == det:
+            # A unimodular step: det is kept, a row with u_i = 0 is kept,
+            # and every other entry changes by an exact multiple of its
+            # pivot-row entry, so only the pivot row's nonzeros move.
+            nz = [(j, b) for j, b in enumerate(prow) if b]
+            yn = self._yn
+            for j, b in nz:
+                yn[j] += ce * b - k * b // det
+            for i, ui in enumerate(u):
+                if ui and i != r:
+                    row = inv[i]
+                    for j, b in nz:
+                        row[j] -= ui * b // det
+                    x[i] -= ui * px // det
+        else:
+            self._yn = [(ur * a - k * b) // det + ce * b for a, b in zip(self._yn, prow)]
+            for i, ui in enumerate(u):
+                if i == r:
+                    continue
+                if ui:
+                    inv[i] = [(ur * a - ui * b) // det for a, b in zip(inv[i], prow)]
+                    x[i] = (ur * x[i] - ui * px) // det
+                else:
+                    inv[i] = [ur * a // det for a in inv[i]]
+                    x[i] = ur * x[i] // det
+            self._det = ur
         basis[r], self._cb[r] = var, ce
         return True
 

@@ -412,6 +412,70 @@ def dual_numerators_from_scratch(master: IntegerSimplex) -> list[int]:
     return yn
 
 
+def engine_from_scratch(engine: IntegerSimplex, rhs: list[int]) -> tuple[int, list, list, list]:
+    """|det B|, det * B^-1, the basic values times det and the dual
+    numerators of the engine's current basis, from the definition: the
+    basis columns, set up from the engine's column data, inverted by
+    Gauss-Jordan elimination in ``Fraction``s, with ``det`` the engine's
+    det; ``rhs`` is the right-hand side the engine started from."""
+    m = engine.m
+    mat = [[F0] * m + [F1 if i == j else F0 for j in range(m)] for i in range(m)]  # [B | I]
+    for k, var in enumerate(engine._basis):
+        if var < 0:
+            i, sign = engine._aux[~var]
+            mat[i][k] = Fraction(sign)
+        else:
+            support, coeffs = engine.columns[var], engine._coeffs[var]
+            for i, c in zip(support, coeffs or [1] * len(support)):
+                mat[i][k] = Fraction(c)
+    det_b = F1
+    for k in range(m):
+        r = next(i for i in range(k, m) if mat[i][k])
+        mat[k], mat[r] = mat[r], mat[k]
+        if r != k:
+            det_b = -det_b
+        det_b *= mat[k][k]
+        mat[k] = [a / mat[k][k] for a in mat[k]]
+        for i in range(m):
+            if i != k and mat[i][k]:
+                mat[i] = [a - mat[i][k] * b for a, b in zip(mat[i], mat[k])]
+    det = engine.det
+    inv = [[a * det for a in row[m:]] for row in mat]
+    x = [sum((a * b for a, b in zip(row[m:], rhs)), F0) * det for row in mat]
+    costs = [engine._costs[var] if var >= 0 else engine._aux_costs[~var] for var in engine._basis]
+    yn = [sum((c * row[j] for c, row in zip(costs, inv)), F0) for j in range(m)]
+    return abs(det_b), inv, x, yn
+
+
+class FromScratchChecked:
+    """Mixin for an ``IntegerSimplex`` that checks, after every pivot,
+    det, det * B^-1, the basic values and the dual numerators against
+    ``engine_from_scratch``, and records each step's kind: "unimodular"
+    when det is kept (the pivot entry equalled it), else "dense"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.start_rhs = list(self._x)  # B = I at the start
+        self.steps: list[str] = []
+        self.dets = [self.det]
+
+    def _pivot(self, var: int, r: int | None = None) -> bool:
+        det = self.det
+        entered = super()._pivot(var, r)
+        if entered:
+            self.steps.append("unimodular" if self.det == det else "dense")
+            self.dets.append(self.det)
+            assert engine_from_scratch(self, self.start_rhs) == (self.det, self._inv, self._x, self._yn)
+        return entered
+
+
+def packbits_bit_rows(mat: np.ndarray) -> list[int]:
+    """Bitset rows of a boolean matrix through packed little-endian bytes,
+    one ``int.from_bytes`` per row."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _tableau_pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
     prow = tab[r]
     piv = prow[c]

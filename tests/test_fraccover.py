@@ -147,3 +147,40 @@ def test_cover_json_roundtrip():
     back = FractionalCover.from_json(cover.to_json())
     assert back == cover
     assert cover_violation(c7, back) is None
+
+
+_EDGES = ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+_HALVES = tuple((e, F(1, 2)) for e in _EDGES)
+
+
+@pytest.mark.parametrize("classes, value, d, message", [
+    # an undercovered vertex with a fractional total, over one and over
+    # mixed denominators, and one that no class covers
+    ((((0, 1), F(1, 4)),) + _HALVES[1:], F(9, 4), 4, "vertex 0 is undercovered: total weight 3/4"),
+    ((((0, 1), F(1, 3)), ((0, 4), F(1, 2)), ((1, 2), F(2, 3)), ((2, 3), F(1, 2)), ((3, 4), F(1, 2))),
+     F(5, 2), 6, "vertex 0 is undercovered: total weight 5/6"),
+    ((), F(0), 1, "vertex 0 is undercovered: total weight 0"),
+    # a declared value that differs from the weight sum
+    (_HALVES, F(7, 2), 2, "declared value 7/2 != weight sum 5/2"),
+    ((((0, 1), F(2, 3)), ((0, 4), F(1, 3)), ((1, 2), F(1, 2)), ((2, 3), F(1, 2)), ((3, 4), F(2, 3))),
+     F(5, 2), 6, "declared value 5/2 != weight sum 8/3"),
+    # an incompatible d
+    (_HALVES, F(5, 2), 3, "declared denominator 3 incompatible with weights (lcm 2)"),
+    (_HALVES, F(5, 2), 0, "declared denominator 0 incompatible with weights (lcm 2)"),
+    ((((0, 1), F(2, 3)), ((0, 4), F(1, 3)), ((1, 2), F(1, 2)), ((2, 3), F(1, 2)), ((3, 4), F(2, 3))),
+     F(8, 3), 4, "declared denominator 4 incompatible with weights (lcm 6)"),
+    # a negative weight, a stray vertex and a non-clique
+    ((((0, 1), F(1)), ((2,), F(-1, 3)), ((2, 3), F(1)), ((4,), F(1))), F(8, 3), 3,
+     "class 1 has negative weight -1/3"),
+    ((((0, 5), F(1)),) + _HALVES, F(7, 2), 2, "class 0 has vertex 5 outside [0, 5)"),
+    ((((0, 1, 2), F(1)), ((3,), F(1)), ((4,), F(1))), F(3), 1, "class 0 is not a clique: [0, 1, 2]"),
+])
+def test_cover_defects_are_named(classes, value, d, message):
+    # the sums run in integers; each message names them as Fractions would
+    assert cover_violation(cycle(5), FractionalCover(classes, value, d)) == message
+
+
+def test_a_cover_over_mixed_denominators_passes():
+    classes = _HALVES + (((1,), F(1, 6)),)
+    assert cover_violation(cycle(5), FractionalCover(classes, F(8, 3), 6)) is None
+    assert cover_violation(cycle(5), FractionalCover(classes, F(8, 3), 12)) is None

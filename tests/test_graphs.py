@@ -11,10 +11,12 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from hfrac import graphs
+from hfrac.cli import main
 from hfrac.errors import GraphParseError, GuardExceeded, PreconditionError
 from hfrac.graphs import (
     Graph,
     alon,
+    bit_rows,
     complement,
     complete,
     cycle,
@@ -44,6 +46,7 @@ from oracles import (
     bitloop_strong_product,
     edge_loop_read_graph_file,
     fstring_format_graph,
+    packbits_bit_rows,
     random_graph,
     set_intersection_subset_graph,
     trial_division_is_prime,
@@ -282,6 +285,7 @@ def test_graph_file_errors(tmp_path):
     ("4 3\n0 1\n3 2\n0 1\n", "edge (3, 2) violates 0 <= u < v < n"),
     ("4 3\n0 1\n0 1\n3 2\n", "duplicate edge (0, 1)"),
     ("4 3\n0 1\n0 1\n0 99999999999999999999\n", "duplicate edge (0, 1)"),
+    ("3 1\n0 \u00e9\n", "non-integer token in graph file: invalid literal for int() with base 10: '\u00e9'"),
 ])
 def test_graph_file_defects_are_named(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -289,6 +293,18 @@ def test_graph_file_defects_are_named(tmp_path, text, message):
     with pytest.raises(GraphParseError) as exc:
         read_graph_file(str(path))
     assert str(exc.value) == message
+
+
+def test_a_graph_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # it used to escape as a UnicodeDecodeError with a traceback
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1\n0 \xff\n")
+    with pytest.raises(GraphParseError) as exc:
+        read_graph_file(str(path))
+    assert str(exc.value) == ("graph file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+                              " in position 6: invalid start byte")
+    assert main(["alpha", "--graph", f"file:{path}"]) == 64
+    assert "not UTF-8 text" in capsys.readouterr().err
 
 
 @st.composite
@@ -380,6 +396,33 @@ def test_dense_views_match_the_bit_loops(g):
     assert np.array_equal(a, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
     assert complement(complement(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(max_n=70))
+def test_degrees_and_degree_order_match_the_bit_counts(g):
+    degrees = tuple(row.bit_count() for row in g.adj)
+    assert g.degrees == degrees
+    assert all(type(d) is int for d in g.degrees)
+    assert g.degree_order == tuple(sorted(range(g.n), key=lambda v: (-degrees[v], v)))
+    assert [g.degree(v) for v in range(g.n)] == list(degrees)
+
+
+@pytest.mark.parametrize("columns", [0, 1, 63, 64, 65, 200])
+def test_bit_rows_match_the_packed_bytes(columns):
+    # rows of at most 64 columns are one uint64 product; the top bit of
+    # a 64-column row is bit 63 and must not wrap or go negative
+    rng = np.random.default_rng(columns)
+    for rows in (0, 1, 7):
+        for prob in (0.0, 0.3, 0.9, 1.0):
+            mat = rng.random((rows, columns)) < prob
+            got = bit_rows(mat)
+            assert got == packbits_bit_rows(mat)
+            assert all(type(x) is int for x in got)
+    # a non-contiguous view, as the relabelled searches pass
+    mat = rng.random((9, columns + 3)) < 0.5
+    view = mat[::-1, 3:]
+    assert bit_rows(view) == packbits_bit_rows(np.ascontiguousarray(view))
 
 
 @st.composite

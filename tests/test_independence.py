@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfrac import independence
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, SearchCutoff
 from hfrac.graphs import (
@@ -316,3 +318,29 @@ def test_cutoff_interval_brackets_the_optimum(gw, nodes, unit):
         assert cut.lower <= best <= cut.upper
         assert is_independent_set(g, cut.witness)
         assert sum((w[v] for v in cut.witness), F(0)) == cut.lower
+
+
+@st.composite
+def tied_weights(draw):
+    """A graph on up to 40 vertices and integer weights from a pool of at
+    most three values, so that most vertices tie on weight and many on
+    degree as well."""
+    n = draw(st.integers(0, 40))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, draw(st.sampled_from((0.1, 0.5, 0.9))))
+    pool = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    return g, draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_weights())
+def test_the_pricing_order_is_the_weight_degree_vertex_key(gw):
+    # the search's bit order, reversed, is descending weight, then
+    # descending degree, then ascending vertex
+    g, w = gw
+    with mock.patch.object(independence, "_max_stable", wraps=independence._max_stable) as search:
+        max_weight_independent_set(g, w)
+    order = list(search.call_args.args[1])
+    assert order == sorted(range(g.n), key=lambda v: (-w[v], -g.adj[v].bit_count(), v))[::-1]
+    with mock.patch.object(independence, "_max_stable", wraps=independence._max_stable) as search:
+        alpha(g)
+    assert list(search.call_args.args[1]) == sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))[::-1]

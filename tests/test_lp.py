@@ -13,17 +13,20 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    FromScratchChecked,
     _master_lp,
     dense_check_solution,
     dual_numerators_from_scratch,
     master_duals,
+    random_graph,
     tableau_simplex_solve,
 )
 from scipy.optimize import linprog
 
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
-from hfrac.fraccover import _certifies_optimum
+from hfrac.fraccover import _certifies_optimum, fractional_clique_cover
+from hfrac.graphs import cycle
 from hfrac.lp import (
     REL_EQ,
     REL_GE,
@@ -485,6 +488,61 @@ def test_lps_reach_every_drive_out_kind(kind):
     # a negative entry negates det * B^-1 so that det stays positive
     find(lps(), lambda lp: kind in drive_outs(lp),
          settings=settings(max_examples=4000, database=None, phases=[Phase.generate]))
+
+
+def _checked_engines(patched: str, base: type, run) -> list:
+    """The engines that ``run()`` builds while ``patched`` names a
+    subclass of ``base`` that checks every pivot from scratch."""
+    engines = []
+
+    class Checked(FromScratchChecked, base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    with mock.patch(patched, Checked):
+        run()
+    return engines
+
+
+def _checked_cover(g) -> CoveringMaster:
+    (master,) = _checked_engines("hfrac.fraccover.CoveringMaster", CoveringMaster,
+                                 lambda: fractional_clique_cover(g))
+    return master
+
+
+def _checked_solve(lp) -> list[str]:
+    """The kinds of the steps that simplex_solve took on ``lp``."""
+    engines = _checked_engines("hfrac.lp.IntegerSimplex", IntegerSimplex, lambda: simplex_solve(lp))
+    return [step for engine in engines for step in engine.steps]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.sampled_from((0.2, 0.4, 0.6, 0.8)), st.integers(0, 2**32 - 1))
+def test_master_pivots_match_the_basis_inverted_from_scratch(n, prob, seed):
+    # every pivot of the column generation is checked as it is taken
+    _checked_cover(random_graph(random.Random(seed), n, prob))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps())
+def test_solver_pivots_match_the_basis_inverted_from_scratch(lp):
+    # every pivot of both phases and of the drive-out is checked as it is taken
+    _checked_solve(lp)
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_odd_cycle_masters_take_both_step_kinds(k):
+    # the optimal cover of C_k puts 1/2 on every edge, so det reaches 2
+    master = _checked_cover(cycle(k))
+    assert {"unimodular", "dense"} <= set(master.steps)
+    assert max(master.dets) == 2 == master.det
+
+
+@pytest.mark.parametrize("kind", ["unimodular", "dense"])
+def test_solver_runs_reach_both_step_kinds(kind):
+    find(lps(), lambda lp: kind in _checked_solve(lp),
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
 def test_a_duplicated_equality_row_stays_redundant():
