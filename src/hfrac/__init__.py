@@ -20,7 +20,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .gfmat import FMatrix, inverse, kronecker, matmul, rank, select_full_rank_submatrix
+from .gfmat import FMatrix, inverse, matmul, rank, select_full_rank_submatrix
 from .graphs import (
     Graph,
     GraphExpr,
@@ -82,7 +82,6 @@ from .reps import (
 from .theta import (
     MatrixRep,
     OrthoRep,
-    matrixrep_value,
     matrixrep_violation,
     orthorep_violation,
     pentagon_umbrella,

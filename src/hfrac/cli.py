@@ -385,7 +385,7 @@ def _cmd_verify(args) -> int:
             raise VerificationError(f"graph must be a string, got {expr!r}")
         try:
             g = generate(expr, max_vertices=args.max_vertices)
-        except GraphParseError as exc:
+        except (GraphParseError, PreconditionError) as exc:
             if args.graph:  # a bad --graph is a usage error, a bad embedded graph a bad file
                 raise
             raise VerificationError(f"certificate graph: {exc}") from exc

@@ -14,9 +14,10 @@ weights, so its witnesses are those it would find for y itself.
 
 The returned cover is gated exactly on the master's integers: the dual
 numerators must be >= 0, sum to at most det on every generated clique and
-sum to det times the cover's value.  Then y is feasible for the dual LP
-over the generated cliques (at most one unit per clique, vertex weights
->= 0) and has the cover's value.  The cover itself must then pass
+sum to det times the cover's value (one integer sum of the basic values'
+numerators, over det).  Then y is feasible for the dual LP over the
+generated cliques (at most one unit per clique, vertex weights >= 0) and
+has the cover's value.  The cover itself must then pass
 ``cover_violation`` (nonnegative weights, every vertex covered, weights
 summing to the value), and by weak duality both are optimal.  The gate
 reads each clique through its members only, so it costs the size of the
@@ -102,13 +103,13 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
 
 
 def _certifies_optimum(columns: list[tuple[int, ...]], numerators: list[int], det: int,
-                       value: Fraction) -> bool:
+                       total: int) -> bool:
     """Whether y = numerators / det is feasible for the dual LP over the
-    held columns (y >= 0, at most 1 on every column) with value ``value``."""
+    held columns (y >= 0, at most 1 on every column) with value total / det."""
     return (
         all(yn >= 0 for yn in numerators)
         and all(sum(map(numerators.__getitem__, col)) <= det for col in columns)
-        and sum(numerators) == value * det
+        and sum(numerators) == total
     )
 
 
@@ -128,16 +129,17 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> Fractiona
         try:
             witness, weight = max_weight_independent_set(comp, master.dual_numerators(), budget)
         except SearchCutoff as cut:
-            raise SearchCutoff(cut.parameter, cut.lower / master.det, cut.upper / master.det,
-                               cut.witness) from None
+            raise SearchCutoff(cut.parameter, Fraction(cut.lower, master.det),
+                               Fraction(cut.upper, master.det), cut.witness) from None
         if weight <= master.det:
             break
         master.add_column(tuple(sorted(witness)))
     cliques = master.columns
     weights = master.values()
-    value = sum(weights, F0)
-    if not _certifies_optimum(cliques, master.dual_numerators(), master.det, value):
+    total = master.value_numerator()
+    if not _certifies_optimum(cliques, master.dual_numerators(), master.det, total):
         raise VerificationError("internal error: master optimum failed its LP certificate")
+    value = Fraction(total, master.det)
     # sorted, so the cover does not depend on the order pricing found its cliques
     classes = tuple(sorted((cl, w) for cl, w in zip(cliques, weights) if w != 0))
     d = lcm(*(w.denominator for _, w in classes)) if classes else 1

@@ -5,7 +5,7 @@ narrowest unsigned dtype that holds p - 1 (``storage_dtype``: uint8 for
 every p < 257, uint16 below 65537, uint32 for the rest), and every
 constructor and operation returns that dtype.  Arithmetic that can leave
 [0, p) runs wider and stores the reduced result narrow again.  Elimination
-and ``kronecker`` upcast to int64.  ``matmul`` runs in float32 BLAS
+upcasts to int64.  ``matmul`` runs in float32 BLAS
 whenever that is exact: with inner dimension k every partial sum is an
 integer of at most k (p-1)^2, and float32 holds every integer below 2^24,
 so below that bound the result does not depend on the order BLAS adds
@@ -20,15 +20,16 @@ selections, and factorizations are byte-for-byte reproducible.  Only
 prime moduli are supported; every construction downstream needs the
 field characteristic only, which prime fields realize.
 
-Elimination has two kernels, chosen by the modulus alone.  Over GF(2)
-(``_eliminate_gf2``) each row is packed once into uint64 words, 64 columns
-a word; a pivot is found with an OR and a mask over one word column, and
-the column below it is cleared by one XOR of the pivot row's words from
-the pivot word on.  Every other prime runs the int64 kernel
+Forward elimination has two kernels, chosen by the modulus alone.  Over
+GF(2) (``_eliminate_gf2``) each row is packed once into uint64 words, 64
+columns a word; a pivot is found with an OR and a mask over one word
+column, and the column below it is cleared by one XOR of the pivot row's
+words from the pivot word on.  Every other prime runs the int64 kernel
 (``_eliminate``), which normalises each pivot row and subtracts multiples
-of it.  Both pick the same (row, column) pivots, which ``rank``,
-``select_full_rank_submatrix`` and ``_rref`` (behind ``solve_right`` and
-``inverse``) all take from them; the packed words never leave the kernel.
+of it.  Both pick the same (row, column) pivots, which ``rank`` and
+``select_full_rank_submatrix`` take from them; the packed words never
+leave the kernel.  ``_rref`` (behind ``solve_right`` and ``inverse``) runs
+the int64 kernel and back-substitution for every prime.
 
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
@@ -227,23 +228,12 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix._reduced(p, out)
 
 
-def kronecker(a: FMatrix, b: FMatrix) -> FMatrix:
-    if a.p != b.p:
-        raise DimensionMismatch(f"modulus mismatch: {a.p} vs {b.p}")
-    entries = a.rows * b.rows * a.cols * b.cols
-    if entries > KRON_ENTRY_CAP:
-        raise GuardExceeded(f"kronecker result has {entries} entries (cap {KRON_ENTRY_CAP})")
-    product = np.kron(a.a.astype(np.int64), b.a.astype(np.int64))
-    product %= a.p
-    return FMatrix._reduced(a.p, product.astype(storage_dtype(a.p)))
-
-
 def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Forward elimination on an int64 copy of a; returns (echelon copy,
     pivots).
 
     Pivots are (original_row, column) pairs in elimination order, chosen by
-    the first-nonzero rule.  Runs for every prime; the library sends p = 2
+    the first-nonzero rule.  Runs for every prime; ``_pivots`` sends p = 2
     to ``_eliminate_gf2`` instead, which picks the same pivots.
     """
     a = a.astype(np.int64)
@@ -293,10 +283,6 @@ def _pack_gf2(a: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _unpack_gf2(words: np.ndarray, cols: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
-
-
 def _eliminate_gf2(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Forward elimination over GF(2) on packed rows; returns (packed
     echelon, pivots), the pivots equal to ``_eliminate(a, 2)``'s.
@@ -338,18 +324,9 @@ def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot columns), the
-    matrix int64 (uint8 over GF(2))."""
-    if p != 2:
-        a, pivots = _eliminate(a, p)
-        return _back_substitute(a, pivots, p), [c for _, c in pivots]
-    words, pivots = _eliminate_gf2(a)
-    for r in range(len(pivots) - 1, 0, -1):
-        w, b = divmod(pivots[r][1], 64)
-        above = np.flatnonzero(words[:r, w] & np.uint64(1 << b))
-        if above.size:
-            words[above, w:] ^= words[r, w:]
-    return _unpack_gf2(words, a.shape[1]), [c for _, c in pivots]
+    """Reduced row echelon form; returns (int64 matrix, pivot columns)."""
+    a, pivots = _eliminate(a, p)
+    return _back_substitute(a, pivots, p), [c for _, c in pivots]
 
 
 def rank(m: FMatrix) -> int:

@@ -6,11 +6,9 @@ read-only.  Every builder writes that matrix directly: the complement is
 its negation, the strong and lexicographic products are Kronecker
 products, and the set-system graphs come from one matrix product of their
 incidence matrix.  The edge list and the bitset rows that the exact
-searches use are derived from it.  Generators attach labels describing
-where each vertex came from (the subset for set-system graphs, the matrix
-pair for homomorphism-universal graphs, coordinate pairs for products) and
-remember the expression that produced the graph, so downstream
-certificates stay reproducible and self-describing.
+searches use are derived from it.  Generators remember the expression that
+produced the graph; a certificate carries that expression, and the
+expression fixes the vertex order.
 
 Expression grammar::
 
@@ -21,8 +19,10 @@ Expression grammar::
           | complement(expr) | strong(expr,expr) | lex(expr,expr)
           | file:PATH              # text format, PATH without ',()' or whitespace
 
-Vertex order is lexicographic for subset-labeled graphs and row-major for
-products, so certificates indexed by vertex order are byte-reproducible.
+Vertex order is lexicographic for the subset graphs (vertex i is the i-th
+``itertools.combinations(range(N), size)``), code order for the universal
+graphs, and row-major for products (vertex (u, x) is u * h.n + x), so
+certificates indexed by vertex order are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -93,11 +93,10 @@ class Graph:
     takes the array over instead of copying it.  ``adj``, the rows as
     bitsets (bit v of row u set iff uv is an edge), is derived from the
     matrix on first use for the bitset searches.  Graphs compare and hash
-    by their matrices alone, not by ``labels`` or ``expr``."""
+    by their matrices alone, not by ``expr``."""
 
     n: int = field(init=False)
     matrix: np.ndarray = field(repr=False)
-    labels: tuple | None = None
     expr: str | None = None
 
     def __post_init__(self):
@@ -115,11 +114,6 @@ class Graph:
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "n", len(a))
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("label count must equal vertex count")
-            if len(set(self.labels)) != self.n:
-                raise ValueError("labels must be unique")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -206,13 +200,13 @@ def bit_rows(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(packed))]
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None, expr=None) -> Graph:
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], expr: str | None = None) -> Graph:
     mat = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
         mat[u, v] = mat[v, u] = True
-    return Graph(mat, labels, expr)
+    return Graph(mat, expr)
 
 
 @dataclass(frozen=True)
@@ -359,16 +353,16 @@ def empty(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
 _SUBSET_BLOCK_ENTRIES = 1 << 20
 
 
-def subset_incidence(n: int, size: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The size-subsets of [n] in lexicographic order, which is the vertex
-    order of the subset graphs and of their certificates, and their
-    subsets x n 0/1 incidence matrix.  Its dtype is the smallest that holds
-    ``size``, so it also holds every intersection size of two rows (the
-    counts that ``_subset_graph`` takes from a float32 product of it)."""
+def subset_incidence(n: int, size: int) -> np.ndarray:
+    """The subsets x n 0/1 incidence matrix of the size-subsets of [n] in
+    lexicographic order, which is the vertex order of the subset graphs and
+    of their certificates.  Its dtype is the smallest that holds ``size``,
+    so it also holds every intersection size of two rows (the counts that
+    ``_subset_graph`` takes from a float32 product of it)."""
     subsets = list(combinations(range(n), size))
     inc = np.zeros((len(subsets), n), dtype=np.min_scalar_type(size))
     inc[np.repeat(np.arange(len(subsets)), size), np.array(subsets, dtype=np.int64).ravel()] = 1
-    return subsets, inc
+    return inc
 
 
 def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> Graph:
@@ -384,17 +378,17 @@ def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> 
     mod p.
     """
     _guard(comb(n, size), max_vertices, expr)
-    if n > max_vertices:  # the labels and the incidence matrix grow with n
+    if n > max_vertices:  # the incidence matrix grows with n
         raise GuardExceeded(f"{expr} has a ground set of {n} (cap {max_vertices})")
-    verts, inc = subset_incidence(n, size)
-    count = len(verts)
+    inc = subset_incidence(n, size)
+    count = len(inc)
     ones = inc.astype(np.float32)
     mat = np.empty((count, count), dtype=bool)
     step = max(1, _SUBSET_BLOCK_ENTRIES // count)
     for start in range(0, count, step):
         mat[start:start + step] = adjacent((ones[start:start + step] @ ones.T).astype(inc.dtype))
     np.fill_diagonal(mat, False)
-    return Graph(mat, tuple(verts), expr)
+    return Graph(mat, expr)
 
 
 def johnson(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -412,30 +406,6 @@ def alon(p: int, q: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Gr
     if n < p * q - 1:
         raise PreconditionError(f"alon needs n >= pq-1, got n={n}, p={p}, q={q}")
     return _subset_graph(n, p * q - 1, lambda c: c % p == p - 1, f"alon:{p},{q},{n}", max_vertices)
-
-
-def _mat_vecs(p: int, n: int, d: int):
-    """All n x d matrices over GF(p) as flat tuples, lexicographic."""
-    total = p**(n * d)
-    for code in range(total):
-        entries = []
-        c = code
-        for _ in range(n * d):
-            entries.append(c % p)
-            c //= p
-        yield tuple(entries)
-
-
-def _mat_tmul(a: tuple, b: tuple, p: int, n: int, d: int) -> tuple:
-    """AᵀB for flat row-major n x d tuples; returns flat d x d tuple."""
-    out = []
-    for i in range(d):
-        for j in range(d):
-            s = 0
-            for k in range(n):
-                s += a[k * d + i] * b[k * d + j]
-            out.append(s % p)
-    return tuple(out)
 
 
 def universal_vertex_count(p: int, n: int, d: int) -> int:
@@ -458,25 +428,29 @@ def universal_graph(p: int, n: int, d: int, max_vertices: int = DEFAULT_MAX_VERT
     if p**(2 * n * d) > UNIVERSAL_PAIR_CAP:
         raise GuardExceeded(f"universal enumeration {p}^{2 * n * d} exceeds cap {UNIVERSAL_PAIR_CAP}")
     _guard(universal_vertex_count(p, n, d), max_vertices, "universal")
-    ident = tuple(1 if i == j else 0 for i in range(d) for j in range(d))
-    zero = (0,) * (d * d)
-    mats = list(_mat_vecs(p, n, d))
-    verts = [(a, b) for a in mats for b in mats if _mat_tmul(a, b, p, n, d) == ident]
-    mat = np.zeros((len(verts), len(verts)), dtype=bool)
-    for i, (a, b) in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            c, dd = verts[j]
-            nonadj = _mat_tmul(a, dd, p, n, d) == zero and _mat_tmul(c, b, p, n, d) == zero
-            if not nonadj:
-                mat[i, j] = mat[j, i] = True
-    return Graph(mat, tuple(verts), f"universal:{p},{n},{d}")
+    # every n x d matrix in code order: the row-major entries of matrix c
+    # are the base-p digits of c, least significant first.  Entry (a, b, i,
+    # j) of gram is column i of A dot column j of B, a sum of n products
+    # below p, so the narrowest dtype that holds n (p-1)^2 keeps it exact.
+    digits = np.arange(p ** (n * d))[:, None] // p ** np.arange(n * d) % p
+    mats = digits.astype(np.min_scalar_type(n * (p - 1) ** 2)).reshape(-1, n, d)
+    gram = np.einsum("aki,bkj->abij", mats, mats)
+    gram %= p
+    zero = ~gram.any(axis=(2, 3))  # zero[a, b]: AᵀB = 0
+    a, b = np.nonzero((gram == np.eye(d, dtype=gram.dtype)).all(axis=(2, 3)))
+    # distinct (A, B), (C, D) are non-adjacent iff AᵀD = 0 and CᵀB = 0;
+    # AᵀB = I is not 0, so the diagonal comes out adjacent and is cleared
+    cross = zero[np.ix_(a, b)]
+    mat = ~(cross & cross.T)
+    np.fill_diagonal(mat, False)
+    return Graph(mat, f"universal:{p},{n},{d}")
 
 
 def complement(g: Graph) -> Graph:
     mat = ~g.matrix
     np.fill_diagonal(mat, False)
     expr = f"complement({g.expr})" if g.expr else None
-    return Graph(mat, g.labels, expr)
+    return Graph(mat, expr)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -484,12 +458,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is a[u, v] and b[x, y], for b of order k."""
     n = len(a) * len(b)
     return (a[:, None, :, None] & b[None, :, None, :]).reshape(n, n)
-
-
-def _product_labels(g: Graph, h: Graph) -> tuple:
-    gl = g.labels if g.labels is not None else range(g.n)
-    hl = h.labels if h.labels is not None else range(h.n)
-    return tuple((u, x) for u in gl for x in hl)
 
 
 def strong_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -500,7 +468,7 @@ def strong_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES)
     mat = _kron(g.matrix | np.eye(g.n, dtype=bool), h.matrix | np.eye(h.n, dtype=bool))
     np.fill_diagonal(mat, False)
     expr = f"strong({g.expr},{h.expr})" if g.expr and h.expr else None
-    return Graph(mat, _product_labels(g, h), expr)
+    return Graph(mat, expr)
 
 
 def lex_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
@@ -510,7 +478,7 @@ def lex_product(g: Graph, h: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     _guard(n, max_vertices, "lex product")
     mat = _kron(g.matrix, np.ones((h.n, h.n), dtype=bool)) | _kron(np.eye(g.n, dtype=bool), h.matrix)
     expr = f"lex({g.expr},{h.expr})" if g.expr and h.expr else None
-    return Graph(mat, _product_labels(g, h), expr)
+    return Graph(mat, expr)
 
 
 def stray_vertex(g: Graph, s: Iterable[int]) -> int | None:

@@ -10,9 +10,9 @@ reversed, so a pricing call pays for no degree count.  At every node
 the candidates are split into cliques one class at a time; a vertex's bound
 is the sum of the class maxima up to its class (its class index for unit
 weights), and only vertices whose bound can still beat the incumbent are
-kept and branched on, last-coloured first.  Rational weights are scaled to
-integers once.  The renumbered bitset rows are one permutation of the
-graph's adjacency matrix, packed.  ``greedy_clique_cover`` is the
+kept and branched on, last-coloured first.  Weights are nonnegative
+integers.  The renumbered bitset rows are one permutation of the graph's
+adjacency matrix, packed.  ``greedy_clique_cover`` is the
 same colouring over all vertices in descending-degree order.
 
 ``clique_cover_leq`` colours the complement by DSATUR backtracking
@@ -30,8 +30,6 @@ of failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -246,37 +244,26 @@ def alpha_lower_end(g: Graph, budget: Budget) -> tuple[int, tuple[int, ...]]:
 
 
 def max_weight_independent_set(
-    g: Graph, weights: Sequence[int | Fraction], budget: Budget | None = None
-) -> tuple[tuple[int, ...], Fraction]:
-    """Exact maximum-weight independent set for nonnegative rational weights.
+    g: Graph, weights: Sequence[int], budget: Budget | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Exact maximum-weight independent set for nonnegative integer weights:
+    (witness, optimum).
 
-    Integer weights are searched as they are; other weights are scaled to
-    integers by the lcm of their denominators first.  The search only
-    compares sums of weights, so scaling every weight by the same positive
-    factor scales the optimum and leaves the witness unchanged.  The
-    witness is a maximal independent set: zero-weight vertices are added
-    to the optimum where they fit.  Raises SearchCutoff (interval and
-    witness as for ``alpha``) when the budget runs out.
+    The witness is a maximal independent set: zero-weight vertices are
+    added to the optimum where they fit.  Any weight that is not an int (a
+    bool, float or ``Fraction`` among them) is refused with ValueError.
+    Raises SearchCutoff (interval and witness as for ``alpha``) when the
+    budget runs out.
     """
     if len(weights) != g.n:
         raise ValueError("one weight per vertex required")
-    if all(type(x) is int for x in weights):
-        scale, ints = 1, list(weights)
-    else:
-        w = [Fraction(x) for x in weights]
-        scale = lcm(*(x.denominator for x in w))
-        ints = [x.numerator * (scale // x.denominator) for x in w]
-    if any(x < 0 for x in ints):
-        raise ValueError("weights must be nonnegative")
+    if not all(type(x) is int and x >= 0 for x in weights):
+        raise ValueError("weights must be nonnegative ints")
     # ascending weight, then ascending degree, the higher vertex first:
     # the reversed degree order, stably sorted by weight
-    order = sorted(reversed(g.degree_order), key=ints.__getitem__)
-    try:
-        best, witness = _max_stable(g, order, ints, budget or Budget(), "max_weight_independent_set")
-    except SearchCutoff as cut:
-        raise SearchCutoff(cut.parameter, Fraction(cut.lower, scale), Fraction(cut.upper, scale),
-                           cut.witness) from None
-    return witness, Fraction(best, scale)
+    order = sorted(reversed(g.degree_order), key=weights.__getitem__)
+    best, witness = _max_stable(g, order, weights, budget or Budget(), "max_weight_independent_set")
+    return witness, best
 
 
 def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCover | None:

@@ -441,6 +441,11 @@ class CoveringMaster(IntegerSimplex):
         self._pivot(len(self.columns) - 1)
         self._optimize()
 
+    def value_numerator(self) -> int:
+        """The objective value times det: every column costs 1, so it is
+        the sum of the basic structural values' numerators."""
+        return sum(xv for var, xv in zip(self._basis, self._x) if var >= 0)
+
 
 def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     """Exact feasibility of the assignment, and, when a dual is present,

@@ -241,7 +241,7 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     intersection-parity graph on (p+1)-subsets because the subset size
     p+1 is 1 mod p; rank is at most n."""
     g = johnson(p, n)
-    _, inc = subset_incidence(n, p + 1)
+    inc = subset_incidence(n, p + 1)
     m = FMatrix(p, inc.T)
     gram = matmul(m.transpose(), m)
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
@@ -362,7 +362,7 @@ def alon_certificate(
 
     base = alon(p, q, n)
     target = base if variant == "P" else complement(base)
-    _, inc = subset_incidence(n, p * q - 1)
+    inc = subset_incidence(n, p * q - 1)
     rep = PolyRep(modulus, constants, tuple(map(tuple, inc.tolist())))
     e = rep.evaluation_matrix()
     failure = rep.violation(target, e)

@@ -197,10 +197,6 @@ class MatrixRep:
     handle: np.ndarray  # N x k
     tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
 
-    @property
-    def k(self) -> int:
-        return int(self.handle.shape[1])
-
     def to_json(self) -> dict:
         return {
             "kind": "matrixrep",
@@ -242,21 +238,6 @@ def matrixrep_violation(g: Graph, rep: MatrixRep) -> str | None:
     if bad is not None:
         return f"non-edge ({bad[0]}, {bad[1]}) has non-orthogonal frames"
     return None
-
-
-def matrixrep_value(rep: MatrixRep) -> float:
-    """max_v k / tr(M_vᵀ H Hᵀ M_v).  With the frames of a d-dimensional
-    representation in R^N and the identity handle this is exactly N/d.
-    A vanishing trace makes the value unbounded (inf)."""
-    k = rep.k
-    hh = rep.handle @ rep.handle.T
-    worst = 0.0
-    for f in rep.frames:
-        tr = float(np.trace(f.T @ hh @ f))
-        if tr < 1e-30:
-            return inf
-        worst = max(worst, k / tr)
-    return worst
 
 
 def pentagon_umbrella(step: int = 1) -> OrthoRep:

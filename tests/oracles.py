@@ -224,26 +224,45 @@ def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:
         for j in range(i + 1, len(verts)):
             if adjacent(len(sets[i] & sets[j])):
                 mat[i, j] = mat[j, i] = True
-    return Graph(mat, tuple(verts))
+    return Graph(mat)
 
 
-def _rows_graph(rows: list[int], labels, expr) -> Graph:
+def _mat_tmul(a: tuple, b: tuple, p: int, n: int, d: int) -> tuple:
+    """AᵀB for flat row-major n x d tuples; returns a flat d x d tuple."""
+    return tuple(sum(a[k * d + i] * b[k * d + j] for k in range(n)) % p for i in range(d) for j in range(d))
+
+
+def pair_loop_universal_graph(p: int, n: int, d: int) -> Graph:
+    """``graphs.universal_graph`` one pair at a time: the n x d matrices in
+    code order (the row-major entries of matrix c are the base-p digits of
+    c, least significant first), the pairs (A, B) with AᵀB = I in that
+    order, and distinct (A, B), (C, D) adjacent unless AᵀD = CᵀB = 0."""
+    mats = [tuple(c // p**e % p for e in range(n * d)) for c in range(p ** (n * d))]
+    ident = tuple(int(i == j) for i in range(d) for j in range(d))
+    zero = (0,) * (d * d)
+    verts = [(a, b) for a in mats for b in mats if _mat_tmul(a, b, p, n, d) == ident]
+    mat = np.zeros((len(verts), len(verts)), dtype=bool)
+    for i, (a, b) in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            c, dd = verts[j]
+            if not (_mat_tmul(a, dd, p, n, d) == zero and _mat_tmul(c, b, p, n, d) == zero):
+                mat[i, j] = mat[j, i] = True
+    return Graph(mat)
+
+
+def _rows_graph(rows: list[int], expr) -> Graph:
     mat = np.zeros((len(rows), len(rows)), dtype=bool)
     for u, row in enumerate(rows):
         for v in _bits(row):
             mat[u, v] = True
-    return Graph(mat, labels, expr)
-
-
-def _vertex_label(g: Graph, v: int):
-    return g.labels[v] if g.labels is not None else v
+    return Graph(mat, expr)
 
 
 def bitloop_complement(g: Graph) -> Graph:
     """``graphs.complement`` on bitset rows."""
     full = (1 << g.n) - 1
     adj = [(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)]
-    return _rows_graph(adj, g.labels, f"complement({g.expr})" if g.expr else None)
+    return _rows_graph(adj, f"complement({g.expr})" if g.expr else None)
 
 
 def bitloop_strong_product(g: Graph, h: Graph) -> Graph:
@@ -260,8 +279,7 @@ def bitloop_strong_product(g: Graph, h: Graph) -> Graph:
             for v in _bits(gu):
                 row |= hu << (v * h.n)
             adj[a] = row & ~(1 << a)
-    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
-    return _rows_graph(adj, labels, f"strong({g.expr},{h.expr})" if g.expr and h.expr else None)
+    return _rows_graph(adj, f"strong({g.expr},{h.expr})" if g.expr and h.expr else None)
 
 
 def bitloop_lex_product(g: Graph, h: Graph) -> Graph:
@@ -275,8 +293,7 @@ def bitloop_lex_product(g: Graph, h: Graph) -> Graph:
             for v in _bits(g.adj[u]):
                 row |= block_full << (v * h.n)
             adj[u * h.n + x] = row
-    labels = tuple((_vertex_label(g, u), _vertex_label(h, x)) for u in range(g.n) for x in range(h.n))
-    return _rows_graph(adj, labels, f"lex({g.expr},{h.expr})" if g.expr and h.expr else None)
+    return _rows_graph(adj, f"lex({g.expr},{h.expr})" if g.expr and h.expr else None)
 
 
 def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:

@@ -554,6 +554,33 @@ def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):
     path = tmp_path / "c5.json"
     path.write_text(_cycle_drep_file(tmp_path, capsys))
     assert run(capsys, "verify", "--cert", str(path), "--graph", "nonsense:5")[0] == 64
+    code, _, err = run(capsys, "verify", "--cert", str(path), "--graph", "cycle:2")
+    assert (code, err) == (64, "usage error: cycle needs k >= 3, got 2\n")
+
+
+@pytest.mark.parametrize("graph, reason", [
+    ("cycle:2", "cycle needs k >= 3, got 2"),
+    ("johnson:4,8", "p=4 is not prime"),
+])
+def test_verify_fails_a_certificate_that_names_an_invalid_graph(tmp_path, capsys, graph, reason):
+    # both exited 64 with "usage error: ...", although the file is at fault
+    doc = json.loads(_cycle_drep_file(tmp_path, capsys))
+    doc["graph"] = graph
+    path = tmp_path / "forged.json"
+    path.write_text(canonical_json(doc))
+    assert run(capsys, "verify", "--cert", str(path)) == (2, f"FAIL: certificate graph: {reason}\n", "")
+
+
+def test_an_embedded_graph_above_the_vertex_guard_stays_a_usage_error(tmp_path, capsys):
+    # --max-vertices lifts the guard, so the command line is at fault
+    doc = json.loads(_cycle_drep_file(tmp_path, capsys))
+    doc["graph"] = "cycle:6000"
+    path = tmp_path / "big.json"
+    path.write_text(canonical_json(doc))
+    code, _, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 64 and err.startswith("usage error: cycle would have 6000 vertices")
+    code, out, _ = run(capsys, "verify", "--cert", str(path), "--max-vertices", "6000")
+    assert code == 2 and out.startswith("FAIL: ")
 
 
 def _set(keys, value):

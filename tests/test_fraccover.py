@@ -131,6 +131,7 @@ def test_a_pricing_cutoff_reports_its_interval_in_dual_units():
     assert any(master.det > 1 for master, _ in cuts)
     for master, cut in cuts:
         y = master_duals(master)
+        assert type(cut.lower) is type(cut.upper) is F  # exact, never a float
         assert cut.lower == sum((y[v] for v in cut.witness), F(0)) <= cut.upper
 
 

@@ -47,6 +47,7 @@ from oracles import (
     edge_loop_read_graph_file,
     fstring_format_graph,
     packbits_bit_rows,
+    pair_loop_universal_graph,
     random_graph,
     set_intersection_subset_graph,
     trial_division_is_prime,
@@ -75,12 +76,12 @@ def test_constructor_refuses_a_defective_matrix(matrix, message):
 
 def test_constructor_keeps_the_matrix_read_only_and_compares_by_it():
     mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    g = Graph(mat, labels=("a", "b", "c"), expr="path")
+    g = Graph(mat, expr="path")
     assert g.n == 3 and g.m == 2 and g.edges() == [(0, 1), (1, 2)]
     assert g.matrix is mat and not mat.flags.writeable
     assert g.adj == (0b010, 0b101, 0b010) and g.adj is g.adj
     h = graph_from_edges(3, [(1, 2), (0, 1)])
-    assert g == h and hash(g) == hash(h) and len({g, h}) == 1  # labels and expr are not compared
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1  # expr is not compared
     assert g != complement(h) and g != empty(3) and g != cycle(3) and g != empty(4)
 
 
@@ -104,17 +105,16 @@ def test_alon_2_3_7_counts_match_exhaustive_oracle():
     assert g.m == expected == 105
 
 
-def test_johnson_adjacency_matches_labels():
-    g = johnson(2, 6)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            expected = len(set(g.labels[u]) & set(g.labels[v])) % 2 != 0
-            assert g.has_edge(u, v) == expected
-
-
 def test_subset_vertex_order_is_lexicographic():
-    g = johnson(2, 5)
-    assert list(g.labels) == sorted(g.labels)
+    # vertex i is the i-th itertools.combinations(range(n), size)
+    for g, n, size, adjacent in ((johnson(2, 6), 6, 3, lambda c: c % 2 != 0),
+                                 (johnson(3, 7), 7, 4, lambda c: c % 3 != 0),
+                                 (alon(2, 3, 7), 7, 5, lambda c: c % 2 == 1)):
+        subsets = [set(x) for x in combinations(range(n), size)]
+        assert g.n == len(subsets)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                assert g.has_edge(u, v) == adjacent(len(subsets[u] & subsets[v])), (g.expr, u, v)
 
 
 def test_complement_examples():
@@ -184,13 +184,18 @@ def test_universal_vertex_count_is_the_closed_form():
         universal_graph(2, 4, 1, max_vertices=119)  # it has 120 vertices
 
 
+@pytest.mark.parametrize("p, n, d", [(2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2), (3, 2, 1), (2, 3, 2)])
+def test_universal_graph_matches_the_pair_loop(p, n, d):
+    assert universal_graph(p, n, d) == pair_loop_universal_graph(p, n, d)
+
+
 def test_universal_graph_nonadjacency_rule():
+    # over GF(2) with n = 2, d = 1 the matrices in code order are 00, 10,
+    # 01, 11 (the first entry least significant), and the pairs (A, B)
+    # with AᵀB = 1 in order: (10,10), (10,11), (01,01), (01,11), (11,10),
+    # (11,01); (e1, e1) and (e2, e2) are vertices 0 and 2
     g = universal_graph(2, 2, 1)
-    # the standard-basis pairs (e1,e1), (e2,e2) are non-adjacent
-    i = g.labels.index(((1, 0), (1, 0)))
-    j = g.labels.index(((0, 1), (0, 1)))
-    assert not g.has_edge(i, j)
-    assert is_independent_set(g, [i, j])
+    assert not g.has_edge(0, 2) and is_independent_set(g, [0, 2])
 
 
 def test_independent_set_and_clique_predicates():
@@ -215,11 +220,11 @@ def test_johnson_block_independent_set(p, n):
     # blocks of size p+2 give an independent set of size n
     assert n % (p + 2) == 0
     g = johnson(p, n)
-    label_index = {lab: i for i, lab in enumerate(g.labels)}
+    index = {x: i for i, x in enumerate(combinations(range(n), p + 1))}  # the vertex order
     verts = []
     for b in range(n // (p + 2)):
         block = range(b * (p + 2), (b + 1) * (p + 2))
-        verts.extend(label_index[x] for x in combinations(block, p + 1))
+        verts.extend(index[x] for x in combinations(block, p + 1))
     assert len(verts) == n
     assert is_independent_set(g, verts)
 
@@ -372,11 +377,16 @@ def test_empty_graph_file(tmp_path):
     assert g.matrix.shape == (0, 0)
 
 
-def test_labels_are_unique_and_counted():
-    g = johnson(2, 5)
-    assert g.labels is not None and len(set(g.labels)) == g.n
-    gp = strong_product(g, cycle(3))
-    assert len(set(gp.labels)) == gp.n
+def test_product_vertex_u_x_is_u_times_h_n_plus_x():
+    rng = random.Random(12)
+    for _ in range(10):
+        g, h = random_graph(rng, rng.randint(1, 5)), random_graph(rng, rng.randint(1, 5))
+        strong, lex = strong_product(g, h), lex_product(g, h)
+        for (u, x), (v, y) in combinations([(u, x) for u in range(g.n) for x in range(h.n)], 2):
+            a, b = u * h.n + x, v * h.n + y
+            gu, hx = g.has_edge(u, v), h.has_edge(x, y)
+            assert strong.has_edge(a, b) == ((u == v or gu) and (x == y or hx))
+            assert lex.has_edge(a, b) == (gu or (u == v and hx))
 
 
 @st.composite
@@ -477,7 +487,7 @@ def test_subset_graphs_match_the_set_intersection_loop(p, q, n):
     else:
         g, size, adjacent = alon(p, q, n), p * q - 1, lambda c: c % p == p - 1
     oracle = set_intersection_subset_graph(n, size, adjacent)
-    assert g.adj == oracle.adj and g.labels == oracle.labels
+    assert g.adj == oracle.adj
     assert np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
     assert g.edges() == bitloop_edges(g)
 
@@ -492,15 +502,12 @@ def test_subset_graphs_do_not_depend_on_the_block_size(monkeypatch, block_entrie
 
 @pytest.mark.parametrize("n, size", [(3, 3), (5, 3), (7, 5), (6, 0)])
 def test_subset_incidence_lists_the_subsets_in_vertex_order(n, size):
-    subsets, inc = subset_incidence(n, size)
-    assert subsets == list(combinations(range(n), size))
-    assert inc.tolist() == [[int(j in x) for j in range(n)] for x in subsets]
-    if size == 3:  # the vertex order of johnson:2,n
-        assert subsets == list(johnson(2, n).labels)
+    inc = subset_incidence(n, size)
+    assert inc.tolist() == [[int(j in x) for j in range(n)] for x in combinations(range(n), size)]
 
 
 def test_subset_graph_ground_set_is_capped():
-    # one vertex, but its label and incidence row would hold 10^6 + 4 entries
+    # one vertex, but its incidence row would hold 10^6 + 4 entries
     with pytest.raises(GuardExceeded):
         johnson(1_000_003, 1_000_004)
     assert johnson(2, 3).n == 1
@@ -534,9 +541,8 @@ def test_format_graph_matches_the_fstring_loop(tmp_path):
 
 @st.composite
 def small_graphs(draw):
-    """A graph of 1 to 7 vertices: an unlabelled random one, or a labelled
-    one from an expression (subset labels, nested product labels, and
-    one-vertex factors among them)."""
+    """A graph of 1 to 7 vertices: a random one, or one from an expression
+    (a subset graph, nested products, and one-vertex factors among them)."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 7))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -554,4 +560,4 @@ def test_builders_match_the_bit_loops(g, h):
     for got, want in ((complement(g), bitloop_complement(g)),
                       (strong_product(g, h), bitloop_strong_product(g, h)),
                       (lex_product(g, h), bitloop_lex_product(g, h))):
-        assert got.adj == want.adj and got.labels == want.labels and got.expr == want.expr
+        assert got.adj == want.adj and got.expr == want.expr

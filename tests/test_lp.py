@@ -319,7 +319,8 @@ def test_the_integer_cover_gate_agrees_with_the_lp_certificate(master, data):
     value = sum(values, F(0))
     duals = tuple(F(yn, master.det) for yn in numerators)
     old = check_solution(_master_lp(master.m, master.columns), LpSolution("optimal", value, duals, values))
-    assert _certifies_optimum(master.columns, numerators, master.det, value) == old
+    assert F(master.value_numerator(), master.det) == value
+    assert _certifies_optimum(master.columns, numerators, master.det, master.value_numerator()) == old
 
 
 @pytest.mark.parametrize("entering_column, leaving_column", [(True, True), (False, True), (True, False)])

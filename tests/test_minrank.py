@@ -14,7 +14,7 @@ from oracles import multilinear_evaluation, random_graph
 
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, kronecker, rank
+from hfrac.gfmat import FMatrix, rank
 from hfrac.graphs import (
     alon,
     complement,
@@ -223,7 +223,8 @@ def test_kronecker_of_fit_certificates_fits_strong_product():
         p = rng.choice((2, 3))
         mg = cover_certificate(g, greedy_clique_cover(g), p).matrix
         mh = cover_certificate(h, greedy_clique_cover(h), p).matrix
-        assert fit_violation(strong_product(g, h), kronecker(mg, mh)) is None
+        product = FMatrix(p, np.kron(mg.a.astype(np.int64), mh.a.astype(np.int64)))
+        assert fit_violation(strong_product(g, h), product) is None
 
 
 def test_alon_certificate_p_variant():
