@@ -105,10 +105,20 @@ def test_alon_2_3_7_counts_match_exhaustive_oracle():
     assert g.m == expected == 105
 
 
+def test_johnson_adjacency_matches_labels():
+    # the label of vertex i is the i-th itertools.combinations(range(6), 3)
+    g = johnson(2, 6)
+    labels = [set(x) for x in combinations(range(6), 3)]
+    assert g.n == len(labels)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            expected = len(labels[u] & labels[v]) % 2 != 0
+            assert g.has_edge(u, v) == expected
+
+
 def test_subset_vertex_order_is_lexicographic():
     # vertex i is the i-th itertools.combinations(range(n), size)
-    for g, n, size, adjacent in ((johnson(2, 6), 6, 3, lambda c: c % 2 != 0),
-                                 (johnson(3, 7), 7, 4, lambda c: c % 3 != 0),
+    for g, n, size, adjacent in ((johnson(3, 7), 7, 4, lambda c: c % 3 != 0),
                                  (alon(2, 3, 7), 7, 5, lambda c: c % 2 == 1)):
         subsets = [set(x) for x in combinations(range(n), size)]
         assert g.n == len(subsets)
