@@ -41,7 +41,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime
+from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime, write_graph_file
 from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
 from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .report import BoundReport
@@ -416,14 +416,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     g = _graph(args)
-    text = format_graph(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_graph_file(g, args.out)
         if not args.json:
             print(f"wrote {args.out}")
     else:
-        print(text, end="")
+        print(format_graph(g), end="")
     return EXIT_OK
 
 

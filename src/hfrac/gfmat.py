@@ -113,19 +113,9 @@ class FMatrix:
         return m
 
     @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        check_modulus(p)
-        return cls._reduced(p, np.zeros((rows, cols), dtype=storage_dtype(p)))
-
-    @classmethod
     def identity(cls, p: int, n: int) -> "FMatrix":
         check_modulus(p)
         return cls._reduced(p, np.eye(n, dtype=storage_dtype(p)))
-
-    @classmethod
-    def ones(cls, p: int, rows: int, cols: int) -> "FMatrix":
-        check_modulus(p)
-        return cls._reduced(p, np.ones((rows, cols), dtype=storage_dtype(p)))
 
     @property
     def rows(self) -> int:

@@ -147,20 +147,10 @@ class Graph:
         ties (a reversed sort keeps equal keys in their order)."""
         return tuple(sorted(range(self.n), key=self.degrees.__getitem__, reverse=True))
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.degrees[v]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges (u, v) with u < v in row-major order."""
-        pairs = self.edge_array()
-        names = np.arange(self.n).astype(object)  # one int object per vertex, shared by its edges
-        return list(zip(names[pairs[:, 0]].tolist(), names[pairs[:, 1]].tolist()))
-
     def edge_array(self) -> np.ndarray:
-        """The edges as an m x 2 int64 array, in the order of ``edges``:
-        the flat indices of the strict upper triangle, split into (row,
-        column) by one divmod."""
+        """The edges (u, v) with u < v as an m x 2 int64 array, in
+        row-major order: the flat indices of the strict upper triangle,
+        split into (row, column) by one divmod."""
         hits = np.flatnonzero(np.triu(self.matrix, 1))
         pairs = np.empty((hits.size, 2), dtype=np.int64)
         np.divmod(hits, self.n, out=(pairs[:, 0], pairs[:, 1]))

@@ -1,11 +1,11 @@
 """Exact rational linear programming on one integer simplex engine.
 
 Everything is exact; a returned optimum comes with a dual vector that
-certifies optimality exactly.  ``check_solution`` is that exact gate: it
-visits only the nonzero coefficients of the constraint matrix, and
-``simplex_solve`` raises ``VerificationError`` (also under ``python -O``)
-if its optimum fails it.  Bland's rule is used throughout, so every solve
-terminates on every input.
+certifies optimality exactly.  A constraint row is a dict of its nonzero
+coefficients by column, and nothing builds a dense row: ``check_solution``,
+the exact gate, reads the rows as they are, and ``simplex_solve`` raises
+``VerificationError`` (also under ``python -O``) if its optimum fails it.
+Bland's rule is used throughout, so every solve terminates on every input.
 
 ``IntegerSimplex`` is the engine: a revised simplex over integer data that
 keeps the basis inverse fraction-free as an integer adjugate over det(B)
@@ -19,13 +19,14 @@ nonzeros.  Those pivots update in place; the others rewrite every row.
 
 ``simplex_solve`` is the general solver on it, cold for one LP.  Variable
 bounds are folded away first: a finite lower bound shifts the variable, an
-upper bound becomes an extra row, and a fully free variable is split into
-a difference of two nonnegative ones.  Each row is flipped so that its
-right-hand side is >= 0 and scaled to integers.  Phase 1 minimizes the
-artificials (weighted so that each counts as one unit of its unscaled
-row), drives the ones left at zero out of the basis where a row allows it,
-and phase 2 optimizes the objective from there; the duals are read off the
-dual numerators and unscaled.
+upper bound becomes a one-entry row, and a fully free variable is split
+into a difference of two nonnegative ones.  Each row is shifted, flipped
+so that its right-hand side is >= 0 and scaled to integers over its
+nonzeros alone, which go straight into the engine's column supports.
+Phase 1 minimizes the artificials (weighted so that each counts as one
+unit of its unscaled row), drives the ones left at zero out of the basis
+where a row allows it, and phase 2 optimizes the objective from there;
+the duals are read off the dual numerators and unscaled.
 
 ``CoveringMaster`` is the primal master of a column-generation loop for
 unit-cost covering LPs (min sum x_j with every row covered at least once).
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from operator import mul
 
@@ -59,21 +61,22 @@ _FLIPPED = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-Constraint = tuple[tuple[Fraction, ...], str, Fraction]
+Constraint = tuple[dict[int, Fraction], str, Fraction]
 Bound = tuple[Fraction | None, Fraction | None]
 
 
 _EXACT_TYPES = frozenset((int, Fraction, type(None)))
 
 
-def _require_exact(values, field: str) -> None:
+def _require_exact(values, field: str, keys=None) -> None:
     """LP data is exact: a float (or a bool) would turn the Fraction
     arithmetic of the solver and its certificate check inexact.  ``field``
-    names the j-th value with ``field.format(j)``.  The common case, only
-    ints, Fractions and None, is one pass over the types at C speed."""
+    names the j-th value, or the one at the j-th of ``keys``, with
+    ``field.format``.  The common case, only ints, Fractions and None, is
+    one pass over the types at C speed."""
     if _EXACT_TYPES.issuperset(map(type, values)):
         return
-    for j, value in enumerate(values):
+    for j, value in zip(count() if keys is None else keys, values):
         if isinstance(value, (float, bool)):
             raise PreconditionError(f"LP {field.format(j)} must be an int or a Fraction, got {value!r}")
 
@@ -83,10 +86,12 @@ class LinearProgram:
     """Maximize ``objective . x + constant`` subject to constraints and bounds.
 
     Constraints are (coefficients, relation, rhs) triples with relation in
-    {"<=", ">=", "="}.  ``bounds`` gives per-variable (lower, upper) with
-    ``None`` for unbounded; omitted bounds mean every variable is free.
-    Every number is an int or a ``Fraction``; a float or a bool raises
-    ``PreconditionError`` naming its field.
+    {"<=", ">=", "="}; the coefficients are a dict from column to value that
+    lists the row's nonzeros (a zero listed is ignored).  A column outside
+    the variables raises ``DimensionMismatch``.  ``bounds`` gives
+    per-variable (lower, upper) with ``None`` for unbounded; omitted bounds
+    mean every variable is free.  Every number is an int or a ``Fraction``;
+    a float or a bool raises ``PreconditionError`` naming its field.
     """
 
     objective: tuple[Fraction, ...]
@@ -98,11 +103,12 @@ class LinearProgram:
         nv = len(self.objective)
         _require_exact(self.objective, "objective[{}]")
         for i, (coeffs, rel, rhs) in enumerate(self.constraints):
-            if len(coeffs) != nv:
-                raise DimensionMismatch(f"constraint width {len(coeffs)} != {nv} variables")
+            for j in coeffs:
+                if type(j) is not int or not 0 <= j < nv:
+                    raise DimensionMismatch(f"constraints[{i}] has column {j!r}, outside the {nv} variables")
             if rel not in _RELS:
                 raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
-            _require_exact(coeffs, f"constraints[{i}] coefficient {{}}")
+            _require_exact(coeffs.values(), f"constraints[{i}] coefficient {{}}", coeffs)
             _require_exact((rhs,), f"constraints[{i}] rhs")
         _require_exact((self.constant,), "constant")
         if self.bounds is not None:
@@ -293,13 +299,14 @@ class IntegerSimplex:
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Exact optimum with primal assignment and certifying dual vector."""
+    """Exact optimum with primal assignment and certifying dual vector; each
+    row is read over the coefficients it lists and nothing builds it dense."""
     nv = len(lp.objective)
 
     # Map each variable onto nonnegative columns.
     var_terms: list[list[tuple[int, int]]] = []  # var -> [(column, sign)]
     var_offset: list[Fraction] = []
-    upper_rows: list[tuple[int, Fraction]] = []  # (column, bound on the shifted var)
+    rows = list(lp.constraints)  # then the upper bounds, as one-entry rows
     ncol = 0
     for j in range(nv):
         lo, up = lp.bound(j)
@@ -313,40 +320,35 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             if up is not None:
                 if up < lo:
                     return LpSolution("infeasible")
-                upper_rows.append((ncol, Fraction(up) - Fraction(lo)))
+                rows.append(({j: 1}, REL_LE, up))
             ncol += 1
         else:
             var_terms.append([(ncol, -1)])
             var_offset.append(Fraction(up))
             ncol += 1
 
-    # Internal rows: (coefficients over the columns, relation, rhs); the
-    # constraints come first, in their order, then the upper bounds.
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for coeffs, rel, rhs in lp.constraints:
-        row = [F0] * ncol
-        shift = Fraction(rhs) - sum(Fraction(coeffs[j]) * var_offset[j] for j in range(nv))
-        for j in range(nv):
-            cj = Fraction(coeffs[j])
-            if cj:
-                for col, sign in var_terms[j]:
-                    row[col] += cj * sign
-        rows.append((row, rel, shift))
-    for col, ub in upper_rows:
-        rows.append(([F1 if c == col else F0 for c in range(ncol)], REL_LE, ub))
-
-    # Each row is flipped so that its rhs is >= 0 and scaled to integers.  A
-    # <= row then gets a slack, a >= row a surplus and an artificial, an =
-    # row an artificial; the slacks and the artificials are the starting basis.
-    scales, matrix, rhs = [], [], []
+    # Each row is shifted by the offsets, flipped so that its rhs is >= 0,
+    # scaled to integers and written into the column supports, nonzero by
+    # nonzero.  A <= row then gets a slack, a >= row a surplus and an
+    # artificial, an = row an artificial; the slacks and the artificials
+    # are the starting basis.
+    supports: list[list[int]] = [[] for _ in range(ncol)]
+    entries: list[list[int]] = [[] for _ in range(ncol)]
+    scales, rhs = [], []
     aux: list[tuple[int, int]] = []
     basis, artificial = [], set()
-    for i, (row, rel, b) in enumerate(rows):
-        scale = lcm(*(x.denominator for x in row if x), b.denominator)
+    for i, (coeffs, rel, b) in enumerate(rows):
+        nonzeros = [(j, c) for j, c in coeffs.items() if c]
+        b = Fraction(b) - sum(c * var_offset[j] for j, c in nonzeros)
+        scale = lcm(*(c.denominator for _, c in nonzeros), b.denominator)
         if b < 0:
             scale, rel = -scale, _FLIPPED[rel]
         scales.append(scale)
-        matrix.append([int(x * scale) for x in row])
+        for j, c in nonzeros:
+            c = int(c * scale)
+            for col, sign in var_terms[j]:
+                supports[col].append(i)
+                entries[col].append(sign * c)
         rhs.append(int(b * scale))
         if rel == REL_GE:
             aux.append((i, -1))
@@ -354,11 +356,9 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             artificial.add(len(aux))
         basis.append(~len(aux))
         aux.append((i, 1))
-    supports = [[i for i, row in enumerate(matrix) if row[c]] for c in range(ncol)]
-    coeffs = [[row[c] for row in matrix if row[c]] for c in range(ncol)]
     # phase 1 minimizes the sum of the artificials of the unscaled rows
     weight = lcm(*(scales[aux[k][0]] for k in artificial))
-    engine = IntegerSimplex(rhs, basis, supports, coeffs, [0] * ncol, aux,
+    engine = IntegerSimplex(rhs, basis, supports, entries, [0] * ncol, aux,
                             [weight // abs(scales[i]) if k in artificial else 0 for k, (i, _) in enumerate(aux)],
                             frozenset(artificial))
 
@@ -451,12 +451,12 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     """Exact feasibility of the assignment, and, when a dual is present,
     exact optimality certification (signs, reduced costs, value equality).
 
-    Only nonzero coefficients are visited: each row's activity is summed
-    over its nonzeros, and the reduced costs c - A^T y are built by
-    scattering every nonzero y_i over the nonzeros of row i.  The LP's own
-    numbers are used as they are (``LinearProgram`` holds only ints and
-    ``Fraction``s); the assignment and the dual, which nothing has checked,
-    are read through ``Fraction``.
+    Only the coefficients a row lists are visited: each row's activity is
+    summed over them, and the reduced costs c - A^T y are built by
+    scattering every nonzero y_i over row i.  The LP's own numbers are used
+    as they are (``LinearProgram`` holds only ints and ``Fraction``s); the
+    assignment and the dual, which nothing has checked, are read through
+    ``Fraction``.
     """
     if sol.assignment is None:
         return False
@@ -464,11 +464,8 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
         raise DimensionMismatch("assignment length does not match variable count")
     x = [Fraction(v) for v in sol.assignment]
     nv = len(x)
-    support: list[list[tuple[int, Fraction]]] = []  # (column, coefficient) per row
     for coeffs, rel, rhs in lp.constraints:
-        row = [(j, c) for j, c in enumerate(coeffs) if c]
-        support.append(row)
-        lhs = sum((x[j] * c for j, c in row), F0)
+        lhs = sum((x[j] * c for j, c in coeffs.items()), F0)
         if rel == REL_LE and not lhs <= rhs:
             return False
         if rel == REL_GE and not lhs >= rhs:
@@ -496,9 +493,9 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
         if rel == REL_GE and yi > 0:
             return False
     dual_value = sum((yi * rhs for yi, (_, _, rhs) in zip(y, lp.constraints)), F0) + lp.constant
-    for yi, row in zip(y, support):
+    for yi, (coeffs, _, _) in zip(y, lp.constraints):
         if yi:
-            for j, c in row:
+            for j, c in coeffs.items():
                 reduced[j] -= yi * c
     for j, r in enumerate(reduced):
         if r == 0:

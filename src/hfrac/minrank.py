@@ -2,20 +2,23 @@
 
 A matrix fits a graph when its diagonal is all ones and both entries of
 every non-adjacent pair vanish; edge entries are free and may be
-asymmetric.  ``minrank_exact`` searches the free entries depth first, row
-by row, in one explicit-stack loop.  It prunes with a block-triangular
-bound: the echelon rank of the assigned rows plus a greedy stable set
-among the columns they leave zero.  The constructors build the classical
-certificates: set-incidence Gram matrices for the intersection-parity
-graphs, clique-partition matrices, and Alon's polynomial representations
-of the (pq-1)-subset graphs, each evaluated at every point at once from
-the subsets' intersection matrix.
+asymmetric.  A d-block fit matrix (``DRep``) has identity diagonal blocks
+and zero non-edge blocks; ``drep_violation`` checks that, and a fit matrix
+is the case d = 1 (``fit_violation``).  ``minrank_exact`` searches the
+free entries depth first, row by row, in one explicit-stack loop.  It
+prunes with a block-triangular bound: the echelon rank of the assigned
+rows plus a greedy stable set among the columns they leave zero.  The
+constructors build the classical certificates: set-incidence Gram
+matrices for the intersection-parity graphs, clique-partition matrices,
+and Alon's polynomial representations of the (pq-1)-subset graphs, each
+evaluated at every point at once from the subsets' intersection matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -40,19 +43,63 @@ def graph_hash(g: Graph) -> str:
     return h.hexdigest()
 
 
-def fit_violation(g: Graph, m: FMatrix) -> str | None:
-    """None if m has a unit diagonal and zeros on both sides of every
-    non-edge, else the first defect found."""
-    if m.rows != g.n or m.cols != g.n:
-        raise DimensionMismatch(f"matrix is {m.rows}x{m.cols}, graph has {g.n} vertices")
-    a = m.a
-    diag_bad = np.nonzero(np.diag(a) != 1)[0]
-    if diag_bad.size:
-        return f"diagonal entry at vertex {int(diag_bad[0])} is not 1"
-    bad = g.first_nonedge(a != 0)
+@dataclass(frozen=True)
+class DRep:
+    """d-block fit matrix: identity diagonal blocks, zero non-edge blocks."""
+
+    d: int
+    matrix: FMatrix
+
+    @property
+    def nvertices(self) -> int:
+        return self.matrix.rows // self.d
+
+    def ratio(self) -> Fraction:
+        return Fraction(rank(self.matrix), self.d)
+
+    def to_json(self) -> dict:
+        out = self.matrix.to_json()
+        out["kind"] = "drep"
+        out["d"] = self.d
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "DRep":
+        return cls(read_int(obj["d"], "d"), FMatrix.from_json(obj))
+
+
+def _block_defects(a: np.ndarray, n: int, d: int) -> tuple[int | None, np.ndarray]:
+    """The first vertex whose d x d diagonal block of the nd x nd array a is
+    not the identity (or None), and the n x n mask of a's nonzero blocks."""
+    vs = np.arange(n)
+    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
+    bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
+    # OR the d rows of each block row together (contiguous rows, so one
+    # elementwise pass), then each block's d columns
+    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
+    return (int(bad[0]) if bad.size else None), nonzero
+
+
+def drep_violation(g: Graph, rep: DRep) -> str | None:
+    """None if rep's matrix is a d-block fit matrix of g, else the first
+    defect found."""
+    d = rep.d
+    if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != g.n * d:
+        raise DimensionMismatch(
+            f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {g.n * d} square"
+        )
+    v, nonzero = _block_defects(rep.matrix.a, g.n, d)
+    if v is not None:
+        return f"diagonal block of vertex {v} is not the identity"
+    bad = g.first_nonedge(nonzero)
     if bad is not None:
-        return f"nonzero entry at non-edge ({bad[0]}, {bad[1]})"
+        return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
     return None
+
+
+def fit_violation(g: Graph, m: FMatrix) -> str | None:
+    """None if m fits g (the block check at d = 1), else the first defect."""
+    return drep_violation(g, DRep(1, m))
 
 
 @dataclass(frozen=True)

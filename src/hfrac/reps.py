@@ -1,7 +1,8 @@
 """The fractional minrank bound through its four certificate forms.
 
 A block fit matrix with identity diagonal blocks and zero non-edge blocks
-(``DRep``) witnesses the bound rank/d.  The equivalent forms (per-vertex
+(``DRep``, defined and checked in ``minrank`` beside the fit matrices, its
+case d = 1) witnesses the bound rank/d.  The equivalent forms (per-vertex
 factor pairs (``PairRep``), variable block sizes with full-rank diagonal
 blocks (``RankRRep``), and per-vertex subspaces in general position
 (``SubspaceRep``)) come with constructive conversions that never worsen
@@ -47,34 +48,9 @@ from .gfmat import (
 )
 from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
 from .independence import alpha_lower_end
-from .minrank import minrank_exact
+from .minrank import DRep, _block_defects, drep_violation, minrank_exact
 from .report import BoundReport
 from .serialize import read_int, read_ints, read_list, read_objects
-
-
-@dataclass(frozen=True)
-class DRep:
-    """d-block fit matrix: identity diagonal blocks, zero non-edge blocks."""
-
-    d: int
-    matrix: FMatrix
-
-    @property
-    def nvertices(self) -> int:
-        return self.matrix.rows // self.d
-
-    def ratio(self) -> Fraction:
-        return Fraction(rank(self.matrix), self.d)
-
-    def to_json(self) -> dict:
-        out = self.matrix.to_json()
-        out["kind"] = "drep"
-        out["d"] = self.d
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DRep":
-        return cls(read_int(obj["d"], "d"), FMatrix.from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -166,33 +142,6 @@ class SubspaceRep:
 
 # ---------------------------------------------------------------------------
 # Verifiers
-
-
-def _block_defects(a: np.ndarray, n: int, d: int) -> tuple[int | None, np.ndarray]:
-    """The first vertex whose d x d diagonal block of the nd x nd array a is
-    not the identity (or None), and the n x n mask of a's nonzero blocks."""
-    vs = np.arange(n)
-    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
-    bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
-    # OR the d rows of each block row together (contiguous rows, so one
-    # elementwise pass), then each block's d columns
-    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
-    return (int(bad[0]) if bad.size else None), nonzero
-
-
-def drep_violation(g: Graph, rep: DRep) -> str | None:
-    d = rep.d
-    if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != g.n * d:
-        raise DimensionMismatch(
-            f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {g.n * d} square"
-        )
-    v, nonzero = _block_defects(rep.matrix.a, g.n, d)
-    if v is not None:
-        return f"diagonal block of vertex {v} is not the identity"
-    bad = g.first_nonedge(nonzero)
-    if bad is not None:
-        return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
-    return None
 
 
 def pairrep_violation(g: Graph, rep: PairRep) -> str | None:

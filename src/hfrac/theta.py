@@ -88,7 +88,7 @@ def johnson_theta_program(p: int, n: int) -> LinearProgram:
     for u in range(p + 2):
         c1 = Fraction((p + 1 - u) * (n - p - u - 1) - u, (p + 1) * (n - p - 1))
         c2 = Fraction((-1) ** u * comb(n - p - u - 1, p + 1 - u), comb(n - p - 1, p + 1))
-        rows.append(((c1, c2), ">=", Fraction(-1)))
+        rows.append(({0: c1, 1: c2}, ">=", Fraction(-1)))
     return LinearProgram(objective=(F1, F1), constraints=tuple(rows), constant=F1)
 
 
@@ -128,10 +128,6 @@ class OrthoRep:
     vectors: np.ndarray  # shape (nv, N)
     handle: np.ndarray  # shape (N,)
     tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
-
-    @property
-    def dimension(self) -> int:
-        return int(self.vectors.shape[1])
 
     def to_json(self) -> dict:
         return {

@@ -66,7 +66,7 @@ def first_fit_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Each vertex, in descending-degree order, joins the first class it is
     adjacent to entirely, or opens a new one."""
     classes: list[list[int]] = []
-    for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u)):
+    for v in sorted(range(g.n), key=lambda u: (-g.degrees[u], u)):
         for cls in classes:
             if all(g.adj[v] >> u & 1 for u in cls):
                 cls.append(v)
@@ -197,8 +197,10 @@ def edge_loop_read_graph_file(path: str) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def bitloop_edges(g: Graph) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
+def bitloop_edges(g: Graph) -> list[list[int]]:
+    """The edges [u, v] with u < v in row-major order, as
+    ``edge_array().tolist()`` lists them."""
+    return [[u, v] for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
 
 
 def argwhere_edge_array(matrix: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def argwhere_edge_array(matrix: np.ndarray) -> np.ndarray:
 def fstring_format_graph(g: Graph) -> str:
     """The graph text format, one f-string per edge."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in g.edge_array().tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -298,8 +300,8 @@ def bitloop_lex_product(g: Graph, h: Graph) -> Graph:
 
 def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     """``lp.check_solution`` over every coefficient of the constraint
-    matrix, twice: once per row for the activities and once per column for
-    the reduced costs."""
+    matrix, a coefficient a row does not list read as zero, twice: once
+    per row for the activities and once per column for the reduced costs."""
     if sol.assignment is None:
         return False
     if len(sol.assignment) != len(lp.objective):
@@ -307,7 +309,7 @@ def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     x = [Fraction(v) for v in sol.assignment]
     nv = len(x)
     for coeffs, rel, rhs in lp.constraints:
-        lhs = sum(Fraction(coeffs[j]) * x[j] for j in range(nv))
+        lhs = sum(Fraction(coeffs.get(j, 0)) * x[j] for j in range(nv))
         if rel == REL_LE and not lhs <= rhs:
             return False
         if rel == REL_GE and not lhs >= rhs:
@@ -336,7 +338,7 @@ def dense_check_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     dual_value = sum(yi * Fraction(rhs) for yi, (_, _, rhs) in zip(y, lp.constraints)) + Fraction(lp.constant)
     for j in range(nv):
         r = Fraction(lp.objective[j]) - sum(
-            yi * Fraction(coeffs[j]) for yi, (coeffs, _, _) in zip(y, lp.constraints)
+            yi * Fraction(coeffs.get(j, 0)) for yi, (coeffs, _, _) in zip(y, lp.constraints)
         )
         if r == 0:
             continue
@@ -358,13 +360,9 @@ def _master_lp(n: int, cliques: list[tuple[int, ...]]) -> LinearProgram:
     With the master's duals as assignment and its column values as dual
     vector, ``check_solution`` on it is the optimality gate
     ``fraccover`` checks on integers."""
-    rows = []
-    for cl in cliques:
-        members = set(cl)
-        rows.append((tuple(int(v in members) for v in range(n)), "<=", 1))
     return LinearProgram(
         objective=(1,) * n,
-        constraints=tuple(rows),
+        constraints=tuple((dict.fromkeys(cl, 1), "<=", 1) for cl in cliques),
         bounds=((0, None),) * n,
     )
 
@@ -544,7 +542,7 @@ def _tableau_optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fr
 
 def tableau_simplex_solve(lp: LinearProgram) -> LpSolution:
     """``lp.simplex_solve`` as a dense ``Fraction`` tableau built from
-    scratch for one LP, with the same standard form and the same pivots in
+    scratch for one LP (a coefficient a row does not list is zero), with the same standard form and the same pivots in
     the same order (Bland's rule over the same column order)."""
     nv = len(lp.objective)
 
@@ -576,9 +574,9 @@ def tableau_simplex_solve(lp: LinearProgram) -> LpSolution:
     rows: list[tuple[list[Fraction], str, Fraction, int | None, bool]] = []
     for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
         row = [F0] * ncol
-        shift = Fraction(rhs) - sum(Fraction(coeffs[j]) * var_offset[j] for j in range(nv))
+        shift = Fraction(rhs) - sum(Fraction(coeffs.get(j, 0)) * var_offset[j] for j in range(nv))
         for j in range(nv):
-            cj = Fraction(coeffs[j])
+            cj = Fraction(coeffs.get(j, 0))
             if cj:
                 for col, sign in var_terms[j]:
                     row[col] += cj * sign

@@ -24,7 +24,7 @@ from hfrac.cli import main
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
-from hfrac.graphs import generate
+from hfrac.graphs import format_graph, generate
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash
@@ -130,6 +130,7 @@ def test_generate_roundtrip(tmp_path, capsys):
     path = tmp_path / "g.txt"
     code, _, _ = run(capsys, "generate", "--graph", "johnson:2,5", "--out", str(path))
     assert code == 0
+    assert path.read_bytes() == format_graph(generate("johnson:2,5")).encode()
     code, out, _ = run(capsys, "alpha", "--graph", f"file:{path}")
     assert code == 0
 
@@ -448,7 +449,7 @@ def test_a_rejecting_exact_gate_exits_2(gate):
 def phase_one_gate_error() -> str:
     """What simplex_solve raises on an LP that needs phase 1 (a >= row with
     a nonnegative right-hand side) when phase 1 stops short of an optimum."""
-    lp = LinearProgram((Fraction(1),), (((Fraction(1),), ">=", Fraction(0)),))
+    lp = LinearProgram((Fraction(1),), (({0: Fraction(1)}, ">=", Fraction(0)),))
     with mock.patch("hfrac.lp.IntegerSimplex._optimize", return_value=False):
         try:
             simplex_solve(lp)

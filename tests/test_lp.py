@@ -41,7 +41,7 @@ from hfrac.lp import (
 
 
 def test_single_variable_box():
-    lp = LinearProgram((F(1),), (((F(1),), "<=", F(3, 2)),))
+    lp = LinearProgram((F(1),), (({0: F(1)}, "<=", F(3, 2)),))
     sol = simplex_solve(lp)
     assert sol.status == "optimal" and sol.value == F(3, 2)
     assert check_solution(lp, sol)
@@ -51,9 +51,9 @@ def test_two_variable_cap():
     lp = LinearProgram(
         (F(1), F(1)),
         (
-            ((F(1), F(0)), "<=", F(1)),
-            ((F(0), F(1)), "<=", F(1)),
-            ((F(1), F(1)), "<=", F(3, 2)),
+            ({0: F(1)}, "<=", F(1)),
+            ({1: F(1)}, "<=", F(1)),
+            ({0: F(1), 1: F(1)}, "<=", F(3, 2)),
         ),
     )
     sol = simplex_solve(lp)
@@ -62,14 +62,14 @@ def test_two_variable_cap():
 
 
 def test_infeasible_and_unbounded():
-    lp = LinearProgram((F(1),), (((F(1),), ">=", F(2)), ((F(1),), "<=", F(1))))
+    lp = LinearProgram((F(1),), (({0: F(1)}, ">=", F(2)), ({0: F(1)}, "<=", F(1))))
     assert simplex_solve(lp).status == "infeasible"
-    lp = LinearProgram((F(1),), (((F(1),), ">=", F(0)),))
+    lp = LinearProgram((F(1),), (({0: F(1)}, ">=", F(0)),))
     assert simplex_solve(lp).status == "unbounded"
 
 
 def test_check_solution_catches_tiny_violation():
-    lp = LinearProgram((F(1),), (((F(1),), "<=", F(1)),))
+    lp = LinearProgram((F(1),), (({0: F(1)}, "<=", F(1)),))
     inside = LpSolution("optimal", None, (F(1, 2),), None)
     assert check_solution(lp, inside)
     violated = LpSolution("optimal", None, (F(1) + F(1, 10**9),), None)
@@ -85,7 +85,7 @@ def test_check_solution_dimension_mismatch():
 def test_equality_and_bounds():
     lp = LinearProgram(
         (F(2), F(3)),
-        (((F(1), F(1)), "=", F(4)),),
+        (({0: F(1), 1: F(1)}, "=", F(4)),),
         bounds=((F(0), F(3)), (F(0), F(3))),
     )
     sol = simplex_solve(lp)
@@ -95,7 +95,7 @@ def test_equality_and_bounds():
 
 def test_negative_rhs_rows():
     # max -x subject to -x <= -2  (so x >= 2)
-    lp = LinearProgram((F(-1),), (((F(-1),), "<=", F(-2)),))
+    lp = LinearProgram((F(-1),), (({0: F(-1)}, "<=", F(-2)),))
     sol = simplex_solve(lp)
     assert sol.status == "optimal" and sol.value == F(-2)
     assert check_solution(lp, sol)
@@ -107,7 +107,7 @@ def random_lp(rng):
     objective = tuple(F(rng.randint(-5, 5)) for _ in range(nv))
     constraints = []
     for _ in range(nc):
-        coeffs = tuple(F(rng.randint(-4, 4)) for _ in range(nv))
+        coeffs = {j: c for j in range(nv) if (c := F(rng.randint(-4, 4)))}
         rel = rng.choice(("<=", ">=", "="))
         constraints.append((coeffs, rel, F(rng.randint(-6, 6))))
     bounds = tuple(
@@ -128,7 +128,7 @@ def scipy_status(lp, presolve=True):
     nv = len(lp.objective)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
-        row = [float(c) for c in coeffs]
+        row = [float(coeffs.get(j, 0)) for j in range(nv)]
         if rel == "<=":
             a_ub.append(row)
             b_ub.append(float(rhs))
@@ -213,9 +213,7 @@ def test_row_permutation_invariance():
 
 def covering_dual(m, columns):
     """max sum y subject to sum_{i in S} y_i <= 1 per column S, y >= 0."""
-    rows = tuple(
-        (tuple(F(int(i in cols)) for i in range(m)), "<=", F(1)) for cols in map(set, columns)
-    )
+    rows = tuple((dict.fromkeys(cols, F(1)), "<=", F(1)) for cols in columns)
     return LinearProgram(tuple(F(1) for _ in range(m)), rows, bounds=tuple((F(0), None) for _ in range(m)))
 
 
@@ -344,8 +342,15 @@ def _nudge(draw, values: list) -> None:
         values[i] = draw(NUMBERS)
 
 
+def _row(coeffs: list) -> dict:
+    """The row of the drawn coefficient list: an int 0 is left out and
+    every other number listed at its column, so a row has both missing and
+    listed zeros."""
+    return {j: c for j, c in enumerate(coeffs) if type(c) is not int or c}
+
+
 def _program(objective, constraints, constant, bounds) -> LinearProgram:
-    return LinearProgram(tuple(objective), tuple((tuple(c), rel, rhs) for c, rel, rhs in constraints),
+    return LinearProgram(tuple(objective), tuple((_row(c), rel, rhs) for c, rel, rhs in constraints),
                          constant, None if bounds is None else tuple(tuple(b) for b in bounds))
 
 
@@ -547,7 +552,7 @@ def test_solver_runs_reach_both_step_kinds(kind):
 
 
 def test_a_duplicated_equality_row_stays_redundant():
-    lp = LinearProgram((1, 2), (((1, 1), REL_EQ, 1), ((1, 1), REL_EQ, 1)), bounds=((0, None), (0, None)))
+    lp = LinearProgram((1, 2), (({0: 1, 1: 1}, REL_EQ, 1), ({0: 1, 1: 1}, REL_EQ, 1)), bounds=((0, None), (0, None)))
     assert drive_outs(lp) == {"redundant row"}
     sol = simplex_solve(lp)
     assert sol == tableau_simplex_solve(lp) and sol.value == 2 and check_solution(lp, sol)
@@ -557,7 +562,7 @@ def test_phase_one_counts_each_artificial_in_units_of_its_unscaled_row():
     # the rows are scaled by 2 and 3 to integers; an artificial of a scaled
     # row counted as one unit took another first pivot, and the run ended
     # at the other vertex (0, 4/3, 50/9)
-    lp = LinearProgram((0, 0, 0), (((-2, -4, F(3, 2)), REL_GE, 3), ((F(1, 3), 3, 0), REL_EQ, 4)),
+    lp = LinearProgram((0, 0, 0), (({0: -2, 1: -4, 2: F(3, 2)}, REL_GE, 3), ({0: F(1, 3), 1: 3}, REL_EQ, 4)),
                        bounds=((0, None),) * 3)
     sol = simplex_solve(lp)
     assert sol == tableau_simplex_solve(lp) and sol.assignment == (12, 0, 18)
@@ -566,12 +571,20 @@ def test_phase_one_counts_each_artificial_in_units_of_its_unscaled_row():
 @pytest.mark.parametrize("args, field", [
     (((1,), (), F(1, 3), ((None, 0.0),)), "bounds[0] upper"),
     (((0.5,), ()), "objective[0]"),
-    (((1,), (((F(1),), "<=", 1.0),)), "constraints[0] rhs"),
-    (((1,), (((True,), "<=", 1),)), "constraints[0] coefficient 0"),
+    (((1,), (({0: F(1)}, "<=", 1.0),)), "constraints[0] rhs"),
+    (((1,), (({0: True}, "<=", 1),)), "constraints[0] coefficient 0"),
     (((1,), (), 0.0), "constant"),
+    # named by its column, not by its place in the row
+    (((1, 1, 1), (({0: 1}, "<=", 1), ({2: 0.5}, "<=", 1))), "constraints[1] coefficient 2"),
 ])
 def test_an_lp_refuses_inexact_numbers(args, field):
     # the first case raised "optimum failed its own certificate": the float
     # bound turned the dual objective into a float unequal to 1/3
     with pytest.raises(PreconditionError, match=re.escape(f"LP {field} ")):
         simplex_solve(LinearProgram(*args))
+
+
+@pytest.mark.parametrize("column", [2, -1, "0", 1.0, True])
+def test_an_lp_refuses_a_column_outside_its_variables(column):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"constraints[1] has column {column!r}, ")):
+        LinearProgram((1, 1), (({0: 1}, REL_LE, 1), ({0: 1, column: 1}, REL_LE, 1)))

@@ -343,7 +343,7 @@ def test_drep_from_fractional_cover_examples():
     k4 = complete(4)
     rep = drep_from_fractional_cover(k4, fractional_clique_cover(k4), 3)
     assert rep.d == 1 and rank(rep.matrix) == 1
-    assert rep.matrix == FMatrix.ones(3, 4, 4)
+    assert rep.matrix == FMatrix(3, np.ones((4, 4), dtype=np.int64))
 
     c7 = cycle(7)
     rep = drep_from_fractional_cover(c7, fractional_clique_cover(c7), 2)
