@@ -65,19 +65,21 @@ Constraint = tuple[dict[int, Fraction], str, Fraction]
 Bound = tuple[Fraction | None, Fraction | None]
 
 
-_EXACT_TYPES = frozenset((int, Fraction, type(None)))
+_EXACT_TYPES = frozenset((int, Fraction))
+_BOUND_TYPES = _EXACT_TYPES | {type(None)}
 
 
-def _require_exact(values, field: str, keys=None) -> None:
+def _require_exact(values, field: str, keys=None, bound: bool = False) -> None:
     """LP data is exact: a float (or a bool) would turn the Fraction
-    arithmetic of the solver and its certificate check inexact.  ``field``
-    names the j-th value, or the one at the j-th of ``keys``, with
-    ``field.format``.  The common case, only ints, Fractions and None, is
-    one pass over the types at C speed."""
-    if _EXACT_TYPES.issuperset(map(type, values)):
+    arithmetic of the solver and its certificate check inexact, and only a
+    ``bound`` may be None (no bound).  ``field`` names the j-th value, or
+    the one at the j-th of ``keys``, with ``field.format``.  The common
+    case, only ints and Fractions (and None in a bound), is one pass over
+    the types at C speed."""
+    if (_BOUND_TYPES if bound else _EXACT_TYPES).issuperset(map(type, values)):
         return
     for j, value in zip(count() if keys is None else keys, values):
-        if isinstance(value, (float, bool)):
+        if isinstance(value, (float, bool)) or (value is None and not bound):
             raise PreconditionError(f"LP {field.format(j)} must be an int or a Fraction, got {value!r}")
 
 
@@ -91,7 +93,8 @@ class LinearProgram:
     the variables raises ``DimensionMismatch``.  ``bounds`` gives
     per-variable (lower, upper) with ``None`` for unbounded; omitted bounds
     mean every variable is free.  Every number is an int or a ``Fraction``;
-    a float or a bool raises ``PreconditionError`` naming its field.
+    a float, a bool or a ``None`` outside the bounds raises
+    ``PreconditionError`` naming its field.
     """
 
     objective: tuple[Fraction, ...]
@@ -114,8 +117,8 @@ class LinearProgram:
         if self.bounds is not None:
             if len(self.bounds) != nv:
                 raise DimensionMismatch("bounds length must equal variable count")
-            _require_exact([lo for lo, _ in self.bounds], "bounds[{}] lower")
-            _require_exact([up for _, up in self.bounds], "bounds[{}] upper")
+            _require_exact([lo for lo, _ in self.bounds], "bounds[{}] lower", bound=True)
+            _require_exact([up for _, up in self.bounds], "bounds[{}] upper", bound=True)
 
     def bound(self, j: int) -> Bound:
         return self.bounds[j] if self.bounds is not None else (None, None)

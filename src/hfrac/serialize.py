@@ -20,13 +20,16 @@ never held whole.  It lifts each ``"entries":[...]`` digit run out of the text
 and decodes it with numpy (``decode_entries``) as the blocks arrive, the
 whole fields of each block straight into the list's array and the field
 cut at a block's edge carried to the next; ``json.loads`` then reads the
-rest.  When every entry is a single digit the decoding is one strided
-pass, and the entries come back as those uint8 digits, otherwise as
-int64.  The reader accepts only what the writer produces: digits and
-commas, no empty field, no leading zero.  ``read_entries``
-then checks the count (rows * cols) and the range [0, p) of an array of
-any integer dtype.  A malformed list raises ``VerificationError``, a
-wrong count ``DimensionMismatch``.  A certificate's scalars go through
+rest.  A one-digit entry and the byte after it are one little-endian
+uint16 word both ways: the writer makes each chunk with one ``np.add``
+of the values to a column of digit-separator words, and the reader
+checks and decodes a one-digit list word by word, with no comma count,
+into uint8 entries; a list with a longer entry comes back as int64.
+The reader accepts only what the writer produces: digits and commas, no
+empty field, no leading zero.  ``read_entries`` then checks the count
+(rows * cols) and the range [0, p) of an array of any integer dtype.  A
+malformed list raises ``VerificationError``, a wrong count
+``DimensionMismatch``.  A certificate's scalars go through
 ``read_int`` (and lists of them through ``read_ints``), which take JSON
 integers only, and its rationals through ``parse_frac``, which takes
 strings only: a string, bool or float where an integer belongs, or a
@@ -82,13 +85,17 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
     ``seps[i % len(seps)]``, as consecutive uint8 arrays of at most
     ``_CHUNK`` values each, made one at a time.
 
-    The values of a chunk are written right-aligned into a fixed-width
-    digit matrix with one separator column; masking out the leading zeros
-    and flattening row by row gives the text.  The digit passes run in the
+    When every value has one digit (as every entry over GF(p), p < 10,
+    has), a value and its separator are one little-endian uint16 word,
+    ``ord("0") + value`` in the low byte and the separator in the high
+    one, so a chunk is one ``np.add`` of the values to a column of
+    ``ord("0") | separator << 8`` words, viewed as bytes.  Otherwise the
+    values of a chunk are written right-aligned into a fixed-width digit
+    matrix with one separator column; masking out the leading zeros and
+    flattening row by row gives the text.  The digit passes run in the
     narrowest unsigned dtype that holds the largest value
     (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 257,
-    uint16 for vertex ids below 65536), and a one-digit text is a single
-    pass that fills the digit column.
+    uint16 for vertex ids below 65536).
     """
     v = np.asarray(values).ravel()
     if v.size == 0:
@@ -100,6 +107,12 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
     width = len(str(top))
     sep = np.frombuffer(seps, dtype=np.uint8)
     step = _CHUNK - _CHUNK % sep.size
+    if width == 1:
+        words = np.tile(_ZERO | sep.astype("<u2") << 8, step // sep.size)
+        for lo in range(0, v.size, step):
+            chunk = v[lo:lo + step]
+            yield np.add(chunk, words[:chunk.size], dtype="<u2").view(np.uint8)
+        return
     sep_column = np.tile(sep, step // sep.size)
     for lo in range(0, v.size, step):
         chunk = v[lo:lo + step]
@@ -110,14 +123,11 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
             rest, digit = np.divmod(rest, 10)
             np.add(digit, _ZERO, out=chars[:, j], casting="unsafe")
         np.add(rest, _ZERO, out=chars[:, 0], casting="unsafe")
-        if width > 1:
-            # column j holds a digit of the values with width - j digits or more
-            keep = np.ones(chars.shape, dtype=bool)
-            for j in range(width - 1):
-                np.greater_equal(chunk, 10 ** (width - 1 - j), out=keep[:, j])
-            yield chars[keep]
-        else:
-            yield chars.ravel()
+        # column j holds a digit of the values with width - j digits or more
+        keep = np.ones(chars.shape, dtype=bool)
+        for j in range(width - 1):
+            np.greater_equal(chunk, 10 ** (width - 1 - j), out=keep[:, j])
+        yield chars[keep]
 
 
 def int_text(values: np.ndarray, seps: bytes) -> bytes:
@@ -131,32 +141,36 @@ def decode_entries(data: bytes | bytearray, start: int = 0, stop: int | None = N
     of a canonical JSON int list; returns the values as a 1-D array.
 
     When every field is one digit (as every entry over GF(p), p < 10, is),
-    the text is read in one pass: if the k fields, with their k - 1
-    commas, take 2k - 1 bytes and the k bytes at even offsets are all
-    digits, then the k - 1 commas fill the k - 1 odd offsets, so each field
-    is exactly the digit before its comma and the values are the even
-    bytes minus ``ord("0")``, returned as that uint8 array.  Any other
-    text, malformed text included, goes chunk by chunk (each ends at a
-    comma): the fields are located from the comma positions and read
-    right-aligned, one digit column at a time, into an int64 array.
+    a text of 2k - 1 bytes is k - 1 little-endian uint16 words, each a
+    digit and its comma, and a last digit.  ``ord("0") | ord(",") << 8``
+    subtracted from a word (wrapping in uint16) leaves at most 9 exactly
+    when the word is a digit followed by a comma, and then leaves the
+    digit's value; so the words are read ``_CHUNK`` at a time, and if each
+    of them and the last byte passes, the values go straight into a uint8
+    array.  No comma count is needed.  Any other text, malformed text
+    included, goes chunk by chunk (each ends at a comma): the fields are
+    located from the comma positions and read right-aligned, one digit
+    column at a time, into an int64 array.
 
-    ``out``, when given, has one slot per field (one more than the commas
-    of the text) and receives the values, which are returned as ``out``
-    itself; only when ``out`` is uint8 and a field has more than one digit
-    do they come back in a new int64 array instead.
+    ``out``, when given, has at least one slot per field and receives the
+    values, which are returned as its first slots; only when ``out`` is
+    uint8 and a field has more than one digit do they come back in a new
+    int64 array instead.
     """
     stop = len(data) if stop is None else stop
     if stop <= start:
         raise VerificationError("entries list is empty")
     if data[stop - 1] == _COMMA:  # a chunk may end at this comma, leaving no field after it
         raise VerificationError("entries have an empty field")
+    if (stop - start) % 2:
+        fields = (stop - start + 1) // 2
+        if out is None:
+            out = np.empty(fields, dtype=np.uint8)
+        if _one_digit_fields(data, start, fields, out):
+            # a whole array, not a view, is kept by FMatrix without a copy
+            return out if out.size == fields else out[:fields]
     b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    fields = data.count(b",", start, stop) + 1 if out is None else out.size
-    if b.size == 2 * fields - 1:
-        # in uint8 whatever ``out`` is, so that bytes other than digits wrap above 9
-        digits = np.subtract(b[0::2], np.uint8(_ZERO), out=out, dtype=np.uint8)
-        if digits.max() <= 9:
-            return digits
+    fields = data.count(b",", start, stop) + 1
     if out is None or out.dtype != np.int64:
         out = np.empty(fields, dtype=np.int64)
     done = 0
@@ -185,7 +199,31 @@ def decode_entries(data: bytes | bytearray, start: int = 0, stop: int | None = N
             values += np.where(widths > j, digits[ends - 1 - j], 0).astype(np.int64) * 10**j
         done += ends.size
         lo = hi + 1
-    return out
+    return out if out.size == fields else out[:fields]
+
+
+# The word of "0,": taken from the word of a digit and its comma, it leaves
+# the digit's value.
+_DIGIT_COMMA = np.uint16(_ZERO | _COMMA << 8)
+
+
+def _one_digit_fields(data: bytes | bytearray, start: int, fields: int, out: np.ndarray) -> bool:
+    """Whether ``data[start:start + 2 * fields - 1]`` is ``fields`` one-digit
+    fields and their commas; if so, their values are in ``out[:fields]``
+    (whose other slots may be written either way)."""
+    last = data[start + 2 * fields - 2] - _ZERO
+    if not 0 <= last <= 9:
+        return False
+    words = np.frombuffer(data, dtype="<u2", count=fields - 1, offset=start)
+    work = np.empty(min(_CHUNK, words.size), dtype=np.uint16)
+    for lo in range(0, words.size, _CHUNK):
+        part = words[lo:lo + _CHUNK]
+        digits = np.subtract(part, _DIGIT_COMMA, out=work[:part.size])
+        if digits.max() > 9:
+            return False
+        out[lo:lo + digits.size] = digits
+    out[fields - 1] = last
+    return True
 
 
 def read_entries(value, count: int, p: int) -> np.ndarray:
@@ -363,25 +401,26 @@ def _extend(values: np.ndarray | None, filled: int, data: bytearray, start: int,
     entries list cut at commas, into ``values[filled:]``; returns the array
     and its new fill.
 
-    The array is made at the first piece with ``room`` slots (or as many as
-    the piece needs), grows in place geometrically when a piece does not
-    fit, and is widened to int64 once, at the first field of more than one
-    digit; it always owns its memory."""
+    The piece has at most (stop - start + 1) // 2 fields, as many as when
+    each has one digit, and that many slots are made ready without
+    counting commas.  The array is made at the first piece with ``room``
+    slots (or as many as the piece may need), grows in place geometrically
+    when a piece may not fit, and is widened to int64 once, at the first
+    field of more than one digit; it always owns its memory."""
     if stop == start:
         raise VerificationError("entries have an empty field")
-    count = data.count(b",", start, stop) + 1
+    most = (stop - start + 1) // 2
     if values is None:
-        values = np.empty(max(count, room), dtype=np.uint8)
-    elif values.size < filled + count:
-        values.resize(max(filled + count, 2 * values.size), refcheck=False)
-    slots = values[filled:filled + count]
-    got = decode_entries(data, start, stop, slots)
-    if got is not slots:
+        values = np.empty(max(most, room), dtype=np.uint8)
+    elif values.size < filled + most:
+        values.resize(max(filled + most, 2 * values.size), refcheck=False)
+    got = decode_entries(data, start, stop, values[filled:])
+    if got.dtype != values.dtype:
         wide = np.empty(values.size, dtype=np.int64)
         wide[:filled] = values[:filled]
-        wide[filled:filled + count] = got
+        wide[filled:filled + got.size] = got
         values = wide
-    return values, filled + count
+    return values, filled + got.size
 
 
 def load_json(source: BinaryIO | bytes | str):

@@ -491,6 +491,29 @@ def packbits_bit_rows(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def character_matrix_one_digit_text(values: np.ndarray, seps: bytes) -> bytes:
+    """The text of one-digit non-negative integers, the i-th followed by
+    ``seps[i % len(seps)]``, as a (values, 2) character matrix of digit
+    and separator columns flattened row by row."""
+    v = np.asarray(values).ravel()
+    chars = np.empty((v.size, 2), dtype=np.uint8)
+    chars[:, 0] = v + ord("0")
+    chars[:, 1] = np.resize(np.frombuffer(seps, dtype=np.uint8), v.size)
+    return chars.tobytes()
+
+
+def strided_one_digit_entries(text: bytes) -> np.ndarray | None:
+    """The uint8 values of ``text`` when it is k one-digit fields and their
+    commas, read after a comma count as its even bytes less ``ord("0")``;
+    None for any other text."""
+    fields = text.count(b",") + 1
+    b = np.frombuffer(text, dtype=np.uint8)
+    if b.size != 2 * fields - 1:
+        return None
+    digits = b[0::2] - np.uint8(ord("0"))
+    return digits if digits.max() <= 9 else None
+
+
 def _tableau_pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
     prow = tab[r]
     piv = prow[c]

@@ -356,20 +356,30 @@ def _program(objective, constraints, constant, bounds) -> LinearProgram:
 
 def _expect_refusal(draw, args) -> None:
     """One number of the LP arguments, drawn at random, becomes a float or a
-    bool, and LinearProgram must refuse it with an error naming its field."""
+    bool (or None, outside the bounds), and LinearProgram must refuse it
+    with an error naming its field.
+
+    A coefficient after a left-out int 0 sits at another place in its row
+    dict than its column, so a refusal named by that place instead of the
+    column shows only there: when the rows have such a coefficient, it is
+    the one refused half the time."""
     objective, constraints, _, bounds = args
     slots = [((0, j), f"objective[{j}]") for j in range(len(objective))]
+    shifted = []
     for i, (coeffs, _, _) in enumerate(constraints):
-        slots += [((1, i, 0, j), f"constraints[{i}] coefficient {j}") for j in range(len(coeffs))]
+        row = [((1, i, 0, j), f"constraints[{i}] coefficient {j}") for j in range(len(coeffs))]
+        slots += row
+        left_out = [j for j, c in enumerate(coeffs) if type(c) is int and not c]
+        shifted += row[left_out[0] + 1:] if left_out else []
         slots.append(((1, i, 2), f"constraints[{i}] rhs"))
     slots.append(((2,), "constant"))
     for j in range(len(bounds or ())):
         slots += [((3, j, 0), f"bounds[{j}] lower"), ((3, j, 1), f"bounds[{j}] upper")]
-    path, field = draw(st.sampled_from(slots))
+    path, field = draw(st.sampled_from(shifted if shifted and draw(st.booleans()) else slots))
     container = args
     for key in path[:-1]:
         container = container[key]
-    container[path[-1]] = draw(INEXACT)
+    container[path[-1]] = draw(INEXACT if path[0] == 3 else INEXACT | st.none())
     with pytest.raises(PreconditionError, match=re.escape(f"LP {field} ")):
         _program(*args)
 
@@ -576,6 +586,12 @@ def test_phase_one_counts_each_artificial_in_units_of_its_unscaled_row():
     (((1,), (), 0.0), "constant"),
     # named by its column, not by its place in the row
     (((1, 1, 1), (({0: 1}, "<=", 1), ({2: 0.5}, "<=", 1))), "constraints[1] coefficient 2"),
+    # None means no bound, and nothing anywhere else
+    (((None, 1), ()), "objective[0]"),
+    (((1,), (({0: None}, "<=", 1),)), "constraints[0] coefficient 0"),
+    (((1, 1, 1), (({0: 1}, "<=", 1), ({2: None}, "<=", 1))), "constraints[1] coefficient 2"),
+    (((1,), (({0: 1}, "<=", None),)), "constraints[0] rhs"),
+    (((1,), (), None), "constant"),
 ])
 def test_an_lp_refuses_inexact_numbers(args, field):
     # the first case raised "optimum failed its own certificate": the float

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import character_matrix_one_digit_text, strided_one_digit_entries
 
 from hfrac import serialize
 from hfrac.cli import main
@@ -140,7 +141,9 @@ def test_decoder_agrees_with_the_reference_reader(text, chunk):
     fields = text.split(",")
     with mock.patch.object(serialize, "_CHUNK", chunk):
         if all(_canonical_field(f) for f in fields):
-            assert decode_entries(text.encode()).tolist() == [int(f) for f in fields]
+            got = decode_entries(text.encode())
+            assert got.tolist() == [int(f) for f in fields]
+            assert got.dtype == (np.uint8 if all(len(f) == 1 for f in fields) else np.int64)
         else:
             with pytest.raises(VerificationError):
                 decode_entries(text.encode())
@@ -465,3 +468,81 @@ def test_the_file_size_is_only_a_hint(tmp_path, hint, reads):
     with mock.patch.object(serialize, "_size_hint", return_value=hint):
         assert _same(load_json(source), whole)
     assert source.reads == reads
+
+
+# ---------------------------------------------------------------------------
+# One-digit entries as digit-separator words, against the character matrix
+# and the strided reader they replaced
+
+@st.composite
+def one_digit_cases(draw):
+    """One-digit values below a small prime, with one or two separators,
+    of lengths about a drawn chunk size, in the dtypes entries come in."""
+    seps = draw(st.sampled_from((b",", b"\n", b",;", b" \n")))
+    # a chunk holds at least one value per separator
+    chunk = draw(st.sampled_from((1, 2, 3, serialize._CHUNK)).filter(lambda c: c >= len(seps)))
+    size = draw(st.one_of(st.integers(0, 40), st.sampled_from((0, 1, 2, chunk - 1, chunk, chunk + 1, chunk + 2))))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, p, size=size, dtype=np.int64)
+    if values.size:
+        values[rng.integers(values.size)] = p - 1
+    dtype = draw(st.sampled_from((np.uint8, np.int64)))
+    return chunk, values.astype(dtype), seps
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_digit_cases())
+def test_one_digit_words_round_trip_as_the_character_matrix_and_the_strided_reader(case):
+    chunk, values, seps = case
+    with mock.patch.object(serialize, "_CHUNK", chunk):
+        assert int_text(values, seps) == character_matrix_one_digit_text(values, seps)
+        doc = canonical_json({"entries": values})
+        if not values.size:
+            with pytest.raises(VerificationError, match="entries list is empty"):
+                load_json(doc)
+            return
+        want = strided_one_digit_entries(doc.encode()[len('{"entries":['):-len("]}")])
+        for source in (doc, io.BytesIO(doc.encode())):
+            got = load_json(source)["entries"]
+            assert got.dtype == np.uint8 and np.array_equal(got, want) and np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("prefix", ['', '"a":10,'])  # the list starts at an even or an odd offset
+def test_one_digit_lists_cut_at_block_edges_read_as_the_strided_reader(prefix):
+    values = np.arange(41) % 10
+    text = ("{" + prefix + canonical_json({"entries": values})[1:]).encode()
+    want = strided_one_digit_entries(canonical_json(values)[1:-1].encode())
+    spy = mock.Mock(wraps=serialize._one_digit_fields)
+    with mock.patch.object(serialize, "_one_digit_fields", spy):
+        for block in range(1, 24):
+            with mock.patch.object(serialize, "_BLOCK", block):
+                for source in (text, io.BytesIO(text)):
+                    got = load_json(source)["entries"]
+                    assert got.dtype == np.uint8 and np.array_equal(got, want), block
+    # words were read from pieces at both even and odd offsets in the buffer
+    assert {call.args[1] % 2 for call in spy.call_args_list} == {0, 1}
+    wide = canonical_json({"entries": np.append(values, 10)}).encode()
+    with mock.patch.object(serialize, "_BLOCK", 7):
+        got = load_json(io.BytesIO(wide))["entries"]
+    assert got.dtype == np.int64 and got.tolist() == [*values.tolist(), 10]
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"1,x,2", "something other than digits and commas"),  # a non-digit at an even offset
+    (b"1,2,x", "something other than digits and commas"),  # ... as the last byte
+    (b"x", "something other than digits and commas"),
+    (b"1,2,3;4,5", "something other than digits and commas"),  # a non-comma at an odd offset
+    (b"1,012", "a leading zero"),  # a digit where a comma belongs
+    (b"1,,,2", "an empty field"),
+    (b",,1", "an empty field"),
+    (b"1,2,", "an empty field"),  # a trailing comma
+    (b"01", "a leading zero"),
+    (b"1,2,01", "a leading zero"),
+])
+def test_malformed_one_digit_lists_are_refused_with_the_same_messages(text, message):
+    assert strided_one_digit_entries(text) is None
+    with pytest.raises(VerificationError, match=message):
+        decode_entries(text)
+    _assert_blocks_agree(b'{"entries":[' + text + b"]}", range(1, len(text) + 14), messages=True)
+
