@@ -22,6 +22,19 @@ has the cover's value.  The cover itself must then pass
 summing to the value), and by weak duality both are optimal.  The gate
 reads each clique through its members only, so it costs the size of the
 cliques, not cliques x vertices.
+
+A vertex-transitive graph (one with ``Graph.transitive_automorphisms``)
+skips the master.  A clique search on the complement (``alpha``, which
+branches once at the root there too) gives the clique number w and a
+maximum clique C; every clique in the orbit of C under the automorphisms
+gets weight n / (w * |orbit|).  Each vertex lies in the same number of
+those cliques, so the cover has value n / w, and y = 1/w on every vertex
+is dual-feasible because the search proves that no clique has more than w
+vertices: by weak duality the orbit cover is optimal (Scheinerman and
+Ullman, *Fractional Graph Theory*, ch. 3).  It passes the same
+``cover_violation`` gate, with its declared value n / w.  An orbit of more
+than ``ORBIT_ENTRIES`` clique entries is not listed; the master solves that
+graph instead.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from math import lcm
 from .budget import Budget
 from .errors import SearchCutoff, VerificationError
 from .graphs import Graph, complement, is_clique, stray_vertex
-from .independence import max_weight_independent_set
+from .independence import alpha, max_weight_independent_set
 from .lp import F0, CoveringMaster
 from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
@@ -113,16 +126,59 @@ def _certifies_optimum(columns: list[tuple[int, ...]], numerators: list[int], de
     )
 
 
+# The most clique entries (cliques x clique size) an orbit cover may list.
+ORBIT_ENTRIES = 1 << 20
+
+
+def _orbit(clique: tuple[int, ...], perms: list[list[int]], budget: Budget) -> list[tuple[int, ...]] | None:
+    """The sorted orbit of a sorted vertex set under the permutations, or
+    None once it would exceed ``ORBIT_ENTRIES`` entries; one budget node
+    per member."""
+    seen = {clique}
+    todo = [clique]
+    while todo:
+        members = todo.pop()
+        for perm in perms:
+            image = tuple(sorted(map(perm.__getitem__, members)))
+            if image not in seen:
+                if (len(seen) + 1) * len(clique) > ORBIT_ENTRIES:
+                    return None
+                budget.spend()
+                seen.add(image)
+                todo.append(image)
+    return sorted(seen)
+
+
+def _orbit_cover(g: Graph, comp: Graph, budget: Budget) -> FractionalCover | None:
+    """The orbit cover of a vertex-transitive g, or None if its orbit is too
+    large to list."""
+    omega, clique = alpha(comp, budget)
+    orbit = _orbit(clique, [p.tolist() for p in g.transitive_automorphisms], budget)
+    if orbit is None:
+        return None
+    weight = Fraction(g.n, omega * len(orbit))
+    cover = FractionalCover(tuple((cl, weight) for cl in orbit), Fraction(g.n, omega), weight.denominator)
+    failure = cover_violation(g, cover)
+    if failure is not None:
+        raise VerificationError(f"internal error: orbit cover invalid: {failure}")
+    return cover
+
+
 def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> FractionalCover:
     """Exact optimal fractional clique cover of g (equals the fractional
-    chromatic number of the complement).
+    chromatic number of the complement): the orbit cover on a
+    vertex-transitive graph, else column generation.
 
-    Under a budget, raises BudgetExhausted from a master pivot or
-    SearchCutoff from pricing."""
+    Under a budget, raises BudgetExhausted from a master pivot or the orbit
+    listing, or SearchCutoff from pricing or the clique search."""
     if g.n == 0:
         return FractionalCover((), F0, 1)
     budget = budget or Budget()
     comp = complement(g)
+    if g.transitive_automorphisms is not None:
+        cover = _orbit_cover(g, comp, budget)
+        if cover is not None:
+            return cover
     master = CoveringMaster(g.n, budget)
     while True:
         # price y * det: a clique improves the master iff its weight exceeds det

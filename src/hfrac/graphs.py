@@ -10,6 +10,14 @@ searches use are derived from it.  Generators remember the expression that
 produced the graph; a certificate carries that expression, and the
 expression fixes the vertex order.
 
+The expression also names symmetries: ``Graph.transitive_automorphisms``
+reads permutations of the vertices off it (rotations and reflections of
+cycles, the symmetric group of the ground set of the subset graphs, the
+factors' permutations on product coordinates) and returns them only after
+checking that each is an automorphism of the matrix and that together
+they move vertex 0 to every vertex.  Soundness rests on that check, never
+on the expression; ``file:`` and ``universal`` graphs have none.
+
 Expression grammar::
 
     expr := cycle:K | complete:K | empty:K
@@ -169,6 +177,48 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
+    @cached_property
+    def transitive_automorphisms(self) -> tuple[np.ndarray, ...] | None:
+        """Permutations of the vertices that the expression names, if each
+        is an automorphism of the matrix and the group they generate is
+        transitive on the vertices; else None.
+
+        Every condition is tested here, with explicit checks that also run
+        under ``python -O``, so an expression that names the wrong graph
+        (or a permutation that is not an automorphism) gives None.  The
+        orbit of vertex 0 grows as a boolean mask, one generator image of
+        the frontier at a time."""
+        # "file:" and "universal:" occur only in file and universal leaves
+        # (a path is part of its file leaf), which name no automorphisms,
+        # so a file graph is refused without parsing its path
+        if not self.expr or "file:" in self.expr or "universal:" in self.expr:
+            return None
+        try:
+            ex = parse_expr(self.expr)
+        except GraphParseError:
+            return None
+        if _order(ex) != self.n:  # never 0: a named order is at least 1
+            return None
+        n, a = self.n, self.matrix
+        gens = tuple(_automorphisms(ex))
+        for perm in gens:
+            if perm.shape != (n,) or perm.min() < 0 or perm.max() >= n:
+                return None
+            hit = np.zeros(n, dtype=bool)
+            hit[perm] = True
+            if not hit.all() or not np.array_equal(a[np.ix_(perm, perm)], a):
+                return None
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            reached = np.zeros(n, dtype=bool)
+            for perm in gens:
+                reached[perm[frontier]] = True
+            frontier = reached & ~seen
+            seen |= frontier
+        return gens if seen.all() else None
+
 
 # bit j as a uint64, for the rows that fit in one machine word
 _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
@@ -310,6 +360,62 @@ def generate(expr: GraphExpr | str, max_vertices: int = DEFAULT_MAX_VERTICES) ->
     if op == "file":
         return read_graph_file(args[0], max_vertices)
     raise GraphParseError(f"unknown operator {op!r}")
+
+
+def _subset_size(ex: GraphExpr) -> tuple[int, int]:
+    """(ground set size, subset size) of a johnson or alon term."""
+    if ex.op == "johnson":
+        return ex.args[1], ex.args[0] + 1
+    return ex.args[2], ex.args[0] * ex.args[1] - 1
+
+
+def _order(ex: GraphExpr) -> int | None:
+    """The vertex count the expression names, or None where it names no
+    symmetry (``file``, ``universal``, a degenerate parameter)."""
+    op, args = ex.op, ex.args
+    if op in ("cycle", "complete", "empty"):
+        return args[0] if args[0] >= 1 else None
+    if op in ("johnson", "alon"):
+        ground, size = _subset_size(ex)
+        return comb(ground, size) if 0 < size < ground else None
+    if op == "complement":
+        return _order(args[0])
+    if op in ("strong", "lex"):
+        left, right = map(_order, args)
+        return left * right if left and right else None
+    return None
+
+
+def _shift_and_swap(k: int) -> list[np.ndarray]:
+    """A k-cycle and a transposition, which generate the symmetric group."""
+    v = np.arange(k)
+    return [(v + 1) % k, np.array([1, 0, *range(2, k)])] if k > 1 else []
+
+
+def _automorphisms(ex: GraphExpr) -> list[np.ndarray]:
+    """The permutations the expression names, for an expression whose
+    ``_order`` is not None; ``transitive_automorphisms`` checks them."""
+    op, args = ex.op, ex.args
+    if op == "cycle":
+        v = np.arange(args[0])
+        return [(v + 1) % args[0], -v % args[0]]
+    if op in ("complete", "empty"):
+        return _shift_and_swap(args[0])
+    if op in ("johnson", "alon"):
+        ground, size = _subset_size(ex)
+        subsets = list(combinations(range(ground), size))
+        index = {s: i for i, s in enumerate(subsets)}
+        return [np.array([index[tuple(sorted(map(sigma.__getitem__, s)))] for s in subsets])
+                for sigma in map(np.ndarray.tolist, _shift_and_swap(ground))]
+    if op == "complement":
+        return _automorphisms(args[0])
+    # strong, lex: each factor's permutations on row-major coordinates
+    m, k = _order(args[0]), _order(args[1])
+    gens = [np.add.outer(p * k, np.arange(k)).ravel() for p in _automorphisms(args[0])]
+    gens += [np.add.outer(np.arange(m) * k, p).ravel() for p in _automorphisms(args[1])]
+    if op == "strong" and args[0] == args[1]:
+        gens.append(np.arange(m * k).reshape(m, k).T.ravel())
+    return gens
 
 
 def _guard(n: int, max_vertices: int, what: str) -> None:

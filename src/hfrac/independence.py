@@ -12,8 +12,11 @@ is the sum of the class maxima up to its class (its class index for unit
 weights), and only vertices whose bound can still beat the incumbent are
 kept and branched on, last-coloured first.  Weights are nonnegative
 integers.  The renumbered bitset rows are one permutation of the graph's
-adjacency matrix, packed.  ``greedy_clique_cover`` is the
-same colouring over all vertices in descending-degree order.
+adjacency matrix, packed.  ``alpha`` on a vertex-transitive graph (one
+with ``Graph.transitive_automorphisms``) keeps only the root's first
+branch, which holds a maximum stable set; its result is unchanged.
+``greedy_clique_cover`` is the same colouring over all vertices in
+descending-degree order.
 
 ``clique_cover_leq`` colours the complement by DSATUR backtracking
 (Brélaz 1979) in one explicit-stack loop.  It keeps one member bitset per
@@ -154,7 +157,8 @@ _KEEP = 32
 
 
 def _max_stable(
-    g: Graph, order: Sequence[int], weights: Sequence[int], budget: Budget, name: str
+    g: Graph, order: Sequence[int], weights: Sequence[int], budget: Budget, name: str,
+    unit: bool = False,
 ) -> tuple[int, tuple[int, ...]]:
     """Maximum-weight stable set of g for nonnegative integer weights.
 
@@ -166,6 +170,12 @@ def _max_stable(
     already branched on, since those were coloured last.  One budget node
     per search node; on exhaustion raises SearchCutoff(name, incumbent
     weight, root bound, incumbent).
+
+    With ``unit`` weights on a graph with verified transitive
+    automorphisms, the root keeps only its first branch: some maximum
+    stable set contains any given vertex, so that branch reaches the
+    optimum and the later ones could not raise the incumbent.  The result
+    is the one the full search finds.
     """
     adj = _relabel(g, order)
     w = [weights[v] for v in order]
@@ -176,6 +186,8 @@ def _max_stable(
     best_set = _complete(adj, 0)
     best = sum(w[i] for i in _bits(best_set))
     verts, bounds, root_bound = _colour(adj, w, cand, best)
+    if unit and len(verts) > 1 and g.transitive_automorphisms is not None:
+        del verts[:-1], bounds[:-1]
     try:
         budget.spend()
         stack = [[cand, 0, 0, verts, bounds]]
@@ -229,9 +241,11 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
     """Exact maximum independent set: (size, witness).
 
     Raises SearchCutoff carrying the certified interval [best found, root
-    bound] and the best witness when the budget runs out.
+    bound] and the best witness when the budget runs out.  On a graph with
+    ``Graph.transitive_automorphisms`` the search branches once at the
+    root, with the same result.
     """
-    return _max_stable(g, g.degree_order[::-1], [1] * g.n, budget or Budget(), "alpha")
+    return _max_stable(g, g.degree_order[::-1], [1] * g.n, budget or Budget(), "alpha", unit=True)
 
 
 def alpha_lower_end(g: Graph, budget: Budget) -> tuple[int, tuple[int, ...]]:

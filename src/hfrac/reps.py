@@ -393,7 +393,8 @@ def hfrac_upper_search(
 
     Upper candidates (certificates with block size at most dmax): the
     budgeted d = 1 minrank search, the blow-up of the optimal fractional
-    clique cover (left out when the budget cuts the cover off), and, when
+    clique cover (left out when the budget cuts the cover off; the
+    master's cover when an orbit cover's denominator exceeds dmax), and, when
     the graph expression is a strong product, the tensor product of the
     factors' best certificates.  The lower end is the independence number
     (or its certified lower bound under budget).  The interval never
@@ -422,6 +423,10 @@ def _best_upper(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[Fraction, 
 
     try:
         cover = fractional_clique_cover(g, budget)
+        if cover.d > dmax and g.transitive_automorphisms is not None:
+            # an orbit cover's denominator can exceed that of the master's
+            # optimum, which the bare matrix (no automorphisms) gets
+            cover = fractional_clique_cover(Graph(g.matrix), budget)
     except (BudgetExhausted, SearchCutoff):
         cover = None  # the other candidates still certify the upper end
     if cover is not None and cover.d <= dmax:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,14 +18,16 @@ from unittest import mock
 import numpy as np
 import pytest
 from test_reps import FORGED_ENTRIES, forge_first_entry
+from test_symmetry import lying_graph_truth
 
 import hfrac
 from hfrac import cli
 from hfrac.cli import main
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
+from hfrac.fraccover import fractional_clique_cover
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
-from hfrac.graphs import format_graph, generate
+from hfrac.graphs import Graph, format_graph, generate, write_graph_file
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash
@@ -211,8 +214,18 @@ def test_a_graph_without_vertices_has_no_fit_certificate(tmp_path, capsys):
         assert run(capsys, *argv, "--graph", f"file:{graph}") == (0, "0\n", ""), argv
 
 
+def file_copy(tmp_path, expr: str) -> str:
+    """A ``file:`` expression for the graph of ``expr``: the same matrix,
+    with no automorphisms named, so the searches and the cover master run
+    in full."""
+    path = tmp_path / "copy.txt"
+    write_graph_file(generate(expr), str(path))
+    return f"file:{path}"
+
+
 def test_budgeted_hfrac_exits_3_with_a_verified_report(tmp_path, capsys):
-    code, out, err = run(capsys, "hfrac", "--graph", "johnson:2,10", "--p", "2",
+    # johnson:2,10 itself finishes within the budget, by its orbit cover
+    code, out, err = run(capsys, "hfrac", "--graph", file_copy(tmp_path, "johnson:2,10"), "--p", "2",
                          "--budget-ms", "500", "--json")
     assert code == 3, err
     path = tmp_path / "report.json"
@@ -372,7 +385,8 @@ def test_main_calls_in_one_process_do_not_leak_options(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, "verify", "--cert", str(plain))
     assert code == 0 and out.strip() == "OK"  # the embedded graph again, and no --json
 
-    alpha = ("alpha", "--graph", "johnson:2,9")  # 1,179 search nodes
+    # 1,179 search nodes (johnson:2,9 itself takes 121, below the first clock read at 256)
+    alpha = ("alpha", "--graph", file_copy(tmp_path, "johnson:2,9"))
     assert run(capsys, *alpha, "--budget-ms", "0")[0] == 3
     assert run(capsys, *alpha)[0] == 0  # no budget left over
     monkeypatch.setenv("CAPACITY_BUDGET_MS", "0")
@@ -403,7 +417,9 @@ def _singleton_cover(g):
 
 
 # Each exact gate: a command that reaches it, and the checker patches that
-# make the gate reject.  The minrank search's final gate is reached by
+# make the gate reject.  ``{tmp}/cycle5.txt`` is a file copy of cycle:5,
+# which names no automorphisms, so fracchrom solves it by the master; on
+# cycle:5 itself fracchrom takes the orbit cover and its gate.  The minrank search's final gate is reached by
 # starting it from the singleton cover, so that it finds a better matrix
 # after the incumbent's own fit check passed.  The ``*_rank`` gates check
 # what the rank kernel returns, so a lying ``rank`` must make them reject.
@@ -421,9 +437,11 @@ EXACT_GATES = {
                                  [("hfrac.minrank.rank", {"return_value": 9})]),
     "alon_certificate_rank": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
                               [("hfrac.minrank.rank", {"return_value": 10**6})]),
-    "fractional_clique_cover_lp": (["fracchrom", "--graph", "cycle:5"],
+    "fractional_clique_cover_lp": (["fracchrom", "--graph", "file:{tmp}/cycle5.txt"],
                                    [("hfrac.fraccover._certifies_optimum", {"return_value": False})]),
-    "fractional_clique_cover_cover": (["fracchrom", "--graph", "cycle:5"],
+    "fractional_clique_cover_cover": (["fracchrom", "--graph", "file:{tmp}/cycle5.txt"],
+                                      [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
+    "fractional_clique_cover_orbit": (["fracchrom", "--graph", "cycle:5"],
                                       [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
 }
 
@@ -432,11 +450,12 @@ def exact_gate_exit(gate: str) -> tuple[int, str]:
     """Exit code and stderr of the gate's command with its checker patched."""
     argv, patches = EXACT_GATES[gate]
     err = io.StringIO()
-    with contextlib.ExitStack() as stack:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        write_graph_file(generate("cycle:5"), os.path.join(tmp, "cycle5.txt"))
         for target, kwargs in patches:
             stack.enter_context(mock.patch(target, **kwargs))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = main([arg.format(tmp=tmp) for arg in argv])
     return code, err.getvalue()
 
 
@@ -463,16 +482,19 @@ def test_a_phase_one_that_stops_short_is_an_internal_error():
 
 
 def test_exact_gates_hold_under_python_O():
-    # assert statements are stripped under -O; the gates must not be
+    # assert statements are stripped under -O; the gates must not be, nor
+    # the automorphism check that keeps a lying expression from cutting
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
     code = ("import sys; from test_cli import EXACT_GATES, exact_gate_exit, phase_one_gate_error; "
+            "from test_symmetry import lying_graph_answers; "
             "print(sys.flags.optimize, *(exact_gate_exit(g)[0] for g in EXACT_GATES), "
-            "phase_one_gate_error().startswith('internal error: phase 1'))")
+            "phase_one_gate_error().startswith('internal error: phase 1'), *lying_graph_answers())")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
-    assert proc.stdout.split() == ["1", *["2"] * len(EXACT_GATES), "True"], proc.stderr
+    assert proc.stdout.split() == ["1", *["2"] * len(EXACT_GATES), "True", *map(str, lying_graph_truth())], \
+        proc.stderr
 
 
 @pytest.mark.parametrize("old, new", [
@@ -789,14 +811,16 @@ def test_generated_graph_text_is_pinned(capsys):
 
 # SHA-256 of ``--json`` reports as printed while column generation still
 # priced Fraction duals: the covers must not depend on the arithmetic of
-# the loop that finds them.
+# the loop that finds them.  (cycle:9 and the other vertex-transitive
+# graphs here now take the orbit cover, which prints the same bytes.)
 PINNED_REPORTS = [
     (("fracchrom", "--graph", "cycle:9"),
      "fe57818d6b3c5fb44a6c8dd2a2b1cbe7fbcbc7e65617058605b807a2db3f2f6f"),
+    # orbit covers: 30 cliques of size 4 at weight 1/6, and 25 at 1/4
     (("fracchrom", "--graph", "johnson:2,6"),
-     "029a020e89e0538e42c7e52d626a7bc78af8507120d2f020e1c3b2ba8e483207"),
+     "11b0fe79e5fa926bb00d13d4db1f9dfa8060bc098fd95ff5f76ea41bc8734eb1"),
     (("fracchrom", "--graph", "lex(cycle:5,cycle:5)"),
-     "86997dc08df5a5a23d686f7ca9ec007a7dc5b4035bae6fe88fb0692c206e7af2"),
+     "d9656e6a198eeeb693e66d08a959ce5dbaba858333c21962e6410b2efe48aa39"),
     (("fracchrom", "--graph", "strong(cycle:5,complete:3)"),
      "11a7e9cfeb99e1e63249ad428f398acaf7578f4f1dfc74e5a73b65b5e3f4edbd"),
     (("fracchrom", "--graph", "complement(cycle:11)"),
@@ -817,6 +841,18 @@ PINNED_REPORTS = [
 def test_cover_reports_are_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# The master's covers of the two graphs whose reports changed with the
+# orbit cover, pinned at their old report hashes through the library.
+@pytest.mark.parametrize("expr, sha256", [
+    ("johnson:2,6", "029a020e89e0538e42c7e52d626a7bc78af8507120d2f020e1c3b2ba8e483207"),
+    ("lex(cycle:5,cycle:5)", "86997dc08df5a5a23d686f7ca9ec007a7dc5b4035bae6fe88fb0692c206e7af2"),
+])
+def test_master_covers_are_pinned(expr, sha256):
+    cover = fractional_clique_cover(Graph(generate(expr).matrix))
+    out = canonical_json({**cover.to_json(), "graph": expr}) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
