@@ -20,7 +20,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .gfmat import FMatrix, inverse, matmul, rank, select_full_rank_submatrix
+from .gfmat import FMatrix, matmul, rank, select_full_rank_submatrix
 from .graphs import (
     Graph,
     GraphExpr,
@@ -62,20 +62,11 @@ from .minrank import (
 from .report import BoundReport
 from .reps import (
     DRep,
-    PairRep,
-    RankRRep,
     SubspaceRep,
     cycle_drep,
     drep_from_fractional_cover,
-    drep_from_pairrep,
     drep_violation,
     hfrac_upper_search,
-    linind_check,
-    pairrep_from_drep,
-    pairrep_violation,
-    rankr_to_drep,
-    rankrrep_violation,
-    subspace_from_pairrep,
     subspacerep_violation,
     tensor_dreps,
 )

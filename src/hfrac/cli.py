@@ -45,19 +45,7 @@ from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prim
 from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
 from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .report import BoundReport
-from .reps import (
-    DRep,
-    PairRep,
-    RankRRep,
-    SubspaceRep,
-    cycle_drep,
-    drep_violation,
-    hfrac_upper_search,
-    pairrep_violation,
-    rankrrep_violation,
-    subspacerep_violation,
-    tensor_dreps,
-)
+from .reps import DRep, SubspaceRep, cycle_drep, drep_violation, hfrac_upper_search, subspacerep_violation, tensor_dreps
 from .reproduce import run_claims
 from .serialize import canonical_json, frac_str, json_pieces, load_json, parse_frac, read_ints
 from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
@@ -320,8 +308,6 @@ _KINDS = {
                              lambda g, verts: independent_set_violation(g, verts),
                              ("alpha", "minrank", "hfrac"), None,
                              "lower", lambda verts, lower: lower <= len(verts)),
-    "pairrep": _Kind(lambda obj: PairRep.from_json(obj), lambda g, rep: pairrep_violation(g, rep)),
-    "rankrrep": _Kind(lambda obj: RankRRep.from_json(obj), lambda g, rep: rankrrep_violation(g, rep)),
     "subspacerep": _Kind(lambda obj: SubspaceRep.from_json(obj), lambda g, rep: subspacerep_violation(g, rep)),
     "fraccover": _Kind(lambda obj: FractionalCover.from_json(obj), lambda g, cover: cover_violation(g, cover)),
     "cliquecover": _Kind(lambda obj: CliqueCover.from_json(obj),

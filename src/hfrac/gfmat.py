@@ -15,10 +15,10 @@ forms the product one block of rows at a time, so the wide product never
 exists at full size.  p itself always fits
 the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
 two), so ``% p`` on a stored array stays in its dtype.  All elimination
-uses the deterministic first-nonzero pivot rule so that ranks, pivot
-selections, and factorizations are byte-for-byte reproducible.  Only
-prime moduli are supported; every construction downstream needs the
-field characteristic only, which prime fields realize.
+uses the deterministic first-nonzero pivot rule so that ranks and pivot
+selections are byte-for-byte reproducible.  Only prime moduli are
+supported; every construction downstream needs the field characteristic
+only, which prime fields realize.
 
 Forward elimination has two kernels, chosen by the modulus alone.  Over
 GF(2) (``_eliminate_gf2``) each row is packed once into uint64 words, 64
@@ -26,10 +26,9 @@ columns a word; a pivot is found with an OR and a mask over one word
 column, and the column below it is cleared by one XOR of the pivot row's
 words from the pivot word on.  Every other prime runs the int64 kernel
 (``_eliminate``), which normalises each pivot row and subtracts multiples
-of it.  Both pick the same (row, column) pivots, which ``rank`` and
-``select_full_rank_submatrix`` take from them; the packed words never
-leave the kernel.  ``_rref`` (behind ``solve_right`` and ``inverse``) runs
-the int64 kernel and back-substitution for every prime.
+of it.  Both pick the same (row, column) pivots and return only those,
+which ``rank`` and ``select_full_rank_submatrix`` take; the echelon form
+never leaves the kernel, and nothing here reduces to RREF.
 
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
@@ -218,9 +217,8 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix._reduced(p, out)
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Forward elimination on an int64 copy of a; returns (echelon copy,
-    pivots).
+def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Forward elimination on an int64 copy of a; returns its pivots.
 
     Pivots are (original_row, column) pairs in elimination order, chosen by
     the first-nonzero rule.  Runs for every prime; ``_pivots`` sends p = 2
@@ -250,18 +248,7 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]
         r += 1
         if r == rows:
             break
-    return a, pivots
-
-
-def _back_substitute(a: np.ndarray, pivots: list[tuple[int, int]], p: int) -> np.ndarray:
-    """Clears each pivot column above its pivot, in place, on the echelon
-    form that ``_eliminate`` returns."""
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r][1]
-        above = np.nonzero(a[:r, c])[0]
-        if above.size:
-            a[above] = (a[above] - a[above, c:c + 1] * a[r]) % p
-    return a
+    return pivots
 
 
 def _pack_gf2(a: np.ndarray) -> np.ndarray:
@@ -273,9 +260,9 @@ def _pack_gf2(a: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _eliminate_gf2(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Forward elimination over GF(2) on packed rows; returns (packed
-    echelon, pivots), the pivots equal to ``_eliminate(a, 2)``'s.
+def _eliminate_gf2(a: np.ndarray) -> list[tuple[int, int]]:
+    """Forward elimination over GF(2) on packed rows; returns its pivots,
+    equal to ``_eliminate(a, 2)``'s.
 
     The next pivot column is the lowest bit at or after the current column
     of the OR of the remaining rows' words, one word column at a time (so
@@ -306,17 +293,11 @@ def _eliminate_gf2(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
         pivots.append((origin[r], 64 * w + b))
         r += 1
         w, b = (w + 1, 0) if b == 63 else (w, b + 1)
-    return words, pivots
+    return pivots
 
 
 def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
-    return _eliminate_gf2(a)[1] if p == 2 else _eliminate(a, p)[1]
-
-
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (int64 matrix, pivot columns)."""
-    a, pivots = _eliminate(a, p)
-    return _back_substitute(a, pivots, p), [c for _, c in pivots]
+    return _eliminate_gf2(a) if p == 2 else _eliminate(a, p)
 
 
 def rank(m: FMatrix) -> int:
@@ -334,25 +315,6 @@ def select_full_rank_submatrix(m: FMatrix, r: int) -> tuple[list[int], list[int]
         raise PreconditionError(f"matrix has rank {len(pivots)} < {r}")
     chosen = pivots[:r]
     return [pr for pr, _ in chosen], [pc for _, pc in chosen]
-
-
-def solve_right(c: FMatrix, m: FMatrix) -> FMatrix:
-    """Solve C X = M exactly, requiring C to have full column rank."""
-    if c.p != m.p:
-        raise DimensionMismatch(f"modulus mismatch: {c.p} vs {m.p}")
-    if c.rows != m.rows:
-        raise DimensionMismatch(f"row counts disagree: {c.shape} vs {m.shape}")
-    aug = np.hstack([c.a, m.a])
-    red, piv_cols = _rref(aug, c.p)
-    if piv_cols != list(range(c.cols)):
-        raise PreconditionError("system is rank-deficient or inconsistent")
-    return FMatrix._reduced(c.p, red[: c.cols, c.cols:].astype(storage_dtype(c.p)))
-
-
-def inverse(m: FMatrix) -> FMatrix:
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"inverse needs a square matrix, got {m.shape}")
-    return solve_right(m, FMatrix.identity(m.p, m.rows))
 
 
 def hstack(mats: Sequence[FMatrix]) -> FMatrix:

@@ -68,29 +68,22 @@ class DRep:
         return cls(read_int(obj["d"], "d"), FMatrix.from_json(obj))
 
 
-def _block_defects(a: np.ndarray, n: int, d: int) -> tuple[int | None, np.ndarray]:
-    """The first vertex whose d x d diagonal block of the nd x nd array a is
-    not the identity (or None), and the n x n mask of a's nonzero blocks."""
-    vs = np.arange(n)
-    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
-    bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
-    # OR the d rows of each block row together (contiguous rows, so one
-    # elementwise pass), then each block's d columns
-    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
-    return (int(bad[0]) if bad.size else None), nonzero
-
-
 def drep_violation(g: Graph, rep: DRep) -> str | None:
     """None if rep's matrix is a d-block fit matrix of g, else the first
     defect found."""
-    d = rep.d
-    if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != g.n * d:
+    d, n, a = rep.d, g.n, rep.matrix.a
+    if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != n * d:
         raise DimensionMismatch(
-            f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {g.n * d} square"
+            f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {n * d} square"
         )
-    v, nonzero = _block_defects(rep.matrix.a, g.n, d)
-    if v is not None:
-        return f"diagonal block of vertex {v} is not the identity"
+    vs = np.arange(n)
+    diagonal = a.reshape(n, d, n, d)[vs, :, vs, :]  # the n diagonal blocks, (n, d, d)
+    bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
+    if bad.size:
+        return f"diagonal block of vertex {int(bad[0])} is not the identity"
+    # OR the d rows of each block row together (contiguous rows, so one
+    # elementwise pass), then each block's d columns
+    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
     bad = g.first_nonedge(nonzero)
     if bad is not None:
         return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"

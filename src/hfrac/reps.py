@@ -1,13 +1,14 @@
-"""The fractional minrank bound through its four certificate forms.
+"""The fractional minrank bound through its two certificate forms.
 
 A block fit matrix with identity diagonal blocks and zero non-edge blocks
 (``DRep``, defined and checked in ``minrank`` beside the fit matrices, its
-case d = 1) witnesses the bound rank/d.  The equivalent forms (per-vertex
-factor pairs (``PairRep``), variable block sizes with full-rank diagonal
-blocks (``RankRRep``), and per-vertex subspaces in general position
-(``SubspaceRep``)) come with constructive conversions that never worsen
-the certified ratio.  Tensoring certificates multiplies ratios exactly,
-which is what makes the bound multiplicative over strong products.
+case d = 1) witnesses the bound rank/d.  Per-vertex d-dimensional
+subspaces, each meeting the span of its non-neighbours' subspaces
+trivially (``SubspaceRep``), state the same bound the way it is commonly
+written; only ``verify`` reads them, and every fractional-minrank
+certificate a command writes or a report cites is a ``DRep``.  Tensoring block
+certificates multiplies ratios exactly, which is what makes the bound
+multiplicative over strong products.
 
 Certificates are the unit of truth here: every constructor verifies its
 output, and the search orchestrator only ever reports intervals whose two
@@ -35,82 +36,12 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, fractional_clique_cover
-from .gfmat import (
-    KRON_ENTRY_CAP,
-    FMatrix,
-    hstack,
-    inverse,
-    matmul,
-    rank,
-    select_full_rank_submatrix,
-    solve_right,
-    storage_dtype,
-)
-from .graphs import Graph, cycle, generate, is_independent_set, parse_expr
+from .gfmat import KRON_ENTRY_CAP, FMatrix, hstack, rank, storage_dtype
+from .graphs import Graph, cycle, generate, parse_expr
 from .independence import alpha_lower_end
-from .minrank import DRep, _block_defects, drep_violation, minrank_exact
+from .minrank import DRep, drep_violation, minrank_exact
 from .report import BoundReport
-from .serialize import read_int, read_ints, read_list, read_objects
-
-
-@dataclass(frozen=True)
-class PairRep:
-    """Per-vertex factor pairs (A_v, B_v), n x d each, with A_vᵀB_v = I_d
-    and vanishing cross products on non-edges."""
-
-    n: int
-    d: int
-    pairs: tuple[tuple[FMatrix, FMatrix], ...]
-    p: int
-
-    def ratio(self) -> Fraction:
-        return Fraction(self.n, self.d)
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": "pairrep",
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "pairs": [{"A": a.a.ravel(), "B": b.a.ravel()} for a, b in self.pairs],
-        }
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PairRep":
-        n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
-        pairs = tuple(
-            (FMatrix.from_entries(p, n, d, item["A"]), FMatrix.from_entries(p, n, d, item["B"]))
-            for item in read_objects(obj["pairs"], "pairs")
-        )
-        return cls(n, d, pairs, p)
-
-
-@dataclass(frozen=True)
-class RankRRep:
-    """Variable block sizes d_v; diagonal blocks of rank >= r, zero
-    non-edge blocks."""
-
-    r: int
-    sizes: tuple[int, ...]
-    matrix: FMatrix
-
-    def offsets(self) -> list[int]:
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return out
-
-    def to_json(self) -> dict:
-        out = self.matrix.to_json()
-        out["kind"] = "rankrrep"
-        out["r"] = self.r
-        out["sizes"] = list(self.sizes)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RankRRep":
-        return cls(read_int(obj["r"], "r"), read_ints(obj["sizes"], "sizes"), FMatrix.from_json(obj))
+from .serialize import read_int, read_list
 
 
 @dataclass(frozen=True)
@@ -140,50 +71,6 @@ class SubspaceRep:
         return cls(n, d, bases, p)
 
 
-# ---------------------------------------------------------------------------
-# Verifiers
-
-
-def pairrep_violation(g: Graph, rep: PairRep) -> str | None:
-    """Checks the block matrix AᵀB of ``drep_from_pairrep``: each A_vᵀB_v,
-    and both A_uᵀB_v and A_vᵀB_u for a non-edge uv."""
-    if len(rep.pairs) != g.n:
-        raise DimensionMismatch(f"{len(rep.pairs)} pairs for {g.n} vertices")
-    for v, (a, b) in enumerate(rep.pairs):
-        if a.shape != (rep.n, rep.d) or b.shape != (rep.n, rep.d):
-            raise DimensionMismatch(f"pair of vertex {v} has shape {a.shape}, {b.shape}")
-    if not rep.pairs:
-        return None  # the graph has no vertices
-    v, nonzero = _block_defects(drep_from_pairrep(rep).matrix.a, g.n, rep.d)
-    if v is not None:
-        return f"A_vᵀB_v is not the identity at vertex {v}"
-    bad = g.first_nonedge(nonzero | nonzero.T)
-    if bad is not None:
-        return f"nonzero cross product at non-edge ({bad[0]}, {bad[1]})"
-    return None
-
-
-def rankrrep_violation(g: Graph, rep: RankRRep) -> str | None:
-    if len(rep.sizes) != g.n:
-        raise DimensionMismatch(f"{len(rep.sizes)} block sizes for {g.n} vertices")
-    off = rep.offsets()
-    total = off[-1]
-    if rep.matrix.rows != total or rep.matrix.cols != total:
-        raise DimensionMismatch(f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {total}")
-    for v in range(g.n):
-        block = rep.matrix.block(off[v], off[v + 1], off[v], off[v + 1])
-        if rank(block) < rep.r:
-            return f"diagonal block of vertex {v} has rank below {rep.r}"
-    # every block is nonempty here (``block`` refuses an empty one), so the
-    # block starts are increasing, as reduceat needs; entries are >= 0
-    starts = off[:-1]
-    largest = np.maximum.reduceat(np.maximum.reduceat(rep.matrix.a, starts, axis=0), starts, axis=1)
-    bad = g.first_nonedge(largest != 0)
-    if bad is not None:
-        return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
-    return None
-
-
 def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     if len(rep.bases) != g.n:
         raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
@@ -207,67 +94,7 @@ def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Conversions
-
-
-def pairrep_from_drep(rep: DRep) -> PairRep:
-    """Factor the block matrix as AᵀB with as many rows as its rank, so the
-    pair form certifies exactly rank/d."""
-    m = rep.matrix
-    r = rank(m)
-    _, piv_cols = select_full_rank_submatrix(m, r)
-    c = m.submatrix(range(m.rows), piv_cols)  # N x r column-space basis
-    x = solve_right(c, m)  # r x N with C X = M
-    a_full = c.transpose()
-    pairs = []
-    for v in range(rep.nvertices):
-        lo, hi = v * rep.d, (v + 1) * rep.d
-        pairs.append((a_full.block(0, r, lo, hi), x.block(0, r, lo, hi)))
-    return PairRep(r, rep.d, tuple(pairs), m.p)
-
-
-def drep_from_pairrep(rep: PairRep) -> DRep:
-    """The block matrix AᵀB, A and B the side-by-side factors A_v and B_v,
-    whose block (u, v) is A_uᵀB_v."""
-    a = hstack([a for a, _ in rep.pairs])
-    b = hstack([b for _, b in rep.pairs])
-    return DRep(rep.d, matmul(a.transpose(), b))
-
-
-def subspace_from_pairrep(rep: PairRep) -> SubspaceRep:
-    """Column spaces of the A_v matrices.  The general-position property of
-    the result is checked by callers/tests rather than assumed."""
-    return SubspaceRep(rep.n, rep.d, tuple(a for a, _ in rep.pairs), rep.p)
-
-
-def rankr_to_drep(g: Graph, rep: RankRRep) -> DRep:
-    """Extract an r-representation: keep a full-rank r x r corner of every
-    diagonal block, then normalize each block row by that corner's inverse.
-    Row operations stay within one vertex, so zero non-edge blocks survive
-    and the rank never increases."""
-    failure = rankrrep_violation(g, rep)
-    if failure is not None:
-        raise VerificationError(f"invalid input representation: {failure}")
-    off = rep.offsets()
-    r = rep.r
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    for v in range(g.n):
-        block = rep.matrix.block(off[v], off[v + 1], off[v], off[v + 1])
-        rows, cols = select_full_rank_submatrix(block, r)
-        row_idx.extend(off[v] + i for i in rows)
-        col_idx.extend(off[v] + j for j in cols)
-    sub = rep.matrix.submatrix(row_idx, col_idx)
-    out = np.zeros_like(sub.a)
-    for v in range(g.n):
-        lo, hi = v * r, (v + 1) * r
-        inv = inverse(sub.block(lo, hi, lo, hi))
-        out[lo:hi, :] = matmul(inv, sub.block(lo, hi, 0, sub.cols)).a
-    result = DRep(r, FMatrix(sub.p, out))
-    failure = drep_violation(g, result)
-    if failure is not None:
-        raise VerificationError(f"extraction produced an invalid certificate: {failure}")
-    return result
+# Constructions
 
 
 def tensor_dreps(rep_g: DRep, rep_h: DRep) -> DRep:
@@ -353,30 +180,6 @@ def cycle_drep(k: int, p: int) -> DRep:
     if k >= 2 and rep.ratio() != Fraction(2 * k + 1, 2):
         raise VerificationError(f"odd-cycle certificate has ratio {rep.ratio()}")
     return rep
-
-
-def linind_check(rep: PairRep, g: Graph, s: set[int] | frozenset[int], t: set[int] | frozenset[int]) -> bool:
-    """Whether the spans of {A_v : v in S} and {A_v : v in T} intersect
-    trivially, i.e. dim(sum over S+T) = dim(sum over S) + dim(sum over T).
-
-    Preconditions (reported distinctly): S and T disjoint, S independent,
-    and no edges between S and T.  On verified representations the answer
-    is guaranteed to be True; on unverified input it is just a rank fact.
-    """
-    s, t = set(s), set(t)
-    if s & t:
-        raise PreconditionError(f"S and T intersect: {sorted(s & t)}")
-    if not is_independent_set(g, s):
-        raise PreconditionError("S is not an independent set")
-    for u in s:
-        for v in t:
-            if g.has_edge(u, v):
-                raise PreconditionError(f"edge between S and T: ({u}, {v})")
-    if not s or not t:
-        return True
-    stack_s = hstack([rep.pairs[v][0] for v in sorted(s)])
-    stack_t = hstack([rep.pairs[v][0] for v in sorted(t)])
-    return rank(hstack([stack_s, stack_t])) == rank(stack_s) + rank(stack_t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 
 from hfrac.budget import Budget
 from hfrac.errors import DimensionMismatch, GraphParseError, PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, hstack, rank
+from hfrac.gfmat import FMatrix, hstack, rank, select_full_rank_submatrix
 from hfrac.graphs import Graph, graph_from_edges
 from hfrac.independence import CliqueCover
 from hfrac.lp import (
@@ -144,6 +144,18 @@ def recursive_clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     return CliqueCover(tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items())))
+
+
+def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:
+    """The column factors A_v of a block certificate's matrix M: the
+    vertex-v columns of Cᵀ, C the pivot columns of M
+    (``select_full_rank_submatrix``).  Those columns span M's column space,
+    so M = C X for some X and block (u, v) of M is A_uᵀ X_v; no solve is
+    needed to use that.  Each A_v is rank(M) x d."""
+    m = rep.matrix
+    _, cols = select_full_rank_submatrix(m, rank(m))
+    ct = m.submatrix(range(m.rows), cols).transpose()
+    return tuple(ct.block(0, ct.rows, v * rep.d, (v + 1) * rep.d) for v in range(rep.nvertices))
 
 
 def has_edge_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:

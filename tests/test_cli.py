@@ -283,9 +283,14 @@ def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
     assert code == 0 and out.strip() == "6000"
 
 
+# SHA-256 of ``reproduce --json``: the claim suite's bytes stay the same
+# through every refactor.
+REPRODUCE_SHA256 = "36cae7756a49475adcbe63e2e07f7448181bd91405687e79e44d4f81f9a109db"
+
+
 def test_reproduce(capsys):
     code, out, _ = run(capsys, "reproduce", "--json")
-    assert code == 0
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_SHA256
     obj = json.loads(out)
     assert obj["all_pass"] is True and all(c["pass"] for c in obj["claims"])
     assert [c["id"] for c in obj["claims"]] == [c.id for c in CLAIMS]
@@ -892,16 +897,27 @@ def test_verify_accepts_the_umbrella(tmp_path, capsys, kind):
     assert code == 0 and out.strip() == "OK"
 
 
-@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("subspacerep", "bases")])
-def test_verify_accepts_an_empty_representation_of_the_empty_graph(tmp_path, capsys, kind, field):
-    # the pairrep file ended in a traceback (exit 1): an IndexError from
-    # reading the modulus of its first pair
+def _empty_representation_file(tmp_path, kind, field):
+    """A ``kind`` file with an empty ``field`` list, for the empty graph."""
     graph = tmp_path / "z.txt"
     graph.write_text("0 0\n")
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps({"kind": kind, "n": 1, "d": 1, "p": 2, field: [], "graph": f"file:{graph}"}))
-    code, out, err = run(capsys, "verify", "--cert", str(path))
+    return path
+
+
+@pytest.mark.parametrize("kind, field", [("subspacerep", "bases")])
+def test_verify_accepts_an_empty_representation_of_the_empty_graph(tmp_path, capsys, kind, field):
+    code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
     assert code == 0 and out.strip() == "OK", (out, err)
+
+
+@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes")])
+def test_verify_refuses_the_factor_pair_and_rank_r_kinds(tmp_path, capsys, kind, field):
+    # the block form (drep) and the subspace form are the fractional bound's
+    # only certificate kinds
+    code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
+    assert (code, out, err) == (2, f"FAIL: unknown certificate kind {kind!r}\n", "")
 
 
 @pytest.mark.parametrize("kind, field, value", [

@@ -1,5 +1,5 @@
-"""Certificate forms for the fractional bound: verification, conversion,
-tensoring, cover blow-ups, span independence, interval search."""
+"""Certificate forms for the fractional bound: verification, tensoring,
+cover blow-ups, span independence, interval search."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import has_edge_subspacerep_violation, kron_permutation_tensor, random_graph
+from oracles import drep_column_factors, has_edge_subspacerep_violation, kron_permutation_tensor, random_graph
 
-from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
+from hfrac.errors import DimensionMismatch, GuardExceeded, VerificationError
 from hfrac.fraccover import fractional_clique_cover
-from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, inverse, matmul, rank
+from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, hstack, rank
 from hfrac.graphs import (
     complete,
     cycle,
@@ -29,20 +29,11 @@ from hfrac.independence import alpha, greedy_clique_cover
 from hfrac.minrank import cover_certificate
 from hfrac.reps import (
     DRep,
-    PairRep,
-    RankRRep,
     SubspaceRep,
     cycle_drep,
     drep_from_fractional_cover,
-    drep_from_pairrep,
     drep_violation,
     hfrac_upper_search,
-    linind_check,
-    pairrep_from_drep,
-    pairrep_violation,
-    rankr_to_drep,
-    rankrrep_violation,
-    subspace_from_pairrep,
     subspacerep_violation,
     tensor_dreps,
 )
@@ -52,6 +43,12 @@ from hfrac.serialize import canonical_json, load_json
 def drep_for(g, p=2):
     """A valid certificate for any graph: clique-partition matrix at d=1."""
     return DRep(1, cover_certificate(g, greedy_clique_cover(g), p).matrix)
+
+
+def subspace_rep(rep: DRep) -> SubspaceRep:
+    """The column spaces of a certificate's column factors."""
+    factors = drep_column_factors(rep)
+    return SubspaceRep(factors[0].rows, rep.d, factors, rep.matrix.p)
 
 
 def test_verify_drep_identity_on_empty_graph():
@@ -75,70 +72,6 @@ def test_verify_drep_pinpoints_bad_block():
     assert drep_violation(c5, DRep(2, FMatrix(2, a))) == "diagonal block of vertex 2 is not the identity"
 
 
-def test_pairrep_from_cycle_certificate():
-    c5 = cycle(5)
-    rep = cycle_drep(2, 2)
-    pair = pairrep_from_drep(rep)
-    assert (pair.n, pair.d) == (5, 2)
-    assert pairrep_violation(c5, pair) is None
-    assert pair.ratio() == F(5, 2) == rep.ratio()
-
-
-def test_pairrep_roundtrip_preserves_certificate():
-    for p in (2, 3):
-        rep = cycle_drep(3, p)
-        pair = pairrep_from_drep(rep)
-        back = drep_from_pairrep(pair)
-        assert drep_violation(cycle(7), back) is None
-        assert rank(back.matrix) == rank(rep.matrix)
-        assert pair.n == rank(rep.matrix)
-
-
-def test_pairrep_identity_example():
-    g = empty(4)
-    pair = pairrep_from_drep(DRep(1, FMatrix.identity(3, 4)))
-    assert pair.n == 4 and pair.d == 1
-    assert pairrep_violation(g, pair) is None
-
-
-def test_pairrep_violation_detected():
-    c5 = cycle(5)
-    pair = pairrep_from_drep(cycle_drep(2, 2))
-    bad_pairs = list(pair.pairs)
-    a0, b0 = bad_pairs[0]
-    bad_pairs[0] = (FMatrix(2, np.zeros_like(a0.a)), b0)
-    assert pairrep_violation(c5, PairRep(pair.n, pair.d, tuple(bad_pairs), pair.p)) is not None
-
-
-def test_pair_and_rank_checks_name_the_first_defect():
-    c5 = cycle(5)  # non-edges (0, 2), (0, 3), (1, 3), (1, 4), (2, 4)
-    # a pair form whose products A_uᵀB_v are the blocks of a planted matrix
-    a = cycle_drep(2, 3).matrix.a.copy()
-    a[7, 2] = 1  # block (3, 1) only: the product A_3ᵀB_1, not A_1ᵀB_3
-    a[5, 9] = 2  # block (2, 4)
-    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
-    assert pairrep_violation(c5, pair) == "nonzero cross product at non-edge (1, 3)"
-    a[5, 1] = 1  # block (2, 0) only
-    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
-    assert pairrep_violation(c5, pair) == "nonzero cross product at non-edge (0, 2)"
-    a[4, 5] = 1  # the diagonal block of vertex 2
-    pair = pairrep_from_drep(DRep(2, FMatrix(3, a)))
-    assert pairrep_violation(c5, pair) == "A_vᵀB_v is not the identity at vertex 2"
-    # block sizes 1, 2, 1, 2, 1 at offsets 0, 1, 3, 4, 6
-    a = np.eye(7, dtype=np.int64)
-    # a[2, 5] lies in block (1, 3) off its first row and column, a[5, 0] in
-    # block (3, 0): (1, 3) is first in row-major order, (3, 0) in column-major
-    a[2, 5] = a[5, 0] = 1
-    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
-    assert rankrrep_violation(c5, rep) == "nonzero block at non-edge (1, 3)"
-    a[2, 5], a[6, 3] = 0, 1  # blocks (3, 0) and (4, 2)
-    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
-    assert rankrrep_violation(c5, rep) == "nonzero block at non-edge (3, 0)"
-    a[4:6, 4:6] = 0
-    rep = RankRRep(1, (1, 2, 1, 2, 1), FMatrix(2, a))
-    assert rankrrep_violation(c5, rep) == "diagonal block of vertex 3 has rank below 1"
-
-
 def test_subspace_representations():
     # coordinate lines on the empty graph
     plane = FMatrix.identity(2, 3)
@@ -147,23 +80,20 @@ def test_subspace_representations():
     # all subspaces equal on a complete graph: no non-neighbors to avoid
     same = FMatrix(2, [[1], [0], [0]])
     assert subspacerep_violation(complete(3), SubspaceRep(3, 1, (same, same, same), 2)) is None
-    # derived from a verified pair representation of the 5-cycle
-    pair = pairrep_from_drep(cycle_drep(2, 3))
-    sub = subspace_from_pairrep(pair)
+    # the column factors of the 5-cycle's certificate
+    sub = subspace_rep(cycle_drep(2, 3))
     assert subspacerep_violation(cycle(5), sub) is None
     assert sub.d == 2 and sub.n == 5
 
 
 @pytest.mark.parametrize("cls, field, value", [
-    (PairRep, "pairs", 3),
-    (PairRep, "pairs", [7]),
     (SubspaceRep, "bases", 3),
+    (SubspaceRep, "bases", [7]),
 ])
 def test_malformed_factor_lists_fail_verification(cls, field, value):
-    # each of these raised a TypeError from iterating or indexing the value
-    pair = pairrep_from_drep(cycle_drep(2, 3))
-    rep = pair if cls is PairRep else subspace_from_pairrep(pair)
-    doc = load_json(canonical_json(rep.to_json()))
+    # a number where the list of bases goes raised a TypeError from
+    # iterating it
+    doc = load_json(canonical_json(subspace_rep(cycle_drep(2, 3)).to_json()))
     cls.from_json(doc)  # the unedited file reads
     doc[field] = value
     with pytest.raises(VerificationError):
@@ -182,8 +112,8 @@ def test_subspace_check_matches_the_has_edge_loop():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
         p, n, d = rng.choice((2, 3)), rng.randint(1, 6), rng.randint(1, 2)
-        if rng.random() < 0.3:  # valid ones, from the pair form of a certificate
-            rep = subspace_from_pairrep(pairrep_from_drep(drep_for(g, p)))
+        if rng.random() < 0.3:  # valid ones, from the column factors of a certificate
+            rep = subspace_rep(drep_for(g, p))
         else:
             bases = tuple(FMatrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(n)])
                           for _ in range(g.n))
@@ -196,67 +126,11 @@ def test_subspace_check_matches_the_has_edge_loop():
 
 def test_pair_and_subspace_forms_carry_their_modulus():
     # an empty form still names its field, and writes it
-    assert PairRep(1, 1, (), 5).to_json() == {"kind": "pairrep", "n": 1, "d": 1, "p": 5, "pairs": []}
-    assert SubspaceRep(1, 1, (), 3).to_json()["p"] == 3
-    pair = pairrep_from_drep(cycle_drep(2, 3))
-    assert pair.p == 3 and subspace_from_pairrep(pair).p == 3
-    doc = load_json(canonical_json(pair.to_json()))
-    assert PairRep.from_json(doc).p == 3 and doc["p"] == 3
-
-
-def random_rankr_rep(rng, g, r, p):
-    sizes = tuple(rng.randint(r, r + 1) for _ in range(g.n))
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    a = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v or g.has_edge(u, v):
-                a[offs[u]:offs[u + 1], offs[v]:offs[v + 1]] = [
-                    [rng.randrange(p) for _ in range(sizes[v])] for _ in range(sizes[u])
-                ]
-    for v in range(g.n):
-        while rank(FMatrix(p, a[offs[v]:offs[v + 1], offs[v]:offs[v + 1]])) < r:
-            a[offs[v]:offs[v + 1], offs[v]:offs[v + 1]] = [
-                [rng.randrange(p) for _ in range(sizes[v])] for _ in range(sizes[v])
-            ]
-    return RankRRep(r, sizes, FMatrix(p, a))
-
-
-def test_rankr_to_drep_identity_blocks():
-    g = empty(3)
-    rep = RankRRep(2, (2, 2, 2), FMatrix(3, np.kron(np.eye(3, dtype=np.int64), np.eye(2, dtype=np.int64))))
-    out = rankr_to_drep(g, rep)
-    assert out.matrix == rep.matrix  # already an r-representation
-
-
-def test_rankr_to_drep_selects_nonzero_corner():
-    g = empty(1)
-    rep = RankRRep(1, (2,), FMatrix(2, [[0, 0], [0, 1]]))
-    out = rankr_to_drep(g, rep)
-    assert out.d == 1 and out.matrix == FMatrix.identity(2, 1)
-
-
-def test_rankr_to_drep_random_monotone():
-    rng = random.Random(51)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(3, 5))
-        p = rng.choice((2, 3))
-        r = rng.choice((1, 2))
-        rep = random_rankr_rep(rng, g, r, p)
-        assert rankrrep_violation(g, rep) is None
-        out = rankr_to_drep(g, rep)
-        assert out.d == r
-        assert drep_violation(g, out) is None
-        assert rank(out.matrix) <= rank(rep.matrix)
-
-
-def test_rankr_rejects_invalid_input():
-    g = cycle(5)
-    bad = RankRRep(2, (1,) * 5, FMatrix.identity(2, 5))  # diagonal rank 1 < 2
-    with pytest.raises(VerificationError):
-        rankr_to_drep(g, bad)
+    assert SubspaceRep(1, 1, (), 5).to_json() == {"kind": "subspacerep", "n": 1, "d": 1, "p": 5, "bases": []}
+    sub = subspace_rep(cycle_drep(2, 3))
+    assert sub.p == 3
+    doc = load_json(canonical_json(sub.to_json()))
+    assert SubspaceRep.from_json(doc).p == 3 and doc["p"] == 3
 
 
 def test_tensor_identity_certificates():
@@ -375,40 +249,39 @@ def test_drep_ratio_at_least_alpha_for_verified_reps():
         assert rep.ratio() >= alpha(g)[0]
 
 
+def spans_meet_trivially(factors, s, t) -> bool:
+    """Whether the spans of {A_v : v in S} and {A_v : v in T} intersect
+    trivially: the rank of both together is the sum of their ranks."""
+    if not s or not t:
+        return True
+    stack_s = hstack([factors[v] for v in sorted(s)])
+    stack_t = hstack([factors[v] for v in sorted(t)])
+    return rank(hstack([stack_s, stack_t])) == rank(stack_s) + rank(stack_t)
+
+
 def test_linind_examples():
-    c7 = cycle(7)
-    pair = pairrep_from_drep(cycle_drep(3, 2))
-    assert linind_check(pair, c7, {3, 5}, {0, 1})
-    assert linind_check(pair, c7, set(), {0})
-    with pytest.raises(PreconditionError):
-        linind_check(pair, c7, {0, 1}, {3})  # S not independent
-    with pytest.raises(PreconditionError):
-        linind_check(pair, c7, {0}, {0, 2})  # not disjoint
-    with pytest.raises(PreconditionError):
-        linind_check(pair, c7, {0}, {1})  # S-T edge
+    factors = drep_column_factors(cycle_drep(3, 2))  # the 7-cycle's
+    assert spans_meet_trivially(factors, {3, 5}, {0, 1})
+    assert spans_meet_trivially(factors, set(), {0})
+    # across an edge the spans share the edge's clique slot
+    assert not spans_meet_trivially(factors, {0}, {1})
+    assert not spans_meet_trivially(factors, {3, 5}, {0, 4})
 
 
 @st.composite
-def twisted_pairreps(draw):
-    """A verified pair representation under a random change of basis T:
-    an odd cycle's certificate, or the cover certificate of a random graph
-    on 5 to 7 vertices, over GF(2) or GF(3)."""
+def certificates(draw):
+    """A graph and a certificate of it: an odd cycle's certificate, or the
+    cover certificate of a random graph on 5 to 7 vertices, over GF(2) or
+    GF(3)."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.sampled_from((2, 3)))
     if draw(st.booleans()):
         k = draw(st.integers(2, 4))
-        g, base = cycle(2 * k + 1), pairrep_from_drep(cycle_drep(k, p))
+        g, rep = cycle(2 * k + 1), cycle_drep(k, p)
     else:
         g = random_graph(rng, draw(st.integers(5, 7)))
-        base = pairrep_from_drep(drep_for(g, p))
-    while True:
-        t = FMatrix(p, [[rng.randrange(p) for _ in range(base.n)] for _ in range(base.n)])
-        if rank(t) == base.n:
-            break
-    # (T⁻ᵀA_u)ᵀ(TB_v) = A_uᵀB_v: every pair product is kept
-    tinv_t = inverse(t).transpose()
-    pairs = tuple((matmul(tinv_t, a), matmul(t, b)) for a, b in base.pairs)
-    return g, PairRep(base.n, base.d, pairs, p)
+        rep = drep_for(g, p)
+    return g, rep
 
 
 def valid_st_pairs(g, max_size=3):
@@ -425,12 +298,13 @@ def valid_st_pairs(g, max_size=3):
 
 
 @settings(max_examples=100, deadline=None)
-@given(twisted_pairreps())
+@given(certificates())
 def test_verified_pair_representations_have_independent_spans(case):
     g, rep = case
-    assert pairrep_violation(g, rep) is None
+    assert drep_violation(g, rep) is None
+    factors = drep_column_factors(rep)
     for s, t in valid_st_pairs(g):
-        assert linind_check(rep, g, s, t), (sorted(s), sorted(t))
+        assert spans_meet_trivially(factors, s, t), (sorted(s), sorted(t))
 
 
 def test_search_cycle5():
@@ -471,12 +345,11 @@ def forge_first_entry(text: str, head: str, value: str | None) -> str:
 
 
 @pytest.mark.parametrize("value", [*FORGED_ENTRIES, None])
-@pytest.mark.parametrize("head", ['"A":[', '"B":[', '"bases":[['])
+@pytest.mark.parametrize("head", ['"bases":[['])
 def test_pair_and_subspace_json_refuse_malformed_entries(head, value):
-    pair = pairrep_from_drep(cycle_drep(2, 2))
-    rep = subspace_from_pairrep(pair) if head == '"bases":[[' else pair
+    rep = subspace_rep(cycle_drep(2, 2))
     text = canonical_json(rep.to_json())
-    assert type(rep).from_json(load_json(text)) == rep
+    assert SubspaceRep.from_json(load_json(text)) == rep
     forged = load_json(forge_first_entry(text, head, value))
     with pytest.raises(DimensionMismatch if value is None else VerificationError):
-        type(rep).from_json(forged)
+        SubspaceRep.from_json(forged)
