@@ -8,7 +8,9 @@ is byte-identical across identical invocations.
 
 Exit codes: 0 success, 2 verification failure, 3 budget exhausted (a
 certified interval is still emitted), 64 usage error (a bad option, graph
-or path).
+or path).  A closed stdout is none of these: ``main`` flushes stdout
+itself, and once a write or that flush finds the pipe closed, the rest of
+the output goes to ``os.devnull`` and the command keeps its own code.
 
 ``verify`` handles every certificate kind through one table, ``_KINDS``:
 how the kind is read, its check, and, for the kinds a bound report may
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -138,8 +141,18 @@ def _graph(args) -> Graph:
     return generate(args.graph, max_vertices=args.max_vertices)
 
 
+def _write(text: str, end: str = "\n", flush: bool = False) -> None:
+    """Print text on stdout.  A closed stdout (a pipe whose reader has
+    gone) is no error: the rest of the output goes to ``os.devnull``, and
+    the command keeps its own exit code."""
+    try:
+        print(text, end=end, flush=flush)
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _emit(args, human: str, payload: dict) -> None:
-    print(canonical_json(payload) if args.json else human)
+    _write(canonical_json(payload) if args.json else human)
 
 
 def _cmd_alpha(args) -> int:
@@ -273,9 +286,9 @@ def _cmd_certify(args) -> int:
             fh.writelines(json_pieces(doc))
             fh.write(b"\n")
         if not args.json:
-            print(f"wrote {args.out}")
+            _write(f"wrote {args.out}")
     else:
-        print(canonical_json(doc))
+        _write(canonical_json(doc))
     return EXIT_OK
 
 
@@ -405,9 +418,9 @@ def _cmd_generate(args) -> int:
     if args.out:
         write_graph_file(g, args.out)
         if not args.json:
-            print(f"wrote {args.out}")
+            _write(f"wrote {args.out}")
     else:
-        print(format_graph(g), end="")
+        _write(format_graph(g), end="")
     return EXIT_OK
 
 
@@ -415,11 +428,11 @@ def _cmd_reproduce(args) -> int:
     results = run_claims()
     all_pass = all(r.passed for r in results)
     if args.json:
-        print(canonical_json({"all_pass": all_pass, "claims": [r.to_json() for r in results]}))
+        _write(canonical_json({"all_pass": all_pass, "claims": [r.to_json() for r in results]}))
     else:
         for r in results:
-            print(r.line())
-        print(f"{sum(r.passed for r in results)}/{len(results)} claims pass")
+            _write(r.line())
+        _write(f"{sum(r.passed for r in results)}/{len(results)} claims pass")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
@@ -455,6 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a missing file, a directory, no permission
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # flushed here, where a closed stdout is caught, and not at exit,
+        # where it would be a traceback on stderr and exit code 120
+        _write("", end="", flush=True)
 
 
 if __name__ == "__main__":

@@ -606,19 +606,26 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v.
 
-    The file is read as bytes and decoded as UTF-8 in one call, which
-    costs less than a text-mode read.  The edges are checked in whole-list
-    passes at C speed: u < v on every line (one ``map``), which makes the
-    least u and the greatest v the ends of the range check.  numpy then
-    makes three calls: it allocates the matrix, sets both entries of every
-    edge in one assignment and counts them, and a duplicate leaves fewer
-    than 2m set.  Only a defective file is walked edge by edge, so that the
-    message names its first bad edge."""
+    The file is read as bytes.  A file of ASCII digits and whitespace
+    alone, as ``write_graph_file`` writes, is parsed by one numpy call
+    (``_plain_matrix``); that path only accepts, and a file it does not
+    accept goes on to the token path, which alone names every defect.
+    The token path decodes the file as UTF-8 in one call and checks the
+    edges in whole-list passes at C speed: u < v on every line (one
+    ``map``), which makes the least u and the greatest v the ends of the
+    range check.  numpy then makes three calls: it allocates the matrix,
+    sets both entries of every edge in one assignment and counts them, and
+    a duplicate leaves fewer than 2m set.  Only a defective file is walked
+    edge by edge, so that the message names its first bad edge."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise GraphParseError(f"graph file not found: {path}") from None
+    if data.translate(None, _SPACE).isdigit():
+        mat = _plain_matrix(data, max_vertices)
+        if mat is not None:
+            return Graph(mat, expr=f"file:{path}")
     try:
         tokens = data.decode().split()
     except UnicodeDecodeError as exc:
@@ -643,6 +650,37 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     if np.count_nonzero(mat) != 2 * m:
         _first_bad_edge(nums, n)
     return Graph(mat, expr=f"file:{path}")
+
+
+# the bytes that ``bytes.split`` splits on
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def _plain_matrix(data: bytes, max_vertices: int) -> np.ndarray | None:
+    """The adjacency matrix of a graph file of ASCII digits and whitespace
+    (with at least one digit), or None if any check fails.
+
+    ``np.fromstring`` reads such a file as the token path does, but for
+    two quirks: it reads a value above 2^63 - 1 as 2^63 - 1, which the
+    checks refuse as they would the value itself (it is over every n the
+    cap allows, and over any m the file could hold), and it reads text of
+    whitespace alone as [0] (that text has no digit, so it never gets
+    here).  With no sign in the file no value is negative."""
+    nums = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(nums) < 2:
+        return None
+    n, m = int(nums[0]), int(nums[1])
+    if n > max_vertices or len(nums) != 2 + 2 * m:
+        return None
+    us, vs = nums[2::2], nums[3::2]
+    if m and not ((us < vs).all() and vs.max() < n):
+        return None
+    mat = np.zeros((n, n), dtype=bool)
+    mat[us, vs] = True
+    mat[vs, us] = True
+    if np.count_nonzero(mat) != 2 * m:
+        return None
+    return mat
 
 
 def _first_bad_edge(nums: list[int], n: int) -> NoReturn:

@@ -2,21 +2,23 @@
 
 ``alpha`` and ``max_weight_independent_set`` share one explicit-stack
 bitset branch-and-bound (MCS/BBMC style).  Vertices are renumbered so that
-bit order is the colouring order: ascending weight, then ascending degree,
-the higher vertex first on ties, so the search branches on heavy,
-high-degree vertices first.  That order is one stable sort by weight of
-the graph's cached ``Graph.degree_order`` (descending degree, then vertex),
-reversed, so a pricing call pays for no degree count.  At every node
-the candidates are split into cliques one class at a time; a vertex's bound
-is the sum of the class maxima up to its class (its class index for unit
-weights), and only vertices whose bound can still beat the incumbent are
-kept and branched on, last-coloured first.  Weights are nonnegative
+bit i is the i-th vertex by descending weight, then descending degree,
+the lower vertex first on ties: for unit weights the graph's cached
+``Graph.degree_order``, else one stable sort of it by weight, so a
+pricing call pays for no degree count.  At every node the candidates are
+split into cliques one class at a time, each grown from the top bit down
+(``bit_length``), so the colouring order is the reverse of the bit
+order; a class's bound is the sum of the class maxima up to it (its class
+index for unit weights), and only classes whose bound can still beat the
+incumbent are kept.  A frame holds them as bitmasks and branches on the
+lowest bit of its last class, so the search branches on heavy,
+high-degree vertices first, last-coloured first.  Weights are nonnegative
 integers.  The renumbered bitset rows are one permutation of the graph's
 adjacency matrix, packed.  ``alpha`` on a vertex-transitive graph (one
 with ``Graph.transitive_automorphisms``) keeps only the root's first
 branch, which holds a maximum stable set; its result is unchanged.
 ``greedy_clique_cover`` is the same colouring over all vertices in
-descending-degree order.
+descending-degree order, its classes read off the bitmasks.
 
 ``clique_cover_leq`` colours the complement by DSATUR backtracking
 (Brélaz 1979) in one explicit-stack loop.  It keeps one member bitset per
@@ -106,13 +108,13 @@ def _relabel(g: Graph, order: Sequence[int]) -> list[int]:
 
 
 def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[int], list[int], int]:
-    """Split cand into cliques, one class at a time in bit order.
+    """Split cand into cliques, one class at a time from the top bit down.
 
-    Returns the vertices whose cumulative bound (the sum of the class
-    maxima of w up to their class) exceeds floor, in colouring order, their
-    bounds, and the bound of the whole split.
+    Returns the classes whose cumulative bound (the sum of the class
+    maxima of w up to them) exceeds floor, as bitmasks in colouring order,
+    their bounds, and the bound of the whole split.
     """
-    verts: list[int] = []
+    classes: list[int] = []
     bounds: list[int] = []
     total = 0
     while cand:
@@ -120,39 +122,36 @@ def _colour(adj: list[int], w: list[int], cand: int, floor: int) -> tuple[list[i
         cls = 0
         top = 0
         while q:
-            low = q & -q
-            v = low.bit_length() - 1
+            v = q.bit_length() - 1
             q &= adj[v]
-            cls |= low
+            cls |= 1 << v
             if w[v] > top:
                 top = w[v]
         cand ^= cls
         total += top
         if total > floor:
-            start = len(verts)
-            while cls:  # inline, not _bits: a generator here costs the search about 4%
-                low = cls & -cls
-                verts.append(low.bit_length() - 1)
-                cls ^= low
-            bounds += [total] * (len(verts) - start)
-    return verts, bounds, total
+            classes.append(cls)
+            bounds.append(total)
+    return classes, bounds, total
 
 
 def _complete(adj: list[int], chosen: int) -> int:
-    """Extend the stable set chosen to a maximal one, highest bit first."""
+    """Extend the stable set chosen to a maximal one, lowest bit first."""
     free = (1 << len(adj)) - 1
     for i in _bits(chosen):
         free &= ~adj[i] & ~(1 << i)
     while free:
-        i = free.bit_length() - 1
-        chosen |= 1 << i
-        free &= ~adj[i] & ~(1 << i)
+        low = free & -free
+        chosen |= low
+        free &= ~adj[low.bit_length() - 1] & ~low
     return chosen
 
 
-# A frame that is suspended under a child keeps at most this many colour
-# list entries; a longer list is dropped and rebuilt when the frame resumes,
-# so a deep search holds O(depth) small frames.
+# A frame that is suspended under a child keeps its classes while they
+# hold at most this many vertices; a longer list is dropped and rebuilt
+# when the frame resumes, so a deep search holds O(depth) small frames.
+# The count is of vertices, not classes: a rebuilt weighted list can have
+# smaller bounds, so the rule sets the weighted node counts.
 _KEEP = 32
 
 
@@ -162,14 +161,15 @@ def _max_stable(
 ) -> tuple[int, tuple[int, ...]]:
     """Maximum-weight stable set of g for nonnegative integer weights.
 
-    Bit i stands for vertex order[i].  The incumbent starts as the greedy
-    stable set taken highest bit first.  A frame is [candidates, chosen
-    set, its weight, colour list, bounds]; it branches on its candidates
-    last-coloured first and is popped as soon as weight + bound <= best.
-    Rebuilding a dropped list gives the same classes without the vertices
-    already branched on, since those were coloured last.  One budget node
-    per search node; on exhaustion raises SearchCutoff(name, incumbent
-    weight, root bound, incumbent).
+    Bit i stands for vertex order[i], and the colouring runs from the top
+    bit down.  The incumbent starts as the greedy stable set taken lowest
+    bit first.  A frame is [candidates, chosen set, its weight, class
+    bitmasks, their bounds]; it branches on the lowest bit of its last
+    class, drops the class once it is empty, and is popped as soon as
+    weight + bound <= best.  Rebuilding a dropped list gives the same
+    classes without the vertices already branched on, since those were
+    coloured last.  One budget node per search node; on exhaustion raises
+    SearchCutoff(name, incumbent weight, root bound, incumbent).
 
     With ``unit`` weights on a graph with verified transitive
     automorphisms, the root keeps only its first branch: some maximum
@@ -185,39 +185,46 @@ def _max_stable(
             cand |= 1 << i
     best_set = _complete(adj, 0)
     best = sum(w[i] for i in _bits(best_set))
-    verts, bounds, root_bound = _colour(adj, w, cand, best)
-    if unit and len(verts) > 1 and g.transitive_automorphisms is not None:
-        del verts[:-1], bounds[:-1]
+    classes, bounds, root_bound = _colour(adj, w, cand, best)
+    if unit and sum(map(int.bit_count, classes)) > 1 and g.transitive_automorphisms is not None:
+        classes, bounds = [classes[-1] & -classes[-1]], bounds[-1:]
     try:
         budget.spend()
-        stack = [[cand, 0, 0, verts, bounds]]
+        stack = [[cand, 0, 0, classes, bounds]]
         while stack:
             frame = stack[-1]
-            cand, cur, size, verts, bounds = frame
-            if verts is None:
-                verts, bounds, _ = _colour(adj, w, cand, best - size)
-                frame[3] = verts
+            cand, cur, size, classes, bounds = frame
+            if classes is None:
+                classes, bounds, _ = _colour(adj, w, cand, best - size)
+                frame[3] = classes
                 frame[4] = bounds
-            if not verts or size + bounds[-1] <= best:
+            if not classes or size + bounds[-1] <= best:
                 stack.pop()
                 continue
-            v = verts.pop()
-            bounds.pop()
-            cand ^= 1 << v
+            cls = classes[-1]
+            low = cls & -cls
+            if cls == low:
+                classes.pop()
+                bounds.pop()
+            else:
+                classes[-1] = cls ^ low
+            v = low.bit_length() - 1
+            cand ^= low
             frame[0] = cand
             budget.spend()
-            cur |= 1 << v
+            cur |= low
             size += w[v]
             if size > best:
                 best = size
                 best_set = cur
-            cand &= ~adj[v]
-            if cand:
-                child_verts, child_bounds, _ = _colour(adj, w, cand, best - size)
-                if child_verts:
-                    if len(verts) > _KEEP:
+            child = cand & ~adj[v]
+            if child:
+                child_classes, child_bounds, _ = _colour(adj, w, child, best - size)
+                if child_classes:
+                    # the classes lie in cand, so a small cand needs no count
+                    if cand.bit_count() > _KEEP and sum(map(int.bit_count, classes)) > _KEEP:
                         frame[3] = frame[4] = None
-                    stack.append([cand, cur, size, child_verts, child_bounds])
+                    stack.append([child, cur, size, child_classes, child_bounds])
     except BudgetExhausted:
         raise SearchCutoff(name, best, root_bound, tuple(sorted(order[i] for i in _bits(best_set)))) from None
     # An optimum meets every vertex of positive weight, so what it misses
@@ -227,14 +234,9 @@ def _max_stable(
 
 def greedy_clique_cover(g: Graph) -> CliqueCover:
     """First-fit clique partition in descending-degree order."""
-    order = g.degree_order
-    verts, bounds, _ = _colour(_relabel(g, order), [1] * g.n, (1 << g.n) - 1, 0)
-    classes: list[list[int]] = []
-    for v, k in zip(verts, bounds):
-        if k > len(classes):
-            classes.append([])
-        classes[-1].append(order[v])
-    return CliqueCover(tuple(tuple(sorted(c)) for c in classes))
+    order = g.degree_order[::-1]  # coloured from the top bit down
+    classes, _, _ = _colour(_relabel(g, order), [1] * g.n, (1 << g.n) - 1, 0)
+    return CliqueCover(tuple(tuple(sorted(order[v] for v in _bits(c))) for c in classes))
 
 
 def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
@@ -245,7 +247,7 @@ def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]
     ``Graph.transitive_automorphisms`` the search branches once at the
     root, with the same result.
     """
-    return _max_stable(g, g.degree_order[::-1], [1] * g.n, budget or Budget(), "alpha", unit=True)
+    return _max_stable(g, g.degree_order, [1] * g.n, budget or Budget(), "alpha", unit=True)
 
 
 def alpha_lower_end(g: Graph, budget: Budget) -> tuple[int, tuple[int, ...]]:
@@ -273,9 +275,10 @@ def max_weight_independent_set(
         raise ValueError("one weight per vertex required")
     if not all(type(x) is int and x >= 0 for x in weights):
         raise ValueError("weights must be nonnegative ints")
-    # ascending weight, then ascending degree, the higher vertex first:
-    # the reversed degree order, stably sorted by weight
-    order = sorted(reversed(g.degree_order), key=weights.__getitem__)
+    # descending weight, then descending degree, the lower vertex first:
+    # the degree order, stably sorted by weight (a reversed sort keeps
+    # equal keys in their order)
+    order = sorted(g.degree_order, key=weights.__getitem__, reverse=True)
     best, witness = _max_stable(g, order, weights, budget or Budget(), "max_weight_independent_set")
     return witness, best
 

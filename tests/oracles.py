@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from hfrac.budget import Budget
-from hfrac.errors import DimensionMismatch, GraphParseError, PreconditionError, VerificationError
+from hfrac.errors import DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError, VerificationError
 from hfrac.gfmat import FMatrix, hstack, rank, select_full_rank_submatrix
 from hfrac.graphs import Graph, graph_from_edges
 from hfrac.independence import CliqueCover
@@ -180,9 +180,9 @@ def has_edge_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     return None
 
 
-def edge_loop_read_graph_file(path: str) -> Graph:
-    """``graphs.read_graph_file`` (without the vertex cap) checking and
-    setting one edge at a time, in file order."""
+def edge_loop_read_graph_file(path: str, max_vertices: int | None = None) -> Graph:
+    """``graphs.read_graph_file`` checking and setting one edge at a time,
+    in file order; with no ``max_vertices``, without the vertex cap."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -194,6 +194,8 @@ def edge_loop_read_graph_file(path: str) -> Graph:
     n, m = nums[0], nums[1]
     if n < 0:
         raise GraphParseError(f"vertex count {n} is negative")
+    if max_vertices is not None and n > max_vertices:
+        raise GuardExceeded(f"graph file {path} would have {n} vertices (cap {max_vertices})")
     if len(nums) != 2 + 2 * m:
         raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
     seen = set()

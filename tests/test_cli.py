@@ -935,3 +935,58 @@ def test_verify_refuses_a_malformed_theta_representation(tmp_path, capsys, kind,
     # UFuncNoLoopError and IndexError; a NaN tolerance passed every check
     code, out, err = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind, field, value)))
     assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+# a report whose lower end exceeds its upper end: verify exits 2
+_CROSSED_REPORT = '{"graph":"cycle:5","lower":"3","param":"alpha","upper":"2","witness_refs":[]}\n'
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: ``fails`` (write or flush) raises
+    BrokenPipeError, as a pipe does once its reader has closed it."""
+
+    def __init__(self, fails: str):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_a_closed_stdout_ends_with_the_commands_own_exit_code(tmp_path, monkeypatch, capsys, fails):
+    # a closed stdout used to be a usage error (exit 64), or, flushed at
+    # exit, a traceback on stderr and exit 120
+    report = tmp_path / "report.json"
+    report.write_text(_CROSSED_REPORT)
+    for argv, code in ((["alpha", "--graph", "cycle:5", "--json"], 0), (["verify", "--cert", str(report)], 2)):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fails))
+        assert main(argv) == code
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_pipe_ends_with_the_commands_own_exit_code(tmp_path, unbuffered):
+    # the pipe's reader is closed before the process starts, so every
+    # write fails; a buffered stdout fails only when flushed
+    report = tmp_path / "report.json"
+    report.write_text(_CROSSED_REPORT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    for argv, code in ((["alpha", "--graph", "cycle:5", "--json"], 0), (["verify", "--cert", str(report)], 2)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hfrac.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=300, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")

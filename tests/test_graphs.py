@@ -14,6 +14,7 @@ from hfrac import graphs
 from hfrac.cli import main
 from hfrac.errors import GraphParseError, GuardExceeded, PreconditionError
 from hfrac.graphs import (
+    DEFAULT_MAX_VERTICES,
     Graph,
     alon,
     bit_rows,
@@ -301,6 +302,26 @@ def test_graph_file_errors(tmp_path):
     ("4 3\n0 1\n0 1\n3 2\n", "duplicate edge (0, 1)"),
     ("4 3\n0 1\n0 1\n0 99999999999999999999\n", "duplicate edge (0, 1)"),
     ("3 1\n0 \u00e9\n", "non-integer token in graph file: invalid literal for int() with base 10: '\u00e9'"),
+    # plain texts (digits and whitespace), which numpy reads first: the
+    # token path names the defect of every one it does not accept
+    ("", "graph file needs a header 'n m'"),
+    ("   \n", "graph file needs a header 'n m'"),  # numpy reads [0]
+    ("\t\r\n", "graph file needs a header 'n m'"),
+    ("3", "graph file needs a header 'n m'"),
+    ("3 0\n0\n", "expected 0 edges (2 integers), found 3 integers"),
+    ("3 2\n0 2\n1\n", "expected 2 edges (6 integers), found 5 integers"),  # 2m set entries
+    ("3 2\n0 1", "expected 2 edges (6 integers), found 4 integers"),
+    ("3 1\n0 3", "edge (0, 3) violates 0 <= u < v < n"),
+    ("3\t2\r\n0\t1\r\n0\t1", "duplicate edge (0, 1)"),
+    ("003 02\n00 01\n002 01\n", "edge (2, 1) violates 0 <= u < v < n"),
+    # numpy reads a value above 2^63 - 1 as 2^63 - 1
+    ("3 1\n0 9223372036854775807\n", "edge (0, 9223372036854775807) violates 0 <= u < v < n"),
+    ("3 1\n0 9223372036854775808\n", "edge (0, 9223372036854775808) violates 0 <= u < v < n"),
+    ("3 1\n9223372036854775807 1\n", "edge (9223372036854775807, 1) violates 0 <= u < v < n"),
+    ("3 10000000000000000000\n0 1\n",
+     "expected 10000000000000000000 edges (20000000000000000002 integers), found 4 integers"),
+    ("3 9223372036854775807\n0 1\n",
+     "expected 9223372036854775807 edges (18446744073709551616 integers), found 4 integers"),
 ])
 def test_graph_file_defects_are_named(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -322,32 +343,53 @@ def test_a_graph_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+# tokens of 19 and 20 digits, which numpy reads as 2^63 - 1
+_HUGE = (2**63 - 1, 2**63, 10**19, 10**20 - 1)
+
+
 @st.composite
 def graph_files(draw):
     """An ``n m`` header and m edge lines, each pair drawn from a few
-    values around the vertex range, so that some files are defective."""
+    values around the vertex range, so that some files are defective.
+
+    The layout is drawn too: spaces or tabs, LF or CRLF line ends,
+    leading zeros, and a last line with or without its newline.  The
+    header may be out of range, and some texts are whitespace alone.
+    Returns the text and a vertex cap, which n may meet or exceed by one."""
     n = draw(st.integers(0, 9))
-    vertex = st.one_of(st.integers(-2, n + 1), st.sampled_from((2**63, -2**63 - 1)))
+    vertex = st.one_of(st.integers(-2, n + 1), st.sampled_from((-2**63 - 1, *_HUGE)))
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
     if draw(st.booleans()):  # a valid graph, edges in a drawn order
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
-    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    header = (n, len(edges))
+    if draw(st.integers(0, 7)) == 0:
+        header = (draw(st.sampled_from((n, *_HUGE))), draw(st.sampled_from((len(edges), *_HUGE))))
+    width = draw(st.sampled_from((0, 0, 2, 3)))  # zero-padded to this width
+    sep, eol = draw(st.sampled_from((" ", "\t", " \t "))), draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join(sep.join(f"{x:0{width}d}" for x in row) for row in (header, *edges))
+    if draw(st.booleans()):
+        text += eol
+    if draw(st.integers(0, 7)) == 0:
+        text = draw(st.sampled_from(("", " ", "   \n", "\t\r\n")))
+    cap = draw(st.sampled_from((n - 1, n))) if draw(st.integers(0, 3)) == 0 else DEFAULT_MAX_VERTICES
+    return text, cap
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_files())
-def test_graph_files_read_as_the_edge_loop_reads_them(tmp_path_factory, text):
+def test_graph_files_read_as_the_edge_loop_reads_them(tmp_path_factory, text_cap):
+    text, cap = text_cap
     path = tmp_path_factory.mktemp("files") / "g.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     try:
-        expected = edge_loop_read_graph_file(str(path))
-    except GraphParseError as exc:
-        with pytest.raises(GraphParseError) as got:
-            read_graph_file(str(path))
+        expected = edge_loop_read_graph_file(str(path), cap)
+    except (GraphParseError, GuardExceeded) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_graph_file(str(path), cap)
         assert str(got.value) == str(exc)
     else:
-        g = read_graph_file(str(path))
+        g = read_graph_file(str(path), cap)
         assert g == expected and np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
 
 

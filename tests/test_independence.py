@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -338,13 +339,57 @@ def tied_weights(draw):
 @settings(max_examples=200, deadline=None)
 @given(tied_weights())
 def test_the_pricing_order_is_the_weight_degree_vertex_key(gw):
-    # the search's bit order, reversed, is descending weight, then
-    # descending degree, then ascending vertex
+    # the search's bit order is descending weight, then descending
+    # degree, then ascending vertex
     g, w = gw
     with mock.patch.object(independence, "_max_stable", wraps=independence._max_stable) as search:
         max_weight_independent_set(g, w)
     order = list(search.call_args.args[1])
-    assert order == sorted(range(g.n), key=lambda v: (-w[v], -g.adj[v].bit_count(), v))[::-1]
+    assert order == sorted(range(g.n), key=lambda v: (-w[v], -g.adj[v].bit_count(), v))
     with mock.patch.object(independence, "_max_stable", wraps=independence._max_stable) as search:
         alpha(g)
-    assert list(search.call_args.args[1]) == sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))[::-1]
+    assert list(search.call_args.args[1]) == sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+
+
+
+def _search_digest() -> str:
+    """SHA-256 of what the stable-set searches return and spend: (value,
+    witness, budget nodes) of ``alpha`` and ``max_weight_independent_set``
+    and the classes of ``greedy_clique_cover``, on seeded graphs on both
+    sides of the 64-column switch of ``bit_rows`` and on two
+    vertex-transitive graphs, whose alpha root keeps one branch."""
+    rng = random.Random(33)
+    graphs = [generate("johnson:2,9"), generate("strong(cycle:7,cycle:7)")]
+    graphs += [random_graph(rng, n, prob) for n in (20, 40, 64, 65, 90) for prob in (0.3, 0.6)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        budget = Budget()
+        digest.update(repr((alpha(g, budget), budget.nodes)).encode())
+        weights = [rng.randint(1, 60) for _ in range(g.n)]
+        budget = Budget()
+        digest.update(repr((max_weight_independent_set(g, weights, budget), budget.nodes)).encode())
+        digest.update(repr(greedy_clique_cover(g).classes).encode())
+    return digest.hexdigest()
+
+
+def test_the_searches_are_pinned():
+    # the branch order, the witnesses and the node counts
+    assert _search_digest() == "cba8d7d7415f22be34fac8d3399c27dd7889f2a307bb56d9c7748a6086175be7"
+
+
+def test_a_suspended_frame_keeps_at_most_keep_vertices(monkeypatch):
+    # a frame suspended under a child keeps its classes only while they
+    # hold at most _KEEP vertices; a dropped list is rebuilt at the current
+    # incumbent with the branched vertices gone, so a class whose heaviest
+    # vertex was branched on gets a smaller bound, and the rule sets the
+    # weighted node counts (at _KEEP = 2 it acts on small graphs)
+    monkeypatch.setattr(independence, "_KEEP", 2)
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(110):
+        n = rng.randint(10, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5)))
+        weights = [rng.randint(1, rng.choice((2, 10, 100))) for _ in range(n)]
+        budget = Budget()
+        digest.update(repr((max_weight_independent_set(g, weights, budget), budget.nodes)).encode())
+    assert digest.hexdigest() == "09268c0c8f53b46d3ceeea63f652e3b376c570144af5bdc19d7dfc71728d398e"
