@@ -20,7 +20,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .gfmat import FMatrix, matmul, rank, select_full_rank_submatrix
+from .gfmat import FMatrix, matmul, rank
 from .graphs import (
     Graph,
     GraphExpr,
@@ -71,9 +71,7 @@ from .reps import (
     tensor_dreps,
 )
 from .theta import (
-    MatrixRep,
     OrthoRep,
-    matrixrep_violation,
     orthorep_violation,
     pentagon_umbrella,
     theta_circulant,

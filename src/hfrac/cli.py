@@ -51,7 +51,7 @@ from .report import BoundReport
 from .reps import DRep, SubspaceRep, cycle_drep, drep_violation, hfrac_upper_search, subspacerep_violation, tensor_dreps
 from .reproduce import run_claims
 from .serialize import canonical_json, frac_str, json_pieces, load_json, parse_frac, read_ints
-from .theta import MatrixRep, OrthoRep, matrixrep_violation, orthorep_violation, theta_circulant, theta_johnson_lp
+from .theta import OrthoRep, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -326,7 +326,6 @@ _KINDS = {
     "cliquecover": _Kind(lambda obj: CliqueCover.from_json(obj),
                          lambda g, cover: clique_cover_violation(g, cover)),
     "orthorep": _Kind(lambda obj: OrthoRep.from_json(obj), lambda g, rep: orthorep_violation(g, rep)),
-    "matrixrep": _Kind(lambda obj: MatrixRep.from_json(obj), lambda g, rep: matrixrep_violation(g, rep)),
 }
 
 # Report parameters: alpha, or minrank / hfrac over GF(p).  A modulus has

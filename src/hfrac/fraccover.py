@@ -97,6 +97,8 @@ def cover_violation(g: Graph, cover: FractionalCover) -> str | None:
         stray = stray_vertex(g, cl)
         if stray is not None:
             return f"class {idx} has vertex {stray} outside [0, {g.n})"
+        if len(set(cl)) != len(cl):
+            return f"class {idx} lists a vertex twice"
         if not is_clique(g, cl):
             return f"class {idx} is not a clique: {sorted(cl)}"
         if w < 0:

@@ -27,8 +27,8 @@ column, and the column below it is cleared by one XOR of the pivot row's
 words from the pivot word on.  Every other prime runs the int64 kernel
 (``_eliminate``), which normalises each pivot row and subtracts multiples
 of it.  Both pick the same (row, column) pivots and return only those,
-which ``rank`` and ``select_full_rank_submatrix`` take; the echelon form
-never leaves the kernel, and nothing here reduces to RREF.
+whose count ``rank`` takes; the echelon form never leaves the kernel, and
+nothing here reduces to RREF.
 
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
@@ -111,11 +111,6 @@ class FMatrix:
         m.a = _nonempty(a)
         return m
 
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FMatrix":
-        check_modulus(p)
-        return cls._reduced(p, np.eye(n, dtype=storage_dtype(p)))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -130,13 +125,6 @@ class FMatrix:
 
     def transpose(self) -> "FMatrix":
         return FMatrix._reduced(self.p, self.a.T.copy())
-
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "FMatrix":
-        return FMatrix._reduced(self.p, self.a[r0:r1, c0:c1].copy())
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FMatrix":
-        # fancy indexing copies
-        return FMatrix._reduced(self.p, self.a[np.ix_(list(row_idx), list(col_idx))])
 
     def __getitem__(self, key) -> int:
         return int(self.a[key])
@@ -303,18 +291,6 @@ def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
 def rank(m: FMatrix) -> int:
     """Rank over GF(p) by Gaussian elimination; input unchanged."""
     return len(_pivots(m.a, m.p))
-
-
-def select_full_rank_submatrix(m: FMatrix, r: int) -> tuple[list[int], list[int]]:
-    """Deterministic r row indices and r column indices whose induced
-    submatrix is invertible (the first r elimination pivots)."""
-    if r < 0:
-        raise PreconditionError(f"r must be nonnegative, got {r}")
-    pivots = _pivots(m.a, m.p)
-    if len(pivots) < r:
-        raise PreconditionError(f"matrix has rank {len(pivots)} < {r}")
-    chosen = pivots[:r]
-    return [pr for pr, _ in chosen], [pc for _, pc in chosen]
 
 
 def hstack(mats: Sequence[FMatrix]) -> FMatrix:

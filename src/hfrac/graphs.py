@@ -139,11 +139,6 @@ class Graph:
     def m(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.matrix[u, v])
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """The degree of every vertex: the row counts of the matrix."""

@@ -32,11 +32,12 @@ malformed list raises ``VerificationError``, a wrong count
 ``DimensionMismatch``.  A certificate's scalars go through
 ``read_int`` (and lists of them through ``read_ints``), which take JSON
 integers only, and its rationals through ``parse_frac``, which takes
-strings only: a string, bool or float where an integer belongs, or a
-malformed rational, is a ``VerificationError`` rather than a value
-``int()`` or ``Fraction()`` would coerce.  The float arrays of the theta
-representations go through ``read_reals``, which takes rectangular lists
-of finite JSON numbers only.
+only the ASCII ``-?[0-9]+(/[0-9]+)?`` strings ``frac_str`` writes: a
+string, bool or float where an integer belongs, or a malformed rational
+(an exponent, a decimal point, whitespace or an underscore in it), is a
+``VerificationError`` rather than a value ``int()`` or ``Fraction()``
+would coerce.  The float arrays of a theta representation go through
+``read_reals``, which takes rectangular lists of finite JSON numbers only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from fractions import Fraction
 from typing import BinaryIO, Iterator
 
@@ -58,12 +60,18 @@ def frac_str(x: Fraction | int) -> str:
     return str(f)
 
 
+# What ``frac_str`` writes.  ``Fraction(str)`` also takes exponents,
+# decimals, whitespace and underscores, and spends 5 s on "1e10000000".
+_FRAC = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_frac(s: str) -> Fraction:
     """The rational a ``frac_str`` string spells, for reading files."""
-    if not isinstance(s, str):
+    match = _FRAC.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise VerificationError(f"not a rational: {s!r}")
     try:
-        return Fraction(s)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise VerificationError(f"not a rational: {s!r}") from exc
 

@@ -1,14 +1,14 @@
 """Lovasz theta values for structured graphs, plus bound evaluators fed by
-explicit orthonormal or matrix representations.
+explicit orthonormal representations.
 
 There is deliberately no general SDP solver here: theta is computed only
 where a certifiable route exists: the eigenvalue closed form for
 edge-transitive circulants, an exact rational LP for the intersection
 graphs of (p+1)-subsets, and numeric evaluators that turn any supplied
 representation into a bound that holds up to the stated tolerance.  The
-tolerance is a field of each representation (``OrthoRep.tol``,
-``MatrixRep.tol``): it is read from and written to the certificate file
-with the vectors, and every check of the representation uses it.
+tolerance is a field of the representation (``OrthoRep.tol``): it is read
+from and written to the certificate file with the vectors, and every check
+of the representation uses it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, PreconditionError, UnsupportedFamily, VerificationError
 from .graphs import Graph, complement, require_prime
 from .lp import F1, LinearProgram, simplex_solve
-from .serialize import read_list, read_reals
+from .serialize import read_reals
 
 DEFAULT_TOL = 1e-9
 
@@ -112,14 +112,6 @@ def johnson_theta_formula(n: int) -> Fraction:
 # Representation-based evaluators
 
 
-def read_tol(value) -> float:
-    """A certificate's tolerance: a finite number >= 0."""
-    tol = float(read_reals(value, "tol", 0))
-    if tol < 0:
-        raise VerificationError(f"tol must be >= 0, got {value!r}")
-    return tol
-
-
 @dataclass(frozen=True)
 class OrthoRep:
     """Unit vectors (rows) with non-adjacent pairs orthogonal, plus a unit
@@ -144,7 +136,10 @@ class OrthoRep:
         if handle.shape[0] != vectors.shape[1]:
             raise DimensionMismatch(f"handle of length {handle.shape[0]} for vectors of "
                                     f"length {vectors.shape[1]}")
-        return cls(vectors, handle, read_tol(obj.get("tol", DEFAULT_TOL)))
+        tol = obj.get("tol", DEFAULT_TOL)
+        if float(read_reals(tol, "tol", 0)) < 0:
+            raise VerificationError(f"tol must be >= 0, got {tol!r}")
+        return cls(vectors, handle, float(tol))
 
 
 def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
@@ -182,58 +177,6 @@ def theta_lower_from_dual(g: Graph, rep_of_complement: OrthoRep) -> float:
         raise VerificationError(f"complement representation invalid: {failure}")
     dots = rep_of_complement.vectors @ rep_of_complement.handle
     return float(np.sum(dots * dots))
-
-
-@dataclass(frozen=True)
-class MatrixRep:
-    """Per-vertex matrices with orthonormal columns (non-adjacent frames
-    mutually orthogonal) and a handle matrix of unit columns."""
-
-    frames: tuple[np.ndarray, ...]  # each N x d_v
-    handle: np.ndarray  # N x k
-    tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "matrixrep",
-            "frames": [[[float(x) for x in row] for row in f] for f in self.frames],
-            "handle": [[float(x) for x in row] for row in self.handle],
-            "tol": self.tol,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatrixRep":
-        frames = tuple(read_reals(f, "frames", 2) for f in read_list(obj["frames"], "frames"))
-        handle = read_reals(obj["handle"], "handle", 2)
-        for f in frames:
-            if f.shape[0] != handle.shape[0]:
-                raise DimensionMismatch(f"a frame of {f.shape[0]} rows for a handle of "
-                                        f"{handle.shape[0]} rows")
-        return cls(frames, handle, read_tol(obj.get("tol", DEFAULT_TOL)))
-
-
-def matrixrep_violation(g: Graph, rep: MatrixRep) -> str | None:
-    if len(rep.frames) != g.n:
-        return f"{len(rep.frames)} frames for {g.n} vertices"
-    for v, f in enumerate(rep.frames):
-        d = f.shape[1]
-        if np.max(np.abs(f.T @ f - np.eye(d))) > rep.tol:
-            return f"frame of vertex {v} is not orthonormal"
-    hnorms = np.linalg.norm(rep.handle, axis=0)
-    if np.any(np.abs(hnorms - 1.0) > rep.tol):
-        return "a handle column is not unit length"
-    if not rep.frames:
-        return None  # the graph has no vertices
-    # block (u, v) of the stacked frames' Gram matrix is M_uᵀM_v; a frame
-    # that passed the check above has a column, so the block starts increase
-    stacked = np.hstack(rep.frames)
-    starts = np.cumsum([0] + [f.shape[1] for f in rep.frames[:-1]])
-    cross = np.abs(stacked.T @ stacked)
-    largest = np.maximum.reduceat(np.maximum.reduceat(cross, starts, axis=0), starts, axis=1)
-    bad = g.first_nonedge(np.triu(largest > rep.tol, 1))
-    if bad is not None:
-        return f"non-edge ({bad[0]}, {bad[1]}) has non-orthogonal frames"
-    return None
 
 
 def pentagon_umbrella(step: int = 1) -> OrthoRep:

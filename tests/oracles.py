@@ -9,7 +9,7 @@ import numpy as np
 
 from hfrac.budget import Budget
 from hfrac.errors import DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, hstack, rank, select_full_rank_submatrix
+from hfrac.gfmat import FMatrix, _pivots, hstack, rank
 from hfrac.graphs import Graph, graph_from_edges
 from hfrac.independence import CliqueCover
 from hfrac.lp import (
@@ -148,19 +148,18 @@ def recursive_clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -
 
 def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:
     """The column factors A_v of a block certificate's matrix M: the
-    vertex-v columns of Cᵀ, C the pivot columns of M
-    (``select_full_rank_submatrix``).  Those columns span M's column space,
-    so M = C X for some X and block (u, v) of M is A_uᵀ X_v; no solve is
-    needed to use that.  Each A_v is rank(M) x d."""
+    vertex-v columns of Cᵀ, C the pivot columns of M (``gfmat._pivots``).
+    Those columns span M's column space, so M = C X for some X and block
+    (u, v) of M is A_uᵀ X_v; no solve is needed to use that.  Each A_v is
+    rank(M) x d."""
     m = rep.matrix
-    _, cols = select_full_rank_submatrix(m, rank(m))
-    ct = m.submatrix(range(m.rows), cols).transpose()
-    return tuple(ct.block(0, ct.rows, v * rep.d, (v + 1) * rep.d) for v in range(rep.nvertices))
+    ct = m.a[:, [c for _, c in _pivots(m.a, m.p)]].T
+    return tuple(FMatrix(m.p, ct[:, v * rep.d:(v + 1) * rep.d]) for v in range(rep.nvertices))
 
 
-def has_edge_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
+def pairwise_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     """``reps.subspacerep_violation`` with each vertex's non-neighbours
-    listed by ``has_edge`` calls."""
+    listed by one adjacency lookup per pair."""
     if len(rep.bases) != g.n:
         raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
     for v, b in enumerate(rep.bases):
@@ -170,7 +169,7 @@ def has_edge_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
         if rank(b) != rep.d:
             return f"subspace of vertex {v} has dimension below {rep.d}"
     for v in range(g.n):
-        others = [rep.bases[u] for u in range(g.n) if u != v and not g.has_edge(u, v)]
+        others = [rep.bases[u] for u in range(g.n) if u != v and not g.matrix[u, v]]
         if not others:
             continue
         span = hstack(others)

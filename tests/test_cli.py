@@ -33,7 +33,7 @@ from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash
 from hfrac.reproduce import CLAIMS
 from hfrac.serialize import canonical_json, load_json
-from hfrac.theta import MatrixRep, pentagon_umbrella
+from hfrac.theta import pentagon_umbrella
 
 
 def run(capsys, *argv):
@@ -641,17 +641,18 @@ def _as_hfrac_upper_witness(doc):
     (("minrank", "--graph", "cycle:7", "--p", "3"), _set(("param",), "alpha")),
     (("minrank", "--graph", "cycle:7", "--p", "3"), _set(("param",), "minrank[gf(2)]")),
     (("fracchrom", "--graph", "cycle:5"), _as_hfrac_upper_witness),
+    (("fracchrom", "--graph", "cycle:5"), _set(("classes", 0, "clique"), [0, 0, 1])),
 ], ids=["independent-set-vertex", "graph-not-a-string", "graph-unparsable", "classes-not-a-list",
         "class-not-an-object", "fraccover-clique-vertex", "cliquecover-vertex", "cliquecover-classes",
         "independent-set-repeated-vertex", "fit-cited-for-alpha", "fit-cited-over-another-field",
-        "fraccover-cited-for-hfrac"])
+        "fraccover-cited-for-hfrac", "fraccover-repeated-vertex"])
 def test_verify_refuses_a_malformed_witness(tmp_path, capsys, argv, edit):
     # the first eight ended in a traceback (exit 1): ValueError for a vertex
     # out of range, AttributeError for a non-string graph, TypeError for the
-    # rest.  The last four printed OK: the set {0, 0} passed for
+    # rest.  The last five printed OK: the set {0, 0} passed for
     # alpha(C5) >= 2, a GF(3) fit certificate of rank 4 for alpha(C7) = 4
-    # (alpha is 3) and for minrank over GF(2), and the 5/2 fractional cover
-    # for an hfrac upper end of 2.
+    # (alpha is 3) and for minrank over GF(2), the 5/2 fractional cover
+    # for an hfrac upper end of 2, and a cover class listing vertex 0 twice.
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     doc = json.loads(out)
@@ -861,14 +862,9 @@ def test_master_covers_are_pinned(expr, sha256):
 
 
 def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
-    """A verifying orthorep or matrixrep file of cycle:5 (the umbrella),
-    with ``field`` set to ``value`` when given."""
-    umbrella = pentagon_umbrella(1)
-    if kind == "orthorep":
-        doc = umbrella.to_json()
-    else:
-        frames = tuple(umbrella.vectors[v:v + 1].T for v in range(5))
-        doc = MatrixRep(frames, umbrella.handle.reshape(3, 1)).to_json()
+    """A verifying orthorep file of cycle:5 (the umbrella), with ``field``
+    set to ``value`` when given."""
+    doc = pentagon_umbrella(1).to_json()
     doc["graph"] = "cycle:5"
     if field is not None:
         doc[field] = value
@@ -877,11 +873,10 @@ def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
     return path
 
 
-# SHA-256 of the umbrella files as written while the tolerance was an
+# SHA-256 of the umbrella file as written while the tolerance was an
 # argument of ``to_json`` rather than a field of the representation.
 PINNED_THETA_REPS = {
     "orthorep": "e06c7aa532464d1cbbecddf25288e7232b51e84162fbacf65938863e391bf524",
-    "matrixrep": "245e2780de6df947b078b57dec8ea424f5afffa161154a5bb3cbb35f1ec516a2",
 }
 
 
@@ -891,7 +886,7 @@ def test_theta_representation_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_THETA_REPS[kind]
 
 
-@pytest.mark.parametrize("kind", ["orthorep", "matrixrep"])
+@pytest.mark.parametrize("kind", ["orthorep"])
 def test_verify_accepts_the_umbrella(tmp_path, capsys, kind):
     code, out, _ = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind)))
     assert code == 0 and out.strip() == "OK"
@@ -912,10 +907,10 @@ def test_verify_accepts_an_empty_representation_of_the_empty_graph(tmp_path, cap
     assert code == 0 and out.strip() == "OK", (out, err)
 
 
-@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes")])
+@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes"), ("matrixrep", "frames")])
 def test_verify_refuses_the_factor_pair_and_rank_r_kinds(tmp_path, capsys, kind, field):
     # the block form (drep) and the subspace form are the fractional bound's
-    # only certificate kinds
+    # only certificate kinds, and orthorep is theta's
     code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
     assert (code, out, err) == (2, f"FAIL: unknown certificate kind {kind!r}\n", "")
 
@@ -924,21 +919,36 @@ def test_verify_refuses_the_factor_pair_and_rank_r_kinds(tmp_path, capsys, kind,
     ("orthorep", "vectors", "x"),
     ("orthorep", "vectors", [[1.0, 0.0, 0.0]] * 4 + [[1.0, 0.0]]),
     ("orthorep", "tol", "a"),
-    ("matrixrep", "frames", [1, 2, 3, 4, 5]),
+    ("orthorep", "vectors", [1, 2, 3, 4, 5]),
     ("orthorep", "tol", float("nan")),
     ("orthorep", "handle", [1.0, 0.0]),
-    ("matrixrep", "handle", [[True], [0], [0]]),
-], ids=["vectors-string", "vectors-ragged", "tol-string", "frames-numbers", "tol-nan", "handle-length",
+    ("orthorep", "handle", [True, 0, 0]),
+], ids=["vectors-string", "vectors-ragged", "tol-string", "vectors-numbers", "tol-nan", "handle-length",
         "handle-bool"])
 def test_verify_refuses_a_malformed_theta_representation(tmp_path, capsys, kind, field, value):
-    # the first four ended in a traceback (exit 1): ValueError, ValueError,
-    # UFuncNoLoopError and IndexError; a NaN tolerance passed every check
+    # the first three ended in a traceback (exit 1): ValueError, ValueError
+    # and UFuncNoLoopError; a NaN tolerance passed every check; the numbers
+    # and bool cases reach read_reals' depth and bool refusals
     code, out, err = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind, field, value)))
     assert code == 2 and out.startswith("FAIL: "), (out, err)
 
 
 # a report whose lower end exceeds its upper end: verify exits 2
 _CROSSED_REPORT = '{"graph":"cycle:5","lower":"3","param":"alpha","upper":"2","witness_refs":[]}\n'
+
+
+def test_verify_refuses_an_exponent_without_evaluating_it(tmp_path, capsys):
+    # Fraction("1e100000000") builds 10**100000000 first; that took more
+    # than 100 s, where the refusal takes milliseconds
+    path = tmp_path / "report.json"
+    path.write_text(_CROSSED_REPORT.replace('"3"', '"1e100000000"'))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfrac.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hfrac.cli", "verify", "--cert", str(path)],
+                          capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, b"FAIL: not a rational: '1e100000000'\n")
+    start = time.perf_counter()
+    assert run(capsys, "verify", "--cert", str(path))[0] == 2
+    assert time.perf_counter() - start < 1
 
 
 class _ClosedStdout(io.StringIO):

@@ -176,6 +176,8 @@ _HALVES = tuple((e, F(1, 2)) for e in _EDGES)
      "class 1 has negative weight -1/3"),
     ((((0, 5), F(1)),) + _HALVES, F(7, 2), 2, "class 0 has vertex 5 outside [0, 5)"),
     ((((0, 1, 2), F(1)), ((3,), F(1)), ((4,), F(1))), F(3), 1, "class 0 is not a clique: [0, 1, 2]"),
+    # a repeated vertex, which counted twice covered vertex 0 at weight 1/2
+    ((((0, 0), F(1, 2)), ((1, 2), F(1)), ((3, 4), F(1))), F(5, 2), 2, "class 0 lists a vertex twice"),
 ])
 def test_cover_defects_are_named(classes, value, d, message):
     # the sums run in integers; each message names them as Fractions would

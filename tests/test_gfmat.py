@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 
 from hfrac import gfmat
 from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, hstack, matmul, rank, select_full_rank_submatrix
+from hfrac.gfmat import FMatrix, hstack, matmul, rank
 from hfrac.serialize import canonical_json, load_json
 
 
 def random_fmatrix(rng, p, rows, cols):
     return FMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+
+
+def identity(p, n):
+    return FMatrix(p, np.eye(n, dtype=np.int64))
 
 
 def gf2_rank_bruteforce(rows):
@@ -45,7 +49,7 @@ def gf2_rank_bruteforce(rows):
 
 
 def test_rank_examples():
-    assert rank(FMatrix.identity(2, 5)) == 5
+    assert rank(identity(2, 5)) == 5
     assert rank(FMatrix(3, np.ones((4, 4), dtype=np.int64))) == 1
 
 
@@ -62,8 +66,6 @@ def test_modulus_must_be_prime():
     for make in (np.zeros, np.ones):
         with pytest.raises(PreconditionError):
             FMatrix(4, make((2, 2), dtype=np.int64))
-    with pytest.raises(PreconditionError):
-        FMatrix.identity(4, 2)
     # a file's modulus is checked too, and a bad one fails verification
     with pytest.raises(VerificationError):
         FMatrix.from_json({"p": 4, "rows": 1, "cols": 1, "entries": [1]})
@@ -72,15 +74,13 @@ def test_modulus_must_be_prime():
 def test_derived_matrices_own_their_arrays():
     rng = random.Random(3)
     m = random_fmatrix(rng, 5, 4, 6)
-    derived = [m.transpose(), m.block(1, 3, 0, 4), m.submatrix([0, 2], [1, 5]),
-               hstack([m, m]), FMatrix.from_json(m.to_json())]
+    derived = [m.transpose(), hstack([m, m]), FMatrix.from_json(m.to_json())]
     for d in derived:
         assert not np.shares_memory(d.a, m.a)
     assert derived[0].a.tolist() == m.a.T.tolist()
-    assert derived[1].a.tolist() == m.a[1:3, 0:4].tolist()
-    assert derived[4] == m
+    assert derived[2] == m
     with pytest.raises(DimensionMismatch):
-        m.block(1, 1, 0, 4)
+        FMatrix(5, m.a[1:1, 0:4])
 
 
 def test_a_decoded_matrix_takes_its_array_without_a_copy():
@@ -94,20 +94,20 @@ def test_a_decoded_matrix_takes_its_array_without_a_copy():
 def test_matmul_examples():
     rng = random.Random(0)
     m = random_fmatrix(rng, 5, 3, 4)
-    assert matmul(FMatrix.identity(5, 3), m) == m
+    assert matmul(identity(5, 3), m) == m
     a = FMatrix(2, [[1], [1]])
     b = FMatrix(2, [[0], [1]])
-    assert matmul(a.transpose(), b) == FMatrix.identity(2, 1)
+    assert matmul(a.transpose(), b) == identity(2, 1)
     with pytest.raises(DimensionMismatch):
-        matmul(FMatrix.identity(2, 3), FMatrix.identity(2, 4))
+        matmul(identity(2, 3), identity(2, 4))
     with pytest.raises(DimensionMismatch):
-        matmul(FMatrix.identity(2, 3), FMatrix.identity(3, 3))
+        matmul(identity(2, 3), identity(3, 3))
 
 
 def test_int64_overflow_is_refused():
     p = 3037000493  # prime, (p-1)^2 + p < 2^63 <= 2 (p-1)^2
     a = FMatrix(p, [[p - 1, p - 1]])
-    assert matmul(a.block(0, 1, 0, 1), a.block(0, 1, 0, 1)) == FMatrix(p, [[1]])
+    assert matmul(FMatrix(p, a.a[:, :1]), FMatrix(p, a.a[:, :1])) == FMatrix(p, [[1]])
     with pytest.raises(GuardExceeded):
         matmul(a, a.transpose())  # 2 (p-1)^2 = 2 mod p, but it overflows int64
     assert rank(FMatrix(p, [[1, p - 1], [p - 1, 1]])) == 1
@@ -129,10 +129,10 @@ def kron(a: FMatrix, b: FMatrix) -> FMatrix:
 
 
 def test_kronecker_examples():
-    assert kron(FMatrix.identity(2, 2), FMatrix.identity(2, 3)) == FMatrix.identity(2, 6)
+    assert kron(identity(2, 2), identity(2, 3)) == identity(2, 6)
     rng = random.Random(1)
     m = random_fmatrix(rng, 5, 3, 3)
-    assert rank(kron(FMatrix.identity(5, 2), m)) == 2 * rank(m)
+    assert rank(kron(identity(5, 2), m)) == 2 * rank(m)
 
 
 def test_kronecker_rank_multiplicativity_random():
@@ -155,25 +155,21 @@ def test_rank_of_product_bound_and_permutation_invariance():
         cols = list(range(a.cols))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        assert rank(a.submatrix(rows, cols)) == rank(a)
+        assert rank(FMatrix(p, a.a[np.ix_(rows, cols)])) == rank(a)
 
 
-def test_select_full_rank_submatrix():
-    assert select_full_rank_submatrix(FMatrix.identity(2, 3), 2) == ([0, 1], [0, 1])
-    m = FMatrix(5, [[0, 0, 0], [1, 2, 3], [2, 4, 2]])
-    rows, cols = select_full_rank_submatrix(m, 1)
-    assert rows[0] == 1  # zero first row skipped
+def test_the_pivots_induce_a_full_rank_submatrix():
+    assert gfmat._pivots(identity(2, 3).a, 2) == [(0, 0), (1, 1), (2, 2)]
+    assert gfmat._pivots(FMatrix(5, [[0, 0, 0], [1, 2, 3], [2, 4, 2]]).a, 5)[0] == (1, 0)  # zero row skipped
     rng = random.Random(4)
     for _ in range(40):
         p = rng.choice((2, 3, 5))
         m = random_fmatrix(rng, p, rng.randint(2, 6), rng.randint(2, 6))
-        r = rank(m)
-        if r == 0:
+        pivots = gfmat._pivots(m.a, p)
+        if not pivots:
             continue
-        rows, cols = select_full_rank_submatrix(m, r)
-        assert rank(m.submatrix(rows, cols)) == r
-    with pytest.raises(PreconditionError):
-        select_full_rank_submatrix(FMatrix(2, np.ones((3, 3), dtype=np.int64)), 2)
+        rows, cols = map(list, zip(*pivots))
+        assert rank(FMatrix(p, m.a[np.ix_(rows, cols)])) == len(pivots) == rank(m)
 
 
 def test_json_roundtrip():
@@ -222,7 +218,6 @@ def test_packed_gf2_kernel_matches_the_int64_kernel(a):
     pivots = gfmat._eliminate(a, 2)
     assert gfmat._eliminate_gf2(a) == pivots
     assert rank(m) == len(pivots)
-    assert select_full_rank_submatrix(m, len(pivots)) == ([r for r, _ in pivots], [c for _, c in pivots])
     assert np.array_equal(m.a, a)  # input unchanged
 
 
@@ -241,9 +236,8 @@ def test_every_matrix_is_stored_in_the_narrowest_dtype(p):
     doc = load_json(canonical_json(m.to_json()))
     results = {
         "init": m, "init (negative, wide)": FMatrix(p, [[-1, 2**40]]),
-        "zeros": FMatrix(p, np.zeros((2, 2), dtype=np.int64)), "identity": FMatrix.identity(p, 3),
-        "ones": FMatrix(p, np.ones((1, 2), dtype=np.int64)),
-        "transpose": m.transpose(), "block": m.block(0, 2, 1, 3), "submatrix": m.submatrix([1], [0, 2]),
+        "zeros": FMatrix(p, np.zeros((2, 2), dtype=np.int64)), "identity": identity(p, 3),
+        "ones": FMatrix(p, np.ones((1, 2), dtype=np.int64)), "transpose": m.transpose(),
         "matmul": matmul(unit, m), "hstack": hstack([m, unit]),
         "from_json": FMatrix.from_json(doc), "from_json (list)": FMatrix.from_json(m.to_json() | {
             "entries": m.a.ravel().tolist()}),

@@ -60,7 +60,7 @@ def test_cycle_basics():
     assert c5.n == 5 and c5.m == 5
     a = c5.matrix
     assert np.array_equal(a, a.T)
-    assert c5.has_edge(0, 1) and not c5.has_edge(0, 2)
+    assert c5.matrix[0, 1] and not c5.matrix[0, 2]
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -114,7 +114,7 @@ def test_johnson_adjacency_matches_labels():
     for u in range(g.n):
         for v in range(u + 1, g.n):
             expected = len(labels[u] & labels[v]) % 2 != 0
-            assert g.has_edge(u, v) == expected
+            assert g.matrix[u, v] == expected
 
 
 def test_subset_vertex_order_is_lexicographic():
@@ -125,7 +125,7 @@ def test_subset_vertex_order_is_lexicographic():
         assert g.n == len(subsets)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                assert g.has_edge(u, v) == adjacent(len(subsets[u] & subsets[v])), (g.expr, u, v)
+                assert g.matrix[u, v] == adjacent(len(subsets[u] & subsets[v])), (g.expr, u, v)
 
 
 def test_complement_examples():
@@ -146,8 +146,8 @@ def test_strong_product_c5_c5():
         for b in range(a + 1, 25):
             u1, u2 = divmod(a, 5)
             v1, v2 = divmod(b, 5)
-            expected = (u1 == v1 or c5.has_edge(u1, v1)) and (u2 == v2 or c5.has_edge(u2, v2))
-            assert g.has_edge(a, b) == expected
+            expected = (u1 == v1 or c5.matrix[u1, v1]) and (u2 == v2 or c5.matrix[u2, v2])
+            assert g.matrix[a, b] == expected
 
 
 def test_strong_product_identity_and_empty():
@@ -206,7 +206,7 @@ def test_universal_graph_nonadjacency_rule():
     # with AᵀB = 1 in order: (10,10), (10,11), (01,01), (01,11), (11,10),
     # (11,01); (e1, e1) and (e2, e2) are vertices 0 and 2
     g = universal_graph(2, 2, 1)
-    assert not g.has_edge(0, 2) and is_independent_set(g, [0, 2])
+    assert not g.matrix[0, 2] and is_independent_set(g, [0, 2])
 
 
 def test_independent_set_and_clique_predicates():
@@ -436,9 +436,9 @@ def test_product_vertex_u_x_is_u_times_h_n_plus_x():
         strong, lex = strong_product(g, h), lex_product(g, h)
         for (u, x), (v, y) in combinations([(u, x) for u in range(g.n) for x in range(h.n)], 2):
             a, b = u * h.n + x, v * h.n + y
-            gu, hx = g.has_edge(u, v), h.has_edge(x, y)
-            assert strong.has_edge(a, b) == ((u == v or gu) and (x == y or hx))
-            assert lex.has_edge(a, b) == (gu or (u == v and hx))
+            gu, hx = g.matrix[u, v], h.matrix[x, y]
+            assert strong.matrix[a, b] == ((u == v or gu) and (x == y or hx))
+            assert lex.matrix[a, b] == (gu or (u == v and hx))
 
 
 @st.composite

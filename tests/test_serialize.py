@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
@@ -546,3 +547,15 @@ def test_malformed_one_digit_lists_are_refused_with_the_same_messages(text, mess
         decode_entries(text)
     _assert_blocks_agree(b'{"entries":[' + text + b"]}", range(1, len(text) + 14), messages=True)
 
+
+@pytest.mark.parametrize("value", [F(0), F(7), F(-3), F(5, 2), F(-25, 4), F(10**30 + 1, 3)])
+def test_parse_frac_reads_what_frac_str_writes(value):
+    assert serialize.parse_frac(serialize.frac_str(value)) == value
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5", " 1/2", "1_0", "1/2\n", "+1", "\u0661", "1/0", "", "/2", "1/"])
+def test_parse_frac_refuses_what_frac_str_never_writes(text):
+    # Fraction() takes the first seven: an exponent, a decimal point,
+    # whitespace, an underscore, a plus sign and a non-ASCII digit
+    with pytest.raises(VerificationError):
+        serialize.parse_frac(text)

@@ -13,11 +13,9 @@ from hfrac.errors import PreconditionError, UnsupportedFamily, VerificationError
 from hfrac.graphs import complement, complete, cycle, empty, graph_from_edges
 from hfrac.lp import check_solution, simplex_solve
 from hfrac.theta import (
-    MatrixRep,
     OrthoRep,
     johnson_theta_formula,
     johnson_theta_program,
-    matrixrep_violation,
     odd_cycle_theta,
     orthorep_violation,
     pentagon_umbrella,
@@ -97,23 +95,12 @@ def test_umbrella_is_verified_for_cycle_and_complement():
     assert orthorep_violation(c5, pentagon_umbrella(2)) is not None
 
 
-def test_ortho_and_matrix_checks_name_the_first_defect():
+def test_the_ortho_check_names_the_first_defect():
     # the 5-cycle without edges (0, 4) and (1, 2): the umbrella's vectors
     # for both pairs are not orthogonal, and (0, 4) comes first row-major
     g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
     assert orthorep_violation(g, pentagon_umbrella(1)) == "non-edge (0, 4) has inner product 6.180e-01"
     assert orthorep_violation(cycle(5), pentagon_umbrella(2)) == "non-edge (0, 2) has inner product 6.180e-01"
-    # frames of widths 1, 2, 1, 2 on four non-adjacent vertices: (0, 3)
-    # share e0 and (1, 2) share a component along e2
-    e = np.eye(6)
-    frames = [e[:, :1], e[:, 1:3], ((e[:, 2] + e[:, 3]) / sqrt(2))[:, None], e[:, [0, 5]]]
-    rep = MatrixRep(tuple(frames), e[:, :1])
-    assert matrixrep_violation(empty(4), rep) == "non-edge (0, 3) has non-orthogonal frames"
-    frames[3] = e[:, 4:]
-    rep = MatrixRep(tuple(frames), e[:, :1])
-    assert matrixrep_violation(empty(4), rep) == "non-edge (1, 2) has non-orthogonal frames"
-    frames[2] = e[:, 3:4]
-    assert matrixrep_violation(empty(4), MatrixRep(tuple(frames), e[:, :1])) is None
 
 
 def test_theta_sandwich_c5():
@@ -147,11 +134,6 @@ def test_the_tolerance_travels_with_the_representation():
     loose = OrthoRep(scaled.vectors, scaled.handle, tol=1e-5)
     assert orthorep_violation(cycle(5), loose) is None
     assert OrthoRep.from_json(loose.to_json()).tol == 1e-5
-    frames = tuple(loose.vectors[v:v + 1].T for v in range(5))
-    rep = MatrixRep(frames, u.handle.reshape(3, 1), tol=1e-5)
-    assert matrixrep_violation(cycle(5), rep) is None
-    assert MatrixRep.from_json(rep.to_json()).tol == 1e-5
-    assert matrixrep_violation(cycle(5), MatrixRep(frames, u.handle.reshape(3, 1))) is not None
 
 
 def test_dual_evaluator_examples():
@@ -172,20 +154,3 @@ def test_evaluators_never_dip_below_theta_on_cycles():
         assert orthorep_violation(g, rep) is None
         assert theta_upper_from_orthorep(rep) >= theta_circulant(n, {1}) - 1e-6
     assert theta_upper_from_orthorep(pentagon_umbrella(1)) >= theta_circulant(5, {1}) - 1e-6
-
-
-def test_matrixrep_violation_accepts_valid_frames():
-    # identity handle, and the frames of a 2-dimensional representation of
-    # the empty graph: mutually orthogonal
-    f0, f1 = np.eye(4)[:, :2], np.eye(4)[:, 2:]
-    assert matrixrep_violation(empty(2), MatrixRep((f0, f1), np.eye(4))) is None
-    # complete graph: every frame may equal the handle
-    frame = np.eye(4)[:, :2]
-    assert matrixrep_violation(complete(3), MatrixRep((frame, frame, frame), frame)) is None
-
-
-def test_matrixrep_reduces_to_ortho_at_d1():
-    u = pentagon_umbrella(1)
-    rep = MatrixRep(tuple(u.vectors[v:v + 1].T for v in range(5)), u.handle.reshape(3, 1))
-    assert orthorep_violation(cycle(5), u) is None
-    assert matrixrep_violation(cycle(5), rep) is None
