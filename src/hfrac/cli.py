@@ -6,7 +6,8 @@ as expressions (``cycle:5``, ``strong(cycle:5,cycle:5)``, ``file:PATH``)
 anywhere a graph is expected.  ``--json`` switches to canonical JSON that
 is byte-identical across identical invocations.
 
-Exit codes: 0 success, 2 verification failure, 3 budget exhausted (a
+Exit codes: 0 success, 2 verification failure, 3 budget exhausted or a
+minrank search stopped at its node allowance above the search cap (a
 certified interval is still emitted), 64 usage error (a bad option, graph
 or path).  A closed stdout is none of these: ``main`` flushes stdout
 itself, and once a write or that flush finds the pipe closed, the rest of
@@ -46,11 +47,18 @@ from .errors import (
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
 from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime, write_graph_file
 from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
-from .minrank import FitCertificate, alon_certificate, cover_certificate, johnson_certificate, minrank_exact
+from .minrank import (
+    ATTEMPT_NODES,
+    FitCertificate,
+    alon_certificate,
+    cover_certificate,
+    johnson_certificate,
+    minrank_exact,
+)
 from .report import BoundReport
 from .reps import DRep, SubspaceRep, cycle_drep, drep_violation, hfrac_upper_search, subspacerep_violation, tensor_dreps
 from .reproduce import run_claims
-from .serialize import canonical_json, frac_str, json_pieces, load_json, parse_frac, read_ints
+from .serialize import canonical_json, excerpt, frac_str, json_pieces, load_json, parse_frac, read_ints
 from .theta import OrthoRep, orthorep_violation, theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
@@ -208,7 +216,8 @@ def _cmd_minrank(args) -> int:
     if res.exact:
         _emit(args, str(res.upper), report.to_json())
         return EXIT_OK
-    why = "search budget exhausted" if budget.exhausted else "search skipped: above the search cap"
+    why = "search budget exhausted" if budget.exhausted else \
+        f"search stopped after {ATTEMPT_NODES} nodes: above the search cap"
     _emit(args, f"[{res.lower}, {res.upper}] ({why})", report.to_json())
     return EXIT_BUDGET
 
@@ -340,12 +349,12 @@ def _report_param(report: dict) -> tuple[str, int | None]:
     param = report["param"]
     match = _PARAM.fullmatch(param) if isinstance(param, str) else None
     if match is None:
-        raise VerificationError(f"unknown report parameter {param!r}")
+        raise VerificationError(f"unknown report parameter {excerpt(param)}")
     if not match[1]:
         return param, None
     p = int(match[2])
     if not is_prime(p):
-        raise VerificationError(f"report parameter {param!r} is over GF({p}), and {p} is not prime")
+        raise VerificationError(f"report parameter {excerpt(param)} is over GF({p}), and {p} is not prime")
     return match[1], p
 
 
@@ -353,11 +362,11 @@ def _verify_witness(obj, g: Graph, report: dict | None = None) -> str | None:
     """None if the witness verifies (and, in a report, may witness the
     report's parameter and attains its end), else why not."""
     if not isinstance(obj, dict):
-        return f"witness {obj!r} is not a JSON object"
+        return f"witness {excerpt(obj)} is not a JSON object"
     kind = obj.get("kind")
     row = _KINDS.get(kind) if isinstance(kind, str) else None
     if row is None:
-        return f"unknown certificate kind {kind!r}"
+        return f"unknown certificate kind {excerpt(kind)}"
     cert = row.read(obj)
     if report is not None:
         name, p = _report_param(report)
@@ -380,7 +389,7 @@ def _cmd_verify(args) -> int:
         if not expr:
             raise UsageError("certificate has no embedded graph; pass --graph")
         if not isinstance(expr, str):
-            raise VerificationError(f"graph must be a string, got {expr!r}")
+            raise VerificationError(f"graph must be a string, got {excerpt(expr)}")
         try:
             g = generate(expr, max_vertices=args.max_vertices)
         except (GraphParseError, PreconditionError) as exc:

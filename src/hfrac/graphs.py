@@ -45,7 +45,7 @@ from typing import Iterable, NoReturn
 import numpy as np
 
 from .errors import GraphParseError, GuardExceeded, PreconditionError
-from .serialize import int_text
+from .serialize import excerpt, int_text
 
 DEFAULT_MAX_VERTICES = 5000
 UNIVERSAL_PAIR_CAP = 10**7
@@ -261,7 +261,7 @@ def parse_expr(text: str) -> GraphExpr:
     """Parse a graph expression; raises GraphParseError on any defect."""
     expr, pos = _parse(text, 0)
     if text[pos:].strip():
-        raise GraphParseError(f"trailing input at position {pos}: {text[pos:]!r}")
+        raise GraphParseError(f"trailing input at position {pos}: {excerpt(text[pos:])}")
     return expr
 
 
@@ -326,7 +326,7 @@ def _parse(s: str, i: int) -> tuple[GraphExpr, int]:
         if len(params) != _LEAF_OPS[name]:
             raise GraphParseError(f"{name} takes {_LEAF_OPS[name]} parameter(s), got {len(params)}")
         return GraphExpr(name, tuple(params)), j
-    raise GraphParseError(f"unknown generator {name!r}")
+    raise GraphParseError(f"unknown generator {excerpt(name)}")
 
 
 def generate(expr: GraphExpr | str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:

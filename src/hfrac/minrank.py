@@ -7,7 +7,10 @@ and zero non-edge blocks; ``drep_violation`` checks that, and a fit matrix
 is the case d = 1 (``fit_violation``).  ``minrank_exact`` searches the
 free entries depth first, row by row, in one explicit-stack loop.  It
 prunes with a block-triangular bound: the echelon rank of the assigned
-rows plus a greedy stable set among the columns they leave zero.  The
+rows plus a greedy stable set among the columns they leave zero.  Above
+``SEARCH_CAP`` assignments the search gets a fixed allowance of
+``ATTEMPT_NODES`` nodes, counted apart from the caller's budget, and the
+result is exact only when it finishes within them.  The
 constructors build the classical certificates: set-incidence Gram
 matrices for the intersection-parity graphs, clique-partition matrices,
 and Alon's polynomial representations of the (pq-1)-subset graphs, each
@@ -31,8 +34,10 @@ from .graphs import Graph, alon, complement, is_prime, johnson, subset_incidence
 from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
 
-# minrank_exact searches exhaustively only up to this many assignments.
+# minrank_exact searches without a node allowance up to this many
+# assignments; above it the search stops after ATTEMPT_NODES nodes.
 SEARCH_CAP = 2**30
+ATTEMPT_NODES = 2**8
 
 
 def graph_hash(g: Graph) -> str:
@@ -174,9 +179,14 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     incumbent rank.  The bound never cuts a subtree that could beat the
     incumbent, so the first optimal matrix in product order is found.
 
-    If the assignment space p^(2|E|) exceeds ``SEARCH_CAP`` (or the budget
-    trips mid-search) the result is the certified interval
-    [independence-number lower bound, best certificate rank found].
+    If the assignment space p^(2|E|) exceeds ``SEARCH_CAP``, the search
+    may visit at most ``ATTEMPT_NODES`` nodes.  That allowance is its own
+    count: running out of it leaves ``budget.exhausted`` False.  When the
+    allowance or the budget runs out mid-search, the result is the
+    certified interval [independence number, best certificate rank found].
+    The best certificate is the greedy cover's or the search's incumbent;
+    the independence number is searched on ``budget`` (its certified lower
+    bound, if that runs out too).
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
@@ -189,8 +199,8 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
         # a closed interval pins the value without exhausting the search
         return MinrankResult(lower, incumbent.claimed_rank, incumbent, witness)
 
-    if g.m > 0 and p ** (2 * g.m) > SEARCH_CAP:
-        return interval_result()
+    # the search's own node count; Budget() without limits never trips
+    attempt = Budget(nodes=ATTEMPT_NODES) if p ** (2 * g.m) > SEARCH_CAP else Budget()
 
     n = g.n
     adj = g.adj
@@ -229,6 +239,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
             if assignment is None:
                 stack.pop()
                 continue
+            attempt.spend()
             budget.spend()
             del rows[v:], ech[depth:], piv[depth:]
             row = [0] * n

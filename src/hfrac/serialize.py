@@ -36,8 +36,10 @@ only the ASCII ``-?[0-9]+(/[0-9]+)?`` strings ``frac_str`` writes: a
 string, bool or float where an integer belongs, or a malformed rational
 (an exponent, a decimal point, whitespace or an underscore in it), is a
 ``VerificationError`` rather than a value ``int()`` or ``Fraction()``
-would coerce.  The float arrays of a theta representation go through
-``read_reals``, which takes rectangular lists of finite JSON numbers only.
+would coerce.  Its message echoes the value through ``excerpt``, which
+cuts a long repr and adds its length.  The float arrays of a theta
+representation go through ``read_reals``, which takes rectangular lists
+of finite JSON numbers only.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, VerificationError
+
+
+# The most characters of a malformed value's repr an error message echoes:
+# a value read from a file may be any size, and its message should not be.
+_EXCERPT = 100
+
+
+def excerpt(value) -> str:
+    """``repr(value)``, cut to its first ``_EXCERPT`` characters with its
+    full character count added when it is longer."""
+    text = repr(value)
+    if len(text) <= _EXCERPT:
+        return text
+    return f"{text[:_EXCERPT]}... ({len(text)} characters)"
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -69,11 +85,11 @@ def parse_frac(s: str) -> Fraction:
     """The rational a ``frac_str`` string spells, for reading files."""
     match = _FRAC.fullmatch(s) if isinstance(s, str) else None
     if match is None:
-        raise VerificationError(f"not a rational: {s!r}")
+        raise VerificationError(f"not a rational: {excerpt(s)}")
     try:
         return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise VerificationError(f"not a rational: {s!r}") from exc
+        raise VerificationError(f"not a rational: {excerpt(s)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +278,14 @@ def read_int(value, name: str) -> int:
     """A certificate's integer field ``name``: a JSON integer, not a string,
     bool or float."""
     if type(value) is not int:
-        raise VerificationError(f"{name} must be an integer, got {value!r}")
+        raise VerificationError(f"{name} must be an integer, got {excerpt(value)}")
     return value
 
 
 def read_list(value, name: str) -> list:
     """A certificate's list field ``name``."""
     if not isinstance(value, list):
-        raise VerificationError(f"{name} must be a list, got {value!r}")
+        raise VerificationError(f"{name} must be a list, got {excerpt(value)}")
     return value
 
 
@@ -278,14 +294,14 @@ def read_objects(value, name: str) -> list[dict]:
     items = read_list(value, name)
     for item in items:
         if not isinstance(item, dict):
-            raise VerificationError(f"each entry of {name} must be a JSON object, got {item!r}")
+            raise VerificationError(f"each entry of {name} must be a JSON object, got {excerpt(item)}")
     return items
 
 
 def read_ints(value, name: str) -> tuple[int, ...]:
     """A certificate's list of integers ``name`` (``read_int`` each)."""
     if not isinstance(value, list):
-        raise VerificationError(f"{name} must be a list of integers, got {value!r}")
+        raise VerificationError(f"{name} must be a list of integers, got {excerpt(value)}")
     return tuple(read_int(v, name) for v in value)
 
 
@@ -298,7 +314,7 @@ def read_reals(value, name: str, ndim: int) -> np.ndarray:
         items = [x for item in items for x in read_list(item, name)]
     bad = next((x for x in items if type(x) not in (int, float)), None)
     if bad is not None:
-        raise VerificationError(f"{name} must hold numbers nested {ndim} deep, got {bad!r}")
+        raise VerificationError(f"{name} must hold numbers nested {ndim} deep, got {excerpt(bad)}")
     try:
         arr = np.array(value, dtype=float)
     except (ValueError, OverflowError) as exc:

@@ -194,12 +194,27 @@ def test_budget_exit_code(capsys):
 
 def test_minrank_says_why_its_interval_is_open(capsys, monkeypatch):
     monkeypatch.delenv("CAPACITY_BUDGET_MS", raising=False)
-    # 3^(2|E|) = 3^22 is above the search cap, so the search never runs
-    assert run(capsys, "minrank", "--graph", "cycle:11", "--p", "3") == \
-        (3, "[5, 6] (search skipped: above the search cap)\n", "")
+    # 2^(2|E|) = 2^200 is above the search cap, and the search does not
+    # finish within its allowance
+    assert run(capsys, "minrank", "--graph", "strong(cycle:5,cycle:5)", "--p", "2") == \
+        (3, "[5, 9] (search stopped after 256 nodes: above the search cap)\n", "")
     # 2^28 is below it; the search runs 784 nodes and the clock is read at 256
     assert run(capsys, "minrank", "--graph", "complement(cycle:7)", "--p", "2", "--budget-ms", "0") == \
         (3, "[2, 3] (search budget exhausted)\n", "")
+
+
+@pytest.mark.parametrize("graph, p, value", [
+    ("cycle:11", 3, 6), ("cycle:13", 3, 7), ("strong(cycle:5,complete:2)", 2, 3), ("strong(cycle:7,complete:2)", 2, 4),
+])
+def test_minrank_above_the_search_cap_is_exact_when_the_attempt_finishes(tmp_path, capsys, graph, p, value):
+    # p^(2|E|) is 3^22, 3^26, 2^50 and 2^70: each above the cap, each
+    # search finishing in under 100 nodes
+    assert run(capsys, "minrank", "--graph", graph, "--p", str(p)) == (0, f"{value}\n", "")
+    code, out, _ = run(capsys, "minrank", "--graph", graph, "--p", str(p), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["lower"] == report["upper"] == str(value)
+    assert [w["kind"] for w in report["witness_refs"]] == ["fit"]
+    _verify_report(tmp_path, capsys, out)
 
 
 def test_a_graph_without_vertices_has_no_fit_certificate(tmp_path, capsys):
@@ -949,6 +964,31 @@ def test_verify_refuses_an_exponent_without_evaluating_it(tmp_path, capsys):
     start = time.perf_counter()
     assert run(capsys, "verify", "--cert", str(path))[0] == 2
     assert time.perf_counter() - start < 1
+
+
+def test_verify_echoes_a_long_malformed_value_cut_short(tmp_path, capsys):
+    # the whole 1,000,000-character value made a 1,000,025-byte line
+    path = tmp_path / "report.json"
+    path.write_text(_CROSSED_REPORT.replace('"3"', f'"{"1" * 10**6}"'))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, err) == (2, "") and len(out.encode()) < 300
+    assert out == f"FAIL: not a rational: '{'1' * 99}... (1000002 characters)\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"graph": "cycle:5", "lower": "2", "upper": "2", "witness_refs": [], "param": "p" * 10**6},
+    {"graph": "cycle:5", "lower": "2", "upper": "2", "witness_refs": [[1] * 10**5], "param": "alpha"},
+    {"graph": "cycle:5", "kind": "k" * 10**6},
+    {"graph": [1] * 10**5, "kind": "fit"},
+    {"graph": "cycle:5" + "x" * 10**6, "kind": "fit"},
+    {"graph": "a" * 10**6, "kind": "fit"},
+], ids=["param", "witness", "kind", "graph-type", "graph-trailing", "graph-generator"])
+def test_verify_cuts_every_long_echoed_value_short(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, err) == (2, "") and out.startswith("FAIL: ") and len(out.encode()) < 300
+    assert " characters)" in out
 
 
 class _ClosedStdout(io.StringIO):

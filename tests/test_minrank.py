@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import multilinear_evaluation, random_graph
 
+from hfrac import minrank
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
 from hfrac.gfmat import FMatrix, rank
@@ -177,11 +178,33 @@ def test_minrank_at_least_alpha():
 
 def test_minrank_interval_when_search_space_too_large():
     g = strong_product(cycle(5), cycle(5))
-    res = minrank_exact(g, 2)  # 2^200 assignments: guarded to an interval
+    res = minrank_exact(g, 2)  # 2^200 assignments: stopped after ATTEMPT_NODES nodes
     assert not res.exact
     assert res.lower == 5 and res.upper >= 8
     assert res.certificate.check(g)
     assert res.alpha_witness is not None and len(res.alpha_witness) == res.lower
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_graphs(), st.integers(0, 40))
+def test_a_search_above_the_cap_is_exact_iff_it_finishes(gp, allowance):
+    g, p = gp
+    full = Budget()
+    minrank_exact(g, p, full)  # below the real cap: runs to the end
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minrank, "SEARCH_CAP", 0)  # every graph is above it
+        mp.setattr(minrank, "ATTEMPT_NODES", allowance)
+        budget = Budget()
+        res, again = minrank_exact(g, p, budget), minrank_exact(g, p)
+    assert res == again
+    assert res.lower <= minrank_bruteforce(g, p) <= res.upper
+    assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
+    assert not budget.exhausted  # the allowance is not the caller's budget
+    if full.nodes <= allowance:
+        assert res.exact and res.alpha_witness is None
+    else:
+        # the interval exit, exact only where alpha meets the upper end
+        assert res.lower == alpha(g)[0] == len(res.alpha_witness)
 
 
 def test_minrank_budget_interval():

@@ -559,3 +559,33 @@ def test_parse_frac_refuses_what_frac_str_never_writes(text):
     # whitespace, an underscore, a plus sign and a non-ASCII digit
     with pytest.raises(VerificationError):
         serialize.parse_frac(text)
+
+
+
+# Each reader, the start of its refusal message, and the unit of a refused
+# value (a string or a list, repeated to any length)
+REFUSALS = {
+    "parse_frac": (serialize.parse_frac, "not a rational: ", "x"),
+    "read_int": (lambda v: serialize.read_int(v, "d"), "d must be an integer, got ", "7"),
+    "read_list": (lambda v: serialize.read_list(v, "classes"), "classes must be a list, got ", "a"),
+    "read_objects": (lambda v: serialize.read_objects([v], "classes"),
+                     "each entry of classes must be a JSON object, got ", [1]),
+    "read_ints": (lambda v: serialize.read_ints(v, "vertices"), "vertices must be a list of integers, got ", "1"),
+    "read_reals": (lambda v: serialize.read_reals([v], "vectors", 1),
+                   "vectors must hold numbers nested 1 deep, got ", "0"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(REFUSALS))
+@pytest.mark.parametrize("size", [1, 98, 99, 10**6])
+def test_a_refused_value_is_echoed_whole_only_when_short(reader, size):
+    read, prefix, unit = REFUSALS[reader]
+    value = unit * size
+    with pytest.raises(VerificationError) as err:
+        read(value)
+    text = repr(value)
+    if len(text) <= 100:  # the message of old, byte for byte
+        assert str(err.value) == prefix + text
+    else:
+        assert str(err.value) == f"{prefix}{text[:100]}... ({len(text)} characters)"
+        assert len(str(err.value)) < 300
