@@ -4,15 +4,22 @@ A matrix over GF(p) stores its entries, reduced to [0, p), in the
 narrowest unsigned dtype that holds p - 1 (``storage_dtype``: uint8 for
 every p < 257, uint16 below 65537, uint32 for the rest), and every
 constructor and operation returns that dtype.  Arithmetic that can leave
-[0, p) runs wider and stores the reduced result narrow again.  Elimination
-upcasts to int64.  ``matmul`` runs in float32 BLAS
-whenever that is exact: with inner dimension k every partial sum is an
-integer of at most k (p-1)^2, and float32 holds every integer below 2^24,
-so below that bound the result does not depend on the order BLAS adds
-in.  From 2^24 on it runs in int64, and it refuses a product that could
-reach 2^63.  It converts the right operand to the work dtype whole and
-forms the product one block of rows at a time, so the wide product never
-exists at full size.  p itself always fits
+[0, p) runs wider and stores the reduced result narrow again.
+
+The wide work dtype is float32 whenever that is exact and int64
+otherwise (``PRODUCT_DTYPES``): float32 holds every integer below 2^24.
+``matmul`` with inner dimension k has partial sums of at most
+k (p-1)^2, so below 2^24 it runs in float32 BLAS and the result does not
+depend on the order BLAS adds in; from 2^24 on it runs in int64, and it
+refuses a product that could reach 2^63.  It converts the right operand
+to the work dtype whole and forms the product one block of rows at a
+time, so the wide product never exists at full size.  Elimination forms
+x - y*z with x, y, z < p, so it runs in float32 when (p-1)^2 + p < 2^24,
+that is for p <= 4093, and in int64 for larger primes.  Both reduce
+their work arrays with ``_reduce``: a float32 one as x - p*floor(x/p) in
+float32 (exact for the integers these operations form, below 2^24 in
+magnitude with room for one more p), an int64 one with ``np.remainder``;
+no float32 array goes through integer division.  p itself always fits
 the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
 two), so ``% p`` on a stored array stays in its dtype.  All elimination
 uses the deterministic first-nonzero pivot rule so that ranks and pivot
@@ -24,11 +31,11 @@ Forward elimination has two kernels, chosen by the modulus alone.  Over
 GF(2) (``_eliminate_gf2``) each row is packed once into uint64 words, 64
 columns a word; a pivot is found with an OR and a mask over one word
 column, and the column below it is cleared by one XOR of the pivot row's
-words from the pivot word on.  Every other prime runs the int64 kernel
-(``_eliminate``), which normalises each pivot row and subtracts multiples
-of it.  Both pick the same (row, column) pivots and return only those,
-whose count ``rank`` takes; the echelon form never leaves the kernel, and
-nothing here reduces to RREF.
+words from the pivot word on.  Every other prime runs ``_eliminate`` in
+its work dtype, which normalises each pivot row and subtracts multiples
+of it from the pivot column on.  Both pick the same (row, column) pivots
+and return only those, whose count ``rank`` takes; the echelon form never
+leaves the kernel, and nothing here reduces to RREF.
 
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
@@ -56,13 +63,13 @@ from .graphs import is_prime
 from .serialize import read_entries, read_int
 
 KRON_ENTRY_CAP = 16_000_000
-# Entries are stored narrow but computed on in int64: elimination forms
+# Entries are stored narrow but computed on wider: elimination forms
 # x - y*z with x, y, z < p, so FMatrix needs (p-1)^2 + p below this, and a
 # product with inner dimension k needs k (p-1)^2 below it.
 INT64_LIMIT = 2**63
-# (limit, dtype): a product whose partial sums stay below limit runs in
-# dtype.  float32 holds every integer below 2^24 exactly, so BLAS may add
-# in any order (fused multiply-adds too) and stay exact.
+# (limit, dtype): work whose integers stay below limit in magnitude runs
+# in dtype.  float32 holds every integer below 2^24 exactly, so BLAS may
+# add in any order (fused multiply-adds too) and stay exact.
 PRODUCT_DTYPES = ((2**24, np.float32), (INT64_LIMIT, np.int64))
 # Entries of a product computed at a time, in blocks of whole rows, so the
 # wide product is never allocated at full size.
@@ -70,10 +77,37 @@ _MATMUL_BLOCK_ENTRIES = 1 << 14
 
 
 def check_modulus(p: int) -> None:
-    if (p - 1) ** 2 + p >= INT64_LIMIT:
+    if _work_dtype((p - 1) ** 2 + p) is None:
         raise GuardExceeded(f"modulus {p} is too large for int64 elimination")
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
+
+
+def _work_dtype(bound: int):
+    """The first dtype of ``PRODUCT_DTYPES`` that holds every integer below
+    bound, or None."""
+    return next((dtype for limit, dtype in PRODUCT_DTYPES if bound < limit), None)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place in x's dtype; returns x.
+
+    A float32 array is reduced as x - p*floor(x/p) in float32, which is
+    exact for every integer x with -2^24 + p <= x < 2^24: the quotient is
+    rounded by less than 1/p, so its floor is exact, and p*floor(x/p) lies
+    in (x - p, x], so it is an integer float32 holds.  (Nearer to -2^24
+    that product can pass 2^24 and round.)  Every float32 array here is
+    bounded by its ``PRODUCT_DTYPES`` limit, which includes that margin.
+    Any other array is reduced with ``np.remainder``.
+    """
+    if x.dtype == np.float32:
+        q = x / np.float32(p)
+        np.floor(q, out=q)
+        q *= np.float32(p)
+        x -= q
+    else:
+        np.remainder(x, p, out=x)
+    return x
 
 
 def storage_dtype(p: int) -> np.dtype:
@@ -182,56 +216,63 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
     [0, k (p-1)^2], so the product runs in float32 BLAS below 2^24 and
     in int64 below 2^63 (``PRODUCT_DTYPES``); beyond that it is refused
     (``GuardExceeded``).  b is converted to that dtype whole; the rows of
-    a go through in blocks, and each block's product is reduced mod p in
-    the narrowest unsigned dtype that holds k (p-1)^2 and written into the
-    narrow result.
+    a go through in blocks, and each block's product is reduced mod p by
+    ``_reduce`` in the work dtype (a float32 product never goes through
+    integer division) and written into the narrow result.
     """
     if a.p != b.p:
         raise DimensionMismatch(f"modulus mismatch: {a.p} vs {b.p}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     p = a.p
-    bound = a.cols * (p - 1) ** 2
-    work = next((dtype for limit, dtype in PRODUCT_DTYPES if bound < limit), None)
+    work = _work_dtype(a.cols * (p - 1) ** 2)
     if work is None:
         raise GuardExceeded(f"a product over GF({p}) with inner dimension {a.cols} overflows int64")
-    reduce = np.min_scalar_type(bound)
     right = b.a.astype(work)
     out = np.empty((a.rows, b.cols), dtype=storage_dtype(p))
     step = max(1, _MATMUL_BLOCK_ENTRIES // b.cols)
     for start in range(0, a.rows, step):
-        block = (a.a[start:start + step].astype(work) @ right).astype(reduce)
-        np.remainder(block, p, out=out[start:start + step], casting="unsafe")
+        out[start:start + step] = _reduce(a.a[start:start + step].astype(work) @ right, p)
     return FMatrix._reduced(p, out)
 
 
 def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """Forward elimination on an int64 copy of a; returns its pivots.
+    """Forward elimination on a copy of a, whose entries are in [0, p);
+    returns its pivots.
 
     Pivots are (original_row, column) pairs in elimination order, chosen by
-    the first-nonzero rule.  Runs for every prime; ``_pivots`` sends p = 2
-    to ``_eliminate_gf2`` instead, which picks the same pivots.
+    the first-nonzero rule.  The copy has the work dtype of the bound
+    (p-1)^2 + p (``PRODUCT_DTYPES``): float32 for p <= 4093, int64 above.
+    Each pivot row is normalised and its multiples subtracted from the rows
+    below, from the pivot column on (every remaining row is zero left of
+    it), and both results go through ``_reduce``.  Runs for every prime;
+    ``_pivots`` sends p = 2 to ``_eliminate_gf2`` instead, which picks the
+    same pivots.
     """
-    a = a.astype(np.int64)
-    a %= p
+    a = a.astype(_work_dtype((p - 1) ** 2 + p))
     rows, cols = a.shape
     origin = list(range(rows))
     r = 0
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
             origin[r], origin[i] = origin[i], origin[r]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - a[idx, c:c + 1] * a[r]) % p
+        pivot = a[r, c:]
+        inv = pow(int(pivot[0]), -1, p)
+        if inv != 1:
+            pivot *= inv
+            _reduce(pivot, p)
+        if nz.size > 1:
+            # the swap moved row r, zero in column c, to row i, above the rest
+            below = nz[1:] + r
+            x = a[below, c:]
+            x -= x[:, :1] * pivot
+            a[below, c:] = _reduce(x, p)
         pivots.append((origin[r], c))
         r += 1
         if r == rows:

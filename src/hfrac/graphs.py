@@ -448,8 +448,7 @@ def subset_incidence(n: int, size: int) -> np.ndarray:
     """The subsets x n 0/1 incidence matrix of the size-subsets of [n] in
     lexicographic order, which is the vertex order of the subset graphs and
     of their certificates.  Its dtype is the smallest that holds ``size``,
-    so it also holds every intersection size of two rows (the counts that
-    ``_subset_graph`` takes from a float32 product of it)."""
+    so it also holds every intersection size of two rows."""
     subsets = list(combinations(range(n), size))
     inc = np.zeros((len(subsets), n), dtype=np.min_scalar_type(size))
     inc[np.repeat(np.arange(len(subsets)), size), np.array(subsets, dtype=np.int64).ravel()] = 1
@@ -460,13 +459,15 @@ def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> 
     """The graph on the size-subsets of [n] whose edges are the pairs with
     ``adjacent(|X∩Y|)``.
 
-    The intersection counts are a float32 product of the 0/1 incidence
-    matrix, which runs in BLAS (numpy's integer ``@`` does not).  It is
-    exact because every partial sum is an integer of at most ``size``, and
-    float32 holds every integer below 2^24: two subsets need n > size, so
-    size >= 2^24 would mean over 2^24 vertices, a 2^48-byte matrix.  The
-    counts go back to the incidence dtype before ``adjacent`` takes them
-    mod p.
+    ``adjacent`` is evaluated once, on the sizes 0 .. size - 1 that two
+    distinct subsets can share.  The intersection counts are a float32
+    product of the 0/1 incidence matrix, which runs in BLAS (numpy's
+    integer ``@`` does not).  It is exact because every partial sum is an
+    integer of at most ``size``, and float32 holds every integer below
+    2^24: two subsets need n > size, so size >= 2^24 would mean over 2^24
+    vertices, a 2^48-byte matrix.  Each block of rows is the OR of its
+    float32 counts compared with each adjacent size; the diagonal counts
+    are ``size``, which is never compared, so it comes out False.
     """
     _guard(comb(n, size), max_vertices, expr)
     if n > max_vertices:  # the incidence matrix grows with n
@@ -474,11 +475,17 @@ def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> 
     inc = subset_incidence(n, size)
     count = len(inc)
     ones = inc.astype(np.float32)
-    mat = np.empty((count, count), dtype=bool)
+    # a copy, not the view ones.T: numpy sends ``x @ x.T`` to BLAS's
+    # symmetric kernel, which is several times slower on these thin x
+    ones_t = ones.T.copy()
+    shared = np.flatnonzero(adjacent(np.arange(size))).astype(np.float32)
+    mat = np.zeros((count, count), dtype=bool)
     step = max(1, _SUBSET_BLOCK_ENTRIES // count)
     for start in range(0, count, step):
-        mat[start:start + step] = adjacent((ones[start:start + step] @ ones.T).astype(inc.dtype))
-    np.fill_diagonal(mat, False)
+        counts = ones[start:start + step] @ ones_t
+        rows = mat[start:start + step]
+        for s in shared:
+            rows |= counts == s
     return Graph(mat, expr)
 
 

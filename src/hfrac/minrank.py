@@ -29,7 +29,7 @@ import numpy as np
 
 from .budget import Budget
 from .errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
-from .gfmat import FMatrix, check_modulus, matmul, rank
+from .gfmat import FMatrix, check_modulus, matmul, rank, storage_dtype
 from .graphs import Graph, alon, complement, is_prime, johnson, subset_incidence
 from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
@@ -167,7 +167,12 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     return FitCertificate(graph_hash(g), mat, r)
 
 
-def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResult:
+def minrank_exact(
+    g: Graph,
+    p: int,
+    budget: Budget | None = None,
+    alpha_end: tuple[int, tuple[int, ...]] | None = None,
+) -> MinrankResult:
     """Exact minimum rank over all fit matrices by depth-first assignment
     of the free entries, row by row, with a block-triangular bound.
 
@@ -186,7 +191,8 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     certified interval [independence number, best certificate rank found].
     The best certificate is the greedy cover's or the search's incumbent;
     the independence number is searched on ``budget`` (its certified lower
-    bound, if that runs out too).
+    bound, if that runs out too), unless the caller passes that search's
+    result (``alpha_lower_end``) as ``alpha_end``.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
@@ -194,7 +200,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
 
     def interval_result() -> MinrankResult:
-        lower, witness = alpha_lower_end(g, budget)
+        lower, witness = alpha_end or alpha_lower_end(g, budget)
         lower = min(lower, incumbent.claimed_rank)
         # a closed interval pins the value without exhausting the search
         return MinrankResult(lower, incumbent.claimed_rank, incumbent, witness)
@@ -292,8 +298,8 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
     intersection-parity graph on (p+1)-subsets because the subset size
     p+1 is 1 mod p; rank is at most n."""
     g = johnson(p, n)
-    inc = subset_incidence(n, p + 1)
-    m = FMatrix(p, inc.T)
+    check_modulus(p)
+    m = FMatrix._reduced(p, subset_incidence(n, p + 1).T.astype(storage_dtype(p)))
     gram = matmul(m.transpose(), m)
     cert = FitCertificate(graph_hash(g), gram, rank(gram))
     if fit_violation(g, gram) is not None:
@@ -315,9 +321,14 @@ class PolyRep:
     The polynomial of vertex u is f_u(y) = prod_c (<x_u, y> - c) over the
     ``factor_constants`` c, with x_u the point of u; its degree is the
     number of constants.  At the point of v, <x_u, x_v> = |X_u & X_v|, so
-    the whole evaluation matrix is prod_c (S - c) mod the modulus, with S
-    the points' intersection matrix.  Reduced to a multilinear polynomial
-    (x^2 = x on 0/1 points), f_u takes the same values at every point.
+    entry (u, v) of the evaluation matrix depends on that intersection
+    size s alone: it is T[s] = prod_c (s - c) mod the modulus.  The
+    evaluation matrix is therefore a lookup of the table T, with one entry
+    per size from 0 to the largest point weight, at the intersection
+    sizes, which are a float32 product of the points (exact, as in
+    ``graphs._subset_graph``); no entry is reduced by integer division.
+    Reduced to a multilinear polynomial (x^2 = x on 0/1 points), f_u takes
+    the same values at every point.
     """
 
     modulus: int
@@ -336,17 +347,28 @@ class PolyRep:
             val = val * (s - c) % self.modulus
         return val
 
-    def evaluation_matrix(self) -> np.ndarray:
-        """E[u, v] = ``unreduced_value(u, v)`` for every pair, as one int64
-        array: one elementwise product of residues per constant."""
+    def intersection_sizes(self) -> np.ndarray:
+        """S[u, v] = <x_u, x_v> = |X_u & X_v|, as indices into
+        ``value_table``: a float32 product of the 0/1 points, exact because
+        each sum is an integer of at most the dimension, below 2^24."""
+        x = np.array(self.points, dtype=np.float32)
+        return (x @ x.T.copy()).astype(np.intp)  # a copy, as in graphs._subset_graph
+
+    def value_table(self) -> np.ndarray:
+        """T[s] = prod_c (s - c) mod the modulus for every intersection
+        size s from 0 to the largest point weight, as int64."""
         # checked first: it bounds every product of two residues below int64's limit
         check_modulus(self.modulus)
-        x = np.array(self.points, dtype=np.int64)
-        s = x @ x.T
-        e = np.ones_like(s)
+        s = np.arange(max(map(sum, self.points)) + 1, dtype=np.int64)
+        t = np.ones_like(s)
         for c in self.factor_constants:
-            e = e * ((s - c) % self.modulus) % self.modulus
-        return e
+            t = t * ((s - c) % self.modulus) % self.modulus
+        return t
+
+    def evaluation_matrix(self) -> np.ndarray:
+        """E[u, v] = ``unreduced_value(u, v)`` for every pair, as one int64
+        array: ``value_table`` looked up at ``intersection_sizes``."""
+        return self.value_table()[self.intersection_sizes()]
 
     def violation(self, g: Graph, evaluation: np.ndarray | None = None) -> str | None:
         """None if every polynomial is nonzero at its own point and zero at
@@ -415,13 +437,15 @@ def alon_certificate(
     target = base if variant == "P" else complement(base)
     inc = subset_incidence(n, p * q - 1)
     rep = PolyRep(modulus, constants, tuple(map(tuple, inc.tolist())))
-    e = rep.evaluation_matrix()
-    failure = rep.violation(target, e)
+    sizes, table = rep.intersection_sizes(), rep.value_table()
+    failure = rep.violation(target, table[sizes])
     if failure is not None:
         raise VerificationError(f"polynomial representation invalid: {failure}")
 
-    inv = np.array([pow(int(x), -1, modulus) for x in np.diag(e)], dtype=np.int64)
-    mat = FMatrix(modulus, inv[:, None] * e % modulus)
+    # every point has weight pq - 1, so every own-point value is T[pq - 1]
+    # and one inverse scales the whole table to a unit diagonal
+    unit = table * pow(int(table[p * q - 1]), -1, modulus) % modulus
+    mat = FMatrix._reduced(modulus, unit.astype(storage_dtype(modulus))[sizes])
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
     if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")

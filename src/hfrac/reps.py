@@ -200,15 +200,16 @@ def hfrac_upper_search(
     master's cover when an orbit cover's denominator exceeds dmax), and, when
     the graph expression is a strong product, the tensor product of the
     factors' best certificates.  The lower end is the independence number
-    (or its certified lower bound under budget).  The interval never
-    claims the parameter exactly unless the two ends meet; whether any
-    part was cut off shows in ``budget.exhausted``.
+    (or its certified lower bound under budget), searched once: the
+    minrank search takes it as its own interval's lower end.  The interval
+    never claims the parameter exactly unless the two ends meet; whether
+    any part was cut off shows in ``budget.exhausted``.
     """
     if dmax < 1:
         raise PreconditionError(f"dmax must be >= 1, got {dmax}")
     budget = budget or Budget()
     a, wit = alpha_lower_end(g, budget)
-    upper, best = _best_upper(g, p, dmax, budget)
+    upper, best = _best_upper(g, p, dmax, budget, (a, wit), {})
     return BoundReport(
         parameter=f"hfrac[gf({p})]",
         graph=g.expr or f"n={g.n},m={g.m}",
@@ -218,10 +219,22 @@ def hfrac_upper_search(
     )
 
 
-def _best_upper(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[Fraction, DRep]:
-    """The smallest (ratio, certificate) among the upper candidates."""
+def _best_upper(
+    g: Graph,
+    p: int,
+    dmax: int,
+    budget: Budget,
+    alpha_end: tuple[int, tuple[int, ...]] | None,
+    factors: dict[str, tuple[Fraction, DRep]],
+) -> tuple[Fraction, DRep]:
+    """The smallest (ratio, certificate) among the upper candidates.
+
+    ``alpha_end`` is g's ``alpha_lower_end`` when the caller has it, and
+    ``factors`` holds the result of every strong-product factor solved so
+    far in this search, by expression, so a repeated factor is solved once.
+    """
     candidates: list[tuple[Fraction, DRep]] = []
-    res = minrank_exact(g, p, budget)
+    res = minrank_exact(g, p, budget, alpha_end)
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
 
     try:
@@ -242,7 +255,11 @@ def _best_upper(g: Graph, p: int, dmax: int, budget: Budget) -> tuple[Fraction, 
         except GraphParseError:
             ex = None
         if ex is not None and ex.op == "strong":
-            (_, rep1), (_, rep2) = (_best_upper(generate(child), p, dmax, budget) for child in ex.args)
+            names = [str(child) for child in ex.args]
+            for name in names:
+                if name not in factors:
+                    factors[name] = _best_upper(generate(name), p, dmax, budget, None, factors)
+            (_, rep1), (_, rep2) = (factors[name] for name in names)
             if rep1.d * rep2.d <= dmax:
                 tens = tensor_dreps(rep1, rep2)
                 candidates.append((tens.ratio(), tens))

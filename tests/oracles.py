@@ -157,6 +157,37 @@ def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:
     return tuple(FMatrix(m.p, ct[:, v * rep.d:(v + 1) * rep.d]) for v in range(rep.nvertices))
 
 
+def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Forward elimination over GF(p) on an int64 copy of a, every row
+    updated whole and reduced with ``%``; returns the (original_row,
+    column) pivots in elimination order, by the first-nonzero rule."""
+    a = a.astype(np.int64)
+    a %= p
+    rows, cols = a.shape
+    origin = list(range(rows))
+    r = 0
+    pivots: list[tuple[int, int]] = []
+    for c in range(cols):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            origin[r], origin[i] = origin[i], origin[r]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = a[r] * inv % p
+        below = np.nonzero(a[r + 1:, c])[0]
+        if below.size:
+            idx = below + r + 1
+            a[idx] = (a[idx] - a[idx, c:c + 1] * a[r]) % p
+        pivots.append((origin[r], c))
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
 def pairwise_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
     """``reps.subspacerep_violation`` with each vertex's non-neighbours
     listed by one adjacency lookup per pair."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
+from oracles import int64_eliminate
 
 from hfrac import gfmat
 from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
@@ -313,3 +314,66 @@ def test_matmul_strategy_reaches_every_dtype_and_ragged_blocks():
     find(products(), lambda case: path(case) == "refused")
     find(products(), lambda case: step(case) > 1 and len(case[1]) % step(case) != 0)
     find(products(), lambda case: len(case[1]) > step(case))
+
+
+# The elimination work dtype: float32 while (p-1)^2 + p < 2^24, which 4093
+# is the largest prime to meet, and int64 from 4099, the next prime, on
+# (2^31 - 1 makes products no float32 can hold).
+ELIMINATION_PRIMES = (3, 5, 4093, 4099, 2**31 - 1)
+GFP_KINDS = ("random", "low-rank", "zero columns", "repeated rows", "zero")
+
+
+@st.composite
+def gfp_arrays(draw):
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(GFP_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # p - 1 is drawn often: it makes the largest products and differences
+    a = np.where(rng.random((rows, cols)) < 0.3, p - 1, rng.integers(0, p, (rows, cols)))
+    if kind == "low-rank":
+        k = draw(st.integers(1, 6))
+        a = rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols)) % p
+    elif kind == "zero columns":
+        a[:, rng.random(cols) < 0.5] = 0
+    elif kind == "repeated rows":
+        a = a[rng.integers(0, min(rows, 3), rows)] * rng.integers(1, p, (rows, 1)) % p
+    elif kind == "zero":
+        a[:] = 0
+    return p, FMatrix(p, a).a
+
+
+@settings(max_examples=300, deadline=None)
+@given(gfp_arrays())
+def test_elimination_picks_the_int64_kernels_pivots(case):
+    p, a = case
+    before = a.copy()
+    assert gfmat._eliminate(a, p) == int64_eliminate(a, p)
+    assert np.array_equal(a, before)  # input unchanged
+
+
+def test_elimination_strategy_reaches_each_prime_deficient_and_zero_columns():
+    for p in ELIMINATION_PRIMES:
+        find(gfp_arrays(), lambda case: case[0] == p and len(int64_eliminate(case[1], p)) < min(case[1].shape))
+        find(gfp_arrays(), lambda case: case[0] == p and case[1].shape[1] > 1 and 0 < int(
+            (~case[1].any(axis=0)).sum()) < case[1].shape[1])
+
+
+@pytest.mark.parametrize("p, dtype", [(3, np.float32), (5, np.float32), (4093, np.float32),
+                                      (4099, np.int64), (2**31 - 1, np.int64)])
+def test_elimination_works_in_float32_up_to_4093(p, dtype):
+    a = FMatrix(p, [[1, 2], [0, 1], [p - 1, 1]]).a
+    with mock.patch.object(gfmat, "_reduce", wraps=gfmat._reduce) as reduce:
+        assert gfmat._eliminate(a, p) == [(0, 0), (1, 1)]
+    assert {call.args[0].dtype for call in reduce.call_args_list} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 4093))
+def test_float32_reduction_matches_integer_remainder_below_2_24(p):
+    # every integer |x| < 2^24, in blocks of 2^22 so no array passes 32 MB
+    limit, block = 2**24, 2**22
+    for start in range(-limit + 1, limit, block):
+        x = np.arange(start, min(start + block, limit), dtype=np.int64)
+        got = gfmat._reduce(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, x % p), start

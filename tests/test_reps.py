@@ -26,7 +26,7 @@ from hfrac.graphs import (
     strong_product,
 )
 from hfrac.independence import alpha, greedy_clique_cover
-from hfrac.minrank import cover_certificate
+from hfrac.minrank import cover_certificate, minrank_exact
 from hfrac.reps import (
     DRep,
     SubspaceRep,
@@ -322,6 +322,18 @@ def test_search_strong_square_uses_tensor_route():
     report = hfrac_upper_search(g, 2, dmax=4)
     assert report.lower == 5
     assert report.upper <= F(25, 4)
+
+
+def test_search_takes_alpha_once_and_each_factor_once():
+    # strong(cycle:5,cycle:5) is above the minrank search cap at p = 2, so
+    # its minrank search ends at the interval exit, which takes hfrac's alpha
+    g = generate("strong(cycle:5,cycle:5)")
+    with mock.patch("hfrac.independence.alpha", wraps=alpha) as alphas, \
+            mock.patch("hfrac.reps.minrank_exact", wraps=minrank_exact) as searches:
+        report = hfrac_upper_search(g, 2)
+    assert (report.lower, report.upper) == (5, F(25, 4))
+    assert [call.args[0].n for call in alphas.call_args_list] == [25]
+    assert [call.args[0].expr for call in searches.call_args_list] == ["strong(cycle:5,cycle:5)", "cycle:5"]
 
 
 def test_search_report_json_is_witnessed():
