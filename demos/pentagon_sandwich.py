@@ -68,7 +68,7 @@ def main():
     print(f"block certificate: d = {rep.d}, ratio = {rep.ratio()}, "
           f"verified: {drep_violation(c5, rep) is None}")
 
-    report = hfrac_upper_search(c5, 2, dmax=2)
+    report = hfrac_upper_search(c5, 2)
     print(f"fractional minrank interval over GF(2): "
           f"[{report.lower}, {report.upper}]")
     assert report.upper == Fraction(5, 2) < 3 <= res.upper

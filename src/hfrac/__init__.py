@@ -62,12 +62,10 @@ from .minrank import (
 from .report import BoundReport
 from .reps import (
     DRep,
-    SubspaceRep,
     cycle_drep,
     drep_from_fractional_cover,
     drep_violation,
     hfrac_upper_search,
-    subspacerep_violation,
     tensor_dreps,
 )
 from .theta import (

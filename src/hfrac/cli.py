@@ -56,7 +56,7 @@ from .minrank import (
     minrank_exact,
 )
 from .report import BoundReport
-from .reps import DRep, SubspaceRep, cycle_drep, drep_violation, hfrac_upper_search, subspacerep_violation, tensor_dreps
+from .reps import DRep, cycle_drep, drep_violation, hfrac_upper_search, tensor_dreps
 from .reproduce import run_claims
 from .serialize import canonical_json, excerpt, frac_str, json_pieces, load_json, parse_frac, read_ints
 from .theta import OrthoRep, orthorep_violation, theta_circulant, theta_johnson_lp
@@ -104,7 +104,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hfrac", parents=[common], help="certified interval for the fractional minrank bound")
     p.add_argument("--graph", required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--dmax", type=int, default=8)
 
     p = sub.add_parser("theta-circulant", parents=[common], help="closed-form theta for circulants")
     p.add_argument("--n", type=int, required=True)
@@ -225,7 +224,7 @@ def _cmd_minrank(args) -> int:
 def _cmd_hfrac(args) -> int:
     g = _graph(args)
     budget = _budget(args)
-    report = hfrac_upper_search(g, args.p, dmax=args.dmax, budget=budget)
+    report = hfrac_upper_search(g, args.p, budget=budget)
     human = f"[{frac_str(report.lower)}, {frac_str(report.upper)}]"
     if budget.exhausted:
         human += " (budget exhausted)"
@@ -310,7 +309,7 @@ class _Kind(NamedTuple):
     read: Callable  # the file's object -> the certificate
     violation: Callable  # (graph, certificate) -> None, or why it fails
     params: tuple[str, ...] = ()
-    modulus: Callable | None = None  # certificate -> p
+    modulus: Callable | None = None  # certificate -> p; None for a kind that names no field
     end: str = ""  # "lower" or "upper"
     attains: Callable | None = None  # (certificate, the report's value at end) -> bool
 
@@ -330,8 +329,9 @@ _KINDS = {
                              lambda g, verts: independent_set_violation(g, verts),
                              ("alpha", "minrank", "hfrac"), None,
                              "lower", lambda verts, lower: lower <= len(verts)),
-    "subspacerep": _Kind(lambda obj: SubspaceRep.from_json(obj), lambda g, rep: subspacerep_violation(g, rep)),
-    "fraccover": _Kind(lambda obj: FractionalCover.from_json(obj), lambda g, cover: cover_violation(g, cover)),
+    "fraccover": _Kind(lambda obj: FractionalCover.from_json(obj), lambda g, cover: cover_violation(g, cover),
+                       ("hfrac",), None,
+                       "upper", lambda cover, upper: cover.value == upper),
     "cliquecover": _Kind(lambda obj: CliqueCover.from_json(obj),
                          lambda g, cover: clique_cover_violation(g, cover)),
     "orthorep": _Kind(lambda obj: OrthoRep.from_json(obj), lambda g, rep: orthorep_violation(g, rep)),

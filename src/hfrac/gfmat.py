@@ -54,8 +54,6 @@ int64-safe prime fails verification like any other defect of the file.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
@@ -333,9 +331,3 @@ def rank(m: FMatrix) -> int:
     """Rank over GF(p) by Gaussian elimination; input unchanged."""
     return len(_pivots(m.a, m.p))
 
-
-def hstack(mats: Sequence[FMatrix]) -> FMatrix:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise DimensionMismatch("modulus mismatch in hstack")
-    return FMatrix._reduced(p, np.hstack([m.a for m in mats]))

@@ -1,26 +1,22 @@
-"""The fractional minrank bound through its two certificate forms.
+"""The fractional minrank bound through its block certificates.
 
 A block fit matrix with identity diagonal blocks and zero non-edge blocks
 (``DRep``, defined and checked in ``minrank`` beside the fit matrices, its
-case d = 1) witnesses the bound rank/d.  Per-vertex d-dimensional
-subspaces, each meeting the span of its non-neighbours' subspaces
-trivially (``SubspaceRep``), state the same bound the way it is commonly
-written; only ``verify`` reads them, and every fractional-minrank
-certificate a command writes or a report cites is a ``DRep``.  Tensoring block
-certificates multiplies ratios exactly, which is what makes the bound
-multiplicative over strong products.
+case d = 1) witnesses the bound rank/d.  Tensoring block certificates
+multiplies ratios exactly, which is what makes the bound multiplicative
+over strong products.  A fractional clique cover of value v bounds it by v
+over every field: its blow-up (``drep_from_fractional_cover``) is a block
+certificate of ratio at most v.  So a report cites the cover itself, and
+the search blows a cover up only to tensor it.
 
 Certificates are the unit of truth here: every constructor verifies its
 output, and the search orchestrator only ever reports intervals whose two
-ends are witnessed.  Each form has a ``*_violation(g, rep)`` check that
-returns None or the first defect; ``to_json`` writes the certificate
-without its graph.  How ``verify`` reads and checks each kind, and which
+ends are witnessed.  How ``verify`` reads and checks each kind, and which
 report ends it may witness, is the table ``_KINDS`` in ``cli``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,61 +32,11 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, fractional_clique_cover
-from .gfmat import KRON_ENTRY_CAP, FMatrix, hstack, rank, storage_dtype
+from .gfmat import KRON_ENTRY_CAP, FMatrix, storage_dtype
 from .graphs import Graph, cycle, generate, parse_expr
 from .independence import alpha_lower_end
 from .minrank import DRep, drep_violation, minrank_exact
 from .report import BoundReport
-from .serialize import read_int, read_list
-
-
-@dataclass(frozen=True)
-class SubspaceRep:
-    """Per-vertex d-dimensional subspaces of GF(p)^n, each meeting the span
-    of its non-neighbors' subspaces trivially."""
-
-    n: int
-    d: int
-    bases: tuple[FMatrix, ...]
-    p: int
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": "subspacerep",
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "bases": [b.a.ravel() for b in self.bases],
-        }
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SubspaceRep":
-        n, d, p = read_int(obj["n"], "n"), read_int(obj["d"], "d"), read_int(obj["p"], "p")
-        bases = tuple(FMatrix.from_entries(p, n, d, item) for item in read_list(obj["bases"], "bases"))
-        return cls(n, d, bases, p)
-
-
-def subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
-    if len(rep.bases) != g.n:
-        raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
-    for v, b in enumerate(rep.bases):
-        if b.shape != (rep.n, rep.d):
-            raise DimensionMismatch(f"basis of vertex {v} has shape {b.shape}")
-    for v, b in enumerate(rep.bases):
-        if rank(b) != rep.d:
-            return f"subspace of vertex {v} has dimension below {rep.d}"
-    nonadjacent = ~g.matrix
-    np.fill_diagonal(nonadjacent, False)
-    for v, row in enumerate(nonadjacent):
-        others = [rep.bases[u] for u in np.flatnonzero(row).tolist()]
-        if not others:
-            continue
-        span = hstack(others)
-        r_span = rank(span)
-        if rank(hstack([rep.bases[v], span])) != rep.d + r_span:
-            return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +132,21 @@ def cycle_drep(k: int, p: int) -> DRep:
 # Upper/lower search
 
 
-def hfrac_upper_search(
-    g: Graph,
-    p: int,
-    dmax: int = 8,
-    budget: Budget | None = None,
-) -> BoundReport:
+def hfrac_upper_search(g: Graph, p: int, budget: Budget | None = None) -> BoundReport:
     """Best certified interval for the fractional minrank bound over GF(p).
 
-    Upper candidates (certificates with block size at most dmax): the
-    budgeted d = 1 minrank search, the blow-up of the optimal fractional
-    clique cover (left out when the budget cuts the cover off; the
-    master's cover when an orbit cover's denominator exceeds dmax), and, when
-    the graph expression is a strong product, the tensor product of the
-    factors' best certificates.  The lower end is the independence number
-    (or its certified lower bound under budget), searched once: the
+    Upper candidates: the budgeted d = 1 minrank search, the optimal
+    fractional clique cover (left out when the budget cuts it off), and,
+    when the graph expression is a strong product, the tensor product of
+    the factors' best certificates.  The lower end is the independence
+    number (or its certified lower bound under budget), searched once: the
     minrank search takes it as its own interval's lower end.  The interval
     never claims the parameter exactly unless the two ends meet; whether
     any part was cut off shows in ``budget.exhausted``.
     """
-    if dmax < 1:
-        raise PreconditionError(f"dmax must be >= 1, got {dmax}")
     budget = budget or Budget()
     a, wit = alpha_lower_end(g, budget)
-    upper, best = _best_upper(g, p, dmax, budget, (a, wit), {})
+    upper, best = _best_upper(g, p, budget, (a, wit), {})
     return BoundReport(
         parameter=f"hfrac[gf({p})]",
         graph=g.expr or f"n={g.n},m={g.m}",
@@ -222,32 +159,32 @@ def hfrac_upper_search(
 def _best_upper(
     g: Graph,
     p: int,
-    dmax: int,
     budget: Budget,
     alpha_end: tuple[int, tuple[int, ...]] | None,
-    factors: dict[str, tuple[Fraction, DRep]],
-) -> tuple[Fraction, DRep]:
-    """The smallest (ratio, certificate) among the upper candidates.
+    factors: dict[str, tuple[Graph, tuple[Fraction, DRep | FractionalCover]]],
+) -> tuple[Fraction, DRep | FractionalCover]:
+    """The smallest (value, certificate) among the upper candidates; a
+    cover stands for itself at its value, whatever its denominator.
 
     ``alpha_end`` is g's ``alpha_lower_end`` when the caller has it, and
-    ``factors`` holds the result of every strong-product factor solved so
-    far in this search, by expression, so a repeated factor is solved once.
+    ``factors`` holds the graph and result of every strong-product factor
+    solved so far in this search, by expression, so a repeated factor is
+    solved once.  The tensor candidate blows up a factor whose best is a
+    cover, and is formed only when its (n1 d1 n2 d2)^2 entries fit under
+    ``KRON_ENTRY_CAP``, checked before any blow-up is built.  When both
+    factors' bests are covers and g's own cover is a candidate it is left
+    out: the cover number is multiplicative under the strong product, so
+    that tensor could only tie.
     """
-    candidates: list[tuple[Fraction, DRep]] = []
+    candidates: list[tuple[Fraction, DRep | FractionalCover]] = []
     res = minrank_exact(g, p, budget, alpha_end)
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
 
     try:
         cover = fractional_clique_cover(g, budget)
-        if cover.d > dmax and g.transitive_automorphisms is not None:
-            # an orbit cover's denominator can exceed that of the master's
-            # optimum, which the bare matrix (no automorphisms) gets
-            cover = fractional_clique_cover(Graph(g.matrix), budget)
+        candidates.append((cover.value, cover))
     except (BudgetExhausted, SearchCutoff):
         cover = None  # the other candidates still certify the upper end
-    if cover is not None and cover.d <= dmax:
-        rep = drep_from_fractional_cover(g, cover, p)
-        candidates.append((rep.ratio(), rep))
 
     if g.expr:
         try:
@@ -258,10 +195,17 @@ def _best_upper(
             names = [str(child) for child in ex.args]
             for name in names:
                 if name not in factors:
-                    factors[name] = _best_upper(generate(name), p, dmax, budget, None, factors)
-            (_, rep1), (_, rep2) = (factors[name] for name in names)
-            if rep1.d * rep2.d <= dmax:
-                tens = tensor_dreps(rep1, rep2)
+                    h = generate(name)
+                    factors[name] = (h, _best_upper(h, p, budget, None, factors))
+            (g1, (_, best1)), (g2, (_, best2)) = (factors[name] for name in names)
+            both_covers = isinstance(best1, FractionalCover) and isinstance(best2, FractionalCover)
+            rows = g1.n * best1.d * g2.n * best2.d
+            if not (both_covers and cover is not None) and rows * rows <= KRON_ENTRY_CAP:
+                tens = tensor_dreps(_as_drep(g1, best1, p), _as_drep(g2, best2, p))
                 candidates.append((tens.ratio(), tens))
 
     return min(candidates, key=lambda c: c[0])
+
+
+def _as_drep(g: Graph, best: DRep | FractionalCover, p: int) -> DRep:
+    return drep_from_fractional_cover(g, best, p) if isinstance(best, FractionalCover) else best

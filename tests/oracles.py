@@ -9,7 +9,7 @@ import numpy as np
 
 from hfrac.budget import Budget
 from hfrac.errors import DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, _pivots, hstack, rank
+from hfrac.gfmat import FMatrix, _pivots, rank
 from hfrac.graphs import Graph, graph_from_edges
 from hfrac.independence import CliqueCover
 from hfrac.lp import (
@@ -25,7 +25,7 @@ from hfrac.lp import (
     check_solution,
 )
 from hfrac.minrank import PolyRep
-from hfrac.reps import DRep, SubspaceRep
+from hfrac.reps import DRep
 
 
 def _bits(mask: int):
@@ -157,6 +157,28 @@ def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:
     return tuple(FMatrix(m.p, ct[:, v * rep.d:(v + 1) * rep.d]) for v in range(rep.nvertices))
 
 
+def stacked_rank(mats) -> int:
+    """Rank over GF(p) of the matrices set side by side (``np.hstack``)."""
+    return rank(FMatrix(mats[0].p, np.hstack([m.a for m in mats])))
+
+
+def subspace_violation(g: Graph, bases, d: int) -> str | None:
+    """The fractional bound in its subspace form: None when the column
+    spaces of ``bases`` (one matrix per vertex) are d-dimensional and each
+    meets the span of its non-neighbours' spaces trivially, else the first
+    defect.  The column factors of a verified ``DRep`` are one."""
+    if len(bases) != g.n:
+        raise DimensionMismatch(f"{len(bases)} subspaces for {g.n} vertices")
+    for v, b in enumerate(bases):
+        if rank(b) != d:
+            return f"subspace of vertex {v} has dimension below {d}"
+    for v in range(g.n):
+        others = [bases[u] for u in range(g.n) if u != v and not g.matrix[u, v]]
+        if others and stacked_rank([bases[v], *others]) != d + stacked_rank(others):
+            return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
+    return None
+
+
 def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
     """Forward elimination over GF(p) on an int64 copy of a, every row
     updated whole and reduced with ``%``; returns the (original_row,
@@ -186,28 +208,6 @@ def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
         if r == rows:
             break
     return pivots
-
-
-def pairwise_subspacerep_violation(g: Graph, rep: SubspaceRep) -> str | None:
-    """``reps.subspacerep_violation`` with each vertex's non-neighbours
-    listed by one adjacency lookup per pair."""
-    if len(rep.bases) != g.n:
-        raise DimensionMismatch(f"{len(rep.bases)} subspaces for {g.n} vertices")
-    for v, b in enumerate(rep.bases):
-        if b.shape != (rep.n, rep.d):
-            raise DimensionMismatch(f"basis of vertex {v} has shape {b.shape}")
-    for v, b in enumerate(rep.bases):
-        if rank(b) != rep.d:
-            return f"subspace of vertex {v} has dimension below {rep.d}"
-    for v in range(g.n):
-        others = [rep.bases[u] for u in range(g.n) if u != v and not g.matrix[u, v]]
-        if not others:
-            continue
-        span = hstack(others)
-        r_span = rank(span)
-        if rank(hstack([rep.bases[v], span])) != rep.d + r_span:
-            return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
-    return None
 
 
 def edge_loop_read_graph_file(path: str, max_vertices: int | None = None) -> Graph:

@@ -107,8 +107,35 @@ def test_minrank(capsys):
 
 
 def test_hfrac_interval(capsys):
-    code, out, _ = run(capsys, "hfrac", "--graph", "cycle:5", "--p", "2", "--dmax", "2")
+    code, out, _ = run(capsys, "hfrac", "--graph", "cycle:5", "--p", "2")
     assert code == 0 and out.strip() == "[2, 5/2]"
+    # the cover is cited at any denominator, so no option caps it
+    assert run(capsys, "hfrac", "--graph", "cycle:5", "--p", "2", "--dmax", "4")[0] == 64
+
+
+@pytest.mark.parametrize("graph, p", [("cycle:7", "2"), ("strong(cycle:5,cycle:5)", "2"), ("johnson:2,10", "2"),
+                                      ("cycle:5", "3"), ("cycle:7", "3")])
+def test_hfrac_cites_the_cover_that_fracchrom_prints(tmp_path, capsys, graph, p):
+    code, report, _ = run(capsys, "hfrac", "--graph", graph, "--p", p, "--json")
+    assert code == 0
+    cited = json.loads(report)["witness_refs"][1]
+    code, out, _ = run(capsys, "fracchrom", "--graph", graph, "--json")
+    assert code == 0
+    printed = json.loads(out)
+    del printed["graph"]
+    assert canonical_json(cited) == canonical_json(printed)
+    _verify_report(tmp_path, capsys, report)
+
+
+def test_hfrac_leaves_out_a_tensor_above_the_entry_cap(tmp_path, capsys, monkeypatch):
+    # the tensor candidate of strong(cycle:5,complete:2) has 20^2 entries;
+    # a product whose tensor is above the cap (strong(cycle:33,cycle:33) at
+    # 4356^2) exited 64 with "usage error: tensor certificate has ..."
+    monkeypatch.setattr("hfrac.reps.KRON_ENTRY_CAP", 399)
+    code, out, err = run(capsys, "hfrac", "--graph", "strong(cycle:5,complete:2)", "--p", "2", "--json")
+    assert code == 0, err
+    assert (json.loads(out)["lower"], json.loads(out)["upper"]) == ("2", "5/2")
+    _verify_report(tmp_path, capsys, out)
 
 
 def test_json_outputs_are_byte_identical(capsys):
@@ -667,7 +694,9 @@ def test_verify_refuses_a_malformed_witness(tmp_path, capsys, argv, edit):
     # rest.  The last five printed OK: the set {0, 0} passed for
     # alpha(C5) >= 2, a GF(3) fit certificate of rank 4 for alpha(C7) = 4
     # (alpha is 3) and for minrank over GF(2), the 5/2 fractional cover
-    # for an hfrac upper end of 2, and a cover class listing vertex 0 twice.
+    # for an hfrac upper end of 2 (a cover may witness hfrac's upper end,
+    # but this one does not attain 2), and a cover class listing vertex 0
+    # twice.
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     doc = json.loads(out)
@@ -676,6 +705,27 @@ def test_verify_refuses_a_malformed_witness(tmp_path, capsys, argv, edit):
     path.write_text(canonical_json(doc))
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+@pytest.mark.parametrize("param, graph, upper, reason", [
+    ("hfrac[gf(2)]", "cycle:5", "5/2", None),
+    ("hfrac[gf(3)]", "cycle:5", "5/2", None),  # the cover names no field: it bounds hfrac over every one
+    ("hfrac[gf(2)]", "cycle:5", "2", "fraccover witness does not attain the reported upper bound"),
+    ("hfrac[gf(2)]", "cycle:5", "3", "fraccover witness does not attain the reported upper bound"),
+    ("alpha", "cycle:5", "5/2", "a fraccover witness cannot certify alpha"),
+    ("minrank[gf(2)]", "cycle:5", "5/2", "a fraccover witness cannot certify minrank[gf(2)]"),
+    ("hfrac[gf(2)]", "cycle:7", "5/2", "class 1 is not a clique: [0, 4]"),  # cycle:5's cover
+])
+def test_verify_takes_a_cover_for_the_hfrac_upper_end_alone(tmp_path, capsys, param, graph, upper, reason):
+    code, out, _ = run(capsys, "fracchrom", "--graph", "cycle:5", "--json")
+    assert code == 0
+    cover = json.loads(out)
+    del cover["graph"]
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json({"param": param, "graph": graph, "lower": "2", "upper": upper,
+                                    "witness_refs": [{"kind": "independent_set", "vertices": [0, 2]}, cover]}))
+    want = (0, "OK\n", "") if reason is None else (2, f"FAIL: {reason}\n", "")
+    assert run(capsys, "verify", "--cert", str(path)) == want
 
 
 # SHA-256 of ``certify --out`` files as written before GF(2) elimination
@@ -846,8 +896,10 @@ PINNED_REPORTS = [
      "11a7e9cfeb99e1e63249ad428f398acaf7578f4f1dfc74e5a73b65b5e3f4edbd"),
     (("fracchrom", "--graph", "complement(cycle:11)"),
      "8925db212b74392af789d70fbf34c14aa5db1778754cd0546a4e345bd42e764d"),
+    # as printed once the cover itself, not its d = 4 blow-up, witnessed
+    # the upper end; the cited cover is the one fracchrom prints
     (("hfrac", "--graph", "strong(cycle:5,cycle:5)", "--p", "2"),
-     "7aea0ba97c33a7c630af9aad4ffb246c099ca0c50e187f8b7e68c30fa089fca9"),
+     "4f12b9d183fc4164ddc3b475bdd28e6d1f159a19a1d1bba84c542cbaf4e753f1"),
     # as printed while every certificate's to_json still took the graph
     (("cover", "--graph", "cycle:7", "--k", "4"),
      "f5bbd030ed4352170289045ca7667d399cd2923f362057348c9f8c1ac081a905"),
@@ -916,16 +968,11 @@ def _empty_representation_file(tmp_path, kind, field):
     return path
 
 
-@pytest.mark.parametrize("kind, field", [("subspacerep", "bases")])
-def test_verify_accepts_an_empty_representation_of_the_empty_graph(tmp_path, capsys, kind, field):
-    code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
-    assert code == 0 and out.strip() == "OK", (out, err)
-
-
-@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes"), ("matrixrep", "frames")])
+@pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes"), ("matrixrep", "frames"),
+                                         ("subspacerep", "bases")])
 def test_verify_refuses_the_factor_pair_and_rank_r_kinds(tmp_path, capsys, kind, field):
-    # the block form (drep) and the subspace form are the fractional bound's
-    # only certificate kinds, and orthorep is theta's
+    # the block form (drep) is the fractional bound's only certificate kind,
+    # and orthorep is theta's; the subspace form was the last to go
     code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
     assert (code, out, err) == (2, f"FAIL: unknown certificate kind {kind!r}\n", "")
 

@@ -79,8 +79,9 @@ def test_verify_cover_negatives():
 
 
 # Degenerate product graphs, each with the largest cover denominator
-# accepted: the one the re-solving dual master used to return, since
-# hfrac only keeps a cover candidate whose d is at most dmax.
+# accepted: the one the re-solving dual master used to return.  hfrac cites
+# a cover at any d, but blows a strong-product factor's cover up to (n d)^2
+# entries for its tensor candidate, which must fit under KRON_ENTRY_CAP.
 PRODUCT_COVER_DENOMINATORS = {
     "strong(cycle:5,cycle:3)": 2,
     "strong(cycle:5,complete:2)": 2,

@@ -14,7 +14,7 @@ from oracles import int64_eliminate
 
 from hfrac import gfmat
 from hfrac.errors import DimensionMismatch, GuardExceeded, PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, hstack, matmul, rank
+from hfrac.gfmat import FMatrix, matmul, rank
 from hfrac.serialize import canonical_json, load_json
 
 
@@ -75,11 +75,11 @@ def test_modulus_must_be_prime():
 def test_derived_matrices_own_their_arrays():
     rng = random.Random(3)
     m = random_fmatrix(rng, 5, 4, 6)
-    derived = [m.transpose(), hstack([m, m]), FMatrix.from_json(m.to_json())]
+    derived = [m.transpose(), FMatrix.from_json(m.to_json())]
     for d in derived:
         assert not np.shares_memory(d.a, m.a)
     assert derived[0].a.tolist() == m.a.T.tolist()
-    assert derived[2] == m
+    assert derived[1] == m
     with pytest.raises(DimensionMismatch):
         FMatrix(5, m.a[1:1, 0:4])
 
@@ -239,7 +239,7 @@ def test_every_matrix_is_stored_in_the_narrowest_dtype(p):
         "init": m, "init (negative, wide)": FMatrix(p, [[-1, 2**40]]),
         "zeros": FMatrix(p, np.zeros((2, 2), dtype=np.int64)), "identity": identity(p, 3),
         "ones": FMatrix(p, np.ones((1, 2), dtype=np.int64)), "transpose": m.transpose(),
-        "matmul": matmul(unit, m), "hstack": hstack([m, unit]),
+        "matmul": matmul(unit, m),
         "from_json": FMatrix.from_json(doc), "from_json (list)": FMatrix.from_json(m.to_json() | {
             "entries": m.a.ravel().tolist()}),
     }

@@ -1,4 +1,4 @@
-"""Certificate forms for the fractional bound: verification, tensoring,
+"""Block certificates for the fractional bound: verification, tensoring,
 cover blow-ups, span independence, interval search."""
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import drep_column_factors, kron_permutation_tensor, pairwise_subspacerep_violation, random_graph
+from oracles import drep_column_factors, kron_permutation_tensor, random_graph, stacked_rank, subspace_violation
 
-from hfrac.errors import DimensionMismatch, GuardExceeded, VerificationError
+from hfrac.errors import GuardExceeded, SearchCutoff, VerificationError
 from hfrac.fraccover import fractional_clique_cover
-from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, hstack, rank
+from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import (
     complete,
     cycle,
@@ -29,26 +29,17 @@ from hfrac.independence import alpha, greedy_clique_cover
 from hfrac.minrank import cover_certificate, minrank_exact
 from hfrac.reps import (
     DRep,
-    SubspaceRep,
     cycle_drep,
     drep_from_fractional_cover,
     drep_violation,
     hfrac_upper_search,
-    subspacerep_violation,
     tensor_dreps,
 )
-from hfrac.serialize import canonical_json, load_json
 
 
 def drep_for(g, p=2):
     """A valid certificate for any graph: clique-partition matrix at d=1."""
     return DRep(1, cover_certificate(g, greedy_clique_cover(g), p).matrix)
-
-
-def subspace_rep(rep: DRep) -> SubspaceRep:
-    """The column spaces of a certificate's column factors."""
-    factors = drep_column_factors(rep)
-    return SubspaceRep(factors[0].rows, rep.d, factors, rep.matrix.p)
 
 
 def test_verify_drep_identity_on_empty_graph():
@@ -75,62 +66,22 @@ def test_verify_drep_pinpoints_bad_block():
 def test_subspace_representations():
     # coordinate lines on the empty graph
     plane = np.eye(3, dtype=np.int64)
-    rep = SubspaceRep(3, 1, tuple(FMatrix(2, plane[:, v:v + 1]) for v in range(3)), 2)
-    assert subspacerep_violation(empty(3), rep) is None
+    assert subspace_violation(empty(3), [FMatrix(2, plane[:, v:v + 1]) for v in range(3)], 1) is None
     # all subspaces equal on a complete graph: no non-neighbors to avoid
     same = FMatrix(2, [[1], [0], [0]])
-    assert subspacerep_violation(complete(3), SubspaceRep(3, 1, (same, same, same), 2)) is None
-    # the column factors of the 5-cycle's certificate
-    sub = subspace_rep(cycle_drep(2, 3))
-    assert subspacerep_violation(cycle(5), sub) is None
-    assert sub.d == 2 and sub.n == 5
-
-
-@pytest.mark.parametrize("cls, field, value", [
-    (SubspaceRep, "bases", 3),
-    (SubspaceRep, "bases", [7]),
-])
-def test_malformed_factor_lists_fail_verification(cls, field, value):
-    # a number where the list of bases goes raised a TypeError from
-    # iterating it
-    doc = load_json(canonical_json(subspace_rep(cycle_drep(2, 3)).to_json()))
-    cls.from_json(doc)  # the unedited file reads
-    doc[field] = value
-    with pytest.raises(VerificationError):
-        cls.from_json(doc)
+    assert subspace_violation(complete(3), [same] * 3, 1) is None
+    # the column factors of the 5-cycle's certificate, in GF(3)^5
+    factors = drep_column_factors(cycle_drep(2, 3))
+    assert subspace_violation(cycle(5), factors, 2) is None
+    assert {f.shape for f in factors} == {(5, 2)}
 
 
 def test_subspace_violation():
     same = FMatrix(2, [[1], [0], [0]])
-    rep = SubspaceRep(3, 1, (same, same, same), 2)
-    assert subspacerep_violation(empty(3), rep) is not None
-
-
-def test_subspace_check_matches_the_pairwise_loop():
-    rng = random.Random(41)
-    verdicts = set()
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
-        p, n, d = rng.choice((2, 3)), rng.randint(1, 6), rng.randint(1, 2)
-        if rng.random() < 0.3:  # valid ones, from the column factors of a certificate
-            rep = subspace_rep(drep_for(g, p))
-        else:
-            bases = tuple(FMatrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(n)])
-                          for _ in range(g.n))
-            rep = SubspaceRep(n, d, bases, p)
-        verdict = subspacerep_violation(g, rep)
-        assert verdict == pairwise_subspacerep_violation(g, rep)
-        verdicts.add(verdict if verdict is None else verdict.split()[-1])
-    assert verdicts == {None, "nontrivially", str(1), str(2)}
-
-
-def test_pair_and_subspace_forms_carry_their_modulus():
-    # an empty form still names its field, and writes it
-    assert SubspaceRep(1, 1, (), 5).to_json() == {"kind": "subspacerep", "n": 1, "d": 1, "p": 5, "bases": []}
-    sub = subspace_rep(cycle_drep(2, 3))
-    assert sub.p == 3
-    doc = load_json(canonical_json(sub.to_json()))
-    assert SubspaceRep.from_json(doc).p == 3 and doc["p"] == 3
+    assert subspace_violation(empty(3), [same] * 3, 1) == "subspace of vertex 0 meets its non-neighbors' span nontrivially"
+    # a line where a plane is claimed
+    line = FMatrix(3, [[1, 2], [0, 0], [1, 2]])
+    assert subspace_violation(complete(1), [line], 2) == "subspace of vertex 0 has dimension below 2"
 
 
 def test_tensor_identity_certificates():
@@ -254,9 +205,9 @@ def spans_meet_trivially(factors, s, t) -> bool:
     trivially: the rank of both together is the sum of their ranks."""
     if not s or not t:
         return True
-    stack_s = hstack([factors[v] for v in sorted(s)])
-    stack_t = hstack([factors[v] for v in sorted(t)])
-    return rank(hstack([stack_s, stack_t])) == rank(stack_s) + rank(stack_t)
+    stack_s = [factors[v] for v in sorted(s)]
+    stack_t = [factors[v] for v in sorted(t)]
+    return stacked_rank(stack_s + stack_t) == stacked_rank(stack_s) + stacked_rank(stack_t)
 
 
 def test_linind_examples():
@@ -303,12 +254,13 @@ def test_verified_pair_representations_have_independent_spans(case):
     g, rep = case
     assert drep_violation(g, rep) is None
     factors = drep_column_factors(rep)
+    assert subspace_violation(g, factors, rep.d) is None
     for s, t in valid_st_pairs(g):
         assert spans_meet_trivially(factors, s, t), (sorted(s), sorted(t))
 
 
 def test_search_cycle5():
-    report = hfrac_upper_search(cycle(5), 2, dmax=2)
+    report = hfrac_upper_search(cycle(5), 2)
     assert (report.lower, report.upper) == (2, F(5, 2))
 
 
@@ -318,10 +270,46 @@ def test_search_empty_graph_is_tight():
 
 
 def test_search_strong_square_uses_tensor_route():
+    # with the square's own cover cut off, the tensor of the factors'
+    # blown-up covers (d = 2 each) reaches 25/4
     g = generate("strong(cycle:5,cycle:5)")
-    report = hfrac_upper_search(g, 2, dmax=4)
-    assert report.lower == 5
-    assert report.upper <= F(25, 4)
+
+    def cover_unless_square(h, budget=None):
+        if h.n == 25:
+            raise SearchCutoff("fraccover", 0, 0)
+        return fractional_clique_cover(h, budget)
+
+    with mock.patch("hfrac.reps.fractional_clique_cover", cover_unless_square):
+        report = hfrac_upper_search(g, 2)
+    assert (report.lower, report.upper) == (5, F(25, 4))
+    rep = report.witnesses[1]
+    assert isinstance(rep, DRep) and rep.d == 4 and drep_violation(g, rep) is None
+
+
+def test_search_tensor_of_two_covers_is_left_to_the_square_cover():
+    # the cover number multiplies under the strong product, so the square's
+    # own cover ties the tensor of its factors' covers, which is not built
+    g = generate("strong(cycle:5,cycle:5)")
+    with mock.patch("hfrac.reps.tensor_dreps", wraps=tensor_dreps) as tensors:
+        report = hfrac_upper_search(g, 2)
+    assert report.upper == F(25, 4) and tensors.call_count == 0
+    assert report.witnesses[1] == fractional_clique_cover(g)
+
+
+def test_search_leaves_out_a_tensor_above_the_entry_cap(monkeypatch):
+    # the tensor of cycle:5's blown-up cover (10 rows) and complete:2's fit
+    # (2 rows) has 400 entries; above the cap it was a GuardExceeded that
+    # escaped the search
+    g = generate("strong(cycle:5,complete:2)")
+    monkeypatch.setattr("hfrac.reps.KRON_ENTRY_CAP", 399)
+    with mock.patch("hfrac.reps.drep_from_fractional_cover") as blowups:
+        report = hfrac_upper_search(g, 2)
+    assert blowups.call_count == 0  # the cap is checked before any blow-up
+    assert (report.lower, report.upper) == (2, F(5, 2))
+    monkeypatch.setattr("hfrac.reps.KRON_ENTRY_CAP", 400)
+    with mock.patch("hfrac.reps.tensor_dreps", wraps=tensor_dreps) as tensors:
+        assert hfrac_upper_search(g, 2).upper == F(5, 2)
+    assert tensors.call_count == 1
 
 
 def test_search_takes_alpha_once_and_each_factor_once():
@@ -337,11 +325,26 @@ def test_search_takes_alpha_once_and_each_factor_once():
 
 
 def test_search_report_json_is_witnessed():
-    report = hfrac_upper_search(cycle(7), 2, dmax=2)
+    report = hfrac_upper_search(cycle(7), 2)
     obj = report.to_json()
     assert obj["lower"] == "3" and obj["upper"] == "7/2"
     kinds = [w.get("kind") for w in obj["witness_refs"]]
-    assert "independent_set" in kinds and "drep" in kinds
+    assert kinds == ["independent_set", "fraccover"]
+    assert obj["witness_refs"][1] == fractional_clique_cover(cycle(7)).to_json()
+
+
+PRODUCTS = ["strong(cycle:5,complete:2)", "strong(cycle:5,cycle:3)", "strong(complete:2,cycle:5)",
+            "lex(cycle:5,complete:2)", "complement(cycle:7)", "strong(empty:2,cycle:5)"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), p=st.sampled_from((2, 3)),
+       product=st.sampled_from([None, *PRODUCTS]))
+def test_search_upper_end_is_at_most_the_cover(seed, n, p, product):
+    # hfrac_p(G) <= the fractional clique cover number, at every p
+    g = generate(product) if product else random_graph(random.Random(seed), n)
+    report = hfrac_upper_search(g, p)
+    assert report.lower <= report.upper <= fractional_clique_cover(g).value
 
 
 # Entry values a forged certificate might hold; each must be refused.
@@ -354,14 +357,3 @@ def forge_first_entry(text: str, head: str, value: str | None) -> str:
     at = text.index(head) + len(head)
     end = text.index(",", at)
     return text[:at] + (text[end + 1:] if value is None else value + text[end:])
-
-
-@pytest.mark.parametrize("value", [*FORGED_ENTRIES, None])
-@pytest.mark.parametrize("head", ['"bases":[['])
-def test_pair_and_subspace_json_refuse_malformed_entries(head, value):
-    rep = subspace_rep(cycle_drep(2, 2))
-    text = canonical_json(rep.to_json())
-    assert SubspaceRep.from_json(load_json(text)) == rep
-    forged = load_json(forge_first_entry(text, head, value))
-    with pytest.raises(DimensionMismatch if value is None else VerificationError):
-        SubspaceRep.from_json(forged)

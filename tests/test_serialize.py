@@ -153,8 +153,8 @@ def test_decoder_agrees_with_the_reference_reader(text, chunk):
 def test_canonical_json_matches_json_dumps_on_nested_reports():
     rep = cycle_drep(2, 2)
     reports = [
-        hfrac_upper_search(cycle(7), 2, dmax=2).to_json(),
-        hfrac_upper_search(generate("strong(cycle:5,cycle:5)"), 2, dmax=4).to_json(),
+        hfrac_upper_search(cycle(7), 2).to_json(),
+        hfrac_upper_search(generate("strong(cycle:5,cycle:5)"), 2).to_json(),
         {"witness_refs": [{**tensor_dreps(rep, rep).to_json(), "graph": "strong(cycle:5,cycle:5)"},
                           {"x": (1, [2.5, None])}]},
     ]

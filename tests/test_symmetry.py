@@ -3,6 +3,7 @@ one-branch root of ``alpha`` and the orbit cover of ``fracchrom``."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -226,9 +227,26 @@ def test_large_vertex_transitive_reports_verify(tmp_path, capsys, argv, printed)
     assert capsys.readouterr().out == "OK\n"
 
 
-@pytest.mark.parametrize("dmax, printed", [("8", "[4, 5]"), ("4", "[4, 5]"), ("2", "[4, 5]")])
-def test_hfrac_keeps_a_cover_within_dmax(capsys, dmax, printed):
-    # the orbit cover of johnson:2,6 has d = 6 and the master's cover d = 2;
-    # below 6 the upper end comes from the master's cover, as it did before
-    assert main(["hfrac", "--graph", "johnson:2,6", "--p", "2", "--dmax", dmax]) == 0
+@pytest.mark.parametrize("graph, p, printed, d", [
+    ("johnson:2,6", "2", "[4, 5]", 6),
+    ("johnson:2,9", "2", "[8, 12]", 90),
+    ("johnson:2,10", "2", "[8, 120/7]", 210),
+    ("complement(johnson:2,12)", "3", "[7, 55/3]", 315),
+])
+def test_hfrac_cites_the_orbit_cover(tmp_path, capsys, graph, p, printed, d):
+    # the orbit cover witnesses the upper end at its own denominator.  The
+    # cover was once kept only as a d x d block blow-up for d <= 8, and above
+    # that the master was re-solved on the bare matrix: johnson:2,9 printed
+    # [8, 15], johnson:2,10 [8, 28] after 12 s, and complement(johnson:2,12)
+    # nothing in 300 s.  The budget stops such a run with exit 3.
+    argv = ["hfrac", "--graph", graph, "--p", p, "--budget-ms", "20000"]
+    assert main(argv) == 0
     assert capsys.readouterr().out == printed + "\n"
+    assert main([*argv, "--json"]) == 0
+    report = capsys.readouterr().out
+    cover = json.loads(report)["witness_refs"][1]
+    assert (cover["kind"], cover["d"]) == ("fraccover", d)
+    path = tmp_path / "report.json"
+    path.write_text(report)
+    assert main(["verify", "--cert", str(path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
