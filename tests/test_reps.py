@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -82,6 +82,48 @@ def test_subspace_violation():
     # a line where a plane is claimed
     line = FMatrix(3, [[1, 2], [0, 0], [1, 2]])
     assert subspace_violation(complete(1), [line], 2) == "subspace of vertex 0 has dimension below 2"
+
+
+def _violation_by_enumeration(g, bases, d):
+    """The subspace check by a loop over vectors: vertex v's basis has rank
+    d when no nonzero coefficient vector c sends it to zero, and its space
+    meets its non-neighbours' span trivially when no nonzero b_v c leaves
+    the rank of that span unchanged."""
+    p = bases[0].p if bases else 2
+    nonzero = [np.array(c, dtype=np.int64) for c in product(range(p), repeat=d) if any(c)]
+    for v, b in enumerate(bases):
+        if any(not ((b.a.astype(np.int64) @ c) % p).any() for c in nonzero):
+            return f"subspace of vertex {v} has dimension below {d}"
+    for v, b in enumerate(bases):
+        others = [bases[u] for u in range(g.n) if u != v and not g.matrix[u, v]]
+        if not others:
+            continue
+        r = stacked_rank(others)
+        for c in nonzero:
+            x = FMatrix(p, ((b.a.astype(np.int64) @ c) % p)[:, None])
+            if stacked_rank([*others, x]) == r:
+                return f"subspace of vertex {v} meets its non-neighbors' span nontrivially"
+    return None
+
+
+def test_subspace_check_matches_the_pairwise_loop():
+    # the stacked-rank subspace check against a loop over each vertex's
+    # nonzero vectors, one span membership test per vector
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+        p, n, d = rng.choice((2, 3)), rng.randint(1, 6), rng.randint(1, 2)
+        if rng.random() < 0.3:  # valid ones, from the column factors of a certificate
+            rep = drep_for(g, p)
+            bases, d = drep_column_factors(rep), rep.d
+        else:
+            bases = tuple(FMatrix(p, [[rng.randrange(p) for _ in range(d)] for _ in range(n)])
+                          for _ in range(g.n))
+        verdict = subspace_violation(g, bases, d)
+        assert verdict == _violation_by_enumeration(g, bases, d)
+        verdicts.add(verdict if verdict is None else verdict.split()[-1])
+    assert verdicts == {None, "nontrivially", str(1), str(2)}
 
 
 def test_tensor_identity_certificates():

@@ -227,6 +227,21 @@ def test_large_vertex_transitive_reports_verify(tmp_path, capsys, argv, printed)
     assert capsys.readouterr().out == "OK\n"
 
 
+@pytest.mark.parametrize("dmax, printed", [("8", "[4, 5]"), ("4", "[4, 5]"), ("2", "[4, 5]")])
+def test_hfrac_keeps_a_cover_within_dmax(capsys, dmax, printed):
+    # the orbit cover of johnson:2,6 has d = 6 and the master's cover d = 2;
+    # a --dmax below 6 once made the upper end come from the master's cover.
+    # The cap is gone: each value it took is a usage error, and the upper
+    # end is the orbit cover's own, kept at d = 6 whatever the old cap was
+    assert main(["hfrac", "--graph", "johnson:2,6", "--p", "2", "--dmax", dmax]) == 64
+    capsys.readouterr()
+    assert main(["hfrac", "--graph", "johnson:2,6", "--p", "2"]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    assert main(["hfrac", "--graph", "johnson:2,6", "--p", "2", "--json"]) == 0
+    cover = json.loads(capsys.readouterr().out)["witness_refs"][1]
+    assert (cover["kind"], cover["d"]) == ("fraccover", 6)
+
+
 @pytest.mark.parametrize("graph, p, printed, d", [
     ("johnson:2,6", "2", "[4, 5]", 6),
     ("johnson:2,9", "2", "[8, 12]", 90),
