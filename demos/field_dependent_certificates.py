@@ -10,7 +10,7 @@ which is exactly the lever that separates the fractional bound across
 characteristics.
 """
 
-from math import comb
+from math import comb, prod
 
 from hfrac import alon, alon_certificate, alpha, complement
 
@@ -21,22 +21,28 @@ def main():
     gc = complement(g)
     print(f"graph: {(p * q - 1)}-subsets of [{n}], {g.n} vertices, {g.m} edges")
 
-    cert_p, rep_p = alon_certificate("P", p, q, n)
+    # variant P: f_u(y) = prod_{c < p-1} (<x_u, y> - c), degree p - 1
+    cert_p = alon_certificate("P", p, q, n)
     bound_p = sum(comb(n, i) for i in range(p))
-    print(f"\nvariant P over GF({rep_p.modulus}): fits the graph itself")
-    print(f"  certificate rank {cert_p.claimed_rank} <= {bound_p} (degree {rep_p.degree} span)")
+    print(f"\nvariant P over GF({cert_p.matrix.p}): fits the graph itself")
+    print(f"  certificate rank {cert_p.claimed_rank} <= {bound_p} (degree {p - 1} span)")
     print(f"  verified: {cert_p.check(g)}, alpha(graph) = {alpha(g)[0]}")
 
-    cert_q, rep_q = alon_certificate("Q", p, q, n)
+    # variant Q: f_u(y) = prod_{c < q-1} (<x_u, y> - c), degree q - 1
+    cert_q = alon_certificate("Q", p, q, n)
     bound_q = sum(comb(n, i) for i in range(q))
-    print(f"\nvariant Q over GF({rep_q.modulus}): fits the complement")
-    print(f"  certificate rank {cert_q.claimed_rank} <= {bound_q} (degree {rep_q.degree} span)")
+    print(f"\nvariant Q over GF({cert_q.matrix.p}): fits the complement")
+    print(f"  certificate rank {cert_q.claimed_rank} <= {bound_q} (degree {q - 1} span)")
     print(f"  verified: {cert_q.check(gc)}, alpha(complement) = {alpha(gc)[0]}")
 
-    cert_r, rep_r = alon_certificate("R", 3, 3, 9)
+    # variant R: f_u(y) = prod_{i < p} (<x_u, y> - (ip - 1)); at its own
+    # point <x_u, x_u> = p^2 - 1, so the product is p^(p-1) (p-1)!
+    cert_r = alon_certificate("R", 3, 3, 9)
     g99 = complement(alon(3, 3, 9))
-    print(f"\nvariant R (p = q = 3) over GF({rep_r.modulus}): fits the complement")
-    print(f"  own-point value of the defining product: {rep_r.unreduced_value(0, 0)} "
+    modulus = cert_r.matrix.p
+    own = prod(3 * 3 - 1 - (3 * i - 1) for i in range(1, 3)) % modulus
+    print(f"\nvariant R (p = q = 3) over GF({modulus}): fits the complement")
+    print(f"  own-point value of the defining product: {own} "
           f"(nonzero because the characteristic exceeds 3)")
     print(f"  verified: {cert_r.check(g99)}")
 

@@ -51,7 +51,6 @@ from .lp import LinearProgram, LpSolution, check_solution, simplex_solve
 from .minrank import (
     FitCertificate,
     MinrankResult,
-    PolyRep,
     alon_certificate,
     cover_certificate,
     fit_violation,

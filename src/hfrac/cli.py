@@ -237,6 +237,9 @@ def _cmd_theta_circulant(args) -> int:
         connection = {int(tok) for tok in args.connection.split(",") if tok.strip()}
     except ValueError as exc:
         raise UsageError(f"bad connection set: {args.connection!r}") from exc
+    # the eigenvalue loop takes time linear in n, so n is capped as every graph is
+    if args.n > args.max_vertices:
+        raise GuardExceeded(f"circulant:{args.n} would have {args.n} vertices (cap {args.max_vertices})")
     value = theta_circulant(args.n, connection)
     _emit(args, repr(value), {"param": "theta", "graph": f"circulant:{args.n}",
                               "connection": sorted(connection), "value": value})
@@ -259,7 +262,7 @@ def _cmd_certify(args) -> int:
     elif kind == "alon":
         if args.variant is None or args.p is None or args.q is None or args.n is None:
             raise UsageError("certify alon needs --variant, --p, --q, --n")
-        cert, _rep = alon_certificate(args.variant, args.p, args.q, args.n, args.modulus)
+        cert = alon_certificate(args.variant, args.p, args.q, args.n, args.modulus)
         base = f"alon:{args.p},{args.q},{args.n}"
         expr = base if args.variant == "P" else f"complement({base})"
     elif kind == "cover":

@@ -4,11 +4,12 @@ Vertices are ``0..n-1``.  A graph is its boolean adjacency matrix, checked
 once when the graph is built (square, symmetric, zero diagonal) and kept
 read-only.  Every builder writes that matrix directly: the complement is
 its negation, the strong and lexicographic products are Kronecker
-products, and the set-system graphs come from one matrix product of their
-incidence matrix.  The edge list and the bitset rows that the exact
-searches use are derived from it.  Generators remember the expression that
-produced the graph; a certificate carries that expression, and the
-expression fixes the vertex order.
+products, and the subset graphs compare the intersection sizes of their
+incidence matrix's rows (``intersection_sizes``, which also yields the
+entries of ``minrank``'s Alon certificates).  The edge list and the
+bitset rows that the exact searches use are derived from it.  Generators
+remember the expression that produced the graph; a certificate carries
+that expression, and the expression fixes the vertex order.
 
 The expression also names symmetries: ``Graph.transitive_automorphisms``
 reads permutations of the vertices off it (rotations and reflections of
@@ -40,7 +41,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import lt
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -440,7 +441,7 @@ def empty(k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
 
 
 # Entries of the pairwise intersection-size array built at a time, in
-# blocks of whole rows, so no N x N temporary is allocated.
+# blocks of whole rows (``intersection_sizes``).
 _SUBSET_BLOCK_ENTRIES = 1 << 20
 
 
@@ -455,37 +456,47 @@ def subset_incidence(n: int, size: int) -> np.ndarray:
     return inc
 
 
+def intersection_sizes(inc: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, sizes)`` over blocks of whole rows of the 0/1
+    incidence matrix ``inc``: ``sizes[i, j]`` is the number of columns that
+    rows start + i and j share, |X ∩ Y| for subsets.  A block holds at most
+    ``_SUBSET_BLOCK_ENTRIES`` entries (and at least one row), so no N x N
+    temporary is allocated.
+
+    The sizes are a float32 product, which runs in BLAS (numpy's integer
+    ``@`` does not).  It is exact because every partial sum is an integer
+    of at most the row weight, and float32 holds every integer below 2^24:
+    two distinct size-subsets need n > size, so size >= 2^24 would mean
+    over 2^24 rows, a 2^48-entry matrix.
+    """
+    ones = inc.astype(np.float32)
+    # a copy, not the view ones.T: numpy sends ``x @ x.T`` to BLAS's
+    # symmetric kernel, which is several times slower on these thin x
+    ones_t = ones.T.copy()
+    step = max(1, _SUBSET_BLOCK_ENTRIES // len(inc))
+    for start in range(0, len(inc), step):
+        yield start, ones[start:start + step] @ ones_t
+
+
 def _subset_graph(n: int, size: int, adjacent, expr: str, max_vertices: int) -> Graph:
     """The graph on the size-subsets of [n] whose edges are the pairs with
     ``adjacent(|X∩Y|)``.
 
     ``adjacent`` is evaluated once, on the sizes 0 .. size - 1 that two
-    distinct subsets can share.  The intersection counts are a float32
-    product of the 0/1 incidence matrix, which runs in BLAS (numpy's
-    integer ``@`` does not).  It is exact because every partial sum is an
-    integer of at most ``size``, and float32 holds every integer below
-    2^24: two subsets need n > size, so size >= 2^24 would mean over 2^24
-    vertices, a 2^48-byte matrix.  Each block of rows is the OR of its
-    float32 counts compared with each adjacent size; the diagonal counts
-    are ``size``, which is never compared, so it comes out False.
+    distinct subsets can share.  Each block of rows is the OR of its
+    ``intersection_sizes`` compared with each adjacent size; the diagonal
+    sizes are ``size``, which is never compared, so it comes out False.
     """
     _guard(comb(n, size), max_vertices, expr)
     if n > max_vertices:  # the incidence matrix grows with n
         raise GuardExceeded(f"{expr} has a ground set of {n} (cap {max_vertices})")
     inc = subset_incidence(n, size)
-    count = len(inc)
-    ones = inc.astype(np.float32)
-    # a copy, not the view ones.T: numpy sends ``x @ x.T`` to BLAS's
-    # symmetric kernel, which is several times slower on these thin x
-    ones_t = ones.T.copy()
     shared = np.flatnonzero(adjacent(np.arange(size))).astype(np.float32)
-    mat = np.zeros((count, count), dtype=bool)
-    step = max(1, _SUBSET_BLOCK_ENTRIES // count)
-    for start in range(0, count, step):
-        counts = ones[start:start + step] @ ones_t
-        rows = mat[start:start + step]
+    mat = np.zeros((len(inc), len(inc)), dtype=bool)
+    for start, sizes in intersection_sizes(inc):
+        rows = mat[start:start + len(sizes)]
         for s in shared:
-            rows |= counts == s
+            rows |= sizes == s
     return Graph(mat, expr)
 
 

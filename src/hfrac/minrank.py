@@ -13,8 +13,9 @@ rows plus a greedy stable set among the columns they leave zero.  Above
 result is exact only when it finishes within them.  The
 constructors build the classical certificates: set-incidence Gram
 matrices for the intersection-parity graphs, clique-partition matrices,
-and Alon's polynomial representations of the (pq-1)-subset graphs, each
-evaluated at every point at once from the subsets' intersection matrix.
+and Alon's polynomial certificates of the (pq-1)-subset graphs, each a
+table of the polynomials' values looked up at the subsets' intersection
+sizes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .budget import Budget
 from .errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
 from .gfmat import FMatrix, check_modulus, matmul, rank, storage_dtype
-from .graphs import Graph, alon, complement, is_prime, johnson, subset_incidence
+from .graphs import Graph, alon, complement, intersection_sizes, is_prime, johnson, subset_incidence
 from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
 from .serialize import int_text, read_int
 
@@ -310,81 +311,7 @@ def johnson_certificate(p: int, n: int) -> FitCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial representations of the subset graphs
-
-
-@dataclass(frozen=True)
-class PolyRep:
-    """Per-vertex (polynomial, 0/1 point) pairs representing a graph:
-    nonzero at the own point, zero at every non-neighbor's point.
-
-    The polynomial of vertex u is f_u(y) = prod_c (<x_u, y> - c) over the
-    ``factor_constants`` c, with x_u the point of u; its degree is the
-    number of constants.  At the point of v, <x_u, x_v> = |X_u & X_v|, so
-    entry (u, v) of the evaluation matrix depends on that intersection
-    size s alone: it is T[s] = prod_c (s - c) mod the modulus.  The
-    evaluation matrix is therefore a lookup of the table T, with one entry
-    per size from 0 to the largest point weight, at the intersection
-    sizes, which are a float32 product of the points (exact, as in
-    ``graphs._subset_graph``); no entry is reduced by integer division.
-    Reduced to a multilinear polynomial (x^2 = x on 0/1 points), f_u takes
-    the same values at every point.
-    """
-
-    modulus: int
-    factor_constants: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.factor_constants)
-
-    def unreduced_value(self, u: int, v: int) -> int:
-        """The defining product of u at v's point."""
-        s = sum(a * b for a, b in zip(self.points[u], self.points[v]))
-        val = 1
-        for c in self.factor_constants:
-            val = val * (s - c) % self.modulus
-        return val
-
-    def intersection_sizes(self) -> np.ndarray:
-        """S[u, v] = <x_u, x_v> = |X_u & X_v|, as indices into
-        ``value_table``: a float32 product of the 0/1 points, exact because
-        each sum is an integer of at most the dimension, below 2^24."""
-        x = np.array(self.points, dtype=np.float32)
-        return (x @ x.T.copy()).astype(np.intp)  # a copy, as in graphs._subset_graph
-
-    def value_table(self) -> np.ndarray:
-        """T[s] = prod_c (s - c) mod the modulus for every intersection
-        size s from 0 to the largest point weight, as int64."""
-        # checked first: it bounds every product of two residues below int64's limit
-        check_modulus(self.modulus)
-        s = np.arange(max(map(sum, self.points)) + 1, dtype=np.int64)
-        t = np.ones_like(s)
-        for c in self.factor_constants:
-            t = t * ((s - c) % self.modulus) % self.modulus
-        return t
-
-    def evaluation_matrix(self) -> np.ndarray:
-        """E[u, v] = ``unreduced_value(u, v)`` for every pair, as one int64
-        array: ``value_table`` looked up at ``intersection_sizes``."""
-        return self.value_table()[self.intersection_sizes()]
-
-    def violation(self, g: Graph, evaluation: np.ndarray | None = None) -> str | None:
-        """None if every polynomial is nonzero at its own point and zero at
-        every non-neighbor's point, else the first defect (own points
-        first, then non-neighbor pairs in row-major order).  ``evaluation``
-        is ``evaluation_matrix()``, when the caller has it already."""
-        if g.n != len(self.points):
-            raise DimensionMismatch(f"{len(self.points)} points for {g.n} vertices")
-        e = self.evaluation_matrix() if evaluation is None else evaluation
-        own_zero = np.flatnonzero(np.diag(e) == 0)
-        if own_zero.size:
-            return f"polynomial of vertex {int(own_zero[0])} vanishes at its own point"
-        bad = g.first_nonedge(e != 0)
-        if bad is not None:
-            return f"polynomial of {bad[0]} is nonzero at non-neighbor {bad[1]}"
-        return None
+# Alon's polynomial certificates on the subset graphs
 
 
 def next_prime(p: int) -> int:
@@ -400,9 +327,20 @@ def alon_certificate(
     q: int,
     n: int,
     modulus: int | None = None,
-) -> tuple[FitCertificate, PolyRep]:
-    """Polynomial-representation certificates for the intersection graphs
-    on (pq-1)-subsets of [n].
+) -> FitCertificate:
+    """Polynomial certificates for the intersection graphs on
+    (pq-1)-subsets of [n].
+
+    The polynomial of vertex u is f_u(y) = prod_c (<x_u, y> - c) over the
+    variant's constants c, with x_u the 0/1 point of u's subset.  At the
+    point of v, <x_u, x_v> = |X_u & X_v|, so the evaluation matrix is the
+    value table T[s] = prod_c (s - c) mod the modulus looked up at the
+    intersection sizes (``graphs.intersection_sizes``).  Every point has
+    weight pq - 1, so every own-point value is T[pq - 1], and one inverse
+    scales the table to a unit diagonal.  Reduced to a multilinear
+    polynomial (x^2 = x on 0/1 points), f_u takes the same values, so the
+    rank is at most the dimension of the polynomials of degree at most the
+    number of constants.
 
     variant "P": over GF(p), fits the graph itself; degree p-1.
     variant "Q": requires q != p, over GF(q), fits the complement; degree q-1.
@@ -415,43 +353,47 @@ def alon_certificate(
         modulus = p if modulus is None else modulus
         if modulus != p:
             raise PreconditionError("variant P must use the field of characteristic p")
-        constants = tuple(range(p - 1))
+        constants = range(p - 1)
     elif variant == "Q":
         if q == p:
             raise PreconditionError("variant Q needs q != p")
         modulus = q if modulus is None else modulus
         if modulus != q:
             raise PreconditionError("variant Q must use the field of characteristic q")
-        constants = tuple(range(q - 1))
+        constants = range(q - 1)
     elif variant == "R":
         if q != p:
             raise PreconditionError("variant R needs q == p")
         modulus = next_prime(p) if modulus is None else modulus
         if modulus <= p or not is_prime(modulus):
             raise PreconditionError("variant R needs a prime modulus exceeding p")
-        constants = tuple(i * p - 1 for i in range(1, p))
+        constants = [i * p - 1 for i in range(1, p)]
     else:
         raise PreconditionError(f"unknown variant {variant!r}")
 
     base = alon(p, q, n)
     target = base if variant == "P" else complement(base)
-    inc = subset_incidence(n, p * q - 1)
-    rep = PolyRep(modulus, constants, tuple(map(tuple, inc.tolist())))
-    sizes, table = rep.intersection_sizes(), rep.value_table()
-    failure = rep.violation(target, table[sizes])
-    if failure is not None:
-        raise VerificationError(f"polynomial representation invalid: {failure}")
-
-    # every point has weight pq - 1, so every own-point value is T[pq - 1]
-    # and one inverse scales the whole table to a unit diagonal
-    unit = table * pow(int(table[p * q - 1]), -1, modulus) % modulus
-    mat = FMatrix._reduced(modulus, unit.astype(storage_dtype(modulus))[sizes])
+    size = p * q - 1
+    # a modulus that passes keeps every product of two residues below int64's limit
+    check_modulus(modulus)
+    s = np.arange(size + 1, dtype=np.int64)
+    table = np.ones_like(s)
+    for c in constants:
+        table = table * ((s - c) % modulus) % modulus
+    if table[size] == 0:
+        raise VerificationError("polynomial representation invalid: every polynomial vanishes at its own point")
+    unit = (table * pow(int(table[size]), -1, modulus) % modulus).astype(storage_dtype(modulus))
+    inc = subset_incidence(n, size)
+    a = np.empty((len(inc), len(inc)), dtype=unit.dtype)
+    for start, sizes in intersection_sizes(inc):
+        a[start:start + len(sizes)] = unit[sizes.astype(np.intp)]
+    mat = FMatrix._reduced(modulus, a)
     cert = FitCertificate(graph_hash(target), mat, rank(mat))
     if fit_violation(target, mat) is not None:
         raise VerificationError("evaluation matrix does not fit the target graph")
-    span_bound = sum(comb(n, i) for i in range(rep.degree + 1))
+    span_bound = sum(comb(n, i) for i in range(len(constants) + 1))
     if cert.claimed_rank > span_bound:
         raise VerificationError(
             f"internal error: evaluation matrix has rank {cert.claimed_rank} > span bound {span_bound}"
         )
-    return cert, rep
+    return cert

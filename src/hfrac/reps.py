@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, fractional_clique_cover
-from .gfmat import KRON_ENTRY_CAP, FMatrix, storage_dtype
+from .gfmat import KRON_ENTRY_CAP, FMatrix, check_modulus, storage_dtype
 from .graphs import Graph, cycle, generate, parse_expr
 from .independence import alpha_lower_end
 from .minrank import DRep, drep_violation, minrank_exact
@@ -103,8 +103,9 @@ def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> 
         if len(slot_ids[v]) < d:
             raise VerificationError(f"vertex {v} has {len(slot_ids[v])} slots, needs {d}")
     assignment = np.array([slot_ids[v][i] for v in range(g.n) for i in range(d)], dtype=np.int64)
-    a = (assignment[:, None] == assignment[None, :]).astype(np.int64)
-    rep = DRep(d, FMatrix(p, a))
+    check_modulus(p)
+    # one cast of the boolean same-slot matrix, freed before the check
+    rep = DRep(d, FMatrix._reduced(p, (assignment[:, None] == assignment[None, :]).astype(storage_dtype(p))))
     failure = drep_violation(g, rep)
     if failure is not None:
         raise VerificationError(f"cover produced an invalid certificate: {failure}")

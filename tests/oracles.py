@@ -24,7 +24,6 @@ from hfrac.lp import (
     LpSolution,
     check_solution,
 )
-from hfrac.minrank import PolyRep
 from hfrac.reps import DRep
 
 
@@ -420,17 +419,19 @@ def _ml_mul(f: dict, g: dict, m: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def multilinear_evaluation(rep: PolyRep) -> np.ndarray:
-    """Evaluation matrix of ``rep`` with each polynomial expanded into its
-    multilinear monomials and evaluated at each point one entry at a time:
-    a reduced polynomial at a 0/1 point is the sum of the coefficients of
-    the monomials that the point's support contains."""
-    m = rep.modulus
-    members = [frozenset(j for j, bit in enumerate(x) if bit) for x in rep.points]
+def multilinear_evaluation(modulus: int, constants, points) -> np.ndarray:
+    """E[u, v] = f_u(x_v) mod ``modulus``, for the polynomials
+    f_u(y) = prod_c (<x_u, y> - c) over ``constants`` with x_u the 0/1
+    vector ``points[u]``: each f_u is expanded into its multilinear
+    monomials (x^2 = x on 0/1 points) and evaluated at each point one
+    entry at a time, a reduced polynomial at a 0/1 point being the sum of
+    the coefficients of the monomials that the point's support contains."""
+    m = modulus
+    members = [frozenset(j for j, bit in enumerate(x) if bit) for x in points]
     e = np.zeros((len(members), len(members)), dtype=np.int64)
     for u, xu in enumerate(members):
         f: dict = {(): 1 % m}
-        for c in rep.factor_constants:
+        for c in constants:
             factor = {(): (-c) % m, **{(j,): 1 % m for j in xu}}
             f = _ml_mul(f, {k: v for k, v in factor.items() if v}, m)
         for v, xv in enumerate(members):

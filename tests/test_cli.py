@@ -101,6 +101,18 @@ def test_theta_circulant(capsys):
     assert abs(float(out.strip()) - 5 ** 0.5) < 1e-9
 
 
+def test_theta_circulant_is_capped_like_every_graph(capsys):
+    code, _, err = run(capsys, "theta-circulant", "--n", "5001")
+    assert code == 64 and "cap 5000" in err
+    code, out, _ = run(capsys, "theta-circulant", "--n", "5001", "--max-vertices", "6000")
+    assert code == 0 and abs(float(out) - 5001 * np.cos(np.pi / 5001) / (1 + np.cos(np.pi / 5001))) < 1e-6
+
+
+def test_cycle_drep_refuses_a_composite_modulus(capsys):
+    code, out, err = run(capsys, "certify", "--kind", "cycle-drep", "--k", "2", "--p", "4")
+    assert (code, out) == (64, "") and "modulus 4 is not prime" in err
+
+
 def test_minrank(capsys):
     code, out, _ = run(capsys, "minrank", "--graph", "cycle:5", "--p", "2")
     assert code == 0 and out.strip() == "3"

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
-from itertools import product
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import multilinear_evaluation, random_graph
 
-from hfrac import minrank
+from hfrac import graphs, minrank
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
-from hfrac.gfmat import FMatrix, rank
+from hfrac.gfmat import FMatrix, rank, storage_dtype
 from hfrac.graphs import (
     alon,
     complement,
@@ -26,6 +27,7 @@ from hfrac.graphs import (
     graph_from_edges,
     johnson,
     strong_product,
+    subset_incidence,
     write_graph_file,
 )
 from hfrac.independence import alpha, clique_cover_leq, greedy_clique_cover
@@ -250,29 +252,39 @@ def test_kronecker_of_fit_certificates_fits_strong_product():
         assert fit_violation(strong_product(g, h), product) is None
 
 
+def alon_constants(variant: str, p: int, q: int) -> list[int]:
+    """The constants c of the polynomials prod_c (<x_u, y> - c) of Alon's
+    variants: the sizes below p - 1 (P) or q - 1 (Q), and the sizes
+    ip - 1 for 0 < i < p (R)."""
+    return {"P": list(range(p - 1)), "Q": list(range(q - 1)), "R": [i * p - 1 for i in range(1, p)]}[variant]
+
+
+def subset_points(n: int, size: int) -> list[list[int]]:
+    """The 0/1 vectors of the size-subsets of [n], in vertex order."""
+    return [[int(j in x) for j in range(n)] for x in combinations(range(n), size)]
+
+
 def test_alon_certificate_p_variant():
     g = alon(2, 3, 7)
-    cert, rep = alon_certificate("P", 2, 3, 7)
-    assert cert.check(g) and rep.violation(g) is None
+    cert = alon_certificate("P", 2, 3, 7)
+    assert cert.matrix.p == 2 and cert.check(g)
     assert cert.claimed_rank <= 1 + 7  # multilinear degree 1 span bound
 
 
 def test_alon_certificate_q_variant():
     gc = complement(alon(2, 3, 7))
-    cert, rep = alon_certificate("Q", 2, 3, 7)
-    assert rep.modulus == 3
-    assert cert.check(gc) and rep.violation(gc) is None
+    cert = alon_certificate("Q", 2, 3, 7)
+    assert cert.matrix.p == 3 and cert.check(gc)
     assert cert.claimed_rank <= 1 + 7 + comb(7, 2)
 
 
 def test_alon_certificate_r_variant():
-    cert, rep = alon_certificate("R", 3, 3, 8)
-    assert rep.modulus == 5
+    cert = alon_certificate("R", 3, 3, 8)
+    assert cert.matrix.p == 5
     # the own-point value of the defining product is p^(p-1) (p-1)! = 18
-    assert rep.unreduced_value(0, 0) == 18 % 5 == 3
+    assert multilinear_evaluation(5, alon_constants("R", 3, 3), subset_points(8, 8))[0, 0] == 18 % 5 == 3
     gc = complement(alon(3, 3, 9))
-    cert9, rep9 = alon_certificate("R", 3, 3, 9)
-    assert cert9.check(gc) and rep9.violation(gc) is None
+    assert alon_certificate("R", 3, 3, 9).check(gc)
 
 
 def test_alon_certificate_preconditions():
@@ -295,41 +307,36 @@ ALON_CASES = (
     ("Q", 2, 3, 7, None), ("P", 2, 3, 8, None), ("R", 2, 2, 6, None), ("R", 2, 2, 7, None),
     ("Q", 2, 5, 10, None), ("P", 5, 2, 10, None),
 )
+# the default field of each variant: GF(p), GF(q), the least prime above p
+DEFAULT_MODULUS = {("P", 2, 3): 2, ("P", 3, 2): 3, ("P", 5, 2): 5, ("Q", 2, 3): 3, ("Q", 2, 5): 5,
+                   ("R", 2, 2): 3, ("R", 3, 3): 5}
 
 
 def test_multilinear_reduction_matches_unreduced_product():
-    for args in ALON_CASES:
-        _, rep = alon_certificate(*args)
-        e = rep.evaluation_matrix()
-        nv = len(rep.points)
-        assert e.dtype == np.int64 and e.shape == (nv, nv), args
-        assert np.array_equal(e, multilinear_evaluation(rep)), args
-        assert [[rep.unreduced_value(u, v) for v in range(nv)] for u in range(nv)] == e.tolist(), args
+    for variant, p, q, n, modulus in ALON_CASES:
+        cert = alon_certificate(variant, p, q, n, modulus)
+        m = modulus or DEFAULT_MODULUS[variant, p, q]
+        constants, points = alon_constants(variant, p, q), subset_points(n, p * q - 1)
+        e = multilinear_evaluation(m, constants, points)
+        unreduced = [[prod(sum(map(mul, x, y)) - c for c in constants) % m for y in points] for x in points]
+        assert e.tolist() == unreduced, (variant, p, q, n)
+        # every point has weight pq - 1: one own-point value, scaled to 1
+        own = int(e[0, 0])
+        assert own and set(np.diag(e).tolist()) == {own}
+        assert cert.matrix.p == m and cert.matrix.a.dtype == storage_dtype(m)
+        assert cert.matrix.a.tolist() == (e * pow(own, -1, m) % m).tolist(), (variant, p, q, n)
 
 
-# (variant, p, q, n): the messages ``violation`` gave while it evaluated
-# one entry at a time, for vertex 3 given the polynomial of its first
-# non-neighbor, and for vertices 2 and 5 given the constant 1
-PLANTED_POLY_DEFECTS = {
-    ("P", 2, 3, 7): ("polynomial of vertex 3 vanishes at its own point",
-                     "polynomial of 2 is nonzero at non-neighbor 0"),
-    ("Q", 2, 3, 7): ("polynomial of vertex 3 vanishes at its own point",
-                     "polynomial of 2 is nonzero at non-neighbor 3"),
-}
-
-
-@pytest.mark.parametrize("args", sorted(PLANTED_POLY_DEFECTS))
-def test_polynomial_representation_reports_the_first_defect(args):
-    variant, p, q, n = args
-    _, rep = alon_certificate(*args)
-    g = alon(p, q, n) if variant == "P" else complement(alon(p, q, n))
-    w = next(v for v in range(g.n) if v != 3 and not g.matrix[3, v])
-    e = rep.evaluation_matrix()
-    vanishing = e.copy()
-    vanishing[3] = e[w]
-    constant = e.copy()
-    constant[[2, 5]] = 1
-    assert (rep.violation(g, vanishing), rep.violation(g, constant)) == PLANTED_POLY_DEFECTS[args]
+@pytest.mark.parametrize("block_entries", [1, 200])
+def test_alon_certificates_do_not_depend_on_the_block_size(monkeypatch, block_entries):
+    cases = (("Q", 2, 3, 8, None), ("P", 3, 2, 8, None), ("R", 2, 2, 7, 23))
+    one_block = {args: (alon_certificate(*args).matrix.a, alon(*args[1:4]).matrix) for args in cases}
+    assert len(list(graphs.intersection_sizes(subset_incidence(8, 5)))) == 1
+    monkeypatch.setattr(graphs, "_SUBSET_BLOCK_ENTRIES", block_entries)
+    assert len(list(graphs.intersection_sizes(subset_incidence(8, 5)))) > 1
+    for args, (matrix, adjacency) in one_block.items():
+        assert np.array_equal(alon_certificate(*args).matrix.a, matrix), args
+        assert np.array_equal(alon(*args[1:4]).matrix, adjacency), args
 
 
 def test_fit_certificate_json_roundtrip():

@@ -4,6 +4,7 @@ cover blow-ups, span independence, interval search."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 from unittest import mock
@@ -215,6 +216,31 @@ def test_drep_from_fractional_cover_examples():
     c7 = cycle(7)
     rep = drep_from_fractional_cover(c7, fractional_clique_cover(c7), 2)
     assert rep.ratio() == F(7, 2)
+
+
+def test_cover_blowup_peak_stays_near_its_result():
+    g = cycle(1001)
+    cover = fractional_clique_cover(g)
+    tracemalloc.start()
+    try:
+        rep = drep_from_fractional_cover(g, cover, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result and its boolean comparison, with no int64 copy (8 bytes an entry)
+    assert peak < 3 * rep.matrix.a.nbytes
+    # the same bytes as the int64 same-slot matrix over the slots in class
+    # order, each vertex in its first d slots, narrowed by FMatrix
+    slots: list[list[int]] = [[] for _ in range(g.n)]
+    index = 0
+    for cl, w in cover.classes:
+        for _ in range(int(w * cover.d)):
+            for v in cl:
+                slots[v].append(index)
+            index += 1
+    assignment = np.array([s for v in range(g.n) for s in slots[v][:cover.d]])
+    old = FMatrix(2, (assignment[:, None] == assignment[None, :]).astype(np.int64))
+    assert rep.matrix.a.dtype == old.a.dtype and rep.matrix.a.tobytes() == old.a.tobytes()
 
 
 def test_cycle_drep_k1_is_the_triangle_clique():
