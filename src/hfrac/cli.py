@@ -258,11 +258,11 @@ def _cmd_certify(args) -> int:
     if kind == "johnson":
         if args.p is None or args.n is None:
             raise UsageError("certify johnson needs --p and --n")
-        cert, expr = johnson_certificate(args.p, args.n), f"johnson:{args.p},{args.n}"
+        cert, expr = johnson_certificate(args.p, args.n, args.max_vertices), f"johnson:{args.p},{args.n}"
     elif kind == "alon":
         if args.variant is None or args.p is None or args.q is None or args.n is None:
             raise UsageError("certify alon needs --variant, --p, --q, --n")
-        cert = alon_certificate(args.variant, args.p, args.q, args.n, args.modulus)
+        cert = alon_certificate(args.variant, args.p, args.q, args.n, args.modulus, args.max_vertices)
         base = f"alon:{args.p},{args.q},{args.n}"
         expr = base if args.variant == "P" else f"complement({base})"
     elif kind == "cover":

@@ -6,10 +6,11 @@ read-only.  Every builder writes that matrix directly: the complement is
 its negation, the strong and lexicographic products are Kronecker
 products, and the subset graphs compare the intersection sizes of their
 incidence matrix's rows (``intersection_sizes``, which also yields the
-entries of ``minrank``'s Alon certificates).  The edge list and the
-bitset rows that the exact searches use are derived from it.  Generators
-remember the expression that produced the graph; a certificate carries
-that expression, and the expression fixes the vertex order.
+entries of ``minrank``'s Alon certificates).  The edge text of graph
+files and graph hashes (``edge_text``) and the bitset rows that the
+exact searches use are derived from it.  Generators remember the
+expression that produced the graph; a certificate carries that
+expression, and the expression fixes the vertex order.
 
 The expression also names symmetries: ``Graph.transitive_automorphisms``
 reads permutations of the vertices off it (rotations and reflections of
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from .errors import GraphParseError, GuardExceeded, PreconditionError
-from .serialize import excerpt, int_text
+from .serialize import excerpt
 
 DEFAULT_MAX_VERTICES = 5000
 UNIVERSAL_PAIR_CAP = 10**7
@@ -150,15 +151,6 @@ class Graph:
         """The vertices by descending degree, the lower vertex first on
         ties (a reversed sort keeps equal keys in their order)."""
         return tuple(sorted(range(self.n), key=self.degrees.__getitem__, reverse=True))
-
-    def edge_array(self) -> np.ndarray:
-        """The edges (u, v) with u < v as an m x 2 int64 array, in
-        row-major order: the flat indices of the strict upper triangle,
-        split into (row, column) by one divmod."""
-        hits = np.flatnonzero(np.triu(self.matrix, 1))
-        pairs = np.empty((hits.size, 2), dtype=np.int64)
-        np.divmod(hits, self.n, out=(pairs[:, 0], pairs[:, 1]))
-        return pairs
 
     def first_nonedge(self, nonzero: np.ndarray) -> tuple[int, int] | None:
         """The first pair (u, v) with u != v, in row-major order, that is
@@ -708,12 +700,64 @@ def _first_bad_edge(nums: list[int], n: int) -> NoReturn:
     raise AssertionError("no defective edge")
 
 
+# Cells of the adjacency matrix that ``edge_text`` reads at a time, in
+# blocks of whole rows: a block's words and text stay small enough for the
+# allocator to reuse, however large the graph.
+_TEXT_BLOCK_CELLS = 1 << 16
+
+
+def edge_text(g: Graph, seps: bytes) -> Iterator[bytes]:
+    """The edge text ``u<s0>v<s1>`` of every edge u < v in row-major order,
+    with ``seps`` = s0 s1 and u, v in ASCII decimal, as the non-empty byte
+    blocks of whole rows of the upper triangle, one block at a time.
+
+    Two token tables hold a word per vertex: its id's digits, then s0 (in
+    the table of the u words) or s1 (of the v words), then zero padding, 4
+    bytes for ids below 1000 and 8 above.  A block is read as the flat
+    indices of its rows' nonzero cells right of the diagonal, split into
+    (row, column) by one divmod; two lookups write each edge's u and v
+    words side by side, and one ``bytes.translate`` drops the padding.
+    """
+    n = g.n
+    if n < 2:
+        return
+    digits = len(str(n - 1))
+    # 8 bytes hold every id below 10^7; a matrix of 10^14 cells never fits
+    width = 4 if digits < 4 else 8
+    chars = np.zeros((2, n, width), dtype=np.uint8)
+    for k in range(1, digits + 1):
+        first, stop = 10 ** (k - 1) if k > 1 else 0, min(n, 10 ** k)  # the ids of k digits
+        ids = np.arange(first, stop)[:, None]
+        chars[:, first:stop, :k] = ids // 10 ** np.arange(k - 1, -1, -1) % 10 + ord("0")
+        chars[:, first:stop, k] = np.frombuffer(seps, dtype=np.uint8)[:, None]
+    u_words, v_words = chars.view(f"<u{width}")[..., 0]
+    step = max(1, _TEXT_BLOCK_CELLS // n)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        # cell (i, j) of the block is the pair (lo + i, lo + 1 + j)
+        rows, cols = np.divmod(np.flatnonzero(g.matrix[lo:hi, lo + 1:]), n - lo - 1)
+        if hi - lo > 1:
+            upper = cols >= rows
+            rows, cols = rows[upper], cols[upper]
+        if rows.size:
+            words = np.empty((rows.size, 2), dtype=u_words.dtype)
+            words[:, 0] = u_words[lo:][rows]
+            words[:, 1] = v_words[lo + 1:][cols]
+            yield words.tobytes().translate(None, b"\0")
+
+
+def _graph_file_pieces(g: Graph) -> Iterator[bytes]:
+    """The text format as byte pieces: an ``n m`` line, then one ``u v``
+    line per edge."""
+    yield f"{g.n} {g.m}\n".encode()
+    yield from edge_text(g, b" \n")
+
+
 def format_graph(g: Graph) -> str:
     """The text format: an ``n m`` line, then one ``u v`` line per edge."""
-    pairs = g.edge_array()
-    return f"{g.n} {len(pairs)}\n" + int_text(pairs, b" \n").decode("ascii")
+    return b"".join(_graph_file_pieces(g)).decode("ascii")
 
 
 def write_graph_file(g: Graph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_graph(g))
+    with open(path, "wb") as fh:
+        fh.writelines(_graph_file_pieces(g))

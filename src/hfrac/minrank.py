@@ -31,9 +31,10 @@ import numpy as np
 from .budget import Budget
 from .errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
 from .gfmat import FMatrix, check_modulus, matmul, rank, storage_dtype
-from .graphs import Graph, alon, complement, intersection_sizes, is_prime, johnson, subset_incidence
+from .graphs import (DEFAULT_MAX_VERTICES, Graph, alon, complement, edge_text, intersection_sizes, is_prime,
+                     johnson, subset_incidence)
 from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
-from .serialize import int_text, read_int
+from .serialize import read_int
 
 # minrank_exact searches without a node allowance up to this many
 # assignments; above it the search stops after ATTEMPT_NODES nodes.
@@ -42,10 +43,16 @@ ATTEMPT_NODES = 2**8
 
 
 def graph_hash(g: Graph) -> str:
-    """SHA-256 of ``"n;u,v;u,v;..."`` over the edges u < v in row-major order."""
-    h = hashlib.sha256()
-    h.update(f"{g.n};".encode())
-    h.update(memoryview(int_text(g.edge_array(), b",;"))[:-1])
+    """SHA-256 of ``"n;u,v;u,v;...;u,v"``: the vertex count and ``;``, then
+    the edges u < v in row-major order, each ``u,v`` in ASCII decimal and
+    followed by ``;`` but the last.  These are ``edge_text(g, b",;")``'s
+    blocks less their last byte, fed to the hash as they come."""
+    h = hashlib.sha256(f"{g.n};".encode())
+    last = b""
+    for block in edge_text(g, b",;"):
+        h.update(last)
+        h.update(memoryview(block)[:-1])
+        last = block[-1:]
     return h.hexdigest()
 
 
@@ -87,10 +94,14 @@ def drep_violation(g: Graph, rep: DRep) -> str | None:
     bad = np.flatnonzero(np.any(diagonal != np.eye(d, dtype=np.int64), axis=(1, 2)))
     if bad.size:
         return f"diagonal block of vertex {int(bad[0])} is not the identity"
-    # OR the d rows of each block row together (contiguous rows, so one
-    # elementwise pass), then each block's d columns
-    nonzero = a.reshape(n, d, n * d).any(axis=1).reshape(n, n, d).any(axis=2)
-    bad = g.first_nonedge(nonzero)
+    # OR the d rows of each block row together (one reduction over
+    # contiguous rows, none at d = 1), then each block's d columns, one
+    # strided pass per column offset, all in the entries' own dtype
+    rows = (np.bitwise_or.reduce(a.reshape(n, d, n * d), axis=1) if d > 1 else a).reshape(n, n, d)
+    nonzero = rows[:, :, 0]
+    for j in range(1, d):
+        nonzero = nonzero | rows[:, :, j]
+    bad = g.first_nonedge(nonzero != 0)
     if bad is not None:
         return f"nonzero block at non-edge ({bad[0]}, {bad[1]})"
     return None
@@ -280,25 +291,26 @@ def minrank_exact(
     except BudgetExhausted:
         if best_matrix is not None:
             mat = FMatrix(p, best_matrix)
-            incumbent = FitCertificate(graph_hash(g), mat, rank(mat))
+            incumbent = FitCertificate(incumbent.graph_hash, mat, rank(mat))
         return interval_result()
 
     if best_matrix is not None:
         mat = FMatrix(p, best_matrix)
         if fit_violation(g, mat) is not None or rank(mat) != best_rank:
             raise VerificationError("internal error: minrank matrix failed its fit or rank check")
-        cert = FitCertificate(graph_hash(g), mat, best_rank)
+        cert = FitCertificate(incumbent.graph_hash, mat, best_rank)
     else:
         cert = incumbent
         best_rank = incumbent.claimed_rank
     return MinrankResult(best_rank, best_rank, cert)
 
 
-def johnson_certificate(p: int, n: int) -> FitCertificate:
+def johnson_certificate(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> FitCertificate:
     """Gram matrix of the subset-incidence matrix over GF(p): fits the
     intersection-parity graph on (p+1)-subsets because the subset size
-    p+1 is 1 mod p; rank is at most n."""
-    g = johnson(p, n)
+    p+1 is 1 mod p; rank is at most n.  The graph is built under the
+    vertex cap ``max_vertices``."""
+    g = johnson(p, n, max_vertices)
     check_modulus(p)
     m = FMatrix._reduced(p, subset_incidence(n, p + 1).T.astype(storage_dtype(p)))
     gram = matmul(m.transpose(), m)
@@ -327,6 +339,7 @@ def alon_certificate(
     q: int,
     n: int,
     modulus: int | None = None,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> FitCertificate:
     """Polynomial certificates for the intersection graphs on
     (pq-1)-subsets of [n].
@@ -348,6 +361,8 @@ def alon_certificate(
         exceeding p (default: the next prime), fits the complement;
         degree p-1.  Characteristic-zero statements are realized over the
         chosen large prime and reported as such, never as char 0.
+
+    The graph is built under the vertex cap ``max_vertices``.
     """
     if variant == "P":
         modulus = p if modulus is None else modulus
@@ -371,7 +386,7 @@ def alon_certificate(
     else:
         raise PreconditionError(f"unknown variant {variant!r}")
 
-    base = alon(p, q, n)
+    base = alon(p, q, n, max_vertices)
     target = base if variant == "P" else complement(base)
     size = p * q - 1
     # a modulus that passes keeps every product of two residues below int64's limit

@@ -11,9 +11,9 @@ placeholders; between the pieces go ``[``, the digits of each array chunk
 by chunk (``int_chunks``) less the last comma, and ``]``.  The pieces
 serve both sinks: ``canonical_json`` joins them into one ``str``, and a
 certificate file is written from them with ``writelines``, so its text
-never exists as one object.  ``int_chunks`` (whose joined form
-``int_text`` also writes the edge text of graph files and graph hashes)
-computes the digits in the narrowest unsigned dtype that holds the
+never exists as one object.  ``int_chunks`` writes matrix entries only
+(the edge text of graph files and graph hashes is ``graphs.edge_text``'s)
+and computes the digits in the narrowest unsigned dtype that holds the
 largest value, not in int64.  ``load_json`` reads a binary file in
 blocks of at most ``_BLOCK`` bytes into one reused buffer, so the file is
 never held whole.  It lifts each ``"entries":[...]`` digit run out of the text
@@ -119,13 +119,13 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
     flattening row by row gives the text.  The digit passes run in the
     narrowest unsigned dtype that holds the largest value
     (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 257,
-    uint16 for vertex ids below 65536).
+    and uint16 for p < 65537).
     """
     v = np.asarray(values).ravel()
     if v.size == 0:
         return
     if v.dtype.kind not in "iu" or v.min() < 0:
-        raise ValueError("int_text writes non-negative integers only")
+        raise ValueError("int_chunks writes non-negative integers only")
     top = int(v.max())
     v = v.astype(np.min_scalar_type(top), copy=False)
     width = len(str(top))
@@ -152,11 +152,6 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
         for j in range(width - 1):
             np.greater_equal(chunk, 10 ** (width - 1 - j), out=keep[:, j])
         yield chars[keep]
-
-
-def int_text(values: np.ndarray, seps: bytes) -> bytes:
-    """The text of ``int_chunks`` as one bytes object."""
-    return b"".join(int_chunks(values, seps))
 
 
 def decode_entries(data: bytes | bytearray, start: int = 0, stop: int | None = None,

@@ -241,8 +241,8 @@ def edge_loop_read_graph_file(path: str, max_vertices: int | None = None) -> Gra
 
 
 def bitloop_edges(g: Graph) -> list[list[int]]:
-    """The edges [u, v] with u < v in row-major order, as
-    ``edge_array().tolist()`` lists them."""
+    """The edges [u, v] with u < v in row-major order, read off the bitset
+    rows, as ``argwhere_edge_array(g.matrix).tolist()`` lists them."""
     return [[u, v] for u in range(g.n) for v in _bits(g.adj[u] >> (u + 1) << (u + 1))]
 
 
@@ -252,11 +252,33 @@ def argwhere_edge_array(matrix: np.ndarray) -> np.ndarray:
     return np.argwhere(np.triu(matrix, 1))
 
 
+def argwhere_edge_text(matrix: np.ndarray, seps: bytes) -> bytes:
+    """The edge text ``u<s0>v<s1>`` of every pair ``argwhere_edge_array``
+    lists, one f-string per edge."""
+    s0, s1 = seps.decode()
+    return "".join(f"{u}{s0}{v}{s1}" for u, v in argwhere_edge_array(matrix).tolist()).encode()
+
+
 def fstring_format_graph(g: Graph) -> str:
     """The graph text format, one f-string per edge."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_array().tolist())
+    lines.extend(f"{u} {v}" for u, v in argwhere_edge_array(g.matrix).tolist())
     return "\n".join(lines) + "\n"
+
+
+def blockloop_drep_violation(g: Graph, rep: DRep) -> str | None:
+    """``drep_violation``'s answer, block by block: the first vertex whose
+    diagonal block is not the identity, else the first non-edge (u, v) in
+    row-major order whose block holds a nonzero entry, else None."""
+    d, a = rep.d, rep.matrix.a
+    for v in range(g.n):
+        if not np.array_equal(a[v * d:(v + 1) * d, v * d:(v + 1) * d], np.eye(d)):
+            return f"diagonal block of vertex {v} is not the identity"
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and not g.matrix[u, v] and a[u * d:(u + 1) * d, v * d:(v + 1) * d].any():
+                return f"nonzero block at non-edge ({u}, {v})"
+    return None
 
 
 def set_intersection_subset_graph(n: int, size: int, adjacent) -> Graph:

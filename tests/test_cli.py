@@ -108,6 +108,18 @@ def test_theta_circulant_is_capped_like_every_graph(capsys):
     assert code == 0 and abs(float(out) - 5001 * np.cos(np.pi / 5001) / (1 + np.cos(np.pi / 5001))) < 1e-6
 
 
+@pytest.mark.parametrize("argv, expr, vertices, cap", [
+    (("--kind", "johnson", "--p", "2", "--n", "12"), "johnson:2,12", 220, 100),
+    (("--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "9"), "alon:2,3,9", 126, 50),
+    (("--kind", "alon", "--variant", "Q", "--p", "2", "--q", "3", "--n", "9"), "alon:2,3,9", 126, 50),
+])
+def test_certify_johnson_and_alon_honour_the_vertex_cap(capsys, argv, expr, vertices, cap):
+    code, out, err = run(capsys, "certify", *argv, "--max-vertices", str(cap))
+    assert (code, out) == (64, "") and f"{expr} would have {vertices} vertices (cap {cap})" in err
+    code, out, _ = run(capsys, "certify", *argv, "--max-vertices", str(vertices), "--json")
+    assert code == 0 and json.loads(out)["kind"] == "fit"
+
+
 def test_cycle_drep_refuses_a_composite_modulus(capsys):
     code, out, err = run(capsys, "certify", "--kind", "cycle-drep", "--k", "2", "--p", "4")
     assert (code, out) == (64, "") and "modulus 4 is not prime" in err

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hfrac.graphs import (
     complement,
     complete,
     cycle,
+    edge_text,
     empty,
     format_graph,
     generate,
@@ -38,8 +41,10 @@ from hfrac.graphs import (
     universal_vertex_count,
     write_graph_file,
 )
+from hfrac.minrank import graph_hash
 from oracles import (
     argwhere_edge_array,
+    argwhere_edge_text,
     bitloop_adjacency_matrix,
     bitloop_complement,
     bitloop_edges,
@@ -78,7 +83,7 @@ def test_constructor_refuses_a_defective_matrix(matrix, message):
 def test_constructor_keeps_the_matrix_read_only_and_compares_by_it():
     mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
     g = Graph(mat, expr="path")
-    assert g.n == 3 and g.m == 2 and g.edge_array().tolist() == [[0, 1], [1, 2]]
+    assert g.n == 3 and g.m == 2 and b"".join(edge_text(g, b",;")) == b"0,1;1,2;"
     assert g.matrix is mat and not mat.flags.writeable
     assert g.adj == (0b010, 0b101, 0b010) and g.adj is g.adj
     h = graph_from_edges(3, [(1, 2), (0, 1)])
@@ -418,14 +423,14 @@ def test_graph_file_obeys_the_vertex_cap(tmp_path):
     path.write_text("6000 1\n0 5999\n")
     with pytest.raises(GuardExceeded):
         generate(f"file:{path}")
-    assert generate(f"file:{path}", max_vertices=6000).edge_array().tolist() == [[0, 5999]]
+    assert format_graph(generate(f"file:{path}", max_vertices=6000)) == "6000 1\n0 5999\n"
 
 
 def test_empty_graph_file(tmp_path):
     path = tmp_path / "zero.txt"
     path.write_text("0 0\n")
     g = read_graph_file(str(path))
-    assert g.n == 0 and g.edge_array().tolist() == []
+    assert g.n == 0 and list(edge_text(g, b" \n")) == [] and format_graph(g) == "0 0\n"
     assert g.matrix.shape == (0, 0)
 
 
@@ -456,7 +461,8 @@ def test_dense_views_match_the_bit_loops(g):
     a = g.matrix
     assert a.dtype == bool and a.shape == (g.n, g.n)
     assert np.array_equal(a, bitloop_adjacency_matrix(g))
-    assert g.edge_array().tolist() == bitloop_edges(g)
+    assert argwhere_edge_array(a).tolist() == bitloop_edges(g)
+    assert b"".join(edge_text(g, b",;")) == argwhere_edge_text(a, b",;")
     assert complement(complement(g)) == g
 
 
@@ -502,11 +508,10 @@ def symmetric_matrices(draw, max_n=40):
 @settings(max_examples=200, deadline=None)
 @given(symmetric_matrices())
 def test_edge_array_matches_argwhere(matrix):
-    got = Graph(matrix).edge_array()
-    want = argwhere_edge_array(matrix)
-    assert got.dtype == want.dtype == np.int64
-    assert got.shape == want.shape == (int(matrix.sum()) // 2, 2)
-    assert np.array_equal(got, want)
+    # the edge text, as the graph file writes it, against the argwhere pairs
+    got = b"".join(edge_text(Graph(matrix), b" \n"))
+    assert got == argwhere_edge_text(matrix, b" \n")
+    assert got.count(b"\n") == int(matrix.sum()) // 2
 
 
 def test_edge_array_strategy_reaches_the_edge_cases():
@@ -517,13 +522,57 @@ def test_edge_array_strategy_reaches_the_edge_cases():
     find(symmetric_matrices(), lambda m: 0 < m.sum() < m.shape[0] * (m.shape[0] - 1))
 
 
+@st.composite
+def text_graphs(draw):
+    """Graphs whose vertex ids have up to four digits (n crossing 10, 100
+    and 1000, and n = 0 and 1), edgeless, complete or random, with about
+    2,000 edges at most so that the f-string oracle stays quick; and a row
+    block of one cell (one row per block), a few rows or the default."""
+    n = draw(st.one_of(st.sampled_from((0, 1, 2, 10, 11, 100, 101, 1000, 1001)), st.integers(0, 120)))
+    kind = draw(st.sampled_from(("empty", "complete", "random")) if n <= 60 else st.sampled_from(("empty", "random")))
+    if kind == "empty":
+        matrix = np.zeros((n, n), dtype=bool)
+    elif kind == "complete":
+        matrix = ~np.eye(n, dtype=bool)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        prob = draw(st.sampled_from((0.05, 0.5, 1.0))) * min(1.0, 4000 / max(n * n, 1))
+        upper = np.triu(rng.random((n, n)) < prob, 1)
+        matrix = upper | upper.T
+    cells = draw(st.sampled_from((1, 5 * max(n, 1), graphs._TEXT_BLOCK_CELLS)))
+    return Graph(matrix), cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(text_graphs())
+def test_edge_text_graph_hash_and_format_graph_match_the_argwhere_text(case):
+    g, cells = case
+    with mock.patch.object(graphs, "_TEXT_BLOCK_CELLS", cells):
+        blocks = list(edge_text(g, b",;"))
+        text = argwhere_edge_text(g.matrix, b",;")
+        assert b"".join(blocks) == text and all(blocks)
+        assert graph_hash(g) == hashlib.sha256(f"{g.n};".encode() + text[:-1]).hexdigest()
+        assert format_graph(g) == f"{g.n} {g.m}\n" + argwhere_edge_text(g.matrix, b" \n").decode()
+
+
+def test_edge_text_strategy_reaches_every_id_width_and_block_count():
+    find(text_graphs(), lambda c: c[0].n == 0)
+    find(text_graphs(), lambda c: c[0].n == 1)
+    find(text_graphs(), lambda c: c[0].n > 1000 and c[0].m > 0)
+    find(text_graphs(), lambda c: c[0].n > 100 and c[0].m == 0)
+    # one row per block on a graph whose last rows hold no edge of the
+    # upper triangle, so that the last blocks are empty
+    find(text_graphs(), lambda c: c[1] == 1 and c[0].m > 0 and not c[0].matrix[-2:].any())
+
+
 def test_dense_views_at_every_size_mod_8():
     rng = random.Random(8)
     for n in range(0, 34):
         for prob in (0.0, 0.3, 1.0):
             g = random_graph(rng, n, prob)
             assert np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
-            assert g.edge_array().tolist() == bitloop_edges(g)
+            assert argwhere_edge_array(g.matrix).tolist() == bitloop_edges(g)
+            assert b"".join(edge_text(g, b",;")) == argwhere_edge_text(g.matrix, b",;")
 
 
 @pytest.mark.parametrize("p,q,n", [
@@ -540,7 +589,8 @@ def test_subset_graphs_match_the_set_intersection_loop(p, q, n):
     oracle = set_intersection_subset_graph(n, size, adjacent)
     assert g.adj == oracle.adj
     assert np.array_equal(g.matrix, bitloop_adjacency_matrix(g))
-    assert g.edge_array().tolist() == bitloop_edges(g)
+    assert argwhere_edge_array(g.matrix).tolist() == bitloop_edges(g)
+    assert b"".join(edge_text(g, b",;")) == argwhere_edge_text(g.matrix, b",;")
 
 
 @pytest.mark.parametrize("block_entries", [1, 200])

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import drep_column_factors, kron_permutation_tensor, random_graph, stacked_rank, subspace_violation
+from oracles import (
+    blockloop_drep_violation,
+    drep_column_factors,
+    kron_permutation_tensor,
+    random_graph,
+    stacked_rank,
+    subspace_violation,
+)
 
 from hfrac.errors import GuardExceeded, SearchCutoff, VerificationError
 from hfrac.fraccover import fractional_clique_cover
@@ -62,6 +69,35 @@ def test_verify_drep_pinpoints_bad_block():
     # a diagonal defect is reported before any non-edge block
     a[7, 6] = a[5, 4] = 1
     assert drep_violation(c5, DRep(2, FMatrix(2, a))) == "diagonal block of vertex 2 is not the identity"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("p", [3, 257])
+def test_drep_violation_finds_a_nonzero_at_every_offset_of_a_non_edge_block(d, p):
+    # the identity blow-up fits every graph; one entry at offset (i, j) of
+    # a non-edge block (u, v), and then a second in an earlier block, must
+    # each be named as the block loop names them; p = 257 stores uint16
+    g = random_graph(random.Random(d), 7, 0.4)
+    base = np.eye(g.n * d, dtype=np.int64)
+    non_edges = [(u, v) for u in range(g.n) for v in range(g.n) if u != v and not g.matrix[u, v]]
+    assert len(non_edges) > 1
+    for k, (u, v) in enumerate(non_edges):
+        for i, j in product(range(d), repeat=2):
+            a = base.copy()
+            a[u * d + i, v * d + j] = 1 + (i + j) % (p - 1)
+            rep = DRep(d, FMatrix(p, a))
+            assert drep_violation(g, rep) == blockloop_drep_violation(g, rep) == f"nonzero block at non-edge ({u}, {v})"
+            if k:
+                a[non_edges[k - 1][0] * d + j, non_edges[k - 1][1] * d + i] = p - 1
+                rep = DRep(d, FMatrix(p, a))
+                assert drep_violation(g, rep) == blockloop_drep_violation(g, rep)
+                assert drep_violation(g, rep) == "nonzero block at non-edge ({}, {})".format(*non_edges[k - 1])
+        a = base.copy()
+        a[u * d + d - 1, u * d] = 1  # an off-diagonal entry in a diagonal block comes first
+        a[u * d, v * d] = 1
+        rep = DRep(d, FMatrix(p, a))
+        want = f"diagonal block of vertex {u} is not the identity" if d > 1 else f"nonzero block at non-edge ({u}, {v})"
+        assert drep_violation(g, rep) == blockloop_drep_violation(g, rep) == want
 
 
 def test_subspace_representations():

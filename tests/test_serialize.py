@@ -21,7 +21,7 @@ from hfrac.gfmat import FMatrix
 from hfrac.graphs import cycle, generate, is_prime
 from hfrac.minrank import minrank_exact
 from hfrac.reps import cycle_drep, hfrac_upper_search, tensor_dreps
-from hfrac.serialize import canonical_json, decode_entries, int_text, load_json, read_entries
+from hfrac.serialize import canonical_json, decode_entries, int_chunks, load_json, read_entries
 
 GUARD_PRIME = 3037000493  # the largest prime FMatrix accepts is near it
 
@@ -101,7 +101,7 @@ _EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255, 256, 999, 1000, 65535, 65536, 2**32 -
 
 
 @st.composite
-def int_text_cases(draw):
+def int_chunks_cases(draw):
     top = draw(st.sampled_from(_EDGE_VALUES))
     # lengths about the chunk size, odd ones included for a 2-byte pattern
     size = draw(st.one_of(st.integers(1, 40), st.sampled_from(
@@ -117,12 +117,12 @@ def int_text_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_text_cases())
+@given(int_chunks_cases())
 def test_int_text_matches_the_decimal_strings(case):
     values, seps = case
     expected = b"".join(str(v).encode() + seps[i % len(seps):i % len(seps) + 1]
                         for i, v in enumerate(values.tolist()))
-    assert int_text(values, seps) == expected
+    assert b"".join(int_chunks(values, seps)) == expected
 
 
 def _canonical_field(field: str) -> bool:
@@ -497,7 +497,7 @@ def one_digit_cases(draw):
 def test_one_digit_words_round_trip_as_the_character_matrix_and_the_strided_reader(case):
     chunk, values, seps = case
     with mock.patch.object(serialize, "_CHUNK", chunk):
-        assert int_text(values, seps) == character_matrix_one_digit_text(values, seps)
+        assert b"".join(int_chunks(values, seps)) == character_matrix_one_digit_text(values, seps)
         doc = canonical_json({"entries": values})
         if not values.size:
             with pytest.raises(VerificationError, match="entries list is empty"):

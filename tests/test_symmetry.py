@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import argwhere_edge_array
 
 from hfrac import graphs
 from hfrac.budget import Budget
@@ -43,7 +44,7 @@ def is_automorphism(g: Graph, perm) -> bool:
     """Edge by edge: perm is a bijection of the vertices that maps every
     edge to an edge (and so, being a bijection, non-edges to non-edges)."""
     perm = [int(v) for v in perm]
-    return sorted(perm) == list(range(g.n)) and all(g.matrix[perm[u], perm[v]] for u, v in g.edge_array())
+    return sorted(perm) == list(range(g.n)) and all(g.matrix[perm[u], perm[v]] for u, v in argwhere_edge_array(g.matrix))
 
 
 def orbit_of_zero(n: int, perms) -> set[int]:
