@@ -16,8 +16,9 @@ the output goes to ``os.devnull`` and the command keeps its own code.
 ``verify`` handles every certificate kind through one table, ``_KINDS``:
 how the kind is read, its check, and, for the kinds a bound report may
 cite, the report parameters it may witness and how it attains its end.
-Certificates carry no graph; the commands that write one add the
-``"graph"`` expression to the document.
+Every kind is checked in exact arithmetic; any other kind, a float one
+included, fails as unknown.  Certificates carry no graph; the commands
+that write one add the ``"graph"`` expression to the document.
 
 The argument parser is built once per process, on the first ``main``
 call, so a caller that runs ``main`` in a loop pays for it once.
@@ -59,7 +60,7 @@ from .report import BoundReport
 from .reps import DRep, cycle_drep, drep_violation, hfrac_upper_search, tensor_dreps
 from .reproduce import run_claims
 from .serialize import canonical_json, excerpt, frac_str, json_pieces, load_json, parse_frac, read_ints
-from .theta import OrthoRep, orthorep_violation, theta_circulant, theta_johnson_lp
+from .theta import theta_circulant, theta_johnson_lp
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -337,7 +338,6 @@ _KINDS = {
                        "upper", lambda cover, upper: cover.value == upper),
     "cliquecover": _Kind(lambda obj: CliqueCover.from_json(obj),
                          lambda g, cover: clique_cover_violation(g, cover)),
-    "orthorep": _Kind(lambda obj: OrthoRep.from_json(obj), lambda g, rep: orthorep_violation(g, rep)),
 }
 
 # Report parameters: alpha, or minrank / hfrac over GF(p).  A modulus has

@@ -155,6 +155,14 @@ class MinrankResult:
         return self.lower == self.upper
 
 
+def _same_label_matrix(labels: np.ndarray, p: int) -> FMatrix:
+    """The 0/1 matrix over GF(p) with a 1 exactly where the labels of its
+    row and column agree: the boolean comparison, cast once into the
+    storage dtype, with no int64 matrix between them."""
+    check_modulus(p)
+    return FMatrix._reduced(p, (labels[:, None] == labels[None, :]).astype(storage_dtype(p)))
+
+
 def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     """Rank-|cover| certificate: 1 exactly on same-class pairs.
 
@@ -169,8 +177,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     for idx, cls in enumerate(cover.classes):
         for v in cls:
             cls_of[v] = idx
-    cls_arr = np.array(cls_of)
-    mat = FMatrix(p, (cls_arr[:, None] == cls_arr[None, :]).astype(np.int64))
+    mat = _same_label_matrix(np.array(cls_of), p)
     r = rank(mat)
     if r != len(cover.classes):
         raise VerificationError(f"internal error: clique-cover matrix has rank {r}, not {len(cover.classes)}")
@@ -250,6 +257,7 @@ def minrank_exact(
     # length at entry, columns touched by rows above it, its bound).
     root = bound(0, 0)
     stack = [(0, product(range(p), repeat=len(free_cols[0])), 0, 0, root)] if root < best_rank else []
+    stopped = False
     try:
         while stack:
             v, assignments, depth, touched, frame_bound = stack[-1]
@@ -289,20 +297,17 @@ def minrank_exact(
                 stack.append((v + 1, product(range(p), repeat=len(free_cols[v + 1])),
                               len(ech), support, child_bound))
     except BudgetExhausted:
-        if best_matrix is not None:
-            mat = FMatrix(p, best_matrix)
-            incumbent = FitCertificate(incumbent.graph_hash, mat, rank(mat))
-        return interval_result()
+        stopped = True
 
+    # the search's best matrix, finished or stopped, is checked before it is certified
     if best_matrix is not None:
         mat = FMatrix(p, best_matrix)
         if fit_violation(g, mat) is not None or rank(mat) != best_rank:
             raise VerificationError("internal error: minrank matrix failed its fit or rank check")
-        cert = FitCertificate(incumbent.graph_hash, mat, best_rank)
-    else:
-        cert = incumbent
-        best_rank = incumbent.claimed_rank
-    return MinrankResult(best_rank, best_rank, cert)
+        incumbent = FitCertificate(incumbent.graph_hash, mat, best_rank)
+    if stopped:
+        return interval_result()
+    return MinrankResult(best_rank, best_rank, incumbent)
 
 
 def johnson_certificate(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> FitCertificate:

@@ -32,10 +32,10 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, fractional_clique_cover
-from .gfmat import KRON_ENTRY_CAP, FMatrix, check_modulus, storage_dtype
+from .gfmat import KRON_ENTRY_CAP, FMatrix, storage_dtype
 from .graphs import Graph, cycle, generate, parse_expr
 from .independence import alpha_lower_end
-from .minrank import DRep, drep_violation, minrank_exact
+from .minrank import DRep, _same_label_matrix, drep_violation, minrank_exact
 from .report import BoundReport
 
 
@@ -79,7 +79,7 @@ def tensor_dreps(rep_g: DRep, rep_h: DRep) -> DRep:
     return DRep(d1 * d2, FMatrix._reduced(p, out.reshape(n, n).astype(storage_dtype(p), copy=False)))
 
 
-def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> DRep:
+def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int) -> DRep:
     """Blow-up certificate from an exact fractional clique cover.
 
     Scaling the weights by the cover denominator d gives every vertex at
@@ -103,9 +103,7 @@ def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int = 2) -> 
         if len(slot_ids[v]) < d:
             raise VerificationError(f"vertex {v} has {len(slot_ids[v])} slots, needs {d}")
     assignment = np.array([slot_ids[v][i] for v in range(g.n) for i in range(d)], dtype=np.int64)
-    check_modulus(p)
-    # one cast of the boolean same-slot matrix, freed before the check
-    rep = DRep(d, FMatrix._reduced(p, (assignment[:, None] == assignment[None, :]).astype(storage_dtype(p))))
+    rep = DRep(d, _same_label_matrix(assignment, p))
     failure = drep_violation(g, rep)
     if failure is not None:
         raise VerificationError(f"cover produced an invalid certificate: {failure}")

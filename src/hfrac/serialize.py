@@ -11,10 +11,11 @@ placeholders; between the pieces go ``[``, the digits of each array chunk
 by chunk (``int_chunks``) less the last comma, and ``]``.  The pieces
 serve both sinks: ``canonical_json`` joins them into one ``str``, and a
 certificate file is written from them with ``writelines``, so its text
-never exists as one object.  ``int_chunks`` writes matrix entries only
-(the edge text of graph files and graph hashes is ``graphs.edge_text``'s)
-and computes the digits in the narrowest unsigned dtype that holds the
-largest value, not in int64.  ``load_json`` reads a binary file in
+never exists as one object.  ``int_chunks`` writes matrix entries only,
+each followed by a comma (the edge text of graph files and graph hashes,
+with its two separators, is ``graphs.edge_text``'s), and computes the
+digits in the narrowest unsigned dtype that holds the largest value, not
+in int64.  ``load_json`` reads a binary file in
 blocks of at most ``_BLOCK`` bytes into one reused buffer, so the file is
 never held whole.  It lifts each ``"entries":[...]`` digit run out of the text
 and decodes it with numpy (``decode_entries``) as the blocks arrive, the
@@ -22,7 +23,7 @@ whole fields of each block straight into the list's array and the field
 cut at a block's edge carried to the next; ``json.loads`` then reads the
 rest.  A one-digit entry and the byte after it are one little-endian
 uint16 word both ways: the writer makes each chunk with one ``np.add``
-of the values to a column of digit-separator words, and the reader
+of the values to the word of ``"0,"``, and the reader
 checks and decodes a one-digit list word by word, with no comma count,
 into uint8 entries; a list with a longer entry comes back as int64.
 The reader accepts only what the writer produces: digits and commas, no
@@ -37,9 +38,8 @@ string, bool or float where an integer belongs, or a malformed rational
 (an exponent, a decimal point, whitespace or an underscore in it), is a
 ``VerificationError`` rather than a value ``int()`` or ``Fraction()``
 would coerce.  Its message echoes the value through ``excerpt``, which
-cuts a long repr and adds its length.  The float arrays of a theta
-representation go through ``read_reals``, which takes rectangular lists
-of finite JSON numbers only.
+cuts a long repr and adds its length.  Every value a certificate holds
+is an integer or a rational: no reader here takes a float.
 """
 
 from __future__ import annotations
@@ -102,24 +102,26 @@ _CHUNK = 1 << 16
 # accepts is below 2^32, so no entry needs more.
 _MAX_DIGITS = 18
 _COMMA, _ZERO, _BACKSLASH = ord(","), ord("0"), ord("\\")
+# The word of "0,": added to a digit's value it gives the word of the
+# digit and its comma, and taken from that word it leaves the value.
+_DIGIT_COMMA = np.uint16(_ZERO | _COMMA << 8)
 
 
-def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
-    """ASCII decimal digits of non-negative integers, the i-th followed by
-    ``seps[i % len(seps)]``, as consecutive uint8 arrays of at most
-    ``_CHUNK`` values each, made one at a time.
+def int_chunks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """ASCII decimal digits of non-negative integers, each followed by a
+    comma, as consecutive uint8 arrays of at most ``_CHUNK`` values each,
+    made one at a time.
 
     When every value has one digit (as every entry over GF(p), p < 10,
-    has), a value and its separator are one little-endian uint16 word,
-    ``ord("0") + value`` in the low byte and the separator in the high
-    one, so a chunk is one ``np.add`` of the values to a column of
-    ``ord("0") | separator << 8`` words, viewed as bytes.  Otherwise the
-    values of a chunk are written right-aligned into a fixed-width digit
-    matrix with one separator column; masking out the leading zeros and
-    flattening row by row gives the text.  The digit passes run in the
-    narrowest unsigned dtype that holds the largest value
-    (``np.min_scalar_type``: uint8 for every entry over GF(p), p < 257,
-    and uint16 for p < 65537).
+    has), a value and its comma are one little-endian uint16 word,
+    ``ord("0") + value`` in the low byte and the comma in the high one, so
+    a chunk is one ``np.add`` of the values to the word of ``"0,"``,
+    viewed as bytes.  Otherwise the values of a chunk are written
+    right-aligned into a fixed-width digit matrix with one comma column;
+    masking out the leading zeros and flattening row by row gives the
+    text.  The digit passes run in the narrowest unsigned dtype that holds
+    the largest value (``np.min_scalar_type``: uint8 for every entry over
+    GF(p), p < 257, and uint16 for p < 65537).
     """
     v = np.asarray(values).ravel()
     if v.size == 0:
@@ -129,19 +131,14 @@ def int_chunks(values: np.ndarray, seps: bytes) -> Iterator[np.ndarray]:
     top = int(v.max())
     v = v.astype(np.min_scalar_type(top), copy=False)
     width = len(str(top))
-    sep = np.frombuffer(seps, dtype=np.uint8)
-    step = _CHUNK - _CHUNK % sep.size
     if width == 1:
-        words = np.tile(_ZERO | sep.astype("<u2") << 8, step // sep.size)
-        for lo in range(0, v.size, step):
-            chunk = v[lo:lo + step]
-            yield np.add(chunk, words[:chunk.size], dtype="<u2").view(np.uint8)
+        for lo in range(0, v.size, _CHUNK):
+            yield np.add(v[lo:lo + _CHUNK], _DIGIT_COMMA, dtype="<u2").view(np.uint8)
         return
-    sep_column = np.tile(sep, step // sep.size)
-    for lo in range(0, v.size, step):
-        chunk = v[lo:lo + step]
+    for lo in range(0, v.size, _CHUNK):
+        chunk = v[lo:lo + _CHUNK]
         chars = np.empty((chunk.size, width + 1), dtype=np.uint8)
-        chars[:, width] = sep_column[:chunk.size]
+        chars[:, width] = _COMMA
         rest = chunk
         for j in range(width - 1, 0, -1):
             rest, digit = np.divmod(rest, 10)
@@ -221,11 +218,6 @@ def decode_entries(data: bytes | bytearray, start: int = 0, stop: int | None = N
     return out if out.size == fields else out[:fields]
 
 
-# The word of "0,": taken from the word of a digit and its comma, it leaves
-# the digit's value.
-_DIGIT_COMMA = np.uint16(_ZERO | _COMMA << 8)
-
-
 def _one_digit_fields(data: bytes | bytearray, start: int, fields: int, out: np.ndarray) -> bool:
     """Whether ``data[start:start + 2 * fields - 1]`` is ``fields`` one-digit
     fields and their commas; if so, their values are in ``out[:fields]``
@@ -300,25 +292,6 @@ def read_ints(value, name: str) -> tuple[int, ...]:
     return tuple(read_int(v, name) for v in value)
 
 
-def read_reals(value, name: str, ndim: int) -> np.ndarray:
-    """A certificate's field ``name``: finite JSON numbers (ints or floats,
-    not bools or strings) in a rectangular list nested ``ndim`` deep with no
-    empty level, as a float array; anything else is a VerificationError."""
-    items = [value]
-    for _ in range(ndim):
-        items = [x for item in items for x in read_list(item, name)]
-    bad = next((x for x in items if type(x) not in (int, float)), None)
-    if bad is not None:
-        raise VerificationError(f"{name} must hold numbers nested {ndim} deep, got {excerpt(bad)}")
-    try:
-        arr = np.array(value, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise VerificationError(f"{name} is not a rectangular array of floats: {exc}") from exc
-    if arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
-        raise VerificationError(f"{name} must be a nonempty array of finite numbers, {ndim} deep")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Documents
 
@@ -359,7 +332,7 @@ def json_pieces(obj) -> Iterator[bytes | np.ndarray]:
         yield b"["
         # the digits of each value and its comma, less the last comma
         last = None
-        for chunk in int_chunks(array, b","):
+        for chunk in int_chunks(array):
             if last is not None:
                 yield last
             last = chunk

@@ -4,27 +4,26 @@ explicit orthonormal representations.
 There is deliberately no general SDP solver here: theta is computed only
 where a certifiable route exists: the eigenvalue closed form for
 edge-transitive circulants, an exact rational LP for the intersection
-graphs of (p+1)-subsets, and numeric evaluators that turn any supplied
-representation into a bound that holds up to the stated tolerance.  The
-tolerance is a field of the representation (``OrthoRep.tol``): it is read
-from and written to the certificate file with the vectors, and every check
-of the representation uses it.
+graphs of (p+1)-subsets, and numeric evaluators that turn a representation
+built in memory into a bound that holds up to the module tolerance
+``_TOL``.  A representation is no certificate: ``verify`` reads exact
+certificates only, and no file carries one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, cos, inf, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionError, UnsupportedFamily, VerificationError
+from .errors import PreconditionError, UnsupportedFamily, VerificationError
 from .graphs import Graph, complement, require_prime
 from .lp import F1, LinearProgram, simplex_solve
-from .serialize import read_reals
 
-DEFAULT_TOL = 1e-9
+# The tolerance of every check of a representation: its vectors are floats.
+_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -119,40 +118,19 @@ class OrthoRep:
 
     vectors: np.ndarray  # shape (nv, N)
     handle: np.ndarray  # shape (N,)
-    tol: float = field(default=DEFAULT_TOL)  # the tolerance every check allows
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "orthorep",
-            "vectors": [[float(x) for x in row] for row in self.vectors],
-            "handle": [float(x) for x in self.handle],
-            "tol": self.tol,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OrthoRep":
-        vectors = read_reals(obj["vectors"], "vectors", 2)
-        handle = read_reals(obj["handle"], "handle", 1)
-        if handle.shape[0] != vectors.shape[1]:
-            raise DimensionMismatch(f"handle of length {handle.shape[0]} for vectors of "
-                                    f"length {vectors.shape[1]}")
-        tol = obj.get("tol", DEFAULT_TOL)
-        if float(read_reals(tol, "tol", 0)) < 0:
-            raise VerificationError(f"tol must be >= 0, got {tol!r}")
-        return cls(vectors, handle, float(tol))
 
 
 def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
     if rep.vectors.shape[0] != g.n:
         return f"{rep.vectors.shape[0]} vectors for {g.n} vertices"
     norms = np.linalg.norm(rep.vectors, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > rep.tol)[0]
+    bad = np.nonzero(np.abs(norms - 1.0) > _TOL)[0]
     if bad.size:
         return f"vector of vertex {int(bad[0])} is not unit length"
-    if abs(np.linalg.norm(rep.handle) - 1.0) > rep.tol:
+    if abs(np.linalg.norm(rep.handle) - 1.0) > _TOL:
         return "handle is not unit length"
     gram = rep.vectors @ rep.vectors.T
-    bad = g.first_nonedge(np.triu(np.abs(gram) > rep.tol, 1))
+    bad = g.first_nonedge(np.triu(np.abs(gram) > _TOL, 1))
     if bad is not None:
         return f"non-edge ({bad[0]}, {bad[1]}) has inner product {gram[bad]:.3e}"
     return None
@@ -171,7 +149,7 @@ def theta_upper_from_orthorep(rep: OrthoRep) -> float:
 def theta_lower_from_dual(g: Graph, rep_of_complement: OrthoRep) -> float:
     """Sum of <x_v, h>^2 over an orthonormal representation of the
     complement: the dual form, a lower bound on theta(g) up to the
-    representation's tolerance."""
+    verification tolerance."""
     failure = orthorep_violation(complement(g), rep_of_complement)
     if failure is not None:
         raise VerificationError(f"complement representation invalid: {failure}")

@@ -558,14 +558,14 @@ def packbits_bit_rows(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def character_matrix_one_digit_text(values: np.ndarray, seps: bytes) -> bytes:
-    """The text of one-digit non-negative integers, the i-th followed by
-    ``seps[i % len(seps)]``, as a (values, 2) character matrix of digit
-    and separator columns flattened row by row."""
+def character_matrix_one_digit_text(values: np.ndarray) -> bytes:
+    """The text of one-digit non-negative integers, each followed by a
+    comma, as a (values, 2) character matrix of digit and comma columns
+    flattened row by row."""
     v = np.asarray(values).ravel()
     chars = np.empty((v.size, 2), dtype=np.uint8)
     chars[:, 0] = v + ord("0")
-    chars[:, 1] = np.resize(np.frombuffer(seps, dtype=np.uint8), v.size)
+    chars[:, 1] = ord(",")
     return chars.tobytes()
 
 

@@ -33,7 +33,6 @@ from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash
 from hfrac.reproduce import CLAIMS
 from hfrac.serialize import canonical_json, load_json
-from hfrac.theta import pentagon_umbrella
 
 
 def run(capsys, *argv):
@@ -952,37 +951,6 @@ def test_master_covers_are_pinned(expr, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-def _theta_rep_file(tmp_path, kind: str, field: str | None = None, value=None):
-    """A verifying orthorep file of cycle:5 (the umbrella), with ``field``
-    set to ``value`` when given."""
-    doc = pentagon_umbrella(1).to_json()
-    doc["graph"] = "cycle:5"
-    if field is not None:
-        doc[field] = value
-    path = tmp_path / f"{kind}.json"
-    path.write_text(canonical_json(doc))
-    return path
-
-
-# SHA-256 of the umbrella file as written while the tolerance was an
-# argument of ``to_json`` rather than a field of the representation.
-PINNED_THETA_REPS = {
-    "orthorep": "e06c7aa532464d1cbbecddf25288e7232b51e84162fbacf65938863e391bf524",
-}
-
-
-@pytest.mark.parametrize("kind", PINNED_THETA_REPS)
-def test_theta_representation_bytes_are_pinned(tmp_path, kind):
-    path = _theta_rep_file(tmp_path, kind)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_THETA_REPS[kind]
-
-
-@pytest.mark.parametrize("kind", ["orthorep"])
-def test_verify_accepts_the_umbrella(tmp_path, capsys, kind):
-    code, out, _ = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind)))
-    assert code == 0 and out.strip() == "OK"
-
-
 def _empty_representation_file(tmp_path, kind, field):
     """A ``kind`` file with an empty ``field`` list, for the empty graph."""
     graph = tmp_path / "z.txt"
@@ -993,30 +961,22 @@ def _empty_representation_file(tmp_path, kind, field):
 
 
 @pytest.mark.parametrize("kind, field", [("pairrep", "pairs"), ("rankrrep", "sizes"), ("matrixrep", "frames"),
-                                         ("subspacerep", "bases")])
+                                         ("subspacerep", "bases"), ("orthorep", "vectors")])
 def test_verify_refuses_the_factor_pair_and_rank_r_kinds(tmp_path, capsys, kind, field):
-    # the block form (drep) is the fractional bound's only certificate kind,
-    # and orthorep is theta's; the subspace form was the last to go
+    # the block form (drep) is the fractional bound's only certificate kind;
+    # orthorep, theta's float form, was the last to go
     code, out, err = run(capsys, "verify", "--cert", str(_empty_representation_file(tmp_path, kind, field)))
     assert (code, out, err) == (2, f"FAIL: unknown certificate kind {kind!r}\n", "")
 
 
-@pytest.mark.parametrize("kind, field, value", [
-    ("orthorep", "vectors", "x"),
-    ("orthorep", "vectors", [[1.0, 0.0, 0.0]] * 4 + [[1.0, 0.0]]),
-    ("orthorep", "tol", "a"),
-    ("orthorep", "vectors", [1, 2, 3, 4, 5]),
-    ("orthorep", "tol", float("nan")),
-    ("orthorep", "handle", [1.0, 0.0]),
-    ("orthorep", "handle", [True, 0, 0]),
-], ids=["vectors-string", "vectors-ragged", "tol-string", "vectors-numbers", "tol-nan", "handle-length",
-        "handle-bool"])
-def test_verify_refuses_a_malformed_theta_representation(tmp_path, capsys, kind, field, value):
-    # the first three ended in a traceback (exit 1): ValueError, ValueError
-    # and UFuncNoLoopError; a NaN tolerance passed every check; the numbers
-    # and bool cases reach read_reals' depth and bool refusals
-    code, out, err = run(capsys, "verify", "--cert", str(_theta_rep_file(tmp_path, kind, field, value)))
-    assert code == 2 and out.startswith("FAIL: "), (out, err)
+def test_verify_refuses_an_orthorep_file_that_declares_its_own_tolerance(tmp_path, capsys):
+    # five equal vectors on cycle:5: with this tolerance the file printed OK
+    # while orthorep was a kind, each check passing by the file's own "tol"
+    path = tmp_path / "orthorep.json"
+    path.write_text(json.dumps({"kind": "orthorep", "graph": "cycle:5", "vectors": [[1, 0]] * 5,
+                                "handle": [1, 0], "tol": 1e300}))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, out, err) == (2, "FAIL: unknown certificate kind 'orthorep'\n", "")
 
 
 # a report whose lower end exceeds its upper end: verify exits 2

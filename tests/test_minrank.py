@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import comb, prod
 from operator import mul
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,6 +219,23 @@ def test_minrank_budget_interval():
     assert res.certificate.check(g)
 
 
+def test_a_stopped_search_certifies_only_a_checked_matrix():
+    # G(8, 0.3) at seed 1: the greedy cover has 5 cliques, and the search
+    # finds a rank-4 matrix before its 50 nodes run out
+    g = random_graph(random.Random(1), 8, 0.3)
+    checked = []
+
+    def spy(graph, m):
+        checked.append(m)
+        return fit_violation(graph, m)
+
+    with mock.patch.object(minrank, "fit_violation", spy):
+        res = minrank_exact(g, 2, Budget(nodes=50))
+    assert not res.exact and res.upper == 4 < len(greedy_clique_cover(g).classes)
+    assert any(m is res.certificate.matrix for m in checked)
+    assert res.certificate.check(g)
+
+
 def test_johnson_certificates():
     cert = johnson_certificate(2, 4)
     assert cert.claimed_rank == 4 and cert.check(johnson(2, 4))
@@ -238,6 +257,32 @@ def test_cover_certificates():
         from hfrac.independence import CliqueCover
 
         cover_certificate(c5, CliqueCover(((0, 1, 2), (3, 4))), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_cover_certificate_is_the_same_class_matrix(p):
+    rng = random.Random(p)
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(1, 9))
+        cover = greedy_clique_cover(g)
+        cls_of = {v: i for i, cls in enumerate(cover.classes) for v in cls}
+        same = [[int(cls_of[u] == cls_of[v]) for v in range(g.n)] for u in range(g.n)]
+        cert = cover_certificate(g, cover, p)
+        assert cert.matrix.a.dtype == storage_dtype(p) and cert.matrix.a.tolist() == same
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_cover_certificate_is_built_narrow(p):
+    # built as int64 and then reduced, the peak was 17 times the matrix
+    g = cycle(1000)
+    cover = greedy_clique_cover(g)
+    tracemalloc.start()
+    try:
+        cert = cover_certificate(g, cover, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * cert.matrix.a.nbytes
 
 
 def test_kronecker_of_fit_certificates_fits_strong_product():

@@ -103,7 +103,7 @@ _EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255, 256, 999, 1000, 65535, 65536, 2**32 -
 @st.composite
 def int_chunks_cases(draw):
     top = draw(st.sampled_from(_EDGE_VALUES))
-    # lengths about the chunk size, odd ones included for a 2-byte pattern
+    # lengths about the chunk size
     size = draw(st.one_of(st.integers(1, 40), st.sampled_from(
         (serialize._CHUNK - 1, serialize._CHUNK, serialize._CHUNK + 1, 2 * serialize._CHUNK + 3))))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -112,17 +112,14 @@ def int_chunks_cases(draw):
     values[rng.integers(size)] = top
     dtype = draw(st.sampled_from([t for t in (np.uint8, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
                                   if top <= np.iinfo(t).max]))
-    seps = draw(st.sampled_from((b",", b"\n", b",;", b" \n")))
-    return values.astype(dtype), seps
+    return values.astype(dtype)
 
 
 @settings(max_examples=150, deadline=None)
 @given(int_chunks_cases())
-def test_int_text_matches_the_decimal_strings(case):
-    values, seps = case
-    expected = b"".join(str(v).encode() + seps[i % len(seps):i % len(seps) + 1]
-                        for i, v in enumerate(values.tolist()))
-    assert b"".join(int_chunks(values, seps)) == expected
+def test_int_text_matches_the_decimal_strings(values):
+    expected = b"".join(str(v).encode() + b"," for v in values.tolist())
+    assert b"".join(int_chunks(values)) == expected
 
 
 def _canonical_field(field: str) -> bool:
@@ -477,11 +474,9 @@ def test_the_file_size_is_only_a_hint(tmp_path, hint, reads):
 
 @st.composite
 def one_digit_cases(draw):
-    """One-digit values below a small prime, with one or two separators,
-    of lengths about a drawn chunk size, in the dtypes entries come in."""
-    seps = draw(st.sampled_from((b",", b"\n", b",;", b" \n")))
-    # a chunk holds at least one value per separator
-    chunk = draw(st.sampled_from((1, 2, 3, serialize._CHUNK)).filter(lambda c: c >= len(seps)))
+    """One-digit values below a small prime, of lengths about a drawn chunk
+    size, in the dtypes entries come in."""
+    chunk = draw(st.sampled_from((1, 2, 3, serialize._CHUNK)))
     size = draw(st.one_of(st.integers(0, 40), st.sampled_from((0, 1, 2, chunk - 1, chunk, chunk + 1, chunk + 2))))
     p = draw(st.sampled_from((2, 3, 5, 7)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -489,15 +484,15 @@ def one_digit_cases(draw):
     if values.size:
         values[rng.integers(values.size)] = p - 1
     dtype = draw(st.sampled_from((np.uint8, np.int64)))
-    return chunk, values.astype(dtype), seps
+    return chunk, values.astype(dtype)
 
 
 @settings(max_examples=200, deadline=None)
 @given(one_digit_cases())
 def test_one_digit_words_round_trip_as_the_character_matrix_and_the_strided_reader(case):
-    chunk, values, seps = case
+    chunk, values = case
     with mock.patch.object(serialize, "_CHUNK", chunk):
-        assert b"".join(int_chunks(values, seps)) == character_matrix_one_digit_text(values, seps)
+        assert b"".join(int_chunks(values)) == character_matrix_one_digit_text(values)
         doc = canonical_json({"entries": values})
         if not values.size:
             with pytest.raises(VerificationError, match="entries list is empty"):
@@ -571,8 +566,6 @@ REFUSALS = {
     "read_objects": (lambda v: serialize.read_objects([v], "classes"),
                      "each entry of classes must be a JSON object, got ", [1]),
     "read_ints": (lambda v: serialize.read_ints(v, "vertices"), "vertices must be a list of integers, got ", "1"),
-    "read_reals": (lambda v: serialize.read_reals([v], "vectors", 1),
-                   "vectors must hold numbers nested 1 deep, got ", "0"),
 }
 
 

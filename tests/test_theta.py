@@ -126,14 +126,11 @@ def test_ortho_evaluator_examples():
     assert theta_upper_from_orthorep(rep) == float("inf")
 
 
-def test_the_tolerance_travels_with_the_representation():
-    # the umbrella scaled by 1 + 1e-6: within a tolerance of 1e-5, not the default
+def test_the_umbrella_scaled_off_unit_length_fails_the_ortho_check():
+    # scaled by 1 + 1e-6, its vectors miss unit length by more than the tolerance
     u = pentagon_umbrella(1)
     scaled = OrthoRep(u.vectors * (1 + 1e-6), u.handle)
-    assert scaled.tol == 1e-9 and orthorep_violation(cycle(5), scaled) is not None
-    loose = OrthoRep(scaled.vectors, scaled.handle, tol=1e-5)
-    assert orthorep_violation(cycle(5), loose) is None
-    assert OrthoRep.from_json(loose.to_json()).tol == 1e-5
+    assert orthorep_violation(cycle(5), scaled) == "vector of vertex 0 is not unit length"
 
 
 def test_dual_evaluator_examples():
