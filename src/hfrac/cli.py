@@ -7,11 +7,17 @@ anywhere a graph is expected.  ``--json`` switches to canonical JSON that
 is byte-identical across identical invocations.
 
 Exit codes: 0 success, 2 verification failure, 3 budget exhausted or a
-minrank search stopped at its node allowance above the search cap (a
-certified interval is still emitted), 64 usage error (a bad option, graph
-or path).  A closed stdout is none of these: ``main`` flushes stdout
-itself, and once a write or that flush finds the pipe closed, the rest of
-the output goes to ``os.devnull`` and the command keeps its own code.
+minrank search stopped at its node allowance above the search cap, with
+an interval that alpha does not close (a certified interval is still
+emitted), 64 usage error (a bad option, graph or path).  A closed stdout
+is none of these: ``main`` flushes stdout itself, and once a write or
+that flush finds the pipe closed, the rest of the output goes to
+``os.devnull`` and the command keeps its own code.
+
+Each command decides its own lower end: ``minrank`` closes its interval
+at the search's rank when the search finished, and otherwise takes
+alpha's, searched after it on the same budget and cited by its
+independent set.
 
 ``verify`` handles every certificate kind through one table, ``_KINDS``:
 how the kind is read, its check, and, for the kinds a bound report may
@@ -47,7 +53,8 @@ from .errors import (
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
 from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime, write_graph_file
-from .independence import CliqueCover, alpha, clique_cover_leq, clique_cover_violation, independent_set_violation
+from .independence import (CliqueCover, alpha, alpha_lower_end, clique_cover_leq, clique_cover_violation,
+                           independent_set_violation)
 from .minrank import (
     ATTEMPT_NODES,
     FitCertificate,
@@ -209,23 +216,26 @@ def _cmd_minrank(args) -> int:
     budget = _budget(args)
     res = minrank_exact(g, args.p, budget)
     witnesses: list = [res.certificate]
-    if not res.exact and res.alpha_witness is not None:
-        witnesses.append({"kind": "independent_set", "vertices": list(res.alpha_witness)})
+    lower = res.upper
+    if not res.exact:
+        a, witness = alpha_lower_end(g, budget)
+        lower = min(a, res.upper)
+        witnesses.append({"kind": "independent_set", "vertices": list(witness)})
     report = BoundReport(f"minrank[gf({args.p})]", args.graph,
-                         Fraction(res.lower), Fraction(res.upper), tuple(witnesses))
-    if res.exact:
+                         Fraction(lower), Fraction(res.upper), tuple(witnesses))
+    if lower == res.upper:
         _emit(args, str(res.upper), report.to_json())
         return EXIT_OK
     why = "search budget exhausted" if budget.exhausted else \
         f"search stopped after {ATTEMPT_NODES} nodes: above the search cap"
-    _emit(args, f"[{res.lower}, {res.upper}] ({why})", report.to_json())
+    _emit(args, f"[{lower}, {res.upper}] ({why})", report.to_json())
     return EXIT_BUDGET
 
 
 def _cmd_hfrac(args) -> int:
     g = _graph(args)
     budget = _budget(args)
-    report = hfrac_upper_search(g, args.p, budget=budget)
+    report = hfrac_upper_search(g, args.p, budget, args.max_vertices)
     human = f"[{frac_str(report.lower)}, {frac_str(report.upper)}]"
     if budget.exhausted:
         human += " (budget exhausted)"

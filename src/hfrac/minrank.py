@@ -9,13 +9,13 @@ free entries depth first, row by row, in one explicit-stack loop.  It
 prunes with a block-triangular bound: the echelon rank of the assigned
 rows plus a greedy stable set among the columns they leave zero.  Above
 ``SEARCH_CAP`` assignments the search gets a fixed allowance of
-``ATTEMPT_NODES`` nodes, counted apart from the caller's budget, and the
-result is exact only when it finishes within them.  The
-constructors build the classical certificates: set-incidence Gram
-matrices for the intersection-parity graphs, clique-partition matrices,
-and Alon's polynomial certificates of the (pq-1)-subset graphs, each a
-table of the polynomials' values looked up at the subsets' intersection
-sizes.
+``ATTEMPT_NODES`` nodes, counted apart from the caller's budget.  It
+returns its best checked certificate and whether it finished, and
+searches no lower end: each command picks its own.  The constructors
+build the classical certificates: set-incidence Gram matrices for the
+intersection-parity graphs, clique-partition matrices, and Alon's
+polynomial certificates of the (pq-1)-subset graphs, each a table of the
+polynomials' values looked up at the subsets' intersection sizes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import BudgetExhausted, DimensionMismatch, PreconditionError, Verif
 from .gfmat import FMatrix, check_modulus, matmul, rank, storage_dtype
 from .graphs import (DEFAULT_MAX_VERTICES, Graph, alon, complement, edge_text, intersection_sizes, is_prime,
                      johnson, subset_incidence)
-from .independence import CliqueCover, alpha_lower_end, clique_cover_violation, greedy_clique_cover
+from .independence import CliqueCover, clique_cover_violation, greedy_clique_cover
 from .serialize import read_int
 
 # minrank_exact searches without a node allowance up to this many
@@ -141,18 +141,15 @@ class FitCertificate:
 
 @dataclass(frozen=True)
 class MinrankResult:
-    """Certified bracket on the minimum fit rank; exact when its ends meet,
-    as they do whenever the search ran to completion.  For interval
-    results the lower end comes from an independent set (kept as witness)."""
+    """The search's best checked fit certificate, and whether the search
+    ran to completion: only then is its rank the minimum fit rank."""
 
-    lower: int
-    upper: int
     certificate: FitCertificate
-    alpha_witness: tuple[int, ...] | None = None
+    exact: bool
 
     @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
+    def upper(self) -> int:
+        return self.certificate.claimed_rank
 
 
 def _same_label_matrix(labels: np.ndarray, p: int) -> FMatrix:
@@ -186,12 +183,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     return FitCertificate(graph_hash(g), mat, r)
 
 
-def minrank_exact(
-    g: Graph,
-    p: int,
-    budget: Budget | None = None,
-    alpha_end: tuple[int, tuple[int, ...]] | None = None,
-) -> MinrankResult:
+def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResult:
     """Exact minimum rank over all fit matrices by depth-first assignment
     of the free entries, row by row, with a block-triangular bound.
 
@@ -206,24 +198,15 @@ def minrank_exact(
     If the assignment space p^(2|E|) exceeds ``SEARCH_CAP``, the search
     may visit at most ``ATTEMPT_NODES`` nodes.  That allowance is its own
     count: running out of it leaves ``budget.exhausted`` False.  When the
-    allowance or the budget runs out mid-search, the result is the
-    certified interval [independence number, best certificate rank found].
-    The best certificate is the greedy cover's or the search's incumbent;
-    the independence number is searched on ``budget`` (its certified lower
-    bound, if that runs out too), unless the caller passes that search's
-    result (``alpha_lower_end``) as ``alpha_end``.
+    allowance or the budget runs out mid-search, the result is not exact
+    and its certificate, the greedy cover's or the search's incumbent,
+    only bounds the minimum fit rank from above; the caller picks the
+    lower end.
     """
     if not is_prime(p):
         raise PreconditionError(f"modulus {p} is not prime")
     budget = budget or Budget()
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
-
-    def interval_result() -> MinrankResult:
-        lower, witness = alpha_end or alpha_lower_end(g, budget)
-        lower = min(lower, incumbent.claimed_rank)
-        # a closed interval pins the value without exhausting the search
-        return MinrankResult(lower, incumbent.claimed_rank, incumbent, witness)
-
     # the search's own node count; Budget() without limits never trips
     attempt = Budget(nodes=ATTEMPT_NODES) if p ** (2 * g.m) > SEARCH_CAP else Budget()
 
@@ -257,7 +240,7 @@ def minrank_exact(
     # length at entry, columns touched by rows above it, its bound).
     root = bound(0, 0)
     stack = [(0, product(range(p), repeat=len(free_cols[0])), 0, 0, root)] if root < best_rank else []
-    stopped = False
+    finished = True
     try:
         while stack:
             v, assignments, depth, touched, frame_bound = stack[-1]
@@ -297,7 +280,7 @@ def minrank_exact(
                 stack.append((v + 1, product(range(p), repeat=len(free_cols[v + 1])),
                               len(ech), support, child_bound))
     except BudgetExhausted:
-        stopped = True
+        finished = False
 
     # the search's best matrix, finished or stopped, is checked before it is certified
     if best_matrix is not None:
@@ -305,9 +288,7 @@ def minrank_exact(
         if fit_violation(g, mat) is not None or rank(mat) != best_rank:
             raise VerificationError("internal error: minrank matrix failed its fit or rank check")
         incumbent = FitCertificate(incumbent.graph_hash, mat, best_rank)
-    if stopped:
-        return interval_result()
-    return MinrankResult(best_rank, best_rank, incumbent)
+    return MinrankResult(incumbent, finished)
 
 
 def johnson_certificate(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> FitCertificate:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fraccover import FractionalCover, fractional_clique_cover
 from .gfmat import KRON_ENTRY_CAP, FMatrix, storage_dtype
-from .graphs import Graph, cycle, generate, parse_expr
+from .graphs import DEFAULT_MAX_VERTICES, Graph, cycle, generate, parse_expr
 from .independence import alpha_lower_end
 from .minrank import DRep, _same_label_matrix, drep_violation, minrank_exact
 from .report import BoundReport
@@ -131,21 +131,24 @@ def cycle_drep(k: int, p: int) -> DRep:
 # Upper/lower search
 
 
-def hfrac_upper_search(g: Graph, p: int, budget: Budget | None = None) -> BoundReport:
+def hfrac_upper_search(
+    g: Graph, p: int, budget: Budget | None = None, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> BoundReport:
     """Best certified interval for the fractional minrank bound over GF(p).
 
     Upper candidates: the budgeted d = 1 minrank search, the optimal
     fractional clique cover (left out when the budget cuts it off), and,
     when the graph expression is a strong product, the tensor product of
-    the factors' best certificates.  The lower end is the independence
-    number (or its certified lower bound under budget), searched once: the
-    minrank search takes it as its own interval's lower end.  The interval
-    never claims the parameter exactly unless the two ends meet; whether
-    any part was cut off shows in ``budget.exhausted``.
+    the factors' best certificates, each factor built under the vertex cap
+    ``max_vertices``.  The lower end is the independence number (or its
+    certified lower bound under budget), searched once, on g alone, before
+    the upper candidates.  The interval never claims the parameter exactly
+    unless the two ends meet; whether any part was cut off shows in
+    ``budget.exhausted``.
     """
     budget = budget or Budget()
     a, wit = alpha_lower_end(g, budget)
-    upper, best = _best_upper(g, p, budget, (a, wit), {})
+    upper, best = _best_upper(g, p, budget, max_vertices, {})
     return BoundReport(
         parameter=f"hfrac[gf({p})]",
         graph=g.expr or f"n={g.n},m={g.m}",
@@ -159,24 +162,24 @@ def _best_upper(
     g: Graph,
     p: int,
     budget: Budget,
-    alpha_end: tuple[int, tuple[int, ...]] | None,
+    max_vertices: int,
     factors: dict[str, tuple[Graph, tuple[Fraction, DRep | FractionalCover]]],
 ) -> tuple[Fraction, DRep | FractionalCover]:
     """The smallest (value, certificate) among the upper candidates; a
     cover stands for itself at its value, whatever its denominator.
 
-    ``alpha_end`` is g's ``alpha_lower_end`` when the caller has it, and
     ``factors`` holds the graph and result of every strong-product factor
     solved so far in this search, by expression, so a repeated factor is
-    solved once.  The tensor candidate blows up a factor whose best is a
-    cover, and is formed only when its (n1 d1 n2 d2)^2 entries fit under
-    ``KRON_ENTRY_CAP``, checked before any blow-up is built.  When both
+    solved once; each factor is built under the vertex cap
+    ``max_vertices``.  The tensor candidate blows up a factor whose best
+    is a cover, and is formed only when its (n1 d1 n2 d2)^2 entries fit
+    under ``KRON_ENTRY_CAP``, checked before any blow-up is built.  When both
     factors' bests are covers and g's own cover is a candidate it is left
     out: the cover number is multiplicative under the strong product, so
     that tensor could only tie.
     """
     candidates: list[tuple[Fraction, DRep | FractionalCover]] = []
-    res = minrank_exact(g, p, budget, alpha_end)
+    res = minrank_exact(g, p, budget)
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
 
     try:
@@ -194,8 +197,8 @@ def _best_upper(
             names = [str(child) for child in ex.args]
             for name in names:
                 if name not in factors:
-                    h = generate(name)
-                    factors[name] = (h, _best_upper(h, p, budget, None, factors))
+                    h = generate(name, max_vertices)
+                    factors[name] = (h, _best_upper(h, p, budget, max_vertices, factors))
             (g1, (_, best1)), (g2, (_, best2)) = (factors[name] for name in names)
             both_covers = isinstance(best1, FractionalCover) and isinstance(best2, FractionalCover)
             rows = g1.n * best1.d * g2.n * best2.d

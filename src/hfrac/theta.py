@@ -68,14 +68,6 @@ def theta_circulant(n: int, connection: set[int] | frozenset[int]) -> float:
     return n * (-lam_min) / (lam_max - lam_min)
 
 
-def odd_cycle_theta(n: int) -> float:
-    """Closed form n cos(pi/n) / (1 + cos(pi/n)) for odd cycles."""
-    if n < 3 or n % 2 == 0:
-        raise PreconditionError(f"odd cycle needed, got n={n}")
-    c = cos(pi / n)
-    return n * c / (1.0 + c)
-
-
 def johnson_theta_program(p: int, n: int) -> LinearProgram:
     """The p+2 constraint rows of the exact theta LP for the graph on
     (p+1)-subsets of [n] with intersection size nonzero mod p; p must be

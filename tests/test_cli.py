@@ -30,7 +30,7 @@ from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import Graph, format_graph, generate, write_graph_file
 from hfrac.independence import CliqueCover
 from hfrac.lp import LinearProgram, simplex_solve
-from hfrac.minrank import FitCertificate, graph_hash
+from hfrac.minrank import FitCertificate, graph_hash, minrank_exact
 from hfrac.reproduce import CLAIMS
 from hfrac.serialize import canonical_json, load_json
 
@@ -265,6 +265,33 @@ def test_minrank_above_the_search_cap_is_exact_when_the_attempt_finishes(tmp_pat
     assert code == 0 and report["lower"] == report["upper"] == str(value)
     assert [w["kind"] for w in report["witness_refs"]] == ["fit"]
     _verify_report(tmp_path, capsys, out)
+
+
+def test_a_minrank_interval_that_alpha_closes_cites_the_independent_set(tmp_path, capsys):
+    # K7 less the edge {5, 6}: 2^40 assignments are above the search cap,
+    # and the search stops at its allowance with the greedy cover's rank 2,
+    # which alpha = |{5, 6}| meets
+    graph = tmp_path / "k7-less-56.txt"
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) != (5, 6)]
+    graph.write_text(f"7 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert not minrank_exact(generate(f"file:{graph}"), 2).exact
+    assert run(capsys, "minrank", "--graph", f"file:{graph}", "--p", "2") == (0, "2\n", "")
+    code, out, _ = run(capsys, "minrank", "--graph", f"file:{graph}", "--p", "2", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["lower"] == report["upper"] == "2"
+    assert [w["kind"] for w in report["witness_refs"]] == ["fit", "independent_set"]
+    assert report["witness_refs"][1]["vertices"] == [5, 6]
+    _verify_report(tmp_path, capsys, out)
+
+
+def test_hfrac_builds_product_factors_under_the_vertex_cap(capsys):
+    # johnson:5003,5004 has one vertex on a ground set of 5004, above the
+    # default cap of 5000; the product's factors were built under that
+    # default whatever --max-vertices said
+    graph = "strong(johnson:5003,5004,cycle:5)"
+    code, out, err = run(capsys, "hfrac", "--graph", graph, "--p", "2")
+    assert (code, out) == (64, "") and "ground set of 5004 (cap 5000)" in err
+    assert run(capsys, "hfrac", "--graph", graph, "--p", "2", "--max-vertices", "6000") == (0, "[2, 5/2]\n", "")
 
 
 def test_a_graph_without_vertices_has_no_fit_certificate(tmp_path, capsys):

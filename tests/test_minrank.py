@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 import tracemalloc
 from itertools import combinations, product
 from math import comb, prod
@@ -15,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import argwhere_edge_array, multilinear_evaluation, random_graph
 
-from hfrac import graphs, minrank
+from hfrac import cli, graphs, independence, minrank
 from hfrac.budget import Budget
 from hfrac.errors import PreconditionError, VerificationError
 from hfrac.gfmat import FMatrix, rank, storage_dtype
@@ -111,7 +116,7 @@ def test_minrank_c5_exhaustive():
     c5 = cycle(5)
     for p in (2, 3):
         res = minrank_exact(c5, p)
-        assert res.exact and res.lower == res.upper == 3
+        assert res.exact and res.upper == 3
         assert res.certificate.check(c5)
 
 
@@ -132,7 +137,7 @@ def test_minrank_matches_bruteforce_on_tiny_graphs():
 def test_minrank_property(gp):
     g, p = gp
     res = minrank_exact(g, p)
-    assert res.exact and res.lower == res.upper == minrank_bruteforce(g, p)
+    assert res.exact and res.upper == minrank_bruteforce(g, p)
     assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
 
 
@@ -141,9 +146,45 @@ def test_minrank_property(gp):
 def test_minrank_budget_interval_brackets_the_minrank(gp, nodes):
     g, p = gp
     res = minrank_exact(g, p, Budget(nodes=nodes))
-    assert res.lower <= minrank_bruteforce(g, p) <= res.upper
-    assert res.exact == (res.lower == res.upper)
+    truth = minrank_bruteforce(g, p)
+    assert truth <= res.upper
+    assert not res.exact or res.upper == truth
     assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
+
+
+def minrank_report(g, p, budget):
+    """The exit code and the parsed report of ``minrank --json`` on g, as a
+    ``file:`` graph, searched on ``budget``; ``verify`` must accept the
+    report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, path = os.path.join(tmp, "graph.txt"), os.path.join(tmp, "report.json")
+        write_graph_file(g, graph)
+        out, verified = io.StringIO(), io.StringIO()
+        with mock.patch("hfrac.cli._budget", return_value=budget), contextlib.redirect_stdout(out):
+            code = cli.main(["minrank", "--graph", f"file:{graph}", "--p", str(p), "--json"])
+        with open(path, "w") as fh:
+            fh.write(out.getvalue())
+        with contextlib.redirect_stdout(verified):
+            assert cli.main(["verify", "--cert", path]) == 0
+        assert verified.getvalue() == "OK\n"
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_graphs(), st.integers(0, 60))
+def test_a_minrank_report_brackets_the_minrank_and_cites_alpha_when_the_search_stops(gp, nodes):
+    g, p = gp
+    search = minrank_exact(g, p, Budget(nodes=nodes))
+    code, report = minrank_report(g, p, Budget(nodes=nodes))
+    lower, upper = int(report["lower"]), int(report["upper"])
+    assert lower <= minrank_bruteforce(g, p) <= upper == search.upper
+    assert code == (0 if lower == upper else 3)
+    cited = [w["vertices"] for w in report["witness_refs"] if w["kind"] == "independent_set"]
+    if search.exact:
+        assert lower == upper and cited == []
+    else:
+        # the lower end is alpha's, whether or not it closes the interval
+        assert [len(vertices) for vertices in cited] == [lower]
 
 
 # The certificates found before the search gained its block-triangular
@@ -183,10 +224,21 @@ def test_minrank_at_least_alpha():
 def test_minrank_interval_when_search_space_too_large():
     g = strong_product(cycle(5), cycle(5))
     res = minrank_exact(g, 2)  # 2^200 assignments: stopped after ATTEMPT_NODES nodes
-    assert not res.exact
-    assert res.lower == 5 and res.upper >= 8
+    assert not res.exact and res.upper >= 8
     assert res.certificate.check(g)
-    assert res.alpha_witness is not None and len(res.alpha_witness) == res.lower
+    # the report's lower end is alpha, cited by an independent set
+    code, report = minrank_report(g, 2, Budget())
+    assert code == 3 and (report["lower"], report["upper"]) == ("5", str(res.upper))
+    assert [len(w["vertices"]) for w in report["witness_refs"] if w["kind"] == "independent_set"] == [5]
+
+
+def test_the_search_runs_no_alpha_search():
+    # one search stops at its allowance above the cap, the other on the
+    # caller's budget; neither searches an independent set
+    for g, p, budget in ((strong_product(cycle(5), cycle(5)), 2, Budget()), (cycle(5), 3, Budget(nodes=20))):
+        with mock.patch("hfrac.independence._max_stable", wraps=independence._max_stable) as stable:
+            res = minrank_exact(g, p, budget)
+        assert not res.exact and stable.call_count == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,22 +253,21 @@ def test_a_search_above_the_cap_is_exact_iff_it_finishes(gp, allowance):
         budget = Budget()
         res, again = minrank_exact(g, p, budget), minrank_exact(g, p)
     assert res == again
-    assert res.lower <= minrank_bruteforce(g, p) <= res.upper
+    truth = minrank_bruteforce(g, p)
+    assert truth <= res.upper
     assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
     assert not budget.exhausted  # the allowance is not the caller's budget
-    if full.nodes <= allowance:
-        assert res.exact and res.alpha_witness is None
-    else:
-        # the interval exit, exact only where alpha meets the upper end
-        assert res.lower == alpha(g)[0] == len(res.alpha_witness)
+    assert res.exact == (full.nodes <= allowance)
+    assert not res.exact or res.upper == truth
 
 
 def test_minrank_budget_interval():
     g = cycle(5)
     res = minrank_exact(g, 3, Budget(nodes=20))
-    assert not res.exact
-    assert res.lower <= 3 <= res.upper
+    assert not res.exact and res.upper >= 3
     assert res.certificate.check(g)
+    code, report = minrank_report(g, 3, Budget(nodes=20))
+    assert code == 3 and int(report["lower"]) <= 3 <= int(report["upper"]) == res.upper
 
 
 def test_a_stopped_search_certifies_only_a_checked_matrix():

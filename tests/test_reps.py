@@ -417,15 +417,20 @@ def test_search_leaves_out_a_tensor_above_the_entry_cap(monkeypatch):
 
 
 def test_search_takes_alpha_once_and_each_factor_once():
-    # strong(cycle:5,cycle:5) is above the minrank search cap at p = 2, so
-    # its minrank search ends at the interval exit, which takes hfrac's alpha
-    g = generate("strong(cycle:5,cycle:5)")
-    with mock.patch("hfrac.independence.alpha", wraps=alpha) as alphas, \
-            mock.patch("hfrac.reps.minrank_exact", wraps=minrank_exact) as searches:
-        report = hfrac_upper_search(g, 2)
-    assert (report.lower, report.upper) == (5, F(25, 4))
-    assert [call.args[0].n for call in alphas.call_args_list] == [25]
-    assert [call.args[0].expr for call in searches.call_args_list] == ["strong(cycle:5,cycle:5)", "cycle:5"]
+    for expr, vertices, searched in (
+        # above the minrank search cap at p = 2, so the minrank search stops
+        ("strong(cycle:5,cycle:5)", 25, ["strong(cycle:5,cycle:5)", "cycle:5"]),
+        # the 25-vertex factor's own minrank search stops as well
+        ("strong(strong(cycle:5,cycle:5),complete:2)", 50,
+         ["strong(strong(cycle:5,cycle:5),complete:2)", "strong(cycle:5,cycle:5)", "cycle:5", "complete:2"]),
+    ):
+        g = generate(expr)
+        with mock.patch("hfrac.independence.alpha", wraps=alpha) as alphas, \
+                mock.patch("hfrac.reps.minrank_exact", wraps=minrank_exact) as searches:
+            report = hfrac_upper_search(g, 2)
+        assert (report.lower, report.upper) == (5, F(25, 4))
+        assert [call.args[0].n for call in alphas.call_args_list] == [vertices]
+        assert [call.args[0].expr for call in searches.call_args_list] == searched
 
 
 def test_search_report_json_is_witnessed():

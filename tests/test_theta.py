@@ -16,7 +16,6 @@ from hfrac.theta import (
     OrthoRep,
     johnson_theta_formula,
     johnson_theta_program,
-    odd_cycle_theta,
     orthorep_violation,
     pentagon_umbrella,
     theta_circulant,
@@ -33,7 +32,6 @@ def test_theta_c5_is_sqrt5():
 def test_theta_c7_closed_form():
     expected = 7 * cos(pi / 7) / (1 + cos(pi / 7))  # independent evaluation
     assert abs(theta_circulant(7, {1}) - expected) <= 1e-9
-    assert abs(odd_cycle_theta(7) - expected) <= 1e-12
 
 
 def test_theta_complete_circulant_is_one():
