@@ -10,7 +10,9 @@ entries of ``minrank``'s Alon certificates).  The edge text of graph
 files and graph hashes (``edge_text``) and the bitset rows that the
 exact searches use are derived from it.  Generators remember the
 expression that produced the graph; a certificate carries that
-expression, and the expression fixes the vertex order.
+expression, and the expression fixes the vertex order.  A ``file:`` leaf
+reads the ASCII text that ``write_graph_file`` writes and refuses any
+other (``read_graph_file``).
 
 The expression also names symmetries: ``Graph.transitive_automorphisms``
 reads permutations of the vertices off it (rotations and reflections of
@@ -29,6 +31,8 @@ Expression grammar::
           | complement(expr) | strong(expr,expr) | lex(expr,expr)
           | file:PATH              # text format, PATH without ',()' or whitespace
 
+with K, P, Q, N, D integers in ASCII digits after an optional sign.
+
 Vertex order is lexicographic for the subset graphs (vertex i is the i-th
 ``itertools.combinations(range(N), size)``), code order for the universal
 graphs, and row-major for products (vertex (u, x) is u * h.n + x), so
@@ -41,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import lt
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
@@ -306,7 +309,7 @@ def _parse(s: str, i: int) -> tuple[GraphExpr, int]:
             k = j
             if k < len(s) and s[k] in "+-":
                 k += 1
-            while k < len(s) and s[k].isdigit():
+            while k < len(s) and "0" <= s[k] <= "9":
                 k += 1
             if k == j:
                 raise GraphParseError(f"expected an integer at position {j}")
@@ -609,51 +612,43 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v.
+    """Text format: line 1 ``n m``, then m lines ``u v`` with 0-based u < v,
+    in ASCII digits separated by ASCII whitespace, as ``write_graph_file``
+    writes it.
 
-    The file is read as bytes.  A file of ASCII digits and whitespace
-    alone, as ``write_graph_file`` writes, is parsed by one numpy call
-    (``_plain_matrix``); that path only accepts, and a file it does not
-    accept goes on to the token path, which alone names every defect.
-    The token path decodes the file as UTF-8 in one call and checks the
-    edges in whole-list passes at C speed: u < v on every line (one
-    ``map``), which makes the least u and the greatest v the ends of the
-    range check.  numpy then makes three calls: it allocates the matrix,
-    sets both entries of every edge in one assignment and counts them, and
-    a duplicate leaves fewer than 2m set.  Only a defective file is walked
-    edge by edge, so that the message names its first bad edge."""
+    The file is read as bytes, and a file with any other byte is refused at
+    once, naming its first token that holds one.  numpy parses a file with
+    a digit in one call and checks it in whole-array passes: the header (n
+    within the cap, 2 + 2m values), u < v on every edge, which makes the
+    greatest v the end of the range check, and the matrix it fills, where a
+    duplicate leaves fewer than 2m entries set.  numpy reads a value above
+    2^63 - 1 as 2^63 - 1, which these checks refuse as they would the value
+    itself (it is over every n the cap allows, and over any m the file
+    could hold).  A file they refuse, or one of whitespace alone, is walked
+    once by ``_refuse``, which names its first defect."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise GraphParseError(f"graph file not found: {path}") from None
-    if data.translate(None, _SPACE).isdigit():
-        mat = _plain_matrix(data, max_vertices)
-        if mat is not None:
-            return Graph(mat, expr=f"file:{path}")
-    try:
-        tokens = data.decode().split()
-    except UnicodeDecodeError as exc:
-        raise GraphParseError(f"graph file is not UTF-8 text: {exc}") from None
-    if len(tokens) < 2:
-        raise GraphParseError("graph file needs a header 'n m'")
-    try:
-        nums = list(map(int, tokens))
-    except ValueError as exc:
-        raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
-    n, m = nums[0], nums[1]
-    if n < 0:
-        raise GraphParseError(f"vertex count {n} is negative")
-    _guard(n, max_vertices, f"graph file {path}")
-    if len(nums) != 2 + 2 * m:
-        raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
+    if not data.translate(None, _SPACE).isdigit():
+        for token in data.split():
+            if not token.isdigit():
+                shown = excerpt(token.decode(errors="backslashreplace"))
+                raise GraphParseError(f"graph file token {shown} is not ASCII decimal digits")
+        _refuse(data, path, max_vertices)  # whitespace alone
+    nums = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(nums) < 2:
+        _refuse(data, path, max_vertices)
+    n, m = int(nums[0]), int(nums[1])
     us, vs = nums[2::2], nums[3::2]
-    if us and not (all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < n):
-        _first_bad_edge(nums, n)
+    if n > max_vertices or len(nums) != 2 + 2 * m or m and not ((us < vs).all() and vs.max() < n):
+        _refuse(data, path, max_vertices)
     mat = np.zeros((n, n), dtype=bool)
-    mat[us + vs, vs + us] = True
+    mat[us, vs] = True
+    mat[vs, us] = True
     if np.count_nonzero(mat) != 2 * m:
-        _first_bad_edge(nums, n)
+        _refuse(data, path, max_vertices)
     return Graph(mat, expr=f"file:{path}")
 
 
@@ -661,38 +656,25 @@ def read_graph_file(path: str, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
 _SPACE = b" \t\n\r\x0b\x0c"
 
 
-def _plain_matrix(data: bytes, max_vertices: int) -> np.ndarray | None:
-    """The adjacency matrix of a graph file of ASCII digits and whitespace
-    (with at least one digit), or None if any check fails.
-
-    ``np.fromstring`` reads such a file as the token path does, but for
-    two quirks: it reads a value above 2^63 - 1 as 2^63 - 1, which the
-    checks refuse as they would the value itself (it is over every n the
-    cap allows, and over any m the file could hold), and it reads text of
-    whitespace alone as [0] (that text has no digit, so it never gets
-    here).  With no sign in the file no value is negative."""
-    nums = np.fromstring(data, dtype=np.int64, sep=" ")
-    if len(nums) < 2:
-        return None
-    n, m = int(nums[0]), int(nums[1])
-    if n > max_vertices or len(nums) != 2 + 2 * m:
-        return None
-    us, vs = nums[2::2], nums[3::2]
-    if m and not ((us < vs).all() and vs.max() < n):
-        return None
-    mat = np.zeros((n, n), dtype=bool)
-    mat[us, vs] = True
-    mat[vs, us] = True
-    if np.count_nonzero(mat) != 2 * m:
-        return None
-    return mat
-
-
-def _first_bad_edge(nums: list[int], n: int) -> NoReturn:
-    """Raise for the first edge of a defective file, in file order."""
+def _refuse(data: bytes, path: str, max_vertices: int) -> NoReturn:
+    """Raise for the first defect of a graph file of ASCII digits and
+    whitespace, reading its values as exact ints in file order: the header,
+    the vertex cap, the value count, then each edge's range and whether it
+    repeats an earlier one."""
+    tokens = data.split()
+    if len(tokens) < 2:
+        raise GraphParseError("graph file needs a header 'n m'")
+    try:
+        nums = list(map(int, tokens))
+    except ValueError as exc:  # a value longer than int() converts
+        raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
+    n, m = nums[0], nums[1]
+    _guard(n, max_vertices, f"graph file {path}")
+    if len(nums) != 2 + 2 * m:
+        raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
     seen = set()
     for u, v in zip(nums[2::2], nums[3::2]):
-        if not (0 <= u < v < n):
+        if not u < v < n:
             raise GraphParseError(f"edge ({u}, {v}) violates 0 <= u < v < n")
         if (u, v) in seen:
             raise GraphParseError(f"duplicate edge ({u}, {v})")

@@ -85,7 +85,9 @@ def drep_violation(g: Graph, rep: DRep) -> str | None:
     """None if rep's matrix is a d-block fit matrix of g, else the first
     defect found."""
     d, n, a = rep.d, g.n, rep.matrix.a
-    if d < 1 or rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != n * d:
+    if d < 1:
+        raise DimensionMismatch(f"block size d must be at least 1, got {d}")
+    if rep.matrix.rows != rep.matrix.cols or rep.matrix.rows != n * d:
         raise DimensionMismatch(
             f"matrix is {rep.matrix.rows}x{rep.matrix.cols}, expected {n * d} square"
         )

@@ -211,9 +211,15 @@ def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
 
 def edge_loop_read_graph_file(path: str, max_vertices: int | None = None) -> Graph:
     """``graphs.read_graph_file`` checking and setting one edge at a time,
-    in file order; with no ``max_vertices``, without the vertex cap."""
-    with open(path) as fh:
+    in file order; with no ``max_vertices``, without the vertex cap.  The
+    tokens are the runs of bytes between ASCII whitespace, and every byte
+    of every token must be an ASCII digit."""
+    with open(path, "rb") as fh:
         tokens = fh.read().split()
+    for t in tokens:
+        if any(not 0x30 <= b <= 0x39 for b in t):
+            shown = t.decode("utf-8", errors="backslashreplace")
+            raise GraphParseError(f"graph file token {shown!r} is not ASCII decimal digits")
     if len(tokens) < 2:
         raise GraphParseError("graph file needs a header 'n m'")
     try:
@@ -221,8 +227,6 @@ def edge_loop_read_graph_file(path: str, max_vertices: int | None = None) -> Gra
     except ValueError as exc:
         raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
     n, m = nums[0], nums[1]
-    if n < 0:
-        raise GraphParseError(f"vertex count {n} is negative")
     if max_vertices is not None and n > max_vertices:
         raise GuardExceeded(f"graph file {path} would have {n} vertices (cap {max_vertices})")
     if len(nums) != 2 + 2 * m:

@@ -601,6 +601,8 @@ def test_exact_gates_hold_under_python_O():
     ('"rows":10}', '"rows":"10"}'),
     ('"p":2,', '"p":4,'),  # the file's modulus is at fault, not the command line
     ('"p":2,', '"p":3037000507,'),
+    ('"d":2,', '"d":0,'),
+    ('"d":2,', '"d":-1,'),
 ])
 def test_verify_refuses_malformed_scalars(tmp_path, capsys, old, new):
     # "p":"2" and "d":2.0 were coerced and printed OK; "p":4 exited 64
@@ -632,6 +634,14 @@ def test_verify_refuses_a_malformed_report(tmp_path, capsys, field, value):
     path.write_text(canonical_json(report))
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert code == 2 and out.startswith("FAIL: "), (out, err)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_a_block_size_below_one_is_named(tmp_path, capsys, d):
+    # it read "matrix is 10x10, expected -10 square" at d = -1
+    path = tmp_path / "forged.json"
+    path.write_text(_cycle_drep_file(tmp_path, capsys).replace('"d":2,', f'"d":{d},'))
+    assert run(capsys, "verify", "--cert", str(path)) == (2, f"FAIL: block size d must be at least 1, got {d}\n", "")
 
 
 @pytest.mark.parametrize("fields, reason", [
@@ -676,11 +686,16 @@ def test_a_bad_graph_on_the_command_line_stays_a_usage_error(tmp_path, capsys):
     assert run(capsys, "verify", "--cert", str(path), "--graph", "nonsense:5")[0] == 64
     code, _, err = run(capsys, "verify", "--cert", str(path), "--graph", "cycle:2")
     assert (code, err) == (64, "usage error: cycle needs k >= 3, got 2\n")
+    code, _, err = run(capsys, "alpha", "--graph", "cycle:\u00b2")
+    assert (code, err) == (64, "usage error: expected an integer at position 6\n")
 
 
 @pytest.mark.parametrize("graph, reason", [
     ("cycle:2", "cycle needs k >= 3, got 2"),
     ("johnson:4,8", "p=4 is not prime"),
+    # str.isdigit holds for a superscript two, which int() refused with a
+    # ValueError traceback
+    ("cycle:\u00b2", "expected an integer at position 6"),
 ])
 def test_verify_fails_a_certificate_that_names_an_invalid_graph(tmp_path, capsys, graph, reason):
     # both exited 64 with "usage error: ...", although the file is at fault
