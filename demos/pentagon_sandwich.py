@@ -51,7 +51,7 @@ def main():
     print(f"  capacity lower bound: sqrt({a2}) = {sqrt(a2):.10f}")
 
     theta = theta_circulant(5, {1})
-    upper = theta_upper_from_orthorep(pentagon_umbrella(1))
+    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
     lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
     print(f"theta(C5) = {theta:.10f}  (sqrt(5) = {sqrt(5):.10f})")
     print(f"  umbrella certificates: lower {lower:.10f}, upper {upper:.10f}")

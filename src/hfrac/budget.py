@@ -40,8 +40,9 @@ class Budget:
             raise PreconditionError(f"{BUDGET_ENV_VAR}={raw!r} is not a number of milliseconds") from None
         return cls(ms=ms)
 
-    def spend(self, n: int = 1) -> None:
-        self.nodes += n
+    def spend(self) -> None:
+        """Count one search node."""
+        self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.exhausted = True
             raise BudgetExhausted(f"node budget {self.max_nodes} exhausted")

@@ -52,7 +52,7 @@ from .errors import (
     VerificationError,
 )
 from .fraccover import FractionalCover, cover_violation, fractional_clique_cover
-from .graphs import DEFAULT_MAX_VERTICES, Graph, format_graph, generate, is_prime, write_graph_file
+from .graphs import DEFAULT_MAX_VERTICES, Graph, digits_value, format_graph, generate, is_prime, write_graph_file
 from .independence import (CliqueCover, alpha, alpha_lower_end, clique_cover_leq, clique_cover_violation,
                            independent_set_violation)
 from .minrank import (
@@ -84,6 +84,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _natural(text: str) -> int:
+    """A command-line integer: ASCII digits only, the grammar of graph
+    expression parameters and graph files (``int`` would also take a sign,
+    underscores, surrounding whitespace and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{excerpt(text)} is not an integer in ASCII digits")
+    value = digits_value(text)
+    if isinstance(value, str):
+        raise argparse.ArgumentTypeError(f"integer {value} is over every cap")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -91,7 +103,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="canonical JSON output")
     common.add_argument("--budget-ms", type=float, default=None,
                         help=f"search budget in ms (default: ${BUDGET_ENV_VAR})")
-    common.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+    common.add_argument("--max-vertices", type=_natural, default=DEFAULT_MAX_VERTICES,
                         help="vertex-count guard for generated graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -100,37 +112,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cover", parents=[common], help="partition into at most k cliques")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_natural, required=True)
 
     p = sub.add_parser("fracchrom", parents=[common], help="exact fractional clique cover value")
     p.add_argument("--graph", required=True)
 
     p = sub.add_parser("minrank", parents=[common], help="minimum fit-matrix rank over GF(p)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_natural, required=True)
 
     p = sub.add_parser("hfrac", parents=[common], help="certified interval for the fractional minrank bound")
     p.add_argument("--graph", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_natural, required=True)
 
     p = sub.add_parser("theta-circulant", parents=[common], help="closed-form theta for circulants")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--connection", default="1", help="comma-separated offsets (default 1)")
 
     p = sub.add_parser("theta-lp", parents=[common], help="exact theta of the (p+1)-subset graph")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=_natural, required=True)
+    p.add_argument("--n", type=_natural, required=True)
 
     p = sub.add_parser("certify", parents=[common], help="construct a certificate file")
     p.add_argument("--kind", required=True, choices=["johnson", "alon", "cover", "cycle-drep"])
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--p", type=_natural)
+    p.add_argument("--q", type=_natural)
+    p.add_argument("--n", type=_natural)
+    p.add_argument("--k", type=_natural)
     p.add_argument("--graph")
     p.add_argument("--variant", choices=["P", "Q", "R"])
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--power", type=int, default=1, help="tensor power (cycle-drep only)")
+    p.add_argument("--modulus", type=_natural)
+    p.add_argument("--power", type=_natural, default=1, help="tensor power (cycle-drep only)")
     p.add_argument("--out", help="write the certificate here instead of stdout")
 
     p = sub.add_parser("verify", parents=[common], help="re-verify a certificate file")
@@ -245,9 +257,9 @@ def _cmd_hfrac(args) -> int:
 
 def _cmd_theta_circulant(args) -> int:
     try:
-        connection = {int(tok) for tok in args.connection.split(",") if tok.strip()}
-    except ValueError as exc:
-        raise UsageError(f"bad connection set: {args.connection!r}") from exc
+        connection = {_natural(tok) for tok in args.connection.split(",")}
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad connection set {excerpt(args.connection)}: {exc}") from exc
     # the eigenvalue loop takes time linear in n, so n is capped as every graph is
     if args.n > args.max_vertices:
         raise GuardExceeded(f"circulant:{args.n} would have {args.n} vertices (cap {args.max_vertices})")

@@ -31,7 +31,7 @@ Expression grammar::
           | complement(expr) | strong(expr,expr) | lex(expr,expr)
           | file:PATH              # text format, PATH without ',()' or whitespace
 
-with K, P, Q, N, D integers in ASCII digits after an optional sign.
+with K, P, Q, N, D integers in ASCII digits.
 
 Vertex order is lexicographic for the subset graphs (vertex i is the i-th
 ``itertools.combinations(range(N), size)``), code order for the universal
@@ -307,13 +307,14 @@ def _parse(s: str, i: int) -> tuple[GraphExpr, int]:
         params = []
         while True:
             k = j
-            if k < len(s) and s[k] in "+-":
-                k += 1
             while k < len(s) and "0" <= s[k] <= "9":
                 k += 1
             if k == j:
                 raise GraphParseError(f"expected an integer at position {j}")
-            params.append(int(s[j:k]))
+            value = digits_value(s[j:k])
+            if isinstance(value, str):
+                raise GraphParseError(f"integer {value} at position {j} is over every cap")
+            params.append(value)
             j = k
             if j < len(s) and s[j] == "," and len(params) < _LEAF_OPS[name]:
                 j += 1
@@ -660,26 +661,39 @@ def _refuse(data: bytes, path: str, max_vertices: int) -> NoReturn:
     """Raise for the first defect of a graph file of ASCII digits and
     whitespace, reading its values as exact ints in file order: the header,
     the vertex cap, the value count, then each edge's range and whether it
-    repeats an earlier one."""
+    repeats an earlier one.  A value too long for ``int`` is over every
+    cap and count, so it fails the first check it meets, named by its
+    digits (``digits_value``)."""
     tokens = data.split()
     if len(tokens) < 2:
         raise GraphParseError("graph file needs a header 'n m'")
-    try:
-        nums = list(map(int, tokens))
-    except ValueError as exc:  # a value longer than int() converts
-        raise GraphParseError(f"non-integer token in graph file: {exc}") from exc
+    nums = [digits_value(token.decode()) for token in tokens]
     n, m = nums[0], nums[1]
-    _guard(n, max_vertices, f"graph file {path}")
+    if isinstance(n, str) or n > max_vertices:
+        raise GuardExceeded(f"graph file {path} would have {n} vertices (cap {max_vertices})")
+    if isinstance(m, str):
+        raise GraphParseError(f"expected {m} edges, found {len(nums)} integers")
     if len(nums) != 2 + 2 * m:
         raise GraphParseError(f"expected {m} edges ({2 + 2 * m} integers), found {len(nums)} integers")
     seen = set()
     for u, v in zip(nums[2::2], nums[3::2]):
-        if not u < v < n:
+        if isinstance(u, str) or isinstance(v, str) or not u < v < n:
             raise GraphParseError(f"edge ({u}, {v}) violates 0 <= u < v < n")
         if (u, v) in seen:
             raise GraphParseError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
     raise AssertionError("no defective edge")
+
+
+def digits_value(digits: str) -> int | str:
+    """The value of a run of ASCII digits; for one of more significant
+    digits than ``int`` converts (4,300 in CPython), which is over every
+    cap, its digits shortened by ``excerpt`` instead."""
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        return excerpt(digits)
 
 
 # Cells of the adjacency matrix that ``edge_text`` reads at a time, in

@@ -154,6 +154,19 @@ class MinrankResult:
         return self.certificate.claimed_rank
 
 
+def _gated_fit(g: Graph, mat: FMatrix, least: int, most: int, what: str) -> FitCertificate:
+    """The certificate of mat on g, after the exact gate that every fit
+    certificate the program builds passes: mat fits g, and its rank lies
+    in [least, most]."""
+    failure = fit_violation(g, mat)
+    if failure is not None:
+        raise VerificationError(f"internal error: {what} does not fit the graph: {failure}")
+    r = rank(mat)
+    if not least <= r <= most:
+        raise VerificationError(f"internal error: {what} has rank {r}, outside [{least}, {most}]")
+    return FitCertificate(graph_hash(g), mat, r)
+
+
 def _same_label_matrix(labels: np.ndarray, p: int) -> FMatrix:
     """The 0/1 matrix over GF(p) with a 1 exactly where the labels of its
     row and column agree: the boolean comparison, cast once into the
@@ -176,13 +189,8 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     for idx, cls in enumerate(cover.classes):
         for v in cls:
             cls_of[v] = idx
-    mat = _same_label_matrix(np.array(cls_of), p)
-    r = rank(mat)
-    if r != len(cover.classes):
-        raise VerificationError(f"internal error: clique-cover matrix has rank {r}, not {len(cover.classes)}")
-    if fit_violation(g, mat) is not None:
-        raise VerificationError("internal error: clique-cover matrix does not fit the graph")
-    return FitCertificate(graph_hash(g), mat, r)
+    k = len(cover.classes)
+    return _gated_fit(g, _same_label_matrix(np.array(cls_of), p), k, k, "clique-cover matrix")
 
 
 def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResult:
@@ -205,8 +213,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     only bounds the minimum fit rank from above; the caller picks the
     lower end.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"modulus {p} is not prime")
+    check_modulus(p)
     budget = budget or Budget()
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
     # the search's own node count; Budget() without limits never trips
@@ -286,10 +293,7 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
 
     # the search's best matrix, finished or stopped, is checked before it is certified
     if best_matrix is not None:
-        mat = FMatrix(p, best_matrix)
-        if fit_violation(g, mat) is not None or rank(mat) != best_rank:
-            raise VerificationError("internal error: minrank matrix failed its fit or rank check")
-        incumbent = FitCertificate(incumbent.graph_hash, mat, best_rank)
+        incumbent = _gated_fit(g, FMatrix(p, best_matrix), best_rank, best_rank, "minrank matrix")
     return MinrankResult(incumbent, finished)
 
 
@@ -300,14 +304,8 @@ def johnson_certificate(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES
     vertex cap ``max_vertices``."""
     g = johnson(p, n, max_vertices)
     check_modulus(p)
-    m = FMatrix._reduced(p, subset_incidence(n, p + 1).T.astype(storage_dtype(p)))
-    gram = matmul(m.transpose(), m)
-    cert = FitCertificate(graph_hash(g), gram, rank(gram))
-    if fit_violation(g, gram) is not None:
-        raise VerificationError("incidence Gram matrix does not fit the graph")
-    if cert.claimed_rank > n:
-        raise VerificationError(f"internal error: incidence Gram matrix has rank {cert.claimed_rank} > n = {n}")
-    return cert
+    inc = FMatrix._reduced(p, subset_incidence(n, p + 1).astype(storage_dtype(p)))
+    return _gated_fit(g, matmul(inc, inc.transpose()), 0, n, "incidence Gram matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +382,11 @@ def alon_certificate(
     for c in constants:
         table = table * ((s - c) % modulus) % modulus
     if table[size] == 0:
-        raise VerificationError("polynomial representation invalid: every polynomial vanishes at its own point")
+        raise VerificationError("internal error: every polynomial vanishes at its own point")
     unit = (table * pow(int(table[size]), -1, modulus) % modulus).astype(storage_dtype(modulus))
     inc = subset_incidence(n, size)
     a = np.empty((len(inc), len(inc)), dtype=unit.dtype)
     for start, sizes in intersection_sizes(inc):
         a[start:start + len(sizes)] = unit[sizes.astype(np.intp)]
-    mat = FMatrix._reduced(modulus, a)
-    cert = FitCertificate(graph_hash(target), mat, rank(mat))
-    if fit_violation(target, mat) is not None:
-        raise VerificationError("evaluation matrix does not fit the target graph")
     span_bound = sum(comb(n, i) for i in range(len(constants) + 1))
-    if cert.claimed_rank > span_bound:
-        raise VerificationError(
-            f"internal error: evaluation matrix has rank {cert.claimed_rank} > span bound {span_bound}"
-        )
-    return cert
+    return _gated_fit(target, FMatrix._reduced(modulus, a), 0, span_bound, "evaluation matrix")

@@ -195,7 +195,7 @@ def _claim_universal_graphs():
 
 def _claim_theta_sandwich_c5():
     c5 = cycle(5)
-    upper = theta_upper_from_orthorep(pentagon_umbrella(1))
+    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
     lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
     ok = upper <= sqrt(5) + 1e-6 and lower >= sqrt(5) - 1e-6
     return ok, f"[{lower!r}, {upper!r}]", "both within 1e-6 of sqrt(5)"

@@ -9,10 +9,13 @@ over every field: its blow-up (``drep_from_fractional_cover``) is a block
 certificate of ratio at most v.  So a report cites the cover itself, and
 the search blows a cover up only to tensor it.
 
-Certificates are the unit of truth here: every constructor verifies its
-output, and the search orchestrator only ever reports intervals whose two
-ends are witnessed.  How ``verify`` reads and checks each kind, and which
-report ends it may witness, is the table ``_KINDS`` in ``cli``.
+Certificates are the unit of truth here: every constructor but
+``tensor_dreps`` verifies its output, and the search orchestrator only
+ever reports intervals whose two ends are witnessed.  ``tensor_dreps``
+checks nothing: it rests on rank(A ⊗ B) = rank A · rank B, and ``verify``
+checks every tensor certificate that ``certify`` or a report writes.
+How ``verify`` reads and checks each kind, and which report ends it may
+witness, is the table ``_KINDS`` in ``cli``.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def drep_from_fractional_cover(g: Graph, cover: FractionalCover, p: int) -> DRep
     rep = DRep(d, _same_label_matrix(assignment, p))
     failure = drep_violation(g, rep)
     if failure is not None:
-        raise VerificationError(f"cover produced an invalid certificate: {failure}")
+        raise VerificationError(f"internal error: cover produced an invalid certificate: {failure}")
     return rep
 
 
@@ -123,7 +126,7 @@ def cycle_drep(k: int, p: int) -> DRep:
     g = cycle(2 * k + 1)
     rep = drep_from_fractional_cover(g, fractional_clique_cover(g), p)
     if k >= 2 and rep.ratio() != Fraction(2 * k + 1, 2):
-        raise VerificationError(f"odd-cycle certificate has ratio {rep.ratio()}")
+        raise VerificationError(f"internal error: odd-cycle certificate has ratio {rep.ratio()}")
     return rep
 
 

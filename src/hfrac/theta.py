@@ -88,7 +88,7 @@ def theta_johnson_lp(p: int, n: int) -> Fraction:
     maximizing 1 + a_1 + a_{p+1} over the association-scheme constraints."""
     sol = simplex_solve(johnson_theta_program(p, n))
     if sol.status != "optimal":
-        raise VerificationError(f"theta LP did not solve to optimality: {sol.status}")
+        raise VerificationError(f"internal error: theta LP did not solve to optimality: {sol.status}")
     return sol.value
 
 
@@ -128,9 +128,13 @@ def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
     return None
 
 
-def theta_upper_from_orthorep(rep: OrthoRep) -> float:
-    """max_v 1/<x_v, h>^2; an upper bound on theta up to the verification
-    tolerance.  A vanishing inner product makes the bound unbounded (inf)."""
+def theta_upper_from_orthorep(g: Graph, rep: OrthoRep) -> float:
+    """max_v 1/<x_v, h>^2 over an orthonormal representation of g: an upper
+    bound on theta(g) up to the verification tolerance.  A vanishing inner
+    product makes the bound unbounded (inf)."""
+    failure = orthorep_violation(g, rep)
+    if failure is not None:
+        raise VerificationError(f"representation invalid: {failure}")
     dots = rep.vectors @ rep.handle
     sq = dots * dots
     if np.any(sq < 1e-30):

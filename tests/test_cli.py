@@ -360,6 +360,29 @@ def test_usage_errors_are_64(tmp_path, capsys):
     assert run(capsys, "theta-lp", "--p", "1", "--n", "6")[0] == 64
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # the first read as 2 (printing 3), the second as 20; the next three
+    # were accepted, and the report of cycle:+5 named that graph
+    (["minrank", "--graph", "cycle:5", "--p", "\u0662"], "argument --p: '\u0662' is not an integer in ASCII digits"),
+    (["minrank", "--graph", "cycle:5", "--p", " 2_0"], "argument --p: ' 2_0' is not an integer in ASCII digits"),
+    (["alpha", "--graph", "cycle:5", "--max-vertices", "\u0665"],
+     "argument --max-vertices: '\u0665' is not an integer in ASCII digits"),
+    (["theta-circulant", "--n", "5", "--connection", " -1"],
+     "bad connection set ' -1': ' -1' is not an integer in ASCII digits"),
+    (["theta-circulant", "--n", "5", "--connection", "1,"],
+     "bad connection set '1,': '' is not an integer in ASCII digits"),
+    (["alpha", "--graph", "cycle:+5"], "expected an integer at position 6"),
+    # more digits than int() converts: the option was echoed whole and the
+    # parameter ended in a ValueError traceback; now each is named shortened
+    (["minrank", "--graph", "cycle:5", "--p", "9" * 5000], "... (5002 characters) is over every cap"),
+    (["alpha", "--graph", "cycle:" + "9" * 5000], "... (5002 characters) at position 6 is over every cap"),
+])
+def test_command_line_integers_are_ascii_digits(capsys, argv, reason):
+    # options, expression parameters and graph files share one grammar
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "") and err.startswith("usage error: ") and reason in err and len(err) < 300, err
+
+
 def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
     start = time.perf_counter()
     # the Mersenne prime 2^61 - 1: decided prime, then refused for int64
@@ -519,7 +542,8 @@ def _singleton_cover(g):
 # cycle:5 itself fracchrom takes the orbit cover and its gate.  The minrank search's final gate is reached by
 # starting it from the singleton cover, so that it finds a better matrix
 # after the incumbent's own fit check passed.  The ``*_rank`` gates check
-# what the rank kernel returns, so a lying ``rank`` must make them reject.
+# what the rank kernel returns, so a lying ``rank`` must make them reject;
+# the odd-cycle gate reads the ratio through it.
 EXACT_GATES = {
     "simplex_solve": (["theta-lp", "--p", "2", "--n", "8"],
                       [("hfrac.lp.check_solution", {"return_value": False})]),
@@ -534,6 +558,14 @@ EXACT_GATES = {
                                  [("hfrac.minrank.rank", {"return_value": 9})]),
     "alon_certificate_rank": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
                               [("hfrac.minrank.rank", {"return_value": 10**6})]),
+    "johnson_certificate_fit": (["certify", "--kind", "johnson", "--p", "2", "--n", "8"],
+                                [("hfrac.minrank.fit_violation", {"return_value": "planted defect"})]),
+    "alon_certificate_fit": (["certify", "--kind", "alon", "--variant", "P", "--p", "2", "--q", "3", "--n", "7"],
+                             [("hfrac.minrank.fit_violation", {"return_value": "planted defect"})]),
+    "drep_from_fractional_cover": (["certify", "--kind", "cycle-drep", "--k", "2", "--p", "2"],
+                                   [("hfrac.reps.drep_violation", {"return_value": "planted defect"})]),
+    "cycle_drep_ratio": (["certify", "--kind", "cycle-drep", "--k", "2", "--p", "2"],
+                         [("hfrac.minrank.rank", {"return_value": 4})]),
     "fractional_clique_cover_lp": (["fracchrom", "--graph", "file:{tmp}/cycle5.txt"],
                                    [("hfrac.fraccover._certifies_optimum", {"return_value": False})]),
     "fractional_clique_cover_cover": (["fracchrom", "--graph", "file:{tmp}/cycle5.txt"],

@@ -42,6 +42,7 @@ from hfrac.graphs import (
     write_graph_file,
 )
 from hfrac.minrank import graph_hash
+from hfrac.serialize import excerpt
 from oracles import (
     argwhere_edge_array,
     argwhere_edge_text,
@@ -254,7 +255,8 @@ def test_parse_roundtrip_and_errors():
             generate(bad)
     # parameters are ASCII digits: str.isdigit also holds for superscripts
     # (int() refused them with a ValueError) and other scripts' digits
-    for bad in ["cycle:\u00b2", "cycle:\u0665", "johnson:2,\u00b9\u2070"]:
+    # and carry no sign, as graph files and command-line integers do not
+    for bad in ["cycle:\u00b2", "cycle:\u0665", "johnson:2,\u00b9\u2070", "cycle:+5", "cycle:-5", "johnson:2,+8"]:
         with pytest.raises(GraphParseError):
             generate(bad)
 
@@ -345,6 +347,27 @@ def test_graph_file_defects_are_named(tmp_path, text, message):
     with pytest.raises(GraphParseError) as exc:
         read_graph_file(str(path))
     assert str(exc.value) == message
+
+
+_LONG = "7" * 4301  # one digit more than int() converts
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (f"{_LONG} 0\n", GuardExceeded, f"graph file {{path}} would have {excerpt(_LONG)} vertices (cap 5000)"),
+    (f"3 {_LONG}\n0 1\n", GraphParseError, f"expected {excerpt(_LONG)} edges, found 4 integers"),
+    (f"3 1\n0 {_LONG}\n", GraphParseError, f"edge (0, {excerpt(_LONG)}) violates 0 <= u < v < n"),
+    (f"3 2\n0 1\n{_LONG} 2\n", GraphParseError, f"edge ({excerpt(_LONG)}, 2) violates 0 <= u < v < n"),
+    # leading zeros are not digits of the value
+    ("3 1\n2 " + "0" * 5000 + "2\n", GraphParseError, "edge (2, 2) violates 0 <= u < v < n"),
+], ids=["header", "count", "edge-end", "edge-start", "leading-zeros"])
+def test_a_value_too_long_for_int_is_named(tmp_path, text, error, message):
+    # each failed "non-integer token in graph file: Exceeds the limit (4300
+    # digits) for integer string conversion ..."
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        read_graph_file(str(path))
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_a_graph_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

@@ -103,7 +103,7 @@ def test_the_ortho_check_names_the_first_defect():
 
 def test_theta_sandwich_c5():
     c5 = cycle(5)
-    upper = theta_upper_from_orthorep(pentagon_umbrella(1))
+    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
     lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
     assert upper <= sqrt(5) + 1e-6
     assert lower >= sqrt(5) - 1e-6
@@ -114,14 +114,21 @@ def test_ortho_evaluator_examples():
     vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
     rep = OrthoRep(vecs, np.array([1.0, 0.0]))
     assert orthorep_violation(complete(4), rep) is None
-    assert isclose(theta_upper_from_orthorep(rep), 1.0)
+    assert isclose(theta_upper_from_orthorep(complete(4), rep), 1.0)
     # orthogonal pair with the handle at 45 degrees: value 2
     rep = OrthoRep(np.eye(2), np.array([1.0, 1.0]) / sqrt(2))
     assert orthorep_violation(empty(2), rep) is None
-    assert isclose(theta_upper_from_orthorep(rep), 2.0)
+    assert isclose(theta_upper_from_orthorep(empty(2), rep), 2.0)
     # a vector orthogonal to the handle: unbounded
     rep = OrthoRep(np.eye(2), np.array([1.0, 0.0]))
-    assert theta_upper_from_orthorep(rep) == float("inf")
+    assert theta_upper_from_orthorep(empty(2), rep) == float("inf")
+
+
+def test_the_upper_evaluator_refuses_a_representation_of_another_graph():
+    # the step-2 umbrella represents the complement of C5; it evaluated to
+    # sqrt(5) as an upper bound on theta(C5) while the evaluator took no graph
+    with pytest.raises(VerificationError, match=r"non-edge \(0, 2\)"):
+        theta_upper_from_orthorep(cycle(5), pentagon_umbrella(2))
 
 
 def test_the_umbrella_scaled_off_unit_length_fails_the_ortho_check():
@@ -147,5 +154,5 @@ def test_evaluators_never_dip_below_theta_on_cycles():
         g = cycle(n)
         rep = OrthoRep(np.eye(n), np.ones(n) / sqrt(n))
         assert orthorep_violation(g, rep) is None
-        assert theta_upper_from_orthorep(rep) >= theta_circulant(n, {1}) - 1e-6
-    assert theta_upper_from_orthorep(pentagon_umbrella(1)) >= theta_circulant(5, {1}) - 1e-6
+        assert theta_upper_from_orthorep(g, rep) >= theta_circulant(n, {1}) - 1e-6
+    assert theta_upper_from_orthorep(cycle(5), pentagon_umbrella(1)) >= theta_circulant(5, {1}) - 1e-6
