@@ -3,11 +3,27 @@
 from __future__ import annotations
 
 import os
+import re
 import time
 
 from .errors import BudgetExhausted, PreconditionError
+from .serialize import excerpt
 
 BUDGET_ENV_VAR = "CAPACITY_BUDGET_MS"
+
+_MS = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def parse_ms(text: str, what: str) -> float:
+    """A time budget as ``--budget-ms`` and ``$CAPACITY_BUDGET_MS`` spell
+    it: ASCII digits, then optionally a ``.`` and more digits.  (``float``
+    would also take a sign, an exponent, underscores, surrounding
+    whitespace, ``inf``, ``nan`` and non-ASCII digits.)  ``what`` names the
+    source in the refusal."""
+    if _MS.fullmatch(text) is None:
+        raise PreconditionError("time budget must be a nonnegative number of milliseconds in ASCII digits "
+                                f"(as 250 or 0.5): {what} is {excerpt(text)}")
+    return float(text)
 
 
 class Budget:
@@ -34,11 +50,7 @@ class Budget:
     @classmethod
     def from_env(cls) -> "Budget":
         raw = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            ms = float(raw) if raw else None
-        except ValueError:
-            raise PreconditionError(f"{BUDGET_ENV_VAR}={raw!r} is not a number of milliseconds") from None
-        return cls(ms=ms)
+        return cls(ms=parse_ms(raw, BUDGET_ENV_VAR) if raw else None)
 
     def spend(self) -> None:
         """Count one search node."""

@@ -14,9 +14,10 @@ is none of these: ``main`` flushes stdout itself, and once a write or
 that flush finds the pipe closed, the rest of the output goes to
 ``os.devnull`` and the command keeps its own code.
 
-Each command decides its own lower end: ``minrank`` closes its interval
-at the search's rank when the search finished, and otherwise takes
-alpha's, searched after it on the same budget and cited by its
+Each command decides its own lower end: ``minrank`` searches alpha
+first, on the same budget, and passes its size to the search as a floor.
+It closes its interval at the search's rank when the search finished (or
+reached the floor), and otherwise takes alpha's end, cited by its
 independent set.
 
 ``verify`` handles every certificate kind through one table, ``_KINDS``:
@@ -40,7 +41,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .budget import BUDGET_ENV_VAR, Budget
+from .budget import BUDGET_ENV_VAR, Budget, parse_ms
 from .errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -96,12 +97,20 @@ def _natural(text: str) -> int:
     return value
 
 
+def _milliseconds(text: str) -> float:
+    """``--budget-ms``: read as ``$CAPACITY_BUDGET_MS`` is (``parse_ms``)."""
+    try:
+        return parse_ms(text, "--budget-ms")
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--budget-ms", type=float, default=None,
+    common.add_argument("--budget-ms", type=_milliseconds, default=None,
                         help=f"search budget in ms (default: ${BUDGET_ENV_VAR})")
     common.add_argument("--max-vertices", type=_natural, default=DEFAULT_MAX_VERTICES,
                         help="vertex-count guard for generated graphs")
@@ -226,11 +235,11 @@ def _cmd_fracchrom(args) -> int:
 def _cmd_minrank(args) -> int:
     g = _graph(args)
     budget = _budget(args)
-    res = minrank_exact(g, args.p, budget)
+    a, witness = alpha_lower_end(g, budget)
+    res = minrank_exact(g, args.p, budget, a)
     witnesses: list = [res.certificate]
     lower = res.upper
     if not res.exact:
-        a, witness = alpha_lower_end(g, budget)
         lower = min(a, res.upper)
         witnesses.append({"kind": "independent_set", "vertices": list(witness)})
     report = BoundReport(f"minrank[gf({args.p})]", args.graph,

@@ -1,10 +1,14 @@
 """Exact fractional clique cover number with rational certificates.
 
 ``fractional_clique_cover(g)`` minimizes total clique weight subject to
-covering every vertex with weight at least one, by column generation on
-that primal master.  The master (``lp.CoveringMaster``) runs on the same
-integer simplex engine as every other LP in ``lp``: it starts from the
-singleton cliques and stays warm.  Each round reads the dual numerators
+covering every vertex with weight at least one.  It tries three paths in
+turn: the orbit cover of a vertex-transitive graph, a partition into as
+many cliques as a stable set has vertices, and column generation on that
+primal master; each is described below, the master first.
+
+The master (``lp.CoveringMaster``) runs on the same integer simplex engine
+as every other LP in ``lp``: it starts from the singleton cliques and
+stays warm.  Each round reads the dual numerators
 y * det that its pivots keep up to date, prices them as integer weights
 with the exact maximum-weight stable-set oracle on the complement, and
 brings the new clique in as a 0/1 column with one pivot, then
@@ -35,6 +39,20 @@ Ullman, *Fractional Graph Theory*, ch. 3).  It passes the same
 ``cover_violation`` gate, with its declared value n / w.  An orbit of more
 than ``ORBIT_ENTRIES`` clique entries is not listed; the master solves that
 graph instead.
+
+Any other graph first tries to close the cover with as many cliques as a
+stable set S has vertices: the caller's S when it has searched one, else
+alpha's under its own allowance of n nodes, then one DSATUR descent
+(``clique_cover_leq(g, |S|)``) under an allowance of 2n + 1 nodes.  Both
+allowances are counted apart from the caller's budget.  A partition of the
+vertices into |S| cliques, each at weight 1, has value |S|, and y = 1 on S
+and 0 elsewhere is dual-feasible because no clique meets a stable set
+twice; so both are optimal, and the sandwich alpha <= Theta <= cover
+collapses to alpha (Shannon, *The zero error capacity of a noisy channel*,
+1956).  The partition passes ``cover_violation``, S must be independent
+and |S| must equal the number of cliques, or it is an internal error.
+When the descent finds no such partition the master runs as it would
+have.
 """
 
 from __future__ import annotations
@@ -42,12 +60,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .budget import Budget
-from .errors import SearchCutoff, VerificationError
+from .errors import BudgetExhausted, SearchCutoff, VerificationError
 from .graphs import Graph, complement, is_clique, stray_vertex
-from .independence import alpha, max_weight_independent_set
-from .lp import F0, CoveringMaster
+from .independence import alpha, clique_cover_leq, independent_set_violation, max_weight_independent_set
+from .lp import F0, F1, CoveringMaster
 from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
 
@@ -151,10 +170,10 @@ def _orbit(clique: tuple[int, ...], perms: list[list[int]], budget: Budget) -> l
     return sorted(seen)
 
 
-def _orbit_cover(g: Graph, comp: Graph, budget: Budget) -> FractionalCover | None:
+def _orbit_cover(g: Graph, budget: Budget) -> FractionalCover | None:
     """The orbit cover of a vertex-transitive g, or None if its orbit is too
     large to list."""
-    omega, clique = alpha(comp, budget)
+    omega, clique = alpha(complement(g), budget)
     orbit = _orbit(clique, [p.tolist() for p in g.transitive_automorphisms], budget)
     if orbit is None:
         return None
@@ -166,21 +185,38 @@ def _orbit_cover(g: Graph, comp: Graph, budget: Budget) -> FractionalCover | Non
     return cover
 
 
-def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> FractionalCover:
-    """Exact optimal fractional clique cover of g (equals the fractional
-    chromatic number of the complement): the orbit cover on a
-    vertex-transitive graph, else column generation.
+def _integral_cover(g: Graph, stable: Sequence[int] | None) -> FractionalCover | None:
+    """A partition of g into |S| cliques, each at weight 1, for a stable
+    set S (the caller's, else alpha's under a node allowance of n), or None
+    when one DSATUR descent under an allowance of 2n + 1 nodes finds none.
+    Both allowances are counted apart from the caller's budget."""
+    if stable is None:
+        try:
+            _, stable = alpha(g, Budget(nodes=g.n))
+        except SearchCutoff:
+            return None
+    if not stable:
+        return None
+    try:
+        partition = clique_cover_leq(g, len(stable), Budget(nodes=2 * g.n + 1))
+    except BudgetExhausted:
+        return None
+    if partition is None:
+        return None
+    classes = tuple(sorted((cl, F1) for cl in partition.classes))
+    cover = FractionalCover(classes, Fraction(len(classes)), 1)
+    failure = cover_violation(g, cover) or independent_set_violation(g, stable)
+    if failure is None and len(stable) != len(classes):
+        failure = f"{len(classes)} cliques against a stable set of {len(stable)}"
+    if failure is not None:
+        raise VerificationError(f"internal error: integral cover invalid: {failure}")
+    return cover
 
-    Under a budget, raises BudgetExhausted from a master pivot or the orbit
-    listing, or SearchCutoff from pricing or the clique search."""
-    if g.n == 0:
-        return FractionalCover((), F0, 1)
-    budget = budget or Budget()
+
+def _master_cover(g: Graph, budget: Budget) -> FractionalCover:
+    """The optimal cover of g (n >= 1) by column generation on
+    ``lp.CoveringMaster``, gated on the master's integers."""
     comp = complement(g)
-    if g.transitive_automorphisms is not None:
-        cover = _orbit_cover(g, comp, budget)
-        if cover is not None:
-            return cover
     master = CoveringMaster(g.n, budget)
     while True:
         # price y * det: a clique improves the master iff its weight exceeds det
@@ -206,3 +242,23 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None) -> Fractiona
     if failure is not None:
         raise VerificationError(f"internal error: optimal cover invalid: {failure}")
     return cover
+
+
+def fractional_clique_cover(g: Graph, budget: Budget | None = None,
+                            stable: Sequence[int] | None = None) -> FractionalCover:
+    """Exact optimal fractional clique cover of g (equals the fractional
+    chromatic number of the complement): the orbit cover on a
+    vertex-transitive graph, else a partition into as many cliques as a
+    stable set has vertices (``stable``, the caller's, if it has one), else
+    column generation.
+
+    Under a budget, raises BudgetExhausted from a master pivot or the orbit
+    listing, or SearchCutoff from pricing or the clique search."""
+    if g.n == 0:
+        return FractionalCover((), F0, 1)
+    budget = budget or Budget()
+    if g.transitive_automorphisms is not None:
+        cover = _orbit_cover(g, budget)
+        if cover is not None:
+            return cover
+    return _integral_cover(g, stable) or _master_cover(g, budget)

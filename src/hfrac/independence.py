@@ -41,7 +41,7 @@ import numpy as np
 
 from .budget import Budget
 from .errors import BudgetExhausted, PreconditionError, SearchCutoff
-from .graphs import Graph, bit_rows, complement, is_clique, is_independent_set, stray_vertex
+from .graphs import Graph, bit_rows, is_clique, is_independent_set, stray_vertex
 from .serialize import read_ints, read_list
 
 
@@ -296,7 +296,8 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     if n == 0:
         return CliqueCover(())
     budget = budget or Budget()
-    comp = complement(g).adj
+    full = (1 << n) - 1
+    comp = [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]  # the complement's rows
     # score[v] = sat(v) * n + complement degree, less n * n while v is
     # coloured; sat(v) counts the colours among v's complement neighbours
     score = [row.bit_count() for row in comp]
@@ -306,27 +307,38 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     stack: list[list[int]] = []  # per coloured vertex: [vertex, next colour to try, colours in use before it]
 
     def paint(v: int, c: int) -> None:
-        for u in _bits(comp[v]):
-            if not comp[u] & members[c]:
+        mine = members[c]
+        rest = comp[v]
+        while rest:  # the complement neighbours u of v, one bit at a time
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if not comp[u] & mine:
                 score[u] += n
-        members[c] |= 1 << v
+        members[c] = mine | 1 << v
         colour[v] = c
         score[v] -= n * n
 
     def unpaint(v: int) -> None:
         c = colour[v]
-        members[c] ^= 1 << v
-        for u in _bits(comp[v]):
-            if not comp[u] & members[c]:
+        mine = members[c] ^ 1 << v
+        members[c] = mine
+        rest = comp[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if not comp[u] & mine:
                 score[u] -= n
         colour[v] = -1
         score[v] += n * n
 
     while True:
         budget.spend()
-        v = max(range(n), key=score.__getitem__)  # the lowest vertex on ties
-        if score[v] < 0:
+        top = max(score)
+        if top < 0:
             break  # every vertex is coloured
+        v = score.index(top)  # the lowest vertex on ties
         stack.append([v, 0, used])
         while stack:
             frame = stack[-1]

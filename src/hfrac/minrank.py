@@ -193,7 +193,7 @@ def cover_certificate(g: Graph, cover: CliqueCover, p: int) -> FitCertificate:
     return _gated_fit(g, _same_label_matrix(np.array(cls_of), p), k, k, "clique-cover matrix")
 
 
-def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResult:
+def minrank_exact(g: Graph, p: int, budget: Budget | None = None, floor: int = 0) -> MinrankResult:
     """Exact minimum rank over all fit matrices by depth-first assignment
     of the free entries, row by row, with a block-triangular bound.
 
@@ -204,6 +204,12 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     A child is pruned when r + |greedy stable set of G[C]| reaches the
     incumbent rank.  The bound never cuts a subtree that could beat the
     incumbent, so the first optimal matrix in product order is found.
+
+    ``floor`` is a lower bound on the minimum fit rank that the caller
+    certifies (the size of a stable set).  A certificate of rank at most
+    floor is optimal: the greedy cover's is returned before the search, and
+    the search stops at the first matrix that reaches it, in both cases as
+    a finished search.
 
     If the assignment space p^(2|E|) exceeds ``SEARCH_CAP``, the search
     may visit at most ``ATTEMPT_NODES`` nodes.  That allowance is its own
@@ -216,6 +222,8 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
     check_modulus(p)
     budget = budget or Budget()
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
+    if incumbent.claimed_rank <= floor:
+        return MinrankResult(incumbent, True)
     # the search's own node count; Budget() without limits never trips
     attempt = Budget(nodes=ATTEMPT_NODES) if p ** (2 * g.m) > SEARCH_CAP else Budget()
 
@@ -285,6 +293,8 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None) -> MinrankResu
                 # every column is touched, so child_bound is the full rank
                 best_rank = child_bound
                 best_matrix = list(rows)
+                if best_rank <= floor:
+                    break
             else:
                 stack.append((v + 1, product(range(p), repeat=len(free_cols[v + 1])),
                               len(ech), support, child_bound))

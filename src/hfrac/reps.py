@@ -21,6 +21,7 @@ witness, is the table ``_KINDS`` in ``cli``.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -145,13 +146,14 @@ def hfrac_upper_search(
     the factors' best certificates, each factor built under the vertex cap
     ``max_vertices``.  The lower end is the independence number (or its
     certified lower bound under budget), searched once, on g alone, before
-    the upper candidates.  The interval never claims the parameter exactly
-    unless the two ends meet; whether any part was cut off shows in
-    ``budget.exhausted``.
+    the upper candidates; its stable set is the minrank search's floor and
+    the one the cover first tries to match with as many cliques.  The
+    interval never claims the parameter exactly unless the two ends meet;
+    whether any part was cut off shows in ``budget.exhausted``.
     """
     budget = budget or Budget()
     a, wit = alpha_lower_end(g, budget)
-    upper, best = _best_upper(g, p, budget, max_vertices, {})
+    upper, best = _best_upper(g, p, budget, max_vertices, {}, wit)
     return BoundReport(
         parameter=f"hfrac[gf({p})]",
         graph=g.expr or f"n={g.n},m={g.m}",
@@ -167,9 +169,13 @@ def _best_upper(
     budget: Budget,
     max_vertices: int,
     factors: dict[str, tuple[Graph, tuple[Fraction, DRep | FractionalCover]]],
+    stable: Sequence[int] | None = None,
 ) -> tuple[Fraction, DRep | FractionalCover]:
     """The smallest (value, certificate) among the upper candidates; a
     cover stands for itself at its value, whatever its denominator.
+
+    ``stable``, a stable set of g when the caller has searched one, is the
+    minrank search's floor and goes to the cover.
 
     ``factors`` holds the graph and result of every strong-product factor
     solved so far in this search, by expression, so a repeated factor is
@@ -182,11 +188,11 @@ def _best_upper(
     that tensor could only tie.
     """
     candidates: list[tuple[Fraction, DRep | FractionalCover]] = []
-    res = minrank_exact(g, p, budget)
+    res = minrank_exact(g, p, budget, len(stable or ()))
     candidates.append((Fraction(res.upper), DRep(1, res.certificate.matrix)))
 
     try:
-        cover = fractional_clique_cover(g, budget)
+        cover = fractional_clique_cover(g, budget, stable)
         candidates.append((cover.value, cover))
     except (BudgetExhausted, SearchCutoff):
         cover = None  # the other candidates still certify the upper end

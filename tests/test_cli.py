@@ -28,7 +28,7 @@ from hfrac.errors import PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import Graph, format_graph, generate, write_graph_file
-from hfrac.independence import CliqueCover
+from hfrac.independence import CliqueCover, alpha, clique_cover_leq
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash, minrank_exact
 from hfrac.reproduce import CLAIMS
@@ -267,20 +267,24 @@ def test_minrank_above_the_search_cap_is_exact_when_the_attempt_finishes(tmp_pat
     _verify_report(tmp_path, capsys, out)
 
 
-def test_a_minrank_interval_that_alpha_closes_cites_the_independent_set(tmp_path, capsys):
+def test_a_minrank_interval_that_alpha_closes_is_closed_by_the_floor(tmp_path, capsys):
     # K7 less the edge {5, 6}: 2^40 assignments are above the search cap,
-    # and the search stops at its allowance with the greedy cover's rank 2,
-    # which alpha = |{5, 6}| meets
+    # and with no floor the search stops at its allowance with the greedy
+    # cover's rank 2.  The command passes alpha = |{5, 6}| = 2 as the floor,
+    # so that cover is optimal and the search finishes before its first node.
     graph = tmp_path / "k7-less-56.txt"
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) != (5, 6)]
     graph.write_text(f"7 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    assert not minrank_exact(generate(f"file:{graph}"), 2).exact
+    g = generate(f"file:{graph}")
+    assert not minrank_exact(g, 2).exact
+    budget = Budget()
+    res = minrank_exact(g, 2, budget, 2)
+    assert res.exact and res.upper == 2 and budget.nodes == 0
     assert run(capsys, "minrank", "--graph", f"file:{graph}", "--p", "2") == (0, "2\n", "")
     code, out, _ = run(capsys, "minrank", "--graph", f"file:{graph}", "--p", "2", "--json")
     report = json.loads(out)
     assert code == 0 and report["lower"] == report["upper"] == "2"
-    assert [w["kind"] for w in report["witness_refs"]] == ["fit", "independent_set"]
-    assert report["witness_refs"][1]["vertices"] == [5, 6]
+    assert [w["kind"] for w in report["witness_refs"]] == ["fit"]
     _verify_report(tmp_path, capsys, out)
 
 
@@ -432,8 +436,22 @@ def test_a_nan_or_negative_time_budget_is_a_usage_error(capsys, monkeypatch, ms)
     assert (code, out) == (64, "") and "time budget must be a nonnegative number" in err
     monkeypatch.setenv("CAPACITY_BUDGET_MS", ms)
     assert run(capsys, "alpha", "--graph", "cycle:5")[:2] == (64, "")
-    for ok in ("0", "inf"):
+    for ok in ("0", "0.5", "250"):
         assert run(capsys, "alpha", "--graph", "cycle:5", "--budget-ms", ok)[0] in (0, 3)
+
+
+@pytest.mark.parametrize("ms", ["\u0662_5", " \u0661e3 ", "inf", "Infinity", "nan", "+5", "1e3", "2_5", " 25", "25\n",
+                                ".5", "5.", "0x10", "\u0662", "\uff12\uff15", ""])
+def test_a_time_budget_takes_ascii_decimals_only(capsys, monkeypatch, ms):
+    # float() took all of these but '0x10' and ''; '\u0662_5' read as 25 ms,
+    # and each of the first three printed 2 and exited 0
+    monkeypatch.delenv("CAPACITY_BUDGET_MS", raising=False)
+    code, out, err = run(capsys, "alpha", "--graph", "cycle:5", "--budget-ms", ms)
+    assert (code, out) == (64, "") and "in ASCII digits" in err and "Traceback" not in err
+    if ms:  # an empty variable is no budget
+        monkeypatch.setenv("CAPACITY_BUDGET_MS", ms)
+        code, out, err = run(capsys, "alpha", "--graph", "cycle:5")
+        assert (code, out) == (64, "") and f"CAPACITY_BUDGET_MS is {ms!r}" in err
 
 
 def test_a_budget_refuses_limits_it_could_not_keep():
@@ -536,10 +554,22 @@ def _singleton_cover(g):
     return CliqueCover(tuple((v,) for v in range(g.n)))
 
 
+def _one_vertex_short(g, budget=None):
+    size, witness = alpha(g, budget)
+    return size - 1, witness[1:]
+
+
+def _one_clique_more(g, k, budget=None):
+    return clique_cover_leq(g, k + 1, budget)
+
+
 # Each exact gate: a command that reaches it, and the checker patches that
 # make the gate reject.  ``{tmp}/cycle5.txt`` is a file copy of cycle:5,
-# which names no automorphisms, so fracchrom solves it by the master; on
-# cycle:5 itself fracchrom takes the orbit cover and its gate.  The minrank search's final gate is reached by
+# which names no automorphisms and has no partition into alpha = 2
+# cliques, so fracchrom solves it by the master; on cycle:5 itself
+# fracchrom takes the orbit cover and its gate.  The file copy of cycle:6
+# is partitioned into alpha = 3 edges, and its gate is made to reject by a
+# stable set one vertex short.  The minrank search's final gate is reached by
 # starting it from the singleton cover, so that it finds a better matrix
 # after the incumbent's own fit check passed.  The ``*_rank`` gates check
 # what the rank kernel returns, so a lying ``rank`` must make them reject;
@@ -572,6 +602,9 @@ EXACT_GATES = {
                                       [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
     "fractional_clique_cover_orbit": (["fracchrom", "--graph", "cycle:5"],
                                       [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
+    "fractional_clique_cover_integral": (["fracchrom", "--graph", "file:{tmp}/cycle6.txt"],
+                                         [("hfrac.fraccover.alpha", {"side_effect": _one_vertex_short}),
+                                          ("hfrac.fraccover.clique_cover_leq", {"side_effect": _one_clique_more})]),
 }
 
 
@@ -580,7 +613,8 @@ def exact_gate_exit(gate: str) -> tuple[int, str]:
     argv, patches = EXACT_GATES[gate]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        write_graph_file(generate("cycle:5"), os.path.join(tmp, "cycle5.txt"))
+        for k in (5, 6):
+            write_graph_file(generate(f"cycle:{k}"), os.path.join(tmp, f"cycle{k}.txt"))
         for target, kwargs in patches:
             stack.enter_context(mock.patch(target, **kwargs))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

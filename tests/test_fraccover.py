@@ -7,15 +7,18 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, SearchCutoff
 from hfrac.fraccover import (
     FractionalCover,
+    _master_cover,
     cover_violation,
     fractional_clique_cover,
 )
-from hfrac.graphs import Graph, complete, cycle, generate
+from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
 from hfrac.independence import alpha
 from hfrac.lp import CoveringMaster, simplex_solve
 from oracles import _master_lp, master_duals, maximal_cliques, random_graph
@@ -111,7 +114,7 @@ def test_budget_stops_the_master():
 
 
 def test_a_pricing_cutoff_reports_its_interval_in_dual_units():
-    # pricing runs on y * det; the interval it surfaces must be in units of y
+    # pricing runs on y * det: the interval it surfaces must be in units of y
     masters = []
 
     class Recorded(CoveringMaster):
@@ -119,22 +122,59 @@ def test_a_pricing_cutoff_reports_its_interval_in_dual_units():
             super().__init__(*args)
             masters.append(self)
 
-    g = Graph(generate("johnson:2,6").matrix)  # no automorphisms named: the master prices
-    cuts = []
-    with mock.patch("hfrac.fraccover.CoveringMaster", Recorded):
-        for nodes in range(1, 1000):  # until the budget suffices
-            try:
-                fractional_clique_cover(g, Budget(nodes=nodes))
-                break
-            except SearchCutoff as cut:
-                cuts.append((masters[-1], cut))
-            except BudgetExhausted:
-                pass
-    assert any(master.det > 1 for master, _ in cuts)
-    for master, cut in cuts:
-        y = master_duals(master)
-        assert type(cut.lower) is type(cut.upper) is F  # exact, never a float
-        assert cut.lower == sum((y[v] for v in cut.witness), F(0)) <= cut.upper
+    # no automorphisms named, and the cover exceeds alpha (5 > 4, 25/4 > 4),
+    # so no partition into alpha cliques exists and the master prices
+    for expr in ("johnson:2,6", "lex(cycle:5,cycle:5)"):
+        g = Graph(generate(expr).matrix)
+        assert fractional_clique_cover(g).value > alpha(g)[0]
+        cuts = []
+        with mock.patch("hfrac.fraccover.CoveringMaster", Recorded):
+            for nodes in range(1, 1000):  # until the budget suffices
+                try:
+                    fractional_clique_cover(g, Budget(nodes=nodes))
+                    break
+                except SearchCutoff as cut:
+                    cuts.append((masters[-1], cut))
+                except BudgetExhausted:
+                    pass
+        assert any(master.det > 1 for master, _ in cuts), expr
+        for master, cut in cuts:
+            y = master_duals(master)
+            assert type(cut.lower) is type(cut.upper) is F  # exact, never a float
+            assert cut.lower == sum((y[v] for v in cut.witness), F(0)) <= cut.upper
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.sampled_from((0.2, 0.4, 0.6, 0.8)), st.integers(0, 2**32 - 1))
+def test_the_integral_step_and_the_master_agree_with_the_full_lp(n, prob, seed):
+    g = random_graph(random.Random(seed), n, prob)
+    with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
+        cover = fractional_clique_cover(g)
+    assert cover_violation(g, cover) is None
+    assert cover.value == full_lp_cover_value(g) == _master_cover(g, Budget()).value
+    if not masters.called:
+        # a partition into alpha cliques closed it, each clique at weight 1
+        assert cover.d == 1 and cover.value == alpha(g)[0]
+        assert all(w == 1 for _, w in cover.classes)
+
+
+def test_a_bipartite_graph_is_closed_without_the_master():
+    # a bipartite graph has a partition into alpha cliques (edges and
+    # vertices, by Koenig); the step's allowances are not the caller's budget
+    rng = random.Random(33)
+    for _ in range(20):
+        n = rng.randint(2, 16)
+        side = rng.randint(1, n - 1)
+        g = graph_from_edges(n, [(u, v) for u in range(side) for v in range(side, n) if rng.random() < 0.4])
+        budget = Budget()
+        with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
+            cover = fractional_clique_cover(g, budget)
+        assert masters.call_count == 0 and budget.nodes == 0
+        assert cover.d == 1 and cover.value == alpha(g)[0] and cover_violation(g, cover) is None
+    # the bare C5 has no partition into alpha = 2 cliques: the master solves it
+    with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
+        cover = fractional_clique_cover(Graph(cycle(5).matrix))
+    assert masters.call_count == 1 and cover.value == F(5, 2)
 
 
 def test_cover_value_at_least_alpha():

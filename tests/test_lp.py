@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 
 from hfrac.budget import Budget
 from hfrac.errors import BudgetExhausted, DimensionMismatch, PreconditionError, VerificationError
-from hfrac.fraccover import _certifies_optimum, fractional_clique_cover
+from hfrac.fraccover import _certifies_optimum, _master_cover
 from hfrac.graphs import Graph, cycle
 from hfrac.lp import (
     REL_EQ,
@@ -522,8 +522,11 @@ def _checked_engines(patched: str, base: type, run) -> list:
 
 
 def _checked_cover(g) -> CoveringMaster:
+    """The master of the column generation on g, driven directly: a graph
+    that a partition into alpha cliques closes never reaches it through
+    ``fractional_clique_cover``."""
     (master,) = _checked_engines("hfrac.fraccover.CoveringMaster", CoveringMaster,
-                                 lambda: fractional_clique_cover(g))
+                                 lambda: _master_cover(g, Budget()))
     return master
 
 

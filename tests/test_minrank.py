@@ -37,7 +37,7 @@ from hfrac.graphs import (
     subset_incidence,
     write_graph_file,
 )
-from hfrac.independence import alpha, clique_cover_leq, greedy_clique_cover
+from hfrac.independence import alpha, alpha_lower_end, clique_cover_leq, greedy_clique_cover
 from hfrac.minrank import (
     FitCertificate,
     alon_certificate,
@@ -174,7 +174,9 @@ def minrank_report(g, p, budget):
 @given(oracle_graphs(), st.integers(0, 60))
 def test_a_minrank_report_brackets_the_minrank_and_cites_alpha_when_the_search_stops(gp, nodes):
     g, p = gp
-    search = minrank_exact(g, p, Budget(nodes=nodes))
+    # the command searches alpha first, on the same budget, as the search's floor
+    budget = Budget(nodes=nodes)
+    search = minrank_exact(g, p, budget, alpha_lower_end(g, budget)[0])
     code, report = minrank_report(g, p, Budget(nodes=nodes))
     lower, upper = int(report["lower"]), int(report["upper"])
     assert lower <= minrank_bruteforce(g, p) <= upper == search.upper
@@ -219,6 +221,29 @@ def test_minrank_at_least_alpha():
         g = random_graph(rng, rng.randint(2, 5))
         res = minrank_exact(g, 2)
         assert res.exact and res.upper >= alpha(g)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_graphs())
+def test_a_floor_at_alpha_keeps_the_certificate(gp):
+    # no fit has rank below alpha, so stopping there changes nothing found
+    g, p = gp
+    full, floored = Budget(), Budget()
+    res = minrank_exact(g, p, full)
+    assert minrank_exact(g, p, floored, alpha(g)[0]) == res
+    assert floored.nodes <= full.nodes
+
+
+def test_the_search_stops_at_the_first_matrix_that_reaches_its_floor():
+    # the greedy cover has more classes than alpha = |{1, 2, 3}|, so the
+    # search runs; it finds a rank-3 matrix after 11 nodes and took 70 to
+    # prove it optimal
+    g = graph_from_edges(5, [(0, 1), (0, 3), (0, 4), (2, 4)])
+    assert alpha(g)[0] == 3 < len(greedy_clique_cover(g).classes)
+    full, floored = Budget(), Budget()
+    res = minrank_exact(g, 3, full)
+    assert minrank_exact(g, 3, floored, 3) == res and res.exact and res.upper == 3
+    assert (floored.nodes, full.nodes) == (11, 70)
 
 
 def test_minrank_interval_when_search_space_too_large():

@@ -26,6 +26,7 @@ from hfrac.errors import GuardExceeded, SearchCutoff, VerificationError
 from hfrac.fraccover import fractional_clique_cover
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import (
+    Graph,
     complete,
     cycle,
     empty,
@@ -378,10 +379,10 @@ def test_search_strong_square_uses_tensor_route():
     # blown-up covers (d = 2 each) reaches 25/4
     g = generate("strong(cycle:5,cycle:5)")
 
-    def cover_unless_square(h, budget=None):
+    def cover_unless_square(h, budget=None, stable=None):
         if h.n == 25:
             raise SearchCutoff("fraccover", 0, 0)
-        return fractional_clique_cover(h, budget)
+        return fractional_clique_cover(h, budget, stable)
 
     with mock.patch("hfrac.reps.fractional_clique_cover", cover_unless_square):
         report = hfrac_upper_search(g, 2)
@@ -417,19 +418,25 @@ def test_search_leaves_out_a_tensor_above_the_entry_cap(monkeypatch):
 
 
 def test_search_takes_alpha_once_and_each_factor_once():
-    for expr, vertices, searched in (
+    for g, interval, searched in (
         # above the minrank search cap at p = 2, so the minrank search stops
-        ("strong(cycle:5,cycle:5)", 25, ["strong(cycle:5,cycle:5)", "cycle:5"]),
+        (generate("strong(cycle:5,cycle:5)"), (5, F(25, 4)), ["strong(cycle:5,cycle:5)", "cycle:5"]),
         # the 25-vertex factor's own minrank search stops as well
-        ("strong(strong(cycle:5,cycle:5),complete:2)", 50,
+        (generate("strong(strong(cycle:5,cycle:5),complete:2)"), (5, F(25, 4)),
          ["strong(strong(cycle:5,cycle:5),complete:2)", "strong(cycle:5,cycle:5)", "cycle:5", "complete:2"]),
+        # names no automorphisms: its cover is three edges, against alpha's
+        # stable set, which the cover takes from the search
+        (Graph(cycle(6).matrix), (3, 3), [None]),
     ):
-        g = generate(expr)
+        # fraccover's own name too: the orbit cover searches the complement,
+        # and a second search of g itself would show
         with mock.patch("hfrac.independence.alpha", wraps=alpha) as alphas, \
+                mock.patch("hfrac.fraccover.alpha", wraps=alpha) as cover_alphas, \
                 mock.patch("hfrac.reps.minrank_exact", wraps=minrank_exact) as searches:
             report = hfrac_upper_search(g, 2)
-        assert (report.lower, report.upper) == (5, F(25, 4))
-        assert [call.args[0].n for call in alphas.call_args_list] == [vertices]
+        assert (report.lower, report.upper) == interval
+        searched_graphs = [call.args[0] for call in alphas.call_args_list + cover_alphas.call_args_list]
+        assert [h for h in searched_graphs if h == g] == [g]
         assert [call.args[0].expr for call in searches.call_args_list] == searched
 
 
