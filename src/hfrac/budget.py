@@ -34,9 +34,14 @@ class Budget:
     ``exhausted`` records whether any search it served was cut off.  A NaN
     or negative time and a negative node count are refused: a NaN would
     compare false and never trip.
+
+    A budget ``within`` another is an allowance: each node it counts is
+    charged to the outer budget too, after its own limits are checked.
+    Either one running out raises; only the one that ran out is marked
+    ``exhausted``.
     """
 
-    def __init__(self, ms: float | None = None, nodes: int | None = None):
+    def __init__(self, ms: float | None = None, nodes: int | None = None, within: "Budget | None" = None):
         if ms is not None and not ms >= 0:
             raise PreconditionError(f"time budget must be a nonnegative number of milliseconds, got {ms}")
         if nodes is not None and nodes < 0:
@@ -45,6 +50,7 @@ class Budget:
         self.max_nodes = nodes
         self.nodes = 0
         self.exhausted = False
+        self.within = within
         self._t0 = time.monotonic()
 
     @classmethod
@@ -62,3 +68,5 @@ class Budget:
             if (time.monotonic() - self._t0) * 1000.0 > self.ms:
                 self.exhausted = True
                 raise BudgetExhausted(f"time budget {self.ms} ms exhausted")
+        if self.within is not None:
+            self.within.spend()

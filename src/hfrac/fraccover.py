@@ -44,7 +44,8 @@ Any other graph first tries to close the cover with as many cliques as a
 stable set S has vertices: the caller's S when it has searched one, else
 alpha's under its own allowance of n nodes, then one DSATUR descent
 (``clique_cover_leq(g, |S|)``) under an allowance of 2n + 1 nodes.  Both
-allowances are counted apart from the caller's budget.  A partition of the
+allowances lie within the caller's budget: each node counts against both,
+and only the budget running out stops the cover.  A partition of the
 vertices into |S| cliques, each at weight 1, has value |S|, and y = 1 on S
 and 0 elsewhere is dual-feasible because no clique meets a stable set
 twice; so both are optimal, and the sandwich alpha <= Theta <= cover
@@ -185,22 +186,29 @@ def _orbit_cover(g: Graph, budget: Budget) -> FractionalCover | None:
     return cover
 
 
-def _integral_cover(g: Graph, stable: Sequence[int] | None) -> FractionalCover | None:
+def _integral_cover(g: Graph, stable: Sequence[int] | None, budget: Budget) -> FractionalCover | None:
     """A partition of g into |S| cliques, each at weight 1, for a stable
-    set S (the caller's, else alpha's under a node allowance of n), or None
-    when one DSATUR descent under an allowance of 2n + 1 nodes finds none.
-    Both allowances are counted apart from the caller's budget."""
+    set S (the caller's, else alpha's under an allowance of n nodes), or
+    None when one DSATUR descent under an allowance of 2n + 1 nodes finds
+    none.  Both allowances lie within the budget; when the budget runs out
+    first, BudgetExhausted propagates."""
     if stable is None:
+        allowance = Budget(nodes=g.n, within=budget)
         try:
-            _, stable = alpha(g, Budget(nodes=g.n))
+            _, stable = alpha(g, allowance)
         except SearchCutoff:
-            return None
+            if allowance.exhausted:
+                return None
+            raise BudgetExhausted("budget exhausted in the integral cover's alpha search") from None
     if not stable:
         return None
+    allowance = Budget(nodes=2 * g.n + 1, within=budget)
     try:
-        partition = clique_cover_leq(g, len(stable), Budget(nodes=2 * g.n + 1))
+        partition = clique_cover_leq(g, len(stable), allowance)
     except BudgetExhausted:
-        return None
+        if allowance.exhausted:
+            return None
+        raise
     if partition is None:
         return None
     classes = tuple(sorted((cl, F1) for cl in partition.classes))
@@ -252,8 +260,9 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None,
     stable set has vertices (``stable``, the caller's, if it has one), else
     column generation.
 
-    Under a budget, raises BudgetExhausted from a master pivot or the orbit
-    listing, or SearchCutoff from pricing or the clique search."""
+    Under a budget, raises BudgetExhausted from a master pivot, the orbit
+    listing or the integral step, or SearchCutoff from pricing or the
+    clique search."""
     if g.n == 0:
         return FractionalCover((), F0, 1)
     budget = budget or Budget()
@@ -261,4 +270,4 @@ def fractional_clique_cover(g: Graph, budget: Budget | None = None,
         cover = _orbit_cover(g, budget)
         if cover is not None:
             return cover
-    return _integral_cover(g, stable) or _master_cover(g, budget)
+    return _integral_cover(g, stable, budget) or _master_cover(g, budget)

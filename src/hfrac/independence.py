@@ -307,28 +307,18 @@ def clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -> CliqueCo
     stack: list[list[int]] = []  # per coloured vertex: [vertex, next colour to try, colours in use before it]
 
     def paint(v: int, c: int) -> None:
-        mine = members[c]
-        rest = comp[v]
-        while rest:  # the complement neighbours u of v, one bit at a time
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            if not comp[u] & mine:
+        for u in _bits(comp[v]):
+            if not comp[u] & members[c]:
                 score[u] += n
-        members[c] = mine | 1 << v
+        members[c] |= 1 << v
         colour[v] = c
         score[v] -= n * n
 
     def unpaint(v: int) -> None:
         c = colour[v]
-        mine = members[c] ^ 1 << v
-        members[c] = mine
-        rest = comp[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            if not comp[u] & mine:
+        members[c] ^= 1 << v
+        for u in _bits(comp[v]):
+            if not comp[u] & members[c]:
                 score[u] -= n
         colour[v] = -1
         score[v] += n * n

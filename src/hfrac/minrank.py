@@ -9,7 +9,7 @@ free entries depth first, row by row, in one explicit-stack loop.  It
 prunes with a block-triangular bound: the echelon rank of the assigned
 rows plus a greedy stable set among the columns they leave zero.  Above
 ``SEARCH_CAP`` assignments the search gets a fixed allowance of
-``ATTEMPT_NODES`` nodes, counted apart from the caller's budget.  It
+``ATTEMPT_NODES`` nodes within the caller's budget.  It
 returns its best checked certificate and whether it finished, and
 searches no lower end: each command picks its own.  The constructors
 build the classical certificates: set-incidence Gram matrices for the
@@ -212,20 +212,20 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None, floor: int = 0
     a finished search.
 
     If the assignment space p^(2|E|) exceeds ``SEARCH_CAP``, the search
-    may visit at most ``ATTEMPT_NODES`` nodes.  That allowance is its own
-    count: running out of it leaves ``budget.exhausted`` False.  When the
-    allowance or the budget runs out mid-search, the result is not exact
-    and its certificate, the greedy cover's or the search's incumbent,
-    only bounds the minimum fit rank from above; the caller picks the
-    lower end.
+    may visit at most ``ATTEMPT_NODES`` nodes, each charged to ``budget``
+    too.  Running out of the allowance leaves ``budget.exhausted`` False.
+    When the allowance or the budget runs out mid-search, the result is
+    not exact and its certificate, the greedy cover's or the search's
+    incumbent, only bounds the minimum fit rank from above; the caller
+    picks the lower end.
     """
     check_modulus(p)
     budget = budget or Budget()
     incumbent = cover_certificate(g, greedy_clique_cover(g), p)
     if incumbent.claimed_rank <= floor:
         return MinrankResult(incumbent, True)
-    # the search's own node count; Budget() without limits never trips
-    attempt = Budget(nodes=ATTEMPT_NODES) if p ** (2 * g.m) > SEARCH_CAP else Budget()
+    # the search's own node count, charged to the budget as well
+    attempt = Budget(nodes=ATTEMPT_NODES if p ** (2 * g.m) > SEARCH_CAP else None, within=budget)
 
     n = g.n
     adj = g.adj
@@ -266,7 +266,6 @@ def minrank_exact(g: Graph, p: int, budget: Budget | None = None, floor: int = 0
                 stack.pop()
                 continue
             attempt.spend()
-            budget.spend()
             del rows[v:], ech[depth:], piv[depth:]
             row = [0] * n
             row[v] = 1

@@ -19,7 +19,7 @@ from hfrac.fraccover import (
     fractional_clique_cover,
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
-from hfrac.independence import alpha
+from hfrac.independence import alpha, clique_cover_leq
 from hfrac.lp import CoveringMaster, simplex_solve
 from oracles import _master_lp, master_duals, maximal_cliques, random_graph
 
@@ -160,21 +160,52 @@ def test_the_integral_step_and_the_master_agree_with_the_full_lp(n, prob, seed):
 
 def test_a_bipartite_graph_is_closed_without_the_master():
     # a bipartite graph has a partition into alpha cliques (edges and
-    # vertices, by Koenig); the step's allowances are not the caller's budget
+    # vertices, by Koenig)
     rng = random.Random(33)
     for _ in range(20):
         n = rng.randint(2, 16)
         side = rng.randint(1, n - 1)
         g = graph_from_edges(n, [(u, v) for u in range(side) for v in range(side, n) if rng.random() < 0.4])
-        budget = Budget()
         with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
-            cover = fractional_clique_cover(g, budget)
-        assert masters.call_count == 0 and budget.nodes == 0
+            cover = fractional_clique_cover(g)
+        assert masters.call_count == 0
         assert cover.d == 1 and cover.value == alpha(g)[0] and cover_violation(g, cover) is None
     # the bare C5 has no partition into alpha = 2 cliques: the master solves it
     with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
         cover = fractional_clique_cover(Graph(cycle(5).matrix))
     assert masters.call_count == 1 and cover.value == F(5, 2)
+
+
+def _after_its_allowance(search):
+    """``search`` run on an allowance already spent to its limit."""
+    def run(g, *args):
+        allowance = args[-1]
+        for _ in range(allowance.max_nodes):
+            allowance.spend()
+        return search(g, *args)
+    return run
+
+
+def test_the_integral_step_spends_the_callers_budget():
+    # P6 closes at alpha = 3; alpha's search and the descent charge the
+    # caller's budget, and a budget that runs out during them stops the cover
+    g = graph_from_edges(6, [(v, v + 1) for v in range(5)])
+    budget = Budget()
+    assert fractional_clique_cover(g, budget).value == 3
+    assert 0 < budget.nodes <= 3 * g.n + 1 and not budget.exhausted
+    for nodes in range(budget.nodes):
+        small = Budget(nodes=nodes)
+        with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters, \
+                pytest.raises(BudgetExhausted):
+            fractional_clique_cover(g, small)
+        assert small.exhausted and masters.call_count == 0
+    # either allowance running out only hands the graph to the master
+    for target, search in (("hfrac.fraccover.alpha", alpha), ("hfrac.fraccover.clique_cover_leq", clique_cover_leq)):
+        budget = Budget()
+        with mock.patch(target, _after_its_allowance(search)), \
+                mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
+            assert fractional_clique_cover(g, budget).value == 3
+        assert masters.call_count == 1 and not budget.exhausted
 
 
 def test_cover_value_at_least_alpha():

@@ -281,7 +281,9 @@ def test_a_search_above_the_cap_is_exact_iff_it_finishes(gp, allowance):
     truth = minrank_bruteforce(g, p)
     assert truth <= res.upper
     assert res.certificate.claimed_rank == res.upper and res.certificate.check(g)
-    assert not budget.exhausted  # the allowance is not the caller's budget
+    # the allowance's nodes are charged to the caller's budget, which it
+    # does not mark exhausted
+    assert budget.nodes == min(full.nodes, allowance) and not budget.exhausted
     assert res.exact == (full.nodes <= allowance)
     assert not res.exact or res.upper == truth
 
