@@ -498,18 +498,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError, UnsupportedFamily) as exc:
+    except (UsageError, DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError,
+            UnsupportedFamily, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         # flushed here, where a closed stdout is caught, and not at exit,
         # where it would be a traceback on stderr and exit code 120

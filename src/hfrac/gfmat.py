@@ -23,7 +23,7 @@ no float32 array goes through integer division.  p itself always fits
 the storage dtype (p - 1 fits, and 2 is the only prime that is a power of
 two), so ``% p`` on a stored array stays in its dtype.  All elimination
 uses the deterministic first-nonzero pivot rule so that ranks and pivot
-selections are byte-for-byte reproducible.  Only prime moduli are
+columns are byte-for-byte reproducible.  Only prime moduli are
 supported; every construction downstream needs the field characteristic
 only, which prime fields realize.
 
@@ -33,9 +33,9 @@ columns a word; a pivot is found with an OR and a mask over one word
 column, and the column below it is cleared by one XOR of the pivot row's
 words from the pivot word on.  Every other prime runs ``_eliminate`` in
 its work dtype, which normalises each pivot row and subtracts multiples
-of it from the pivot column on.  Both pick the same (row, column) pivots
-and return only those, whose count ``rank`` takes; the echelon form never
-leaves the kernel, and nothing here reduces to RREF.
+of it from the pivot column on.  Both pick the same pivots and return only
+their columns, whose count ``rank`` takes; the echelon form never leaves
+the kernel, and nothing here reduces to RREF.
 
 A matrix built from outside data (``FMatrix(p, entries)``) has its modulus
 checked and its entries reduced.  The operations here build their results
@@ -183,26 +183,20 @@ class FMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "FMatrix":
         """Strict: p, rows and cols must be JSON integers, and the entries
-        exactly rows * cols integers in [0, p) (``from_entries``)."""
+        exactly rows * cols integers in [0, p) (``serialize.read_entries``).
+        The file is at fault for a modulus that is not an int64-safe prime,
+        so that is a ``VerificationError``.  The entries are copied when
+        they need another dtype or are a view of another array (as a
+        ``to_json`` dict's are); an array of the storage dtype that
+        ``load_json`` decoded has no other owner and is kept."""
         p, rows, cols = read_int(obj["p"], "p"), read_int(obj["rows"], "rows"), read_int(obj["cols"], "cols")
-        return cls.from_entries(p, rows, cols, obj["entries"])
-
-    @classmethod
-    def from_entries(cls, p: int, rows: int, cols: int, value) -> "FMatrix":
-        """The rows x cols matrix over GF(p) whose row-major entries a
-        certificate holds in ``value`` (``serialize.read_entries``).  The
-        file is at fault for a modulus that is not an int64-safe prime, so
-        that is a ``VerificationError``.  The entries are copied when they
-        need another dtype or are a view of another array (as a ``to_json``
-        dict's are); an array of the storage dtype that ``load_json``
-        decoded has no other owner and is kept."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix dimensions must be positive, got {rows}x{cols}")
         try:
             check_modulus(p)
         except (GuardExceeded, PreconditionError) as exc:
             raise VerificationError(f"certificate modulus: {exc}") from exc
-        entries = read_entries(value, rows * cols, p)
+        entries = read_entries(obj["entries"], rows * cols, p)
         entries = entries.astype(storage_dtype(p), copy=entries.base is not None)
         return cls._reduced(p, entries.reshape(rows, cols))
 
@@ -234,12 +228,12 @@ def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix._reduced(p, out)
 
 
-def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+def _eliminate(a: np.ndarray, p: int) -> list[int]:
     """Forward elimination on a copy of a, whose entries are in [0, p);
-    returns its pivots.
+    returns its pivot columns.
 
-    Pivots are (original_row, column) pairs in elimination order, chosen by
-    the first-nonzero rule.  The copy has the work dtype of the bound
+    Pivots are chosen by the first-nonzero rule; their columns come in
+    elimination order.  The copy has the work dtype of the bound
     (p-1)^2 + p (``PRODUCT_DTYPES``): float32 for p <= 4093, int64 above.
     Each pivot row is normalised and its multiples subtracted from the rows
     below, from the pivot column on (every remaining row is zero left of
@@ -249,9 +243,8 @@ def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
     """
     a = a.astype(_work_dtype((p - 1) ** 2 + p))
     rows, cols = a.shape
-    origin = list(range(rows))
     r = 0
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     for c in range(cols):
         nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
@@ -259,7 +252,6 @@ def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-            origin[r], origin[i] = origin[i], origin[r]
         pivot = a[r, c:]
         inv = pow(int(pivot[0]), -1, p)
         if inv != 1:
@@ -271,7 +263,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
             x = a[below, c:]
             x -= x[:, :1] * pivot
             a[below, c:] = _reduce(x, p)
-        pivots.append((origin[r], c))
+        pivots.append(c)
         r += 1
         if r == rows:
             break
@@ -287,9 +279,9 @@ def _pack_gf2(a: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _eliminate_gf2(a: np.ndarray) -> list[tuple[int, int]]:
-    """Forward elimination over GF(2) on packed rows; returns its pivots,
-    equal to ``_eliminate(a, 2)``'s.
+def _eliminate_gf2(a: np.ndarray) -> list[int]:
+    """Forward elimination over GF(2) on packed rows; returns its pivot
+    columns, equal to ``_eliminate(a, 2)``'s.
 
     The next pivot column is the lowest bit at or after the current column
     of the OR of the remaining rows' words, one word column at a time (so
@@ -300,8 +292,7 @@ def _eliminate_gf2(a: np.ndarray) -> list[tuple[int, int]]:
     """
     words = _pack_gf2(a)
     rows, nwords = words.shape
-    origin = list(range(rows))
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     r = w = b = 0  # next pivot row; current column 64w + b
     while r < rows and w < nwords:
         live = int(np.bitwise_or.reduce(words[r:, w])) >> b << b
@@ -314,16 +305,15 @@ def _eliminate_gf2(a: np.ndarray) -> list[tuple[int, int]]:
         i = r + int(hit[0])
         if i != r:
             words[[r, i]] = words[[i, r]]
-            origin[r], origin[i] = origin[i], origin[r]
         if hit.size > 1:
             words[r + hit[1:], w:] ^= words[r, w:]
-        pivots.append((origin[r], 64 * w + b))
+        pivots.append(64 * w + b)
         r += 1
         w, b = (w + 1, 0) if b == 63 else (w, b + 1)
     return pivots
 
 
-def _pivots(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+def _pivots(a: np.ndarray, p: int) -> list[int]:
     return _eliminate_gf2(a) if p == 2 else _eliminate(a, p)
 
 

@@ -21,11 +21,13 @@ never held whole.  It lifts each ``"entries":[...]`` digit run out of the text
 and decodes it with numpy (``decode_entries``) as the blocks arrive, the
 whole fields of each block straight into the list's array and the field
 cut at a block's edge carried to the next; ``json.loads`` then reads the
-rest.  A one-digit entry and the byte after it are one little-endian
-uint16 word both ways: the writer makes each chunk with one ``np.add``
-of the values to the word of ``"0,"``, and the reader
-checks and decodes a one-digit list word by word, with no comma count,
-into uint8 entries; a list with a longer entry comes back as int64.
+rest.  A marker whose quote follows a backslash stays in the text: a JSON
+key's quote follows ``{``, ``,`` or whitespace, so that marker is inside a
+key or a string, or the text is no JSON.  A one-digit entry and the byte
+after it are one little-endian uint16 word both ways: the writer makes
+each chunk with one ``np.add`` of the values to the word of ``"0,"``, and
+the reader checks and decodes a one-digit list word by word, with no comma
+count, into uint8 entries; a list with a longer entry comes back as int64.
 The reader accepts only what the writer produces: digits and commas, no
 empty field, no leading zero.  ``read_entries`` then checks the count
 (rows * cols) and the range [0, p) of an array of any integer dtype.  A
@@ -101,7 +103,7 @@ _CHUNK = 1 << 16
 # A decimal field of at most 18 digits fits int64; every modulus FMatrix
 # accepts is below 2^32, so no entry needs more.
 _MAX_DIGITS = 18
-_COMMA, _ZERO, _BACKSLASH = ord(","), ord("0"), ord("\\")
+_COMMA, _ZERO = ord(","), ord("0")
 # The word of "0,": added to a digit's value it gives the word of the
 # digit and its comma, and taken from that word it leaves the value.
 _DIGIT_COMMA = np.uint16(_ZERO | _COMMA << 8)
@@ -371,22 +373,6 @@ def _size_hint(source) -> int:
         return 0
 
 
-def _escaped(buf: bytearray, at: int, text: bytearray) -> bool:
-    """Whether the quote at ``buf[at]`` is escaped, that is, has an odd run
-    of backslashes before it; a run that reaches the front of ``buf`` goes
-    on at the end of ``text``, the document read before it."""
-    back = at
-    while back > 0 and buf[back - 1] == _BACKSLASH:
-        back -= 1
-    run = at - back
-    if back == 0:
-        back = len(text)
-        while back > 0 and text[back - 1] == _BACKSLASH:
-            back -= 1
-        run += len(text) - back
-    return run % 2 == 1
-
-
 def _extend(values: np.ndarray | None, filled: int, data: bytearray, start: int, stop: int,
             room: int) -> tuple[np.ndarray, int]:
     """Decode the whole fields of ``data[start:stop]``, a piece of an
@@ -423,9 +409,10 @@ def load_json(source: BinaryIO | bytes | str):
     ``io.BytesIO``), read into one reused buffer at most ``_BLOCK`` bytes at
     a time.  The file's size, where ``fstat`` knows it, sizes the buffer (a
     file that fits is read at once) and the arrays.  Each
-    ``"entries":[`` whose quote is not escaped (an even run of backslashes
-    before it) is a key, so the digits up to the next ``]`` are lifted out
-    and replaced by their index; the object hook puts the arrays back.  A
+    ``"entries":[`` whose quote does not follow a backslash (at the front
+    of the buffer, the text's last byte) is a key, as no key's quote
+    follows one, so the digits up to the next ``]`` are lifted out and
+    replaced by their index; the object hook puts the arrays back.  A
     list that ends in the block it starts in is decoded in one call; one
     that runs on is decoded piece by piece, each block's whole fields
     straight into its array, and the field cut at the block's edge is
@@ -463,8 +450,9 @@ def load_json(source: BinaryIO | bytes | str):
                     text += view[lo:cut]
                     lo = cut
                     break
-                if (at == 0 or buf[at - 1] == _BACKSLASH) and _escaped(buf, at, text):
-                    search = at + 1
+                # the byte before the marker; at the front of buf, the text's last
+                if (buf[at - 1:at] or text[-1:]) == b"\\":
+                    search = at + 1  # inside a key or a string
                     continue
                 text += view[lo:at + len(_ENTRIES) - 1]
                 text += b"%d" % len(arrays)

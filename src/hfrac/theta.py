@@ -30,21 +30,6 @@ _TOL = 1e-9
 # Closed forms and the exact LP
 
 
-def circulant_eigenvalues(n: int, connection: set[int]) -> list[float]:
-    offs = {s % n for s in connection}
-    offs = {min(s, n - s) for s in offs}
-    lams = []
-    for j in range(n):
-        lam = 0.0
-        for s in offs:
-            if 2 * s == n:
-                lam += cos(pi * j)
-            else:
-                lam += 2.0 * cos(2.0 * pi * j * s / n)
-        lams.append(lam)
-    return lams
-
-
 def theta_circulant(n: int, connection: set[int] | frozenset[int]) -> float:
     """theta = n(-lam_min)/(lam_max - lam_min) for vertex- and
     edge-transitive circulants.
@@ -63,7 +48,12 @@ def theta_circulant(n: int, connection: set[int] | frozenset[int]) -> float:
         raise UnsupportedFamily(
             f"connection set {sorted(offs)} is not a supported edge-transitive family"
         )
-    lams = circulant_eigenvalues(n, offs)
+    lams = []
+    for j in range(n):
+        lam = 0.0
+        for s in offs:
+            lam += cos(pi * j) if 2 * s == n else 2.0 * cos(2.0 * pi * j * s / n)
+        lams.append(lam)
     lam_max, lam_min = max(lams), min(lams)
     return n * (-lam_min) / (lam_max - lam_min)
 

@@ -152,7 +152,7 @@ def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:
     (u, v) of M is A_uᵀ X_v; no solve is needed to use that.  Each A_v is
     rank(M) x d."""
     m = rep.matrix
-    ct = m.a[:, [c for _, c in _pivots(m.a, m.p)]].T
+    ct = m.a[:, _pivots(m.a, m.p)].T
     return tuple(FMatrix(m.p, ct[:, v * rep.d:(v + 1) * rep.d]) for v in range(rep.nvertices))
 
 
@@ -178,16 +178,15 @@ def subspace_violation(g: Graph, bases, d: int) -> str | None:
     return None
 
 
-def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
+def int64_eliminate(a: np.ndarray, p: int) -> list[int]:
     """Forward elimination over GF(p) on an int64 copy of a, every row
-    updated whole and reduced with ``%``; returns the (original_row,
-    column) pivots in elimination order, by the first-nonzero rule."""
+    updated whole and reduced with ``%``; returns the pivot columns in
+    elimination order, by the first-nonzero rule."""
     a = a.astype(np.int64)
     a %= p
     rows, cols = a.shape
-    origin = list(range(rows))
     r = 0
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     for c in range(cols):
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -195,14 +194,13 @@ def int64_eliminate(a: np.ndarray, p: int) -> list[tuple[int, int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-            origin[r], origin[i] = origin[i], origin[r]
         inv = pow(int(a[r, c]), -1, p)
         a[r] = a[r] * inv % p
         below = np.nonzero(a[r + 1:, c])[0]
         if below.size:
             idx = below + r + 1
             a[idx] = (a[idx] - a[idx, c:c + 1] * a[r]) % p
-        pivots.append((origin[r], c))
+        pivots.append(c)
         r += 1
         if r == rows:
             break

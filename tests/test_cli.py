@@ -859,6 +859,34 @@ def test_verify_takes_a_cover_for_the_hfrac_upper_end_alone(tmp_path, capsys, pa
     assert run(capsys, "verify", "--cert", str(path)) == want
 
 
+_C5_DREP = ("certify", "--kind", "cycle-drep", "--k", "2", "--p", "2")
+
+
+@pytest.mark.parametrize("param, lower, upper, argv, reason", [
+    # {0, 2} attains 2, not 3
+    ("alpha", "3", "3", None, "independent_set witness does not attain the reported lower bound"),
+    # the fit that minrank prints has rank 3, not 2
+    ("minrank[gf(2)]", "2", "2", ("minrank", "--graph", "cycle:5", "--p", "2", "--json"),
+     "fit witness does not attain the reported upper bound"),
+    # the block representation's ratio is 5/2, above 3/2 and below 3
+    ("hfrac[gf(2)]", "1", "3/2", _C5_DREP, "drep witness does not attain the reported upper bound"),
+    ("hfrac[gf(2)]", "1", "3", _C5_DREP, "drep witness does not attain the reported upper bound"),
+], ids=["independent-set-below-lower", "fit-above-upper", "drep-above-upper", "drep-below-upper"])
+def test_verify_refuses_a_witness_that_does_not_attain_its_end(tmp_path, capsys, param, lower, upper, argv,
+                                                               reason):
+    witness = {"kind": "independent_set", "vertices": [0, 2]}
+    if argv is not None:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        witness = doc["witness_refs"][-1] if "witness_refs" in doc else doc
+        witness.pop("graph", None)
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json({"param": param, "graph": "cycle:5", "lower": lower, "upper": upper,
+                                    "witness_refs": [witness]}))
+    assert run(capsys, "verify", "--cert", str(path)) == (2, f"FAIL: {reason}\n", "")
+
+
 # SHA-256 of ``certify --out`` files as written before GF(2) elimination
 # moved to packed rows and tensoring to one broadcast multiply: the
 # certificate bytes must not depend on the kernels that build them.

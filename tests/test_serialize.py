@@ -191,10 +191,14 @@ def test_reader_lifts_every_entries_key():
     '{"entries": [1]}', '{"entries":null}', '{"entries":7}', '{"entr\\u0069es":0}',
     '{"entries":[1],"k":{"entr\\u0069es":0}}', '{"entries":[1,2', '{"kind":"drep"',
     b'{"graph":"\xff"}',
+    '{"a\\\\"entries":[1,2]}',  # an even run closes the key a\ and leaves entries":[ outside it
 ])
 def test_reader_rejects_every_other_entries_form(text):
     with pytest.raises(VerificationError):
         load_json(text)
+    for block in _BLOCKS:
+        with mock.patch.object(serialize, "_BLOCK", block), pytest.raises(VerificationError):
+            load_json(text)
 
 
 @st.composite
@@ -422,7 +426,7 @@ def test_reader_reads_every_certificate_kind_alike_in_any_blocks(tmp_path, argv)
 
 
 def test_lists_that_run_across_blocks_are_read_into_arrays_that_own_their_memory():
-    # FMatrix.from_entries keeps such an array rather than copying it
+    # FMatrix.from_json keeps such an array rather than copying it
     ones, wide = np.arange(40) % 10, np.arange(30) * 7  # the second is widened at 14
     with mock.patch.object(serialize, "_BLOCK", 8):
         got = load_json(canonical_json({"entries": ones, "sub": {"entries": wide}}))

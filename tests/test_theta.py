@@ -39,6 +39,52 @@ def test_theta_complete_circulant_is_one():
         assert abs(theta_circulant(n, set(range(1, n // 2 + 1))) - 1.0) <= 1e-9
 
 
+# The repr that ``theta-circulant`` prints, pinned bit for bit: every
+# cover-lp op (odd cycles 5-21, offset 1), single offsets (a half offset,
+# offsets sharing a factor with n, unreduced ones) and complete connection
+# sets, written as offsets up to n/2 and as all of 1..n-1.
+PINNED_THETA = [
+    (5, (1,), "2.2360679774997902"),
+    (7, (1,), "3.317667207394096"),
+    (9, (1,), "4.360089581434065"),
+    (11, (1,), "5.386302911967422"),
+    (13, (1,), "6.404168562937426"),
+    (15, (1,), "7.41714824796913"),
+    (17, (1,), "8.42701431365362"),
+    (19, (1,), "9.434771374446237"),
+    (21, (1,), "10.441032528715002"),
+    (6, (3,), "3.0"),
+    (8, (3,), "4.0"),
+    (9, (2,), "4.360089581434066"),
+    (10, (5,), "5.0"),
+    (12, (4,), "4.00000000000001"),
+    (15, (7,), "7.417148247969133"),
+    (20, (10,), "10.0"),
+    (25, (12,), "12.45052180805453"),
+    (31, (5,), "15.460134989047601"),
+    (39, (13,), "13.000000000000117"),
+    (40, (7,), "20.0"),
+    (40, (20,), "20.0"),
+    (7, (6,), "3.317667207394096"),
+    (11, (-3,), "5.386302911967422"),
+    (3, (1,), "1.0000000000000007"),
+    (4, (1, 2), "1.0000000000000004"),
+    (6, range(1, 4), "1.0000000000000004"),
+    (9, range(1, 5), "1.000000000000005"),
+    (10, range(1, 6), "1.0000000000000029"),
+    (17, range(1, 9), "1.000000000000011"),
+    (25, range(1, 13), "1.000000000000031"),
+    (40, range(1, 21), "1.0000000000001052"),
+    (9, range(1, 9), "1.000000000000005"),
+    (40, range(1, 40), "1.0000000000001052"),
+]
+
+
+@pytest.mark.parametrize("n, offsets, text", PINNED_THETA)
+def test_theta_circulant_is_pinned_bit_for_bit(n, offsets, text):
+    assert repr(theta_circulant(n, set(offsets))) == text
+
+
 def test_theta_circulant_rejects_unsupported_families():
     with pytest.raises(UnsupportedFamily):
         theta_circulant(7, {1, 2})
