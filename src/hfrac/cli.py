@@ -27,8 +27,12 @@ Every kind is checked in exact arithmetic; any other kind, a float one
 included, fails as unknown.  Certificates carry no graph; the commands
 that write one add the ``"graph"`` expression to the document.
 
-The argument parser is built once per process, on the first ``main``
-call, so a caller that runs ``main`` in a loop pays for it once.
+Each command's argument parser is built on that command's first call and
+reused, so a caller that runs ``main`` in a loop pays for it once.  The
+whole tree of commands (one table, ``_COMMANDS``, gives each command's
+help, options and handler) is built only for an argv that names no
+command, such as ``hfrac`` or ``hfrac -h``, which prints the help or a
+usage error.
 """
 
 from __future__ import annotations
@@ -106,64 +110,38 @@ def _milliseconds(text: str) -> float:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--budget-ms", type=_milliseconds, default=None,
+def _shared_parser() -> _Parser:
+    """The options every command takes, as a parent parser."""
+    shared = _Parser(add_help=False)
+    shared.add_argument("--json", action="store_true", help="canonical JSON output")
+    shared.add_argument("--budget-ms", type=_milliseconds, default=None,
                         help=f"search budget in ms (default: ${BUDGET_ENV_VAR})")
-    common.add_argument("--max-vertices", type=_natural, default=DEFAULT_MAX_VERTICES,
+    shared.add_argument("--max-vertices", type=_natural, default=DEFAULT_MAX_VERTICES,
                         help="vertex-count guard for generated graphs")
+    return shared
+
+
+def _add_options(parser: _Parser, name: str) -> _Parser:
+    for flag, kwargs in _COMMANDS[name].options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command: what its subparser in the whole tree
+    would be, with the same prog, help and messages."""
+    return _add_options(_Parser(prog=f"hfrac {name}", parents=[_shared_parser()]), name)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The whole tree of commands, for an argv that names none: it prints
+    the help or the usage error."""
+    parser = _Parser(prog="hfrac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("alpha", parents=[common], help="exact independence number")
-    p.add_argument("--graph", required=True)
-
-    p = sub.add_parser("cover", parents=[common], help="partition into at most k cliques")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_natural, required=True)
-
-    p = sub.add_parser("fracchrom", parents=[common], help="exact fractional clique cover value")
-    p.add_argument("--graph", required=True)
-
-    p = sub.add_parser("minrank", parents=[common], help="minimum fit-matrix rank over GF(p)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--p", type=_natural, required=True)
-
-    p = sub.add_parser("hfrac", parents=[common], help="certified interval for the fractional minrank bound")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--p", type=_natural, required=True)
-
-    p = sub.add_parser("theta-circulant", parents=[common], help="closed-form theta for circulants")
-    p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--connection", default="1", help="comma-separated offsets (default 1)")
-
-    p = sub.add_parser("theta-lp", parents=[common], help="exact theta of the (p+1)-subset graph")
-    p.add_argument("--p", type=_natural, required=True)
-    p.add_argument("--n", type=_natural, required=True)
-
-    p = sub.add_parser("certify", parents=[common], help="construct a certificate file")
-    p.add_argument("--kind", required=True, choices=["johnson", "alon", "cover", "cycle-drep"])
-    p.add_argument("--p", type=_natural)
-    p.add_argument("--q", type=_natural)
-    p.add_argument("--n", type=_natural)
-    p.add_argument("--k", type=_natural)
-    p.add_argument("--graph")
-    p.add_argument("--variant", choices=["P", "Q", "R"])
-    p.add_argument("--modulus", type=_natural)
-    p.add_argument("--power", type=_natural, default=1, help="tensor power (cycle-drep only)")
-    p.add_argument("--out", help="write the certificate here instead of stdout")
-
-    p = sub.add_parser("verify", parents=[common], help="re-verify a certificate file")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--graph", help="overrides the expression embedded in the certificate")
-
-    p = sub.add_parser("generate", parents=[common], help="emit a graph in text format")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-
-    sub.add_parser("reproduce", parents=[common], help="run the full claim suite")
-
+    for name, command in _COMMANDS.items():
+        _add_options(sub.add_parser(name, parents=[_shared_parser()], help=command.help), name)
     return parser
 
 
@@ -478,26 +456,58 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
-_HANDLERS = {
-    "alpha": _cmd_alpha,
-    "cover": _cmd_cover,
-    "fracchrom": _cmd_fracchrom,
-    "minrank": _cmd_minrank,
-    "hfrac": _cmd_hfrac,
-    "theta-circulant": _cmd_theta_circulant,
-    "theta-lp": _cmd_theta_lp,
-    "certify": _cmd_certify,
-    "verify": _cmd_verify,
-    "generate": _cmd_generate,
-    "reproduce": _cmd_reproduce,
+class _Command(NamedTuple):
+    run: Callable  # the parsed arguments -> the exit code
+    help: str
+    options: tuple = ()  # (flag, add_argument keywords) beyond the shared ones
+
+
+_GRAPH = ("--graph", {"required": True})
+_P = ("--p", {"type": _natural, "required": True})
+_N = ("--n", {"type": _natural, "required": True})
+
+_COMMANDS = {
+    "alpha": _Command(_cmd_alpha, "exact independence number", (_GRAPH,)),
+    "cover": _Command(_cmd_cover, "partition into at most k cliques",
+                      (_GRAPH, ("--k", {"type": _natural, "required": True}))),
+    "fracchrom": _Command(_cmd_fracchrom, "exact fractional clique cover value", (_GRAPH,)),
+    "minrank": _Command(_cmd_minrank, "minimum fit-matrix rank over GF(p)", (_GRAPH, _P)),
+    "hfrac": _Command(_cmd_hfrac, "certified interval for the fractional minrank bound", (_GRAPH, _P)),
+    "theta-circulant": _Command(_cmd_theta_circulant, "closed-form theta for circulants",
+                                (_N, ("--connection", {"default": "1",
+                                                       "help": "comma-separated offsets (default 1)"}))),
+    "theta-lp": _Command(_cmd_theta_lp, "exact theta of the (p+1)-subset graph", (_P, _N)),
+    "certify": _Command(_cmd_certify, "construct a certificate file", (
+        ("--kind", {"required": True, "choices": ["johnson", "alon", "cover", "cycle-drep"]}),
+        ("--p", {"type": _natural}),
+        ("--q", {"type": _natural}),
+        ("--n", {"type": _natural}),
+        ("--k", {"type": _natural}),
+        ("--graph", {}),
+        ("--variant", {"choices": ["P", "Q", "R"]}),
+        ("--modulus", {"type": _natural}),
+        ("--power", {"type": _natural, "default": 1, "help": "tensor power (cycle-drep only)"}),
+        ("--out", {"help": "write the certificate here instead of stdout"}),
+    )),
+    "verify": _Command(_cmd_verify, "re-verify a certificate file", (
+        ("--cert", {"required": True}),
+        ("--graph", {"help": "overrides the expression embedded in the certificate"}),
+    )),
+    "generate": _Command(_cmd_generate, "emit a graph in text format", (_GRAPH, ("--out", {}))),
+    "reproduce": _Command(_cmd_reproduce, "run the full claim suite"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        if argv and argv[0] in _COMMANDS:
+            name = argv[0]
+            args = _command_parser(name).parse_args(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
+            name = args.command
+        return _COMMANDS[name].run(args)
     except (UsageError, DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError,
             UnsupportedFamily, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"usage error: {exc}", file=sys.stderr)

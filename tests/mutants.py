@@ -24,6 +24,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _ATTAIN = "tests/test_cli.py::test_verify_refuses_a_witness_that_does_not_attain_its_end"
+_GATE = "tests/test_cli.py::test_a_rejecting_exact_gate_exits_2"
 
 # (file, line, replacement, selectors)
 MUTANTS = [
@@ -49,6 +50,21 @@ MUTANTS = [
      'if (buf[at - 1:at] or text[-1:]) == b"\\\\":',
      'if buf[at - 1:at] == b"\\\\":',
      ["tests/test_serialize.py::test_reader_does_not_depend_on_where_the_blocks_end"]),
+    # the integral cover's gate forgets that its stable set is independent
+    ("fraccover.py",
+     "failure = cover_violation(g, cover) or independent_set_violation(g, stable)",
+     "failure = cover_violation(g, cover)",
+     [f"{_GATE}[fractional_clique_cover_integral_stable]"]),
+    # ... or that the stable set has one vertex per clique
+    ("fraccover.py",
+     "if failure is None and len(stable) != len(classes):",
+     "if False:",
+     [f"{_GATE}[fractional_clique_cover_integral]"]),
+    # the integral step descends again at a size that already failed
+    ("fraccover.py",
+     "if len(stable) <= len(greedy):",
+     "if len(stable) < len(greedy):",
+     ["tests/test_fraccover.py::test_a_set_of_alphas_no_larger_than_the_greedy_set_is_not_descended_on"]),
 ]
 
 

@@ -8,10 +8,12 @@ from itertools import combinations
 import numpy as np
 
 from hfrac.budget import Budget
-from hfrac.errors import DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError, VerificationError
+from hfrac.errors import (BudgetExhausted, DimensionMismatch, GraphParseError, GuardExceeded, PreconditionError,
+                          SearchCutoff, VerificationError)
+from hfrac.fraccover import FractionalCover, _master_cover
 from hfrac.gfmat import FMatrix, _pivots, rank
 from hfrac.graphs import Graph, graph_from_edges
-from hfrac.independence import CliqueCover
+from hfrac.independence import CliqueCover, alpha, clique_cover_leq
 from hfrac.lp import (
     F0,
     F1,
@@ -143,6 +145,34 @@ def recursive_clique_cover_leq(g: Graph, k: int, budget: Budget | None = None) -
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     return CliqueCover(tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items())))
+
+
+def min_degree_stable_set(g: Graph) -> tuple[int, ...]:
+    """``independence.greedy_stable_set`` over vertex sets: take the lowest
+    vertex of least degree among those left, drop it and its neighbours."""
+    left = set(range(g.n))
+    chosen = []
+    while left:
+        v = min(left, key=lambda u: (sum(1 for w in left if g.adj[u] >> w & 1), u))
+        chosen.append(v)
+        left -= {v, *(w for w in left if g.adj[v] >> w & 1)}
+    return tuple(sorted(chosen))
+
+
+def alpha_first_fractional_clique_cover(g: Graph) -> FractionalCover:
+    """``fraccover.fractional_clique_cover`` with no caller set, on a graph
+    with vertices and no named automorphisms, as its integral step ran
+    before the greedy stable set: alpha's set under an allowance of n
+    nodes, then one DSATUR descent at its size under 2n + 1 nodes, else the
+    master."""
+    try:
+        _, stable = alpha(g, Budget(nodes=g.n))
+        partition = clique_cover_leq(g, len(stable), Budget(nodes=2 * g.n + 1))
+    except (BudgetExhausted, SearchCutoff):
+        partition = None
+    if partition is None:
+        return _master_cover(g, Budget())
+    return FractionalCover(tuple(sorted((cl, F1) for cl in partition.classes)), Fraction(len(partition)), 1)
 
 
 def drep_column_factors(rep: DRep) -> tuple[FMatrix, ...]:

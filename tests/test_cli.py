@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,7 +29,7 @@ from hfrac.errors import PreconditionError, VerificationError
 from hfrac.fraccover import fractional_clique_cover
 from hfrac.gfmat import KRON_ENTRY_CAP, FMatrix, rank
 from hfrac.graphs import Graph, format_graph, generate, write_graph_file
-from hfrac.independence import CliqueCover, alpha, clique_cover_leq
+from hfrac.independence import CliqueCover, alpha, clique_cover_leq, greedy_stable_set
 from hfrac.lp import LinearProgram, simplex_solve
 from hfrac.minrank import FitCertificate, graph_hash, minrank_exact
 from hfrac.reproduce import CLAIMS
@@ -533,21 +534,110 @@ def test_main_calls_in_one_process_do_not_leak_options(tmp_path, capsys, monkeyp
 
 
 def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a command builds the shared options and its own parser on its first
+    # call, and nothing on a second call or on one that fails on its
+    # graph; only an argv that names no command builds the whole tree
     built = []
     init = cli._Parser.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cli._build_parser.cache_clear()
+    for cached in (cli._shared_parser, cli._command_parser, cli._build_parser):
+        cached.cache_clear()
     assert run(capsys, "alpha", "--graph", "cycle:5")[0] == 0
-    first = len(built)
-    assert first > 1  # the top parser, the shared options and each subcommand
-    assert run(capsys, "fracchrom", "--graph", "cycle:7")[0] == 0
+    assert built == [None, "hfrac alpha"]  # the shared options, then alpha's own
+    assert run(capsys, "alpha", "--graph", "cycle:5")[0] == 0
     assert run(capsys, "alpha", "--graph", "nonsense:5")[0] == 64
-    assert len(built) == first
+    assert built == [None, "hfrac alpha"]
+    assert run(capsys, "fracchrom", "--graph", "cycle:7")[0] == 0
+    assert built == [None, "hfrac alpha", "hfrac fracchrom"]
+    assert run(capsys, "nope")[0] == 64
+    assert built[3:] == ["hfrac", *(f"hfrac {name}" for name in cli._COMMANDS)]
+    with pytest.raises(SystemExit) as stop:
+        main(["-h"])
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: hfrac [-h]")
+    assert len(built) == 4 + len(cli._COMMANDS)
+
+
+def _subparser(name: str):
+    tree = cli._build_parser()
+    return next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_a_commands_own_parser_has_its_subparsers_help(name):
+    assert cli._command_parser(name).format_help() == _subparser(name).format_help()
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace, the usage error's message,
+    or the exit code with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return "namespace", vars(parse(argv))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+# Help, bad and borderline command lines that name a command: abbreviated,
+# joined, repeated and unknown options, "--", missing values, bad choices
+# and integers, extra positionals
+_COMMAND_LINES = [
+    ["alpha", "-h"],
+    ["certify", "--help"],
+    ["hfrac", "--graph", "cycle:5", "--p", "2", "-h"],
+    ["alpha"],
+    ["alpha", "--graph"],
+    ["verify", "--cert"],
+    ["alpha", "--gra", "cycle:5"],
+    ["alpha", "--j", "--graph", "cycle:5"],
+    ["alpha", "--graph=cycle:5"],
+    ["alpha", "--", "--graph", "cycle:5"],
+    ["alpha", "--graph", "cycle:5", "--"],
+    ["alpha", "--graph", "-1"],
+    ["fracchrom", "--graph", "cycle:5", "--graph", "cycle:7", "--json", "--json"],
+    ["certify", "--kind", "bogus"],
+    ["certify", "--kind", "alon", "--variant", "S"],
+    ["cover", "--graph", "cycle:5", "--k", "x"],
+    ["minrank", "--graph", "cycle:5", "--p", "-2"],
+    ["alpha", "--graph", "cycle:5", "--budget-ms", "-1"],
+    ["alpha", "--graph", "cycle:5", "--max-vertices", "1e3"],
+    ["alpha", "--graph", "cycle:5", "extra"],
+    ["reproduce", "extra"],
+    ["alpha", "--graph", "cycle:5", "--unknown"],
+    ["theta-circulant", "--n", "7"],
+    ["certify", "--kind", "cycle-drep", "--k", "2", "--p", "2", "--power"],
+]
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_a_commands_own_parser_parses_as_the_tree_does(argv):
+    tree = _parse_outcome(cli._build_parser().parse_args, argv)
+    own = _parse_outcome(cli._command_parser(argv[0]).parse_args, argv[1:])
+    if own[0] == "namespace":
+        own = "namespace", {"command": argv[0], **own[1]}
+    assert own == tree
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nope"], ["ALPHA", "--graph", "cycle:5"],
+                                  ["--json", "alpha", "--graph", "cycle:5"],
+                                  ["--", "alpha", "--graph", "cycle:5"]], ids=" ".join)
+def test_a_command_line_that_names_no_command_goes_to_the_tree(argv):
+    def through_main(argv):
+        code = main(argv)
+        raise SystemExit(code)
+
+    outcome = _parse_outcome(through_main, argv)
+    tree = _parse_outcome(cli._build_parser().parse_args, argv)
+    if tree[0] == "usage error":
+        tree = "exit", 64, "", f"usage error: {tree[1]}\n"
+    assert outcome == tree
 
 
 def _singleton_cover(g):
@@ -563,13 +653,19 @@ def _one_clique_more(g, k, budget=None):
     return clique_cover_leq(g, k + 1, budget)
 
 
+def _greedy_one_vertex_short(g):
+    return greedy_stable_set(g)[1:]
+
+
 # Each exact gate: a command that reaches it, and the checker patches that
 # make the gate reject.  ``{tmp}/cycle5.txt`` is a file copy of cycle:5,
 # which names no automorphisms and has no partition into alpha = 2
 # cliques, so fracchrom solves it by the master; on cycle:5 itself
 # fracchrom takes the orbit cover and its gate.  The file copy of cycle:6
-# is partitioned into alpha = 3 edges, and its gate is made to reject by a
-# stable set one vertex short.  The minrank search's final gate is reached by
+# is partitioned into alpha = 3 edges (its greedy stable set {0, 2, 4} is
+# maximum), and its gate is made to reject by a stable set one vertex
+# short, from the greedy step or from alpha, or by three vertices that are
+# not independent.  The minrank search's final gate is reached by
 # starting it from the singleton cover, so that it finds a better matrix
 # after the incumbent's own fit check passed.  The ``*_rank`` gates check
 # what the rank kernel returns, so a lying ``rank`` must make them reject;
@@ -603,8 +699,13 @@ EXACT_GATES = {
     "fractional_clique_cover_orbit": (["fracchrom", "--graph", "cycle:5"],
                                       [("hfrac.fraccover.cover_violation", {"return_value": "planted defect"})]),
     "fractional_clique_cover_integral": (["fracchrom", "--graph", "file:{tmp}/cycle6.txt"],
-                                         [("hfrac.fraccover.alpha", {"side_effect": _one_vertex_short}),
+                                         [("hfrac.fraccover.greedy_stable_set",
+                                           {"side_effect": _greedy_one_vertex_short}),
+                                          ("hfrac.fraccover.alpha", {"side_effect": _one_vertex_short}),
                                           ("hfrac.fraccover.clique_cover_leq", {"side_effect": _one_clique_more})]),
+    "fractional_clique_cover_integral_stable": (["fracchrom", "--graph", "file:{tmp}/cycle6.txt"],
+                                                [("hfrac.fraccover.greedy_stable_set",
+                                                  {"return_value": (0, 1, 3)})]),
 }
 
 

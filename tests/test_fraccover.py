@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -19,9 +20,10 @@ from hfrac.fraccover import (
     fractional_clique_cover,
 )
 from hfrac.graphs import Graph, complete, cycle, generate, graph_from_edges
-from hfrac.independence import alpha, clique_cover_leq
+from hfrac.independence import alpha, clique_cover_leq, greedy_stable_set, independent_set_violation
 from hfrac.lp import CoveringMaster, simplex_solve
-from oracles import _master_lp, master_duals, maximal_cliques, random_graph
+from oracles import (_master_lp, alpha_first_fractional_clique_cover, master_duals, maximal_cliques,
+                     min_degree_stable_set, random_graph)
 
 
 def full_lp_cover_value(g: Graph) -> F:
@@ -176,36 +178,104 @@ def test_a_bipartite_graph_is_closed_without_the_master():
     assert masters.call_count == 1 and cover.value == F(5, 2)
 
 
-def _after_its_allowance(search):
-    """``search`` run on an allowance already spent to its limit."""
+def _after_its_allowance(search, spent=(0,)):
+    """``search`` run on an allowance already spent to its limit on the
+    calls numbered in ``spent``, counting from 0."""
+    calls = itertools.count()
+
     def run(g, *args):
         allowance = args[-1]
-        for _ in range(allowance.max_nodes):
-            allowance.spend()
+        if next(calls) in spent:
+            for _ in range(allowance.max_nodes):
+                allowance.spend()
         return search(g, *args)
     return run
 
 
+# Its greedy stable set is {0, 2}, with no partition into two cliques;
+# alpha is 3 ({3, 4, 5}), and {0, 1, 3} {2, 4} {5} is a partition into 3
+_GREEDY_SHORT = graph_from_edges(6, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
+
+
 def test_the_integral_step_spends_the_callers_budget():
-    # P6 closes at alpha = 3; alpha's search and the descent charge the
-    # caller's budget, and a budget that runs out during them stops the cover
-    g = graph_from_edges(6, [(v, v + 1) for v in range(5)])
+    # the greedy set's descent, alpha's search and the descent at alpha
+    # charge the caller's budget, and a budget that runs out during any of
+    # them stops the cover
+    g = _GREEDY_SHORT
+    assert greedy_stable_set(g) == (0, 2) and alpha(g)[0] == 3
     budget = Budget()
-    assert fractional_clique_cover(g, budget).value == 3
-    assert 0 < budget.nodes <= 3 * g.n + 1 and not budget.exhausted
+    with mock.patch("hfrac.fraccover.clique_cover_leq", wraps=clique_cover_leq) as descents:
+        assert fractional_clique_cover(g, budget).value == 3
+    assert [call.args[1] for call in descents.call_args_list] == [2, 3]
+    assert 0 < budget.nodes <= 5 * g.n + 2 and not budget.exhausted
     for nodes in range(budget.nodes):
         small = Budget(nodes=nodes)
         with mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters, \
                 pytest.raises(BudgetExhausted):
             fractional_clique_cover(g, small)
         assert small.exhausted and masters.call_count == 0
-    # either allowance running out only hands the graph to the master
-    for target, search in (("hfrac.fraccover.alpha", alpha), ("hfrac.fraccover.clique_cover_leq", clique_cover_leq)):
+    # the greedy descent's allowance running out hands the graph to alpha's
+    # set; alpha's, or the second descent's, hands it to the master
+    for target, search, spent, master_calls in (
+            ("hfrac.fraccover.clique_cover_leq", clique_cover_leq, (0,), 0),
+            ("hfrac.fraccover.alpha", alpha, (0,), 1),
+            ("hfrac.fraccover.clique_cover_leq", clique_cover_leq, (1,), 1)):
         budget = Budget()
-        with mock.patch(target, _after_its_allowance(search)), \
+        with mock.patch(target, _after_its_allowance(search, spent)), \
                 mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
             assert fractional_clique_cover(g, budget).value == 3
-        assert masters.call_count == 1 and not budget.exhausted
+        assert masters.call_count == master_calls and not budget.exhausted
+
+
+def test_a_set_of_alphas_no_larger_than_the_greedy_set_is_not_descended_on():
+    # the file copy of C5: the greedy set {0, 2} is maximum and has no
+    # partition into two cliques, so the descent at alpha = 2 would fail
+    # again; the master solves the graph after one descent
+    g = Graph(cycle(5).matrix)
+    assert len(greedy_stable_set(g)) == alpha(g)[0] == 2
+    with mock.patch("hfrac.fraccover.clique_cover_leq", wraps=clique_cover_leq) as descents, \
+            mock.patch("hfrac.fraccover.alpha", wraps=alpha) as searches, \
+            mock.patch("hfrac.fraccover.CoveringMaster", wraps=CoveringMaster) as masters:
+        assert fractional_clique_cover(g).value == F(5, 2)
+    assert (descents.call_count, searches.call_count, masters.call_count) == (1, 1, 1)
+
+
+def test_the_greedy_partition_closes_a_graph_whose_alpha_search_runs_out():
+    # alpha's search runs out of its 15 nodes here, and before the greedy
+    # step the master solved the graph; the greedy set is maximum and its
+    # partition closes the cover at the same value, with other cliques
+    g = graph_from_edges(15, [(0, 2), (0, 5), (1, 3), (1, 5), (1, 9), (2, 9), (2, 11), (3, 5), (3, 12), (4, 8),
+                              (4, 9), (4, 11), (5, 7), (5, 12), (5, 14), (7, 13), (7, 14), (8, 12), (8, 14),
+                              (10, 14), (12, 13)])
+    with pytest.raises(SearchCutoff):
+        alpha(g, Budget(nodes=g.n))
+    assert greedy_stable_set(g) == alpha(g)[1] == (0, 3, 6, 7, 8, 9, 10, 11)
+    cover, before = fractional_clique_cover(g), alpha_first_fractional_clique_cover(g)
+    assert cover.value == before.value == 8 and cover.d == before.d == 1
+    assert [cl for cl, _ in cover.classes] == [(0, 2), (1, 3, 5), (4, 11), (6,), (7, 13), (8, 12), (9,), (10, 14)]
+    assert cover.classes != before.classes
+
+
+def test_the_greedy_set_is_maximal_and_the_cover_is_the_alpha_first_one():
+    # the printed cover is the one alpha's set gave before the greedy step,
+    # except where alpha's search ran out of its n nodes and the master
+    # solved the graph: there the greedy set's partition, when it exists,
+    # closes the cover first, at the same value
+    rng = random.Random(50)
+    for _ in range(240):
+        g = random_graph(rng, rng.randint(5, 16), rng.choice((0.15, 0.3, 0.5, 0.7)))
+        greedy = greedy_stable_set(g)
+        members = sum(1 << v for v in greedy)
+        assert greedy == min_degree_stable_set(g)
+        assert independent_set_violation(g, greedy) is None
+        assert all(g.adj[v] & members for v in range(g.n) if v not in greedy)  # maximal
+        assert len(greedy) <= alpha(g)[0]
+        cover, expected = fractional_clique_cover(g), alpha_first_fractional_clique_cover(g)
+        if cover.to_json() != expected.to_json():
+            with pytest.raises(SearchCutoff):
+                alpha(g, Budget(nodes=g.n))
+            assert cover_violation(g, cover) is None
+            assert cover.d == 1 and cover.value == expected.value == len(greedy)
 
 
 def test_cover_value_at_least_alpha():
