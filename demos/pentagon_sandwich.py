@@ -7,7 +7,8 @@ parameters.  This script derives each layer with a certificate:
   alpha(C5) = 2                      exact search, witness set
   alpha(C5 x C5) = 5 (strong)        the coded diagonal {(i, 2i mod 5)}
   theta(C5) = sqrt(5)                circulant eigenvalue closed form,
-                                     plus umbrella certificates both ways
+                                     and exactly 0 + 1*5^(1/2) from the
+                                     strongly regular bound srg(5, 2, 0, 1)
   chi_f cover of C5 = 5/2            exact LP, the five edges at weight 1/2
   minrank(C5; GF(2)) = 3             exhaustive over all fit matrices
   fractional bound <= 5/2            a verified (5,2) block certificate
@@ -29,11 +30,10 @@ from hfrac import (
     hfrac_upper_search,
     is_independent_set,
     minrank_exact,
-    pentagon_umbrella,
+    srg_theta_upper,
     strong_product,
+    strongly_regular,
     theta_circulant,
-    theta_lower_from_dual,
-    theta_upper_from_orthorep,
 )
 
 
@@ -51,10 +51,11 @@ def main():
     print(f"  capacity lower bound: sqrt({a2}) = {sqrt(a2):.10f}")
 
     theta = theta_circulant(5, {1})
-    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
-    lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
     print(f"theta(C5) = {theta:.10f}  (sqrt(5) = {sqrt(5):.10f})")
-    print(f"  umbrella certificates: lower {lower:.10f}, upper {upper:.10f}")
+    params = strongly_regular(c5)
+    a, b, d = srg_theta_upper(5, *params)
+    print(f"  strongly regular with (k, lambda, mu) = {params}: "
+          f"theta <= {a} + {b}*{d}^(1/2), exactly")
 
     cover = fractional_clique_cover(c5)
     print(f"fractional clique cover value = {cover.value}, classes:")

@@ -67,14 +67,6 @@ from .reps import (
     hfrac_upper_search,
     tensor_dreps,
 )
-from .theta import (
-    OrthoRep,
-    orthorep_violation,
-    pentagon_umbrella,
-    theta_circulant,
-    theta_johnson_lp,
-    theta_lower_from_dual,
-    theta_upper_from_orthorep,
-)
+from .theta import srg_theta_upper, strongly_regular, theta_circulant, theta_johnson_lp
 
 __version__ = "0.1.0"

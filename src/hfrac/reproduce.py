@@ -29,14 +29,7 @@ from .graphs import (
 from .independence import alpha, clique_cover_leq, clique_cover_violation
 from .minrank import alon_certificate, cover_certificate, johnson_certificate, minrank_exact
 from .reps import cycle_drep, drep_violation, tensor_dreps
-from .theta import (
-    johnson_theta_formula,
-    pentagon_umbrella,
-    theta_circulant,
-    theta_johnson_lp,
-    theta_lower_from_dual,
-    theta_upper_from_orthorep,
-)
+from .theta import johnson_theta_formula, srg_theta_upper, strongly_regular, theta_circulant, theta_johnson_lp
 
 
 @dataclass(frozen=True)
@@ -195,10 +188,14 @@ def _claim_universal_graphs():
 
 def _claim_theta_sandwich_c5():
     c5 = cycle(5)
-    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
-    lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
-    ok = upper <= sqrt(5) + 1e-6 and lower >= sqrt(5) - 1e-6
-    return ok, f"[{lower!r}, {upper!r}]", "both within 1e-6 of sqrt(5)"
+    params = strongly_regular(c5)
+    a, b, d = srg_theta_upper(5, *params)
+    diagonal = [5 * v + 2 * v % 5 for v in range(5)]
+    independent = is_independent_set(strong_product(c5, c5), diagonal)
+    ok = (a, b, d) == (0, 1, 5) and independent
+    return ok, f"srg(5, {', '.join(map(str, params))}): theta <= {a} + {b}*{d}^(1/2); " \
+        f"diagonal independent: {independent}", \
+        "theta <= 0 + 1*5^(1/2) and alpha(C5 x C5) >= 5, so theta = Theta = sqrt(5)"
 
 
 def _claim_shannon_lower_c5sq():
@@ -231,7 +228,7 @@ CLAIMS: tuple[Claim, ...] = (
           10.0, _claim_alon_certificates),
     Claim("universal-graphs", "pair-universal graphs: 6 and 28 vertices, alpha = n at d=1",
           5.0, _claim_universal_graphs),
-    Claim("theta-sandwich-c5", "umbrella evaluators bracket sqrt(5) within 1e-6",
+    Claim("theta-sandwich-c5", "theta(C5) = Theta(C5) = sqrt(5): srg bound above, coded diagonal below",
           1.0, _claim_theta_sandwich_c5),
     Claim("shannon-lower-c5sq", "alpha(C5 x C5) = 5, so the capacity lower bound meets theta(C5)",
           10.0, _claim_shannon_lower_c5sq),

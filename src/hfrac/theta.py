@@ -1,29 +1,23 @@
-"""Lovasz theta values for structured graphs, plus bound evaluators fed by
-explicit orthonormal representations.
+"""Lovasz theta values for structured graphs.
 
 There is deliberately no general SDP solver here: theta is computed only
 where a certifiable route exists: the eigenvalue closed form for
 edge-transitive circulants, an exact rational LP for the intersection
-graphs of (p+1)-subsets, and numeric evaluators that turn a representation
-built in memory into a bound that holds up to the module tolerance
-``_TOL``.  A representation is no certificate: ``verify`` reads exact
-certificates only, and no file carries one.
+graphs of (p+1)-subsets, and Lovasz's eigenvalue bound for strongly
+regular graphs, exact in Q(sqrt(D)).  No float form of a representation
+is kept: ``verify`` reads exact certificates only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, cos, inf, pi, sin, sqrt
+from math import comb, cos, isqrt, pi
 
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedFamily, VerificationError
-from .graphs import Graph, complement, require_prime
+from .graphs import Graph, require_prime
 from .lp import F1, LinearProgram, simplex_solve
-
-# The tolerance of every check of a representation: its vectors are floats.
-_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +38,9 @@ def theta_circulant(n: int, connection: set[int] | frozenset[int]) -> float:
     if not offs or 0 in offs:
         raise PreconditionError("connection set must be nonempty without offset 0")
     offs = {min(s, n - s) for s in offs}
-    if len(offs) != 1 and offs != set(range(1, n // 2 + 1)):
+    if offs == set(range(1, n // 2 + 1)):
+        return 1.0  # K_n: n * 1 / ((n - 1) + 1), exactly
+    if len(offs) != 1:
         raise UnsupportedFamily(
             f"connection set {sorted(offs)} is not a supported edge-transitive family"
         )
@@ -90,78 +86,43 @@ def johnson_theta_formula(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Representation-based evaluators
+# Strongly regular graphs
 
 
-@dataclass(frozen=True)
-class OrthoRep:
-    """Unit vectors (rows) with non-adjacent pairs orthogonal, plus a unit
-    handle vector."""
-
-    vectors: np.ndarray  # shape (nv, N)
-    handle: np.ndarray  # shape (N,)
-
-
-def orthorep_violation(g: Graph, rep: OrthoRep) -> str | None:
-    if rep.vectors.shape[0] != g.n:
-        return f"{rep.vectors.shape[0]} vectors for {g.n} vertices"
-    norms = np.linalg.norm(rep.vectors, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > _TOL)[0]
-    if bad.size:
-        return f"vector of vertex {int(bad[0])} is not unit length"
-    if abs(np.linalg.norm(rep.handle) - 1.0) > _TOL:
-        return "handle is not unit length"
-    gram = rep.vectors @ rep.vectors.T
-    bad = g.first_nonedge(np.triu(np.abs(gram) > _TOL, 1))
-    if bad is not None:
-        return f"non-edge ({bad[0]}, {bad[1]}) has inner product {gram[bad]:.3e}"
-    return None
+def strongly_regular(g: Graph) -> tuple[int, int, int] | None:
+    """(k, lambda, mu) when every degree is k >= 1, the ends of every edge
+    share lambda neighbours and every other pair of distinct vertices
+    shares mu (0 on K_n, which has no such pair); else None.  The counts
+    are A^2, one float32 product, exact while n < 2^24."""
+    k = max(g.degrees, default=0)
+    if k == 0 or min(g.degrees) < k:
+        return None
+    a = g.matrix.astype(np.float32)
+    shared = a @ a
+    lam = np.unique(shared[g.matrix])
+    mu = np.unique(shared[~g.matrix & ~np.eye(g.n, dtype=bool)])
+    if len(lam) != 1 or len(mu) > 1:
+        return None
+    return k, int(lam[0]), int(mu[0]) if len(mu) else 0
 
 
-def theta_upper_from_orthorep(g: Graph, rep: OrthoRep) -> float:
-    """max_v 1/<x_v, h>^2 over an orthonormal representation of g: an upper
-    bound on theta(g) up to the verification tolerance.  A vanishing inner
-    product makes the bound unbounded (inf)."""
-    failure = orthorep_violation(g, rep)
-    if failure is not None:
-        raise VerificationError(f"representation invalid: {failure}")
-    dots = rep.vectors @ rep.handle
-    sq = dots * dots
-    if np.any(sq < 1e-30):
-        return inf
-    return float(np.max(1.0 / sq))
+def srg_theta_upper(n: int, k: int, lam: int, mu: int) -> tuple[Fraction, Fraction, int]:
+    """(a, b, D) with theta <= a + b*sqrt(D) on srg(n, k, lam, mu); a square
+    D folds into a, giving b = 0 and D = 0.
 
-
-def theta_lower_from_dual(g: Graph, rep_of_complement: OrthoRep) -> float:
-    """Sum of <x_v, h>^2 over an orthonormal representation of the
-    complement: the dual form, a lower bound on theta(g) up to the
-    verification tolerance."""
-    failure = orthorep_violation(complement(g), rep_of_complement)
-    if failure is not None:
-        raise VerificationError(f"complement representation invalid: {failure}")
-    dots = rep_of_complement.vectors @ rep_of_complement.handle
-    return float(np.sum(dots * dots))
-
-
-def pentagon_umbrella(step: int = 1) -> OrthoRep:
-    """The classical five-vector umbrella in R^3 with <x_v, h>^2 = 5^{-1/2}.
-
-    step 1 orients the azimuths so vertices at distance 2 on the 5-cycle
-    are orthogonal (a representation of the cycle); step 2 makes
-    consecutive vertices orthogonal (a representation of its complement).
+    On the complement of the all-ones vector every eigenvalue of A is a
+    root of x^2 - cx - (k - mu), c = lam - mu, so it is at least
+    s = (c - sqrt(D))/2, D = c^2 + 4(k - mu).  Lovasz's bound for regular
+    graphs, theta <= -n*l_min/(k - l_min) (IEEE Trans. IT 1979, Thm 9),
+    falls as l_min rises, so theta <= -n*s/(k - s).  Rationalised, its
+    denominator 4(k(k - lam + mu - 1) + mu) vanishes only on disjoint
+    cliques (mu = 0, lam = k - 1), where D = (k + 1)^2 is a square.
     """
-    if step not in (1, 2):
-        raise PreconditionError("step must be 1 or 2")
-    cos_phi = 5.0 ** -0.25  # cos^2(phi) = 1/sqrt(5)
-    sin_phi = sqrt(1.0 - cos_phi * cos_phi)
-    vecs = np.array(
-        [
-            [
-                sin_phi * cos(2.0 * pi * step * v / 5.0),
-                sin_phi * sin(2.0 * pi * step * v / 5.0),
-                cos_phi,
-            ]
-            for v in range(5)
-        ]
-    )
-    return OrthoRep(vecs, np.array([0.0, 0.0, 1.0]))
+    c = lam - mu
+    d = c * c + 4 * (k - mu)
+    root = isqrt(d)
+    if root * root == d:
+        s = Fraction(c - root, 2)
+        return -n * s / (k - s), Fraction(0), 0
+    den = (2 * k - c) ** 2 - d
+    return Fraction(-n * (d + c * (2 * k - c)), den), Fraction(2 * n * k, den), d

@@ -25,6 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _ATTAIN = "tests/test_cli.py::test_verify_refuses_a_witness_that_does_not_attain_its_end"
 _GATE = "tests/test_cli.py::test_a_rejecting_exact_gate_exits_2"
+_SRG_BOUND = "tests/test_theta.py::test_srg_bound_is_at_least_alpha_and_matches_the_eigenvalues"
 
 # (file, line, replacement, selectors)
 MUTANTS = [
@@ -65,6 +66,23 @@ MUTANTS = [
      "if len(stable) <= len(greedy):",
      "if len(stable) < len(greedy):",
      ["tests/test_fraccover.py::test_a_set_of_alphas_no_larger_than_the_greedy_set_is_not_descended_on"]),
+    # the srg check forgets regularity: the star K_{1,3}, with k read at
+    # the centre, gives srg(4, 3, 0, 1) and a bound of 8/5 < alpha = 3
+    ("theta.py",
+     "if k == 0 or min(g.degrees) < k:",
+     "if k == 0:",
+     [f"{_SRG_BOUND}[star]"]),
+    # ... or that every non-adjacent pair shares one count: C6 (mu 0 and 1)
+    # gives srg(6, 2, 0, 0) and a bound of 6*2^(1/2) - 6 < alpha = 3
+    ("theta.py",
+     "if len(lam) != 1 or len(mu) > 1:",
+     "if len(lam) != 1:",
+     [f"{_SRG_BOUND}[C6]"]),
+    # the bound takes lambda for mu and mu for lambda: 5/3 < alpha = 2 on C5
+    ("theta.py",
+     "def srg_theta_upper(n: int, k: int, lam: int, mu: int) -> tuple[Fraction, Fraction, int]:",
+     "def srg_theta_upper(n: int, k: int, mu: int, lam: int) -> tuple[Fraction, Fraction, int]:",
+     [f"{_SRG_BOUND}[C5]"]),
 ]
 
 

@@ -799,3 +799,18 @@ def tableau_simplex_solve(lp: LinearProgram) -> LpSolution:
     if not check_solution(lp, sol):
         raise VerificationError("internal error: optimum failed its own certificate")
     return sol
+
+
+def pair_count_strongly_regular(g: Graph) -> tuple[int, int, int] | None:
+    """``theta.strongly_regular`` by neighbour sets: (k, lambda, mu) from
+    the common neighbours of each pair, counted one pair at a time."""
+    nbrs = [set(_bits(row)) for row in g.adj]
+    degrees = {len(s) for s in nbrs}
+    if len(degrees) != 1 or degrees == {0}:
+        return None
+    on_edges, others = set(), set()
+    for u, v in combinations(range(g.n), 2):
+        (on_edges if v in nbrs[u] else others).add(len(nbrs[u] & nbrs[v]))
+    if len(on_edges) != 1 or len(others) > 1:
+        return None
+    return degrees.pop(), on_edges.pop(), others.pop() if others else 0

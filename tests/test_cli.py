@@ -101,6 +101,12 @@ def test_theta_circulant(capsys):
     assert abs(float(out.strip()) - 5 ** 0.5) < 1e-9
 
 
+def test_theta_circulant_of_a_complete_connection_set_is_exactly_one(capsys):
+    # K_5000: summing 5000 * 2500 cosines printed 1.0000000009497896
+    connection = ",".join(map(str, range(1, 2501)))
+    assert run(capsys, "theta-circulant", "--n", "5000", "--connection", connection) == (0, "1.0\n", "")
+
+
 def test_theta_circulant_is_capped_like_every_graph(capsys):
     code, _, err = run(capsys, "theta-circulant", "--n", "5001")
     assert code == 64 and "cap 5000" in err
@@ -405,7 +411,7 @@ def test_huge_inputs_are_refused_quickly(tmp_path, capsys):
 
 # SHA-256 of ``reproduce --json``: the claim suite's bytes stay the same
 # through every refactor.
-REPRODUCE_SHA256 = "36cae7756a49475adcbe63e2e07f7448181bd91405687e79e44d4f81f9a109db"
+REPRODUCE_SHA256 = "284c010a777680f8372129ef5e6a2115b6f794a4feca0ab32a1e3cf5e7790c86"
 
 
 def test_reproduce(capsys):

@@ -1,27 +1,27 @@
-"""Theta evaluators: circulant closed form, the exact LP, representations."""
+"""Theta: the circulant closed form, the exact LP, the strongly regular bound."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import cos, isclose, pi, sqrt
+from itertools import combinations
+from math import cos, pi, sqrt
+from random import Random
 
 import numpy as np
 import pytest
-from oracles import tableau_simplex_solve
+from oracles import pair_count_strongly_regular, random_graph, tableau_simplex_solve
 
-from hfrac.errors import PreconditionError, UnsupportedFamily, VerificationError
-from hfrac.graphs import complement, complete, cycle, empty, graph_from_edges
+from hfrac.errors import PreconditionError, UnsupportedFamily
+from hfrac.graphs import graph_from_edges
+from hfrac.independence import alpha
 from hfrac.lp import check_solution, simplex_solve
 from hfrac.theta import (
-    OrthoRep,
     johnson_theta_formula,
     johnson_theta_program,
-    orthorep_violation,
-    pentagon_umbrella,
+    srg_theta_upper,
+    strongly_regular,
     theta_circulant,
     theta_johnson_lp,
-    theta_lower_from_dual,
-    theta_upper_from_orthorep,
 )
 
 
@@ -42,7 +42,8 @@ def test_theta_complete_circulant_is_one():
 # The repr that ``theta-circulant`` prints, pinned bit for bit: every
 # cover-lp op (odd cycles 5-21, offset 1), single offsets (a half offset,
 # offsets sharing a factor with n, unreduced ones) and complete connection
-# sets, written as offsets up to n/2 and as all of 1..n-1.
+# sets, written as offsets up to n/2 and as all of 1..n-1.  A complete set
+# is K_n, whose theta is exactly 1.
 PINNED_THETA = [
     (5, (1,), "2.2360679774997902"),
     (7, (1,), "3.317667207394096"),
@@ -67,16 +68,16 @@ PINNED_THETA = [
     (40, (20,), "20.0"),
     (7, (6,), "3.317667207394096"),
     (11, (-3,), "5.386302911967422"),
-    (3, (1,), "1.0000000000000007"),
-    (4, (1, 2), "1.0000000000000004"),
-    (6, range(1, 4), "1.0000000000000004"),
-    (9, range(1, 5), "1.000000000000005"),
-    (10, range(1, 6), "1.0000000000000029"),
-    (17, range(1, 9), "1.000000000000011"),
-    (25, range(1, 13), "1.000000000000031"),
-    (40, range(1, 21), "1.0000000000001052"),
-    (9, range(1, 9), "1.000000000000005"),
-    (40, range(1, 40), "1.0000000000001052"),
+    (3, (1,), "1.0"),
+    (4, (1, 2), "1.0"),
+    (6, range(1, 4), "1.0"),
+    (9, range(1, 5), "1.0"),
+    (10, range(1, 6), "1.0"),
+    (17, range(1, 9), "1.0"),
+    (25, range(1, 13), "1.0"),
+    (40, range(1, 21), "1.0"),
+    (9, range(1, 9), "1.0"),
+    (40, range(1, 40), "1.0"),
 ]
 
 
@@ -132,73 +133,82 @@ def test_theta_lp_preconditions():
         theta_johnson_lp(2, 5)  # needs n >= 2(p+1)
 
 
-def test_umbrella_is_verified_for_cycle_and_complement():
-    c5 = cycle(5)
-    assert orthorep_violation(c5, pentagon_umbrella(1)) is None
-    assert orthorep_violation(complement(c5), pentagon_umbrella(2)) is None
-    assert orthorep_violation(c5, pentagon_umbrella(2)) is not None
+def _paley(q: int):
+    squares = {x * x % q for x in range(1, q)}
+    return graph_from_edges(q, [(u, v) for u, v in combinations(range(q), 2) if (v - u) % q in squares])
 
 
-def test_the_ortho_check_names_the_first_defect():
-    # the 5-cycle without edges (0, 4) and (1, 2): the umbrella's vectors
-    # for both pairs are not orthogonal, and (0, 4) comes first row-major
-    g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
-    assert orthorep_violation(g, pentagon_umbrella(1)) == "non-edge (0, 4) has inner product 6.180e-01"
-    assert orthorep_violation(cycle(5), pentagon_umbrella(2)) == "non-edge (0, 2) has inner product 6.180e-01"
+def _pairs(n: int):
+    return list(combinations(range(n), 2))
 
 
-def test_theta_sandwich_c5():
-    c5 = cycle(5)
-    upper = theta_upper_from_orthorep(c5, pentagon_umbrella(1))
-    lower = theta_lower_from_dual(c5, pentagon_umbrella(2))
-    assert upper <= sqrt(5) + 1e-6
-    assert lower >= sqrt(5) - 1e-6
+# hand-built graphs: strongly regular ones with a surd bound (C5 and the
+# Paley graphs), a square D (Petersen, T(6), K_{3,3}) and a vanishing
+# rationalising denominator (disjoint cliques: K6, 3K4), and graphs that
+# are not (C6 has two mu, the star two degrees, K1 and E3 no edge)
+FAMILIES = {
+    "C5": graph_from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+    "petersen": graph_from_edges(10, [(i, j) for i, j in _pairs(10) if not set(_pairs(5)[i]) & set(_pairs(5)[j])]),
+    "paley13": _paley(13),
+    "paley17": _paley(17),
+    "T6": graph_from_edges(15, [(i, j) for i, j in _pairs(15) if len(set(_pairs(6)[i]) & set(_pairs(6)[j])) == 1]),
+    "K6": graph_from_edges(6, _pairs(6)),
+    "3K4": graph_from_edges(12, [(u, v) for u, v in _pairs(12) if u // 4 == v // 4]),
+    "K3,3": graph_from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "C6": graph_from_edges(6, [(v, (v + 1) % 6) for v in range(6)]),
+    "star": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "K1": graph_from_edges(1, []),
+    "E3": graph_from_edges(3, []),
+}
+
+FAMILY_PARAMS = {
+    "C5": (2, 0, 1), "petersen": (3, 0, 1), "paley13": (6, 2, 3), "paley17": (8, 3, 4),
+    "T6": (8, 4, 4), "K6": (5, 4, 0), "3K4": (3, 2, 0), "K3,3": (3, 0, 3),
+    "C6": None, "star": None, "K1": None, "E3": None,
+}
+
+# (a, b, D) of each strongly regular family's bound
+FAMILY_BOUNDS = {
+    "C5": (0, 1, 5), "petersen": (4, 0, 0), "paley13": (0, 1, 13), "paley17": (0, 1, 17),
+    "T6": (3, 0, 0), "K6": (1, 0, 0), "3K4": (3, 0, 0), "K3,3": (3, 0, 0),
+}
 
 
-def test_ortho_evaluator_examples():
-    # all vectors equal to the handle on a complete graph: value 1
-    vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
-    rep = OrthoRep(vecs, np.array([1.0, 0.0]))
-    assert orthorep_violation(complete(4), rep) is None
-    assert isclose(theta_upper_from_orthorep(complete(4), rep), 1.0)
-    # orthogonal pair with the handle at 45 degrees: value 2
-    rep = OrthoRep(np.eye(2), np.array([1.0, 1.0]) / sqrt(2))
-    assert orthorep_violation(empty(2), rep) is None
-    assert isclose(theta_upper_from_orthorep(empty(2), rep), 2.0)
-    # a vector orthogonal to the handle: unbounded
-    rep = OrthoRep(np.eye(2), np.array([1.0, 0.0]))
-    assert theta_upper_from_orthorep(empty(2), rep) == float("inf")
+def _at_least(a: F, b: F, d: int, x: int) -> bool:
+    """a + b*sqrt(d) >= x, decided in rationals (b >= 0)."""
+    return x <= a or b * b * d >= (x - a) ** 2
 
 
-def test_the_upper_evaluator_refuses_a_representation_of_another_graph():
-    # the step-2 umbrella represents the complement of C5; it evaluated to
-    # sqrt(5) as an upper bound on theta(C5) while the evaluator took no graph
-    with pytest.raises(VerificationError, match=r"non-edge \(0, 2\)"):
-        theta_upper_from_orthorep(cycle(5), pentagon_umbrella(2))
+@pytest.mark.parametrize("name", FAMILIES)
+def test_strongly_regular_reads_the_family_parameters(name):
+    g = FAMILIES[name]
+    assert strongly_regular(g) == pair_count_strongly_regular(g) == FAMILY_PARAMS[name]
 
 
-def test_the_umbrella_scaled_off_unit_length_fails_the_ortho_check():
-    # scaled by 1 + 1e-6, its vectors miss unit length by more than the tolerance
-    u = pentagon_umbrella(1)
-    scaled = OrthoRep(u.vectors * (1 + 1e-6), u.handle)
-    assert orthorep_violation(cycle(5), scaled) == "vector of vertex 0 is not unit length"
+def test_strongly_regular_matches_the_pair_oracle_on_random_graphs():
+    rng = Random(31)
+    found = 0
+    for n in range(1, 13):
+        for prob in (0.2, 0.5, 0.8, 1.0):
+            for _ in range(8):
+                g = random_graph(rng, n, prob)
+                params = strongly_regular(g)
+                assert params == pair_count_strongly_regular(g)
+                if params is not None:
+                    assert _at_least(*srg_theta_upper(n, *params), alpha(g)[0])
+                    found += 1
+    assert found >= 12  # the complete graphs at prob 1.0, among others
 
 
-def test_dual_evaluator_examples():
-    n = 4
-    vecs = np.tile(np.array([1.0, 0.0]), (n, 1))
-    rep = OrthoRep(vecs, np.array([1.0, 0.0]))
-    assert isclose(theta_lower_from_dual(empty(n), rep), n)
-    single = OrthoRep(np.array([[1.0]]), np.array([1.0]))
-    assert isclose(theta_lower_from_dual(complete(1), single), 1.0)
-    with pytest.raises(VerificationError):
-        theta_lower_from_dual(cycle(5), pentagon_umbrella(1))  # wrong graph
-
-
-def test_evaluators_never_dip_below_theta_on_cycles():
-    for n in (5, 7, 9):
-        g = cycle(n)
-        rep = OrthoRep(np.eye(n), np.ones(n) / sqrt(n))
-        assert orthorep_violation(g, rep) is None
-        assert theta_upper_from_orthorep(g, rep) >= theta_circulant(n, {1}) - 1e-6
-    assert theta_upper_from_orthorep(cycle(5), pentagon_umbrella(1)) >= theta_circulant(5, {1}) - 1e-6
+@pytest.mark.parametrize("name", FAMILIES)
+def test_srg_bound_is_at_least_alpha_and_matches_the_eigenvalues(name):
+    g = FAMILIES[name]
+    params = strongly_regular(g)
+    if params is None:
+        assert name not in FAMILY_BOUNDS
+        return
+    a, b, d = srg_theta_upper(g.n, *params)
+    assert b >= 0 and _at_least(a, b, d, alpha(g)[0])
+    k, lam_min = params[0], np.linalg.eigvalsh(g.matrix.astype(float))[0]
+    assert abs(float(a) + float(b) * sqrt(d) - g.n * -lam_min / (k - lam_min)) <= 1e-9
+    assert (a, b, d) == FAMILY_BOUNDS[name]
